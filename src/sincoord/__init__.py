@@ -46,6 +46,7 @@ from .errors import (
     SincoordError,
     SingularDerivative,
     UnsupportedSystem,
+    VanishingFrequency,
     ZeroRecurrenceCoefficient,
 )
 from .heisenberg import (

@@ -9,7 +9,6 @@ Hamilton's equations that knows nothing about the closure.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -19,17 +18,17 @@ from .errors import (
     DomainEscape,
     EnergyDrift,
     NonOscillatory,
+    ParameterOutOfRange,
     SingularDerivative,
     UnsupportedSystem,
 )
 from .report import CheckReport, make_report
 from .systems import (
-    AskeyWilson,
-    DeformedOscillator,
     PoschlTeller,
     SystemSpec,
     classical_r_polynomials,
     r_polynomials,
+    require_inside,
     validate,
 )
 
@@ -51,129 +50,28 @@ class Trajectory:
     energy_drift: float = 0.0
 
 
-def domain(spec: SystemSpec) -> tuple[float, float]:
-    match spec:
-        case PoschlTeller():
-            return (0.0, 0.5 * math.pi)
-        case DeformedOscillator():
-            return (-math.inf, math.inf)
-        case AskeyWilson():
-            return (0.0, math.pi)
-    raise UnsupportedSystem(type(spec).__name__)
-
-
-def eta_of_x(spec: SystemSpec, x):
-    match spec:
-        case PoschlTeller():
-            return np.cos(2.0 * np.asarray(x, dtype=float))
-        case DeformedOscillator():
-            return np.asarray(x, dtype=float) + 0.0
-        case AskeyWilson():
-            return np.cos(np.asarray(x, dtype=float))
-    raise UnsupportedSystem(type(spec).__name__)
-
-
-def _eta_derivs(spec: SystemSpec, x: float) -> tuple[float, float]:
-    """(d eta/dx, d^2 eta/dx^2) at a scalar point."""
-    match spec:
-        case PoschlTeller():
-            return (-2.0 * math.sin(2.0 * x), -4.0 * math.cos(2.0 * x))
-        case DeformedOscillator():
-            return (1.0, 0.0)
-        case AskeyWilson():
-            return (-math.sin(x), -math.cos(x))
-    raise UnsupportedSystem(type(spec).__name__)
-
-
-def _aw_potential(spec: AskeyWilson, x: float):
-    """V(z), dV/dx, for z = exp(ix), as complex values."""
-    z = cmath.exp(1j * x)
-    z2 = z * z
-    value = 1.0 + 0j
-    log_deriv = 4.0 * z / (1.0 - z2)
-    for aj in spec.params:
-        value *= 1.0 - aj * z
-        if aj != 0.0:
-            log_deriv -= aj / (1.0 - aj * z)
-    value /= (1.0 - z2) ** 2
-    return value, 1j * z * value * log_deriv
-
-
 def hamiltonian(spec: SystemSpec, x: float, p: float) -> float:
-    match spec:
-        case PoschlTeller(g=g, h=h):
-            u = g / math.tan(x) - h * math.tan(x)
-            return 0.5 * p * p + 0.5 * u * u
-        case DeformedOscillator(a=a):
-            return math.hypot(a, x) * math.cosh(p) - a
-        case AskeyWilson():
-            vc, _ = _aw_potential(spec, x)
-            return abs(vc) * math.cosh(spec.log_q * p) - vc.real
-    raise UnsupportedSystem(type(spec).__name__)
-
-
-def _partials(spec: SystemSpec, x: float, p: float) -> tuple[float, float]:
-    """(dH/dx, dH/dp)."""
-    match spec:
-        case PoschlTeller(g=g, h=h):
-            sx, cx = math.sin(x), math.cos(x)
-            u = g * cx / sx - h * sx / cx
-            du = -g / (sx * sx) - h / (cx * cx)
-            return (u * du, p)
-        case DeformedOscillator(a=a):
-            r = math.hypot(a, x)
-            return (x * math.cosh(p) / r, r * math.sinh(p))
-        case AskeyWilson():
-            gam = spec.log_q
-            vc, dvc = _aw_potential(spec, x)
-            w = abs(vc)
-            wx = (vc.conjugate() * dvc).real / w
-            return (
-                wx * math.cosh(gam * p) - dvc.real,
-                gam * w * math.sinh(gam * p),
-            )
-    raise UnsupportedSystem(type(spec).__name__)
-
-
-def _second_partials(spec: SystemSpec, x: float, p: float) -> tuple[float, float]:
-    """(d2H/dp2, d2H/dpdx)."""
-    match spec:
-        case PoschlTeller():
-            return (1.0, 0.0)
-        case DeformedOscillator(a=a):
-            r = math.hypot(a, x)
-            return (r * math.cosh(p), x * math.sinh(p) / r)
-        case AskeyWilson():
-            gam = spec.log_q
-            vc, dvc = _aw_potential(spec, x)
-            w = abs(vc)
-            wx = (vc.conjugate() * dvc).real / w
-            return (
-                gam * gam * w * math.cosh(gam * p),
-                gam * wx * math.sinh(gam * p),
-            )
-    raise UnsupportedSystem(type(spec).__name__)
+    return spec.hamiltonian(x, p)
 
 
 def poisson_h_eta(spec: SystemSpec, x: float, p: float) -> float:
     """{H, eta} = -dH/dp * eta'(x)."""
-    _, dhdp = _partials(spec, x, p)
-    deta, _ = _eta_derivs(spec, x)
-    return -dhdp * deta
+    _, dhdp = spec.partials(x, p)
+    return -dhdp * spec.deta_dx(x)
 
 
 def poisson_h_h_eta(spec: SystemSpec, x: float, p: float) -> float:
     """{H, {H, eta}} from analytic first and second partials."""
-    dhdx, dhdp = _partials(spec, x, p)
-    d2p2, d2pdx = _second_partials(spec, x, p)
-    deta, d2eta = _eta_derivs(spec, x)
+    dhdx, dhdp = spec.partials(x, p)
+    d2p2, d2pdx = spec.second_partials(x, p)
+    deta, d2eta = spec.deta_dx(x), spec.d2eta_dx2(x)
     return -dhdx * d2p2 * deta + dhdp * d2pdx * deta + dhdp * dhdp * d2eta
 
 
 def poisson_h_eta_fd(spec: SystemSpec, x: float, p: float, step: float = 1e-6) -> float:
     """{H, eta} with all derivatives replaced by central differences."""
     dhdp = (hamiltonian(spec, x, p + step) - hamiltonian(spec, x, p - step)) / (2 * step)
-    deta = float(eta_of_x(spec, x + step) - eta_of_x(spec, x - step)) / (2 * step)
+    deta = float(spec.eta(x + step) - spec.eta(x - step)) / (2 * step)
     return -dhdp * deta
 
 
@@ -187,12 +85,6 @@ def poisson_h_h_eta_fd(spec: SystemSpec, x: float, p: float, step: float = 1e-6)
     return dhdx * dfdp - dhdp * dfdx
 
 
-def _require_inside(spec: SystemSpec, x: float) -> None:
-    lo, hi = domain(spec)
-    if not lo < x < hi:
-        raise DomainEscape(f"x={x} left the open domain ({lo}, {hi})")
-
-
 def closed_form_eta(spec: SystemSpec, state: ClassicalState, t):
     """eta(x(t)) from the single-frequency closed form.
 
@@ -200,7 +92,7 @@ def closed_form_eta(spec: SystemSpec, state: ClassicalState, t):
     the initial bracket {H, eta}; raises NonOscillatory if R0(H0) <= 0.
     """
     validate(spec)
-    _require_inside(spec, state.x)
+    require_inside(spec, state.x, DomainEscape)
     closure = classical_r_polynomials(spec)
     h0 = hamiltonian(spec, state.x, state.p)
     r0v = closure.r0(h0)
@@ -209,7 +101,7 @@ def closed_form_eta(spec: SystemSpec, state: ClassicalState, t):
     omega = math.sqrt(r0v)
     ratio = closure.rm1(h0) / r0v
     bracket0 = poisson_h_eta(spec, state.x, state.p)
-    eta0 = float(eta_of_x(spec, state.x))
+    eta0 = float(spec.eta(state.x))
     ts = np.asarray(t, dtype=float)
     values = (
         -bracket0 * np.sin(omega * ts) / omega
@@ -239,22 +131,23 @@ def flow_oracle(
     EnergyDrift if the conserved energy moves by more than 1e-6 relative.
     """
     validate(spec)
-    if dt <= 0.0:
-        raise ValueError(f"dt must be positive, got {dt}")
-    if t_end <= 0.0:
-        raise ValueError(f"t_end must be positive, got {t_end}")
-    _require_inside(spec, state.x)
+    if not 0.0 < dt < math.inf:
+        raise ParameterOutOfRange(f"dt must be positive and finite, got {dt}")
+    if not 0.0 < t_end < math.inf:
+        raise ParameterOutOfRange(f"t_end must be positive and finite, got {t_end}")
+    require_inside(spec, state.x, DomainEscape)
     steps = max(1, int(round(t_end / dt)))
     times = np.arange(steps + 1) * dt
-    etas = np.empty(steps + 1, dtype=float)
+    xs = np.empty(steps + 1, dtype=float)
     x, p = state.x, state.p
-    e0 = hamiltonian(spec, x, p)
+    energy, partials = spec.hamiltonian, spec.partials
+    e0 = energy(x, p)
     guard = 1e-6 * max(1.0, abs(e0))
-    etas[0] = eta_of_x(spec, x)
+    xs[0] = x
     max_drift = 0.0
 
     def rhs(xx: float, pp: float) -> tuple[float, float]:
-        dhdx, dhdp = _partials(spec, xx, pp)
+        dhdx, dhdp = partials(xx, pp)
         return dhdp, -dhdx
 
     for k in range(steps):
@@ -264,32 +157,23 @@ def flow_oracle(
         k4x, k4p = rhs(x + dt * k3x, p + dt * k3p)
         x += dt / 6.0 * (k1x + 2.0 * k2x + 2.0 * k3x + k4x)
         p += dt / 6.0 * (k1p + 2.0 * k2p + 2.0 * k3p + k4p)
-        _require_inside(spec, x)
-        drift = abs(hamiltonian(spec, x, p) - e0)
+        require_inside(spec, x, DomainEscape)
+        drift = abs(energy(x, p) - e0)
         if drift > guard:
             raise EnergyDrift(
                 f"energy moved by {drift} (guard {guard}) at t={times[k + 1]}"
             )
         max_drift = max(max_drift, drift)
-        etas[k + 1] = eta_of_x(spec, x)
-    return Trajectory(times=times, eta_values=etas, energy_drift=max_drift)
+        xs[k + 1] = x
+    return Trajectory(times=times, eta_values=spec.eta(xs), energy_drift=max_drift)
 
 
 def sample_states(spec: SystemSpec, count: int, seed: int = 42) -> list[ClassicalState]:
-    """Seeded phase-space samples comfortably inside the domain."""
+    """Seeded phase-space samples from the family's box inside the domain."""
     rng = np.random.default_rng(seed)
-    match spec:
-        case PoschlTeller():
-            xs = rng.uniform(0.35, 1.2, count)
-            ps = rng.uniform(-1.2, 1.2, count)
-        case DeformedOscillator():
-            xs = rng.uniform(-1.5, 1.5, count)
-            ps = rng.uniform(-1.0, 1.0, count)
-        case AskeyWilson():
-            xs = rng.uniform(0.7, 2.4, count)
-            ps = rng.uniform(-0.9, 0.9, count)
-        case _:
-            raise UnsupportedSystem(type(spec).__name__)
+    (x_lo, x_hi), (p_lo, p_hi) = spec.sample_box
+    xs = rng.uniform(x_lo, x_hi, count)
+    ps = rng.uniform(p_lo, p_hi, count)
     return [ClassicalState(float(x), float(p)) for x, p in zip(xs, ps)]
 
 
@@ -300,29 +184,32 @@ def check_closed_vs_flow(
     periods: float = 3.0,
     tol: float = 1e-6,
     drift_tol: float = 1e-8,
+    t_end: float | None = None,
+    trajectories: list | None = None,
 ) -> list[CheckReport]:
-    """Closed form against the RK4 oracle over a fixed number of periods.
+    """Closed form against the RK4 oracle over a fixed number of periods,
+    or up to `t_end` when it is given.
 
     Returns two reports: the trajectory deviation and the energy drift of
-    the oracle itself.
+    the oracle itself, relative to max(1, |H0|).  When `trajectories` is a
+    list, each state's (oracle Trajectory, closed-form values) pair is
+    appended to it.
     """
     worst_dev = 0.0
     worst_drift = 0.0
     for state in states:
-        t_end = periods * period(spec, state)
-        traj = flow_oracle(spec, state, t_end, dt)
+        span = periods * period(spec, state) if t_end is None else t_end
+        traj = flow_oracle(spec, state, span, dt)
         closed = closed_form_eta(spec, state, traj.times)
         worst_dev = max(worst_dev, float(np.max(np.abs(closed - traj.eta_values))))
         h0 = abs(hamiltonian(spec, state.x, state.p))
         worst_drift = max(worst_drift, traj.energy_drift / max(1.0, h0))
+        if trajectories is not None:
+            trajectories.append((traj, closed))
+    extent = {"dt": dt, "periods": periods} if t_end is None else {"t_end": t_end}
     return [
         make_report(
-            "classical_closed_vs_flow",
-            worst_dev,
-            tol,
-            states=len(states),
-            dt=dt,
-            periods=periods,
+            "classical_closed_vs_flow", worst_dev, tol, states=len(states), **extent
         ),
         make_report(
             "classical_energy_drift", worst_drift, drift_tol, states=len(states)
@@ -338,10 +225,10 @@ def check_poisson_closure(
     closure = classical_r_polynomials(spec)
     worst = 0.0
     for state in states:
-        _require_inside(spec, state.x)
+        require_inside(spec, state.x, DomainEscape)
         lhs = poisson_h_h_eta(spec, state.x, state.p)
         h0 = hamiltonian(spec, state.x, state.p)
-        rhs = -float(eta_of_x(spec, state.x)) * closure.r0(h0) - closure.rm1(h0)
+        rhs = -float(spec.eta(state.x)) * closure.r0(h0) - closure.rm1(h0)
         worst = max(worst, abs(lhs - rhs) / max(1.0, abs(lhs), abs(rhs)))
     return make_report("poisson_closure", worst, tol, states=len(states))
 
@@ -387,19 +274,16 @@ def check_potential_reconstruction(
         raise UnsupportedSystem(
             "potential reconstruction is exercised on the trigonometric well"
         )
-    from .polynomials import weight  # local import to avoid cycle at import time
-
-    wf = weight(spec)
     model = r_polynomials(spec)
     r00 = model.r0(0.0)
     rm10 = model.rm1(0.0)
     r1 = model.r1(0.0)
     x_fit = 0.7
-    eta_fit = float(wf.eta(x_fit))
-    deta_fit = float(wf.deta_dx(x_fit))
+    eta_fit = float(spec.eta(x_fit))
+    deta_fit = float(spec.deta_dx(x_fit))
     v_fit = float(pt_reference_potential(spec.g, spec.h, x_fit))
     const = (v_fit + r1 / 8.0) * deta_fit**2 - 0.5 * r00 * eta_fit**2 - rm10 * eta_fit
-    potential = reconstruct_potential(wf, r00, rm10, const, r1)
+    potential = reconstruct_potential(spec, r00, rm10, const, r1)
     xs = np.linspace(0.15, 0.5 * math.pi - 0.15, n_points)
     target = pt_reference_potential(spec.g, spec.h, xs)
     worst = max(abs(potential(float(x)) - float(v)) for x, v in zip(xs, target))

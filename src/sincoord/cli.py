@@ -8,9 +8,9 @@ emits a machine-readable report, and exits 0 only if everything passed
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,20 +20,18 @@ from .report import CheckReport
 from .systems import AskeyWilson, DeformedOscillator, PoschlTeller, SystemSpec
 
 SUITES = ("spectrum", "ladder", "heisenberg", "classical", "coherent", "all")
-DEFAULT_T_GRID = heisenberg.DEFAULT_T_GRID
 
 
-@dataclass
+@dataclasses.dataclass
 class RunConfig:
     """Everything one suite invocation needs."""
 
     system: SystemSpec
     n_dim: int | None = None
     guard: int = 4
-    t_samples: tuple[float, ...] = DEFAULT_T_GRID
+    t_samples: tuple[float, ...] = heisenberg.DEFAULT_T_GRID
     lam: complex | None = None
     classical_dt: float = 1e-3
-    output_path: str | None = None
     seed: int = 42
     n_states: int = 5
     n_max: int | None = None
@@ -52,25 +50,19 @@ class RunConfig:
 def _default_n(spec: SystemSpec, suite: str) -> int:
     if suite == "coherent":
         return 64
-    if suite == "heisenberg" and isinstance(spec, AskeyWilson):
-        # phases grow like E_n * t; 20 levels keeps them inside the
-        # double-precision budget of the 1e-9 criterion
-        return 20
+    if suite == "heisenberg":
+        return spec.heisenberg_n
     return 30
 
 
-def _default_nmax(spec: SystemSpec) -> int:
-    if isinstance(spec, AskeyWilson):
-        return systems._aw_closure_cap(spec.q)
-    return 40
+def run(
+    config: RunConfig, suite: str, trajectories: list | None = None
+) -> list[CheckReport]:
+    """Run one suite (or `all`) over the configured system.
 
-
-def _default_lambda(spec: SystemSpec) -> complex:
-    return 0.3 if isinstance(spec, DeformedOscillator) else 0.2
-
-
-def run(config: RunConfig, suite: str) -> list[CheckReport]:
-    """Run one suite (or `all`) over the configured system."""
+    When `trajectories` is a list, the classical suite appends each flow
+    state's (oracle Trajectory, closed-form values) pair to it.
+    """
     if suite not in SUITES:
         raise ConfigError(f"unknown suite {suite!r}")
     spec = config.system
@@ -82,7 +74,7 @@ def run(config: RunConfig, suite: str) -> list[CheckReport]:
         return config.n_dim if config.n_dim is not None else _default_n(spec, kind)
 
     if suite in ("spectrum", "all"):
-        n_max = config.n_max if config.n_max is not None else _default_nmax(spec)
+        n_max = config.n_max if config.n_max is not None else min(40, spec.level_cap)
         reports.append(systems.check_spectrum_closure(spec, n_max))
 
     if suite in ("ladder", "all"):
@@ -107,32 +99,12 @@ def run(config: RunConfig, suite: str) -> list[CheckReport]:
             states = [classical.ClassicalState(config.x0, config.p0)]
         else:
             states = classical.sample_states(spec, config.n_states, config.seed)
-        if config.t_end is not None:
-            worst = 0.0
-            drift = 0.0
-            for state in states:
-                traj = classical.flow_oracle(
-                    spec, state, config.t_end, config.classical_dt
-                )
-                closed = classical.closed_form_eta(spec, state, traj.times)
-                worst = max(worst, float(max(abs(closed - traj.eta_values))))
-                drift = max(drift, traj.energy_drift)
-            reports.append(
-                CheckReport(
-                    "classical_closed_vs_flow", worst, 1e-6, worst <= 1e-6,
-                    {"states": len(states), "t_end": config.t_end},
-                )
+        reports.extend(
+            classical.check_closed_vs_flow(
+                spec, states, dt=config.classical_dt, t_end=config.t_end,
+                trajectories=trajectories,
             )
-            reports.append(
-                CheckReport(
-                    "classical_energy_drift", drift, 1e-8, drift <= 1e-8,
-                    {"states": len(states)},
-                )
-            )
-        else:
-            reports.extend(
-                classical.check_closed_vs_flow(spec, states, dt=config.classical_dt)
-            )
+        )
         closure_states = classical.sample_states(spec, 50, config.seed)
         reports.append(classical.check_poisson_closure(spec, closure_states))
         if isinstance(spec, PoschlTeller):
@@ -141,7 +113,7 @@ def run(config: RunConfig, suite: str) -> list[CheckReport]:
     if suite in ("coherent", "all"):
         n = n_for("coherent")
         truncation = n - guard
-        lam = config.lam if config.lam is not None else _default_lambda(spec)
+        lam = config.lam if config.lam is not None else spec.coherent_lambda
         reports.append(coherent.check_eigenvalue(spec, lam, truncation, guard))
         if isinstance(spec, DeformedOscillator):
             xs = np.linspace(-5.0, 5.0, 20)
@@ -194,30 +166,10 @@ def _render_json(obj, indent: int = 0) -> str:
     return json.dumps(str(obj))
 
 
-def _system_tag(spec: SystemSpec) -> str:
-    return {"PoschlTeller": "pt", "DeformedOscillator": "do", "AskeyWilson": "aw"}[
-        type(spec).__name__
-    ]
-
-
-def _system_params(spec: SystemSpec) -> dict:
-    match spec:
-        case PoschlTeller(g=g, h=h):
-            return {"g": g, "h": h}
-        case DeformedOscillator(a=a):
-            return {"a": a}
-        case AskeyWilson():
-            return {
-                "a1": spec.a1, "a2": spec.a2, "a3": spec.a3, "a4": spec.a4,
-                "q": spec.q,
-            }
-    return {}
-
-
 def _report_document(config: RunConfig, reports: list[CheckReport]) -> dict:
     return {
-        "system": _system_tag(config.system),
-        "params": _system_params(config.system),
+        "system": config.system.tag,
+        "params": dataclasses.asdict(config.system),
         "N": config.n_dim if config.n_dim is not None else 0,
         "G": config.guard,
         "checks": [
@@ -259,8 +211,8 @@ def emit_report(
 
 
 def format_text_table(config: RunConfig, reports: list[CheckReport]) -> str:
-    head = f"system={_system_tag(config.system)}"
-    for key, value in _system_params(config.system).items():
+    head = f"system={config.system.tag}"
+    for key, value in dataclasses.asdict(config.system).items():
         head += f" {key}={value:g}"
     lines = [head, f"{'check':<28}{'max_residual':>14}{'tolerance':>12}  status"]
     for r in reports:
@@ -304,7 +256,7 @@ def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
     common.add_argument("--guard", type=int, default=4, help="guard band size")
     common.add_argument("--nmax", type=int, default=None, help="spectrum levels")
     common.add_argument(
-        "--t", type=_csv_floats, default=DEFAULT_T_GRID, help="time samples"
+        "--t", type=_csv_floats, default=heisenberg.DEFAULT_T_GRID, help="time samples"
     )
     common.add_argument("--lambda", dest="lam", type=_parse_complex, default=None)
     common.add_argument("--dt", type=float, default=1e-3)
@@ -415,7 +367,6 @@ def main(argv=None) -> int:
             t_samples=tuple(args.t),
             lam=args.lam,
             classical_dt=args.dt,
-            output_path=args.out,
             seed=args.seed,
             n_states=args.states,
             n_max=args.nmax,
@@ -424,7 +375,8 @@ def main(argv=None) -> int:
             p0=args.p0,
             t_end=args.tend,
         )
-        reports = run(config, args.suite)
+        trajectories: list = []
+        reports = run(config, args.suite, trajectories)
         if (
             args.suite == "classical"
             and args.out is not None
@@ -433,12 +385,7 @@ def main(argv=None) -> int:
             and args.p0 is not None
         ):
             # trajectory export replaces the csv report file
-            state = classical.ClassicalState(args.x0, args.p0)
-            t_end = args.tend if args.tend is not None else 3.0 * classical.period(
-                spec, state
-            )
-            traj = classical.flow_oracle(spec, state, t_end, args.dt)
-            closed = classical.closed_form_eta(spec, state, traj.times)
+            traj, closed = trajectories[0]
             classical.write_trajectory_csv(
                 args.out, traj.times, closed, traj.eta_values
             )

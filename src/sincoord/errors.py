@@ -18,6 +18,10 @@ class DegenerateFrequencies(SincoordError, ArithmeticError):
     """The two frequencies coincide at some energy level."""
 
 
+class VanishingFrequency(SincoordError, ZeroDivisionError):
+    """A frequency that a closed form divides by is zero."""
+
+
 class QuadratureNotConverged(SincoordError, RuntimeError):
     """Two quadrature refinements disagree beyond the accepted tolerance."""
 

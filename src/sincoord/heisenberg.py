@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateFrequencies
+from .errors import DegenerateFrequencies, ParameterOutOfRange
 from .operators import (
     LadderPair,
     Normalization,
@@ -26,7 +26,7 @@ from .operators import (
     _frequency_vectors,
 )
 from .report import CheckReport, make_report
-from .systems import AskeyWilson, DeformedOscillator, SystemSpec, energies
+from .systems import SystemSpec, energies
 
 DEFAULT_T_GRID = (0.0, 0.1, 0.37, 1.0, 2.5, 5.0)
 
@@ -68,7 +68,7 @@ def exact_evolution(
     Every function of H multiplies from the right as a diagonal.
     """
     if not math.isfinite(t):
-        raise ValueError(f"time must be finite, got t={t}")
+        raise ParameterOutOfRange(f"time must be finite, got t={t}")
     _, eta_op, comm_op = build_basic(spec, n_dim, guard)
     _, r0v, rm1v, ap, am = _frequency_vectors(spec, n_dim)
     denom = ap - am
@@ -109,18 +109,13 @@ def check_heisenberg(
     """Closed form vs phase oracle, and vs the frequency-split decomposition.
 
     Residuals are entrywise over the interior window, per-column relative
-    for Askey-Wilson.
+    where the family has `relative_residuals`.
     """
     if tol is None:
-        if isinstance(spec, DeformedOscillator):
-            tol = 1e-12
-        elif isinstance(spec, AskeyWilson):
-            tol = 1e-9
-        else:
-            tol = 1e-10
+        tol = spec.tolerances["heisenberg_evolution"]
     solution = build_solution(spec, n_dim, guard)
     d = n_dim - guard
-    relative = isinstance(spec, AskeyWilson)
+    relative = spec.relative_residuals
     worst_oracle = 0.0
     worst_split = 0.0
     for t in t_samples:

@@ -3,9 +3,10 @@
 All operators are dense complex matrices over the unnormalised eigenvectors
 phi_0 .. phi_{N-1}; column n holds the expansion of (operator phi_n).  Every
 function of the Hamiltonian acts as a diagonal matrix multiplying from the
-right, in the order the defining expressions are written.  A guard band of G
-top indices absorbs truncation damage; identities are only asserted on the
-interior window 0 .. N-G-1.
+right, in the order the defining expressions are written, and every
+commutator with the diagonal H is the elementwise product (E_m - E_n) X_mn.
+A guard band of G top indices absorbs truncation damage; identities are only
+asserted on the interior window 0 .. N-G-1.
 """
 
 from __future__ import annotations
@@ -15,11 +16,16 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import ComplexFrequencies, DegenerateFrequencies, UnsupportedSystem
+from .errors import (
+    ComplexFrequencies,
+    DegenerateFrequencies,
+    ParameterOutOfRange,
+    UnsupportedSystem,
+    VanishingFrequency,
+)
 from .polynomials import norms, recurrence
 from .report import CheckReport, make_report
 from .systems import (
-    AskeyWilson,
     DeformedOscillator,
     SystemSpec,
     alpha_pm,
@@ -61,9 +67,16 @@ class LadderPair:
 
 def _check_dims(n_dim: int, guard: int) -> None:
     if not 0 < guard < n_dim:
-        raise ValueError(f"guard band must satisfy 0 < G < N, got N={n_dim}, G={guard}")
+        raise ParameterOutOfRange(
+            f"guard band must satisfy 0 < G < N, got N={n_dim}, G={guard}"
+        )
     if n_dim < guard + 2:
-        raise ValueError(f"need N >= G + 2, got N={n_dim}, G={guard}")
+        raise ParameterOutOfRange(f"need N >= G + 2, got N={n_dim}, G={guard}")
+
+
+def _commutator_with_h(levels: np.ndarray, entries: np.ndarray) -> np.ndarray:
+    """[H, X] for the diagonal H = diag(levels): entry (m, n) is (E_m - E_n) X_mn."""
+    return (levels[:, None] - levels[None, :]) * entries
 
 
 def build_basic(
@@ -87,7 +100,7 @@ def build_basic(
         if n >= 1:
             eta[n - 1, n] = rec.C(n)
     ham = np.diag(levels.astype(complex))
-    comm = ham @ eta - eta @ ham
+    comm = _commutator_with_h(levels, eta)
     wrap = lambda m: TruncatedOperator(dim=n_dim, guard=guard, entries=m)
     return wrap(ham), wrap(eta), wrap(comm)
 
@@ -142,24 +155,20 @@ def build_ladder(
     )
 
 
-def _default_tol(spec: SystemSpec, do_tol: float, other_tol: float) -> float:
-    return do_tol if isinstance(spec, DeformedOscillator) else other_tol
-
-
 def check_ladder_action(
     spec: SystemSpec, n_dim: int, guard: int, tol: float | None = None
 ) -> CheckReport:
     """a_plus phi_n = A_n phi_{n+1} and a_minus phi_n = C_n phi_{n-1}.
 
-    Deviations are measured entrywise per column; for Askey-Wilson they
-    are relative to the column scale.
+    Deviations are measured entrywise per column, relative to the column
+    scale where the family has `relative_residuals`.
     """
     if tol is None:
-        tol = 1e-9 if isinstance(spec, AskeyWilson) else 1e-10
+        tol = spec.tolerances["ladder_action"]
     rec = recurrence(spec)
     pair = build_ladder(spec, n_dim, guard)
     d = pair.a_plus.interior
-    relative = isinstance(spec, AskeyWilson)
+    relative = spec.relative_residuals
     worst = 0.0
     for n in range(d - 1):
         target_up = np.zeros(d, dtype=complex)
@@ -184,10 +193,10 @@ def check_two_commutator(
 ) -> CheckReport:
     """[H, [H, eta]] = eta R0(H) + [H, eta] R1(H) + R-1(H) on the window."""
     if tol is None:
-        tol = _default_tol(spec, 1e-13, 1e-10)
-    ham, eta_op, comm_op = build_basic(spec, n_dim, guard)
-    _, r0v, r1v, rm1v = _closure_vectors(spec, n_dim)
-    lhs = ham.entries @ comm_op.entries - comm_op.entries @ ham.entries
+        tol = spec.tolerances["two_commutator"]
+    _, eta_op, comm_op = build_basic(spec, n_dim, guard)
+    levels, r0v, r1v, rm1v = _closure_vectors(spec, n_dim)
+    lhs = _commutator_with_h(levels, comm_op.entries)
     rhs = (
         eta_op.entries * r0v[None, :]
         + comm_op.entries * r1v[None, :]
@@ -195,7 +204,7 @@ def check_two_commutator(
     )
     d = n_dim - guard
     diff = np.abs(lhs[:d, :d] - rhs[:d, :d])
-    if isinstance(spec, AskeyWilson):
+    if spec.relative_residuals:
         col_scale = np.maximum(1.0, np.abs(lhs[:d, :d]).max(axis=0))
         resid = float(np.max(diff / col_scale[None, :]))
     else:
@@ -240,15 +249,14 @@ def check_su11(
         raise UnsupportedSystem(
             "the su(1,1) relations hold for the deformed oscillator only"
         )
-    ham, _, _ = build_basic(spec, n_dim, guard)
     pair = build_ladder(spec, n_dim, guard, Normalization.PRIMED)
+    levels = energies(spec, n_dim)
     ap = pair.a_plus.entries
     am = pair.a_minus.entries
-    hm = ham.entries
     d = n_dim - guard
-    res_plus = hm @ ap - ap @ hm - ap
-    res_minus = hm @ am - am @ hm + am
-    res_comm = am @ ap - ap @ am - 2.0 * (hm + spec.a * np.eye(n_dim))
+    res_plus = _commutator_with_h(levels, ap) - ap
+    res_minus = _commutator_with_h(levels, am) + am
+    res_comm = am @ ap - ap @ am - 2.0 * np.diag(levels + spec.a)
     resid = max(
         float(np.max(np.abs(res_plus[:d, :d]))),
         float(np.max(np.abs(res_minus[:d, :d]))),
@@ -263,11 +271,11 @@ def check_ground_state_condition(
     """The lowering-frequency part must vanish on the ground state:
     -[H, eta] phi_0 + (eta alpha_plus(0) - R-1(0)/alpha_minus(0)) phi_0 = 0."""
     if tol is None:
-        tol = _default_tol(spec, 1e-13, 1e-10)
+        tol = spec.tolerances["ground_state"]
     _, eta_op, comm_op = build_basic(spec, n_dim, guard)
     ap0, am0 = alpha_pm(spec, 0.0)
     if am0 == 0.0:
-        raise ZeroDivisionError("alpha_minus(0) = 0")
+        raise VanishingFrequency("alpha_minus(0) = 0")
     const = r_polynomials(spec).rm1(0.0) / am0
     d = n_dim - guard
     term_comm = -comm_op.entries[:d, 0]

@@ -8,8 +8,6 @@ for these systems hold verbatim.
 
 from __future__ import annotations
 
-import cmath
-import math
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
@@ -17,9 +15,8 @@ from typing import Callable
 
 import numpy as np
 
-from . import special
-from .errors import EvaluationDomain, QuadratureNotConverged, UnsupportedSystem
-from .systems import AskeyWilson, DeformedOscillator, PoschlTeller, SystemSpec, validate
+from .errors import ParameterOutOfRange, QuadratureNotConverged
+from .systems import PoschlTeller, SystemSpec, validate
 
 
 @dataclass(frozen=True)
@@ -37,7 +34,7 @@ class RecurrenceData:
 def _guard_c(fn: Callable[[int], float]) -> Callable[[int], float]:
     def c(n: int) -> float:
         if n < 1:
-            raise ValueError("C_0 multiplies P_{-1} and is never defined")
+            raise ParameterOutOfRange("C_0 multiplies P_{-1} and is never defined")
         return fn(n)
 
     return c
@@ -47,91 +44,8 @@ def _guard_c(fn: Callable[[int], float]) -> Callable[[int], float]:
 def recurrence(spec: SystemSpec) -> RecurrenceData:
     """Three-term recurrence coefficients for the system's eigenpolynomials."""
     validate(spec)
-    match spec:
-        case PoschlTeller():
-            al, be = spec.alpha, spec.beta
-
-            def a_coef(n: int) -> float:
-                s = 2.0 * n + al + be
-                return 2.0 * (n + 1) * (n + al + be + 1) / ((s + 1) * (s + 2))
-
-            def b_coef(n: int) -> float:
-                if n == 0:
-                    # limit form; the generic one is 0/0 when al + be = 0
-                    return (be - al) / (al + be + 2.0)
-                s = 2.0 * n + al + be
-                return (be * be - al * al) / (s * (s + 2.0))
-
-            def c_coef(n: int) -> float:
-                s = 2.0 * n + al + be
-                return 2.0 * (n + al) * (n + be) / (s * (s + 1.0))
-
-            return RecurrenceData(a_coef, b_coef, _guard_c(c_coef))
-
-        case DeformedOscillator(a=a):
-            return RecurrenceData(
-                A=lambda n: 0.5 * (n + 1),
-                B=lambda n: 0.0,
-                C=_guard_c(lambda n: 0.5 * (n + 2.0 * a - 1.0)),
-            )
-
-        case AskeyWilson(q=q):
-            b4 = spec.b4
-            a1, a2, a3, a4 = spec.params
-            pair_products = (
-                a1 * a2,
-                a1 * a3,
-                a1 * a4,
-                a2 * a3,
-                a2 * a4,
-                a3 * a4,
-            )
-
-            def a_coef(n: int) -> float:
-                return (1.0 - b4 * q ** (n - 1)) / (
-                    2.0 * (1.0 - b4 * q ** (2 * n - 1)) * (1.0 - b4 * q ** (2 * n))
-                )
-
-            def c_coef(n: int) -> float:
-                num = 1.0 - q**n
-                for p in pair_products:
-                    num *= 1.0 - p * q ** (n - 1)
-                return num / (
-                    2.0 * (1.0 - b4 * q ** (2 * n - 2)) * (1.0 - b4 * q ** (2 * n - 1))
-                )
-
-            # The diagonal coefficient is invariant under rescaling of P_n,
-            # so it may be computed with any nonzero parameter in the
-            # distinguished slot of the one-parameter-singled-out form.
-            slot_index = next(
-                (i for i, v in enumerate(spec.params) if v != 0.0), None
-            )
-            slot = 0.0 if slot_index is None else spec.params[slot_index]
-            rest = [v for i, v in enumerate(spec.params) if i != slot_index]
-
-            def b_coef(n: int) -> float:
-                if slot == 0.0:
-                    return 0.0  # fully symmetric weight
-                a = slot
-                b, c, d = rest
-                a_ks = (
-                    (1.0 - a * b * q**n)
-                    * (1.0 - a * c * q**n)
-                    * (1.0 - a * d * q**n)
-                    * (1.0 - b4 * q ** (n - 1))
-                ) / (a * (1.0 - b4 * q ** (2 * n - 1)) * (1.0 - b4 * q ** (2 * n)))
-                c_ks = (
-                    a
-                    * (1.0 - q**n)
-                    * (1.0 - b * c * q ** (n - 1))
-                    * (1.0 - b * d * q ** (n - 1))
-                    * (1.0 - c * d * q ** (n - 1))
-                ) / ((1.0 - b4 * q ** (2 * n - 2)) * (1.0 - b4 * q ** (2 * n - 1)))
-                return 0.5 * (a + 1.0 / a - a_ks - c_ks)
-
-            return RecurrenceData(a_coef, b_coef, _guard_c(c_coef))
-
-    raise UnsupportedSystem(type(spec).__name__)
+    a_coef, b_coef, c_coef = spec.recurrence_coefficients()
+    return RecurrenceData(a_coef, b_coef, _guard_c(c_coef))
 
 
 def eval_all(spec: SystemSpec, n_max: int, eta) -> np.ndarray:
@@ -150,7 +64,7 @@ def eval_all(spec: SystemSpec, n_max: int, eta) -> np.ndarray:
 def eval_poly(spec: SystemSpec, n: int, eta):
     """P_n(eta) by forward recurrence from P_0 = 1."""
     if n < 0:
-        raise ValueError(f"polynomial degree must be >= 0, got n={n}")
+        raise ParameterOutOfRange(f"polynomial degree must be >= 0, got n={n}")
     values = eval_all(spec, n, eta)[n]
     if np.ndim(eta) == 0:
         return float(values)
@@ -167,107 +81,19 @@ class WeightFunction:
     deta_dx: Callable
 
 
-def _check_domain(x, lo: float, hi: float) -> np.ndarray:
-    xs = np.asarray(x, dtype=float)
-    if np.any(~np.isfinite(xs)) or np.any(xs <= lo) or np.any(xs >= hi):
-        raise EvaluationDomain(f"x must lie strictly inside ({lo}, {hi})")
-    return xs
-
-
 @lru_cache(maxsize=None)
 def weight(spec: SystemSpec) -> WeightFunction:
     """Pointwise-evaluable squared ground state and coordinate map."""
     validate(spec)
-    match spec:
-        case PoschlTeller(g=g, h=h):
-            lo, hi = 0.0, 0.5 * math.pi
-
-            def density(x):
-                xs = _check_domain(x, lo, hi)
-                return np.sin(xs) ** (2.0 * g) * np.cos(xs) ** (2.0 * h)
-
-            return WeightFunction(
-                domain=(lo, hi),
-                density=density,
-                eta=lambda x: np.cos(2.0 * np.asarray(x, dtype=float)),
-                deta_dx=lambda x: -2.0 * np.sin(2.0 * np.asarray(x, dtype=float)),
-            )
-
-        case DeformedOscillator(a=a):
-
-            def density(x):
-                xs = np.asarray(x, dtype=float)
-                if np.any(~np.isfinite(xs)):
-                    raise EvaluationDomain("x must be finite")
-                return special.gamma_abs_sq(a, xs)
-
-            return WeightFunction(
-                domain=(-math.inf, math.inf),
-                density=density,
-                eta=lambda x: np.asarray(x, dtype=float) + 0.0,
-                deta_dx=lambda x: np.ones_like(np.asarray(x, dtype=float)),
-            )
-
-        case AskeyWilson(q=q):
-            lo, hi = 0.0, math.pi
-            params = spec.params
-
-            def density(x):
-                xs = _check_domain(x, lo, hi)
-                flat = np.atleast_1d(xs).ravel()
-                vals = np.empty(flat.shape, dtype=float)
-                for i, xi in enumerate(flat):
-                    z = cmath.exp(1j * xi)
-                    num = abs(special.qpochhammer(z * z, q)) ** 2
-                    den = 1.0
-                    for aj in params:
-                        den *= abs(special.qpochhammer(aj * z, q)) ** 2
-                    vals[i] = num / den
-                if xs.ndim == 0:
-                    return float(vals[0])
-                return vals.reshape(xs.shape)
-
-            return WeightFunction(
-                domain=(lo, hi),
-                density=density,
-                eta=lambda x: np.cos(np.asarray(x, dtype=float)),
-                deta_dx=lambda x: -np.sin(np.asarray(x, dtype=float)),
-            )
-
-    raise UnsupportedSystem(type(spec).__name__)
-
-
-def _mp_cutoff(a: float, n_max: int) -> float:
-    """Half-width for truncating the real line under the |Gamma(a+ix)|^2 weight.
-
-    The weight alone decays like exp(-pi |x|), but P_n^2 grows like
-    (2x)^(2n) / n!^2, so the cutoff has to beat the product of the two.
-    """
-    target = math.log(1e-26)
-    poly_growth = lambda L: 2.0 * (n_max * math.log(2.0 * L) - math.lgamma(n_max + 1))
-    L = 12.0
-    while L < 220.0:
-        w = special.gamma_abs_sq(a, L)
-        if w == 0.0 or math.log(w) + poly_growth(L) < target:
-            return L
-        L += 2.0
-    return L
+    return WeightFunction(
+        domain=spec.domain, density=spec.density, eta=spec.eta, deta_dx=spec.deta_dx
+    )
 
 
 def _quad_nodes(spec: SystemSpec, n_max: int, refine: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes and weights mapped onto the system's domain."""
-    match spec:
-        case PoschlTeller():
-            lo, hi, count = 0.0, 0.5 * math.pi, 200 * refine
-        case AskeyWilson():
-            lo, hi, count = 0.0, math.pi, 200 * refine
-        case DeformedOscillator(a=a):
-            half = _mp_cutoff(a, n_max)
-            lo, hi = -half, half
-            count = max(400, int(20.0 * half)) * refine
-        case _:
-            raise UnsupportedSystem(type(spec).__name__)
-    t, w = np.polynomial.legendre.leggauss(count)
+    """Gauss-Legendre nodes and weights on the system's quadrature interval."""
+    lo, hi, count = spec.quadrature_interval(n_max)
+    t, w = np.polynomial.legendre.leggauss(count * refine)
     half_width = 0.5 * (hi - lo)
     mid = 0.5 * (hi + lo)
     return mid + half_width * t, half_width * w

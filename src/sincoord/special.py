@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from .errors import SeriesNotConverged
+from .errors import ParameterOutOfRange, SeriesNotConverged
 
 # Lanczos coefficients for g = 7, n = 9: about 15 significant digits on the
 # half plane Re z > 1/2.
@@ -75,7 +75,7 @@ def qpochhammer(z, q: float, n: int | None = None) -> complex:
             qk *= q
         return result
     if not 0.0 < abs(q) < 1.0:
-        raise ValueError(f"infinite product needs 0 < |q| < 1, got q={q}")
+        raise ParameterOutOfRange(f"infinite product needs 0 < |q| < 1, got q={q}")
     cutoff = 1e-17 / (1.0 + abs(z))
     qk = 1.0
     while abs(qk) >= cutoff:

@@ -1,23 +1,80 @@
-"""The three solvable families: parameters, spectra, and frequency data.
+"""The three solvable families, each described in one place.
 
 Each system carries a "sinusoidal" coordinate eta(x) whose nested commutator
 with the Hamiltonian closes on eta and [H, eta] with coefficients that are
-low-degree polynomials in H.  This module owns those coefficient polynomials
-(R0, R1, R-1), the exact spectra, and the two frequency functions
+low-degree polynomials in H.  Only the spectrum, the coordinate map and
+those coefficient polynomials differ between the families, so each family is
+one frozen dataclass of its parameters that carries everything the other
+modules need to know about it:
+
+* `validate()` and the spectrum `energy(n)`;
+* `closure_polynomials()` (R0, R1, R-1 and the H' shift) and
+  `classical_closure()` (R0, R-1 of the double Poisson bracket);
+* `recurrence_coefficients()`: A_n, B_n, C_n of the eigenpolynomials;
+* the coordinate map: `domain`, `eta`, `deta_dx`, `d2eta_dx2`;
+* the ground-state `density` and its `quadrature_interval`;
+* the classical `hamiltonian` with its `partials` and `second_partials`;
+* the phase-space `sample_box`;
+* per-check default `tolerances` and `relative_residuals`, the residual
+  mode (per-column relative rather than absolute) of the matrix checks;
+* the CLI `tag` and the suite defaults `level_cap`, `heisenberg_n` and
+  `coherent_lambda` (the parameter dict is the dataclass's own fields).
+
+The other modules are written once against these members.  This module also
+owns the closure polynomials as data and the two frequency functions
 alpha_pm(E) built from them.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from functools import lru_cache, partial
-from typing import Callable, Union
+from typing import Callable, ClassVar, Union
 
 import numpy as np
 
-from .errors import ComplexFrequencies, ParameterOutOfRange, UnsupportedSystem
+from . import special
+from .errors import ComplexFrequencies, EvaluationDomain, ParameterOutOfRange
 from .report import CheckReport, make_report
+
+
+@dataclass(frozen=True)
+class HPoly:
+    """Polynomial in the Hamiltonian; coefficients in increasing degree."""
+
+    coeffs: tuple[float, ...]
+
+    def __call__(self, energy):
+        acc = 0.0
+        for c in reversed(self.coeffs):
+            acc = acc * energy + c
+        return acc
+
+
+@dataclass(frozen=True)
+class SpectralModel:
+    """Spectrum plus closure data for one system.
+
+    r0, r1, rm1 are the coefficient polynomials of the double-commutator
+    closure; hprime_shift is the constant s in the shifted Hamiltonian
+    H' = H + s used by the printed closed forms.
+    """
+
+    energy: Callable[[int], float]
+    r0: HPoly
+    r1: HPoly
+    rm1: HPoly
+    hprime_shift: float
+
+
+@dataclass(frozen=True)
+class ClassicalClosure:
+    """Classical closure coefficients (no quantum R1 term)."""
+
+    r0: HPoly
+    rm1: HPoly
 
 
 @dataclass(frozen=True)
@@ -27,6 +84,20 @@ class PoschlTeller:
     g: float
     h: float
 
+    tag: ClassVar[str] = "pt"
+    domain: ClassVar[tuple[float, float]] = (0.0, 0.5 * math.pi)
+    sample_box: ClassVar[tuple[tuple[float, float], ...]] = ((0.35, 1.2), (-1.2, 1.2))
+    tolerances: ClassVar[dict[str, float]] = {
+        "ladder_action": 1e-10,
+        "two_commutator": 1e-10,
+        "ground_state": 1e-10,
+        "heisenberg_evolution": 1e-10,
+    }
+    relative_residuals: ClassVar[bool] = False
+    level_cap: ClassVar[float] = math.inf
+    heisenberg_n: ClassVar[int] = 30
+    coherent_lambda: ClassVar[complex] = 0.2
+
     @property
     def alpha(self) -> float:
         return self.g - 0.5
@@ -34,6 +105,82 @@ class PoschlTeller:
     @property
     def beta(self) -> float:
         return self.h - 0.5
+
+    def validate(self) -> None:
+        if not self.g > 0:
+            raise ParameterOutOfRange(f"g must be positive, got g={self.g}")
+        if not self.h > 0:
+            raise ParameterOutOfRange(f"h must be positive, got h={self.h}")
+
+    def energy(self, n: int) -> float:
+        return 2.0 * n * (n + self.g + self.h)
+
+    def closure_polynomials(self) -> tuple[HPoly, HPoly, HPoly, float]:
+        shift = 0.5 * (self.g + self.h) ** 2
+        return (
+            HPoly((8.0 * shift - 4.0, 8.0)),
+            HPoly((4.0,)),
+            HPoly((4.0 * (self.alpha**2 - self.beta**2),)),
+            shift,
+        )
+
+    def classical_closure(self) -> tuple[HPoly, HPoly]:
+        g, h = self.g, self.h
+        return HPoly((4.0 * (g + h) ** 2, 8.0)), HPoly((4.0 * (g**2 - h**2),))
+
+    def recurrence_coefficients(self):
+        """Jacobi polynomials P^(alpha, beta) in eta = cos 2x."""
+        al, be = self.alpha, self.beta
+
+        def a_coef(n: int) -> float:
+            s = 2.0 * n + al + be
+            return 2.0 * (n + 1) * (n + al + be + 1) / ((s + 1) * (s + 2))
+
+        def b_coef(n: int) -> float:
+            if n == 0:
+                # limit form; the generic one is 0/0 when al + be = 0
+                return (be - al) / (al + be + 2.0)
+            s = 2.0 * n + al + be
+            return (be * be - al * al) / (s * (s + 2.0))
+
+        def c_coef(n: int) -> float:
+            s = 2.0 * n + al + be
+            return 2.0 * (n + al) * (n + be) / (s * (s + 1.0))
+
+        return a_coef, b_coef, c_coef
+
+    def eta(self, x):
+        return np.cos(2.0 * np.asarray(x, dtype=float))
+
+    def deta_dx(self, x):
+        return -2.0 * np.sin(2.0 * np.asarray(x, dtype=float))
+
+    def d2eta_dx2(self, x):
+        return -4.0 * np.cos(2.0 * np.asarray(x, dtype=float))
+
+    def density(self, x):
+        xs = np.asarray(x, dtype=float)
+        require_inside(self, xs)
+        return np.sin(xs) ** (2.0 * self.g) * np.cos(xs) ** (2.0 * self.h)
+
+    def quadrature_interval(self, n_max: int) -> tuple[float, float, int]:
+        return (*self.domain, 200)
+
+    def hamiltonian(self, x: float, p: float) -> float:
+        u = self.g / math.tan(x) - self.h * math.tan(x)
+        return 0.5 * p * p + 0.5 * u * u
+
+    def partials(self, x: float, p: float) -> tuple[float, float]:
+        """(dH/dx, dH/dp)."""
+        g, h = self.g, self.h
+        sx, cx = math.sin(x), math.cos(x)
+        u = g * cx / sx - h * sx / cx
+        du = -g / (sx * sx) - h / (cx * cx)
+        return (u * du, p)
+
+    def second_partials(self, x: float, p: float) -> tuple[float, float]:
+        """(d2H/dp2, d2H/dpdx)."""
+        return (1.0, 0.0)
 
 
 @dataclass(frozen=True)
@@ -46,6 +193,85 @@ class DeformedOscillator:
 
     a: float
 
+    tag: ClassVar[str] = "do"
+    domain: ClassVar[tuple[float, float]] = (-math.inf, math.inf)
+    sample_box: ClassVar[tuple[tuple[float, float], ...]] = ((-1.5, 1.5), (-1.0, 1.0))
+    tolerances: ClassVar[dict[str, float]] = {
+        "ladder_action": 1e-10,
+        "two_commutator": 1e-13,
+        "ground_state": 1e-13,
+        "heisenberg_evolution": 1e-12,
+    }
+    relative_residuals: ClassVar[bool] = False
+    level_cap: ClassVar[float] = math.inf
+    heisenberg_n: ClassVar[int] = 30
+    coherent_lambda: ClassVar[complex] = 0.3
+
+    def validate(self) -> None:
+        if not self.a > 0:
+            raise ParameterOutOfRange(f"a must be positive, got a={self.a}")
+
+    def energy(self, n: int) -> float:
+        return float(n)
+
+    def closure_polynomials(self) -> tuple[HPoly, HPoly, HPoly, float]:
+        return HPoly((1.0,)), HPoly((0.0,)), HPoly((0.0,)), 0.0
+
+    def classical_closure(self) -> tuple[HPoly, HPoly]:
+        return HPoly((1.0,)), HPoly((0.0,))
+
+    def recurrence_coefficients(self):
+        """Meixner-Pollaczek polynomials at phase pi/2 in eta = x."""
+        a = self.a
+        return (
+            lambda n: 0.5 * (n + 1),
+            lambda n: 0.0,
+            lambda n: 0.5 * (n + 2.0 * a - 1.0),
+        )
+
+    def eta(self, x):
+        return np.asarray(x, dtype=float) + 0.0
+
+    def deta_dx(self, x):
+        return np.ones_like(np.asarray(x, dtype=float))
+
+    def d2eta_dx2(self, x):
+        return np.zeros_like(np.asarray(x, dtype=float))
+
+    def density(self, x):
+        xs = np.asarray(x, dtype=float)
+        require_inside(self, xs)
+        return special.gamma_abs_sq(self.a, xs)
+
+    def quadrature_interval(self, n_max: int) -> tuple[float, float, int]:
+        """[-L, L] truncating the real line under the |Gamma(a+ix)|^2 weight.
+
+        The weight alone decays like exp(-pi |x|), but P_n^2 grows like
+        (2x)^(2n) / n!^2, so the cutoff L has to beat the product of the two.
+        """
+        target = math.log(1e-26)
+        poly_growth = lambda L: 2.0 * (n_max * math.log(2.0 * L) - math.lgamma(n_max + 1))
+        half = 12.0
+        while half < 220.0:
+            w = special.gamma_abs_sq(self.a, half)
+            if w == 0.0 or math.log(w) + poly_growth(half) < target:
+                break
+            half += 2.0
+        return -half, half, max(400, int(20.0 * half))
+
+    def hamiltonian(self, x: float, p: float) -> float:
+        return math.hypot(self.a, x) * math.cosh(p) - self.a
+
+    def partials(self, x: float, p: float) -> tuple[float, float]:
+        """(dH/dx, dH/dp)."""
+        r = math.hypot(self.a, x)
+        return (x * math.cosh(p) / r, r * math.sinh(p))
+
+    def second_partials(self, x: float, p: float) -> tuple[float, float]:
+        """(d2H/dp2, d2H/dpdx)."""
+        r = math.hypot(self.a, x)
+        return (r * math.cosh(p), x * math.sinh(p) / r)
+
 
 @dataclass(frozen=True)
 class AskeyWilson:
@@ -56,6 +282,21 @@ class AskeyWilson:
     a3: float
     a4: float
     q: float
+
+    tag: ClassVar[str] = "aw"
+    domain: ClassVar[tuple[float, float]] = (0.0, math.pi)
+    sample_box: ClassVar[tuple[tuple[float, float], ...]] = ((0.7, 2.4), (-0.9, 0.9))
+    tolerances: ClassVar[dict[str, float]] = {
+        "ladder_action": 1e-9,
+        "two_commutator": 1e-10,
+        "ground_state": 1e-10,
+        "heisenberg_evolution": 1e-9,
+    }
+    relative_residuals: ClassVar[bool] = True
+    # phases grow like E_n * t; 20 levels keeps them inside the
+    # double-precision budget of the 1e-9 criterion
+    heisenberg_n: ClassVar[int] = 20
+    coherent_lambda: ClassVar[complex] = 0.2
 
     @property
     def params(self) -> tuple[float, float, float, float]:
@@ -95,78 +336,197 @@ class AskeyWilson:
     def c4(self) -> float:
         return (1.0 - self.b4) * (self.b1 - self.b3) / 8.0
 
+    @property
+    def level_cap(self) -> int:
+        """Largest level index checked for the spectrum.
+
+        q**-n grows exponentially; 25 levels at q = 0.3 mark the headroom we
+        allow in double precision, and smaller q gets proportionally fewer.
+        """
+        if self.q >= 0.3:
+            return 25
+        return max(1, int(25.0 * math.log(1.0 / 0.3) / math.log(1.0 / self.q)))
+
+    def validate(self) -> None:
+        q = self.q
+        if not 0.0 < q < 1.0:
+            raise ParameterOutOfRange(f"q must lie in (0, 1), got q={q}")
+        for name, value in zip(("a1", "a2", "a3", "a4"), self.params):
+            if not -1.0 < value < 1.0:
+                raise ParameterOutOfRange(
+                    f"{name} must lie in (-1, 1), got {name}={value}"
+                )
+        if not self.b4 < q:
+            raise ParameterOutOfRange(
+                f"a1*a2*a3*a4 = {self.b4} must stay below q = {q}"
+            )
+
+    def energy(self, n: int) -> float:
+        q = self.q
+        return (q ** -n - 1.0) * (1.0 - self.b4 * q ** (n - 1)) / 2.0
+
+    def closure_polynomials(self) -> tuple[HPoly, HPoly, HPoly, float]:
+        q, b1, b3, b4 = self.q, self.b1, self.b3, self.b4
+        kappa = q * (1.0 / q - 1.0) ** 2
+        shift = 0.5 * (1.0 + b4 / q)
+        r0 = HPoly(
+            (
+                kappa * (shift**2 - (1.0 + 1.0 / q) ** 2 * b4 / 4.0),
+                2.0 * kappa * shift,
+                kappa,
+            )
+        )
+        r1 = HPoly((kappa * shift, kappa))
+        rm1 = HPoly(
+            (
+                -kappa * (1.0 - b4 / q**2) * (b1 - b3) / 8.0,
+                -kappa * (b1 + b3 / q) / 4.0,
+            )
+        )
+        return r0, r1, rm1, shift
+
+    def classical_closure(self) -> tuple[HPoly, HPoly]:
+        gsq = self.log_q**2
+        return (
+            HPoly((gsq * self.c2, gsq * self.c1, gsq)),
+            HPoly((-gsq * self.c4, -gsq * self.c3)),
+        )
+
+    def recurrence_coefficients(self):
+        """Askey-Wilson polynomials in eta = cos x."""
+        q, b4 = self.q, self.b4
+        a1, a2, a3, a4 = self.params
+        pair_products = (a1 * a2, a1 * a3, a1 * a4, a2 * a3, a2 * a4, a3 * a4)
+
+        def a_coef(n: int) -> float:
+            return (1.0 - b4 * q ** (n - 1)) / (
+                2.0 * (1.0 - b4 * q ** (2 * n - 1)) * (1.0 - b4 * q ** (2 * n))
+            )
+
+        def c_coef(n: int) -> float:
+            num = 1.0 - q**n
+            for p in pair_products:
+                num *= 1.0 - p * q ** (n - 1)
+            return num / (
+                2.0 * (1.0 - b4 * q ** (2 * n - 2)) * (1.0 - b4 * q ** (2 * n - 1))
+            )
+
+        # The diagonal coefficient is invariant under rescaling of P_n,
+        # so it may be computed with any nonzero parameter in the
+        # distinguished slot of the one-parameter-singled-out form.
+        slot_index = next((i for i, v in enumerate(self.params) if v != 0.0), None)
+        slot = 0.0 if slot_index is None else self.params[slot_index]
+        rest = [v for i, v in enumerate(self.params) if i != slot_index]
+
+        def b_coef(n: int) -> float:
+            if slot == 0.0:
+                return 0.0  # fully symmetric weight
+            a = slot
+            b, c, d = rest
+            a_ks = (
+                (1.0 - a * b * q**n)
+                * (1.0 - a * c * q**n)
+                * (1.0 - a * d * q**n)
+                * (1.0 - b4 * q ** (n - 1))
+            ) / (a * (1.0 - b4 * q ** (2 * n - 1)) * (1.0 - b4 * q ** (2 * n)))
+            c_ks = (
+                a
+                * (1.0 - q**n)
+                * (1.0 - b * c * q ** (n - 1))
+                * (1.0 - b * d * q ** (n - 1))
+                * (1.0 - c * d * q ** (n - 1))
+            ) / ((1.0 - b4 * q ** (2 * n - 2)) * (1.0 - b4 * q ** (2 * n - 1)))
+            return 0.5 * (a + 1.0 / a - a_ks - c_ks)
+
+        return a_coef, b_coef, c_coef
+
+    def eta(self, x):
+        return np.cos(np.asarray(x, dtype=float))
+
+    def deta_dx(self, x):
+        return -np.sin(np.asarray(x, dtype=float))
+
+    def d2eta_dx2(self, x):
+        return -np.cos(np.asarray(x, dtype=float))
+
+    def density(self, x):
+        xs = np.asarray(x, dtype=float)
+        require_inside(self, xs)
+        flat = np.atleast_1d(xs).ravel()
+        vals = np.empty(flat.shape, dtype=float)
+        for i, xi in enumerate(flat):
+            z = cmath.exp(1j * xi)
+            num = abs(special.qpochhammer(z * z, self.q)) ** 2
+            den = 1.0
+            for aj in self.params:
+                den *= abs(special.qpochhammer(aj * z, self.q)) ** 2
+            vals[i] = num / den
+        if xs.ndim == 0:
+            return float(vals[0])
+        return vals.reshape(xs.shape)
+
+    def quadrature_interval(self, n_max: int) -> tuple[float, float, int]:
+        return (*self.domain, 200)
+
+    def _potential(self, x: float):
+        """V(z), dV/dx, for z = exp(ix), as complex values."""
+        z = cmath.exp(1j * x)
+        z2 = z * z
+        value = 1.0 + 0j
+        log_deriv = 4.0 * z / (1.0 - z2)
+        for aj in self.params:
+            value *= 1.0 - aj * z
+            if aj != 0.0:
+                log_deriv -= aj / (1.0 - aj * z)
+        value /= (1.0 - z2) ** 2
+        return value, 1j * z * value * log_deriv
+
+    def hamiltonian(self, x: float, p: float) -> float:
+        vc, _ = self._potential(x)
+        return abs(vc) * math.cosh(self.log_q * p) - vc.real
+
+    def partials(self, x: float, p: float) -> tuple[float, float]:
+        """(dH/dx, dH/dp)."""
+        gam = self.log_q
+        vc, dvc = self._potential(x)
+        w = abs(vc)
+        wx = (vc.conjugate() * dvc).real / w
+        return (wx * math.cosh(gam * p) - dvc.real, gam * w * math.sinh(gam * p))
+
+    def second_partials(self, x: float, p: float) -> tuple[float, float]:
+        """(d2H/dp2, d2H/dpdx)."""
+        gam = self.log_q
+        vc, dvc = self._potential(x)
+        w = abs(vc)
+        wx = (vc.conjugate() * dvc).real / w
+        return (gam * gam * w * math.cosh(gam * p), gam * wx * math.sinh(gam * p))
+
 
 SystemSpec = Union[PoschlTeller, DeformedOscillator, AskeyWilson]
 
 
-@dataclass(frozen=True)
-class HPoly:
-    """Polynomial in the Hamiltonian; coefficients in increasing degree."""
-
-    coeffs: tuple[float, ...]
-
-    def __call__(self, energy):
-        acc = 0.0
-        for c in reversed(self.coeffs):
-            acc = acc * energy + c
-        return acc
-
-
-@dataclass(frozen=True)
-class SpectralModel:
-    """Spectrum plus closure data for one system.
-
-    r0, r1, rm1 are the coefficient polynomials of the double-commutator
-    closure; hprime_shift is the constant s in the shifted Hamiltonian
-    H' = H + s used by the printed closed forms.
-    """
-
-    energy: Callable[[int], float]
-    r0: HPoly
-    r1: HPoly
-    rm1: HPoly
-    hprime_shift: float
-
-
 def validate(spec: SystemSpec) -> None:
     """Raise ParameterOutOfRange unless the parameters satisfy their ranges."""
-    match spec:
-        case PoschlTeller(g=g, h=h):
-            if not g > 0:
-                raise ParameterOutOfRange(f"g must be positive, got g={g}")
-            if not h > 0:
-                raise ParameterOutOfRange(f"h must be positive, got h={h}")
-        case DeformedOscillator(a=a):
-            if not a > 0:
-                raise ParameterOutOfRange(f"a must be positive, got a={a}")
-        case AskeyWilson(q=q):
-            if not 0.0 < q < 1.0:
-                raise ParameterOutOfRange(f"q must lie in (0, 1), got q={q}")
-            for name, value in zip(("a1", "a2", "a3", "a4"), spec.params):
-                if not -1.0 < value < 1.0:
-                    raise ParameterOutOfRange(
-                        f"{name} must lie in (-1, 1), got {name}={value}"
-                    )
-            if not spec.b4 < q:
-                raise ParameterOutOfRange(
-                    f"a1*a2*a3*a4 = {spec.b4} must stay below q = {q}"
-                )
-        case _:
-            raise UnsupportedSystem(type(spec).__name__)
+    spec.validate()
+
+
+def require_inside(spec: SystemSpec, x, error: type[Exception] = EvaluationDomain) -> None:
+    """Raise `error` unless x, a float or an array, lies strictly inside the
+    open domain of the coordinate (NaN never does)."""
+    lo, hi = spec.domain
+    if isinstance(x, float):
+        inside = lo < x < hi  # the scalar path runs once per RK4 step
+    else:
+        inside = bool(np.all((lo < x) & (x < hi)))
+    if not inside:
+        raise error(f"x={x} lies outside the open domain ({lo}, {hi})")
 
 
 def energy(spec: SystemSpec, n: int) -> float:
     """n-th energy level; the factorised convention fixes energy(0) = 0."""
     if n < 0:
         raise ParameterOutOfRange(f"level index must be >= 0, got n={n}")
-    match spec:
-        case PoschlTeller(g=g, h=h):
-            return 2.0 * n * (n + g + h)
-        case DeformedOscillator():
-            return float(n)
-        case AskeyWilson(q=q):
-            return (q ** -n - 1.0) * (1.0 - spec.b4 * q ** (n - 1)) / 2.0
-    raise UnsupportedSystem(type(spec).__name__)
+    return spec.energy(n)
 
 
 def energies(spec: SystemSpec, count: int) -> np.ndarray:
@@ -178,73 +538,18 @@ def energies(spec: SystemSpec, count: int) -> np.ndarray:
 def r_polynomials(spec: SystemSpec) -> SpectralModel:
     """Closure coefficient polynomials R0, R1, R-1 and the H' shift."""
     validate(spec)
-    match spec:
-        case PoschlTeller(g=g, h=h):
-            shift = 0.5 * (g + h) ** 2
-            r0 = HPoly((8.0 * shift - 4.0, 8.0))
-            r1 = HPoly((4.0,))
-            rm1 = HPoly((4.0 * (spec.alpha**2 - spec.beta**2),))
-        case DeformedOscillator():
-            shift = 0.0
-            r0 = HPoly((1.0,))
-            r1 = HPoly((0.0,))
-            rm1 = HPoly((0.0,))
-        case AskeyWilson(q=q):
-            b1, b3, b4 = spec.b1, spec.b3, spec.b4
-            kappa = q * (1.0 / q - 1.0) ** 2
-            shift = 0.5 * (1.0 + b4 / q)
-            r0 = HPoly(
-                (
-                    kappa * (shift**2 - (1.0 + 1.0 / q) ** 2 * b4 / 4.0),
-                    2.0 * kappa * shift,
-                    kappa,
-                )
-            )
-            r1 = HPoly((kappa * shift, kappa))
-            rm1 = HPoly(
-                (
-                    -kappa * (1.0 - b4 / q**2) * (b1 - b3) / 8.0,
-                    -kappa * (b1 + b3 / q) / 4.0,
-                )
-            )
-        case _:
-            raise UnsupportedSystem(type(spec).__name__)
+    r0, r1, rm1, shift = spec.closure_polynomials()
     return SpectralModel(
-        energy=partial(energy, spec),
-        r0=r0,
-        r1=r1,
-        rm1=rm1,
-        hprime_shift=shift,
+        energy=partial(energy, spec), r0=r0, r1=r1, rm1=rm1, hprime_shift=shift
     )
-
-
-@dataclass(frozen=True)
-class ClassicalClosure:
-    """Classical closure coefficients (no quantum R1 term)."""
-
-    r0: HPoly
-    rm1: HPoly
 
 
 @lru_cache(maxsize=None)
 def classical_r_polynomials(spec: SystemSpec) -> ClassicalClosure:
     """Closure coefficients of the classical double Poisson bracket."""
     validate(spec)
-    match spec:
-        case PoschlTeller(g=g, h=h):
-            return ClassicalClosure(
-                r0=HPoly((4.0 * (g + h) ** 2, 8.0)),
-                rm1=HPoly((4.0 * (g**2 - h**2),)),
-            )
-        case DeformedOscillator():
-            return ClassicalClosure(r0=HPoly((1.0,)), rm1=HPoly((0.0,)))
-        case AskeyWilson():
-            gsq = spec.log_q**2
-            return ClassicalClosure(
-                r0=HPoly((gsq * spec.c2, gsq * spec.c1, gsq)),
-                rm1=HPoly((-gsq * spec.c4, -gsq * spec.c3)),
-            )
-    raise UnsupportedSystem(type(spec).__name__)
+    r0, rm1 = spec.classical_closure()
+    return ClassicalClosure(r0=r0, rm1=rm1)
 
 
 def alpha_pm(spec: SystemSpec, e: float) -> tuple[float, float]:
@@ -264,35 +569,22 @@ def alpha_pm(spec: SystemSpec, e: float) -> tuple[float, float]:
     return (0.5 * (r1v + root), 0.5 * (r1v - root))
 
 
-def _aw_closure_cap(q: float) -> int:
-    """Largest level index checked for the Askey-Wilson spectrum.
-
-    q**-n grows exponentially; 25 levels at q = 0.3 mark the headroom we
-    allow in double precision, and smaller q gets proportionally fewer.
-    """
-    if q >= 0.3:
-        return 25
-    return max(1, int(25.0 * math.log(1.0 / 0.3) / math.log(1.0 / q)))
-
-
 def check_spectrum_closure(
     spec: SystemSpec, n_max: int, tol: float = 1e-9
 ) -> CheckReport:
     """Verify E_{n+1} - E_n = alpha_plus(E_n) and E_{n-1} - E_n = alpha_minus(E_n).
 
-    Residuals are relative to max(1, |target level|).  For Askey-Wilson,
-    n_max must stay within the double-precision cap (see _aw_closure_cap).
+    Residuals are relative to max(1, |target level|).  n_max must stay
+    within the family's double-precision `level_cap`.
     """
     validate(spec)
     if n_max < 1:
         raise ParameterOutOfRange(f"n_max must be >= 1, got {n_max}")
-    if isinstance(spec, AskeyWilson):
-        cap = _aw_closure_cap(spec.q)
-        if n_max > cap:
-            raise ParameterOutOfRange(
-                f"n_max={n_max} exceeds the double-precision cap {cap} "
-                f"for q={spec.q}"
-            )
+    if n_max > spec.level_cap:
+        raise ParameterOutOfRange(
+            f"n_max={n_max} exceeds the double-precision cap {spec.level_cap} "
+            f"of {spec}"
+        )
     levels = energies(spec, n_max + 2)
     worst_plus = 0.0
     worst_minus = 0.0

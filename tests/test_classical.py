@@ -20,7 +20,7 @@ class TestClosedForm:
     def test_time_zero_returns_initial_coordinate(self, spec, x0):
         state = ClassicalState(x0, 0.7)
         value = sc.closed_form_eta(spec, state, 0.0)
-        assert value == pytest.approx(float(sc.classical.eta_of_x(spec, x0)), abs=1e-15)
+        assert value == pytest.approx(float(spec.eta(x0)), abs=1e-15)
 
     def test_do_quarter_period_zero_crossing(self):
         state = ClassicalState(0.5, 0.0)
@@ -100,6 +100,24 @@ class TestFlowOracle:
     def test_rejects_bad_steps(self):
         with pytest.raises(ValueError):
             sc.flow_oracle(DO1, ClassicalState(0.0, 0.0), 1.0, 0.0)
+        with pytest.raises(sc.ParameterOutOfRange):
+            sc.flow_oracle(DO1, ClassicalState(0.0, 0.0), -1.0, 1e-3)
+
+
+class TestClosedVsFlow:
+    def test_fixed_end_time_hands_back_its_trajectory(self):
+        state = ClassicalState(0.5, 0.3)
+        trajectories = []
+        deviation, drift = sc.check_closed_vs_flow(
+            DO1, [state], t_end=2.0, trajectories=trajectories
+        )
+        assert deviation.details == {"states": 1, "t_end": 2.0}
+        assert drift.details == {"states": 1}
+        (traj, closed), = trajectories
+        assert len(traj.times) == 2001 and traj.times[-1] == pytest.approx(2.0)
+        assert deviation.max_residual == np.max(np.abs(closed - traj.eta_values))
+        h0 = sc.hamiltonian(DO1, state.x, state.p)
+        assert drift.max_residual == traj.energy_drift / max(1.0, abs(h0))
 
 
 class TestPoissonClosure:

@@ -104,6 +104,22 @@ class TestExitCodes:
         result = run_cli("spectrum", "--system", "aw", "--q", "0.5", "--a", "0.1,0.2")
         assert result.returncode == 2
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ("ladder", "--system", "pt", "--g", "1", "--h", "1", "--guard", "0"),
+            ("heisenberg", "--system", "pt", "--g", "1", "--h", "1", "--t", "nan"),
+            ("classical", "--system", "do", "--a", "1", "--x0", "0.5", "--p0", "0.1",
+             "--tend", "-1"),
+        ],
+        ids=["guard-zero", "time-nan", "negative-tend"],
+    )
+    def test_out_of_range_request_exits_two_without_traceback(self, args):
+        result = run_cli(*args)
+        assert result.returncode == 2
+        assert result.stderr.startswith("error: ")
+        assert "Traceback" not in result.stderr
+
 
 class TestDeterminism:
     def test_json_reports_are_byte_identical(self, tmp_path):

@@ -82,6 +82,12 @@ class TestCheckHeisenberg:
         report = sc.check_heisenberg(AW1, 20, 4, (0.1, 0.5))
         assert report.passed and report.max_residual <= 1e-9
 
+    def test_do_large_dimension_at_default_tolerance(self):
+        # dense products of the diagonal H left 2.1e-12 of rounding here
+        report = sc.check_heisenberg(sc.DeformedOscillator(1.1), 256, 4)
+        assert report.tolerance == 1e-12
+        assert report.passed
+
     def test_full_grid_all_systems(self):
         for spec, n_dim in ((DO1, 30), (PT23, 30), (AW1, 20)):
             assert sc.check_heisenberg(spec, n_dim, 4, T_GRID).passed

@@ -26,6 +26,14 @@ class TestBuildBasic:
             _, _, comm = sc.build_basic(spec, 12, 4)
             assert np.max(np.abs(np.diag(comm.entries))) == 0.0
 
+    def test_commutator_matches_dense_product(self):
+        # the elementwise (E_m - E_n) eta_mn agrees with H eta - eta H
+        for spec in ALL:
+            ham, eta, comm = sc.build_basic(spec, 12, 4)
+            dense = ham.entries @ eta.entries - eta.entries @ ham.entries
+            scale = np.max(np.abs(dense))
+            assert np.max(np.abs(comm.entries - dense)) <= 1e-14 * scale
+
     def test_pt_coordinate_entry(self):
         _, eta, _ = sc.build_basic(PT11, 6, 2)
         assert eta.entries[0, 1].real == pytest.approx(0.375, abs=1e-15)
@@ -145,6 +153,12 @@ class TestTwoCommutator:
     def test_aw(self):
         assert sc.check_two_commutator(AW1, 30, 4).max_residual <= 1e-10
 
+    def test_pt_large_dimension_at_default_tolerance(self):
+        # dense products of the diagonal H left 6.7e-10 of rounding here
+        report = sc.check_two_commutator(PT11, 100, 4)
+        assert report.tolerance == 1e-10
+        assert report.passed
+
 
 class TestHermitianConjugacy:
     @pytest.mark.parametrize("spec", [DO1, PT11, PT23, AW1])
@@ -167,6 +181,12 @@ class TestSu11:
     def test_do_relations(self):
         report = sc.check_su11(DO1, 30, 4)
         assert report.passed and report.max_residual <= 1e-12
+
+    def test_do_relations_away_from_a_one(self):
+        # dense products of the diagonal H left 1.5e-12 of rounding here
+        report = sc.check_su11(sc.DeformedOscillator(1.3), 30, 4)
+        assert report.tolerance == 1e-12
+        assert report.passed
 
     def test_commutator_diagonal_value(self):
         pair = sc.build_ladder(DO1, 12, 4, Normalization.PRIMED)
