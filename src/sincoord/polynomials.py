@@ -8,7 +8,6 @@ for these systems hold verbatim.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
@@ -16,7 +15,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ParameterOutOfRange, QuadratureNotConverged
-from .systems import PoschlTeller, SystemSpec, validate
+from .systems import SystemSpec, validate
 
 
 @dataclass(frozen=True)
@@ -90,28 +89,27 @@ def weight(spec: SystemSpec) -> WeightFunction:
     )
 
 
-def _quad_nodes(spec: SystemSpec, n_max: int, refine: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes and weights on the system's quadrature interval."""
-    lo, hi, count = spec.quadrature_interval(n_max)
-    t, w = np.polynomial.legendre.leggauss(count * refine)
-    half_width = 0.5 * (hi - lo)
-    mid = 0.5 * (hi + lo)
-    return mid + half_width * t, half_width * w
-
-
-def gram_matrix(spec: SystemSpec, n_max: int, refine: int = 1) -> np.ndarray:
-    """Quadrature Gram matrix G[m, n] = integral of density * P_m * P_n."""
+def _weighted_polys(spec: SystemSpec, n_max: int) -> tuple[np.ndarray, np.ndarray]:
+    """P_0 .. P_{n_max} at the family's quadrature nodes, and the weights
+    times the density there."""
     wf = weight(spec)
-    x, w = _quad_nodes(spec, n_max, refine)
-    rho = wf.density(x)
-    polys = eval_all(spec, n_max, wf.eta(x))
-    return (polys * (w * rho)) @ polys.T
+    x, w = spec.quadrature_nodes(n_max)
+    return eval_all(spec, n_max, wf.eta(x)), w * wf.density(x)
+
+
+def gram_matrix(spec: SystemSpec, n_max: int) -> np.ndarray:
+    """Quadrature Gram matrix G[m, n] = integral of density * P_m * P_n."""
+    polys, weights = _weighted_polys(spec, n_max)
+    return (polys * weights) @ polys.T
 
 
 @lru_cache(maxsize=None)
 def _norms_cached(spec: SystemSpec, n_max: int) -> tuple[float, ...]:
-    coarse = np.diag(gram_matrix(spec, n_max, refine=1))
-    fine = np.diag(gram_matrix(spec, n_max, refine=2))
+    polys, weights = _weighted_polys(spec, n_max)
+    squares = polys * polys
+    fine = squares @ weights
+    # every other node with doubled weight: the same rule at twice the step
+    coarse = squares[:, 1::2] @ (2.0 * weights[1::2])
     if np.any(fine <= 0.0):
         raise QuadratureNotConverged("quadrature produced a nonpositive norm")
     drift = np.max(np.abs(coarse - fine) / fine)
@@ -125,13 +123,9 @@ def _norms_cached(spec: SystemSpec, n_max: int) -> tuple[float, ...]:
 def norms(spec: SystemSpec, n_max: int) -> np.ndarray:
     """Squared norms h_n of phi_n = phi_0 P_n, n = 0 .. n_max, by quadrature.
 
-    Convergence is asserted by node doubling at 1e-8 relative.
+    The rule is each family's `quadrature_nodes`; it never uses the
+    recurrence coefficients, so the norms stay an independent oracle for
+    them.  Convergence is asserted by node doubling at 1e-8 relative.
     """
     validate(spec)
-    if isinstance(spec, PoschlTeller) and min(spec.g, spec.h) < 1.0:
-        warnings.warn(
-            "g or h below 1 puts an endpoint singularity in the density; "
-            "plain Gauss-Legendre norms are lower accuracy here",
-            stacklevel=2,
-        )
     return np.array(_norms_cached(spec, n_max), dtype=float)

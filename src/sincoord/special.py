@@ -1,4 +1,4 @@
-"""Scalar special functions: complex gamma, q-shifted factorials, 1F1.
+"""Special functions: complex gamma, q-shifted factorials, 1F1.
 
 These are deliberately self-contained (no scipy) so that the test suite can
 cross-check them against independent implementations.
@@ -6,7 +6,6 @@ cross-check them against independent implementations.
 
 from __future__ import annotations
 
-import cmath
 import math
 
 import numpy as np
@@ -29,46 +28,45 @@ _LANCZOS_C = (
 )
 
 
-def cgamma(z: complex) -> complex:
-    """Gamma(z) for complex z via the Lanczos approximation.
+def _gamma(z: np.ndarray) -> np.ndarray:
+    """Gamma over a complex array by the Lanczos approximation.
 
-    Arguments with Re z < 1/2 go through the reflection formula
+    Entries with Re z < 1/2 go through the reflection formula
     Gamma(z) Gamma(1-z) = pi / sin(pi z).
     """
-    z = complex(z)
-    if z.real < 0.5:
-        return math.pi / (cmath.sin(math.pi * z) * cgamma(1.0 - z))
-    w = z - 1.0
-    s = _LANCZOS_C[0] + 0j
-    for k in range(1, len(_LANCZOS_C)):
-        s += _LANCZOS_C[k] / (w + k)
+    reflect = z.real < 0.5
+    w = np.where(reflect, -z, z - 1.0)  # Lanczos argument of z or of 1 - z
+    s = _LANCZOS_C[0] + sum(c / (w + k) for k, c in enumerate(_LANCZOS_C[1:], 1))
     t = w + _LANCZOS_G + 0.5
-    return math.sqrt(2.0 * math.pi) * t ** (w + 0.5) * cmath.exp(-t) * s
+    out = math.sqrt(2.0 * math.pi) * t ** (w + 0.5) * np.exp(-t) * s
+    out[reflect] = math.pi / (np.sin(math.pi * z[reflect]) * out[reflect])
+    return out
+
+
+def cgamma(z: complex) -> complex:
+    """Gamma(z) for complex z: the one-entry case of the array evaluation."""
+    return complex(_gamma(np.array([z], dtype=complex))[0])
 
 
 def gamma_abs_sq(a: float, x):
     """|Gamma(a + i x)|^2 for real a, vectorised over x."""
     xs = np.asarray(x, dtype=float)
-    flat = np.atleast_1d(xs).ravel()
-    out = np.empty(flat.shape, dtype=float)
-    for i, xi in enumerate(flat):
-        g = cgamma(complex(a, xi))
-        out[i] = g.real * g.real + g.imag * g.imag
-    if xs.ndim == 0:
-        return float(out[0])
-    return out.reshape(xs.shape)
+    g = _gamma(a + 1j * np.atleast_1d(xs))
+    out = g.real * g.real + g.imag * g.imag
+    return float(out[0]) if xs.ndim == 0 else out
 
 
-def qpochhammer(z, q: float, n: int | None = None) -> complex:
+def qpochhammer(z, q: float, n: int | None = None):
     """q-shifted factorial (z; q)_n = prod_{k<n} (1 - z q^k).
 
     With n=None the infinite product is returned; it is truncated once
     |q|^k < 1e-17 / (1 + |z|), past which the remaining factors differ
-    from one by less than double-precision rounding.
+    from one by less than double-precision rounding.  An array z gives
+    the infinite product at each entry, each with its own truncation.
     """
-    z = complex(z)
-    result = 1.0 + 0j
     if n is not None:
+        z = complex(z)
+        result = 1.0 + 0j
         qk = 1.0
         for _ in range(n):
             result *= 1.0 - z * qk
@@ -76,11 +74,15 @@ def qpochhammer(z, q: float, n: int | None = None) -> complex:
         return result
     if not 0.0 < abs(q) < 1.0:
         raise ParameterOutOfRange(f"infinite product needs 0 < |q| < 1, got q={q}")
-    cutoff = 1e-17 / (1.0 + abs(z))
+    zs = np.asarray(z, dtype=complex)
+    cutoff = 1e-17 / (1.0 + np.abs(zs))
+    result = np.ones_like(zs)
     qk = 1.0
-    while abs(qk) >= cutoff:
-        result *= 1.0 - z * qk
+    while abs(qk) >= cutoff.min(initial=math.inf):
+        result = np.where(abs(qk) >= cutoff, result * (1.0 - zs * qk), result)
         qk *= q
+    if zs.ndim == 0:
+        return complex(result)
     return result
 
 

@@ -119,9 +119,12 @@ def test_criterion_04_heisenberg_solution():
 
 
 def test_criterion_05_hermitian_conjugacy():
+    # small couplings: an endpoint singularity of the pt density, a narrow
+    # analyticity strip of the do density
+    small = [sc.PoschlTeller(0.3, 1.0), sc.DeformedOscillator(0.3)]
     worst = max(
         sc.check_hermitian_conjugacy(spec, 30, 4, n_limit=20).max_residual
-        for spec in ALL_SYSTEMS  # pt couplings restricted to >= 1
+        for spec in ALL_SYSTEMS + small
     )
     report_line("5 hermitian conjugacy via quadrature norms", worst, 1e-8)
 

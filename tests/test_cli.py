@@ -51,6 +51,13 @@ class TestSubcommands:
         assert result.returncode == 0
         assert "su11" in result.stdout
 
+    def test_ladder_pt_coupling_below_one(self):
+        # an endpoint singularity of the density the norms must integrate
+        result = run_cli("ladder", "--system", "pt", "--g", "0.3", "--h", "1")
+        assert result.returncode == 0
+        assert "hermitian_conjugacy" in result.stdout
+        assert result.stderr == ""
+
     def test_heisenberg_aw(self):
         result = run_cli(
             "heisenberg", "--system", "aw", "--q", "0.5", "--a", "0.1,0.2,-0.1,0.3"

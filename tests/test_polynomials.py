@@ -2,13 +2,17 @@
 
 import cmath
 import math
+import warnings
 
 import mpmath
 import numpy as np
 import pytest
 import scipy.special
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import sincoord as sc
+from sincoord.special import _LANCZOS_C as LANCZOS_C
 from sincoord.special import cgamma, gamma_abs_sq, hyp1f1, qpochhammer
 
 PT11 = sc.PoschlTeller(1.0, 1.0)
@@ -215,6 +219,39 @@ class TestSpecialFunctions:
             ref = complex(mpmath.qp(z, 0.5))
             assert abs(mine - ref) < 1e-13 * abs(ref)
 
+    def test_array_gamma_matches_scalar_lanczos_loop(self):
+        def lanczos_loop(z):
+            if z.real < 0.5:
+                return math.pi / (cmath.sin(math.pi * z) * lanczos_loop(1.0 - z))
+            w = z - 1.0
+            s = LANCZOS_C[0] + 0j
+            for k in range(1, len(LANCZOS_C)):
+                s += LANCZOS_C[k] / (w + k)
+            t = w + 7.5
+            return math.sqrt(2.0 * math.pi) * t ** (w + 0.5) * cmath.exp(-t) * s
+
+        for a in (0.1, 0.3, 0.75, 2.0):
+            xs = np.linspace(-40.0, 40.0, 81)
+            ref = np.array([abs(lanczos_loop(complex(a, x))) ** 2 for x in xs])
+            # numpy and Python round the complex power t ** (w + 1/2)
+            # differently: an ulp of arg(t), up to pi eps, times Im w = x,
+            # squared in |Gamma|^2, gives about 2 pi |x| eps
+            bound = 16.0 * np.finfo(float).eps * np.maximum(1.0, np.abs(xs))
+            assert np.all(np.abs(gamma_abs_sq(a, xs) / ref - 1.0) < bound)
+
+    def test_array_qpochhammer_matches_scalar_loop(self):
+        def product_loop(z, q):
+            result, qk, cutoff = 1.0 + 0j, 1.0, 1e-17 / (1.0 + abs(z))
+            while abs(qk) >= cutoff:
+                result *= 1.0 - z * qk
+                qk *= q
+            return result
+
+        zs = np.array([0.3, -0.8, 0.2 + 0.6j, 2.0j, 0.99 * cmath.exp(0.4j), 5.0])
+        for q in (0.3, -0.5, 0.9):
+            ref = np.array([product_loop(z, q) for z in zs])
+            assert np.max(np.abs(qpochhammer(zs, q) - ref) / np.abs(ref)) < 1e-14
+
     def test_qpochhammer_finite(self):
         assert qpochhammer(2.0, 3.0, 5).real == pytest.approx(-725305.0)
 
@@ -295,7 +332,10 @@ class TestNorms:
         leak = np.abs(off) / np.sqrt(np.outer(h, h))
         assert np.max(leak) < 1e-8
 
-    @pytest.mark.parametrize("spec", [PT11, PT23, DO1, AW1])
+    @pytest.mark.parametrize(
+        "spec",
+        [PT11, PT23, sc.PoschlTeller(0.3, 1.0), DO1, sc.DeformedOscillator(0.3), AW1],
+    )
     def test_hermiticity_bridge(self, spec):
         h = sc.norms(spec, 21)
         rec = sc.recurrence(spec)
@@ -304,6 +344,94 @@ class TestNorms:
             rhs = rec.C(n + 1) * h[n]
             assert abs(lhs - rhs) <= 1e-8 * abs(rhs)
 
-    def test_pt_below_one_warns(self):
-        with pytest.warns(UserWarning, match="endpoint"):
-            sc.norms(sc.PoschlTeller(0.8, 1.2), 4)
+    def test_pt_below_one_is_silent_and_exact(self):
+        spec = sc.PoschlTeller(0.3, 1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            h = sc.norms(spec, 21)
+        assert np.max(np.abs(h / closed_form_norms(spec, 21) - 1.0)) < 1e-12
+
+    @pytest.mark.parametrize(
+        "spec",
+        [sc.PoschlTeller(g, h) for g, h in ((0.1, 0.2), (0.3, 1.0), (1.0, 1.0), (4.0, 4.0))]
+        + [sc.DeformedOscillator(a) for a in (0.3, 0.45, 1.0, 4.0)],
+        ids=lambda spec: repr(spec),
+    )
+    def test_closed_form(self, spec):
+        h = sc.norms(spec, 21)
+        assert np.max(np.abs(h / closed_form_norms(spec, 21) - 1.0)) < 1e-12
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            sc.PoschlTeller(1e6, 1e6),
+            sc.DeformedOscillator(1e-4),
+            sc.AskeyWilson(0.99999, 0.0, 0.0, 0.0, q=0.5),
+        ],
+    )
+    def test_oversized_rule_is_refused(self, spec):
+        with pytest.raises(sc.QuadratureNotConverged, match="nodes"):
+            sc.norms(spec, 21)
+
+    def test_aw_against_adaptive_quadrature(self):
+        spec = sc.AskeyWilson(0.9, 0.2, -0.1, 0.3, q=0.5)
+        h = sc.norms(spec, 6)
+        wf = sc.weight(spec)
+
+        def integrand(x):
+            x = float(x)
+            if not 0.0 < x < math.pi:
+                return 0.0  # the density vanishes at the walls
+            return wf.density(x) * sc.eval_poly(spec, 6, math.cos(x)) ** 2
+
+        with mpmath.workdps(20):
+            ref = mpmath.quad(integrand, np.linspace(0.0, math.pi, 9).tolist())
+        assert h[6] == pytest.approx(float(ref), rel=1e-12)
+
+
+def closed_form_norms(spec, n_max):
+    """Norms from the families' closed forms, in multi-precision.
+
+    pt: 2^(-(g+h)-1) times the Jacobi norm, because sin^2g cos^2h dx is
+    2^(-(g+h)-1) (1 - eta)^alpha (1 + eta)^beta d eta.  do: the
+    Meixner-Pollaczek norm 2 pi Gamma(n + 2a) / (2^(2a) n!).
+    """
+    out = []
+    with mpmath.workdps(30):
+        for n in range(n_max + 1):
+            if isinstance(spec, sc.PoschlTeller):
+                al, be = mpmath.mpf(spec.alpha), mpmath.mpf(spec.beta)
+                jacobi = (
+                    mpmath.power(2, al + be + 1)
+                    * mpmath.gamma(n + al + 1)
+                    * mpmath.gamma(n + be + 1)
+                    / (2 * n + al + be + 1)
+                    / (mpmath.gamma(n + al + be + 1) * mpmath.factorial(n))
+                )
+                value = mpmath.power(2, -spec.g - spec.h - 1) * jacobi
+            else:
+                a = mpmath.mpf(spec.a)
+                value = (
+                    2 * mpmath.pi * mpmath.gamma(n + 2 * a)
+                    / (mpmath.power(2, 2 * a) * mpmath.factorial(n))
+                )
+            out.append(float(value))
+    return np.array(out)
+
+
+@st.composite
+def small_coupling_systems(draw):
+    value = st.floats(min_value=0.1, max_value=4.0)
+    if draw(st.booleans()):
+        return sc.PoschlTeller(draw(value), draw(value))
+    return sc.DeformedOscillator(draw(value))
+
+
+@settings(max_examples=25, deadline=None)
+@given(small_coupling_systems())
+def test_norms_match_closed_form_or_refuse(spec):
+    try:
+        h = sc.norms(spec, 21)
+    except sc.QuadratureNotConverged:
+        return
+    assert np.max(np.abs(h / closed_form_norms(spec, 21) - 1.0)) < 1e-10
