@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SeriesNotConverged, ZeroRecurrenceCoefficient
+from .errors import ParameterOutOfRange, SeriesNotConverged, ZeroRecurrenceCoefficient
 from .operators import Normalization, build_ladder
 from .polynomials import eval_all, recurrence
 from .report import CheckReport, make_report
@@ -32,17 +32,29 @@ class CoherentCoefficients:
 
 
 def coherent_coeffs(spec: SystemSpec, lam: complex, truncation: int) -> CoherentCoefficients:
-    """c_n = lam^n / prod_{k=1..n} C_k via the stable one-step recursion."""
+    """c_n = lam^n / prod_{k=1..n} C_k via the stable one-step recursion.
+
+    Raises ParameterOutOfRange for a non-finite lam and SeriesNotConverged
+    when a coefficient overflows.
+    """
     validate(spec)
     lam = complex(lam)
+    if not np.isfinite(lam):
+        raise ParameterOutOfRange(f"eigenvalue must be finite, got lambda={lam}")
     rec = recurrence(spec)
     coeffs = np.zeros(truncation + 1, dtype=complex)
     coeffs[0] = 1.0
-    for n in range(1, truncation + 1):
-        c_n = rec.C(n)
-        if c_n == 0.0:
-            raise ZeroRecurrenceCoefficient(f"C_{n} = 0")
-        coeffs[n] = lam * coeffs[n - 1] / c_n
+    with np.errstate(over="ignore", invalid="ignore"):  # reported just below
+        for n in range(1, truncation + 1):
+            c_n = rec.C(n)
+            if c_n == 0.0:
+                raise ZeroRecurrenceCoefficient(f"C_{n} = 0")
+            coeffs[n] = lam * coeffs[n - 1] / c_n
+    overflow = np.flatnonzero(~np.isfinite(coeffs))
+    if overflow.size:
+        raise SeriesNotConverged(
+            f"coefficient c_{overflow[0]} overflows at lambda={lam}"
+        )
     return CoherentCoefficients(
         lam=lam,
         coeffs=coeffs,
@@ -64,13 +76,10 @@ def check_eigenvalue(
     pair = build_ladder(spec, n_dim, guard, Normalization.UNIT)
     padded = np.zeros(n_dim, dtype=complex)
     padded[: truncation + 1] = state.coeffs
-    residual = pair.a_minus.entries @ padded - state.lam * padded
-    worst = 0.0
-    for n in range(truncation - guard):
-        worst = max(
-            worst,
-            abs(residual[n]) / max(1.0, abs(state.lam * padded[n])),
-        )
+    residual = pair.a_minus.apply(padded) - state.lam * padded
+    rows = max(truncation - guard, 0)
+    scale = np.maximum(1.0, np.abs(state.lam * padded[:rows]))
+    worst = float(np.max(np.abs(residual[:rows]) / scale, initial=0.0))
     return make_report(
         "coherent_eigenvalue",
         worst,

@@ -7,6 +7,10 @@ Two independent realisations are kept side by side:
 * an elementwise phase oracle exp(i (E_m - E_n) t) * eta_mn, which is what
   conjugation by exp(i t H) does to any matrix in the eigenbasis and uses
   none of the closure data.
+
+Both act on the three diagonals of the tridiagonal operators, one time
+sample at a time; `check_heisenberg` builds eta, [H, eta] and the
+frequencies once and then spends O(N) per sample.
 """
 
 from __future__ import annotations
@@ -18,12 +22,15 @@ import numpy as np
 
 from .errors import DegenerateFrequencies, ParameterOutOfRange
 from .operators import (
-    LadderPair,
     Normalization,
     TruncatedOperator,
     build_basic,
-    build_ladder,
+    _column_max,
     _frequency_vectors,
+    _ladder_pair,
+    _level_gaps,
+    _plus_diagonal,
+    _window_max,
 )
 from .report import CheckReport, make_report
 from .systems import SystemSpec, energies
@@ -41,23 +48,61 @@ class HeisenbergSolution:
     freq_plus: np.ndarray
     freq_minus: np.ndarray
 
-    def evolve(self, t: float) -> np.ndarray:
+    def evolve(self, t: float) -> TruncatedOperator:
         """a_plus e^{i a+ t} + const + a_minus e^{i a- t} (diagonals right)."""
-        up = self.a_plus.entries * np.exp(1j * self.freq_plus * t)[None, :]
-        down = self.a_minus.entries * np.exp(1j * self.freq_minus * t)[None, :]
-        return up + np.diag(self.constant_part.astype(complex)) + down
+        up = self.a_plus.bands * np.exp(1j * self.freq_plus * t)[None, :]
+        down = self.a_minus.bands * np.exp(1j * self.freq_minus * t)[None, :]
+        return TruncatedOperator(
+            dim=self.a_plus.dim,
+            guard=self.a_plus.guard,
+            bands=_plus_diagonal(up, self.constant_part) + down,
+        )
 
 
-def build_solution(spec: SystemSpec, n_dim: int, guard: int) -> HeisenbergSolution:
-    pair: LadderPair = build_ladder(spec, n_dim, guard, Normalization.UNIT)
-    _, r0v, rm1v, ap, am = _frequency_vectors(spec, n_dim)
+def _closure_data(spec: SystemSpec, n_dim: int, guard: int):
+    """eta, [H, eta], the levels, R-1/R0 and alpha_pm on the spectrum."""
+    _, eta_op, comm_op = build_basic(spec, n_dim, guard)
+    levels, r0v, rm1v, ap, am = _frequency_vectors(spec, n_dim)
+    if np.any(ap - am == 0.0):
+        raise DegenerateFrequencies("coincident frequencies on the spectrum")
+    return eta_op, comm_op, levels, rm1v / r0v, ap, am
+
+
+def _solution(eta_op, comm_op, ratio, ap, am) -> HeisenbergSolution:
+    pair = _ladder_pair(eta_op, comm_op, ratio, ap, am, Normalization.UNIT)
     return HeisenbergSolution(
         a_plus=pair.a_plus,
         a_minus=pair.a_minus,
-        constant_part=-rm1v / r0v,
+        constant_part=-ratio,
         freq_plus=ap,
         freq_minus=am,
     )
+
+
+def build_solution(spec: SystemSpec, n_dim: int, guard: int) -> HeisenbergSolution:
+    eta_op, comm_op, _, ratio, ap, am = _closure_data(spec, n_dim, guard)
+    return _solution(eta_op, comm_op, ratio, ap, am)
+
+
+def _closed_form(eta, comm, ratio, ap, am, t: float) -> np.ndarray:
+    """Bands of [H, eta] osc(H) - R(H) + (eta + R(H)) mix(H) at time t, with
+    R = R-1/R0 and every function of H multiplying from the right."""
+    if not math.isfinite(t):
+        raise ParameterOutOfRange(f"time must be finite, got t={t}")
+    denom = ap - am
+    phase_p = np.exp(1j * ap * t)
+    phase_m = np.exp(1j * am * t)
+    osc = (phase_p - phase_m) / denom
+    mix = (-am * phase_p + ap * phase_m) / denom
+    return (
+        _plus_diagonal(comm * osc[None, :], -ratio)
+        + _plus_diagonal(eta, ratio) * mix[None, :]
+    )
+
+
+def _phase_oracle(eta, gaps, t: float) -> np.ndarray:
+    """Bands of eta_mn e^{i (E_m - E_n) t}."""
+    return eta * np.exp(1j * gaps * t)
 
 
 def exact_evolution(
@@ -67,24 +112,9 @@ def exact_evolution(
 
     Every function of H multiplies from the right as a diagonal.
     """
-    if not math.isfinite(t):
-        raise ParameterOutOfRange(f"time must be finite, got t={t}")
-    _, eta_op, comm_op = build_basic(spec, n_dim, guard)
-    _, r0v, rm1v, ap, am = _frequency_vectors(spec, n_dim)
-    denom = ap - am
-    if np.any(denom == 0.0):
-        raise DegenerateFrequencies("coincident frequencies on the spectrum")
-    phase_p = np.exp(1j * ap * t)
-    phase_m = np.exp(1j * am * t)
-    osc = (phase_p - phase_m) / denom
-    mix = (-am * phase_p + ap * phase_m) / denom
-    ratio = rm1v / r0v
-    entries = (
-        comm_op.entries * osc[None, :]
-        - np.diag(ratio.astype(complex))
-        + (eta_op.entries + np.diag(ratio.astype(complex))) * mix[None, :]
-    )
-    return TruncatedOperator(dim=n_dim, guard=guard, entries=entries)
+    eta_op, comm_op, _, ratio, ap, am = _closure_data(spec, n_dim, guard)
+    bands = _closed_form(eta_op.bands, comm_op.bands, ratio, ap, am, t)
+    return TruncatedOperator(dim=n_dim, guard=guard, bands=bands)
 
 
 def oracle_evolution(
@@ -92,10 +122,9 @@ def oracle_evolution(
 ) -> TruncatedOperator:
     """Elementwise phase oracle: (eta)_mn e^{i (E_m - E_n) t}."""
     _, eta_op, _ = build_basic(spec, n_dim, guard)
-    levels = energies(spec, n_dim)
-    phases = np.exp(1j * (levels[:, None] - levels[None, :]) * t)
+    gaps = _level_gaps(energies(spec, n_dim))
     return TruncatedOperator(
-        dim=n_dim, guard=guard, entries=eta_op.entries * phases
+        dim=n_dim, guard=guard, bands=_phase_oracle(eta_op.bands, gaps, t)
     )
 
 
@@ -109,30 +138,32 @@ def check_heisenberg(
     """Closed form vs phase oracle, and vs the frequency-split decomposition.
 
     Residuals are entrywise over the interior window, per-column relative
-    where the family has `relative_residuals`.
+    where the family has `relative_residuals`.  The operators and the
+    frequencies are built once; each time sample then costs O(N).
     """
     if tol is None:
         tol = spec.tolerances["heisenberg_evolution"]
-    solution = build_solution(spec, n_dim, guard)
-    d = n_dim - guard
-    relative = spec.relative_residuals
+    times = [float(t) for t in t_samples]
+    if not times:
+        raise ParameterOutOfRange("need at least one time sample")
+    eta_op, comm_op, levels, ratio, ap, am = _closure_data(spec, n_dim, guard)
+    solution = _solution(eta_op, comm_op, ratio, ap, am)
+    gaps = _level_gaps(levels)
     worst_oracle = 0.0
     worst_split = 0.0
-    for t in t_samples:
-        exact = exact_evolution(spec, n_dim, guard, t).entries
-        oracle = oracle_evolution(spec, n_dim, guard, t).entries
-        split = solution.evolve(t)
-        if relative:
-            col_scale = np.maximum(1.0, np.abs(oracle[:d, :d]).max(axis=0))[None, :]
+    for t in times:
+        exact = _closed_form(eta_op.bands, comm_op.bands, ratio, ap, am, t)
+        oracle = _phase_oracle(eta_op.bands, gaps, t)
+        split = solution.evolve(t).bands
+        if spec.relative_residuals:
+            col_scale = _column_max(np.abs(oracle), eta_op, 1.0)
         else:
             col_scale = 1.0
         worst_oracle = max(
-            worst_oracle,
-            float(np.max(np.abs(exact[:d, :d] - oracle[:d, :d]) / col_scale)),
+            worst_oracle, _window_max(np.abs(exact - oracle) / col_scale, eta_op)
         )
         worst_split = max(
-            worst_split,
-            float(np.max(np.abs(exact[:d, :d] - split[:d, :d]) / col_scale)),
+            worst_split, _window_max(np.abs(exact - split) / col_scale, eta_op)
         )
     return make_report(
         "heisenberg_evolution",
@@ -142,5 +173,5 @@ def check_heisenberg(
         G=guard,
         max_vs_oracle=worst_oracle,
         max_vs_decomposition=worst_split,
-        t_samples=list(float(t) for t in t_samples),
+        t_samples=times,
     )

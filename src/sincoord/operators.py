@@ -1,10 +1,16 @@
-"""Truncated matrices in the energy eigenbasis and the ladder-operator checks.
+"""Truncated operators in the energy eigenbasis and the ladder-operator checks.
 
-All operators are dense complex matrices over the unnormalised eigenvectors
-phi_0 .. phi_{N-1}; column n holds the expansion of (operator phi_n).  Every
-function of the Hamiltonian acts as a diagonal matrix multiplying from the
-right, in the order the defining expressions are written, and every
-commutator with the diagonal H is the elementwise product (E_m - E_n) X_mn.
+Every operator here is tridiagonal over the unnormalised eigenvectors
+phi_0 .. phi_{N-1}: H is diagonal, and eta, [H, eta], the ladder pair and
+the evolved coordinate couple each phi_n to its nearest neighbours only.  An
+operator is stored as its three diagonals indexed by column, since column n
+holds the expansion of (operator phi_n): the entry (n-1, n) above the
+diagonal, (n, n) on it and (n+1, n) below it.  Every function of the
+Hamiltonian multiplies the bands column-wise, in the order the defining
+expressions are written, and every commutator with the diagonal H multiplies
+them by the level gaps E_m - E_n.  The dense N x N matrix is built on demand
+(`TruncatedOperator.entries`), for the one product of two non-diagonal
+operators, [a'-, a'+] in `check_su11`, and for callers that want a matrix.
 A guard band of G top indices absorbs truncation damage; identities are only
 asserted on the interior window 0 .. N-G-1.
 """
@@ -37,20 +43,51 @@ from .systems import (
 
 @dataclass(frozen=True)
 class TruncatedOperator:
-    """Dense N x N complex matrix with a truncation guard band."""
+    """Tridiagonal N x N complex operator with a truncation guard band.
+
+    `bands` has shape (3, N); `bands[k, n]` is the entry (n + k - 1, n):
+    row 0 is the superdiagonal, row 1 the diagonal and row 2 the
+    subdiagonal, each indexed by column.  The two slots that fall outside
+    the matrix, (-1, 0) and (N, N-1), hold zero.
+    """
 
     dim: int
     guard: int
-    entries: np.ndarray
+    bands: np.ndarray
 
     @property
     def interior(self) -> int:
         """First index of the guard band; the window is 0 .. interior-1."""
         return self.dim - self.guard
 
-    def window(self) -> np.ndarray:
+    @property
+    def entries(self) -> np.ndarray:
+        """The dense N x N matrix, built anew on every access."""
+        cols = np.arange(self.dim)
+        dense = np.zeros((self.dim, self.dim), dtype=complex)
+        dense[cols[:-1], cols[1:]] = self.bands[0, 1:]
+        dense[cols, cols] = self.bands[1]
+        dense[cols[1:], cols[:-1]] = self.bands[2, :-1]
+        return dense
+
+    def window_mask(self) -> np.ndarray:
+        """(3, N) mask of the band slots whose row and column both lie in
+        the window 0 .. interior-1."""
         d = self.interior
-        return self.entries[:d, :d]
+        mask = np.zeros((3, self.dim), dtype=bool)
+        mask[0, 1:d] = True
+        mask[1, :d] = True
+        mask[2, : d - 1] = True
+        return mask
+
+    def apply(self, vector: np.ndarray) -> np.ndarray:
+        """The operator times a vector; row n sums its three entries in
+        column order, (n, n-1), (n, n), (n, n+1)."""
+        out = np.zeros(self.dim, dtype=complex)
+        out[1:] = self.bands[2, :-1] * vector[:-1]
+        out += self.bands[1] * vector
+        out[:-1] += self.bands[0, 1:] * vector[1:]
+        return out
 
 
 class Normalization(Enum):
@@ -74,34 +111,58 @@ def _check_dims(n_dim: int, guard: int) -> None:
         raise ParameterOutOfRange(f"need N >= G + 2, got N={n_dim}, G={guard}")
 
 
-def _commutator_with_h(levels: np.ndarray, entries: np.ndarray) -> np.ndarray:
+def _level_gaps(levels: np.ndarray) -> np.ndarray:
+    """E_m - E_n at every band slot (m, n); zero on the diagonal and at the
+    two slots outside the matrix."""
+    gaps = np.zeros((3, len(levels)))
+    gaps[0, 1:] = levels[:-1] - levels[1:]
+    gaps[2, :-1] = levels[1:] - levels[:-1]
+    return gaps
+
+
+def _commutator_with_h(levels: np.ndarray, bands: np.ndarray) -> np.ndarray:
     """[H, X] for the diagonal H = diag(levels): entry (m, n) is (E_m - E_n) X_mn."""
-    return (levels[:, None] - levels[None, :]) * entries
+    return _level_gaps(levels) * bands
+
+
+def _plus_diagonal(bands: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """X + diag(values), as new bands."""
+    out = bands.copy()
+    out[1] = out[1] + values
+    return out
+
+
+def _window_max(values: np.ndarray, op: TruncatedOperator) -> float:
+    """Largest of the nonnegative band `values` inside op's window."""
+    return float(np.max(values, where=op.window_mask(), initial=0.0))
+
+
+def _column_max(values: np.ndarray, op: TruncatedOperator, floor: float) -> np.ndarray:
+    """Per column, the largest of `floor` and the band `values` inside op's window."""
+    return np.max(values, axis=0, where=op.window_mask(), initial=floor)
 
 
 def build_basic(
     spec: SystemSpec, n_dim: int, guard: int
 ) -> tuple[TruncatedOperator, TruncatedOperator, TruncatedOperator]:
-    """Hamiltonian, coordinate matrix, and their commutator.
+    """Hamiltonian, coordinate operator, and their commutator.
 
-    H is diagonal with the exact spectrum; the coordinate matrix is
-    tridiagonal with the recurrence coefficients (A_n below, B_n on, C_n
-    above the diagonal, per column n).
+    H is diagonal with the exact spectrum; the coordinate is tridiagonal
+    with the recurrence coefficients (A_n below, B_n on, C_n above the
+    diagonal, per column n).
     """
     validate(spec)
     _check_dims(n_dim, guard)
     rec = recurrence(spec)
     levels = energies(spec, n_dim)
-    eta = np.zeros((n_dim, n_dim), dtype=complex)
-    for n in range(n_dim):
-        eta[n, n] = rec.B(n)
-        if n + 1 < n_dim:
-            eta[n + 1, n] = rec.A(n)
-        if n >= 1:
-            eta[n - 1, n] = rec.C(n)
-    ham = np.diag(levels.astype(complex))
+    eta = np.zeros((3, n_dim), dtype=complex)
+    eta[0, 1:] = [rec.C(n) for n in range(1, n_dim)]
+    eta[1] = [rec.B(n) for n in range(n_dim)]
+    eta[2, :-1] = [rec.A(n) for n in range(n_dim - 1)]
+    ham = np.zeros((3, n_dim), dtype=complex)
+    ham[1] = levels
     comm = _commutator_with_h(levels, eta)
-    wrap = lambda m: TruncatedOperator(dim=n_dim, guard=guard, entries=m)
+    wrap = lambda b: TruncatedOperator(dim=n_dim, guard=guard, bands=b)
     return wrap(ham), wrap(eta), wrap(comm)
 
 
@@ -128,6 +189,28 @@ def _frequency_vectors(spec: SystemSpec, n_dim: int):
     return levels, r0v, rm1v, 0.5 * (r1v + root), 0.5 * (r1v - root)
 
 
+def _ladder_pair(
+    eta_op: TruncatedOperator,
+    comm_op: TruncatedOperator,
+    ratio: np.ndarray,
+    ap: np.ndarray,
+    am: np.ndarray,
+    normalization: Normalization,
+) -> LadderPair:
+    """The pair from eta, [H, eta], R-1/R0 and alpha_pm on the spectrum."""
+    shifted = _plus_diagonal(eta_op.bands, ratio)
+    plus = comm_op.bands - shifted * am[None, :]
+    minus = -comm_op.bands + shifted * ap[None, :]
+    if normalization is Normalization.UNIT:
+        denom = ap - am
+        plus = plus / denom[None, :]
+        minus = minus / denom[None, :]
+    wrap = lambda b: TruncatedOperator(dim=eta_op.dim, guard=eta_op.guard, bands=b)
+    return LadderPair(
+        a_plus=wrap(plus), a_minus=wrap(minus), normalization=normalization
+    )
+
+
 def build_ladder(
     spec: SystemSpec,
     n_dim: int,
@@ -142,17 +225,7 @@ def build_ladder(
     """
     _, eta_op, comm_op = build_basic(spec, n_dim, guard)
     _, r0v, rm1v, ap, am = _frequency_vectors(spec, n_dim)
-    shifted = eta_op.entries + np.diag((rm1v / r0v).astype(complex))
-    plus = comm_op.entries - shifted * am[None, :]
-    minus = -comm_op.entries + shifted * ap[None, :]
-    if normalization is Normalization.UNIT:
-        denom = ap - am
-        plus = plus / denom[None, :]
-        minus = minus / denom[None, :]
-    wrap = lambda m: TruncatedOperator(dim=n_dim, guard=guard, entries=m)
-    return LadderPair(
-        a_plus=wrap(plus), a_minus=wrap(minus), normalization=normalization
-    )
+    return _ladder_pair(eta_op, comm_op, rm1v / r0v, ap, am, normalization)
 
 
 def check_ladder_action(
@@ -161,30 +234,27 @@ def check_ladder_action(
     """a_plus phi_n = A_n phi_{n+1} and a_minus phi_n = C_n phi_{n-1}.
 
     Deviations are measured entrywise per column, relative to the column
-    scale where the family has `relative_residuals`.
+    scale where the family has `relative_residuals`; the lowering
+    operator must annihilate the ground state, column 0, absolutely.
     """
     if tol is None:
         tol = spec.tolerances["ladder_action"]
     rec = recurrence(spec)
     pair = build_ladder(spec, n_dim, guard)
     d = pair.a_plus.interior
-    relative = spec.relative_residuals
-    worst = 0.0
-    for n in range(d - 1):
-        target_up = np.zeros(d, dtype=complex)
-        target_up[n + 1] = rec.A(n)
-        dev_up = np.max(np.abs(pair.a_plus.entries[:d, n] - target_up))
-        scale_up = max(1.0, abs(rec.A(n))) if relative else 1.0
-        worst = max(worst, dev_up / scale_up)
-
-        col = n + 1  # lowering acts on columns 1 .. d-1
-        target_dn = np.zeros(d, dtype=complex)
-        target_dn[col - 1] = rec.C(col)
-        dev_dn = np.max(np.abs(pair.a_minus.entries[:d, col] - target_dn))
-        scale_dn = max(1.0, abs(rec.C(col))) if relative else 1.0
-        worst = max(worst, dev_dn / scale_dn)
-    # the lowering operator annihilates the ground state
-    worst = max(worst, float(np.max(np.abs(pair.a_minus.entries[:d, 0]))))
+    up = np.array([rec.A(n) for n in range(d - 1)])  # raising acts on 0 .. d-2
+    down = np.array([rec.C(n) for n in range(1, d)])  # lowering on 1 .. d-1
+    target_up = np.zeros((3, n_dim), dtype=complex)
+    target_up[2, : d - 1] = up
+    target_dn = np.zeros((3, n_dim), dtype=complex)
+    target_dn[0, 1:d] = down
+    dev_up = _column_max(np.abs(pair.a_plus.bands - target_up), pair.a_plus, 0.0)
+    dev_dn = _column_max(np.abs(pair.a_minus.bands - target_dn), pair.a_minus, 0.0)
+    dev_up, dev_dn = dev_up[: d - 1], dev_dn[:d]
+    if spec.relative_residuals:
+        dev_up = dev_up / np.maximum(1.0, np.abs(up))
+        dev_dn[1:] = dev_dn[1:] / np.maximum(1.0, np.abs(down))
+    worst = max(float(np.max(dev_up)), float(np.max(dev_dn)))
     return make_report("ladder_action", worst, tol, N=n_dim, G=guard)
 
 
@@ -196,19 +266,14 @@ def check_two_commutator(
         tol = spec.tolerances["two_commutator"]
     _, eta_op, comm_op = build_basic(spec, n_dim, guard)
     levels, r0v, r1v, rm1v = _closure_vectors(spec, n_dim)
-    lhs = _commutator_with_h(levels, comm_op.entries)
-    rhs = (
-        eta_op.entries * r0v[None, :]
-        + comm_op.entries * r1v[None, :]
-        + np.diag(rm1v.astype(complex))
+    lhs = _commutator_with_h(levels, comm_op.bands)
+    rhs = _plus_diagonal(
+        eta_op.bands * r0v[None, :] + comm_op.bands * r1v[None, :], rm1v
     )
-    d = n_dim - guard
-    diff = np.abs(lhs[:d, :d] - rhs[:d, :d])
+    diff = np.abs(lhs - rhs)
     if spec.relative_residuals:
-        col_scale = np.maximum(1.0, np.abs(lhs[:d, :d]).max(axis=0))
-        resid = float(np.max(diff / col_scale[None, :]))
-    else:
-        resid = float(np.max(diff))
+        diff = diff / _column_max(np.abs(lhs), eta_op, 1.0)
+    resid = _window_max(diff, eta_op)
     return make_report("two_commutator", resid, tol, N=n_dim, G=guard)
 
 
@@ -229,11 +294,11 @@ def check_hermitian_conjugacy(
     h = norms(spec, n_top + 1)
     scale = np.sqrt(h)
     worst = 0.0
-    ap = pair.a_plus.entries
-    am = pair.a_minus.entries
+    below = pair.a_plus.bands[2]  # entry (n+1, n)
+    above = pair.a_minus.bands[0]  # entry (n-1, n)
     for n in range(n_top + 1):
-        up = ap[n + 1, n].real * scale[n + 1] / scale[n]
-        down = am[n, n + 1].real * scale[n] / scale[n + 1]
+        up = below[n].real * scale[n + 1] / scale[n]
+        down = above[n + 1].real * scale[n] / scale[n + 1]
         worst = max(worst, abs(up - down) / max(abs(up), abs(down)))
     return make_report(
         "hermitian_conjugacy", worst, tol, N=n_dim, G=guard, n_top=n_top
@@ -251,15 +316,21 @@ def check_su11(
         )
     pair = build_ladder(spec, n_dim, guard, Normalization.PRIMED)
     levels = energies(spec, n_dim)
-    ap = pair.a_plus.entries
-    am = pair.a_minus.entries
-    d = n_dim - guard
+    ap = pair.a_plus.bands
+    am = pair.a_minus.bands
     res_plus = _commutator_with_h(levels, ap) - ap
     res_minus = _commutator_with_h(levels, am) + am
-    res_comm = am @ ap - ap @ am - 2.0 * np.diag(levels + spec.a)
+    # kept as a dense product: a banded one would add each entry's terms in
+    # another order and move this residual
+    dense_ap = pair.a_plus.entries
+    dense_am = pair.a_minus.entries
+    res_comm = (
+        dense_am @ dense_ap - dense_ap @ dense_am - 2.0 * np.diag(levels + spec.a)
+    )
+    d = n_dim - guard
     resid = max(
-        float(np.max(np.abs(res_plus[:d, :d]))),
-        float(np.max(np.abs(res_minus[:d, :d]))),
+        _window_max(np.abs(res_plus), pair.a_plus),
+        _window_max(np.abs(res_minus), pair.a_minus),
         float(np.max(np.abs(res_comm[:d, :d]))),
     )
     return make_report("su11", resid, tol, N=n_dim, G=guard)
@@ -277,11 +348,10 @@ def check_ground_state_condition(
     if am0 == 0.0:
         raise VanishingFrequency("alpha_minus(0) = 0")
     const = r_polynomials(spec).rm1(0.0) / am0
-    d = n_dim - guard
-    term_comm = -comm_op.entries[:d, 0]
-    term_eta = ap0 * eta_op.entries[:d, 0]
-    term_const = np.zeros(d, dtype=complex)
-    term_const[0] = -const
+    # column 0 has entries in rows 0 and 1 only, both inside the window
+    term_comm = -comm_op.bands[1:, 0]
+    term_eta = ap0 * eta_op.bands[1:, 0]
+    term_const = np.array([-const, 0.0], dtype=complex)
     column = term_comm + term_eta + term_const
     scale = max(
         1.0,

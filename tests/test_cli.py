@@ -118,13 +118,23 @@ class TestExitCodes:
             ("heisenberg", "--system", "pt", "--g", "1", "--h", "1", "--t", "nan"),
             ("classical", "--system", "do", "--a", "1", "--x0", "0.5", "--p0", "0.1",
              "--tend", "-1"),
+            ("heisenberg", "--system", "do", "--a", "1", "--t="),
+            ("coherent", "--system", "pt", "--g", "1", "--h", "1", "--lambda", "nan"),
+            ("coherent", "--system", "pt", "--g", "1", "--h", "1", "--lambda", "inf"),
+            ("coherent", "--system", "do", "--a", "1", "--lambda", "1e200"),
+            ("coherent", "--system", "aw", "--q", "0.5", "--a", "0.1,0.2,-0.1,0.3",
+             "--lambda", "1e200"),
         ],
-        ids=["guard-zero", "time-nan", "negative-tend"],
+        ids=[
+            "guard-zero", "time-nan", "negative-tend", "empty-time-grid",
+            "lambda-nan", "lambda-inf", "lambda-overflow-do", "lambda-overflow-aw",
+        ],
     )
     def test_out_of_range_request_exits_two_without_traceback(self, args):
         result = run_cli(*args)
         assert result.returncode == 2
         assert result.stderr.startswith("error: ")
+        assert result.stderr.count("\n") == 1
         assert "Traceback" not in result.stderr
 
 

@@ -78,6 +78,40 @@ class TestEigenvalueProperty:
         report = sc.check_eigenvalue(DO1, complex(0.2, 0.15), 60, 4)
         assert report.passed
 
+    @pytest.mark.parametrize("spec", [PT11, sc.DeformedOscillator(1.3), AW1])
+    @pytest.mark.parametrize("lam", [None, complex(0.3, 0.2)])
+    def test_equals_dense_evaluation(self, spec, lam):
+        lam = spec.coherent_lambda if lam is None else lam
+        state = sc.coherent_coeffs(spec, lam, 36)
+        lowering = sc.build_ladder(spec, 40, 4).a_minus.entries
+        padded = np.zeros(40, dtype=complex)
+        padded[:37] = state.coeffs
+        residual = lowering @ padded - state.lam * padded
+        dense = max(
+            abs(residual[n]) / max(1.0, abs(state.lam * padded[n]))
+            for n in range(32)
+        )
+        report = sc.check_eigenvalue(spec, lam, 36, 4)
+        if isinstance(spec, sc.AskeyWilson):
+            # the aw lowering operator has rounding-level entries off its
+            # one exact band, and a BLAS product may add (and fuse) a row's
+            # three terms in another order: each row moves by at most
+            # ~2 eps of its largest term, which is below its scale
+            assert abs(report.max_residual - dense) <= 4 * np.finfo(float).eps
+        else:
+            # one nonzero term per row: every summation order is exact
+            assert report.max_residual == dense
+
+    @pytest.mark.parametrize("lam", [complex("nan"), complex("inf"), 1j * np.inf])
+    def test_nonfinite_eigenvalue_is_refused(self, lam):
+        with pytest.raises(sc.ParameterOutOfRange):
+            sc.coherent_coeffs(PT11, lam, 10)
+
+    @pytest.mark.parametrize("spec", [PT11, DO1, AW1])
+    def test_overflowing_coefficients_are_refused(self, spec):
+        with pytest.raises(sc.SeriesNotConverged):
+            sc.check_eigenvalue(spec, 1e200, 60, 4)
+
 
 class TestHypergeometricClosedForm:
     def test_zero_eigenvalue_gives_unity_everywhere(self):

@@ -14,6 +14,45 @@ AW1 = sc.AskeyWilson(0.1, 0.2, -0.1, 0.3, q=0.5)
 T_GRID = (0.0, 0.1, 0.37, 1.0, 2.5, 5.0)
 
 
+def dense_heisenberg(spec, n_dim, guard, t_samples):
+    """(max_vs_oracle, max_vs_decomposition) from dense N x N matrices."""
+    eta = sc.build_basic(spec, n_dim, guard)[1].entries
+    levels = sc.energies(spec, n_dim)
+    gaps = levels[:, None] - levels[None, :]
+    comm = gaps * eta
+    model = sc.r_polynomials(spec)
+    r0v, r1v, rm1v = model.r0(levels), model.r1(levels), model.rm1(levels)
+    root = np.sqrt(r1v * r1v + 4.0 * r0v)
+    ap, am = 0.5 * (r1v + root), 0.5 * (r1v - root)
+    denom = ap - am
+    ratio = np.diag((rm1v / r0v).astype(complex))
+    a_plus = (comm - (eta + ratio) * am[None, :]) / denom[None, :]
+    a_minus = (-comm + (eta + ratio) * ap[None, :]) / denom[None, :]
+    d = n_dim - guard
+    worst_oracle = worst_split = 0.0
+    for t in t_samples:
+        phase_p, phase_m = np.exp(1j * ap * t), np.exp(1j * am * t)
+        osc = (phase_p - phase_m) / denom
+        mix = (-am * phase_p + ap * phase_m) / denom
+        exact = comm * osc[None, :] - ratio + (eta + ratio) * mix[None, :]
+        oracle = eta * np.exp(1j * gaps * t)
+        split = (
+            a_plus * phase_p[None, :]
+            + np.diag((-rm1v / r0v).astype(complex))
+            + a_minus * phase_m[None, :]
+        )
+        scale = 1.0
+        if spec.relative_residuals:
+            scale = np.maximum(1.0, np.abs(oracle[:d, :d]).max(axis=0))[None, :]
+        worst_oracle = max(
+            worst_oracle, float(np.max(np.abs(exact - oracle)[:d, :d] / scale))
+        )
+        worst_split = max(
+            worst_split, float(np.max(np.abs(exact - split)[:d, :d] / scale))
+        )
+    return worst_oracle, worst_split
+
+
 class TestExactEvolution:
     @pytest.mark.parametrize("spec", [PT23, DO1, AW1])
     def test_reduces_to_coordinate_at_time_zero(self, spec):
@@ -88,6 +127,18 @@ class TestCheckHeisenberg:
         assert report.tolerance == 1e-12
         assert report.passed
 
+    @pytest.mark.parametrize("spec", [PT23, sc.DeformedOscillator(1.3), AW1])
+    def test_equals_dense_evaluation(self, spec):
+        # same floating-point operations on every band entry, so bit for bit
+        report = sc.check_heisenberg(spec, 40, 4, T_GRID)
+        oracle, split = dense_heisenberg(spec, 40, 4, T_GRID)
+        assert report.details["max_vs_oracle"] == oracle
+        assert report.details["max_vs_decomposition"] == split
+
+    def test_rejects_empty_time_grid(self):
+        with pytest.raises(sc.ParameterOutOfRange):
+            sc.check_heisenberg(DO1, 20, 4, ())
+
     def test_full_grid_all_systems(self):
         for spec, n_dim in ((DO1, 30), (PT23, 30), (AW1, 20)):
             assert sc.check_heisenberg(spec, n_dim, 4, T_GRID).passed
@@ -100,7 +151,7 @@ class TestSolutionDecomposition:
         _, eta, _ = sc.build_basic(spec, 16, 4)
         d = 16 - 4
         value = solution.evolve(0.0)
-        assert np.max(np.abs(value[:d, :d] - eta.entries[:d, :d])) < 1e-12
+        assert np.max(np.abs(value.entries[:d, :d] - eta.entries[:d, :d])) < 1e-12
 
     def test_constant_part_is_real_and_matches_diagonal(self):
         solution = sc.build_solution(AW1, 16, 4)

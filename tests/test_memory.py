@@ -1,0 +1,36 @@
+"""Operators are stored as three diagonals, so the checks need O(N) memory.
+
+One dense 2048 x 2048 complex matrix is 64 MiB; the traced peak of the
+banded checks at that size stays far below 8 MiB, so any N x N temporary
+reintroduced on these paths fails here.
+"""
+
+import tracemalloc
+
+import pytest
+
+import sincoord as sc
+
+DO1 = sc.DeformedOscillator(1.0)
+LIMIT = 8 * 2**20
+
+
+@pytest.mark.parametrize(
+    "check",
+    [
+        lambda: sc.check_heisenberg(DO1, 2048, 4),
+        lambda: sc.check_eigenvalue(DO1, 0.3, 2044, 4),
+        lambda: sc.check_ladder_action(DO1, 2048, 4),
+        lambda: sc.check_two_commutator(DO1, 2048, 4),
+        lambda: sc.check_ground_state_condition(DO1, 2048, 4),
+    ],
+    ids=["heisenberg", "coherent", "ladder_action", "two_commutator", "ground_state"],
+)
+def test_peak_memory_is_linear_in_n(check):
+    tracemalloc.start()
+    try:
+        check()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < LIMIT

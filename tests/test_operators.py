@@ -15,6 +15,88 @@ AW1 = sc.AskeyWilson(0.1, 0.2, -0.1, 0.3, q=0.5)
 ALL = [PT11, PT23, DO1, AW1]
 
 
+def dense_basic(spec, n_dim):
+    """H, eta and [H, eta] as dense N x N matrices, filled entry by entry."""
+    rec = sc.recurrence(spec)
+    levels = sc.energies(spec, n_dim)
+    eta = np.zeros((n_dim, n_dim), dtype=complex)
+    for n in range(n_dim):
+        eta[n, n] = rec.B(n)
+        if n + 1 < n_dim:
+            eta[n + 1, n] = rec.A(n)
+        if n >= 1:
+            eta[n - 1, n] = rec.C(n)
+    ham = np.diag(levels.astype(complex))
+    comm = (levels[:, None] - levels[None, :]) * eta
+    return ham, eta, comm
+
+
+class TestBandedStorage:
+    SPECS = [PT11, sc.DeformedOscillator(1.3), AW1]
+
+    @pytest.mark.parametrize("spec", SPECS)
+    def test_basic_equals_dense_construction(self, spec):
+        for op, dense in zip(sc.build_basic(spec, 12, 4), dense_basic(spec, 12)):
+            assert op.bands.shape == (3, 12)
+            assert np.array_equal(op.entries, dense)
+
+    @pytest.mark.parametrize("spec", SPECS)
+    @pytest.mark.parametrize("normalization", list(Normalization))
+    def test_ladder_equals_dense_construction(self, spec, normalization):
+        _, eta, comm = dense_basic(spec, 12)
+        levels = sc.energies(spec, 12)
+        model = sc.r_polynomials(spec)
+        r0v, r1v, rm1v = model.r0(levels), model.r1(levels), model.rm1(levels)
+        root = np.sqrt(r1v * r1v + 4.0 * r0v)
+        ap, am = 0.5 * (r1v + root), 0.5 * (r1v - root)
+        shifted = eta + np.diag((rm1v / r0v).astype(complex))
+        plus = comm - shifted * am[None, :]
+        minus = -comm + shifted * ap[None, :]
+        if normalization is Normalization.UNIT:
+            plus = plus / (ap - am)[None, :]
+            minus = minus / (ap - am)[None, :]
+        pair = sc.build_ladder(spec, 12, 4, normalization)
+        assert np.array_equal(pair.a_plus.entries, plus)
+        assert np.array_equal(pair.a_minus.entries, minus)
+
+    @pytest.mark.parametrize("spec", [PT11, AW1])
+    def test_two_commutator_equals_dense_evaluation(self, spec):
+        # absolute residuals for pt, per-column relative ones for aw
+        _, eta, comm = dense_basic(spec, 30)
+        levels = sc.energies(spec, 30)
+        model = sc.r_polynomials(spec)
+        lhs = (levels[:, None] - levels[None, :]) * comm
+        rhs = (
+            eta * model.r0(levels)[None, :]
+            + comm * model.r1(levels)[None, :]
+            + np.diag(model.rm1(levels).astype(complex))
+        )
+        d = 26
+        diff = np.abs(lhs[:d, :d] - rhs[:d, :d])
+        if spec.relative_residuals:
+            diff = diff / np.maximum(1.0, np.abs(lhs[:d, :d]).max(axis=0))[None, :]
+        report = sc.check_two_commutator(spec, 30, 4)
+        assert report.max_residual == float(np.max(diff))
+
+    def test_slots_outside_the_matrix_hold_zero(self):
+        for op in sc.build_basic(AW1, 8, 2):
+            assert op.bands[0, 0] == 0.0 and op.bands[2, -1] == 0.0
+
+    def test_window_mask_covers_the_interior_block(self):
+        _, eta, _ = sc.build_basic(DO1, 9, 3)
+        rows = np.arange(9)[None, :] + np.array([-1, 0, 1])[:, None]
+        cols = np.broadcast_to(np.arange(9), (3, 9))
+        inside = (rows >= 0) & (rows < 6) & (cols < 6)
+        assert np.array_equal(eta.window_mask(), inside)
+
+    def test_apply_matches_dense_product(self):
+        rng = np.random.default_rng(3)
+        _, eta, _ = sc.build_basic(AW1, 10, 4)
+        vector = rng.normal(size=10) + 1j * rng.normal(size=10)
+        assert np.max(np.abs(eta.apply(vector) - eta.entries @ vector)) < 1e-14
+
+
+
 class TestBuildBasic:
     def test_do_hamiltonian_diagonal(self):
         ham, _, _ = sc.build_basic(DO1, 4, 1)
