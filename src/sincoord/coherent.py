@@ -70,16 +70,25 @@ def check_eigenvalue(
     guard: int,
     tol: float = 1e-10,
 ) -> CheckReport:
-    """a_minus c = lam c on the coefficient vector, away from the guard band."""
+    """a_minus c = lam c on the coefficient vector, away from the guard band.
+
+    Rows 0 .. truncation - guard - 1 are checked; raises ParameterOutOfRange
+    when that leaves none.
+    """
+    rows = truncation - guard
+    if rows <= 0:
+        raise ParameterOutOfRange(
+            "no row lies outside the guard band: the eigenvalue check needs "
+            f"truncation > G, got truncation={truncation}, G={guard}"
+        )
     state = coherent_coeffs(spec, lam, truncation)
     n_dim = truncation + guard
     pair = build_ladder(spec, n_dim, guard, Normalization.UNIT)
     padded = np.zeros(n_dim, dtype=complex)
     padded[: truncation + 1] = state.coeffs
     residual = pair.a_minus.apply(padded) - state.lam * padded
-    rows = max(truncation - guard, 0)
     scale = np.maximum(1.0, np.abs(state.lam * padded[:rows]))
-    worst = float(np.max(np.abs(residual[:rows]) / scale, initial=0.0))
+    worst = float(np.max(np.abs(residual[:rows]) / scale))
     return make_report(
         "coherent_eigenvalue",
         worst,

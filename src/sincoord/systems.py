@@ -14,7 +14,8 @@ modules need to know about it:
 * the coordinate map: `domain`, `eta`, `deta_dx`, `d2eta_dx2`;
 * the ground-state `density` and its `quadrature_nodes`, a trapezoid-type
   rule in the family's own variable;
-* the classical `hamiltonian` with its `partials` and `second_partials`;
+* the classical `flow_terms` (H with dH/dx and dH/dp, written once and
+  evaluated together) and `second_partials`;
 * the phase-space `sample_box`;
 * per-check default `tolerances` and `relative_residuals`, the residual
   mode (per-column relative rather than absolute) of the matrix checks;
@@ -31,7 +32,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import cached_property, lru_cache, partial
 from typing import Callable, ClassVar, Union
 
 import numpy as np
@@ -187,17 +188,15 @@ class PoschlTeller:
         x = 0.5 * math.pi / (1.0 + np.exp(-2.0 * u))
         return x, step * (0.125 * math.pi**2) * np.cosh(t) / np.cosh(u) ** 2
 
-    def hamiltonian(self, x: float, p: float) -> float:
-        u = self.g / math.tan(x) - self.h * math.tan(x)
-        return 0.5 * p * p + 0.5 * u * u
-
-    def partials(self, x: float, p: float) -> tuple[float, float]:
-        """(dH/dx, dH/dp)."""
+    def flow_terms(self, x: float, p: float) -> tuple[float, float, float]:
+        """(H, dH/dx, dH/dp); H in its tan form, the partials in sin/cos."""
         g, h = self.g, self.h
+        t = math.tan(x)
+        u = g / t - h * t
         sx, cx = math.sin(x), math.cos(x)
-        u = g * cx / sx - h * sx / cx
-        du = -g / (sx * sx) - h / (cx * cx)
-        return (u * du, p)
+        v = g * cx / sx - h * sx / cx
+        dv = -g / (sx * sx) - h / (cx * cx)
+        return (0.5 * p * p + 0.5 * u * u, v * dv, p)
 
     def second_partials(self, x: float, p: float) -> tuple[float, float]:
         """(d2H/dp2, d2H/dpdx)."""
@@ -287,13 +286,11 @@ class DeformedOscillator:
         x = _grid(step, -reach, reach)
         return x, np.full(x.shape, step)
 
-    def hamiltonian(self, x: float, p: float) -> float:
-        return math.hypot(self.a, x) * math.cosh(p) - self.a
-
-    def partials(self, x: float, p: float) -> tuple[float, float]:
-        """(dH/dx, dH/dp)."""
+    def flow_terms(self, x: float, p: float) -> tuple[float, float, float]:
+        """(H, dH/dx, dH/dp)."""
         r = math.hypot(self.a, x)
-        return (x * math.cosh(p) / r, r * math.sinh(p))
+        c = math.cosh(p)
+        return (r * c - self.a, x * c / r, r * math.sinh(p))
 
     def second_partials(self, x: float, p: float) -> tuple[float, float]:
         """(d2H/dp2, d2H/dpdx)."""
@@ -326,7 +323,9 @@ class AskeyWilson:
     heisenberg_n: ClassVar[int] = 20
     coherent_lambda: ClassVar[complex] = 0.2
 
-    @property
+    # Constants of the parameters, computed on first use and kept on the
+    # instance (outside the dataclass fields, so `asdict` does not see them).
+    @cached_property
     def params(self) -> tuple[float, float, float, float]:
         return (self.a1, self.a2, self.a3, self.a4)
 
@@ -343,7 +342,7 @@ class AskeyWilson:
     def b4(self) -> float:
         return self.a1 * self.a2 * self.a3 * self.a4
 
-    @property
+    @cached_property
     def log_q(self) -> float:
         return math.log(self.q)
 
@@ -508,27 +507,26 @@ class AskeyWilson:
     def _potential(self, x: float):
         """V(z), dV/dx, for z = exp(ix), as complex values."""
         z = cmath.exp(1j * x)
-        z2 = z * z
+        d = 1.0 - z * z
         value = 1.0 + 0j
-        log_deriv = 4.0 * z / (1.0 - z2)
+        log_deriv = 4.0 * z / d
         for aj in self.params:
-            value *= 1.0 - aj * z
+            factor = 1.0 - aj * z
+            value *= factor
             if aj != 0.0:
-                log_deriv -= aj / (1.0 - aj * z)
-        value /= (1.0 - z2) ** 2
+                log_deriv -= aj / factor
+        value /= d * d
         return value, 1j * z * value * log_deriv
 
-    def hamiltonian(self, x: float, p: float) -> float:
-        vc, _ = self._potential(x)
-        return abs(vc) * math.cosh(self.log_q * p) - vc.real
-
-    def partials(self, x: float, p: float) -> tuple[float, float]:
-        """(dH/dx, dH/dp)."""
+    def flow_terms(self, x: float, p: float) -> tuple[float, float, float]:
+        """(H, dH/dx, dH/dp)."""
         gam = self.log_q
         vc, dvc = self._potential(x)
         w = abs(vc)
         wx = (vc.conjugate() * dvc).real / w
-        return (wx * math.cosh(gam * p) - dvc.real, gam * w * math.sinh(gam * p))
+        gp = gam * p
+        c = math.cosh(gp)
+        return (w * c - vc.real, wx * c - dvc.real, gam * w * math.sinh(gp))
 
     def second_partials(self, x: float, p: float) -> tuple[float, float]:
         """(d2H/dp2, d2H/dpdx)."""
@@ -565,11 +563,7 @@ def require_inside(spec: SystemSpec, x, error: type[Exception] = EvaluationDomai
     """Raise `error` unless x, a float or an array, lies strictly inside the
     open domain of the coordinate (NaN never does)."""
     lo, hi = spec.domain
-    if isinstance(x, float):
-        inside = lo < x < hi  # the scalar path runs once per RK4 step
-    else:
-        inside = bool(np.all((lo < x) & (x < hi)))
-    if not inside:
+    if not np.all((lo < x) & (x < hi)):
         raise error(f"x={x} lies outside the open domain ({lo}, {hi})")
 
 

@@ -1,6 +1,8 @@
 """Classical closed form, RK4 flow oracle, closure, potential rebuild."""
 
+import cmath
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,6 +15,100 @@ PT12 = sc.PoschlTeller(1.0, 2.0)
 DO1 = sc.DeformedOscillator(1.0)
 AW1 = sc.AskeyWilson(0.1, 0.2, -0.1, 0.3, q=0.5)
 AW0 = sc.AskeyWilson(0.0, 0.0, 0.0, 0.0, q=0.5)
+AW2 = sc.AskeyWilson(0.5, -0.6, 0.3, 0.0, q=0.55)
+
+
+def _reference_terms(spec):
+    """H and (dH/dx, dH/dp) as separate scalar functions, in the operation
+    order `flow_terms` must keep: pt's H in its tan form and its partials in
+    sin/cos form, aw's potential with one complex factor per parameter."""
+    if isinstance(spec, sc.PoschlTeller):
+        g, h = spec.g, spec.h
+
+        def energy(x, p):
+            u = g / math.tan(x) - h * math.tan(x)
+            return 0.5 * p * p + 0.5 * u * u
+
+        def partials(x, p):
+            sx, cx = math.sin(x), math.cos(x)
+            u = g * cx / sx - h * sx / cx
+            du = -g / (sx * sx) - h / (cx * cx)
+            return (u * du, p)
+
+    elif isinstance(spec, sc.DeformedOscillator):
+        a = spec.a
+
+        def energy(x, p):
+            return math.hypot(a, x) * math.cosh(p) - a
+
+        def partials(x, p):
+            r = math.hypot(a, x)
+            return (x * math.cosh(p) / r, r * math.sinh(p))
+
+    else:
+        params = (spec.a1, spec.a2, spec.a3, spec.a4)
+
+        def potential(x):
+            z = cmath.exp(1j * x)
+            z2 = z * z
+            value = 1.0 + 0j
+            log_deriv = 4.0 * z / (1.0 - z2)
+            for aj in params:
+                value *= 1.0 - aj * z
+                if aj != 0.0:
+                    log_deriv -= aj / (1.0 - aj * z)
+            value /= (1.0 - z2) ** 2
+            return value, 1j * z * value * log_deriv
+
+        def energy(x, p):
+            vc, _ = potential(x)
+            return abs(vc) * math.cosh(math.log(spec.q) * p) - vc.real
+
+        def partials(x, p):
+            gam = math.log(spec.q)
+            vc, dvc = potential(x)
+            w = abs(vc)
+            wx = (vc.conjugate() * dvc).real / w
+            return (wx * math.cosh(gam * p) - dvc.real, gam * w * math.sinh(gam * p))
+
+    return energy, partials
+
+
+def _reference_flow(spec, state, t_end, dt):
+    """The scalar RK4 loop with five separate evaluations per step: four
+    partials and the energy behind the drift guard."""
+    energy, partials = _reference_terms(spec)
+    lo, hi = spec.domain
+    steps = max(1, int(round(t_end / dt)))
+    times = np.arange(steps + 1) * dt
+    xs = np.empty(steps + 1, dtype=float)
+    x, p = state.x, state.p
+    e0 = energy(x, p)
+    guard = 1e-6 * max(1.0, abs(e0))
+    xs[0] = x
+    max_drift = 0.0
+
+    def rhs(xx, pp):
+        dhdx, dhdp = partials(xx, pp)
+        return dhdp, -dhdx
+
+    for k in range(steps):
+        k1x, k1p = rhs(x, p)
+        k2x, k2p = rhs(x + 0.5 * dt * k1x, p + 0.5 * dt * k1p)
+        k3x, k3p = rhs(x + 0.5 * dt * k2x, p + 0.5 * dt * k2p)
+        k4x, k4p = rhs(x + dt * k3x, p + dt * k3p)
+        x += dt / 6.0 * (k1x + 2.0 * k2x + 2.0 * k3x + k4x)
+        p += dt / 6.0 * (k1p + 2.0 * k2p + 2.0 * k3p + k4p)
+        if not lo < x < hi:
+            raise sc.DomainEscape(f"x={x} lies outside the open domain ({lo}, {hi})")
+        drift = abs(energy(x, p) - e0)
+        if drift > guard:
+            raise sc.EnergyDrift(
+                f"energy moved by {drift} (guard {guard}) at t={times[k + 1]}"
+            )
+        max_drift = max(max_drift, drift)
+        xs[k + 1] = x
+    return times, spec.eta(xs), max_drift
 
 
 class TestClosedForm:
@@ -94,14 +190,96 @@ class TestFlowOracle:
             sc.flow_oracle(PT11, ClassicalState(0.3, -2.0), 5.0, 0.9)
 
     def test_energy_drift_detected_with_unstable_step(self):
-        with pytest.raises((sc.EnergyDrift, sc.DomainEscape, OverflowError)):
+        with pytest.raises((sc.EnergyDrift, sc.DomainEscape)):
             sc.flow_oracle(DO1, ClassicalState(1.0, 1.0), 60.0, 1.7)
+
+    @pytest.mark.parametrize(
+        "spec,state",
+        [
+            (DO1, ClassicalState(0.0, 800.0)),
+            (AW1, ClassicalState(1.5, 2000.0)),
+            (PT11, ClassicalState(0.8, 1e200)),
+            (PT11, ClassicalState(0.8, math.nan)),
+            (PT12, ClassicalState(1e-300, 0.0)),  # sin(x)^2 underflows to 0
+        ],
+        ids=["do-overflow", "aw-overflow", "pt-overflow", "pt-nan", "pt-wall"],
+    )
+    def test_non_finite_initial_energy_is_refused(self, spec, state):
+        for call in (
+            lambda: sc.flow_oracle(spec, state, 1.0, 1e-3),
+            lambda: sc.period(spec, state),
+            lambda: sc.closed_form_eta(spec, state, 0.5),
+        ):
+            with pytest.raises(sc.ParameterOutOfRange, match="initial state"):
+                call()
+
+    def test_overflow_within_a_step_is_energy_drift(self):
+        # H0 = cosh(300) - 1 is finite, but the first stage sends p to ~1e126
+        with pytest.raises(sc.EnergyDrift, match="t=0.001 "):
+            sc.flow_oracle(DO1, ClassicalState(0.0, 300.0), 1.0, 1e-3)
+
+    def test_state_on_the_wall_is_outside(self):
+        with pytest.raises(sc.DomainEscape):
+            sc.period(PT11, ClassicalState(0.0, 1.0))
 
     def test_rejects_bad_steps(self):
         with pytest.raises(ValueError):
             sc.flow_oracle(DO1, ClassicalState(0.0, 0.0), 1.0, 0.0)
         with pytest.raises(sc.ParameterOutOfRange):
             sc.flow_oracle(DO1, ClassicalState(0.0, 0.0), -1.0, 1e-3)
+
+
+class TestFlowMatchesReference:
+    """One `flow_terms` call per stage, k1 taken from the previous step's
+    energy evaluation and constants bound once must leave every value of the
+    five-evaluation loop unchanged."""
+
+    @pytest.mark.parametrize(
+        "spec,x,p",
+        [
+            (PT11, 0.8, 0.7),
+            (PT11, 0.6, -1.1),
+            (sc.PoschlTeller(2.0, 3.0), 0.95, 1.2),
+            (DO1, 0.5, 0.3),
+            (sc.DeformedOscillator(1.3), -1.4, 0.9),
+            (DO1, 1, 1),
+            (AW1, 1.3, 0.7),
+            (AW1, 2.2, 0.5),
+            (AW2, 0.9, -0.8),
+            (AW0, 1.6, 0.4),
+        ],
+    )
+    def test_bit_identical(self, spec, x, p):
+        state = ClassicalState(x, p)
+        times, eta_values, drift = _reference_flow(spec, state, 4.0, 1e-3)
+        traj = sc.flow_oracle(spec, state, 4.0, 1e-3)
+        assert np.array_equal(traj.times, times)
+        assert np.array_equal(traj.eta_values, eta_values)
+        assert traj.energy_drift == drift
+
+    @pytest.mark.parametrize(
+        "spec,state,t_end,dt,error",
+        [
+            (PT11, ClassicalState(0.3, -2.0), 5.0, 0.9, sc.DomainEscape),
+            (DO1, ClassicalState(1.0, 1.0), 60.0, 1.7, sc.EnergyDrift),
+        ],
+        ids=["domain-escape", "energy-drift"],
+    )
+    def test_same_error(self, spec, state, t_end, dt, error):
+        with pytest.raises(error) as expected:
+            _reference_flow(spec, state, t_end, dt)
+        with pytest.raises(error) as raised:
+            sc.flow_oracle(spec, state, t_end, dt)
+        assert str(raised.value) == str(expected.value)
+
+    @pytest.mark.parametrize("spec", [PT12, DO1, AW1, AW2])
+    def test_hamiltonian_and_brackets(self, spec):
+        energy, partials = _reference_terms(spec)
+        for state in sc.sample_states(spec, 20, seed=9):
+            x, p = state.x, state.p
+            assert sc.hamiltonian(spec, x, p) == energy(x, p)
+            assert spec.flow_terms(x, p) == (energy(x, p), *partials(x, p))
+            assert sc.poisson_h_eta(spec, x, p) == -partials(x, p)[1] * spec.deta_dx(x)
 
 
 class TestClosedVsFlow:
@@ -176,7 +354,60 @@ class TestReconstructPotential:
             sc.check_potential_reconstruction(DO1)
 
 
+def _reference_csv(path, times, eta_closed, eta_numeric):
+    """The per-row writer the block writer must match byte for byte."""
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write("t,eta_closed,eta_numeric,abs_err\n")
+        for t, c, n in zip(times, eta_closed, eta_numeric):
+            handle.write(f"{t:.17g},{c:.17g},{n:.17g},{abs(c - n):.17g}\n")
+
+
+def _assert_same_bytes(tmp_path, columns):
+    sc.write_trajectory_csv(str(tmp_path / "block.csv"), *columns)
+    _reference_csv(str(tmp_path / "row.csv"), *columns)
+    assert (tmp_path / "block.csv").read_bytes() == (tmp_path / "row.csv").read_bytes()
+
+
+def _export(spec, state, t_end):
+    traj = sc.flow_oracle(spec, state, t_end, 1e-3)
+    return traj.times, sc.closed_form_eta(spec, state, traj.times), traj.eta_values
+
+
 class TestTrajectoryExport:
+    @pytest.mark.parametrize(
+        "spec,state",
+        [
+            (PT12, ClassicalState(0.9, 0.6)),
+            (DO1, ClassicalState(0.5, 0.3)),
+            (AW1, ClassicalState(1.3, 0.7)),
+        ],
+    )
+    def test_matches_per_row_writer(self, tmp_path, spec, state):
+        columns = _export(spec, state, 10.0)
+        assert len(columns[0]) == 10001
+        _assert_same_bytes(tmp_path, columns)
+
+    @pytest.mark.parametrize("rows", [1, 999, 1000, 1001, 2345])
+    def test_block_edges_and_special_values(self, tmp_path, rows):
+        rng = np.random.default_rng(rows)
+        columns = [
+            rng.normal(size=rows) * 10.0 ** rng.integers(-300, 300, rows)
+            for _ in range(3)
+        ]
+        special = [-0.0, 0.0, 5e-324, np.inf, -np.inf, np.nan, 1.0, -1e308]
+        columns[1][: len(special)] = special[:rows]
+        _assert_same_bytes(tmp_path, columns)
+
+    def test_peak_memory_stays_below_one_mib(self, tmp_path):
+        columns = _export(DO1, ClassicalState(0.5, 0.3), 10.0)
+        tracemalloc.start()
+        try:
+            sc.write_trajectory_csv(str(tmp_path / "traj.csv"), *columns)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
     def test_csv_columns(self, tmp_path):
         state = ClassicalState(0.5, 0.3)
         traj = sc.flow_oracle(DO1, state, 1.0, 1e-2)

@@ -124,10 +124,26 @@ class TestExitCodes:
             ("coherent", "--system", "do", "--a", "1", "--lambda", "1e200"),
             ("coherent", "--system", "aw", "--q", "0.5", "--a", "0.1,0.2,-0.1,0.3",
              "--lambda", "1e200"),
+            ("classical", "--system", "do", "--a", "1", "--x0=0", "--p0=800"),
+            ("classical", "--system", "aw", "--a=0.1,0.2,-0.1,0.3", "--q", "0.5",
+             "--x0=1.5", "--p0=2000"),
+            ("classical", "--system", "pt", "--g", "1", "--h", "1", "--x0=0.8",
+             "--p0=1e200"),
+            ("classical", "--system", "pt", "--g", "1", "--h", "1", "--x0=0.8",
+             "--p0=nan"),
+            ("classical", "--system", "do", "--a", "1", "--x0=0", "--p0=300"),
+            ("classical", "--system", "pt", "--g", "1", "--h", "1", "--x0=0",
+             "--p0=1"),
+            ("coherent", "--system", "pt", "--g", "1", "--h", "1", "--n", "8"),
+            ("coherent", "--system", "aw", "--q", "0.5", "--a", "0.1,0.2,-0.1,0.3",
+             "--n", "8"),
         ],
         ids=[
             "guard-zero", "time-nan", "negative-tend", "empty-time-grid",
             "lambda-nan", "lambda-inf", "lambda-overflow-do", "lambda-overflow-aw",
+            "energy-overflow-do", "energy-overflow-aw", "energy-overflow-pt",
+            "energy-nan-pt", "step-overflow-do", "state-on-wall-pt",
+            "no-eigenvalue-rows-pt", "no-eigenvalue-rows-aw",
         ],
     )
     def test_out_of_range_request_exits_two_without_traceback(self, args):

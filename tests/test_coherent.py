@@ -112,6 +112,16 @@ class TestEigenvalueProperty:
         with pytest.raises(sc.SeriesNotConverged):
             sc.check_eigenvalue(spec, 1e200, 60, 4)
 
+    @pytest.mark.parametrize("truncation", [2, 4])
+    def test_check_on_no_rows_is_refused(self, truncation):
+        # rows 0 .. truncation - G - 1 are checked; none are left here
+        with pytest.raises(sc.ParameterOutOfRange, match="guard band"):
+            sc.check_eigenvalue(PT11, 0.2, truncation, 4)
+
+    def test_one_row_outside_the_guard_band_is_checked(self):
+        report = sc.check_eigenvalue(PT11, 0.2, 5, 4)
+        assert report.passed and report.details["truncation"] == 5
+
 
 class TestHypergeometricClosedForm:
     def test_zero_eigenvalue_gives_unity_everywhere(self):
