@@ -203,11 +203,20 @@ def flow_oracle(
 
 def sample_states(spec: SystemSpec, count: int, seed: int = 42) -> list[ClassicalState]:
     """Seeded phase-space samples from the family's box inside the domain."""
+    if count < 0:
+        raise ParameterOutOfRange(f"need a state count of at least 0, got {count}")
+    if seed < 0:
+        raise ParameterOutOfRange(f"need a seed of at least 0, got {seed}")
     rng = np.random.default_rng(seed)
     (x_lo, x_hi), (p_lo, p_hi) = spec.sample_box
     xs = rng.uniform(x_lo, x_hi, count)
     ps = rng.uniform(p_lo, p_hi, count)
     return [ClassicalState(float(x), float(p)) for x, p in zip(xs, ps)]
+
+
+def _require_states(states: list[ClassicalState]) -> None:
+    if not states:
+        raise ParameterOutOfRange("a check over no phase-space states has no verdict")
 
 
 def check_closed_vs_flow(
@@ -228,6 +237,7 @@ def check_closed_vs_flow(
     list, each state's (oracle Trajectory, closed-form values) pair is
     appended to it.
     """
+    _require_states(states)
     worst_dev = 0.0
     worst_drift = 0.0
     for state in states:
@@ -254,6 +264,7 @@ def check_poisson_closure(
     spec: SystemSpec, states: list[ClassicalState], tol: float = 1e-6
 ) -> CheckReport:
     """{H, {H, eta}} = -eta R0(H) - R-1(H) at the given phase-space points."""
+    _require_states(states)
     validate(spec)
     closure = classical_r_polynomials(spec)
     worst = 0.0

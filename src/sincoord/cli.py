@@ -1,6 +1,6 @@
 """Command-line runner for the verification suites.
 
-Every subcommand assembles one system from flags, runs the named checks,
+Every suite assembles one system from flags, runs the named checks,
 emits a machine-readable report, and exits 0 only if everything passed
 (1 on any failing check, 2 on configuration errors).
 """
@@ -241,44 +241,38 @@ def _parse_complex(text: str) -> complex:
         raise argparse.ArgumentTypeError(f"expected a complex number: {exc}")
 
 
-def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    # required-ness is checked after parsing so a --config file can supply it
-    common.add_argument("--system", choices=("pt", "do", "aw"), default=None)
-    common.add_argument("--g", type=float, help="pt coupling g")
-    common.add_argument("--h", type=float, help="pt coupling h")
-    common.add_argument(
-        "--a", type=_csv_floats,
-        help="do parameter a, or aw parameters a1,a2,a3,a4",
-    )
-    common.add_argument("--q", type=float, help="aw base q")
-    common.add_argument("--n", type=int, default=None, help="matrix dimension")
-    common.add_argument("--guard", type=int, default=4, help="guard band size")
-    common.add_argument("--nmax", type=int, default=None, help="spectrum levels")
-    common.add_argument(
-        "--t", type=_csv_floats, default=heisenberg.DEFAULT_T_GRID, help="time samples"
-    )
-    common.add_argument("--lambda", dest="lam", type=_parse_complex, default=None)
-    common.add_argument("--dt", type=float, default=1e-3)
-    common.add_argument("--tend", type=float, default=None)
-    common.add_argument("--x0", type=float, default=None)
-    common.add_argument("--p0", type=float, default=None)
-    common.add_argument("--seed", type=int, default=42)
-    common.add_argument("--states", type=int, default=5)
-    common.add_argument("--tol", type=float, default=None, help="tolerance override")
-    common.add_argument("--format", choices=("json", "csv", "text"), default="text")
-    common.add_argument("--out", default=None, help="report (or trajectory) path")
-    common.add_argument("--config", default=None, help="key = value defaults file")
-
+def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="sincoord",
         description="run closed-form identity checks for the solvable systems",
     )
-    sub = parser.add_subparsers(dest="suite", required=True)
-    for name in SUITES:
-        sub_parser = sub.add_parser(name, parents=[common])
-        if defaults:
-            sub_parser.set_defaults(**defaults)
+    parser.add_argument("suite", choices=SUITES)
+    # required-ness is checked after parsing so a --config file can supply it
+    parser.add_argument("--system", choices=("pt", "do", "aw"), default=None)
+    parser.add_argument("--g", type=float, help="pt coupling g")
+    parser.add_argument("--h", type=float, help="pt coupling h")
+    parser.add_argument(
+        "--a", type=_csv_floats,
+        help="do parameter a, or aw parameters a1,a2,a3,a4",
+    )
+    parser.add_argument("--q", type=float, help="aw base q")
+    parser.add_argument("--n", type=int, default=None, help="matrix dimension")
+    parser.add_argument("--guard", type=int, default=4, help="guard band size")
+    parser.add_argument("--nmax", type=int, default=None, help="spectrum levels")
+    parser.add_argument(
+        "--t", type=_csv_floats, default=heisenberg.DEFAULT_T_GRID, help="time samples"
+    )
+    parser.add_argument("--lambda", dest="lam", type=_parse_complex, default=None)
+    parser.add_argument("--dt", type=float, default=1e-3)
+    parser.add_argument("--tend", type=float, default=None)
+    parser.add_argument("--x0", type=float, default=None)
+    parser.add_argument("--p0", type=float, default=None)
+    parser.add_argument("--seed", type=int, default=42)
+    parser.add_argument("--states", type=int, default=5)
+    parser.add_argument("--tol", type=float, default=None, help="tolerance override")
+    parser.add_argument("--format", choices=("json", "csv", "text"), default="text")
+    parser.add_argument("--out", default=None, help="report (or trajectory) path")
+    parser.add_argument("--config", default=None, help="key = value defaults file")
     return parser
 
 
@@ -348,17 +342,15 @@ def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     try:
-        # pre-scan for --config so its values become flag defaults
-        defaults = None
-        if "--config" in argv:
-            index = argv.index("--config")
-            if index + 1 >= len(argv):
-                raise ConfigError("--config needs a path")
-            defaults = _load_config_file(argv[index + 1])
+        parser = build_parser()
+        args = parser.parse_args(argv)
+        if args.config is not None:
+            # the file's values become flag defaults, so explicit flags win
+            defaults = _load_config_file(args.config)
             if "lambda" in defaults:
                 defaults["lam"] = defaults.pop("lambda")
-        parser = build_parser(defaults)
-        args = parser.parse_args(argv)
+            parser.set_defaults(**defaults)
+            args = parser.parse_args(argv)
         spec = _build_spec(args)
         config = RunConfig(
             system=spec,

@@ -27,6 +27,9 @@ _LANCZOS_C = (
     1.5056327351493116e-7,
 )
 
+# Entries per block of factors in the infinite q-Pochhammer product.
+_BLOCK = 2**15
+
 
 def _gamma(z: np.ndarray) -> np.ndarray:
     """Gamma over a complex array by the Lanczos approximation.
@@ -63,6 +66,17 @@ def qpochhammer(z, q: float, n: int | None = None):
     |q|^k < 1e-17 / (1 + |z|), past which the remaining factors differ
     from one by less than double-precision rounding.  An array z gives
     the infinite product at each entry, each with its own truncation.
+
+    The powers q^k are formed once by repeated multiplication.  The
+    factors 1 - z q^k (1 past an entry's truncation) are built for a block
+    of k at a time, under the running product as row 0, and each block is
+    reduced down its first axis.  That multiplies in the order
+    ((r f_k) f_{k+1}) ... of a loop over k, so arrays of two or more
+    entries get the same bits as that loop.  A lone entry may differ in the
+    last bits: numpy reduces a single contiguous axis with its scalar
+    complex multiply, not the fused multiply-add kernel of elementwise
+    products.  Blocks hold about _BLOCK entries, so memory stays flat
+    although the number of factors grows like 39 / |ln q|.
     """
     if n is not None:
         z = complex(z)
@@ -75,15 +89,27 @@ def qpochhammer(z, q: float, n: int | None = None):
     if not 0.0 < abs(q) < 1.0:
         raise ParameterOutOfRange(f"infinite product needs 0 < |q| < 1, got q={q}")
     zs = np.asarray(z, dtype=complex)
-    cutoff = 1e-17 / (1.0 + np.abs(zs))
-    result = np.ones_like(zs)
+    flat = zs.ravel()
+    cutoff = 1e-17 / (1.0 + np.abs(flat))
+    floor = cutoff.min(initial=math.inf)
+    powers = []
     qk = 1.0
-    while abs(qk) >= cutoff.min(initial=math.inf):
-        result = np.where(abs(qk) >= cutoff, result * (1.0 - zs * qk), result)
+    while abs(qk) >= floor:
+        powers.append(qk)
         qk *= q
+    powers = np.array(powers)[:, None]
+    result = np.ones_like(flat)
+    rows = max(1, _BLOCK // max(1, flat.size))
+    for start in range(0, len(powers), rows):
+        qks = powers[start:start + rows]
+        block = np.empty((len(qks) + 1, flat.size), dtype=complex)
+        block[0] = result
+        np.subtract(1.0, flat * qks, out=block[1:])
+        block[1:][np.abs(qks) < cutoff] = 1.0
+        result = block.prod(axis=0)
     if zs.ndim == 0:
-        return complex(result)
-    return result
+        return complex(result[0])
+    return result.reshape(zs.shape)
 
 
 def hyp1f1(a, b, z, max_terms: int = 1000) -> complex:

@@ -271,16 +271,19 @@ class DeformedOscillator:
         The density is analytic in the strip |Im x| < a (the first poles of
         Gamma(a +- ix)), so the trapezoid error falls like exp(-2 pi a / step);
         step min(0.1, a/10) keeps even the rule at twice the step within
-        about 1e-11.
+        about 1e-11.  L is the first of the candidates 12, 14, ..., 218 where
+        the weight times the polynomial growth is below 1e-26, else 220; the
+        weight is evaluated at all candidates in one array call.
         """
         target = math.log(1e-26)
         poly_growth = lambda L: 2.0 * (n_max * math.log(2.0 * L) - math.lgamma(n_max + 1))
-        half = 12.0
-        while half < 220.0:
-            w = special.gamma_abs_sq(self.a, half)
+        halves = np.arange(12.0, 220.0, 2.0)
+        weights = special.gamma_abs_sq(self.a, halves)
+        for half, w in zip(halves.tolist(), weights.tolist()):
             if w == 0.0 or math.log(w) + poly_growth(half) < target:
                 break
-            half += 2.0
+        else:
+            half = 220.0
         step = min(0.1, self.a / 10.0)
         reach = math.ceil(half / step)
         x = _grid(step, -reach, reach)

@@ -298,6 +298,19 @@ class TestClosedVsFlow:
         assert drift.max_residual == traj.energy_drift / max(1.0, abs(h0))
 
 
+class TestNoStates:
+    def test_empty_state_list_has_no_verdict(self):
+        with pytest.raises(sc.ParameterOutOfRange):
+            sc.check_closed_vs_flow(DO1, [])
+        with pytest.raises(sc.ParameterOutOfRange):
+            sc.check_poisson_closure(DO1, [])
+
+    @pytest.mark.parametrize("count, seed", [(-3, 42), (5, -1)])
+    def test_negative_count_or_seed_is_refused(self, count, seed):
+        with pytest.raises(sc.ParameterOutOfRange):
+            sc.sample_states(DO1, count, seed)
+
+
 class TestPoissonClosure:
     def test_do_is_machine_exact(self):
         states = sc.sample_states(DO1, 50, seed=42)

@@ -1,5 +1,6 @@
-"""Command-line surface: subcommands, report formats, exit codes."""
+"""Command-line surface: suites, report formats, exit codes."""
 
+import argparse
 import json
 import subprocess
 import sys
@@ -137,6 +138,9 @@ class TestExitCodes:
             ("coherent", "--system", "pt", "--g", "1", "--h", "1", "--n", "8"),
             ("coherent", "--system", "aw", "--q", "0.5", "--a", "0.1,0.2,-0.1,0.3",
              "--n", "8"),
+            ("classical", "--system", "do", "--a", "1", "--states", "0"),
+            ("classical", "--system", "do", "--a", "1", "--states", "-3"),
+            ("classical", "--system", "do", "--a", "1", "--seed", "-1"),
         ],
         ids=[
             "guard-zero", "time-nan", "negative-tend", "empty-time-grid",
@@ -144,6 +148,7 @@ class TestExitCodes:
             "energy-overflow-do", "energy-overflow-aw", "energy-overflow-pt",
             "energy-nan-pt", "step-overflow-do", "state-on-wall-pt",
             "no-eigenvalue-rows-pt", "no-eigenvalue-rows-aw",
+            "no-states", "negative-states", "negative-seed",
         ],
     )
     def test_out_of_range_request_exits_two_without_traceback(self, args):
@@ -176,8 +181,14 @@ class TestDeterminism:
         assert out.read_text() == on_stdout.stdout
 
 
+def config_args(form, path):
+    """`--config PATH` or `--config=PATH`."""
+    return ("--config", str(path)) if form == "space" else (f"--config={path}",)
+
+
 class TestConfigFile:
-    def test_key_value_defaults(self, tmp_path):
+    @pytest.mark.parametrize("form", ["space", "equals"])
+    def test_key_value_defaults(self, tmp_path, form):
         config = tmp_path / "sweep.cfg"
         config.write_text(
             "system = pt\n"
@@ -186,22 +197,70 @@ class TestConfigFile:
             "# a comment line\n"
             "nmax = 30\n"
         )
-        result = run_cli("spectrum", "--config", str(config))
+        result = run_cli("spectrum", *config_args(form, config))
         assert result.returncode == 0
         assert "g=2" in result.stdout and "h=3" in result.stdout
 
-    def test_flags_override_config(self, tmp_path):
+    @pytest.mark.parametrize("form", ["space", "equals"])
+    def test_flags_override_config(self, tmp_path, form):
         config = tmp_path / "sweep.cfg"
         config.write_text("system = pt\ng = 2\nh = 3\n")
-        result = run_cli("spectrum", "--config", str(config), "--g", "1")
+        result = run_cli("spectrum", *config_args(form, config), "--g", "1")
         assert result.returncode == 0
         assert "g=1" in result.stdout
+
+    @pytest.mark.parametrize("form", ["space", "equals"])
+    def test_file_values_apply_when_flags_are_complete(self, tmp_path, form):
+        config = tmp_path / "sweep.cfg"
+        config.write_text("tol = 1e-30\n")
+        result = run_cli(
+            "spectrum", "--system", "pt", "--g", "1", "--h", "1",
+            *config_args(form, config),
+        )
+        assert result.returncode == 0
+        assert "1.0e-30" in result.stdout
 
     def test_unknown_key_exits_two(self, tmp_path):
         config = tmp_path / "sweep.cfg"
         config.write_text("bogus = 1\n")
         result = run_cli("spectrum", "--config", str(config))
         assert result.returncode == 2
+
+
+class TestParser:
+    def test_no_suite_exits_two_with_usage(self):
+        result = run_cli()
+        assert result.returncode == 2
+        assert result.stderr.startswith("usage: sincoord")
+
+    def test_unknown_suite_exits_two_with_usage(self):
+        result = run_cli("bogus", "--system", "do", "--a", "1")
+        assert result.returncode == 2
+        assert result.stderr.startswith("usage: sincoord")
+        assert "invalid choice: 'bogus'" in result.stderr
+
+    def test_suite_help_exits_zero(self):
+        result = run_cli("ladder", "--help")
+        assert result.returncode == 0
+        assert result.stdout.startswith("usage: sincoord")
+
+    def test_flags_may_precede_the_suite(self, capsys):
+        assert cli.main(["--system", "do", "--a", "1", "spectrum"]) == 0
+        before = capsys.readouterr().out
+        assert cli.main(["spectrum", "--system", "do", "--a", "1"]) == 0
+        assert capsys.readouterr().out == before
+
+    def test_one_argument_parser(self, monkeypatch):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        cli.build_parser()
+        assert len(built) == 1
 
 
 class TestRunConfigValidation:

@@ -2,14 +2,19 @@
 
 One dense 2048 x 2048 complex matrix is 64 MiB; the traced peak of the
 banded checks at that size stays far below 8 MiB, so any N x N temporary
-reintroduced on these paths fails here.
+reintroduced on these paths fails here.  The same limit holds the blocked
+q-Pochhammer product at q = 0.999, whose ~40,000 factors over 1,041 nodes
+would take 660 MiB as one array.
 """
 
+import math
 import tracemalloc
 
+import numpy as np
 import pytest
 
 import sincoord as sc
+from sincoord.special import qpochhammer
 
 DO1 = sc.DeformedOscillator(1.0)
 LIMIT = 8 * 2**20
@@ -30,6 +35,17 @@ def test_peak_memory_is_linear_in_n(check):
     tracemalloc.start()
     try:
         check()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < LIMIT
+
+
+def test_qpochhammer_factors_are_blocked():
+    z = 0.7 * np.exp(1j * math.pi * np.arange(1, 1042) / 1042)
+    tracemalloc.start()
+    try:
+        qpochhammer(z, 0.999)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sincoord as sc
+from sincoord import special
 from sincoord.special import _LANCZOS_C as LANCZOS_C
 from sincoord.special import cgamma, gamma_abs_sq, hyp1f1, qpochhammer
 
@@ -47,6 +48,35 @@ def qpoch_fin(z, q, n):
     for k in range(n):
         out *= 1.0 - z * q**k
     return out
+
+
+def qpochhammer_loop(z, q):
+    """The infinite (z; q) as one array update per k: the reference for the
+    blocked product.  Inputs stay below numpy's 256 KiB temporary-elision
+    threshold, past which `result * (...)` runs with its operands swapped
+    and the fused multiply-add in numpy's complex product rounds differently.
+    """
+    zs = np.asarray(z, dtype=complex)
+    cutoff = 1e-17 / (1.0 + np.abs(zs))
+    result = np.ones_like(zs)
+    qk = 1.0
+    while abs(qk) >= cutoff.min(initial=math.inf):
+        result = np.where(abs(qk) >= cutoff, result * (1.0 - zs * qk), result)
+        qk *= q
+    return result
+
+
+def do_cutoff_scan(a, n_max):
+    """The do cutoff L by one scalar weight evaluation per candidate."""
+    target = math.log(1e-26)
+    half = 12.0
+    while half < 220.0:
+        w = gamma_abs_sq(a, half)
+        growth = 2.0 * (n_max * math.log(2.0 * half) - math.lgamma(n_max + 1))
+        if w == 0.0 or math.log(w) + growth < target:
+            break
+        half += 2.0
+    return half
 
 
 def aw_poly_oracle(spec, n, theta):
@@ -252,6 +282,25 @@ class TestSpecialFunctions:
             ref = np.array([product_loop(z, q) for z in zs])
             assert np.max(np.abs(qpochhammer(zs, q) - ref) / np.abs(ref)) < 1e-14
 
+    @pytest.mark.parametrize("q", [0.05, 0.3, 0.6, 0.9, 0.99, 0.999])
+    def test_blocked_qpochhammer_is_bit_identical_to_the_k_loop(self, q):
+        rng = np.random.default_rng(11)
+        # prod |1 - z q^k| <= exp(|z| / (1 - q)) stays finite at q = 0.999
+        radius = min(1.0, 700.0 * (1.0 - q))
+        for size in (2, 1041):
+            zs = radius * rng.uniform(0.0, 1.0, size) * np.exp(
+                1j * rng.uniform(-math.pi, math.pi, size)
+            )
+            zs[:2] = radius, -radius * 1j
+            for z in (zs, zs * zs):
+                assert np.array_equal(qpochhammer(z, q), qpochhammer_loop(z, q))
+        grid = zs[:60]
+        assert np.array_equal(
+            qpochhammer(grid.reshape(3, 20), q), qpochhammer(grid, q).reshape(3, 20)
+        )
+        empty = qpochhammer(np.zeros(0, dtype=complex), q)
+        assert empty.shape == (0,)
+
     def test_qpochhammer_finite(self):
         assert qpochhammer(2.0, 3.0, 5).real == pytest.approx(-725305.0)
 
@@ -387,6 +436,27 @@ class TestNorms:
         with mpmath.workdps(20):
             ref = mpmath.quad(integrand, np.linspace(0.0, math.pi, 9).tolist())
         assert h[6] == pytest.approx(float(ref), rel=1e-12)
+
+
+class TestDoCutoff:
+    @pytest.mark.parametrize("n_max", [0, 21, 29, 33, 45, 100, 400])
+    def test_same_nodes_as_the_scalar_scan(self, n_max):
+        for a in np.linspace(0.1, 4.0, 40).tolist():
+            x, _ = sc.DeformedOscillator(a).quadrature_nodes(n_max)
+            step = min(0.1, a / 10.0)
+            assert len(x) == 2 * math.ceil(do_cutoff_scan(a, n_max) / step) + 1
+
+    def test_one_weight_evaluation(self, monkeypatch):
+        calls = []
+        gamma = special.gamma_abs_sq
+
+        def counting(a, x):
+            calls.append(np.size(x))
+            return gamma(a, x)
+
+        monkeypatch.setattr(special, "gamma_abs_sq", counting)
+        DO1.quadrature_nodes(21)
+        assert calls == [104]
 
 
 def closed_form_norms(spec, n_max):
