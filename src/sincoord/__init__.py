@@ -93,7 +93,6 @@ from .systems import (
     energies,
     energy,
     r_polynomials,
-    validate,
 )
 
 __version__ = "0.1.0"

@@ -34,7 +34,6 @@ from .systems import (
     classical_r_polynomials,
     r_polynomials,
     require_inside,
-    validate,
 )
 
 
@@ -117,7 +116,6 @@ def closed_form_eta(spec: SystemSpec, state: ClassicalState, t):
     Uses the classical closure coefficients at the conserved energy H0 and
     the initial bracket {H, eta}; raises NonOscillatory if R0(H0) <= 0.
     """
-    validate(spec)
     closure = classical_r_polynomials(spec)
     h0 = _initial_terms(spec, state)[0]
     r0v = closure.r0(h0)
@@ -159,7 +157,6 @@ def flow_oracle(
     EnergyDrift if the conserved energy moves by more than 1e-6 relative
     or a stage of a step overflows or divides by zero.
     """
-    validate(spec)
     if not 0.0 < dt < math.inf:
         raise ParameterOutOfRange(f"dt must be positive and finite, got {dt}")
     if not 0.0 < t_end < math.inf:
@@ -265,7 +262,6 @@ def check_poisson_closure(
 ) -> CheckReport:
     """{H, {H, eta}} = -eta R0(H) - R-1(H) at the given phase-space points."""
     _require_states(states)
-    validate(spec)
     closure = classical_r_polynomials(spec)
     worst = 0.0
     for state in states:

@@ -18,7 +18,7 @@ from .operators import Normalization, build_ladder
 from .polynomials import eval_all, recurrence
 from .report import CheckReport, make_report
 from .special import hyp1f1
-from .systems import DeformedOscillator, SystemSpec, validate
+from .systems import DeformedOscillator, SystemSpec
 
 
 @dataclass(frozen=True)
@@ -37,7 +37,6 @@ def coherent_coeffs(spec: SystemSpec, lam: complex, truncation: int) -> Coherent
     Raises ParameterOutOfRange for a non-finite lam and SeriesNotConverged
     when a coefficient overflows.
     """
-    validate(spec)
     lam = complex(lam)
     if not np.isfinite(lam):
         raise ParameterOutOfRange(f"eigenvalue must be finite, got lambda={lam}")

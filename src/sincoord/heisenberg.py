@@ -20,13 +20,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateFrequencies, ParameterOutOfRange
+from .errors import ParameterOutOfRange
 from .operators import (
     Normalization,
     TruncatedOperator,
     build_basic,
+    _closure_data,
     _column_max,
-    _frequency_vectors,
     _ladder_pair,
     _level_gaps,
     _plus_diagonal,
@@ -57,15 +57,6 @@ class HeisenbergSolution:
             guard=self.a_plus.guard,
             bands=_plus_diagonal(up, self.constant_part) + down,
         )
-
-
-def _closure_data(spec: SystemSpec, n_dim: int, guard: int):
-    """eta, [H, eta], the levels, R-1/R0 and alpha_pm on the spectrum."""
-    _, eta_op, comm_op = build_basic(spec, n_dim, guard)
-    levels, r0v, rm1v, ap, am = _frequency_vectors(spec, n_dim)
-    if np.any(ap - am == 0.0):
-        raise DegenerateFrequencies("coincident frequencies on the spectrum")
-    return eta_op, comm_op, levels, rm1v / r0v, ap, am
 
 
 def _solution(eta_op, comm_op, ratio, ap, am) -> HeisenbergSolution:

@@ -37,7 +37,6 @@ from .systems import (
     alpha_pm,
     energies,
     r_polynomials,
-    validate,
 )
 
 
@@ -151,7 +150,6 @@ def build_basic(
     with the recurrence coefficients (A_n below, B_n on, C_n above the
     diagonal, per column n).
     """
-    validate(spec)
     _check_dims(n_dim, guard)
     rec = recurrence(spec)
     levels = energies(spec, n_dim)
@@ -173,20 +171,19 @@ def _closure_vectors(spec: SystemSpec, n_dim: int):
     return levels, model.r0(levels), model.r1(levels), model.rm1(levels)
 
 
-def _frequency_vectors(spec: SystemSpec, n_dim: int):
-    """alpha_pm on the spectrum; demands R0 > 0 and distinct frequencies."""
-    levels, r0v, r1v, rm1v = _closure_vectors(spec, n_dim)
+def _closure_data(spec: SystemSpec, n_dim: int, guard: int):
+    """eta, [H, eta], the levels, R-1/R0 and alpha_pm on the spectrum;
+    demands R0 > 0 and distinct frequencies."""
+    _, eta_op, comm_op = build_basic(spec, n_dim, guard)
+    levels, r0v, _, rm1v = _closure_vectors(spec, n_dim)
     if np.any(r0v <= 0.0):
         raise ComplexFrequencies(
             "R0(E_n) must be positive on the truncated spectrum"
         )
-    disc = r1v * r1v + 4.0 * r0v
-    if np.any(disc <= 0.0):
-        raise DegenerateFrequencies(
-            "frequency discriminant vanishes on the truncated spectrum"
-        )
-    root = np.sqrt(disc)
-    return levels, r0v, rm1v, 0.5 * (r1v + root), 0.5 * (r1v - root)
+    ap, am = alpha_pm(spec, levels)
+    if np.any(ap - am == 0.0):
+        raise DegenerateFrequencies("coincident frequencies on the spectrum")
+    return eta_op, comm_op, levels, rm1v / r0v, ap, am
 
 
 def _ladder_pair(
@@ -223,9 +220,8 @@ def build_ladder(
     elements are exactly A_n and C_n); PRIMED omits that division, which
     is the same as right-multiplying by alpha_plus(H) - alpha_minus(H).
     """
-    _, eta_op, comm_op = build_basic(spec, n_dim, guard)
-    _, r0v, rm1v, ap, am = _frequency_vectors(spec, n_dim)
-    return _ladder_pair(eta_op, comm_op, rm1v / r0v, ap, am, normalization)
+    eta_op, comm_op, _, ratio, ap, am = _closure_data(spec, n_dim, guard)
+    return _ladder_pair(eta_op, comm_op, ratio, ap, am, normalization)
 
 
 def check_ladder_action(

@@ -15,7 +15,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ParameterOutOfRange, QuadratureNotConverged
-from .systems import SystemSpec, validate
+from .systems import SystemSpec
 
 
 @dataclass(frozen=True)
@@ -42,7 +42,6 @@ def _guard_c(fn: Callable[[int], float]) -> Callable[[int], float]:
 @lru_cache(maxsize=None)
 def recurrence(spec: SystemSpec) -> RecurrenceData:
     """Three-term recurrence coefficients for the system's eigenpolynomials."""
-    validate(spec)
     a_coef, b_coef, c_coef = spec.recurrence_coefficients()
     return RecurrenceData(a_coef, b_coef, _guard_c(c_coef))
 
@@ -83,7 +82,6 @@ class WeightFunction:
 @lru_cache(maxsize=None)
 def weight(spec: SystemSpec) -> WeightFunction:
     """Pointwise-evaluable squared ground state and coordinate map."""
-    validate(spec)
     return WeightFunction(
         domain=spec.domain, density=spec.density, eta=spec.eta, deta_dx=spec.deta_dx
     )
@@ -105,15 +103,19 @@ def gram_matrix(spec: SystemSpec, n_max: int) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def _norms_cached(spec: SystemSpec, n_max: int) -> tuple[float, ...]:
-    polys, weights = _weighted_polys(spec, n_max)
-    squares = polys * polys
-    fine = squares @ weights
-    # every other node with doubled weight: the same rule at twice the step
-    coarse = squares[:, 1::2] @ (2.0 * weights[1::2])
+    # a density that overflows gives non-finite norms, refused just below
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        polys, weights = _weighted_polys(spec, n_max)
+        squares = polys * polys
+        fine = squares @ weights
+        # every other node with doubled weight: the same rule at twice the step
+        coarse = squares[:, 1::2] @ (2.0 * weights[1::2])
     if np.any(fine <= 0.0):
         raise QuadratureNotConverged("quadrature produced a nonpositive norm")
+    if not np.all(np.isfinite(fine)):
+        raise QuadratureNotConverged("quadrature produced a non-finite norm")
     drift = np.max(np.abs(coarse - fine) / fine)
-    if drift > 1e-8:
+    if not drift <= 1e-8:
         raise QuadratureNotConverged(
             f"norms moved by {drift:.3e} relative under node doubling"
         )
@@ -127,5 +129,4 @@ def norms(spec: SystemSpec, n_max: int) -> np.ndarray:
     recurrence coefficients, so the norms stay an independent oracle for
     them.  Convergence is asserted by node doubling at 1e-8 relative.
     """
-    validate(spec)
     return np.array(_norms_cached(spec, n_max), dtype=float)

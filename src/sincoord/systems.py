@@ -7,7 +7,9 @@ those coefficient polynomials differ between the families, so each family is
 one frozen dataclass of its parameters that carries everything the other
 modules need to know about it:
 
-* `validate()` and the spectrum `energy(n)`;
+* its parameter ranges, checked once on construction (`__post_init__`
+  raises ParameterOutOfRange, also from `dataclasses.replace`), so no
+  instance lies outside them; the spectrum `energy(n)`;
 * `closure_polynomials()` (R0, R1, R-1 and the H' shift) and
   `classical_closure()` (R0, R-1 of the double Poisson bracket);
 * `recurrence_coefficients()`: A_n, B_n, C_n of the eigenpolynomials;
@@ -113,7 +115,7 @@ class PoschlTeller:
     def beta(self) -> float:
         return self.h - 0.5
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if not self.g > 0:
             raise ParameterOutOfRange(f"g must be positive, got g={self.g}")
         if not self.h > 0:
@@ -227,7 +229,7 @@ class DeformedOscillator:
     heisenberg_n: ClassVar[int] = 30
     coherent_lambda: ClassVar[complex] = 0.3
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if not self.a > 0:
             raise ParameterOutOfRange(f"a must be positive, got a={self.a}")
 
@@ -377,7 +379,7 @@ class AskeyWilson:
             return 25
         return max(1, int(25.0 * math.log(1.0 / 0.3) / math.log(1.0 / self.q)))
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         q = self.q
         if not 0.0 < q < 1.0:
             raise ParameterOutOfRange(f"q must lie in (0, 1), got q={q}")
@@ -507,8 +509,8 @@ class AskeyWilson:
         x = _grid(math.pi / m, 1, m - 1)
         return x, np.full(x.shape, math.pi / m)
 
-    def _potential(self, x: float):
-        """V(z), dV/dx, for z = exp(ix), as complex values."""
+    def _potential(self, x: float) -> tuple[float, float, float, float]:
+        """|V|, d|V|/dx, Re V and Re dV/dx, for the complex V(z), z = exp(ix)."""
         z = cmath.exp(1j * x)
         d = 1.0 - z * z
         value = 1.0 + 0j
@@ -519,24 +521,22 @@ class AskeyWilson:
             if aj != 0.0:
                 log_deriv -= aj / factor
         value /= d * d
-        return value, 1j * z * value * log_deriv
+        deriv = 1j * z * value * log_deriv
+        w = abs(value)
+        return w, (value.conjugate() * deriv).real / w, value.real, deriv.real
 
     def flow_terms(self, x: float, p: float) -> tuple[float, float, float]:
         """(H, dH/dx, dH/dp)."""
         gam = self.log_q
-        vc, dvc = self._potential(x)
-        w = abs(vc)
-        wx = (vc.conjugate() * dvc).real / w
+        w, wx, v, vx = self._potential(x)
         gp = gam * p
         c = math.cosh(gp)
-        return (w * c - vc.real, wx * c - dvc.real, gam * w * math.sinh(gp))
+        return (w * c - v, wx * c - vx, gam * w * math.sinh(gp))
 
     def second_partials(self, x: float, p: float) -> tuple[float, float]:
         """(d2H/dp2, d2H/dpdx)."""
         gam = self.log_q
-        vc, dvc = self._potential(x)
-        w = abs(vc)
-        wx = (vc.conjugate() * dvc).real / w
+        w, wx, _, _ = self._potential(x)
         return (gam * gam * w * math.cosh(gam * p), gam * wx * math.sinh(gam * p))
 
 
@@ -555,11 +555,6 @@ def _grid(step: float, first: int, last: int) -> np.ndarray:
             f"more than the {_MAX_NODES} allowed"
         )
     return step * np.arange(first, last + 1)
-
-
-def validate(spec: SystemSpec) -> None:
-    """Raise ParameterOutOfRange unless the parameters satisfy their ranges."""
-    spec.validate()
 
 
 def require_inside(spec: SystemSpec, x, error: type[Exception] = EvaluationDomain) -> None:
@@ -585,7 +580,6 @@ def energies(spec: SystemSpec, count: int) -> np.ndarray:
 @lru_cache(maxsize=None)
 def r_polynomials(spec: SystemSpec) -> SpectralModel:
     """Closure coefficient polynomials R0, R1, R-1 and the H' shift."""
-    validate(spec)
     r0, r1, rm1, shift = spec.closure_polynomials()
     return SpectralModel(
         energy=partial(energy, spec), r0=r0, r1=r1, rm1=rm1, hprime_shift=shift
@@ -595,25 +589,27 @@ def r_polynomials(spec: SystemSpec) -> SpectralModel:
 @lru_cache(maxsize=None)
 def classical_r_polynomials(spec: SystemSpec) -> ClassicalClosure:
     """Closure coefficients of the classical double Poisson bracket."""
-    validate(spec)
     r0, rm1 = spec.classical_closure()
     return ClassicalClosure(r0=r0, rm1=rm1)
 
 
-def alpha_pm(spec: SystemSpec, e: float) -> tuple[float, float]:
+def alpha_pm(spec: SystemSpec, e):
     """The two frequencies at energy e: roots of x^2 - R1(e) x - R0(e).
 
-    Returns (alpha_plus, alpha_minus) with alpha_plus > alpha_minus; by
-    construction their sum is R1(e) and their product is -R0(e).
+    e is a float or an array of energies.  Returns (alpha_plus,
+    alpha_minus) with alpha_plus > alpha_minus; by construction their sum
+    is R1(e) and their product is -R0(e).
     """
     model = r_polynomials(spec)
     r1v = model.r1(e)
     disc = r1v * r1v + 4.0 * model.r0(e)
-    if disc < 0.0:
+    if np.any(disc < 0.0):
+        first = np.flatnonzero(disc < 0.0)[0]
         raise ComplexFrequencies(
-            f"discriminant {disc} < 0 at energy {e}: no real frequency pair"
+            f"discriminant {np.ravel(disc)[first]} < 0 at energy "
+            f"{np.ravel(e)[first]}: no real frequency pair"
         )
-    root = math.sqrt(disc)
+    root = np.sqrt(disc)
     return (0.5 * (r1v + root), 0.5 * (r1v - root))
 
 
@@ -625,7 +621,6 @@ def check_spectrum_closure(
     Residuals are relative to max(1, |target level|).  n_max must stay
     within the family's double-precision `level_cap`.
     """
-    validate(spec)
     if n_max < 1:
         raise ParameterOutOfRange(f"n_max must be >= 1, got {n_max}")
     if n_max > spec.level_cap:
@@ -634,17 +629,13 @@ def check_spectrum_closure(
             f"of {spec}"
         )
     levels = energies(spec, n_max + 2)
-    worst_plus = 0.0
-    worst_minus = 0.0
-    for n in range(n_max + 1):
-        ap, am = alpha_pm(spec, levels[n])
-        res_p = abs(levels[n + 1] - levels[n] - ap) / max(1.0, abs(levels[n + 1]))
-        worst_plus = max(worst_plus, res_p)
-        if n >= 1:
-            res_m = abs(levels[n - 1] - levels[n] - am) / max(
-                1.0, abs(levels[n - 1])
-            )
-            worst_minus = max(worst_minus, res_m)
+    ap, am = alpha_pm(spec, levels[: n_max + 1])
+    # E_{n+1}, E_n for n = 0 .. n_max; E_{n-1} for n = 1 .. n_max
+    up, here, down = levels[1:], levels[:-1], levels[:n_max]
+    worst_plus = np.max(np.abs(up - here - ap) / np.maximum(1.0, np.abs(up)))
+    worst_minus = np.max(
+        np.abs(down - here[1:] - am[1:]) / np.maximum(1.0, np.abs(down))
+    )
     return make_report(
         "spectrum_closure",
         max(worst_plus, worst_minus),

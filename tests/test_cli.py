@@ -108,6 +108,15 @@ class TestExitCodes:
         result = run_cli("spectrum", "--system", "pt")
         assert result.returncode == 2
 
+    def test_aw_norms_just_below_density_overflow_pass(self):
+        # q 0.998 and above overflow the density and exit 2
+        result = run_cli(
+            "ladder", "--system", "aw", "--a", "0.1,0.2,-0.1,0.3", "--q", "0.997"
+        )
+        assert result.returncode == 0
+        assert "hermitian_conjugacy" in result.stdout
+        assert result.stderr == ""
+
     def test_wrong_parameter_count_exits_two(self):
         result = run_cli("spectrum", "--system", "aw", "--q", "0.5", "--a", "0.1,0.2")
         assert result.returncode == 2
@@ -141,6 +150,8 @@ class TestExitCodes:
             ("classical", "--system", "do", "--a", "1", "--states", "0"),
             ("classical", "--system", "do", "--a", "1", "--states", "-3"),
             ("classical", "--system", "do", "--a", "1", "--seed", "-1"),
+            ("ladder", "--system", "aw", "--a", "0.1,0.2,-0.1,0.3", "--q", "0.998"),
+            ("ladder", "--system", "aw", "--a", "0.1,0.2,-0.1,0.3", "--q", "0.999"),
         ],
         ids=[
             "guard-zero", "time-nan", "negative-tend", "empty-time-grid",
@@ -149,6 +160,7 @@ class TestExitCodes:
             "energy-nan-pt", "step-overflow-do", "state-on-wall-pt",
             "no-eigenvalue-rows-pt", "no-eigenvalue-rows-aw",
             "no-states", "negative-states", "negative-seed",
+            "density-overflow-q0.998", "density-overflow-q0.999",
         ],
     )
     def test_out_of_range_request_exits_two_without_traceback(self, args):
@@ -220,11 +232,44 @@ class TestConfigFile:
         assert result.returncode == 0
         assert "1.0e-30" in result.stdout
 
-    def test_unknown_key_exits_two(self, tmp_path):
+    @pytest.mark.parametrize("line", ["bogus = 1", "sys = pt", "config = x", "g 1"])
+    def test_unknown_key_exits_two(self, tmp_path, line):
+        # keys are exact long flag names: no abbreviation, and no --config
         config = tmp_path / "sweep.cfg"
-        config.write_text("bogus = 1\n")
-        result = run_cli("spectrum", "--config", str(config))
+        config.write_text(f"# header\n{line}\n")
+        result = run_cli(
+            "spectrum", "--system", "do", "--a", "1", "--config", str(config)
+        )
         assert result.returncode == 2
+        assert result.stderr == f"error: {config}:2: " + (
+            "expected key = value\n" if "=" not in line
+            else f"unknown key {line.split()[0]!r}\n"
+        )
+        assert result.stdout == ""
+
+    @pytest.mark.parametrize(
+        "line, flag, value",
+        [("system = xx", "--system", "xx"), ("format = xml", "--format", "xml")],
+    )
+    def test_file_value_outside_choices_exits_two_before_any_check(
+        self, tmp_path, line, flag, value
+    ):
+        config = tmp_path / "sweep.cfg"
+        config.write_text(f"{line}\n")
+        result = run_cli(
+            "spectrum", "--system", "do", "--a", "1", "--config", str(config)
+        )
+        assert result.returncode == 2
+        assert f"argument {flag}: invalid choice: '{value}'" in result.stderr
+        assert result.stdout == ""
+
+    def test_lambda_key_reaches_coherent(self, tmp_path):
+        config = tmp_path / "sweep.cfg"
+        config.write_text("system = do\na = 1\nlambda = 0.1+0.05j\n")
+        result = run_cli("coherent", "--config", str(config), "--format", "json")
+        assert result.returncode == 0
+        details = json.loads(result.stdout)["checks"][0]["details"]
+        assert (details["lam_real"], details["lam_imag"]) == (0.1, 0.05)
 
 
 class TestParser:

@@ -1,9 +1,12 @@
 """Spectra, closure polynomials, and frequency functions."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import sincoord as sc
 
@@ -14,33 +17,139 @@ AW1 = sc.AskeyWilson(0.1, 0.2, -0.1, 0.3, q=0.5)
 AW2 = sc.AskeyWilson(0.1, 0.2, 0.3, 0.4, q=0.5)
 
 
+def _step(x: float, toward: float, ulps: int) -> float:
+    """x moved `ulps` representable doubles toward `toward`."""
+    for _ in range(ulps):
+        x = math.nextafter(x, toward)
+    return x
+
+
+ULPS = st.integers(1, 64)
+
+
+def inside(lo: float, hi: float):
+    """Floats strictly inside (lo, hi), many a few ulps from an end."""
+    bounded = math.isfinite(hi)
+    parts = [
+        st.floats(
+            lo, hi if bounded else None, exclude_min=True, exclude_max=bounded,
+            allow_infinity=False,
+        ),
+        ULPS.map(lambda k: _step(lo, hi, k)),
+    ]
+    if bounded:
+        parts.append(ULPS.map(lambda k: _step(hi, lo, k)))
+    return st.one_of(*parts)
+
+
+def outside(lo: float, hi: float):
+    """Floats outside (lo, hi): its ends, a few ulps past them, beyond, NaN."""
+    parts = [
+        st.just(lo),
+        ULPS.map(lambda k: _step(lo, -math.inf, k)),
+        st.floats(max_value=lo),
+        st.just(math.nan),
+    ]
+    if math.isfinite(hi):
+        parts += [
+            st.just(hi),
+            ULPS.map(lambda k: _step(hi, math.inf, k)),
+            st.floats(min_value=hi),
+        ]
+    return st.one_of(*parts)
+
+
+def assert_refused(message, build, spec, **fields):
+    """Constructing from `fields`, and replacing them in a valid `spec`, both
+    raise ParameterOutOfRange with `message`."""
+    with pytest.raises(sc.ParameterOutOfRange, match=message):
+        build(**fields)
+    with pytest.raises(sc.ParameterOutOfRange, match=message):
+        dataclasses.replace(spec, **fields)
+
+
+AW_SLOTS = ("a1", "a2", "a3", "a4")
+
+
 class TestValidate:
     def test_accepts_valid_specs(self):
         for spec in (PT11, DO1, AW0, AW1, AW2, sc.PoschlTeller(0.7, 1.3)):
-            sc.validate(spec)
+            assert dataclasses.replace(spec) == spec
 
     def test_pt_rejects_nonpositive_couplings(self):
         with pytest.raises(sc.ParameterOutOfRange, match="g"):
-            sc.validate(sc.PoschlTeller(-1.0, 1.0))
+            sc.PoschlTeller(-1.0, 1.0)
         with pytest.raises(sc.ParameterOutOfRange, match="h"):
-            sc.validate(sc.PoschlTeller(1.0, 0.0))
+            sc.PoschlTeller(1.0, 0.0)
 
     def test_do_rejects_nonpositive_a(self):
         with pytest.raises(sc.ParameterOutOfRange, match="a"):
-            sc.validate(sc.DeformedOscillator(0.0))
+            sc.DeformedOscillator(0.0)
 
     def test_aw_rejects_q_outside_unit_interval(self):
         with pytest.raises(sc.ParameterOutOfRange, match="q"):
-            sc.validate(sc.AskeyWilson(0.0, 0.0, 0.0, 0.0, q=1.5))
+            sc.AskeyWilson(0.0, 0.0, 0.0, 0.0, q=1.5)
 
     def test_aw_rejects_large_parameter_product(self):
         # 0.9^4 = 0.6561 >= 0.5
         with pytest.raises(sc.ParameterOutOfRange, match="below q"):
-            sc.validate(sc.AskeyWilson(0.9, 0.9, 0.9, 0.9, q=0.5))
+            sc.AskeyWilson(0.9, 0.9, 0.9, 0.9, q=0.5)
 
     def test_aw_rejects_parameter_outside_open_interval(self):
         with pytest.raises(sc.ParameterOutOfRange, match="a2"):
-            sc.validate(sc.AskeyWilson(0.1, 1.0, 0.0, 0.0, q=0.5))
+            sc.AskeyWilson(0.1, 1.0, 0.0, 0.0, q=0.5)
+
+    @settings(max_examples=200, deadline=None)
+    @given(g=inside(0.0, math.inf), h=inside(0.0, math.inf), a=inside(0.0, math.inf))
+    def test_pt_and_do_construct_inside(self, g, h, a):
+        assert (sc.PoschlTeller(g, h).g, sc.DeformedOscillator(a).a) == (g, a)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        bad=outside(0.0, math.inf),
+        good=inside(0.0, math.inf),
+        slot=st.sampled_from(["g", "h"]),
+    )
+    def test_pt_refuses_outside(self, bad, good, slot):
+        fields = {"g": good, "h": good, slot: bad}
+        assert_refused(f"^{slot} must be positive", sc.PoschlTeller, PT11, **fields)
+
+    @settings(max_examples=100, deadline=None)
+    @given(bad=outside(0.0, math.inf))
+    def test_do_refuses_outside(self, bad):
+        assert_refused("^a must be positive", sc.DeformedOscillator, DO1, a=bad)
+
+    @settings(max_examples=200, deadline=None)
+    @given(q=inside(0.0, 1.0), params=st.tuples(*[inside(-1.0, 1.0)] * 4))
+    def test_aw_constructs_inside(self, q, params):
+        a1, a2, a3, a4 = params
+        assume(a1 * a2 * a3 * a4 < q)
+        assert sc.AskeyWilson(*params, q=q).params == params
+
+    @settings(max_examples=200, deadline=None)
+    @given(bad=outside(0.0, 1.0))
+    def test_aw_refuses_q_outside(self, bad):
+        assert_refused("^q must lie in", sc.AskeyWilson, AW1, a1=0.1, a2=0.2,
+                       a3=-0.1, a4=0.3, q=bad)
+
+    @settings(max_examples=200, deadline=None)
+    @given(bad=outside(-1.0, 1.0), slot=st.sampled_from(AW_SLOTS))
+    def test_aw_refuses_parameter_outside(self, bad, slot):
+        fields = {"a1": 0.0, "a2": 0.0, "a3": 0.0, "a4": 0.0, "q": 0.5, slot: bad}
+        assert_refused(f"^{slot} must lie in", sc.AskeyWilson, AW1, **fields)
+
+    @settings(max_examples=200, deadline=None)
+    @given(q=inside(0.0, 0.9), ulps=ULPS, sign=st.sampled_from([1.0, -1.0]))
+    def test_aw_parameter_product_at_q(self, q, ulps, sign):
+        # a = (r, r, s r, s r) with r^4 a few ulps either side of q
+        r = q**0.25
+        above = _step(r, 1.0, ulps)
+        below = _step(r, 0.0, ulps)
+        params = lambda r: (r, r, sign * r, sign * r)
+        assume(math.prod(params(below)) < q <= math.prod(params(above)))
+        assert sc.AskeyWilson(*params(below), q=q).params == params(below)
+        fields = dict(zip(AW_SLOTS, params(above)), q=q)
+        assert_refused("must stay below q", sc.AskeyWilson, AW1, **fields)
 
 
 class TestEnergy:
@@ -160,6 +269,21 @@ class TestAlphaPM:
     def test_complex_frequencies_below_the_well(self):
         with pytest.raises(sc.ComplexFrequencies):
             sc.alpha_pm(PT11, -10.0)
+
+    @pytest.mark.parametrize("spec", [PT11, DO1, AW1])
+    def test_array_energies_match_scalar_calls(self, spec):
+        levels = sc.energies(spec, 20)
+        ap, am = sc.alpha_pm(spec, levels)
+        assert [(float(p), float(m)) for p, m in zip(ap, am)] == [
+            tuple(map(float, sc.alpha_pm(spec, e))) for e in levels.tolist()
+        ]
+
+    def test_array_refusal_names_the_first_bad_energy(self):
+        with pytest.raises(sc.ComplexFrequencies) as scalar:
+            sc.alpha_pm(PT11, -10.0)
+        with pytest.raises(sc.ComplexFrequencies) as array:
+            sc.alpha_pm(PT11, np.array([0.0, -10.0, -20.0]))
+        assert str(array.value) == str(scalar.value)
 
 
 class TestSpectrumClosure:
