@@ -39,6 +39,7 @@ from .errors import (
     DomainEscape,
     EnergyDrift,
     EvaluationDomain,
+    NonFiniteResidual,
     NonOscillatory,
     ParameterOutOfRange,
     QuadratureNotConverged,

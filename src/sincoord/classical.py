@@ -241,9 +241,9 @@ def check_closed_vs_flow(
         span = periods * period(spec, state) if t_end is None else t_end
         traj = flow_oracle(spec, state, span, dt)
         closed = closed_form_eta(spec, state, traj.times)
-        worst_dev = max(worst_dev, float(np.max(np.abs(closed - traj.eta_values))))
+        worst_dev = np.maximum(worst_dev, np.max(np.abs(closed - traj.eta_values)))
         h0 = abs(hamiltonian(spec, state.x, state.p))
-        worst_drift = max(worst_drift, traj.energy_drift / max(1.0, h0))
+        worst_drift = np.maximum(worst_drift, traj.energy_drift / max(1.0, h0))
         if trajectories is not None:
             trajectories.append((traj, closed))
     extent = {"dt": dt, "periods": periods} if t_end is None else {"t_end": t_end}
@@ -269,7 +269,7 @@ def check_poisson_closure(
         lhs = poisson_h_h_eta(spec, state.x, state.p)
         h0 = hamiltonian(spec, state.x, state.p)
         rhs = -float(spec.eta(state.x)) * closure.r0(h0) - closure.rm1(h0)
-        worst = max(worst, abs(lhs - rhs) / max(1.0, abs(lhs), abs(rhs)))
+        worst = np.maximum(worst, abs(lhs - rhs) / max(1.0, abs(lhs), abs(rhs)))
     return make_report("poisson_closure", worst, tol, states=len(states))
 
 
@@ -326,7 +326,7 @@ def check_potential_reconstruction(
     potential = reconstruct_potential(spec, r00, rm10, const, r1)
     xs = np.linspace(0.15, 0.5 * math.pi - 0.15, n_points)
     target = pt_reference_potential(spec.g, spec.h, xs)
-    worst = max(abs(potential(float(x)) - float(v)) for x, v in zip(xs, target))
+    worst = np.max([abs(potential(float(x)) - float(v)) for x, v in zip(xs, target)])
     return make_report(
         "potential_reconstruction", worst, tol, points=n_points, c=const
     )

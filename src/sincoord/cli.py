@@ -2,7 +2,10 @@
 
 Every suite assembles one system from flags, runs the named checks,
 emits a machine-readable report, and exits 0 only if everything passed
-(1 on any failing check, 2 on configuration errors).
+(1 on any failing check, 2 on configuration errors, out-of-range requests
+and non-finite residuals).  The parsed flags are read directly, and each
+value is checked once: by the parser (types and choices), by the family
+dataclass, or by the library function that uses it.
 """
 
 from __future__ import annotations
@@ -10,74 +13,39 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 
 import numpy as np
 
 from . import classical, coherent, heisenberg, operators, systems
 from .errors import ConfigError, SincoordError
-from .report import CheckReport
+from .report import CheckReport, make_report
 from .systems import AskeyWilson, DeformedOscillator, PoschlTeller, SystemSpec
 
 SUITES = ("spectrum", "ladder", "heisenberg", "classical", "coherent", "all")
 
 
-@dataclasses.dataclass
-class RunConfig:
-    """Everything one suite invocation needs."""
-
-    system: SystemSpec
-    n_dim: int | None = None
-    guard: int = 4
-    t_samples: tuple[float, ...] = heisenberg.DEFAULT_T_GRID
-    lam: complex | None = None
-    classical_dt: float = 1e-3
-    seed: int = 42
-    n_states: int = 5
-    n_max: int | None = None
-    tol: float | None = None
-    x0: float | None = None
-    p0: float | None = None
-    t_end: float | None = None
-
-    def __post_init__(self):
-        if self.n_dim is not None and self.n_dim < self.guard + 2:
-            raise ConfigError(f"need N >= G + 2, got N={self.n_dim}, G={self.guard}")
-        if self.classical_dt <= 0:
-            raise ConfigError(f"dt must be positive, got {self.classical_dt}")
-
-
-def _default_n(spec: SystemSpec, suite: str) -> int:
-    if suite == "coherent":
-        return 64
-    if suite == "heisenberg":
-        return spec.heisenberg_n
-    return 30
-
-
 def run(
-    config: RunConfig, suite: str, trajectories: list | None = None
+    spec: SystemSpec, args: argparse.Namespace, trajectories: list | None = None
 ) -> list[CheckReport]:
-    """Run one suite (or `all`) over the configured system.
+    """Run the suite `args.suite` (or `all`) over `spec` with the parsed flags.
 
     When `trajectories` is a list, the classical suite appends each flow
     state's (oracle Trajectory, closed-form values) pair to it.
     """
-    if suite not in SUITES:
-        raise ConfigError(f"unknown suite {suite!r}")
-    spec = config.system
-    guard = config.guard
+    suite, guard = args.suite, args.guard
     reports: list[CheckReport] = []
 
-    def n_for(kind: str) -> int:
-        return config.n_dim if config.n_dim is not None else _default_n(spec, kind)
+    def n_or(default: int) -> int:
+        return args.n if args.n is not None else default
 
     if suite in ("spectrum", "all"):
-        n_max = config.n_max if config.n_max is not None else min(40, spec.level_cap)
+        n_max = args.nmax if args.nmax is not None else min(40, spec.level_cap)
         reports.append(systems.check_spectrum_closure(spec, n_max))
 
     if suite in ("ladder", "all"):
-        n = n_for("ladder")
+        n = n_or(30)
         reports.append(operators.check_ladder_action(spec, n, guard))
         reports.append(operators.check_two_commutator(spec, n, guard))
         reports.append(operators.check_hermitian_conjugacy(spec, n, guard))
@@ -86,47 +54,37 @@ def run(
             reports.append(operators.check_su11(spec, n, guard))
 
     if suite in ("heisenberg", "all"):
-        n = n_for("heisenberg")
-        reports.append(
-            heisenberg.check_heisenberg(spec, n, guard, config.t_samples)
-        )
+        n = n_or(spec.heisenberg_n)
+        reports.append(heisenberg.check_heisenberg(spec, n, guard, args.t))
 
     if suite in ("classical", "all"):
-        if config.x0 is not None or config.p0 is not None:
-            if config.x0 is None or config.p0 is None:
+        if args.x0 is not None or args.p0 is not None:
+            if args.x0 is None or args.p0 is None:
                 raise ConfigError("x0 and p0 must be given together")
-            states = [classical.ClassicalState(config.x0, config.p0)]
+            states = [classical.ClassicalState(args.x0, args.p0)]
         else:
-            states = classical.sample_states(spec, config.n_states, config.seed)
+            states = classical.sample_states(spec, args.states, args.seed)
         reports.extend(
             classical.check_closed_vs_flow(
-                spec, states, dt=config.classical_dt, t_end=config.t_end,
-                trajectories=trajectories,
+                spec, states, dt=args.dt, t_end=args.tend, trajectories=trajectories
             )
         )
-        closure_states = classical.sample_states(spec, 50, config.seed)
+        closure_states = classical.sample_states(spec, 50, args.seed)
         reports.append(classical.check_poisson_closure(spec, closure_states))
         if isinstance(spec, PoschlTeller):
             reports.append(classical.check_potential_reconstruction(spec))
 
     if suite in ("coherent", "all"):
-        n = n_for("coherent")
-        truncation = n - guard
-        lam = config.lam if config.lam is not None else spec.coherent_lambda
+        truncation = n_or(64) - guard
+        lam = args.lam if args.lam is not None else spec.coherent_lambda
         reports.append(coherent.check_eigenvalue(spec, lam, truncation, guard))
         if isinstance(spec, DeformedOscillator):
             xs = np.linspace(-5.0, 5.0, 20)
-            reports.append(
-                coherent.check_mp_hypergeometric(spec.a, lam, xs, truncation)
-            )
+            reports.append(coherent.check_mp_hypergeometric(spec.a, lam, xs, truncation))
 
-    if config.tol is not None:
+    if args.tol is not None:
         reports = [
-            CheckReport(
-                r.name, r.max_residual, config.tol,
-                r.max_residual <= config.tol, r.details,
-            )
-            for r in reports
+            make_report(r.name, r.max_residual, args.tol, **r.details) for r in reports
         ]
     return reports
 
@@ -165,12 +123,14 @@ def _render_json(obj, indent: int = 0) -> str:
     return json.dumps(str(obj))
 
 
-def _report_document(config: RunConfig, reports: list[CheckReport]) -> dict:
+def _report_document(
+    spec: SystemSpec, args: argparse.Namespace, reports: list[CheckReport]
+) -> dict:
     return {
-        "system": config.system.tag,
-        "params": dataclasses.asdict(config.system),
-        "N": config.n_dim if config.n_dim is not None else 0,
-        "G": config.guard,
+        "system": spec.tag,
+        "params": dataclasses.asdict(spec),
+        "N": args.n if args.n is not None else 0,
+        "G": args.guard,
         "checks": [
             {
                 "name": r.name,
@@ -185,33 +145,31 @@ def _report_document(config: RunConfig, reports: list[CheckReport]) -> dict:
 
 
 def emit_report(
-    config: RunConfig, reports: list[CheckReport], fmt: str, path: str | None
+    spec: SystemSpec, args: argparse.Namespace, reports: list[CheckReport]
 ) -> None:
-    """Write the report document as json, csv, or a text table."""
-    if fmt == "json":
-        text = _render_json(_report_document(config, reports)) + "\n"
-    elif fmt == "csv":
-        lines = ["name,max_residual,tolerance,pass"]
-        for r in reports:
-            lines.append(
-                f"{r.name},{_fmt_float(r.max_residual)},"
-                f"{_fmt_float(r.tolerance)},{str(r.passed).lower()}"
-            )
-        text = "\n".join(lines) + "\n"
-    elif fmt == "text":
-        text = format_text_table(config, reports)
+    """Write the report document in `args.format` (json, csv or a text
+    table) to `args.out`, or to stdout when no path is given."""
+    if args.format == "json":
+        text = _render_json(_report_document(spec, args, reports)) + "\n"
+    elif args.format == "csv":
+        rows = [
+            f"{r.name},{_fmt_float(r.max_residual)},"
+            f"{_fmt_float(r.tolerance)},{str(r.passed).lower()}"
+            for r in reports
+        ]
+        text = "\n".join(["name,max_residual,tolerance,pass", *rows]) + "\n"
     else:
-        raise ConfigError(f"unknown format {fmt!r}")
-    if path is None:
+        text = format_text_table(spec, reports)
+    if args.out is None:
         sys.stdout.write(text)
     else:
-        with open(path, "w", encoding="utf-8") as handle:
+        with open(args.out, "w", encoding="utf-8") as handle:
             handle.write(text)
 
 
-def format_text_table(config: RunConfig, reports: list[CheckReport]) -> str:
-    head = f"system={config.system.tag}"
-    for key, value in dataclasses.asdict(config.system).items():
+def format_text_table(spec: SystemSpec, reports: list[CheckReport]) -> str:
+    head = f"system={spec.tag}"
+    for key, value in dataclasses.asdict(spec).items():
         head += f" {key}={value:g}"
     lines = [head, f"{'check':<28}{'max_residual':>14}{'tolerance':>12}  status"]
     for r in reports:
@@ -238,6 +196,16 @@ def _parse_complex(text: str) -> complex:
         return complex(text)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"expected a complex number: {exc}")
+
+
+def _tolerance(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not 0.0 <= value < math.inf:
+        raise argparse.ArgumentTypeError(f"expected a finite number >= 0, got {text!r}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -268,7 +236,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--p0", type=float, default=None)
     parser.add_argument("--seed", type=int, default=42)
     parser.add_argument("--states", type=int, default=5)
-    parser.add_argument("--tol", type=float, default=None, help="tolerance override")
+    parser.add_argument("--tol", type=_tolerance, default=None, help="tolerance override")
     parser.add_argument("--format", choices=("json", "csv", "text"), default="text")
     parser.add_argument("--out", default=None, help="report (or trajectory) path")
     parser.add_argument("--config", default=None, help="key = value defaults file")
@@ -331,41 +299,21 @@ def main(argv=None) -> int:
             # value, so explicit flags win
             args = parser.parse_args(_config_tokens(parser, args.config) + list(argv))
         spec = _build_spec(args)
-        config = RunConfig(
-            system=spec,
-            n_dim=args.n,
-            guard=args.guard,
-            t_samples=tuple(args.t),
-            lam=args.lam,
-            classical_dt=args.dt,
-            seed=args.seed,
-            n_states=args.states,
-            n_max=args.nmax,
-            tol=args.tol,
-            x0=args.x0,
-            p0=args.p0,
-            t_end=args.tend,
-        )
         trajectories: list = []
-        reports = run(config, args.suite, trajectories)
+        reports = run(spec, args, trajectories)
         if (
-            args.suite == "classical"
-            and args.out is not None
-            and args.format == "csv"
-            and args.x0 is not None
-            and args.p0 is not None
+            args.suite == "classical" and args.format == "csv"
+            and args.x0 is not None and args.out is not None
         ):
             # trajectory export replaces the csv report file
             traj, closed = trajectories[0]
             classical.write_trajectory_csv(
                 args.out, traj.times, closed, traj.eta_values
             )
-            sys.stdout.write(format_text_table(config, reports))
-        elif args.out is not None:
-            emit_report(config, reports, args.format, args.out)
-            sys.stdout.write(format_text_table(config, reports))
         else:
-            emit_report(config, reports, args.format, None)
+            emit_report(spec, args, reports)
+        if args.out is not None:
+            sys.stdout.write(format_text_table(spec, reports))
         return 0 if all(r.passed for r in reports) else 1
     except (SincoordError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

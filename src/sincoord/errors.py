@@ -59,5 +59,9 @@ class SeriesNotConverged(SincoordError, RuntimeError):
     """A truncated series still has a tail above the requested threshold."""
 
 
+class NonFiniteResidual(SincoordError, ArithmeticError):
+    """A check's worst residual is NaN or infinite, so it has no verdict."""
+
+
 class ConfigError(SincoordError, ValueError):
     """Malformed command line or configuration file input."""

@@ -150,19 +150,19 @@ def check_heisenberg(
             col_scale = _column_max(np.abs(oracle), eta_op, 1.0)
         else:
             col_scale = 1.0
-        worst_oracle = max(
+        worst_oracle = np.maximum(
             worst_oracle, _window_max(np.abs(exact - oracle) / col_scale, eta_op)
         )
-        worst_split = max(
+        worst_split = np.maximum(
             worst_split, _window_max(np.abs(exact - split) / col_scale, eta_op)
         )
     return make_report(
         "heisenberg_evolution",
-        max(worst_oracle, worst_split),
+        np.maximum(worst_oracle, worst_split),
         tol,
         N=n_dim,
         G=guard,
-        max_vs_oracle=worst_oracle,
-        max_vs_decomposition=worst_split,
+        max_vs_oracle=float(worst_oracle),
+        max_vs_decomposition=float(worst_split),
         t_samples=times,
     )

@@ -250,7 +250,7 @@ def check_ladder_action(
     if spec.relative_residuals:
         dev_up = dev_up / np.maximum(1.0, np.abs(up))
         dev_dn[1:] = dev_dn[1:] / np.maximum(1.0, np.abs(down))
-    worst = max(float(np.max(dev_up)), float(np.max(dev_dn)))
+    worst = np.maximum(np.max(dev_up), np.max(dev_dn))
     return make_report("ladder_action", worst, tol, N=n_dim, G=guard)
 
 
@@ -295,7 +295,7 @@ def check_hermitian_conjugacy(
     for n in range(n_top + 1):
         up = below[n].real * scale[n + 1] / scale[n]
         down = above[n + 1].real * scale[n] / scale[n + 1]
-        worst = max(worst, abs(up - down) / max(abs(up), abs(down)))
+        worst = np.maximum(worst, abs(up - down) / max(abs(up), abs(down)))
     return make_report(
         "hermitian_conjugacy", worst, tol, N=n_dim, G=guard, n_top=n_top
     )
@@ -324,11 +324,11 @@ def check_su11(
         dense_am @ dense_ap - dense_ap @ dense_am - 2.0 * np.diag(levels + spec.a)
     )
     d = n_dim - guard
-    resid = max(
+    resid = np.max((
         _window_max(np.abs(res_plus), pair.a_plus),
         _window_max(np.abs(res_minus), pair.a_minus),
-        float(np.max(np.abs(res_comm[:d, :d]))),
-    )
+        np.max(np.abs(res_comm[:d, :d])),
+    ))
     return make_report("su11", resid, tol, N=n_dim, G=guard)
 
 

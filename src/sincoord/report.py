@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+
+from .errors import NonFiniteResidual
 
 
 @dataclass
@@ -17,7 +20,10 @@ class CheckReport:
 
 
 def make_report(name: str, residual, tolerance, **details) -> CheckReport:
+    """Raises NonFiniteResidual for a NaN or infinite residual: it has no verdict."""
     residual = float(residual)
+    if not math.isfinite(residual):
+        raise NonFiniteResidual(f"check {name} has no verdict: its residual is {residual}")
     tolerance = float(tolerance)
     return CheckReport(
         name=name,

@@ -33,9 +33,10 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
-from functools import cached_property, lru_cache, partial
-from typing import Callable, ClassVar, Union
+from functools import cached_property, lru_cache
+from typing import ClassVar, Union
 
 import numpy as np
 
@@ -64,14 +65,13 @@ class HPoly:
 
 @dataclass(frozen=True)
 class SpectralModel:
-    """Spectrum plus closure data for one system.
+    """Closure data for one system.
 
     r0, r1, rm1 are the coefficient polynomials of the double-commutator
     closure; hprime_shift is the constant s in the shifted Hamiltonian
     H' = H + s used by the printed closed forms.
     """
 
-    energy: Callable[[int], float]
     r0: HPoly
     r1: HPoly
     rm1: HPoly
@@ -120,6 +120,11 @@ class PoschlTeller:
             raise ParameterOutOfRange(f"g must be positive, got g={self.g}")
         if not self.h > 0:
             raise ParameterOutOfRange(f"h must be positive, got h={self.h}")
+        top = 0.5 * math.sqrt(sys.float_info.max)  # 4(g + h)^2 overflows above it
+        if not self.g + self.h <= top:
+            raise ParameterOutOfRange(
+                f"g + h must be finite and at most {top:.6g}, got g={self.g}, h={self.h}"
+            )
 
     def energy(self, n: int) -> float:
         return 2.0 * n * (n + self.g + self.h)
@@ -232,6 +237,9 @@ class DeformedOscillator:
     def __post_init__(self) -> None:
         if not self.a > 0:
             raise ParameterOutOfRange(f"a must be positive, got a={self.a}")
+        top = 0.5 * sys.float_info.max  # the coefficient 2a overflows above it
+        if not self.a <= top:
+            raise ParameterOutOfRange(f"a must be finite and at most {top:.6g}, got a={self.a}")
 
     def energy(self, n: int) -> float:
         return float(n)
@@ -581,9 +589,7 @@ def energies(spec: SystemSpec, count: int) -> np.ndarray:
 def r_polynomials(spec: SystemSpec) -> SpectralModel:
     """Closure coefficient polynomials R0, R1, R-1 and the H' shift."""
     r0, r1, rm1, shift = spec.closure_polynomials()
-    return SpectralModel(
-        energy=partial(energy, spec), r0=r0, r1=r1, rm1=rm1, hprime_shift=shift
-    )
+    return SpectralModel(r0=r0, r1=r1, rm1=rm1, hprime_shift=shift)
 
 
 @lru_cache(maxsize=None)
@@ -638,7 +644,7 @@ def check_spectrum_closure(
     )
     return make_report(
         "spectrum_closure",
-        max(worst_plus, worst_minus),
+        np.maximum(worst_plus, worst_minus),
         tol,
         n_max=n_max,
         max_plus=float(worst_plus),

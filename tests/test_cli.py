@@ -4,6 +4,7 @@ import argparse
 import json
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -152,6 +153,13 @@ class TestExitCodes:
             ("classical", "--system", "do", "--a", "1", "--seed", "-1"),
             ("ladder", "--system", "aw", "--a", "0.1,0.2,-0.1,0.3", "--q", "0.998"),
             ("ladder", "--system", "aw", "--a", "0.1,0.2,-0.1,0.3", "--q", "0.999"),
+            ("ladder", "--system", "do", "--a", "1", "--n", "5", "--guard", "4"),
+            ("classical", "--system", "do", "--a", "1", "--dt", "0"),
+            ("ladder", "--system", "pt", "--g", "inf", "--h", "1"),
+            ("heisenberg", "--system", "pt", "--g", "inf", "--h", "1"),
+            ("heisenberg", "--system", "do", "--a", "inf"),
+            ("spectrum", "--system", "pt", "--g", "1", "--h", "1e308"),
+            ("coherent", "--system", "do", "--a", "1e150"),
         ],
         ids=[
             "guard-zero", "time-nan", "negative-tend", "empty-time-grid",
@@ -161,6 +169,9 @@ class TestExitCodes:
             "no-eigenvalue-rows-pt", "no-eigenvalue-rows-aw",
             "no-states", "negative-states", "negative-seed",
             "density-overflow-q0.998", "density-overflow-q0.999",
+            "dimension-below-guard-plus-two", "zero-dt",
+            "infinite-g-ladder", "infinite-g-heisenberg", "infinite-a-heisenberg",
+            "overflowing-h-spectrum", "nan-residual-coherent-do",
         ],
     )
     def test_out_of_range_request_exits_two_without_traceback(self, args):
@@ -169,6 +180,63 @@ class TestExitCodes:
         assert result.stderr.startswith("error: ")
         assert result.stderr.count("\n") == 1
         assert "Traceback" not in result.stderr
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ("spectrum", "--system", "pt", "--g", "1", "--h", "1", "--n", "3"),
+            ("spectrum", "--system", "do", "--a", "1", "--dt", "0"),
+        ],
+        ids=["n-below-guard", "zero-dt"],
+    )
+    def test_suite_ignores_flags_it_does_not_use(self, args):
+        result = run_cli(*args)
+        assert result.returncode == 0
+        assert "spectrum_closure" in result.stdout
+        assert result.stderr == ""
+
+    @pytest.mark.parametrize("tol", ["nan", "-1", "inf", "x"])
+    def test_tolerance_must_be_finite_and_nonnegative(self, tol):
+        result = run_cli("spectrum", "--system", "do", "--a", "1", "--tol", tol)
+        assert result.returncode == 2
+        assert result.stderr.startswith("usage: sincoord")
+        assert (
+            f"argument --tol: expected a finite number >= 0, got {tol!r}"
+            in result.stderr
+        )
+        assert result.stdout == ""
+
+    def test_zero_tolerance_is_valid(self, capsys):
+        assert cli.main(["spectrum", "--system", "do", "--a", "1", "--tol", "0"]) == 0
+        assert "0.0e+00  PASS" in capsys.readouterr().out
+
+
+SWEEP_VALUES = ("1e-300", "1e-8", "1", "1e150", "1e308", "inf")
+
+
+@pytest.mark.parametrize(
+    "suite", ["spectrum", "ladder", "heisenberg", "classical", "coherent"]
+)
+@pytest.mark.parametrize(
+    "system",
+    [("pt", "--g", v, "--h", "1") for v in SWEEP_VALUES]
+    + [("pt", "--g", "1", "--h", v) for v in SWEEP_VALUES]
+    + [("do", "--a", v) for v in SWEEP_VALUES],
+    ids=lambda system: "-".join(system),
+)
+def test_extreme_parameters_end_in_a_documented_outcome(system, suite, capsys):
+    """Tiny, huge and infinite pt and do parameters exit 0, 1 or 2 without
+    a traceback or a numpy warning, and only an exit 2 writes to stderr."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = cli.main([suite, "--system", *system])
+    err = capsys.readouterr().err
+    assert code in (0, 1, 2)
+    assert caught == []
+    if code == 2:
+        assert err.startswith("error: ") and err.count("\n") == 1
+    else:
+        assert err == ""
 
 
 class TestDeterminism:
@@ -308,23 +376,20 @@ class TestParser:
         assert len(built) == 1
 
 
-class TestRunConfigValidation:
-    def test_dimension_versus_guard(self):
-        import sincoord as sc
-
-        with pytest.raises(sc.ConfigError):
-            cli.RunConfig(system=sc.DeformedOscillator(1.0), n_dim=4, guard=4)
-
-    def test_positive_dt(self):
-        import sincoord as sc
-
-        with pytest.raises(sc.ConfigError):
-            cli.RunConfig(system=sc.DeformedOscillator(1.0), classical_dt=0.0)
-
+class TestReportDocument:
     def test_empty_report_list_renders_valid_json(self):
         import sincoord as sc
 
-        config = cli.RunConfig(system=sc.DeformedOscillator(1.0))
-        text = cli._render_json(cli._report_document(config, []))
+        args = cli.build_parser().parse_args(["spectrum"])
+        text = cli._render_json(
+            cli._report_document(sc.DeformedOscillator(1.0), args, [])
+        )
         document = json.loads(text)
         assert document["checks"] == []
+
+    @pytest.mark.parametrize("residual", [float("nan"), float("inf")])
+    def test_non_finite_residual_has_no_verdict(self, residual):
+        import sincoord as sc
+
+        with pytest.raises(sc.NonFiniteResidual, match="check su11 has no verdict"):
+            sc.make_report("su11", residual, 1e-12)

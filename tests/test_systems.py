@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -15,6 +16,10 @@ DO1 = sc.DeformedOscillator(1.0)
 AW0 = sc.AskeyWilson(0.0, 0.0, 0.0, 0.0, q=0.5)
 AW1 = sc.AskeyWilson(0.1, 0.2, -0.1, 0.3, q=0.5)
 AW2 = sc.AskeyWilson(0.1, 0.2, 0.3, 0.4, q=0.5)
+
+# The largest g + h whose 4(g + h)^2, and the largest a whose 2a, is finite.
+PT_TOP = 0.5 * math.sqrt(sys.float_info.max)
+DO_TOP = 0.5 * sys.float_info.max
 
 
 def _step(x: float, toward: float, ulps: int) -> float:
@@ -100,7 +105,7 @@ class TestValidate:
             sc.AskeyWilson(0.1, 1.0, 0.0, 0.0, q=0.5)
 
     @settings(max_examples=200, deadline=None)
-    @given(g=inside(0.0, math.inf), h=inside(0.0, math.inf), a=inside(0.0, math.inf))
+    @given(g=inside(0.0, PT_TOP / 2), h=inside(0.0, PT_TOP / 2), a=inside(0.0, DO_TOP))
     def test_pt_and_do_construct_inside(self, g, h, a):
         assert (sc.PoschlTeller(g, h).g, sc.DeformedOscillator(a).a) == (g, a)
 
@@ -118,6 +123,32 @@ class TestValidate:
     @given(bad=outside(0.0, math.inf))
     def test_do_refuses_outside(self, bad):
         assert_refused("^a must be positive", sc.DeformedOscillator, DO1, a=bad)
+
+    def test_pt_and_do_construct_at_overflow_bound(self):
+        assert sc.PoschlTeller(PT_TOP, 1e-300).g == PT_TOP
+        assert sc.DeformedOscillator(DO_TOP).a == DO_TOP
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        big=st.one_of(
+            ULPS.map(lambda k: _step(PT_TOP, math.inf, k)),
+            st.floats(min_value=PT_TOP, exclude_min=True),
+        ),
+        slot=st.sampled_from(["g", "h"]),
+    )
+    def test_pt_refuses_overflowing_coupling_sum(self, big, slot):
+        fields = {"g": 1e-300, "h": 1e-300, slot: big}
+        assert_refused(r"^g \+ h must be finite", sc.PoschlTeller, PT11, **fields)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        big=st.one_of(
+            ULPS.map(lambda k: _step(DO_TOP, math.inf, k)),
+            st.floats(min_value=DO_TOP, exclude_min=True),
+        )
+    )
+    def test_do_refuses_overflowing_a(self, big):
+        assert_refused("^a must be finite", sc.DeformedOscillator, DO1, a=big)
 
     @settings(max_examples=200, deadline=None)
     @given(q=inside(0.0, 1.0), params=st.tuples(*[inside(-1.0, 1.0)] * 4))
