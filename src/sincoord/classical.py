@@ -155,7 +155,8 @@ def flow_oracle(
 
     Raises DomainEscape if the position leaves the open domain and
     EnergyDrift if the conserved energy moves by more than 1e-6 relative
-    or a stage of a step overflows or divides by zero.
+    or a stage of a step overflows, divides by zero or takes the sine of an
+    infinite position (after a partial overflowed to inf).
     """
     if not 0.0 < dt < math.inf:
         raise ParameterOutOfRange(f"dt must be positive and finite, got {dt}")
@@ -191,7 +192,7 @@ def flow_oracle(
             if drift > max_drift:
                 max_drift = drift
             xs.append(x)
-    except ArithmeticError as exc:
+    except (ArithmeticError, ValueError) as exc:
         raise EnergyDrift(
             f"H or its partials are not finite in the step to t={times[k + 1]} ({exc})"
         ) from None

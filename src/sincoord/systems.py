@@ -17,7 +17,8 @@ modules need to know about it:
 * the ground-state `density` and its `quadrature_nodes`, a trapezoid-type
   rule in the family's own variable;
 * the classical `flow_terms` (H with dH/dx and dH/dp, written once and
-  evaluated together) and `second_partials`;
+  evaluated together) and `second_partials`; aw writes its complex
+  potential in real arithmetic, as a product of two pairs of factors;
 * the phase-space `sample_box`;
 * per-check default `tolerances` and `relative_residuals`, the residual
   mode (per-column relative rather than absolute) of the matrix checks;
@@ -31,10 +32,10 @@ alpha_pm(E) built from them.
 
 from __future__ import annotations
 
-import cmath
 import math
 import sys
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property, lru_cache
 from typing import ClassVar, Union
 
@@ -517,26 +518,66 @@ class AskeyWilson:
         x = _grid(math.pi / m, 1, m - 1)
         return x, np.full(x.shape, math.pi / m)
 
-    def _potential(self, x: float) -> tuple[float, float, float, float]:
-        """|V|, d|V|/dx, Re V and Re dV/dx, for the complex V(z), z = exp(ix)."""
-        z = cmath.exp(1j * x)
-        d = 1.0 - z * z
-        value = 1.0 + 0j
-        log_deriv = 4.0 * z / d
-        for aj in self.params:
-            factor = 1.0 - aj * z
-            value *= factor
-            if aj != 0.0:
-                log_deriv -= aj / factor
-        value /= d * d
-        deriv = 1j * z * value * log_deriv
-        w = abs(value)
-        return w, (value.conjugate() * deriv).real / w, value.real, deriv.real
+    @cached_property
+    def pair_constants(self) -> tuple[float, ...]:
+        """Constants of the factor pairs (a1, a2) and (a3, a4) of V.
+
+        For each pair (a, b): 1 + ab, (1 - ab)^2, (1 - a)(1 - b) and
+        (1 + a)(1 + b); then (1 - a1 a2)(1 - a3 a4) / 4.  Each is formed
+        exactly from the parameters and rounded once.  They are taken from
+        a1..a4 and never from b1, b3, b4: the closure polynomials are built
+        from those, and the flow oracle must not share a number with what
+        it checks.
+        """
+        a1, a2, a3, a4 = (Fraction(v) for v in self.params)
+        consts = []
+        for a, b in ((a1, a2), (a3, a4)):
+            consts += (
+                1 + a * b, (1 - a * b) ** 2, (1 - a) * (1 - b), (1 + a) * (1 + b)
+            )
+        consts.append((1 - a1 * a2) * (1 - a3 * a4) / 4)
+        return tuple(float(v) for v in consts)
+
+    def _pair_terms(self, x: float) -> tuple[float, float, float, float]:
+        """|V|, d|V|/dx, Re V and d(Re V)/dx at x, in real arithmetic.
+
+        V = (1 - a1 z)(1 - a2 z)(1 - a3 z)(1 - a4 z) / (1 - z^2)^2 with
+        z = exp(ix).  With c = cos x and s = sin x, a pair of factors is
+        P = (1 - a z)(1 - b z) / z = (1 + ab) c - (a + b) + i (ab - 1) s,
+        and (1 - z^2)^2 = -4 s^2 z^2, so V = -P12 P34 / (4 s^2).  Re P is
+        formed as (1 - a)(1 - b) - (1 + ab) s^2 / (1 + c) for c > 0 and as
+        (1 + ab) s^2 / (1 - c) - (1 + a)(1 + b) otherwise, which does not
+        cancel near the walls when a, b are close to +-1.  The derivatives
+        follow from the product rule over the two pairs.
+        """
+        # per pair: u = 1 + ab, m = (1 - ab)^2, e = (1 - a)(1 - b), f = (1 + a)(1 + b)
+        u12, m12, e12, f12, u34, m34, e34, f34, k = self.pair_constants
+        s, c = math.sin(x), math.cos(x)
+        ss = s * s
+        if c > 0.0:
+            t = ss / (1.0 + c)  # 1 - c
+            re12, re34 = e12 - u12 * t, e34 - u34 * t
+        else:
+            t = ss / (1.0 - c)  # 1 + c
+            re12, re34 = u12 * t - f12, u34 * t - f34
+        # |P|^2 and its derivative over 2 s, per pair
+        n12, n34 = re12 * re12 + m12 * ss, re34 * re34 + m34 * ss
+        h12, h34 = m12 * c - u12 * re12, m34 * c - u34 * re34
+        prod = re12 * re34
+        r = math.sqrt(n12 * n34)
+        q4 = 0.25 / ss
+        q4s = q4 / s
+        return (
+            r * q4,
+            (ss * (h12 * n34 + h34 * n12) - 2.0 * c * n12 * n34) * q4s / r,
+            k - prod * q4,
+            (ss * (u12 * re34 + u34 * re12) + 2.0 * c * prod) * q4s,
+        )
 
     def flow_terms(self, x: float, p: float) -> tuple[float, float, float]:
-        """(H, dH/dx, dH/dp)."""
+        """(H, dH/dx, dH/dp) of H = |V| cosh(p ln q) - Re V."""
         gam = self.log_q
-        w, wx, v, vx = self._potential(x)
+        w, wx, v, vx = self._pair_terms(x)
         gp = gam * p
         c = math.cosh(gp)
         return (w * c - v, wx * c - vx, gam * w * math.sinh(gp))
@@ -544,7 +585,7 @@ class AskeyWilson:
     def second_partials(self, x: float, p: float) -> tuple[float, float]:
         """(d2H/dp2, d2H/dpdx)."""
         gam = self.log_q
-        w, wx, _, _ = self._potential(x)
+        w, wx, _, _ = self._pair_terms(x)
         return (gam * gam * w * math.cosh(gam * p), gam * wx * math.sinh(gam * p))
 
 
@@ -577,7 +618,13 @@ def energy(spec: SystemSpec, n: int) -> float:
     """n-th energy level; the factorised convention fixes energy(0) = 0."""
     if n < 0:
         raise ParameterOutOfRange(f"level index must be >= 0, got n={n}")
-    return spec.energy(n)
+    try:
+        level = spec.energy(n)
+    except OverflowError:  # aw's q ** -n at small q
+        level = math.inf
+    if level == math.inf:
+        raise ParameterOutOfRange(f"level E_{n} overflows double precision for {spec}")
+    return level
 
 
 def energies(spec: SystemSpec, count: int) -> np.ndarray:

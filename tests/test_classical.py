@@ -1,13 +1,17 @@
 """Classical closed form, RK4 flow oracle, closure, potential rebuild."""
 
 import cmath
+import json
 import math
 import tracemalloc
+from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 
 import sincoord as sc
+from sincoord import cli, polynomials, systems
 from sincoord.classical import ClassicalState
 
 PT11 = sc.PoschlTeller(1.0, 1.0)
@@ -21,7 +25,7 @@ AW2 = sc.AskeyWilson(0.5, -0.6, 0.3, 0.0, q=0.55)
 def _reference_terms(spec):
     """H and (dH/dx, dH/dp) as separate scalar functions, in the operation
     order `flow_terms` must keep: pt's H in its tan form and its partials in
-    sin/cos form, aw's potential with one complex factor per parameter."""
+    sin/cos form, aw's potential as two real pairs of factors."""
     if isinstance(spec, sc.PoschlTeller):
         g, h = spec.g, spec.h
 
@@ -46,32 +50,93 @@ def _reference_terms(spec):
             return (x * math.cosh(p) / r, r * math.sinh(p))
 
     else:
-        params = (spec.a1, spec.a2, spec.a3, spec.a4)
+        gam = math.log(spec.q)
 
-        def potential(x):
-            z = cmath.exp(1j * x)
-            z2 = z * z
-            value = 1.0 + 0j
-            log_deriv = 4.0 * z / (1.0 - z2)
-            for aj in params:
-                value *= 1.0 - aj * z
-                if aj != 0.0:
-                    log_deriv -= aj / (1.0 - aj * z)
-            value /= (1.0 - z2) ** 2
-            return value, 1j * z * value * log_deriv
+        def pair(a, b):
+            a, b = Fraction(a), Fraction(b)
+            consts = (1 + a * b, (1 - a * b) ** 2, (1 - a) * (1 - b), (1 + a) * (1 + b))
+            return tuple(float(v) for v in consts)
+
+        u12, m12, e12, f12 = pair(spec.a1, spec.a2)
+        u34, m34, e34, f34 = pair(spec.a3, spec.a4)
+        k = float(
+            (1 - Fraction(spec.a1) * Fraction(spec.a2))
+            * (1 - Fraction(spec.a3) * Fraction(spec.a4))
+            / 4
+        )
+
+        def pairs(x):
+            s, c = math.sin(x), math.cos(x)
+            ss = s * s
+            if c > 0.0:
+                t = ss / (1.0 + c)
+                re12, re34 = e12 - u12 * t, e34 - u34 * t
+            else:
+                t = ss / (1.0 - c)
+                re12, re34 = u12 * t - f12, u34 * t - f34
+            return s, c, ss, re12, re34, re12 * re12 + m12 * ss, re34 * re34 + m34 * ss
 
         def energy(x, p):
-            vc, _ = potential(x)
-            return abs(vc) * math.cosh(math.log(spec.q) * p) - vc.real
+            _, _, ss, re12, re34, n12, n34 = pairs(x)
+            q4 = 0.25 / ss
+            w = math.sqrt(n12 * n34) * q4
+            return w * math.cosh(gam * p) - (k - re12 * re34 * q4)
 
         def partials(x, p):
-            gam = math.log(spec.q)
-            vc, dvc = potential(x)
-            w = abs(vc)
-            wx = (vc.conjugate() * dvc).real / w
-            return (wx * math.cosh(gam * p) - dvc.real, gam * w * math.sinh(gam * p))
+            s, c, ss, re12, re34, n12, n34 = pairs(x)
+            r = math.sqrt(n12 * n34)
+            q4s = 0.25 / ss / s
+            h12, h34 = m12 * c - u12 * re12, m34 * c - u34 * re34
+            wx = (ss * (h12 * n34 + h34 * n12) - 2.0 * c * n12 * n34) * q4s / r
+            vx = (ss * (u12 * re34 + u34 * re12) + 2.0 * c * (re12 * re34)) * q4s
+            gp = gam * p
+            return (wx * math.cosh(gp) - vx, gam * (r * (0.25 / ss)) * math.sinh(gp))
 
     return energy, partials
+
+
+def _complex_terms(spec, x, p, real=math, cplx=cmath):
+    """flow_terms and second_partials of aw from one complex factor per
+    parameter, z = exp(ix): the form the paired real terms replaced, kept as
+    an independent cross-check.  `real` and `cplx` supply log, cosh, sinh
+    and exp: math and cmath in double precision, or mpmath."""
+    z = cplx.exp(1j * x)
+    value = 1.0 + 0j
+    log_deriv = 4.0 * z / (1.0 - z * z)
+    for aj in spec.params:
+        value *= 1.0 - aj * z
+        log_deriv -= aj / (1.0 - aj * z)
+    value /= (1.0 - z * z) ** 2
+    deriv = 1j * z * value * log_deriv
+    w = abs(value)
+    wx = (value.conjugate() * deriv).real / w
+    gam = real.log(spec.q)
+    ch, sh = real.cosh(gam * p), real.sinh(gam * p)
+    return (
+        w * ch - value.real,
+        wx * ch - deriv.real,
+        gam * w * sh,
+        gam * gam * w * ch,
+        gam * wx * sh,
+    )
+
+
+def _aw_accuracy_points(count, seed):
+    """Seeded aw systems with q in (0.05, 0.97) and |a_i| <= 0.99, with x
+    at 1e-4 from either wall for two thirds of them and p in the sample box."""
+    rng = np.random.default_rng(seed)
+    lo, hi = 1e-4, math.pi - 1e-4
+    p_lo, p_hi = sc.AskeyWilson.sample_box[1]
+    points = []
+    while len(points) < count:
+        q = rng.uniform(0.05, 0.97)
+        params = rng.uniform(-0.99, 0.99, 4)
+        if np.prod(params) >= q:
+            continue
+        x = (lo, hi, rng.uniform(lo, hi))[len(points) % 3]
+        spec = sc.AskeyWilson(*params.tolist(), q=q)
+        points.append((spec, float(x), float(rng.uniform(p_lo, p_hi))))
+    return points
 
 
 def _reference_flow(spec, state, t_end, dt):
@@ -201,8 +266,10 @@ class TestFlowOracle:
             (PT11, ClassicalState(0.8, 1e200)),
             (PT11, ClassicalState(0.8, math.nan)),
             (PT12, ClassicalState(1e-300, 0.0)),  # sin(x)^2 underflows to 0
+            (AW1, ClassicalState(1e-300, 0.0)),
         ],
-        ids=["do-overflow", "aw-overflow", "pt-overflow", "pt-nan", "pt-wall"],
+        ids=["do-overflow", "aw-overflow", "pt-overflow", "pt-nan", "pt-wall",
+             "aw-wall"],
     )
     def test_non_finite_initial_energy_is_refused(self, spec, state):
         for call in (
@@ -217,6 +284,13 @@ class TestFlowOracle:
         # H0 = cosh(300) - 1 is finite, but the first stage sends p to ~1e126
         with pytest.raises(sc.EnergyDrift, match="t=0.001 "):
             sc.flow_oracle(DO1, ClassicalState(0.0, 300.0), 1.0, 1e-3)
+
+    @pytest.mark.parametrize("spec", [PT11, AW1], ids=["pt", "aw"])
+    def test_infinite_partial_near_the_wall_is_energy_drift(self, spec):
+        # H is finite at x = 1e-150 but dH/dx overflows, so a stage moves x
+        # to infinity, where the sine or tangent is a domain error
+        with pytest.raises(sc.EnergyDrift, match="t=0.001 "):
+            sc.flow_oracle(spec, ClassicalState(1e-150, 0.1), 0.01, 1e-3)
 
     def test_state_on_the_wall_is_outside(self):
         with pytest.raises(sc.DomainEscape):
@@ -280,6 +354,57 @@ class TestFlowMatchesReference:
             assert sc.hamiltonian(spec, x, p) == energy(x, p)
             assert spec.flow_terms(x, p) == (energy(x, p), *partials(x, p))
             assert sc.poisson_h_eta(spec, x, p) == -partials(x, p)[1] * spec.deta_dx(x)
+
+
+class TestAskeyWilsonTerms:
+    @pytest.mark.parametrize("spec", [AW1, AW2, AW0])
+    def test_match_complex_factors(self, spec):
+        for state in sc.sample_states(spec, 20, seed=9):
+            x, p = state.x, state.p
+            got = spec.flow_terms(x, p) + spec.second_partials(x, p)
+            for value, expected in zip(got, _complex_terms(spec, x, p)):
+                assert abs(value - expected) <= 1e-14 * max(1.0, abs(expected))
+
+    def test_match_mpmath_within_rounding(self):
+        worst = 0.0
+        for spec, x, p in _aw_accuracy_points(150, seed=2024):
+            got = spec.flow_terms(x, p) + spec.second_partials(x, p)
+            with mpmath.workdps(40):
+                exact = _complex_terms(spec, x, p, mpmath, mpmath)
+                errors = [abs(v - e) / max(1, abs(e)) for v, e in zip(got, exact)]
+            worst = max(worst, *map(float, errors))
+        assert worst <= 2e-15
+
+
+def _clear_caches():
+    for module in (systems, polynomials):
+        for value in vars(module).values():
+            if callable(getattr(value, "cache_clear", None)):
+                value.cache_clear()
+
+
+class TestOracleIndependence:
+    """The flow oracle takes nothing from the closure side: a closure
+    coefficient moved by 1e-3 relative must fail the classical suite."""
+
+    @pytest.mark.parametrize("name", ["b1", "b3", "b4"])
+    def test_planted_closure_defect_fails(self, name, monkeypatch, capsys):
+        exact = getattr(sc.AskeyWilson, name).fget
+        monkeypatch.setattr(
+            sc.AskeyWilson, name, property(lambda self: exact(self) * (1.0 + 1e-3))
+        )
+        _clear_caches()
+        try:
+            code = cli.main(
+                ["classical", "--system", "aw", "--a=0.3,-0.2,0.4,0.1", "--q", "0.6",
+                 "--x0=1.5", "--p0=0.3", "--format", "json"]
+            )
+        finally:
+            monkeypatch.undo()
+            _clear_caches()
+        checks = {c["name"]: c for c in json.loads(capsys.readouterr().out)["checks"]}
+        assert code == 1
+        assert not checks["classical_closed_vs_flow"]["pass"]
 
 
 class TestClosedVsFlow:

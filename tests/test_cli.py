@@ -160,6 +160,16 @@ class TestExitCodes:
             ("heisenberg", "--system", "do", "--a", "inf"),
             ("spectrum", "--system", "pt", "--g", "1", "--h", "1e308"),
             ("coherent", "--system", "do", "--a", "1e150"),
+            *(
+                (suite, "--system", "aw", "--a=0.1,0.2,-0.1,0.3", "--q", q)
+                for suite, q in (
+                    ("spectrum", "1e-300"),
+                    ("ladder", "1e-300"),
+                    ("heisenberg", "1e-300"),
+                    ("coherent", "1e-300"),
+                    ("coherent", "1e-5"),
+                )
+            ),
         ],
         ids=[
             "guard-zero", "time-nan", "negative-tend", "empty-time-grid",
@@ -172,6 +182,9 @@ class TestExitCodes:
             "dimension-below-guard-plus-two", "zero-dt",
             "infinite-g-ladder", "infinite-g-heisenberg", "infinite-a-heisenberg",
             "overflowing-h-spectrum", "nan-residual-coherent-do",
+            "level-overflow-aw-spectrum", "level-overflow-aw-ladder",
+            "level-overflow-aw-heisenberg", "level-overflow-aw-coherent",
+            "level-overflow-aw-coherent-q1e-5",
         ],
     )
     def test_out_of_range_request_exits_two_without_traceback(self, args):

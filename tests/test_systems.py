@@ -208,6 +208,13 @@ class TestEnergy:
         with pytest.raises(sc.ParameterOutOfRange):
             sc.energy(PT11, -1)
 
+    @pytest.mark.parametrize("q,level", [(1e-300, 2), (1e-5, 62)])
+    def test_overflowing_level_is_refused(self, q, level):
+        spec = sc.AskeyWilson(0.1, 0.2, -0.1, 0.3, q=q)
+        with pytest.raises(sc.ParameterOutOfRange, match=f"E_{level} .*q={q}"):
+            sc.energies(spec, level + 1)
+        sc.energies(spec, level)
+
 
 class TestRPolynomials:
     def test_do_closure_is_trivial(self):
