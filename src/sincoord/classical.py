@@ -261,14 +261,25 @@ def check_closed_vs_flow(
 def check_poisson_closure(
     spec: SystemSpec, states: list[ClassicalState], tol: float = 1e-6
 ) -> CheckReport:
-    """{H, {H, eta}} = -eta R0(H) - R-1(H) at the given phase-space points."""
+    """{H, {H, eta}} = -eta R0(H) - R-1(H) at the given phase-space points.
+
+    Raises DomainEscape for a state outside the domain and
+    ParameterOutOfRange, naming the state, where H or its partials
+    overflow or divide by zero (next to a wall or at large |p|).
+    """
     _require_states(states)
     closure = classical_r_polynomials(spec)
     worst = 0.0
     for state in states:
         require_inside(spec, state.x, DomainEscape)
-        lhs = poisson_h_h_eta(spec, state.x, state.p)
-        h0 = hamiltonian(spec, state.x, state.p)
+        try:
+            lhs = poisson_h_h_eta(spec, state.x, state.p)
+            h0 = hamiltonian(spec, state.x, state.p)
+        except ArithmeticError as exc:
+            raise ParameterOutOfRange(
+                f"H or its partials are not finite at the state x={state.x}, "
+                f"p={state.p} ({exc})"
+            ) from None
         rhs = -float(spec.eta(state.x)) * closure.r0(h0) - closure.rm1(h0)
         worst = np.maximum(worst, abs(lhs - rhs) / max(1.0, abs(lhs), abs(rhs)))
     return make_report("poisson_closure", worst, tol, states=len(states))

@@ -40,14 +40,14 @@ def coherent_coeffs(spec: SystemSpec, lam: complex, truncation: int) -> Coherent
     lam = complex(lam)
     if not np.isfinite(lam):
         raise ParameterOutOfRange(f"eigenvalue must be finite, got lambda={lam}")
-    rec = recurrence(spec)
+    lowering = recurrence(spec).C(np.arange(1, truncation + 1))
+    zero = np.flatnonzero(lowering == 0.0)
+    if zero.size:
+        raise ZeroRecurrenceCoefficient(f"C_{zero[0] + 1} = 0")
     coeffs = np.zeros(truncation + 1, dtype=complex)
     coeffs[0] = 1.0
     with np.errstate(over="ignore", invalid="ignore"):  # reported just below
-        for n in range(1, truncation + 1):
-            c_n = rec.C(n)
-            if c_n == 0.0:
-                raise ZeroRecurrenceCoefficient(f"C_{n} = 0")
+        for n, c_n in enumerate(lowering.tolist(), start=1):
             coeffs[n] = lam * coeffs[n - 1] / c_n
     overflow = np.flatnonzero(~np.isfinite(coeffs))
     if overflow.size:

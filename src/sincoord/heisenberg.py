@@ -8,9 +8,13 @@ Two independent realisations are kept side by side:
   conjugation by exp(i t H) does to any matrix in the eigenbasis and uses
   none of the closure data.
 
-Both act on the three diagonals of the tridiagonal operators, one time
-sample at a time; `check_heisenberg` builds eta, [H, eta] and the
-frequencies once and then spends O(N) per sample.
+Both act on the three diagonals of the tridiagonal operators.  Each kernel
+takes a vector of T times and returns (T, 3, N) bands, one operator per
+time; `exact_evolution`, `oracle_evolution` and `HeisenbergSolution.evolve`
+call them with a single time.  `check_heisenberg` builds eta, [H, eta] and
+the frequencies once and runs its time grid through the kernels in blocks
+of at most `_BLOCK_ENTRIES` // N times, so its memory stays O(N) however
+long the grid is.
 """
 
 from __future__ import annotations
@@ -33,9 +37,29 @@ from .operators import (
     _window_max,
 )
 from .report import CheckReport, make_report
-from .systems import SystemSpec, energies
+from .systems import SystemSpec
 
 DEFAULT_T_GRID = (0.0, 0.1, 0.37, 1.0, 2.5, 5.0)
+
+# Times x levels evaluated at once: N <= 512 runs the default grid in one
+# block, and a block of (T, 3, N) complex bands stays near 0.2 MiB.
+_BLOCK_ENTRIES = 4096
+
+
+def _times(t_samples) -> np.ndarray:
+    """The time samples as a float vector; a non-finite one is refused
+    before any time is evaluated."""
+    times = [float(t) for t in t_samples]
+    for t in times:
+        if not math.isfinite(t):
+            raise ParameterOutOfRange(f"time must be finite, got t={t}")
+    return np.array(times)
+
+
+def _phases(ap: np.ndarray, am: np.ndarray, times: np.ndarray):
+    """e^{i alpha_plus t} and e^{i alpha_minus t}, shape (T, N)."""
+    t = times[:, None]
+    return np.exp(1j * ap * t), np.exp(1j * am * t)
 
 
 @dataclass(frozen=True)
@@ -48,14 +72,20 @@ class HeisenbergSolution:
     freq_plus: np.ndarray
     freq_minus: np.ndarray
 
+    def split_bands(self, phase_p: np.ndarray, phase_m: np.ndarray) -> np.ndarray:
+        """(T, 3, N) bands of a_plus e^{i a+ t} + const + a_minus e^{i a- t}
+        from the phases of `_phases` (diagonals right)."""
+        up = self.a_plus.bands * phase_p[:, None, :]
+        down = self.a_minus.bands * phase_m[:, None, :]
+        return _plus_diagonal(up, self.constant_part) + down
+
     def evolve(self, t: float) -> TruncatedOperator:
         """a_plus e^{i a+ t} + const + a_minus e^{i a- t} (diagonals right)."""
-        up = self.a_plus.bands * np.exp(1j * self.freq_plus * t)[None, :]
-        down = self.a_minus.bands * np.exp(1j * self.freq_minus * t)[None, :]
+        phases = _phases(self.freq_plus, self.freq_minus, _times((t,)))
         return TruncatedOperator(
             dim=self.a_plus.dim,
             guard=self.a_plus.guard,
-            bands=_plus_diagonal(up, self.constant_part) + down,
+            bands=self.split_bands(*phases)[0],
         )
 
 
@@ -75,25 +105,22 @@ def build_solution(spec: SystemSpec, n_dim: int, guard: int) -> HeisenbergSoluti
     return _solution(eta_op, comm_op, ratio, ap, am)
 
 
-def _closed_form(eta, comm, ratio, ap, am, t: float) -> np.ndarray:
-    """Bands of [H, eta] osc(H) - R(H) + (eta + R(H)) mix(H) at time t, with
-    R = R-1/R0 and every function of H multiplying from the right."""
-    if not math.isfinite(t):
-        raise ParameterOutOfRange(f"time must be finite, got t={t}")
+def _closed_form(eta, comm, ratio, ap, am, phase_p, phase_m) -> np.ndarray:
+    """(T, 3, N) bands of [H, eta] osc(H) - R(H) + (eta + R(H)) mix(H) at
+    the times of the phases, with R = R-1/R0 and every function of H
+    multiplying from the right."""
     denom = ap - am
-    phase_p = np.exp(1j * ap * t)
-    phase_m = np.exp(1j * am * t)
     osc = (phase_p - phase_m) / denom
     mix = (-am * phase_p + ap * phase_m) / denom
     return (
-        _plus_diagonal(comm * osc[None, :], -ratio)
-        + _plus_diagonal(eta, ratio) * mix[None, :]
+        _plus_diagonal(comm * osc[:, None, :], -ratio)
+        + _plus_diagonal(eta, ratio) * mix[:, None, :]
     )
 
 
-def _phase_oracle(eta, gaps, t: float) -> np.ndarray:
-    """Bands of eta_mn e^{i (E_m - E_n) t}."""
-    return eta * np.exp(1j * gaps * t)
+def _phase_oracle(eta, gaps, times: np.ndarray) -> np.ndarray:
+    """(T, 3, N) bands of eta_mn e^{i (E_m - E_n) t}."""
+    return eta * np.exp(1j * gaps * times[:, None, None])
 
 
 def exact_evolution(
@@ -104,19 +131,19 @@ def exact_evolution(
     Every function of H multiplies from the right as a diagonal.
     """
     eta_op, comm_op, _, ratio, ap, am = _closure_data(spec, n_dim, guard)
-    bands = _closed_form(eta_op.bands, comm_op.bands, ratio, ap, am, t)
-    return TruncatedOperator(dim=n_dim, guard=guard, bands=bands)
+    phases = _phases(ap, am, _times((t,)))
+    bands = _closed_form(eta_op.bands, comm_op.bands, ratio, ap, am, *phases)
+    return TruncatedOperator(dim=n_dim, guard=guard, bands=bands[0])
 
 
 def oracle_evolution(
     spec: SystemSpec, n_dim: int, guard: int, t: float
 ) -> TruncatedOperator:
     """Elementwise phase oracle: (eta)_mn e^{i (E_m - E_n) t}."""
-    _, eta_op, _ = build_basic(spec, n_dim, guard)
-    gaps = _level_gaps(energies(spec, n_dim))
-    return TruncatedOperator(
-        dim=n_dim, guard=guard, bands=_phase_oracle(eta_op.bands, gaps, t)
-    )
+    ham, eta_op, _ = build_basic(spec, n_dim, guard)
+    gaps = _level_gaps(ham.bands[1].real)
+    bands = _phase_oracle(eta_op.bands, gaps, _times((t,)))
+    return TruncatedOperator(dim=n_dim, guard=guard, bands=bands[0])
 
 
 def check_heisenberg(
@@ -130,7 +157,8 @@ def check_heisenberg(
 
     Residuals are entrywise over the interior window, per-column relative
     where the family has `relative_residuals`.  The operators and the
-    frequencies are built once; each time sample then costs O(N).
+    frequencies are built once; the time samples then run through the
+    kernels in blocks, each sample costing O(N).
     """
     if tol is None:
         tol = spec.tolerances["heisenberg_evolution"]
@@ -138,16 +166,20 @@ def check_heisenberg(
     if not times:
         raise ParameterOutOfRange("need at least one time sample")
     eta_op, comm_op, levels, ratio, ap, am = _closure_data(spec, n_dim, guard)
+    grid = _times(times)
     solution = _solution(eta_op, comm_op, ratio, ap, am)
     gaps = _level_gaps(levels)
     worst_oracle = 0.0
     worst_split = 0.0
-    for t in times:
-        exact = _closed_form(eta_op.bands, comm_op.bands, ratio, ap, am, t)
-        oracle = _phase_oracle(eta_op.bands, gaps, t)
-        split = solution.evolve(t).bands
+    step = max(1, _BLOCK_ENTRIES // n_dim)
+    for start in range(0, len(grid), step):
+        block = grid[start : start + step]
+        phases = _phases(ap, am, block)
+        exact = _closed_form(eta_op.bands, comm_op.bands, ratio, ap, am, *phases)
+        oracle = _phase_oracle(eta_op.bands, gaps, block)
+        split = solution.split_bands(*phases)
         if spec.relative_residuals:
-            col_scale = _column_max(np.abs(oracle), eta_op, 1.0)
+            col_scale = _column_max(np.abs(oracle), eta_op, 1.0)[:, None, :]
         else:
             col_scale = 1.0
         worst_oracle = np.maximum(

@@ -13,12 +13,20 @@ them by the level gaps E_m - E_n.  The dense N x N matrix is built on demand
 operators, [a'-, a'+] in `check_su11`, and for callers that want a matrix.
 A guard band of G top indices absorbs truncation damage; identities are only
 asserted on the interior window 0 .. N-G-1.
+
+The bands of H and eta come from one array call each of the family's
+`energy` and recurrence coefficients.  `build_basic` and `_closure_data`
+keep their last few results per (system, N, G), so the checks of one suite
+build eta, [H, eta] and the frequencies once; the arrays they hand out are
+read-only.  The band helpers also take a stack of operators, (T, 3, N)
+bands with a leading batch axis, as the Heisenberg time grid uses them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 
 import numpy as np
 
@@ -36,6 +44,7 @@ from .systems import (
     SystemSpec,
     alpha_pm,
     energies,
+    frequency_pair,
     r_polynomials,
 )
 
@@ -125,22 +134,34 @@ def _commutator_with_h(levels: np.ndarray, bands: np.ndarray) -> np.ndarray:
 
 
 def _plus_diagonal(bands: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """X + diag(values), as new bands."""
+    """X + diag(values), as new bands; X may carry leading batch axes."""
     out = bands.copy()
-    out[1] = out[1] + values
+    out[..., 1, :] = out[..., 1, :] + values
     return out
 
 
 def _window_max(values: np.ndarray, op: TruncatedOperator) -> float:
-    """Largest of the nonnegative band `values` inside op's window."""
+    """Largest of the nonnegative band `values` inside op's window, over
+    every operator of a batch."""
     return float(np.max(values, where=op.window_mask(), initial=0.0))
 
 
 def _column_max(values: np.ndarray, op: TruncatedOperator, floor: float) -> np.ndarray:
-    """Per column, the largest of `floor` and the band `values` inside op's window."""
-    return np.max(values, axis=0, where=op.window_mask(), initial=floor)
+    """Per column (and per operator of a batch), the largest of `floor` and
+    the band `values` inside op's window."""
+    return np.max(values, axis=-2, where=op.window_mask(), initial=floor)
 
 
+def _read_only(*arrays: np.ndarray) -> None:
+    for array in arrays:
+        array.setflags(write=False)
+
+
+# Results kept per (system, N, G): one suite asks for at most three sizes.
+_KEPT = 4
+
+
+@lru_cache(maxsize=_KEPT)
 def build_basic(
     spec: SystemSpec, n_dim: int, guard: int
 ) -> tuple[TruncatedOperator, TruncatedOperator, TruncatedOperator]:
@@ -148,42 +169,50 @@ def build_basic(
 
     H is diagonal with the exact spectrum; the coordinate is tridiagonal
     with the recurrence coefficients (A_n below, B_n on, C_n above the
-    diagonal, per column n).
+    diagonal, per column n).  The bands are read-only and shared between
+    calls with the same arguments.
     """
     _check_dims(n_dim, guard)
     rec = recurrence(spec)
     levels = energies(spec, n_dim)
+    n = np.arange(n_dim)
     eta = np.zeros((3, n_dim), dtype=complex)
-    eta[0, 1:] = [rec.C(n) for n in range(1, n_dim)]
-    eta[1] = [rec.B(n) for n in range(n_dim)]
-    eta[2, :-1] = [rec.A(n) for n in range(n_dim - 1)]
+    eta[0, 1:] = rec.C(n[1:])
+    eta[1] = rec.B(n)
+    eta[2, :-1] = rec.A(n[:-1])
     ham = np.zeros((3, n_dim), dtype=complex)
     ham[1] = levels
     comm = _commutator_with_h(levels, eta)
+    _read_only(ham, eta, comm)
     wrap = lambda b: TruncatedOperator(dim=n_dim, guard=guard, bands=b)
     return wrap(ham), wrap(eta), wrap(comm)
 
 
-def _closure_vectors(spec: SystemSpec, n_dim: int):
-    """R-polynomial values on the spectrum (no positivity requirement)."""
+def _closure_vectors(spec: SystemSpec, ham: TruncatedOperator):
+    """The levels, read off the diagonal of H, and the R-polynomial values
+    on them (no positivity requirement)."""
+    levels = ham.bands[1].real
     model = r_polynomials(spec)
-    levels = energies(spec, n_dim)
     return levels, model.r0(levels), model.r1(levels), model.rm1(levels)
 
 
+@lru_cache(maxsize=_KEPT)
 def _closure_data(spec: SystemSpec, n_dim: int, guard: int):
     """eta, [H, eta], the levels, R-1/R0 and alpha_pm on the spectrum;
-    demands R0 > 0 and distinct frequencies."""
-    _, eta_op, comm_op = build_basic(spec, n_dim, guard)
-    levels, r0v, _, rm1v = _closure_vectors(spec, n_dim)
+    demands R0 > 0 and distinct frequencies.  The arrays are read-only and
+    shared between calls with the same arguments."""
+    ham, eta_op, comm_op = build_basic(spec, n_dim, guard)
+    levels, r0v, r1v, rm1v = _closure_vectors(spec, ham)
     if np.any(r0v <= 0.0):
         raise ComplexFrequencies(
             "R0(E_n) must be positive on the truncated spectrum"
         )
-    ap, am = alpha_pm(spec, levels)
+    ap, am = frequency_pair(r0v, r1v, levels)
     if np.any(ap - am == 0.0):
         raise DegenerateFrequencies("coincident frequencies on the spectrum")
-    return eta_op, comm_op, levels, rm1v / r0v, ap, am
+    ratio = rm1v / r0v
+    _read_only(ratio, ap, am)
+    return eta_op, comm_op, levels, ratio, ap, am
 
 
 def _ladder_pair(
@@ -238,8 +267,9 @@ def check_ladder_action(
     rec = recurrence(spec)
     pair = build_ladder(spec, n_dim, guard)
     d = pair.a_plus.interior
-    up = np.array([rec.A(n) for n in range(d - 1)])  # raising acts on 0 .. d-2
-    down = np.array([rec.C(n) for n in range(1, d)])  # lowering on 1 .. d-1
+    n = np.arange(d)
+    up = rec.A(n[:-1])  # raising acts on 0 .. d-2
+    down = rec.C(n[1:])  # lowering on 1 .. d-1
     target_up = np.zeros((3, n_dim), dtype=complex)
     target_up[2, : d - 1] = up
     target_dn = np.zeros((3, n_dim), dtype=complex)
@@ -260,8 +290,8 @@ def check_two_commutator(
     """[H, [H, eta]] = eta R0(H) + [H, eta] R1(H) + R-1(H) on the window."""
     if tol is None:
         tol = spec.tolerances["two_commutator"]
-    _, eta_op, comm_op = build_basic(spec, n_dim, guard)
-    levels, r0v, r1v, rm1v = _closure_vectors(spec, n_dim)
+    ham, eta_op, comm_op = build_basic(spec, n_dim, guard)
+    levels, r0v, r1v, rm1v = _closure_vectors(spec, ham)
     lhs = _commutator_with_h(levels, comm_op.bands)
     rhs = _plus_diagonal(
         eta_op.bands * r0v[None, :] + comm_op.bands * r1v[None, :], rm1v
@@ -289,13 +319,13 @@ def check_hermitian_conjugacy(
     n_top = min(n_limit, pair.a_plus.interior - 2)
     h = norms(spec, n_top + 1)
     scale = np.sqrt(h)
-    worst = 0.0
-    below = pair.a_plus.bands[2]  # entry (n+1, n)
-    above = pair.a_minus.bands[0]  # entry (n-1, n)
-    for n in range(n_top + 1):
-        up = below[n].real * scale[n + 1] / scale[n]
-        down = above[n + 1].real * scale[n] / scale[n + 1]
-        worst = np.maximum(worst, abs(up - down) / max(abs(up), abs(down)))
+    below = pair.a_plus.bands[2, : n_top + 1].real  # entry (n+1, n)
+    above = pair.a_minus.bands[0, 1 : n_top + 2].real  # entry (n-1, n)
+    up = below * scale[1:] / scale[:-1]
+    down = above * scale[:-1] / scale[1:]
+    worst = np.max(
+        np.abs(up - down) / np.maximum(np.abs(up), np.abs(down)), initial=0.0
+    )
     return make_report(
         "hermitian_conjugacy", worst, tol, N=n_dim, G=guard, n_top=n_top
     )

@@ -22,17 +22,19 @@ from .systems import SystemSpec
 class RecurrenceData:
     """Coefficients in eta P_n = A_n P_{n+1} + B_n P_n + C_n P_{n-1}.
 
-    C(0) would multiply the nonexistent P_{-1}; asking for it raises.
+    Each takes an int n or an int array of them and returns a float or a
+    float array.  C(0) would multiply the nonexistent P_{-1}; asking for it
+    raises.
     """
 
-    A: Callable[[int], float]
-    B: Callable[[int], float]
-    C: Callable[[int], float]
+    A: Callable
+    B: Callable
+    C: Callable
 
 
-def _guard_c(fn: Callable[[int], float]) -> Callable[[int], float]:
-    def c(n: int) -> float:
-        if n < 1:
+def _guard_c(fn: Callable) -> Callable:
+    def c(n):
+        if np.any(np.less(n, 1)):
             raise ParameterOutOfRange("C_0 multiplies P_{-1} and is never defined")
         return fn(n)
 
@@ -50,12 +52,15 @@ def eval_all(spec: SystemSpec, n_max: int, eta) -> np.ndarray:
     """P_0 .. P_{n_max} at the coordinate values eta, shape (n_max+1, ...)."""
     eta_arr = np.asarray(eta, dtype=float)
     rec = recurrence(spec)
+    degrees = np.arange(n_max)
+    a, b = rec.A(degrees).tolist(), rec.B(degrees).tolist()
+    c = [0.0] + rec.C(degrees[1:]).tolist()  # C_0 is never used
     out = np.empty((n_max + 1,) + eta_arr.shape, dtype=float)
     out[0] = 1.0
     if n_max >= 1:
-        out[1] = (eta_arr - rec.B(0)) / rec.A(0)
+        out[1] = (eta_arr - b[0]) / a[0]
     for n in range(1, n_max):
-        out[n + 1] = ((eta_arr - rec.B(n)) * out[n] - rec.C(n) * out[n - 1]) / rec.A(n)
+        out[n + 1] = ((eta_arr - b[n]) * out[n] - c[n] * out[n - 1]) / a[n]
     return out
 
 

@@ -25,6 +25,13 @@ modules need to know about it:
 * the CLI `tag` and the suite defaults `level_cap`, `heisenberg_n` and
   `coherent_lambda` (the parameter dict is the dataclass's own fields).
 
+`energy(n)` and the A, B, C functions take an int level index or an int
+array of them, with the expression written once for both, so a caller gets
+every level of a truncation from one call; the array and the scalar forms
+round alike.  aw takes each power q^k from Python's float pow, one call per
+exponent (`AskeyWilson._q_pow`): numpy's vectorised power differs from it in
+the last bit for some (q, k).
+
 The other modules are written once against these members.  This module also
 owns the closure polynomials as data and the two frequency functions
 alpha_pm(E) built from them.
@@ -127,7 +134,7 @@ class PoschlTeller:
                 f"g + h must be finite and at most {top:.6g}, got g={self.g}, h={self.h}"
             )
 
-    def energy(self, n: int) -> float:
+    def energy(self, n):
         return 2.0 * n * (n + self.g + self.h)
 
     def closure_polynomials(self) -> tuple[HPoly, HPoly, HPoly, float]:
@@ -147,18 +154,18 @@ class PoschlTeller:
         """Jacobi polynomials P^(alpha, beta) in eta = cos 2x."""
         al, be = self.alpha, self.beta
 
-        def a_coef(n: int) -> float:
+        def a_coef(n):
             s = 2.0 * n + al + be
             return 2.0 * (n + 1) * (n + al + be + 1) / ((s + 1) * (s + 2))
 
-        def b_coef(n: int) -> float:
-            if n == 0:
-                # limit form; the generic one is 0/0 when al + be = 0
-                return (be - al) / (al + be + 2.0)
-            s = 2.0 * n + al + be
-            return (be * be - al * al) / (s * (s + 2.0))
+        def b_coef(n):
+            # n = 0 takes the limit form: the generic one is 0/0 there when
+            # al + be = 0, so it is formed at n >= 1 only
+            s = 2.0 * np.maximum(n, 1) + al + be
+            generic = (be * be - al * al) / (s * (s + 2.0))
+            return np.where(n == 0, (be - al) / (al + be + 2.0), generic)[()]
 
-        def c_coef(n: int) -> float:
+        def c_coef(n):
             s = 2.0 * n + al + be
             return 2.0 * (n + al) * (n + be) / (s * (s + 1.0))
 
@@ -242,8 +249,8 @@ class DeformedOscillator:
         if not self.a <= top:
             raise ParameterOutOfRange(f"a must be finite and at most {top:.6g}, got a={self.a}")
 
-    def energy(self, n: int) -> float:
-        return float(n)
+    def energy(self, n):
+        return 1.0 * n
 
     def closure_polynomials(self) -> tuple[HPoly, HPoly, HPoly, float]:
         return HPoly((1.0,)), HPoly((0.0,)), HPoly((0.0,)), 0.0
@@ -256,7 +263,7 @@ class DeformedOscillator:
         a = self.a
         return (
             lambda n: 0.5 * (n + 1),
-            lambda n: 0.0,
+            lambda n: 0.0 * n,
             lambda n: 0.5 * (n + 2.0 * a - 1.0),
         )
 
@@ -402,9 +409,29 @@ class AskeyWilson:
                 f"a1*a2*a3*a4 = {self.b4} must stay below q = {q}"
             )
 
-    def energy(self, n: int) -> float:
-        q = self.q
-        return (q ** -n - 1.0) * (1.0 - self.b4 * q ** (n - 1)) / 2.0
+    def _q_pow(self, k):
+        """q ** k for an int exponent k or an int array of them; inf where
+        the power overflows.
+
+        Each power comes from Python's float pow, one call per exponent:
+        numpy's vectorised power differs from it in the last bit for some
+        (q, k), and the levels and coefficients must not depend on whether
+        one level or an array of them was asked for.
+        """
+        ks, q = np.asarray(k), float(self.q)
+        powers = []
+        for j in ks.ravel().tolist():
+            try:
+                powers.append(q ** j)
+            except OverflowError:  # q ** -n at small q
+                powers.append(math.inf)
+        if ks.ndim == 0:
+            return powers[0]
+        return np.array(powers).reshape(ks.shape)
+
+    def energy(self, n):
+        qp = self._q_pow
+        return (qp(-n) - 1.0) * (1.0 - self.b4 * qp(n - 1)) / 2.0
 
     def closure_polynomials(self) -> tuple[HPoly, HPoly, HPoly, float]:
         q, b1, b3, b4 = self.q, self.b1, self.b3, self.b4
@@ -435,21 +462,22 @@ class AskeyWilson:
 
     def recurrence_coefficients(self):
         """Askey-Wilson polynomials in eta = cos x."""
-        q, b4 = self.q, self.b4
+        qp, b4 = self._q_pow, self.b4
         a1, a2, a3, a4 = self.params
         pair_products = (a1 * a2, a1 * a3, a1 * a4, a2 * a3, a2 * a4, a3 * a4)
 
-        def a_coef(n: int) -> float:
-            return (1.0 - b4 * q ** (n - 1)) / (
-                2.0 * (1.0 - b4 * q ** (2 * n - 1)) * (1.0 - b4 * q ** (2 * n))
+        def a_coef(n):
+            return (1.0 - b4 * qp(n - 1)) / (
+                2.0 * (1.0 - b4 * qp(2 * n - 1)) * (1.0 - b4 * qp(2 * n))
             )
 
-        def c_coef(n: int) -> float:
-            num = 1.0 - q**n
+        def c_coef(n):
+            num = 1.0 - qp(n)
+            q_down = qp(n - 1)
             for p in pair_products:
-                num *= 1.0 - p * q ** (n - 1)
+                num = num * (1.0 - p * q_down)
             return num / (
-                2.0 * (1.0 - b4 * q ** (2 * n - 2)) * (1.0 - b4 * q ** (2 * n - 1))
+                2.0 * (1.0 - b4 * qp(2 * n - 2)) * (1.0 - b4 * qp(2 * n - 1))
             )
 
         # The diagonal coefficient is invariant under rescaling of P_n,
@@ -459,24 +487,25 @@ class AskeyWilson:
         slot = 0.0 if slot_index is None else self.params[slot_index]
         rest = [v for i, v in enumerate(self.params) if i != slot_index]
 
-        def b_coef(n: int) -> float:
+        def b_coef(n):
             if slot == 0.0:
-                return 0.0  # fully symmetric weight
+                return 0.0 * n  # fully symmetric weight
             a = slot
             b, c, d = rest
+            q_n, q_down, q_odd = qp(n), qp(n - 1), qp(2 * n - 1)
             a_ks = (
-                (1.0 - a * b * q**n)
-                * (1.0 - a * c * q**n)
-                * (1.0 - a * d * q**n)
-                * (1.0 - b4 * q ** (n - 1))
-            ) / (a * (1.0 - b4 * q ** (2 * n - 1)) * (1.0 - b4 * q ** (2 * n)))
+                (1.0 - a * b * q_n)
+                * (1.0 - a * c * q_n)
+                * (1.0 - a * d * q_n)
+                * (1.0 - b4 * q_down)
+            ) / (a * (1.0 - b4 * q_odd) * (1.0 - b4 * qp(2 * n)))
             c_ks = (
                 a
-                * (1.0 - q**n)
-                * (1.0 - b * c * q ** (n - 1))
-                * (1.0 - b * d * q ** (n - 1))
-                * (1.0 - c * d * q ** (n - 1))
-            ) / ((1.0 - b4 * q ** (2 * n - 2)) * (1.0 - b4 * q ** (2 * n - 1)))
+                * (1.0 - q_n)
+                * (1.0 - b * c * q_down)
+                * (1.0 - b * d * q_down)
+                * (1.0 - c * d * q_down)
+            ) / ((1.0 - b4 * qp(2 * n - 2)) * (1.0 - b4 * q_odd))
             return 0.5 * (a + 1.0 / a - a_ks - c_ks)
 
         return a_coef, b_coef, c_coef
@@ -614,22 +643,37 @@ def require_inside(spec: SystemSpec, x, error: type[Exception] = EvaluationDomai
         raise error(f"x={x} lies outside the open domain ({lo}, {hi})")
 
 
+def _level_overflow(spec: SystemSpec, n: int) -> ParameterOutOfRange:
+    return ParameterOutOfRange(f"level E_{n} overflows double precision for {spec}")
+
+
 def energy(spec: SystemSpec, n: int) -> float:
     """n-th energy level; the factorised convention fixes energy(0) = 0."""
     if n < 0:
         raise ParameterOutOfRange(f"level index must be >= 0, got n={n}")
-    try:
-        level = spec.energy(n)
-    except OverflowError:  # aw's q ** -n at small q
-        level = math.inf
-    if level == math.inf:
-        raise ParameterOutOfRange(f"level E_{n} overflows double precision for {spec}")
+    level = spec.energy(n)
+    if level == math.inf:  # aw's q ** -n at small q
+        raise _level_overflow(spec, n)
     return level
 
 
+# Levels formed per array call of `energy`: a request far past the level
+# that overflows is refused without forming the levels beyond it.
+_LEVEL_BLOCK = 4096
+
+
 def energies(spec: SystemSpec, count: int) -> np.ndarray:
-    """Levels 0 .. count-1 as a float array."""
-    return np.array([energy(spec, n) for n in range(count)], dtype=float)
+    """Levels 0 .. count-1 as a float array, from array calls of `energy`
+    (one up to 4096 levels); refuses the first level that overflows, as
+    `energy` does."""
+    levels = np.empty(max(count, 0))
+    for start in range(0, count, _LEVEL_BLOCK):
+        block = spec.energy(np.arange(start, min(count, start + _LEVEL_BLOCK)))
+        overflow = np.flatnonzero(block == math.inf)
+        if overflow.size:
+            raise _level_overflow(spec, start + int(overflow[0]))
+        levels[start : start + _LEVEL_BLOCK] = block
+    return levels
 
 
 @lru_cache(maxsize=None)
@@ -654,8 +698,13 @@ def alpha_pm(spec: SystemSpec, e):
     is R1(e) and their product is -R0(e).
     """
     model = r_polynomials(spec)
-    r1v = model.r1(e)
-    disc = r1v * r1v + 4.0 * model.r0(e)
+    return frequency_pair(model.r0(e), model.r1(e), e)
+
+
+def frequency_pair(r0v, r1v, e):
+    """(alpha_plus, alpha_minus) from R0(e) and R1(e), for callers that
+    already hold those values; see `alpha_pm`."""
+    disc = r1v * r1v + 4.0 * r0v
     if np.any(disc < 0.0):
         first = np.flatnonzero(disc < 0.0)[0]
         raise ComplexFrequencies(

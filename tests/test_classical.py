@@ -455,6 +455,19 @@ class TestPoissonClosure:
         assert closure.r0.coeffs == pytest.approx((0.25 * gsq, gsq, gsq))
         assert closure.rm1.coeffs == pytest.approx((0.0, 0.0))
 
+    @pytest.mark.parametrize(
+        "spec, x, p",
+        [
+            (AW1, 1e-200, 0.3),  # division by zero next to the wall
+            (AW1, 1.5, 1e4),  # cosh(p ln q) overflows
+            (PT11, 1e-200, 0.3),
+            (DO1, 0.5, 800.0),
+        ],
+    )
+    def test_nonfinite_terms_are_refused_naming_the_state(self, spec, x, p):
+        with pytest.raises(sc.ParameterOutOfRange, match=f"x={x}, p={p}"):
+            sc.check_poisson_closure(spec, [ClassicalState(x, p)])
+
     @pytest.mark.parametrize("spec", [PT12, DO1, AW1])
     def test_analytic_brackets_match_finite_differences(self, spec):
         for state in sc.sample_states(spec, 10, seed=5):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import sincoord as sc
+from sincoord import heisenberg, operators
 
 PT23 = sc.PoschlTeller(2.0, 3.0)
 DO1 = sc.DeformedOscillator(1.0)
@@ -134,6 +135,36 @@ class TestCheckHeisenberg:
         oracle, split = dense_heisenberg(spec, 40, 4, T_GRID)
         assert report.details["max_vs_oracle"] == oracle
         assert report.details["max_vs_decomposition"] == split
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_nonfinite_time_is_refused_before_any_sample(self, bad, monkeypatch):
+        evaluated = []
+        phases = heisenberg._phases
+        monkeypatch.setattr(
+            heisenberg, "_phases", lambda *args: evaluated.append(args) or phases(*args)
+        )
+        with pytest.raises(sc.ParameterOutOfRange, match=f"time must be finite, got t={bad}"):
+            sc.check_heisenberg(DO1, 20, 4, (0.1, 1.0, bad, 2.0))
+        assert evaluated == []
+        for evolution in (sc.exact_evolution, sc.oracle_evolution):
+            with pytest.raises(sc.ParameterOutOfRange, match="time must be finite"):
+                evolution(DO1, 20, 4, bad)
+        with pytest.raises(sc.ParameterOutOfRange, match="time must be finite"):
+            sc.build_solution(DO1, 20, 4).evolve(bad)
+
+    def test_single_time_entry_points_share_the_batched_kernels(self):
+        # exact_evolution, oracle_evolution and evolve at one time give the
+        # rows of the (T, 3, N) bands the check evaluates
+        grid = np.array([0.37, 2.5])
+        eta, comm, levels, ratio, ap, am = operators._closure_data(PT23, 20, 4)
+        phases = heisenberg._phases(ap, am, grid)
+        exact = heisenberg._closed_form(eta.bands, comm.bands, ratio, ap, am, *phases)
+        oracle = heisenberg._phase_oracle(eta.bands, operators._level_gaps(levels), grid)
+        split = sc.build_solution(PT23, 20, 4).split_bands(*phases)
+        for k, t in enumerate(grid.tolist()):
+            assert np.array_equal(sc.exact_evolution(PT23, 20, 4, t).bands, exact[k])
+            assert np.array_equal(sc.oracle_evolution(PT23, 20, 4, t).bands, oracle[k])
+            assert np.array_equal(sc.build_solution(PT23, 20, 4).evolve(t).bands, split[k])
 
     def test_rejects_empty_time_grid(self):
         with pytest.raises(sc.ParameterOutOfRange):

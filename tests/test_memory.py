@@ -4,7 +4,9 @@ One dense 2048 x 2048 complex matrix is 64 MiB; the traced peak of the
 banded checks at that size stays far below 8 MiB, so any N x N temporary
 reintroduced on these paths fails here.  The same limit holds the blocked
 q-Pochhammer product at q = 0.999, whose ~40,000 factors over 1,041 nodes
-would take 660 MiB as one array.
+would take 660 MiB as one array.  A long Heisenberg time grid runs in
+blocks of bounded size: 200 samples at N 2048 in one (T, 3, N) batch would
+peak near 170 MiB.
 """
 
 import math
@@ -28,8 +30,12 @@ LIMIT = 8 * 2**20
         lambda: sc.check_ladder_action(DO1, 2048, 4),
         lambda: sc.check_two_commutator(DO1, 2048, 4),
         lambda: sc.check_ground_state_condition(DO1, 2048, 4),
+        lambda: sc.check_heisenberg(DO1, 2048, 4, t_samples=np.linspace(0, 5, 200)),
     ],
-    ids=["heisenberg", "coherent", "ladder_action", "two_commutator", "ground_state"],
+    ids=[
+        "heisenberg", "coherent", "ladder_action", "two_commutator", "ground_state",
+        "heisenberg_long_grid",
+    ],
 )
 def test_peak_memory_is_linear_in_n(check):
     tracemalloc.start()

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import sincoord as sc
+from sincoord import operators
 from sincoord.operators import Normalization
 
 PT11 = sc.PoschlTeller(1.0, 1.0)
@@ -136,6 +137,52 @@ class TestBuildBasic:
             sc.build_basic(DO1, 5, 5)
         with pytest.raises(ValueError):
             sc.build_basic(DO1, 3, 2)
+
+
+def _clear_operator_caches():
+    operators.build_basic.cache_clear()
+    operators._closure_data.cache_clear()
+
+
+LADDER_CHECKS = (
+    sc.check_ladder_action,
+    sc.check_two_commutator,
+    sc.check_hermitian_conjugacy,
+    sc.check_ground_state_condition,
+)
+
+
+class TestSharedBuilds:
+    def test_returned_bands_are_read_only(self):
+        for op in sc.build_basic(AW1, 12, 4):
+            with pytest.raises(ValueError):
+                op.bands[1, 0] = 1.0
+        eta, comm, levels, ratio, ap, am = operators._closure_data(AW1, 12, 4)
+        for array in (eta.bands, comm.bands, levels, ratio, ap, am):
+            with pytest.raises(ValueError):
+                array[0] = 1.0
+
+    def test_one_build_per_system_and_size(self):
+        _clear_operator_caches()
+        for check in LADDER_CHECKS:
+            check(DO1, 30, 4)
+        sc.check_su11(DO1, 30, 4)
+        assert operators.build_basic.cache_info().misses == 1
+        assert operators._closure_data.cache_info().misses == 1
+
+    @pytest.mark.parametrize("spec", ALL + [sc.DeformedOscillator(1.3)])
+    def test_reports_do_not_depend_on_the_checks_run_before(self, spec):
+        checks = LADDER_CHECKS
+        if isinstance(spec, sc.DeformedOscillator):
+            checks += (sc.check_su11,)
+        alone = []
+        for check in checks:
+            _clear_operator_caches()
+            alone.append(check(spec, 30, 4))
+        for order in (checks, checks[::-1]):
+            _clear_operator_caches()
+            after = {check: check(spec, 30, 4) for check in order}
+            assert [after[check] for check in checks] == alone
 
 
 class TestBuildLadder:

@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -207,6 +208,18 @@ class TestEnergy:
     def test_negative_index_rejected(self):
         with pytest.raises(sc.ParameterOutOfRange):
             sc.energy(PT11, -1)
+
+    def test_levels_past_the_first_overflow_are_not_formed(self):
+        # forming all 10^6 aw levels before the refusal would take over
+        # 100 MiB; a block of levels is formed at a time instead
+        tracemalloc.start()
+        try:
+            with pytest.raises(sc.ParameterOutOfRange, match="E_1024 "):
+                sc.energies(AW1, 10**6)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
 
     @pytest.mark.parametrize("q,level", [(1e-300, 2), (1e-5, 62)])
     def test_overflowing_level_is_refused(self, q, level):
