@@ -143,7 +143,8 @@ class TestCheckHeisenberg:
         monkeypatch.setattr(
             heisenberg, "_phases", lambda *args: evaluated.append(args) or phases(*args)
         )
-        with pytest.raises(sc.ParameterOutOfRange, match=f"time must be finite, got t={bad}"):
+        message = f"time must be finite, got t={bad}"
+        with pytest.raises(sc.ParameterOutOfRange, match=message):
             sc.check_heisenberg(DO1, 20, 4, (0.1, 1.0, bad, 2.0))
         assert evaluated == []
         for evolution in (sc.exact_evolution, sc.oracle_evolution):
@@ -164,7 +165,8 @@ class TestCheckHeisenberg:
         for k, t in enumerate(grid.tolist()):
             assert np.array_equal(sc.exact_evolution(PT23, 20, 4, t).bands, exact[k])
             assert np.array_equal(sc.oracle_evolution(PT23, 20, 4, t).bands, oracle[k])
-            assert np.array_equal(sc.build_solution(PT23, 20, 4).evolve(t).bands, split[k])
+            evolved = sc.build_solution(PT23, 20, 4).evolve(t)
+            assert np.array_equal(evolved.bands, split[k])
 
     def test_rejects_empty_time_grid(self):
         with pytest.raises(sc.ParameterOutOfRange):
