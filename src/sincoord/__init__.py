@@ -18,9 +18,7 @@ from .classical import (
     hamiltonian,
     period,
     poisson_h_eta,
-    poisson_h_eta_fd,
     poisson_h_h_eta,
-    poisson_h_h_eta_fd,
     pt_reference_potential,
     reconstruct_potential,
     sample_states,
@@ -46,7 +44,6 @@ from .errors import (
     SeriesNotConverged,
     SincoordError,
     SingularDerivative,
-    UnsupportedSystem,
     VanishingFrequency,
     ZeroRecurrenceCoefficient,
 )
@@ -73,7 +70,6 @@ from .polynomials import (
     RecurrenceData,
     WeightFunction,
     eval_all,
-    eval_poly,
     gram_matrix,
     norms,
     recurrence,
@@ -92,7 +88,6 @@ from .systems import (
     check_spectrum_closure,
     classical_r_polynomials,
     energies,
-    energy,
     r_polynomials,
 )
 

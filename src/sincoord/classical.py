@@ -25,7 +25,6 @@ from .errors import (
     NonOscillatory,
     ParameterOutOfRange,
     SingularDerivative,
-    UnsupportedSystem,
 )
 from .report import CheckReport, make_report
 from .systems import (
@@ -66,27 +65,15 @@ def poisson_h_eta(spec: SystemSpec, x: float, p: float) -> float:
 
 def poisson_h_h_eta(spec: SystemSpec, x: float, p: float) -> float:
     """{H, {H, eta}} from analytic first and second partials."""
-    _, dhdx, dhdp = spec.flow_terms(x, p)
+    return _h_and_h_h_eta(spec, x, p)[1]
+
+
+def _h_and_h_h_eta(spec: SystemSpec, x: float, p: float) -> tuple[float, float]:
+    """H and {H, {H, eta}}, both from one `flow_terms` call."""
+    h, dhdx, dhdp = spec.flow_terms(x, p)
     d2p2, d2pdx = spec.second_partials(x, p)
     deta, d2eta = spec.deta_dx(x), spec.d2eta_dx2(x)
-    return -dhdx * d2p2 * deta + dhdp * d2pdx * deta + dhdp * dhdp * d2eta
-
-
-def poisson_h_eta_fd(spec: SystemSpec, x: float, p: float, step: float = 1e-6) -> float:
-    """{H, eta} with all derivatives replaced by central differences."""
-    dhdp = (hamiltonian(spec, x, p + step) - hamiltonian(spec, x, p - step)) / (2 * step)
-    deta = float(spec.eta(x + step) - spec.eta(x - step)) / (2 * step)
-    return -dhdp * deta
-
-
-def poisson_h_h_eta_fd(spec: SystemSpec, x: float, p: float, step: float = 1e-6) -> float:
-    """{H, {H, eta}} with the outer bracket done by central differences."""
-    inner = lambda xx, pp: poisson_h_eta(spec, xx, pp)
-    dfdx = (inner(x + step, p) - inner(x - step, p)) / (2 * step)
-    dfdp = (inner(x, p + step) - inner(x, p - step)) / (2 * step)
-    dhdx = (hamiltonian(spec, x + step, p) - hamiltonian(spec, x - step, p)) / (2 * step)
-    dhdp = (hamiltonian(spec, x, p + step) - hamiltonian(spec, x, p - step)) / (2 * step)
-    return dhdx * dfdp - dhdp * dfdx
+    return h, -dhdx * d2p2 * deta + dhdp * d2pdx * deta + dhdp * dhdp * d2eta
 
 
 def _initial_terms(spec: SystemSpec, state: ClassicalState) -> tuple[float, float, float]:
@@ -148,6 +135,12 @@ def period(spec: SystemSpec, state: ClassicalState) -> float:
     return 2.0 * math.pi / math.sqrt(r0v)
 
 
+# Largest number of RK4 steps taken; past it the flow is refused rather than
+# allocated.  The time grid and the positions take 16 bytes per step, so the
+# cap bounds them at 1 GiB.
+_MAX_STEPS = 1 << 26
+
+
 def flow_oracle(
     spec: SystemSpec, state: ClassicalState, t_end: float, dt: float
 ) -> Trajectory:
@@ -162,7 +155,13 @@ def flow_oracle(
         raise ParameterOutOfRange(f"dt must be positive and finite, got {dt}")
     if not 0.0 < t_end < math.inf:
         raise ParameterOutOfRange(f"t_end must be positive and finite, got {t_end}")
-    steps = max(1, int(round(t_end / dt)))
+    ratio = t_end / dt
+    if not ratio <= _MAX_STEPS:
+        raise ParameterOutOfRange(
+            f"the flow needs {ratio:.6g} steps of dt={dt}, "
+            f"more than the {_MAX_STEPS} allowed"
+        )
+    steps = max(1, int(round(ratio)))
     times = np.arange(steps + 1) * dt
     x, p = state.x, state.p
     xs = array("d", [x])
@@ -217,29 +216,31 @@ def _require_states(states: list[ClassicalState]) -> None:
         raise ParameterOutOfRange("a check over no phase-space states has no verdict")
 
 
+# Periods of each state's orbit that the flow check follows by default.
+_PERIODS = 3.0
+
+
 def check_closed_vs_flow(
     spec: SystemSpec,
     states: list[ClassicalState],
     dt: float = 1e-3,
-    periods: float = 3.0,
     tol: float = 1e-6,
-    drift_tol: float = 1e-8,
     t_end: float | None = None,
     trajectories: list | None = None,
 ) -> list[CheckReport]:
-    """Closed form against the RK4 oracle over a fixed number of periods,
-    or up to `t_end` when it is given.
+    """Closed form against the RK4 oracle over three periods, or up to
+    `t_end` when it is given.
 
     Returns two reports: the trajectory deviation and the energy drift of
-    the oracle itself, relative to max(1, |H0|).  When `trajectories` is a
-    list, each state's (oracle Trajectory, closed-form values) pair is
-    appended to it.
+    the oracle itself, relative to max(1, |H0|) and held to 1e-8.  When
+    `trajectories` is a list, each state's (oracle Trajectory, closed-form
+    values) pair is appended to it.
     """
     _require_states(states)
     worst_dev = 0.0
     worst_drift = 0.0
     for state in states:
-        span = periods * period(spec, state) if t_end is None else t_end
+        span = _PERIODS * period(spec, state) if t_end is None else t_end
         traj = flow_oracle(spec, state, span, dt)
         closed = closed_form_eta(spec, state, traj.times)
         worst_dev = np.maximum(worst_dev, np.max(np.abs(closed - traj.eta_values)))
@@ -247,13 +248,13 @@ def check_closed_vs_flow(
         worst_drift = np.maximum(worst_drift, traj.energy_drift / max(1.0, h0))
         if trajectories is not None:
             trajectories.append((traj, closed))
-    extent = {"dt": dt, "periods": periods} if t_end is None else {"t_end": t_end}
+    extent = {"dt": dt, "periods": _PERIODS} if t_end is None else {"t_end": t_end}
     return [
         make_report(
             "classical_closed_vs_flow", worst_dev, tol, states=len(states), **extent
         ),
         make_report(
-            "classical_energy_drift", worst_drift, drift_tol, states=len(states)
+            "classical_energy_drift", worst_drift, 1e-8, states=len(states)
         ),
     ]
 
@@ -273,8 +274,7 @@ def check_poisson_closure(
     for state in states:
         require_inside(spec, state.x, DomainEscape)
         try:
-            lhs = poisson_h_h_eta(spec, state.x, state.p)
-            h0 = hamiltonian(spec, state.x, state.p)
+            h0, lhs = _h_and_h_h_eta(spec, state.x, state.p)
         except ArithmeticError as exc:
             raise ParameterOutOfRange(
                 f"H or its partials are not finite at the state x={state.x}, "
@@ -313,19 +313,15 @@ def pt_reference_potential(g: float, h: float, x):
     )
 
 
-def check_potential_reconstruction(
-    spec: SystemSpec, n_points: int = 50, tol: float = 1e-10
-) -> CheckReport:
-    """Rebuild the trigonometric-well potential from the closure constants.
+def check_potential_reconstruction(g: float, h: float, tol: float = 1e-10) -> CheckReport:
+    """Rebuild the trigonometric-well potential with couplings g, h from the
+    closure constants.
 
     r00, rm10, r1 come from the spectral model; the integration constant is
     fixed at a single interior point, then the reconstruction is compared
-    pointwise against the reference potential.
+    pointwise against the reference potential at 50 points.
     """
-    if not isinstance(spec, PoschlTeller):
-        raise UnsupportedSystem(
-            "potential reconstruction is exercised on the trigonometric well"
-        )
+    spec = PoschlTeller(g, h)
     model = r_polynomials(spec)
     r00 = model.r0(0.0)
     rm10 = model.rm1(0.0)
@@ -333,14 +329,14 @@ def check_potential_reconstruction(
     x_fit = 0.7
     eta_fit = float(spec.eta(x_fit))
     deta_fit = float(spec.deta_dx(x_fit))
-    v_fit = float(pt_reference_potential(spec.g, spec.h, x_fit))
+    v_fit = float(pt_reference_potential(g, h, x_fit))
     const = (v_fit + r1 / 8.0) * deta_fit**2 - 0.5 * r00 * eta_fit**2 - rm10 * eta_fit
     potential = reconstruct_potential(spec, r00, rm10, const, r1)
-    xs = np.linspace(0.15, 0.5 * math.pi - 0.15, n_points)
-    target = pt_reference_potential(spec.g, spec.h, xs)
+    xs = np.linspace(0.15, 0.5 * math.pi - 0.15, 50)
+    target = pt_reference_potential(g, h, xs)
     worst = np.max([abs(potential(float(x)) - float(v)) for x, v in zip(xs, target)])
     return make_report(
-        "potential_reconstruction", worst, tol, points=n_points, c=const
+        "potential_reconstruction", worst, tol, points=len(xs), c=const
     )
 
 

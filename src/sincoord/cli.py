@@ -51,7 +51,7 @@ def run(
         reports.append(operators.check_hermitian_conjugacy(spec, n, guard))
         reports.append(operators.check_ground_state_condition(spec, n, guard))
         if isinstance(spec, DeformedOscillator):
-            reports.append(operators.check_su11(spec, n, guard))
+            reports.append(operators.check_su11(spec.a, n, guard))
 
     if suite in ("heisenberg", "all"):
         n = n_or(spec.heisenberg_n)
@@ -72,7 +72,7 @@ def run(
         closure_states = classical.sample_states(spec, 50, args.seed)
         reports.append(classical.check_poisson_closure(spec, closure_states))
         if isinstance(spec, PoschlTeller):
-            reports.append(classical.check_potential_reconstruction(spec))
+            reports.append(classical.check_potential_reconstruction(spec.g, spec.h))
 
     if suite in ("coherent", "all"):
         truncation = n_or(64) - guard
@@ -243,14 +243,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_tokens(parser: argparse.ArgumentParser, path: str) -> list[str]:
+# built once per process: building takes about ten times as long as parsing
+_PARSER = build_parser()
+
+
+def _config_tokens(path: str) -> list[str]:
     """Each `key = value` line of a config file as the token `--key=value`.
 
     A key must be the exact long name of a flag other than --config, so the
     parser gives each value the type and choice checks of its flag.
     """
     keys = {
-        option[2:] for option in parser._option_string_actions
+        option[2:] for option in _PARSER._option_string_actions
         if option.startswith("--")
     } - {"config", "help"}
     tokens = []
@@ -292,12 +296,11 @@ def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     try:
-        parser = build_parser()
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
         if args.config is not None:
             # the file's tokens go first: the parser keeps a flag's last
             # value, so explicit flags win
-            args = parser.parse_args(_config_tokens(parser, args.config) + list(argv))
+            args = _PARSER.parse_args(_config_tokens(args.config) + list(argv))
         spec = _build_spec(args)
         trajectories: list = []
         reports = run(spec, args, trajectories)

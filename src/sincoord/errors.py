@@ -30,10 +30,6 @@ class EvaluationDomain(SincoordError, ValueError):
     """A coordinate value lies outside the system's configuration domain."""
 
 
-class UnsupportedSystem(SincoordError, TypeError):
-    """The operation is not defined for the given system family."""
-
-
 class NonOscillatory(SincoordError, ArithmeticError):
     """The classical restoring coefficient is not positive at this energy."""
 

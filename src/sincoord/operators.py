@@ -34,7 +34,6 @@ from .errors import (
     ComplexFrequencies,
     DegenerateFrequencies,
     ParameterOutOfRange,
-    UnsupportedSystem,
     VanishingFrequency,
 )
 from .polynomials import norms, recurrence
@@ -304,19 +303,15 @@ def check_two_commutator(
 
 
 def check_hermitian_conjugacy(
-    spec: SystemSpec,
-    n_dim: int,
-    guard: int,
-    tol: float = 1e-8,
-    n_limit: int = 20,
+    spec: SystemSpec, n_dim: int, guard: int, tol: float = 1e-8
 ) -> CheckReport:
     """In the orthonormalised basis the pair are mutual adjoints.
 
     Equivalent to the bridge A_n h_{n+1} = C_{n+1} h_n with the quadrature
-    norms h_n; checked for n up to min(n_limit, window - 2).
+    norms h_n; checked for n up to min(20, window - 2).
     """
     pair = build_ladder(spec, n_dim, guard)
-    n_top = min(n_limit, pair.a_plus.interior - 2)
+    n_top = min(20, pair.a_plus.interior - 2)
     h = norms(spec, n_top + 1)
     scale = np.sqrt(h)
     below = pair.a_plus.bands[2, : n_top + 1].real  # entry (n+1, n)
@@ -331,15 +326,11 @@ def check_hermitian_conjugacy(
     )
 
 
-def check_su11(
-    spec: SystemSpec, n_dim: int, guard: int, tol: float = 1e-12
-) -> CheckReport:
-    """su(1,1) relations of the primed pair for the deformed oscillator:
-    [H, a'_pm] = +/- a'_pm and [a'_minus, a'_plus] = 2 (H + a)."""
-    if not isinstance(spec, DeformedOscillator):
-        raise UnsupportedSystem(
-            "the su(1,1) relations hold for the deformed oscillator only"
-        )
+def check_su11(a: float, n_dim: int, guard: int, tol: float = 1e-12) -> CheckReport:
+    """su(1,1) relations of the primed pair for the deformed oscillator
+    with parameter a: [H, a'_pm] = +/- a'_pm and [a'_minus, a'_plus] =
+    2 (H + a)."""
+    spec = DeformedOscillator(a)
     pair = build_ladder(spec, n_dim, guard, Normalization.PRIMED)
     levels = energies(spec, n_dim)
     ap = pair.a_plus.bands
@@ -351,7 +342,7 @@ def check_su11(
     dense_ap = pair.a_plus.entries
     dense_am = pair.a_minus.entries
     res_comm = (
-        dense_am @ dense_ap - dense_ap @ dense_am - 2.0 * np.diag(levels + spec.a)
+        dense_am @ dense_ap - dense_ap @ dense_am - 2.0 * np.diag(levels + a)
     )
     d = n_dim - guard
     resid = np.max((

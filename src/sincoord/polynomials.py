@@ -64,16 +64,6 @@ def eval_all(spec: SystemSpec, n_max: int, eta) -> np.ndarray:
     return out
 
 
-def eval_poly(spec: SystemSpec, n: int, eta):
-    """P_n(eta) by forward recurrence from P_0 = 1."""
-    if n < 0:
-        raise ParameterOutOfRange(f"polynomial degree must be >= 0, got n={n}")
-    values = eval_all(spec, n, eta)[n]
-    if np.ndim(eta) == 0:
-        return float(values)
-    return values
-
-
 @dataclass(frozen=True)
 class WeightFunction:
     """Ground-state density, coordinate map, and its derivative."""

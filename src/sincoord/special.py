@@ -46,11 +46,6 @@ def _gamma(z: np.ndarray) -> np.ndarray:
     return out
 
 
-def cgamma(z: complex) -> complex:
-    """Gamma(z) for complex z: the one-entry case of the array evaluation."""
-    return complex(_gamma(np.array([z], dtype=complex))[0])
-
-
 def gamma_abs_sq(a: float, x):
     """|Gamma(a + i x)|^2 for real a, vectorised over x."""
     xs = np.asarray(x, dtype=float)
@@ -59,13 +54,13 @@ def gamma_abs_sq(a: float, x):
     return float(out[0]) if xs.ndim == 0 else out
 
 
-def qpochhammer(z, q: float, n: int | None = None):
-    """q-shifted factorial (z; q)_n = prod_{k<n} (1 - z q^k).
+def qpochhammer(z, q: float):
+    """Infinite q-shifted factorial (z; q)_inf = prod_{k>=0} (1 - z q^k).
 
-    With n=None the infinite product is returned; it is truncated once
-    |q|^k < 1e-17 / (1 + |z|), past which the remaining factors differ
-    from one by less than double-precision rounding.  An array z gives
-    the infinite product at each entry, each with its own truncation.
+    The product is truncated once |q|^k < 1e-17 / (1 + |z|), past which the
+    remaining factors differ from one by less than double-precision
+    rounding.  An array z gives the product at each entry, each with its
+    own truncation.
 
     The powers q^k are formed once by repeated multiplication.  The
     factors 1 - z q^k (1 past an entry's truncation) are built for a block
@@ -78,14 +73,6 @@ def qpochhammer(z, q: float, n: int | None = None):
     products.  Blocks hold about _BLOCK entries, so memory stays flat
     although the number of factors grows like 39 / |ln q|.
     """
-    if n is not None:
-        z = complex(z)
-        result = 1.0 + 0j
-        qk = 1.0
-        for _ in range(n):
-            result *= 1.0 - z * qk
-            qk *= q
-        return result
     if not 0.0 < abs(q) < 1.0:
         raise ParameterOutOfRange(f"infinite product needs 0 < |q| < 1, got q={q}")
     zs = np.asarray(z, dtype=complex)
@@ -112,22 +99,22 @@ def qpochhammer(z, q: float, n: int | None = None):
     return result.reshape(zs.shape)
 
 
-def hyp1f1(a, b, z, max_terms: int = 1000) -> complex:
+def hyp1f1(a, b, z) -> complex:
     """Confluent hypergeometric 1F1(a; b; z) by its power series.
 
     Terms are accumulated until they fall below 1e-17 of the running sum.
-    Intended for moderate |z|; raises SeriesNotConverged past max_terms.
+    Intended for moderate |z|; raises SeriesNotConverged past 1000 terms.
     """
     a = complex(a)
     b = complex(b)
     z = complex(z)
     term = 1.0 + 0j
     total = term
-    for k in range(max_terms):
+    for k in range(1000):
         term *= (a + k) / (b + k) * z / (k + 1)
         total += term
         if abs(term) <= 1e-17 * max(1.0, abs(total)):
             return total
     raise SeriesNotConverged(
-        f"1F1 series did not settle within {max_terms} terms at z={z}"
+        f"1F1 series did not settle within 1000 terms at z={z}"
     )

@@ -643,35 +643,24 @@ def require_inside(spec: SystemSpec, x, error: type[Exception] = EvaluationDomai
         raise error(f"x={x} lies outside the open domain ({lo}, {hi})")
 
 
-def _level_overflow(spec: SystemSpec, n: int) -> ParameterOutOfRange:
-    return ParameterOutOfRange(f"level E_{n} overflows double precision for {spec}")
-
-
-def energy(spec: SystemSpec, n: int) -> float:
-    """n-th energy level; the factorised convention fixes energy(0) = 0."""
-    if n < 0:
-        raise ParameterOutOfRange(f"level index must be >= 0, got n={n}")
-    level = spec.energy(n)
-    if level == math.inf:  # aw's q ** -n at small q
-        raise _level_overflow(spec, n)
-    return level
-
-
 # Levels formed per array call of `energy`: a request far past the level
 # that overflows is refused without forming the levels beyond it.
 _LEVEL_BLOCK = 4096
 
 
 def energies(spec: SystemSpec, count: int) -> np.ndarray:
-    """Levels 0 .. count-1 as a float array, from array calls of `energy`
-    (one up to 4096 levels); refuses the first level that overflows, as
-    `energy` does."""
+    """Levels 0 .. count-1 as a float array, from array calls of the
+    family's `energy` (one up to 4096 levels); refuses the first level that
+    overflows (aw's q ** -n at small q)."""
     levels = np.empty(max(count, 0))
     for start in range(0, count, _LEVEL_BLOCK):
         block = spec.energy(np.arange(start, min(count, start + _LEVEL_BLOCK)))
         overflow = np.flatnonzero(block == math.inf)
         if overflow.size:
-            raise _level_overflow(spec, start + int(overflow[0]))
+            level = start + int(overflow[0])
+            raise ParameterOutOfRange(
+                f"level E_{level} overflows double precision for {spec}"
+            )
         levels[start : start + _LEVEL_BLOCK] = block
     return levels
 

@@ -123,14 +123,14 @@ def test_criterion_05_hermitian_conjugacy():
     # analyticity strip of the do density
     small = [sc.PoschlTeller(0.3, 1.0), sc.DeformedOscillator(0.3)]
     worst = max(
-        sc.check_hermitian_conjugacy(spec, 30, 4, n_limit=20).max_residual
+        sc.check_hermitian_conjugacy(spec, 30, 4).max_residual
         for spec in ALL_SYSTEMS + small
     )
     report_line("5 hermitian conjugacy via quadrature norms", worst, 1e-8)
 
 
 def test_criterion_06_su11():
-    worst = max(sc.check_su11(spec, 30, 4).max_residual for spec in DO_SETS)
+    worst = max(sc.check_su11(spec.a, 30, 4).max_residual for spec in DO_SETS)
     report_line("6 su(1,1) relations", worst, 1e-12)
 
 
@@ -147,7 +147,7 @@ def test_criterion_08_classical():
     worst_drift = 0.0
     for spec in (PT_SETS[0], DO_SETS[1], AW_SETS[0]):
         states = sc.sample_states(spec, 5, seed=42)
-        dev, drift = sc.check_closed_vs_flow(spec, states, dt=1e-3, periods=3.0)
+        dev, drift = sc.check_closed_vs_flow(spec, states, dt=1e-3)
         worst_dev = max(worst_dev, dev.max_residual)
         worst_drift = max(worst_drift, drift.max_residual)
     report_line("8a closed form vs flow oracle, 3 periods", worst_dev, 1e-6)
@@ -174,7 +174,7 @@ def test_criterion_08_classical():
 
 def test_criterion_09_potential_reconstruction():
     worst = max(
-        sc.check_potential_reconstruction(spec, n_points=50).max_residual
+        sc.check_potential_reconstruction(spec.g, spec.h).max_residual
         for spec in PT_SETS
     )
     report_line("9 potential reconstruction", worst, 1e-10)

@@ -1,8 +1,10 @@
 """The names the benchmark in `bench/` reads from the package still exist.
 
-`bench/` wraps the functions listed in `spans.TARGETS` and reads the cache
-counters of the functions named in `run.CACHED`; a change that renames or
-drops one of them breaks the benchmark, so it is pinned here.
+`bench/` wraps the functions listed in `spans.TARGETS`, reads the cache
+counters of the functions named in `run.CACHED` and times a fresh
+interpreter running the `SetupTimer` probe (which builds the CLI parser); a
+change that renames or drops one of them breaks the benchmark, so it is
+pinned here.
 """
 
 import ast
@@ -55,3 +57,15 @@ def test_cached_name_is_an_lru_cache(name):
     module_name, _, attr = name.partition(".")
     cached = _resolve(module_name, attr)
     assert callable(cached.cache_info) and callable(cached.cache_clear)
+
+
+def test_setup_probe_runs():
+    """The code `SetupTimer` hands to `python -c` still runs."""
+    tree = ast.parse((BENCH / "run.py").read_text(encoding="utf-8"))
+    probes = [
+        node.value for node in ast.walk(tree)
+        if isinstance(node, ast.Constant) and isinstance(node.value, str)
+        and node.value.startswith("import sincoord")
+    ]
+    assert probes == ["import sincoord.cli as c; c.build_parser()"]
+    exec(probes[0], {})

@@ -302,6 +302,17 @@ class TestFlowOracle:
         with pytest.raises(sc.ParameterOutOfRange):
             sc.flow_oracle(DO1, ClassicalState(0.0, 0.0), -1.0, 1e-3)
 
+    @pytest.mark.parametrize("t_end, dt", [(1.0, 1e-300), (1e300, 1e-300)])
+    def test_refuses_a_step_count_beyond_the_cap_before_allocating(self, t_end, dt):
+        tracemalloc.start()
+        try:
+            with pytest.raises(sc.ParameterOutOfRange, match="steps .*allowed"):
+                sc.flow_oracle(DO1, ClassicalState(0.5, 0.3), t_end, dt)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
 
 class TestFlowMatchesReference:
     """One `flow_terms` call per stage, k1 taken from the previous step's
@@ -436,6 +447,25 @@ class TestNoStates:
             sc.sample_states(DO1, count, seed)
 
 
+def _poisson_h_eta_fd(spec, x, p, step=1e-6):
+    """{H, eta} with all derivatives replaced by central differences."""
+    ham = lambda xx, pp: sc.hamiltonian(spec, xx, pp)
+    dhdp = (ham(x, p + step) - ham(x, p - step)) / (2 * step)
+    deta = float(spec.eta(x + step) - spec.eta(x - step)) / (2 * step)
+    return -dhdp * deta
+
+
+def _poisson_h_h_eta_fd(spec, x, p, step=1e-6):
+    """{H, {H, eta}} with the outer bracket done by central differences."""
+    ham = lambda xx, pp: sc.hamiltonian(spec, xx, pp)
+    inner = lambda xx, pp: sc.poisson_h_eta(spec, xx, pp)
+    dfdx = (inner(x + step, p) - inner(x - step, p)) / (2 * step)
+    dfdp = (inner(x, p + step) - inner(x, p - step)) / (2 * step)
+    dhdx = (ham(x + step, p) - ham(x - step, p)) / (2 * step)
+    dhdp = (ham(x, p + step) - ham(x, p - step)) / (2 * step)
+    return dhdx * dfdp - dhdp * dfdx
+
+
 class TestPoissonClosure:
     def test_do_is_machine_exact(self):
         states = sc.sample_states(DO1, 50, seed=42)
@@ -472,17 +502,32 @@ class TestPoissonClosure:
     def test_analytic_brackets_match_finite_differences(self, spec):
         for state in sc.sample_states(spec, 10, seed=5):
             ana1 = sc.poisson_h_eta(spec, state.x, state.p)
-            fd1 = sc.poisson_h_eta_fd(spec, state.x, state.p)
+            fd1 = _poisson_h_eta_fd(spec, state.x, state.p)
             assert abs(ana1 - fd1) <= 1e-6 * max(1.0, abs(ana1))
             ana2 = sc.poisson_h_h_eta(spec, state.x, state.p)
-            fd2 = sc.poisson_h_h_eta_fd(spec, state.x, state.p)
+            fd2 = _poisson_h_h_eta_fd(spec, state.x, state.p)
             assert abs(ana2 - fd2) <= 1e-6 * max(1.0, abs(ana2))
+
+    def test_one_flow_terms_evaluation_per_state(self, monkeypatch):
+        # flow_terms and second_partials each take aw's pair terms once; a
+        # separate H evaluation would add a third call per state
+        calls = []
+        pair_terms = sc.AskeyWilson._pair_terms
+
+        def counted(self, x):
+            calls.append(x)
+            return pair_terms(self, x)
+
+        monkeypatch.setattr(sc.AskeyWilson, "_pair_terms", counted)
+        states = sc.sample_states(AW1, 50, seed=42)
+        sc.check_poisson_closure(AW1, states)
+        assert len(calls) == 2 * len(states)
 
 
 class TestReconstructPotential:
     def test_pt_reconstruction(self):
         for spec in (sc.PoschlTeller(2.0, 3.0), PT11, PT12):
-            report = sc.check_potential_reconstruction(spec)
+            report = sc.check_potential_reconstruction(spec.g, spec.h)
             assert report.passed and report.max_residual <= 1e-10
 
     def test_flat_when_only_quantum_shift_remains(self):
@@ -499,10 +544,6 @@ class TestReconstructPotential:
         potential = sc.reconstruct_potential(FlatMap(), 1.0, 0.0, 0.0, 0.0)
         with pytest.raises(sc.SingularDerivative):
             potential(0.5)
-
-    def test_rejects_other_systems(self):
-        with pytest.raises(sc.UnsupportedSystem):
-            sc.check_potential_reconstruction(DO1)
 
 
 def _reference_csv(path, times, eta_closed, eta_numeric):

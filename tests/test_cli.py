@@ -155,6 +155,8 @@ class TestExitCodes:
             ("ladder", "--system", "aw", "--a", "0.1,0.2,-0.1,0.3", "--q", "0.999"),
             ("ladder", "--system", "do", "--a", "1", "--n", "5", "--guard", "4"),
             ("classical", "--system", "do", "--a", "1", "--dt", "0"),
+            ("classical", "--system", "do", "--a", "1", "--x0", "0.5", "--p0", "0.3",
+             "--dt", "1e-300", "--tend", "1"),
             ("ladder", "--system", "pt", "--g", "inf", "--h", "1"),
             ("heisenberg", "--system", "pt", "--g", "inf", "--h", "1"),
             ("heisenberg", "--system", "do", "--a", "inf"),
@@ -179,7 +181,7 @@ class TestExitCodes:
             "no-eigenvalue-rows-pt", "no-eigenvalue-rows-aw",
             "no-states", "negative-states", "negative-seed",
             "density-overflow-q0.998", "density-overflow-q0.999",
-            "dimension-below-guard-plus-two", "zero-dt",
+            "dimension-below-guard-plus-two", "zero-dt", "steps-beyond-cap",
             "infinite-g-ladder", "infinite-g-heisenberg", "infinite-a-heisenberg",
             "overflowing-h-spectrum", "nan-residual-coherent-do",
             "level-overflow-aw-spectrum", "level-overflow-aw-ladder",
@@ -352,6 +354,17 @@ class TestConfigFile:
         details = json.loads(result.stdout)["checks"][0]["details"]
         assert (details["lam_real"], details["lam_imag"]) == (0.1, 0.05)
 
+    def test_config_values_do_not_outlive_their_run(self, tmp_path, capsys):
+        # main reuses one parser, so a config file's values must stay in
+        # that run's namespace
+        config = tmp_path / "sweep.cfg"
+        config.write_text("format = json\n")
+        plain = ("spectrum", "--system", "do", "--a", "1")
+        assert cli.main([*plain, "--config", str(config)]) == 0
+        assert json.loads(capsys.readouterr().out)["system"] == "do"
+        assert cli.main(list(plain)) == 0
+        assert capsys.readouterr().out.startswith("system=do a=1\n")
+
 
 class TestParser:
     def test_no_suite_exits_two_with_usage(self):
@@ -387,6 +400,9 @@ class TestParser:
         monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
         cli.build_parser()
         assert len(built) == 1
+        built.clear()
+        assert cli.main(["spectrum", "--system", "do", "--a", "1"]) == 0
+        assert built == []
 
 
 class TestReportDocument:

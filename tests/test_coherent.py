@@ -1,10 +1,10 @@
 """Lowering-operator eigenstates: coefficients, eigenvalue property, 1F1."""
 
+import mpmath
 import numpy as np
 import pytest
 
 import sincoord as sc
-from sincoord.special import qpochhammer
 
 PT11 = sc.PoschlTeller(1.0, 1.0)
 DO1 = sc.DeformedOscillator(1.0)
@@ -43,10 +43,10 @@ class TestCoefficients:
         pairs = (a1 * a2, a1 * a3, a1 * a4, a2 * a3, a2 * a4, a3 * a4)
         state = sc.coherent_coeffs(AW1, lam, 16)
         for n in range(17):
-            expected = (2.0 * lam) ** n * qpochhammer(AW1.b4, q, 2 * n).real
-            expected /= qpochhammer(q, q, n).real
+            expected = (2.0 * lam) ** n * float(mpmath.qp(AW1.b4, q, 2 * n))
+            expected /= float(mpmath.qp(q, q, n))
             for p in pairs:
-                expected /= qpochhammer(p, q, n).real
+                expected /= float(mpmath.qp(p, q, n))
             assert state.coeffs[n].real == pytest.approx(expected, rel=1e-12)
 
     def test_complex_eigenvalue_supported(self):
@@ -57,7 +57,7 @@ class TestCoefficients:
     def test_tail_estimate_is_negligible_at_default_truncation(self):
         state = sc.coherent_coeffs(DO1, 0.3, 60)
         xs = np.linspace(-10.0, 10.0, 33)
-        top = np.max(np.abs(sc.eval_poly(DO1, 60, xs)))
+        top = np.max(np.abs(sc.eval_all(DO1, 60, xs)[60]))
         assert state.tail * top < 1e-12
 
 

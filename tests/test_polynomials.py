@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 import sincoord as sc
 from sincoord import special
 from sincoord.special import _LANCZOS_C as LANCZOS_C
-from sincoord.special import cgamma, gamma_abs_sq, hyp1f1, qpochhammer
+from sincoord.special import _gamma, gamma_abs_sq, hyp1f1, qpochhammer
 
 PT11 = sc.PoschlTeller(1.0, 1.0)
 PT23 = sc.PoschlTeller(2.0, 3.0)
@@ -145,7 +145,7 @@ class TestRecurrence:
         for spec in (PT11, PT23, DO1, AW1):
             rec = sc.recurrence(spec)
             for eta in (-0.4, 0.1, 0.8):
-                p1 = sc.eval_poly(spec, 1, eta)
+                p1 = sc.eval_all(spec, 1, eta)[1]
                 assert eta == pytest.approx(rec.A(0) * p1 + rec.B(0), rel=1e-13)
 
     def test_c0_is_never_defined(self):
@@ -168,16 +168,16 @@ class TestRecurrence:
 class TestEvalPoly:
     def test_degree_zero_is_one(self):
         for spec in (PT11, DO1, AW1):
-            assert sc.eval_poly(spec, 0, 0.37) == 1.0
+            assert sc.eval_all(spec, 0, 0.37)[0] == 1.0
 
     def test_do_linear_value(self):
-        assert sc.eval_poly(DO1, 1, 0.7) == pytest.approx(1.4, abs=1e-15)
+        assert sc.eval_all(DO1, 1, 0.7)[1] == pytest.approx(1.4, abs=1e-15)
 
     @pytest.mark.parametrize("spec", [PT11, PT23, sc.PoschlTeller(1.0, 2.0)])
     def test_pt_matches_scipy_jacobi(self, spec):
         etas = np.linspace(-0.95, 0.95, 21)
         for n in range(9):
-            mine = sc.eval_poly(spec, n, etas)
+            mine = sc.eval_all(spec, n, etas)[n]
             ref = scipy.special.eval_jacobi(n, spec.alpha, spec.beta, etas)
             assert np.max(np.abs(mine - ref)) < 1e-12 * max(1.0, np.max(np.abs(ref)))
 
@@ -187,7 +187,7 @@ class TestEvalPoly:
         for n in range(9):
             for x in np.linspace(-4.0, 4.0, 9):
                 ref = mp_poly_oracle(a, n, x)
-                assert sc.eval_poly(spec, n, x) == pytest.approx(
+                assert sc.eval_all(spec, n, x)[n] == pytest.approx(
                     ref, rel=1e-11, abs=1e-11
                 )
 
@@ -195,21 +195,21 @@ class TestEvalPoly:
         for n in range(7):
             for theta in np.linspace(0.3, 2.8, 7):
                 ref = aw_poly_oracle(AW1, n, theta)
-                mine = sc.eval_poly(AW1, n, math.cos(theta))
+                mine = sc.eval_all(AW1, n, math.cos(theta))[n]
                 assert mine == pytest.approx(ref, rel=1e-12, abs=1e-13)
 
     def test_aw_zero_parameters_reduce_to_q_hermite(self):
         for n in range(8):
             for theta in np.linspace(0.3, 2.8, 7):
                 ref = q_hermite_oracle(0.5, n, theta)
-                mine = sc.eval_poly(AW0, n, math.cos(theta))
+                mine = sc.eval_all(AW0, n, math.cos(theta))[n]
                 assert mine == pytest.approx(ref, rel=1e-12, abs=1e-13)
 
     def test_do_parity(self):
         xs = np.linspace(0.1, 6.0, 20)
         for n in range(9):
-            even = sc.eval_poly(DO1, n, xs)
-            odd = sc.eval_poly(DO1, n, -xs)
+            even = sc.eval_all(DO1, n, xs)[n]
+            odd = sc.eval_all(DO1, n, -xs)[n]
             assert np.max(np.abs(odd - (-1.0) ** n * even)) < 1e-12 * np.max(
                 np.abs(even) + 1
             )
@@ -219,7 +219,7 @@ class TestEvalPoly:
         step = 0.25
         for n in range(1, 9):
             grid = np.arange(n + 2) * step - 0.5
-            vals = sc.eval_poly(spec, n, grid)
+            vals = sc.eval_all(spec, n, grid)[n]
             scale = np.max(np.abs(vals))
             top = np.diff(vals, n)  # proportional to the leading coefficient
             flat = np.diff(vals, n + 1)  # must vanish for exact degree n
@@ -241,7 +241,8 @@ class TestSpecialFunctions:
 
     def test_gamma_reflection_consistency(self):
         z = complex(0.3, 1.7)
-        assert abs(cgamma(z) * cgamma(1 - z) - math.pi / cmath.sin(math.pi * z)) < 1e-14
+        g, g_reflected = _gamma(np.array([z, 1 - z]))
+        assert abs(g * g_reflected - math.pi / cmath.sin(math.pi * z)) < 1e-14
 
     def test_qpochhammer_against_mpmath(self):
         for z in (0.3, -0.8, complex(0.2, 0.6)):
@@ -300,9 +301,6 @@ class TestSpecialFunctions:
         )
         empty = qpochhammer(np.zeros(0, dtype=complex), q)
         assert empty.shape == (0,)
-
-    def test_qpochhammer_finite(self):
-        assert qpochhammer(2.0, 3.0, 5).real == pytest.approx(-725305.0)
 
     def test_hyp1f1_against_mpmath(self):
         for a, b, z in (
@@ -431,7 +429,7 @@ class TestNorms:
             x = float(x)
             if not 0.0 < x < math.pi:
                 return 0.0  # the density vanishes at the walls
-            return wf.density(x) * sc.eval_poly(spec, 6, math.cos(x)) ** 2
+            return wf.density(x) * sc.eval_all(spec, 6, math.cos(x))[6] ** 2
 
         with mpmath.workdps(20):
             ref = mpmath.quad(integrand, np.linspace(0.0, math.pi, 9).tolist())
