@@ -25,7 +25,6 @@ from .classical import (
     write_trajectory_csv,
 )
 from .coherent import (
-    CoherentCoefficients,
     check_eigenvalue,
     check_mp_hypergeometric,
     coherent_coeffs,

@@ -33,6 +33,7 @@ from .systems import (
     classical_r_polynomials,
     r_polynomials,
     require_inside,
+    require_size,
 )
 
 
@@ -202,6 +203,7 @@ def sample_states(spec: SystemSpec, count: int, seed: int = 42) -> list[Classica
     """Seeded phase-space samples from the family's box inside the domain."""
     if count < 0:
         raise ParameterOutOfRange(f"need a state count of at least 0, got {count}")
+    require_size("state count", count)
     if seed < 0:
         raise ParameterOutOfRange(f"need a seed of at least 0, got {seed}")
     rng = np.random.default_rng(seed)
@@ -224,7 +226,6 @@ def check_closed_vs_flow(
     spec: SystemSpec,
     states: list[ClassicalState],
     dt: float = 1e-3,
-    tol: float = 1e-6,
     t_end: float | None = None,
     trajectories: list | None = None,
 ) -> list[CheckReport]:
@@ -251,7 +252,7 @@ def check_closed_vs_flow(
     extent = {"dt": dt, "periods": _PERIODS} if t_end is None else {"t_end": t_end}
     return [
         make_report(
-            "classical_closed_vs_flow", worst_dev, tol, states=len(states), **extent
+            "classical_closed_vs_flow", worst_dev, 1e-6, states=len(states), **extent
         ),
         make_report(
             "classical_energy_drift", worst_drift, 1e-8, states=len(states)
@@ -260,7 +261,7 @@ def check_closed_vs_flow(
 
 
 def check_poisson_closure(
-    spec: SystemSpec, states: list[ClassicalState], tol: float = 1e-6
+    spec: SystemSpec, states: list[ClassicalState]
 ) -> CheckReport:
     """{H, {H, eta}} = -eta R0(H) - R-1(H) at the given phase-space points.
 
@@ -282,7 +283,7 @@ def check_poisson_closure(
             ) from None
         rhs = -float(spec.eta(state.x)) * closure.r0(h0) - closure.rm1(h0)
         worst = np.maximum(worst, abs(lhs - rhs) / max(1.0, abs(lhs), abs(rhs)))
-    return make_report("poisson_closure", worst, tol, states=len(states))
+    return make_report("poisson_closure", worst, 1e-6, states=len(states))
 
 
 def reconstruct_potential(coord, r00: float, rm10: float, c: float, r1: float):
@@ -313,7 +314,7 @@ def pt_reference_potential(g: float, h: float, x):
     )
 
 
-def check_potential_reconstruction(g: float, h: float, tol: float = 1e-10) -> CheckReport:
+def check_potential_reconstruction(g: float, h: float) -> CheckReport:
     """Rebuild the trigonometric-well potential with couplings g, h from the
     closure constants.
 
@@ -336,7 +337,7 @@ def check_potential_reconstruction(g: float, h: float, tol: float = 1e-10) -> Ch
     target = pt_reference_potential(g, h, xs)
     worst = np.max([abs(potential(float(x)) - float(v)) for x, v in zip(xs, target)])
     return make_report(
-        "potential_reconstruction", worst, tol, points=len(xs), c=const
+        "potential_reconstruction", worst, 1e-10, points=len(xs), c=const
     )
 
 

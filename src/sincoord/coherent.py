@@ -9,8 +9,6 @@ term against an independent 1F1 evaluation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import ParameterOutOfRange, SeriesNotConverged, ZeroRecurrenceCoefficient
@@ -18,21 +16,12 @@ from .operators import Normalization, build_ladder
 from .polynomials import eval_all, recurrence
 from .report import CheckReport, make_report
 from .special import hyp1f1
-from .systems import DeformedOscillator, SystemSpec
+from .systems import DeformedOscillator, SystemSpec, require_size
 
 
-@dataclass(frozen=True)
-class CoherentCoefficients:
-    """Expansion coefficients c_n, n = 0 .. truncation, with c_0 = 1."""
-
-    lam: complex
-    coeffs: np.ndarray
-    truncation: int
-    tail: float  # magnitude of the last retained coefficient
-
-
-def coherent_coeffs(spec: SystemSpec, lam: complex, truncation: int) -> CoherentCoefficients:
-    """c_n = lam^n / prod_{k=1..n} C_k via the stable one-step recursion.
+def coherent_coeffs(spec: SystemSpec, lam: complex, truncation: int) -> np.ndarray:
+    """c_n = lam^n / prod_{k=1..n} C_k, n = 0 .. truncation, via the stable
+    one-step recursion; c_0 = 1.
 
     Raises ParameterOutOfRange for a non-finite lam and SeriesNotConverged
     when a coefficient overflows.
@@ -54,20 +43,11 @@ def coherent_coeffs(spec: SystemSpec, lam: complex, truncation: int) -> Coherent
         raise SeriesNotConverged(
             f"coefficient c_{overflow[0]} overflows at lambda={lam}"
         )
-    return CoherentCoefficients(
-        lam=lam,
-        coeffs=coeffs,
-        truncation=truncation,
-        tail=float(abs(coeffs[truncation])),
-    )
+    return coeffs
 
 
 def check_eigenvalue(
-    spec: SystemSpec,
-    lam: complex,
-    truncation: int,
-    guard: int,
-    tol: float = 1e-10,
+    spec: SystemSpec, lam: complex, truncation: int, guard: int
 ) -> CheckReport:
     """a_minus c = lam c on the coefficient vector, away from the guard band.
 
@@ -80,22 +60,24 @@ def check_eigenvalue(
             "no row lies outside the guard band: the eigenvalue check needs "
             f"truncation > G, got truncation={truncation}, G={guard}"
         )
-    state = coherent_coeffs(spec, lam, truncation)
+    require_size("truncation", truncation)
+    lam = complex(lam)
+    coeffs = coherent_coeffs(spec, lam, truncation)
     n_dim = truncation + guard
     pair = build_ladder(spec, n_dim, guard, Normalization.UNIT)
     padded = np.zeros(n_dim, dtype=complex)
-    padded[: truncation + 1] = state.coeffs
-    residual = pair.a_minus.apply(padded) - state.lam * padded
-    scale = np.maximum(1.0, np.abs(state.lam * padded[:rows]))
+    padded[: truncation + 1] = coeffs
+    residual = pair.a_minus.apply(padded) - lam * padded
+    scale = np.maximum(1.0, np.abs(lam * padded[:rows]))
     worst = float(np.max(np.abs(residual[:rows]) / scale))
     return make_report(
         "coherent_eigenvalue",
         worst,
-        tol,
+        1e-10,
         truncation=truncation,
         G=guard,
-        lam_real=float(state.lam.real),
-        lam_imag=float(state.lam.imag),
+        lam_real=float(lam.real),
+        lam_imag=float(lam.imag),
     )
 
 
@@ -104,7 +86,6 @@ def check_mp_hypergeometric(
     lam: complex,
     x_samples,
     truncation: int = 60,
-    tol: float = 1e-10,
 ) -> CheckReport:
     """Deformed-oscillator eigenstate series vs its 1F1 closed form.
 
@@ -115,12 +96,12 @@ def check_mp_hypergeometric(
     spec = DeformedOscillator(a)
     lam = complex(lam)
     xs = np.atleast_1d(np.asarray(x_samples, dtype=float))
-    state = coherent_coeffs(spec, lam, truncation)
+    coeffs = coherent_coeffs(spec, lam, truncation)
     # an overflowing series is NaN, and its residual is refused in make_report
     with np.errstate(over="ignore", invalid="ignore"):
         polys = eval_all(spec, truncation, xs)
-        series = (state.coeffs[:, None] * polys).sum(axis=0)
-    last_terms = np.abs(state.coeffs[truncation] * polys[truncation])
+        series = (coeffs[:, None] * polys).sum(axis=0)
+    last_terms = np.abs(coeffs[truncation] * polys[truncation])
     scale = np.maximum(1.0, np.abs(series))
     if np.any(last_terms > 1e-14 * scale):
         raise SeriesNotConverged(
@@ -134,7 +115,7 @@ def check_mp_hypergeometric(
     return make_report(
         "coherent_1f1",
         worst,
-        tol,
+        1e-10,
         a=a,
         samples=len(xs),
         truncation=truncation,

@@ -151,7 +151,6 @@ def check_heisenberg(
     n_dim: int,
     guard: int,
     t_samples=DEFAULT_T_GRID,
-    tol: float | None = None,
 ) -> CheckReport:
     """Closed form vs phase oracle, and vs the frequency-split decomposition.
 
@@ -160,8 +159,6 @@ def check_heisenberg(
     frequencies are built once; the time samples then run through the
     kernels in blocks, each sample costing O(N).
     """
-    if tol is None:
-        tol = spec.tolerances["heisenberg_evolution"]
     times = [float(t) for t in t_samples]
     if not times:
         raise ParameterOutOfRange("need at least one time sample")
@@ -191,7 +188,7 @@ def check_heisenberg(
     return make_report(
         "heisenberg_evolution",
         np.maximum(worst_oracle, worst_split),
-        tol,
+        spec.tolerances["heisenberg_evolution"],
         N=n_dim,
         G=guard,
         max_vs_oracle=float(worst_oracle),

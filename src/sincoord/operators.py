@@ -45,6 +45,7 @@ from .systems import (
     energies,
     frequency_pair,
     r_polynomials,
+    require_size,
 )
 
 
@@ -106,10 +107,15 @@ class Normalization(Enum):
 class LadderPair:
     a_plus: TruncatedOperator
     a_minus: TruncatedOperator
-    normalization: Normalization
+
+
+# Largest dimension of `check_su11`'s dense product, whose four N x N
+# complex matrices take 64 N^2 bytes: 256 MiB at the cap.
+_MAX_DENSE = 1 << 11
 
 
 def _check_dims(n_dim: int, guard: int) -> None:
+    require_size("N", n_dim)
     if not 0 < guard < n_dim:
         raise ParameterOutOfRange(
             f"guard band must satisfy 0 < G < N, got N={n_dim}, G={guard}"
@@ -231,9 +237,7 @@ def _ladder_pair(
         plus = plus / denom[None, :]
         minus = minus / denom[None, :]
     wrap = lambda b: TruncatedOperator(dim=eta_op.dim, guard=eta_op.guard, bands=b)
-    return LadderPair(
-        a_plus=wrap(plus), a_minus=wrap(minus), normalization=normalization
-    )
+    return LadderPair(a_plus=wrap(plus), a_minus=wrap(minus))
 
 
 def build_ladder(
@@ -252,17 +256,13 @@ def build_ladder(
     return _ladder_pair(eta_op, comm_op, ratio, ap, am, normalization)
 
 
-def check_ladder_action(
-    spec: SystemSpec, n_dim: int, guard: int, tol: float | None = None
-) -> CheckReport:
+def check_ladder_action(spec: SystemSpec, n_dim: int, guard: int) -> CheckReport:
     """a_plus phi_n = A_n phi_{n+1} and a_minus phi_n = C_n phi_{n-1}.
 
     Deviations are measured entrywise per column, relative to the column
     scale where the family has `relative_residuals`; the lowering
     operator must annihilate the ground state, column 0, absolutely.
     """
-    if tol is None:
-        tol = spec.tolerances["ladder_action"]
     rec = recurrence(spec)
     pair = build_ladder(spec, n_dim, guard)
     d = pair.a_plus.interior
@@ -280,15 +280,13 @@ def check_ladder_action(
         dev_up = dev_up / np.maximum(1.0, np.abs(up))
         dev_dn[1:] = dev_dn[1:] / np.maximum(1.0, np.abs(down))
     worst = np.maximum(np.max(dev_up), np.max(dev_dn))
-    return make_report("ladder_action", worst, tol, N=n_dim, G=guard)
+    return make_report(
+        "ladder_action", worst, spec.tolerances["ladder_action"], N=n_dim, G=guard
+    )
 
 
-def check_two_commutator(
-    spec: SystemSpec, n_dim: int, guard: int, tol: float | None = None
-) -> CheckReport:
+def check_two_commutator(spec: SystemSpec, n_dim: int, guard: int) -> CheckReport:
     """[H, [H, eta]] = eta R0(H) + [H, eta] R1(H) + R-1(H) on the window."""
-    if tol is None:
-        tol = spec.tolerances["two_commutator"]
     ham, eta_op, comm_op = build_basic(spec, n_dim, guard)
     levels, r0v, r1v, rm1v = _closure_vectors(spec, ham)
     lhs = _commutator_with_h(levels, comm_op.bands)
@@ -299,12 +297,12 @@ def check_two_commutator(
     if spec.relative_residuals:
         diff = diff / _column_max(np.abs(lhs), eta_op, 1.0)
     resid = _window_max(diff, eta_op)
-    return make_report("two_commutator", resid, tol, N=n_dim, G=guard)
+    return make_report(
+        "two_commutator", resid, spec.tolerances["two_commutator"], N=n_dim, G=guard
+    )
 
 
-def check_hermitian_conjugacy(
-    spec: SystemSpec, n_dim: int, guard: int, tol: float = 1e-8
-) -> CheckReport:
+def check_hermitian_conjugacy(spec: SystemSpec, n_dim: int, guard: int) -> CheckReport:
     """In the orthonormalised basis the pair are mutual adjoints.
 
     Equivalent to the bridge A_n h_{n+1} = C_{n+1} h_n with the quadrature
@@ -322,14 +320,15 @@ def check_hermitian_conjugacy(
         np.abs(up - down) / np.maximum(np.abs(up), np.abs(down)), initial=0.0
     )
     return make_report(
-        "hermitian_conjugacy", worst, tol, N=n_dim, G=guard, n_top=n_top
+        "hermitian_conjugacy", worst, 1e-8, N=n_dim, G=guard, n_top=n_top
     )
 
 
-def check_su11(a: float, n_dim: int, guard: int, tol: float = 1e-12) -> CheckReport:
+def check_su11(a: float, n_dim: int, guard: int) -> CheckReport:
     """su(1,1) relations of the primed pair for the deformed oscillator
     with parameter a: [H, a'_pm] = +/- a'_pm and [a'_minus, a'_plus] =
     2 (H + a)."""
+    require_size("su11 N", n_dim, _MAX_DENSE)
     spec = DeformedOscillator(a)
     pair = build_ladder(spec, n_dim, guard, Normalization.PRIMED)
     levels = energies(spec, n_dim)
@@ -350,16 +349,14 @@ def check_su11(a: float, n_dim: int, guard: int, tol: float = 1e-12) -> CheckRep
         _window_max(np.abs(res_minus), pair.a_minus),
         np.max(np.abs(res_comm[:d, :d])),
     ))
-    return make_report("su11", resid, tol, N=n_dim, G=guard)
+    return make_report("su11", resid, 1e-12, N=n_dim, G=guard)
 
 
 def check_ground_state_condition(
-    spec: SystemSpec, n_dim: int, guard: int, tol: float | None = None
+    spec: SystemSpec, n_dim: int, guard: int
 ) -> CheckReport:
     """The lowering-frequency part must vanish on the ground state:
     -[H, eta] phi_0 + (eta alpha_plus(0) - R-1(0)/alpha_minus(0)) phi_0 = 0."""
-    if tol is None:
-        tol = spec.tolerances["ground_state"]
     _, eta_op, comm_op = build_basic(spec, n_dim, guard)
     ap0, am0 = alpha_pm(spec, 0.0)
     if am0 == 0.0:
@@ -377,4 +374,6 @@ def check_ground_state_condition(
         abs(const),
     )
     resid = float(np.max(np.abs(column))) / scale
-    return make_report("ground_state", resid, tol, N=n_dim, G=guard)
+    return make_report(
+        "ground_state", resid, spec.tolerances["ground_state"], N=n_dim, G=guard
+    )

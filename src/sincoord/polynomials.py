@@ -97,7 +97,14 @@ def gram_matrix(spec: SystemSpec, n_max: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _norms_cached(spec: SystemSpec, n_max: int) -> tuple[float, ...]:
+def norms(spec: SystemSpec, n_max: int) -> np.ndarray:
+    """Squared norms h_n of phi_n = phi_0 P_n, n = 0 .. n_max, by quadrature.
+
+    The rule is each family's `quadrature_nodes`; it never uses the
+    recurrence coefficients, so the norms stay an independent oracle for
+    them.  Convergence is asserted by node doubling at 1e-8 relative.  The
+    array is read-only and shared between calls with the same arguments.
+    """
     # a density that overflows gives non-finite norms, refused just below
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         polys, weights = _weighted_polys(spec, n_max)
@@ -114,14 +121,5 @@ def _norms_cached(spec: SystemSpec, n_max: int) -> tuple[float, ...]:
         raise QuadratureNotConverged(
             f"norms moved by {drift:.3e} relative under node doubling"
         )
-    return tuple(float(v) for v in fine)
-
-
-def norms(spec: SystemSpec, n_max: int) -> np.ndarray:
-    """Squared norms h_n of phi_n = phi_0 P_n, n = 0 .. n_max, by quadrature.
-
-    The rule is each family's `quadrature_nodes`; it never uses the
-    recurrence coefficients, so the norms stay an independent oracle for
-    them.  Convergence is asserted by node doubling at 1e-8 relative.
-    """
-    return np.array(_norms_cached(spec, n_max), dtype=float)
+    fine.setflags(write=False)
+    return fine

@@ -10,7 +10,7 @@ modules need to know about it:
 * its parameter ranges, checked once on construction (`__post_init__`
   raises ParameterOutOfRange, also from `dataclasses.replace`), so no
   instance lies outside them; the spectrum `energy(n)`;
-* `closure_polynomials()` (R0, R1, R-1 and the H' shift) and
+* `closure_polynomials()` (R0, R1, R-1) and
   `classical_closure()` (R0, R-1 of the double Poisson bracket);
 * `recurrence_coefficients()`: A_n, B_n, C_n of the eigenpolynomials;
 * the coordinate map: `domain`, `eta`, `deta_dx`, `d2eta_dx2`;
@@ -73,17 +73,12 @@ class HPoly:
 
 @dataclass(frozen=True)
 class SpectralModel:
-    """Closure data for one system.
-
-    r0, r1, rm1 are the coefficient polynomials of the double-commutator
-    closure; hprime_shift is the constant s in the shifted Hamiltonian
-    H' = H + s used by the printed closed forms.
-    """
+    """Closure data for one system: r0, r1, rm1 are the coefficient
+    polynomials of the double-commutator closure."""
 
     r0: HPoly
     r1: HPoly
     rm1: HPoly
-    hprime_shift: float
 
 
 @dataclass(frozen=True)
@@ -137,13 +132,12 @@ class PoschlTeller:
     def energy(self, n):
         return 2.0 * n * (n + self.g + self.h)
 
-    def closure_polynomials(self) -> tuple[HPoly, HPoly, HPoly, float]:
-        shift = 0.5 * (self.g + self.h) ** 2
+    def closure_polynomials(self) -> tuple[HPoly, HPoly, HPoly]:
+        shift = 0.5 * (self.g + self.h) ** 2  # H' = H + shift
         return (
             HPoly((8.0 * shift - 4.0, 8.0)),
             HPoly((4.0,)),
             HPoly((4.0 * (self.alpha**2 - self.beta**2),)),
-            shift,
         )
 
     def classical_closure(self) -> tuple[HPoly, HPoly]:
@@ -252,8 +246,8 @@ class DeformedOscillator:
     def energy(self, n):
         return 1.0 * n
 
-    def closure_polynomials(self) -> tuple[HPoly, HPoly, HPoly, float]:
-        return HPoly((1.0,)), HPoly((0.0,)), HPoly((0.0,)), 0.0
+    def closure_polynomials(self) -> tuple[HPoly, HPoly, HPoly]:
+        return HPoly((1.0,)), HPoly((0.0,)), HPoly((0.0,))
 
     def classical_closure(self) -> tuple[HPoly, HPoly]:
         return HPoly((1.0,)), HPoly((0.0,))
@@ -433,10 +427,10 @@ class AskeyWilson:
         qp = self._q_pow
         return (qp(-n) - 1.0) * (1.0 - self.b4 * qp(n - 1)) / 2.0
 
-    def closure_polynomials(self) -> tuple[HPoly, HPoly, HPoly, float]:
+    def closure_polynomials(self) -> tuple[HPoly, HPoly, HPoly]:
         q, b1, b3, b4 = self.q, self.b1, self.b3, self.b4
         kappa = q * (1.0 / q - 1.0) ** 2
-        shift = 0.5 * (1.0 + b4 / q)
+        shift = 0.5 * (1.0 + b4 / q)  # H' = H + shift
         r0 = HPoly(
             (
                 kappa * (shift**2 - (1.0 + 1.0 / q) ** 2 * b4 / 4.0),
@@ -451,7 +445,7 @@ class AskeyWilson:
                 -kappa * (b1 + b3 / q) / 4.0,
             )
         )
-        return r0, r1, rm1, shift
+        return r0, r1, rm1
 
     def classical_closure(self) -> tuple[HPoly, HPoly]:
         gsq = self.log_q**2
@@ -624,6 +618,12 @@ SystemSpec = Union[PoschlTeller, DeformedOscillator, AskeyWilson]
 # allocated.
 _MAX_NODES = 1 << 16
 
+# Largest matrix dimension, spectrum length, coherent truncation and count
+# of classical states; past it a request is refused before anything is
+# allocated.  The heisenberg suite, the largest per level, takes about 630
+# bytes a level, so the cap holds it near 330 MiB.
+_MAX_SIZE = 1 << 19
+
 
 def _grid(step: float, first: int, last: int) -> np.ndarray:
     """The points step * k for k = first .. last."""
@@ -633,6 +633,12 @@ def _grid(step: float, first: int, last: int) -> np.ndarray:
             f"more than the {_MAX_NODES} allowed"
         )
     return step * np.arange(first, last + 1)
+
+
+def require_size(name: str, value: int, cap: int = _MAX_SIZE) -> None:
+    """Raise ParameterOutOfRange if the requested size `value` exceeds `cap`."""
+    if value > cap:
+        raise ParameterOutOfRange(f"{name}={value} exceeds the size cap {cap}")
 
 
 def require_inside(spec: SystemSpec, x, error: type[Exception] = EvaluationDomain) -> None:
@@ -667,9 +673,8 @@ def energies(spec: SystemSpec, count: int) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def r_polynomials(spec: SystemSpec) -> SpectralModel:
-    """Closure coefficient polynomials R0, R1, R-1 and the H' shift."""
-    r0, r1, rm1, shift = spec.closure_polynomials()
-    return SpectralModel(r0=r0, r1=r1, rm1=rm1, hprime_shift=shift)
+    """Closure coefficient polynomials R0, R1, R-1."""
+    return SpectralModel(*spec.closure_polynomials())
 
 
 @lru_cache(maxsize=None)
@@ -704,9 +709,7 @@ def frequency_pair(r0v, r1v, e):
     return (0.5 * (r1v + root), 0.5 * (r1v - root))
 
 
-def check_spectrum_closure(
-    spec: SystemSpec, n_max: int, tol: float = 1e-9
-) -> CheckReport:
+def check_spectrum_closure(spec: SystemSpec, n_max: int) -> CheckReport:
     """Verify E_{n+1} - E_n = alpha_plus(E_n) and E_{n-1} - E_n = alpha_minus(E_n).
 
     Residuals are relative to max(1, |target level|).  n_max must stay
@@ -719,6 +722,7 @@ def check_spectrum_closure(
             f"n_max={n_max} exceeds the double-precision cap {spec.level_cap} "
             f"of {spec}"
         )
+    require_size("n_max", n_max)
     levels = energies(spec, n_max + 2)
     ap, am = alpha_pm(spec, levels[: n_max + 1])
     # E_{n+1}, E_n for n = 0 .. n_max; E_{n-1} for n = 1 .. n_max
@@ -730,7 +734,7 @@ def check_spectrum_closure(
     return make_report(
         "spectrum_closure",
         np.maximum(worst_plus, worst_minus),
-        tol,
+        1e-9,
         n_max=n_max,
         max_plus=float(worst_plus),
         max_minus=float(worst_minus),

@@ -6,8 +6,10 @@ see them) and asserts the pinned tolerance.
 
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -195,19 +197,25 @@ def test_criterion_10_coherent_states():
     report = sc.check_mp_hypergeometric(1.0, 0.3, xs, 60)
     report_line("10b oscillator 1F1 closed form, 20 samples", report.max_residual, 1e-10)
 
-    state = sc.coherent_coeffs(DO_SETS[1], 0.0, 12)
-    exact = float(state.coeffs[0] == 1.0 and np.all(state.coeffs[1:] == 0.0))
+    coeffs = sc.coherent_coeffs(DO_SETS[1], 0.0, 12)
+    exact = float(coeffs[0] == 1.0 and np.all(coeffs[1:] == 0.0))
     print(f"[{'PASS' if exact else 'FAIL'}] 10c zero eigenvalue collapses to the ground state")
     assert exact
 
 
 def test_criterion_11_cli_determinism(tmp_path):
+    # the directory the package is imported from, so that `python -m
+    # sincoord` runs the same code without an install
+    src = str(Path(sc.__file__).resolve().parents[1])
+    pythonpath = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+
     def invoke(*args):
         return subprocess.run(
             [sys.executable, "-m", "sincoord", *args],
             capture_output=True,
             text=True,
             timeout=600,
+            env={**os.environ, "PYTHONPATH": pythonpath},
         )
 
     paths = [tmp_path / "one.json", tmp_path / "two.json"]

@@ -4,7 +4,8 @@
 counters of the functions named in `run.CACHED` and times a fresh
 interpreter running the `SetupTimer` probe (which builds the CLI parser); a
 change that renames or drops one of them breaks the benchmark, so it is
-pinned here.
+pinned here.  The gate's `TOLERANCE` table is also the reference for the
+tolerance every check reports at the defaults.
 """
 
 import ast
@@ -12,6 +13,9 @@ import importlib
 from pathlib import Path
 
 import pytest
+
+import sincoord as sc
+from sincoord import cli
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -69,3 +73,27 @@ def test_setup_probe_runs():
     ]
     assert probes == ["import sincoord.cli as c; c.build_parser()"]
     exec(probes[0], {})
+
+
+# `spectrum_closure` is not gated by the benchmark
+SPECTRUM_TOLERANCE = 1e-9
+REFERENCE_SYSTEMS = (
+    sc.PoschlTeller(1.0, 1.0),
+    sc.DeformedOscillator(1.0),
+    sc.AskeyWilson(0.1, 0.2, -0.1, 0.3, q=0.5),
+)
+
+
+def test_every_check_reports_the_gate_tolerance():
+    table = ast.literal_eval(_bench_constant("gate.py", "TOLERANCE"))
+    table["spectrum_closure"] = SPECTRUM_TOLERANCE
+    args = cli.build_parser().parse_args(["all", "--states", "1"])
+    seen = set()
+    for spec in REFERENCE_SYSTEMS:
+        for report in cli.run(spec, args):
+            expected = table[report.name]
+            if isinstance(expected, dict):
+                expected = expected[spec.tag]
+            assert report.tolerance == expected, (spec.tag, report.name)
+            seen.add(report.name)
+    assert seen == set(table)

@@ -2,22 +2,42 @@
 
 import argparse
 import json
+import os
+import resource
 import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import pytest
 
 from sincoord import cli
 
+# the directory the package is imported from, so that `python -m sincoord`
+# runs the same code without an install
+SRC = str(Path(cli.__file__).resolve().parents[1])
 
-def run_cli(*args):
+# Address space of a process whose request is refused: 1.5 GiB, so a request
+# that allocated before its refusal ends in MemoryError, not in the machine
+# running out of memory.
+REFUSAL_ADDRESS_SPACE = 3 << 29
+
+
+def run_cli(*args, preexec_fn=None):
+    path = os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH"))))
     return subprocess.run(
         [sys.executable, "-m", "sincoord", *args],
         capture_output=True,
         text=True,
         timeout=600,
+        env={**os.environ, "PYTHONPATH": path},
+        preexec_fn=preexec_fn,
     )
+
+
+def _limit_address_space():
+    limit = (REFUSAL_ADDRESS_SPACE, REFUSAL_ADDRESS_SPACE)
+    resource.setrlimit(resource.RLIMIT_AS, limit)
 
 
 class TestSubcommands:
@@ -172,6 +192,13 @@ class TestExitCodes:
                     ("coherent", "1e-5"),
                 )
             ),
+            ("ladder", "--system", "do", "--a", "1", "--n", "100000000"),
+            ("heisenberg", "--system", "do", "--a", "1", "--n", "100000000"),
+            ("spectrum", "--system", "pt", "--g", "1", "--h", "1", "--nmax",
+             "1000000000"),
+            ("classical", "--system", "do", "--a", "1", "--states", "1000000000"),
+            ("coherent", "--system", "do", "--a", "1", "--n", "100000000"),
+            ("ladder", "--system", "do", "--a", "1.3", "--n", "2049"),
         ],
         ids=[
             "guard-zero", "time-nan", "negative-tend", "empty-time-grid",
@@ -187,10 +214,13 @@ class TestExitCodes:
             "level-overflow-aw-spectrum", "level-overflow-aw-ladder",
             "level-overflow-aw-heisenberg", "level-overflow-aw-coherent",
             "level-overflow-aw-coherent-q1e-5",
+            "dimension-beyond-cap-ladder", "dimension-beyond-cap-heisenberg",
+            "levels-beyond-cap-spectrum", "states-beyond-cap-classical",
+            "truncation-beyond-cap-coherent", "dimension-beyond-cap-su11",
         ],
     )
     def test_out_of_range_request_exits_two_without_traceback(self, args):
-        result = run_cli(*args)
+        result = run_cli(*args, preexec_fn=_limit_address_space)
         assert result.returncode == 2
         assert result.stderr.startswith("error: ")
         assert result.stderr.count("\n") == 1

@@ -6,7 +6,8 @@ reintroduced on these paths fails here.  The same limit holds the blocked
 q-Pochhammer product at q = 0.999, whose ~40,000 factors over 1,041 nodes
 would take 660 MiB as one array.  A long Heisenberg time grid runs in
 blocks of bounded size: 200 samples at N 2048 in one (T, 3, N) batch would
-peak near 170 MiB.
+peak near 170 MiB.  A size beyond its cap is refused before anything of that
+size is allocated.
 """
 
 import math
@@ -17,8 +18,10 @@ import pytest
 
 import sincoord as sc
 from sincoord.special import qpochhammer
+from sincoord.systems import _MAX_SIZE, require_size
 
 DO1 = sc.DeformedOscillator(1.0)
+PT11 = sc.PoschlTeller(1.0, 1.0)
 LIMIT = 8 * 2**20
 
 
@@ -45,6 +48,35 @@ def test_peak_memory_is_linear_in_n(check):
     finally:
         tracemalloc.stop()
     assert peak < LIMIT
+
+
+@pytest.mark.parametrize(
+    "request_",
+    [
+        lambda: sc.check_ladder_action(DO1, 10**8, 4),
+        lambda: sc.check_heisenberg(DO1, 10**8, 4),
+        lambda: sc.check_su11(1.3, 2049, 4),
+        lambda: sc.check_spectrum_closure(PT11, 10**9),
+        lambda: sc.check_eigenvalue(DO1, 0.3, 10**8, 4),
+        lambda: sc.sample_states(DO1, 10**9),
+    ],
+    ids=["ladder", "heisenberg", "su11", "spectrum", "coherent", "states"],
+)
+def test_size_beyond_cap_is_refused_before_allocation(request_):
+    tracemalloc.start()
+    try:
+        with pytest.raises(sc.ParameterOutOfRange, match="exceeds the size cap"):
+            request_()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
+def test_size_cap_admits_its_own_value():
+    require_size("N", _MAX_SIZE)
+    with pytest.raises(sc.ParameterOutOfRange):
+        require_size("N", _MAX_SIZE + 1)
 
 
 def test_qpochhammer_factors_are_blocked():

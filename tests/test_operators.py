@@ -251,7 +251,7 @@ class TestLadderAction:
         assert sc.check_ladder_action(PT23, 30, 4).max_residual <= 1e-10
 
     def test_aw(self):
-        report = sc.check_ladder_action(AW1, 30, 4, tol=1e-9)
+        report = sc.check_ladder_action(AW1, 30, 4)
         assert report.passed
 
     def test_aw_columns_match_printed_coefficients(self):

@@ -318,12 +318,12 @@ def test_heisenberg_matches_per_sample_loop(spec, n_dim):
 def test_coherent_coefficients_match_per_row_loop(spec, truncation):
     truncation = family_size(spec, truncation)
     ref = per_row_coefficients(spec, spec.coherent_lambda, truncation)
-    state = outcome(sc.coherent_coeffs, spec, spec.coherent_lambda, truncation)
-    if isinstance(state, Refusal):
-        assert state.error is sc.SeriesNotConverged
+    coeffs = outcome(sc.coherent_coeffs, spec, spec.coherent_lambda, truncation)
+    if isinstance(coeffs, Refusal):
+        assert coeffs.error is sc.SeriesNotConverged
         assert not np.all(np.isfinite(ref))
     else:
-        assert same_bits(state.coeffs, ref)
+        assert same_bits(coeffs, ref)
 
 
 def _pow_mismatch():

@@ -238,7 +238,6 @@ class TestRPolynomials:
         assert model.r0(0.0) == pytest.approx(12.0, abs=1e-14)
         assert model.r1(0.0) == 4.0
         assert model.rm1(0.0) == 0.0
-        assert model.hprime_shift == 2.0
 
     def test_pt_asymmetric_constant(self):
         model = sc.r_polynomials(sc.PoschlTeller(1.0, 2.0))
@@ -248,7 +247,6 @@ class TestRPolynomials:
     def test_aw_r0_at_zero(self):
         model = sc.r_polynomials(AW0)
         assert model.r0(0.0) == pytest.approx(0.125, abs=1e-15)
-        assert model.hprime_shift == 0.5
 
     def test_recurrence_diagonal_matches_spectral_ratio(self):
         # B_n = -R(-1)(E_n) / R0(E_n) ties the polynomial diagonal to the
