@@ -147,10 +147,12 @@ def flow_oracle(
 ) -> Trajectory:
     """Fixed-step RK4 integration of dx/dt = dH/dp, dp/dt = -dH/dx.
 
-    Raises DomainEscape if the position leaves the open domain and
-    EnergyDrift if the conserved energy moves by more than 1e-6 relative
-    or a stage of a step overflows, divides by zero or takes the sine of an
-    infinite position (after a partial overflowed to inf).
+    Takes round(t_end / dt) steps, so the flow ends at that many times dt;
+    a span that rounds to no step (t_end <= dt / 2) raises
+    ParameterOutOfRange.  Raises DomainEscape if the position leaves the
+    open domain and EnergyDrift if the conserved energy moves by more than
+    1e-6 relative or a stage of a step overflows, divides by zero or takes
+    the sine of an infinite position (after a partial overflowed to inf).
     """
     if not 0.0 < dt < math.inf:
         raise ParameterOutOfRange(f"dt must be positive and finite, got {dt}")
@@ -162,7 +164,12 @@ def flow_oracle(
             f"the flow needs {ratio:.6g} steps of dt={dt}, "
             f"more than the {_MAX_STEPS} allowed"
         )
-    steps = max(1, int(round(ratio)))
+    steps = round(ratio)
+    if steps == 0:
+        raise ParameterOutOfRange(
+            f"the span {t_end} is at most half a step of dt={dt}, "
+            "so the flow would take no step"
+        )
     times = np.arange(steps + 1) * dt
     x, p = state.x, state.p
     xs = array("d", [x])
@@ -341,8 +348,7 @@ def check_potential_reconstruction(g: float, h: float) -> CheckReport:
     )
 
 
-_CSV_ROW = "%.17g,%.17g,%.17g,%.17g\n"
-_CSV_BLOCK_ROWS = 1000
+_CSV_BLOCK_ROWS = 500
 
 
 def write_trajectory_csv(
@@ -350,13 +356,23 @@ def write_trajectory_csv(
 ) -> None:
     """Four-column trajectory export: t, eta_closed, eta_numeric, abs_err.
 
-    Rows are formatted a block at a time, so the table and the text in
-    memory stay one block long whatever the length of the trajectory.
+    Each value is written as the bytes of '%.17g' % value: its 17 digits
+    are the exact nearest integer to |value| 10^(16-E), and CPython's
+    conversion takes the few values whose rounding that cannot decide (see
+    `_g17`).  Rows are formatted a block at a time, so the table and the
+    text in memory stay one block long whatever the length of the
+    trajectory.
     """
-    columns = (times, eta_closed, eta_numeric, np.abs(eta_closed - eta_numeric))
+    # imported here, so that only an export pays for loading the formatter
+    from ._g17 import BlockFormatter
+
+    text = BlockFormatter(4, _CSV_BLOCK_ROWS)
     with open(path, "w", encoding="utf-8") as handle:
         handle.write("t,eta_closed,eta_numeric,abs_err\n")
         for start in range(0, len(times), _CSV_BLOCK_ROWS):
             rows = slice(start, start + _CSV_BLOCK_ROWS)
-            block = np.column_stack([column[rows] for column in columns])
-            handle.write(_CSV_ROW * len(block) % tuple(block.ravel().tolist()))
+            closed, numeric = eta_closed[rows], eta_numeric[rows]
+            block = np.column_stack(
+                (times[rows], closed, numeric, np.abs(closed - numeric))
+            )
+            handle.write(text.format(block))

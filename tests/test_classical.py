@@ -4,6 +4,7 @@ import cmath
 import json
 import math
 import tracemalloc
+from decimal import Decimal
 from fractions import Fraction
 
 import mpmath
@@ -12,6 +13,7 @@ import pytest
 
 import sincoord as sc
 from sincoord import cli, polynomials, systems
+from sincoord._g17 import _RANGE, BlockFormatter
 from sincoord.classical import ClassicalState
 
 PT11 = sc.PoschlTeller(1.0, 1.0)
@@ -301,6 +303,17 @@ class TestFlowOracle:
             sc.flow_oracle(DO1, ClassicalState(0.0, 0.0), 1.0, 0.0)
         with pytest.raises(sc.ParameterOutOfRange):
             sc.flow_oracle(DO1, ClassicalState(0.0, 0.0), -1.0, 1e-3)
+
+    @pytest.mark.parametrize("t_end", [1e-9, 4e-4, 5e-4])
+    def test_refuses_a_span_of_at_most_half_a_step(self, t_end):
+        with pytest.raises(sc.ParameterOutOfRange, match="half a step of dt=0.001"):
+            sc.flow_oracle(DO1, ClassicalState(0.5, 0.3), t_end, 1e-3)
+
+    def test_flow_ends_at_the_rounded_step_count(self):
+        for t_end, steps in ((6e-4, 1), (2.4e-3, 2), (2.6e-3, 3)):
+            traj = sc.flow_oracle(DO1, ClassicalState(0.5, 0.3), t_end, 1e-3)
+            assert len(traj.times) == steps + 1
+            assert traj.times[-1] == steps * 1e-3
 
     @pytest.mark.parametrize("t_end, dt", [(1.0, 1e-300), (1e300, 1e-300)])
     def test_refuses_a_step_count_beyond_the_cap_before_allocating(self, t_end, dt):
@@ -600,6 +613,17 @@ class TestTrajectoryExport:
             tracemalloc.stop()
         assert peak < 2**20
 
+    def test_peak_memory_stays_flat_with_trajectory_length(self, tmp_path):
+        columns = _export(DO1, ClassicalState(0.5, 0.3), 100.0)
+        assert len(columns[0]) == 100001
+        tracemalloc.start()
+        try:
+            sc.write_trajectory_csv(str(tmp_path / "traj.csv"), *columns)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
     def test_csv_columns(self, tmp_path):
         state = ClassicalState(0.5, 0.3)
         traj = sc.flow_oracle(DO1, state, 1.0, 1e-2)
@@ -612,3 +636,80 @@ class TestTrajectoryExport:
         first = lines[1].split(",")
         assert float(first[0]) == 0.0
         assert float(first[3]) == abs(float(first[1]) - float(first[2]))
+
+
+def _assert_g17(values):
+    """The block formatter's text of `values`, one per row, against CPython's
+    '%.17g' of each, a block at a time."""
+    rows = 4096
+    formatter = BlockFormatter(1, rows)
+    for start in range(0, len(values), rows):
+        block = values[start : start + rows]
+        text = formatter.format(block.reshape(-1, 1))
+        expected = ["%.17g" % v for v in block.tolist()]
+        if text != "\n".join(expected) + "\n":
+            got = text.split("\n")
+            i = next(i for i, (g, e) in enumerate(zip(got, expected)) if g != e)
+            raise AssertionError(
+                f"{block[i]!r} ({block[i:i + 1].view(np.uint64)[0]:#x}) gave "
+                f"{got[i]!r}, '%.17g' gives {expected[i]!r}"
+            )
+
+
+def _signed(values):
+    values = np.asarray(values, dtype=float)
+    return np.concatenate([values, -values])
+
+
+class TestG17Kernel:
+    """The export's block formatter writes the bytes of '%.17g' for every
+    double, through its exact path or through CPython's conversion."""
+
+    def test_random_bit_patterns(self):
+        rng = np.random.default_rng(1971)
+        bits = rng.integers(0, 2**64, size=10**6, dtype=np.uint64)
+        values = bits.view(np.float64)
+        assert np.count_nonzero(values[np.isfinite(values)] < 0) > 4 * 10**5
+        assert np.count_nonzero(np.abs(values) < np.finfo(float).tiny) > 200
+        _assert_g17(values)
+
+    def test_powers_of_ten_and_their_neighbours(self):
+        powers = np.array([float(f"1e{k}") for k in range(-323, 309)])
+        neighbours = [np.nextafter(powers, np.inf), np.nextafter(powers, 0.0)]
+        _assert_g17(_signed(np.concatenate([powers, *neighbours])))
+
+    def test_short_decimals(self):
+        rng = np.random.default_rng(5)
+        x = rng.normal(size=20000) * 10.0 ** rng.integers(-6, 12, 20000)
+        digits = rng.integers(0, 16, 20000)
+        _assert_g17(_signed([round(v, int(d)) for v, d in zip(x, digits)]))
+
+    def test_millisecond_grid(self):
+        _assert_g17(np.arange(200001) * 1e-3)
+
+    def test_integers_near_two_to_the_sixty(self):
+        _assert_g17(_signed(2.0**60 + 256.0 * np.arange(-4096, 4096)))
+
+    def test_exact_ties(self):
+        # 15 integer digits and three binary places: each value has 18
+        # significant digits, the last a 5, so '%.17g' rounds half to even
+        base = 1e14 + 12345.0 * np.arange(1000)
+        values = (base[:, None] + np.array([0.125, 0.375, 0.625, 0.875])).ravel()
+        for v in values[:8]:
+            digits = Decimal(v).as_tuple().digits
+            assert len(digits) == 18 and digits[-1] == 5
+        _assert_g17(_signed(values))
+
+    def test_odd_multiples_of_powers_of_two(self):
+        # m 2^-j has j decimal places, so some of these are exact ties where
+        # 10^(16-E) is not a double and the product is rounded
+        powers = np.ldexp(1.0, np.arange(-1074, 1017))
+        _assert_g17(_signed((powers[:, None] * np.arange(1, 100, 2)).ravel()))
+
+    def test_edges_of_the_exact_range(self):
+        edges = np.array(_RANGE)
+        values = [edges, np.nextafter(edges, 0.0), np.nextafter(edges, np.inf)]
+        _assert_g17(_signed(np.concatenate(values)))
+
+    def test_zeros_and_non_finite_values(self):
+        _assert_g17(np.array([0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan]))

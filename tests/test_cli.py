@@ -199,6 +199,11 @@ class TestExitCodes:
             ("classical", "--system", "do", "--a", "1", "--states", "1000000000"),
             ("coherent", "--system", "do", "--a", "1", "--n", "100000000"),
             ("ladder", "--system", "do", "--a", "1.3", "--n", "2049"),
+            ("classical", "--system", "aw", "--a=0.1,0.2,-0.1,0.3", "--q", "0.5",
+             "--x0=1.5", "--p0=0.3", "--tend", "1e-9", "--format", "csv",
+             "--out", os.devnull),
+            ("classical", "--system", "pt", "--g", "1e4", "--h", "1e4", "--x0=0.7",
+             "--p0=0.1"),
         ],
         ids=[
             "guard-zero", "time-nan", "negative-tend", "empty-time-grid",
@@ -217,6 +222,7 @@ class TestExitCodes:
             "dimension-beyond-cap-ladder", "dimension-beyond-cap-heisenberg",
             "levels-beyond-cap-spectrum", "states-beyond-cap-classical",
             "truncation-beyond-cap-coherent", "dimension-beyond-cap-su11",
+            "span-below-half-step-export", "three-periods-below-half-step",
         ],
     )
     def test_out_of_range_request_exits_two_without_traceback(self, args):
