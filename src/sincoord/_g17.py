@@ -193,8 +193,8 @@ class BlockFormatter:
         return top, bottom, e, exact
 
     def format(self, block: np.ndarray) -> str:
-        """The text of a (rows, columns) float64 block."""
-        v = block.ravel()
+        """The text of a (rows, columns) block, as the doubles of its values."""
+        v = np.asarray(block, dtype=np.float64).ravel()
         top, bottom, e, exact = self._decimal(v)
         d0 = np.floor(top / 1e8)
         top -= d0 * 1e8

@@ -603,6 +603,12 @@ class TestTrajectoryExport:
         columns[1][: len(special)] = special[:rows]
         _assert_same_bytes(tmp_path, columns)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.int64])
+    def test_other_dtypes_are_written_as_their_doubles(self, tmp_path, dtype):
+        rng = np.random.default_rng(3)
+        columns = [(rng.normal(size=700) * 1e6).astype(dtype) for _ in range(3)]
+        _assert_same_bytes(tmp_path, columns)
+
     def test_peak_memory_stays_below_one_mib(self, tmp_path):
         columns = _export(DO1, ClassicalState(0.5, 0.3), 10.0)
         tracemalloc.start()
