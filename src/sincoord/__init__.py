@@ -15,10 +15,7 @@ from .classical import (
     check_potential_reconstruction,
     closed_form_eta,
     flow_oracle,
-    hamiltonian,
     period,
-    poisson_h_eta,
-    poisson_h_h_eta,
     pt_reference_potential,
     reconstruct_potential,
     sample_states,

@@ -54,21 +54,6 @@ class Trajectory:
     energy_drift: float = 0.0
 
 
-def hamiltonian(spec: SystemSpec, x: float, p: float) -> float:
-    return spec.flow_terms(x, p)[0]
-
-
-def poisson_h_eta(spec: SystemSpec, x: float, p: float) -> float:
-    """{H, eta} = -dH/dp * eta'(x)."""
-    _, _, dhdp = spec.flow_terms(x, p)
-    return -dhdp * spec.deta_dx(x)
-
-
-def poisson_h_h_eta(spec: SystemSpec, x: float, p: float) -> float:
-    """{H, {H, eta}} from analytic first and second partials."""
-    return _h_and_h_h_eta(spec, x, p)[1]
-
-
 def _h_and_h_h_eta(spec: SystemSpec, x: float, p: float) -> tuple[float, float]:
     """H and {H, {H, eta}}, both from one `flow_terms` call."""
     h, dhdx, dhdp = spec.flow_terms(x, p)
@@ -98,21 +83,29 @@ def _initial_terms(spec: SystemSpec, state: ClassicalState) -> tuple[float, floa
     return terms
 
 
-def closed_form_eta(spec: SystemSpec, state: ClassicalState, t):
-    """eta(x(t)) from the single-frequency closed form.
+def _orbit(spec: SystemSpec, state: ClassicalState) -> tuple[float, float, float, float]:
+    """The constants of the state's sinusoid, from one `_initial_terms` call:
+    omega = sqrt(R0(H0)), the offset R-1(H0)/R0(H0), the initial bracket
+    {H, eta} = -dH/dp * eta'(x0) and eta(x0).
 
-    Uses the classical closure coefficients at the conserved energy H0 and
-    the initial bracket {H, eta}; raises NonOscillatory if R0(H0) <= 0.
+    Raises NonOscillatory if R0(H0) <= 0 and ParameterOutOfRange if R0(H0)
+    overflows, besides the refusals of `_initial_terms`.
     """
+    h0, _, dhdp = _initial_terms(spec, state)
     closure = classical_r_polynomials(spec)
-    h0 = _initial_terms(spec, state)[0]
     r0v = closure.r0(h0)
     if r0v <= 0.0:
         raise NonOscillatory(f"R0(H0)={r0v} <= 0 at energy {h0}")
-    omega = math.sqrt(r0v)
-    ratio = closure.rm1(h0) / r0v
-    bracket0 = poisson_h_eta(spec, state.x, state.p)
-    eta0 = float(spec.eta(state.x))
+    if r0v == math.inf:
+        raise ParameterOutOfRange(f"R0(H0) overflows at the initial energy H0={h0}")
+    bracket0 = -dhdp * spec.deta_dx(state.x)
+    return math.sqrt(r0v), closure.rm1(h0) / r0v, bracket0, float(spec.eta(state.x))
+
+
+def closed_form_eta(spec: SystemSpec, state: ClassicalState, t):
+    """eta(x(t)) from the single-frequency closed form, with the constants
+    of the state's orbit (`_orbit`, which refuses R0(H0) <= 0 or overflowing)."""
+    omega, ratio, bracket0, eta0 = _orbit(spec, state)
     ts = np.asarray(t, dtype=float)
     values = (
         -bracket0 * np.sin(omega * ts) / omega
@@ -126,14 +119,7 @@ def closed_form_eta(spec: SystemSpec, state: ClassicalState, t):
 
 def period(spec: SystemSpec, state: ClassicalState) -> float:
     """2 pi / sqrt(R0(H0)): the oscillation period at this state's energy."""
-    closure = classical_r_polynomials(spec)
-    h0 = _initial_terms(spec, state)[0]
-    r0v = closure.r0(h0)
-    if r0v <= 0.0:
-        raise NonOscillatory(f"R0(H0)={r0v} <= 0")
-    if r0v == math.inf:
-        raise ParameterOutOfRange(f"R0(H0) overflows at the initial energy H0={h0}")
-    return 2.0 * math.pi / math.sqrt(r0v)
+    return 2.0 * math.pi / _orbit(spec, state)[0]
 
 
 # Largest number of RK4 steps taken; past it the flow is refused rather than
@@ -252,7 +238,7 @@ def check_closed_vs_flow(
         traj = flow_oracle(spec, state, span, dt)
         closed = closed_form_eta(spec, state, traj.times)
         worst_dev = np.maximum(worst_dev, np.max(np.abs(closed - traj.eta_values)))
-        h0 = abs(hamiltonian(spec, state.x, state.p))
+        h0 = abs(_initial_terms(spec, state)[0])
         worst_drift = np.maximum(worst_drift, traj.energy_drift / max(1.0, h0))
         if trajectories is not None:
             trajectories.append((traj, closed))

@@ -302,13 +302,15 @@ def main(argv=None) -> int:
             # value, so explicit flags win
             args = _PARSER.parse_args(_config_tokens(args.config) + list(argv))
         spec = _build_spec(args)
-        trajectories: list = []
-        reports = run(spec, args, trajectories)
-        if (
+        # a trajectory export replaces the csv report file; only it keeps
+        # the trajectory
+        export = (
             args.suite == "classical" and args.format == "csv"
             and args.x0 is not None and args.out is not None
-        ):
-            # trajectory export replaces the csv report file
+        )
+        trajectories = [] if export else None
+        reports = run(spec, args, trajectories)
+        if export:
             traj, closed = trajectories[0]
             classical.write_trajectory_csv(
                 args.out, traj.times, closed, traj.eta_values

@@ -4,6 +4,7 @@ import cmath
 import json
 import math
 import tracemalloc
+import warnings
 from decimal import Decimal
 from fractions import Fraction
 
@@ -202,7 +203,7 @@ class TestClosedForm:
     def test_pt_matches_printed_specialisation(self):
         g, h = 1.0, 2.0
         state = ClassicalState(0.9, 0.6)
-        h0 = sc.hamiltonian(PT12, state.x, state.p)
+        h0 = PT12.flow_terms(state.x, state.p)[0]
         hp0 = h0 + 0.5 * (g + h) ** 2
         omega = 2.0 * math.sqrt(2.0 * hp0)
         offset = (g**2 - h**2) / (2.0 * hp0)
@@ -298,6 +299,17 @@ class TestFlowOracle:
         with pytest.raises(sc.DomainEscape):
             sc.period(PT11, ClassicalState(0.0, 1.0))
 
+    def test_overflowing_r0_is_refused_alike_by_period_and_closed_form(self):
+        # H0 = 3.15e307 is finite, but R0(H0) = 4 (g + h)^2 + 8 H0 overflows
+        spec, state = sc.PoschlTeller(6.69e153, 1.0), ClassicalState(0.7, 1.0)
+        with pytest.raises(sc.ParameterOutOfRange, match="R0.H0. overflows") as expected:
+            sc.period(spec, state)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(sc.ParameterOutOfRange) as raised:
+                sc.closed_form_eta(spec, state, 0.5)
+        assert str(raised.value) == str(expected.value)
+
     def test_rejects_bad_steps(self):
         with pytest.raises(ValueError):
             sc.flow_oracle(DO1, ClassicalState(0.0, 0.0), 1.0, 0.0)
@@ -375,9 +387,9 @@ class TestFlowMatchesReference:
         energy, partials = _reference_terms(spec)
         for state in sc.sample_states(spec, 20, seed=9):
             x, p = state.x, state.p
-            assert sc.hamiltonian(spec, x, p) == energy(x, p)
+            assert sc.classical._initial_terms(spec, state)[0] == energy(x, p)
             assert spec.flow_terms(x, p) == (energy(x, p), *partials(x, p))
-            assert sc.poisson_h_eta(spec, x, p) == -partials(x, p)[1] * spec.deta_dx(x)
+            assert sc.classical._orbit(spec, state)[2] == -partials(x, p)[1] * spec.deta_dx(x)
 
 
 class TestAskeyWilsonTerms:
@@ -443,8 +455,24 @@ class TestClosedVsFlow:
         (traj, closed), = trajectories
         assert len(traj.times) == 2001 and traj.times[-1] == pytest.approx(2.0)
         assert deviation.max_residual == np.max(np.abs(closed - traj.eta_values))
-        h0 = sc.hamiltonian(DO1, state.x, state.p)
+        h0 = DO1.flow_terms(state.x, state.p)[0]
         assert drift.max_residual == traj.energy_drift / max(1.0, abs(h0))
+
+    def test_only_a_trajectory_export_keeps_trajectories(self, monkeypatch, tmp_path):
+        handed = []
+        run = cli.run
+
+        def spy(spec, args, trajectories=None):
+            handed.append(trajectories)
+            return run(spec, args, trajectories)
+
+        monkeypatch.setattr(cli, "run", spy)
+        system = ["classical", "--system", "do", "--a", "1", "--tend", "0.1"]
+        assert cli.main(system + ["--states", "2", "--format", "json"]) == 0
+        export = ["--x0", "0.5", "--p0", "0.3", "--format", "csv", "--out"]
+        assert cli.main(system + export + [str(tmp_path / "traj.csv")]) == 0
+        assert handed[0] is None
+        assert len(handed[1]) == 1
 
 
 class TestNoStates:
@@ -462,7 +490,7 @@ class TestNoStates:
 
 def _poisson_h_eta_fd(spec, x, p, step=1e-6):
     """{H, eta} with all derivatives replaced by central differences."""
-    ham = lambda xx, pp: sc.hamiltonian(spec, xx, pp)
+    ham = lambda xx, pp: spec.flow_terms(xx, pp)[0]
     dhdp = (ham(x, p + step) - ham(x, p - step)) / (2 * step)
     deta = float(spec.eta(x + step) - spec.eta(x - step)) / (2 * step)
     return -dhdp * deta
@@ -470,8 +498,8 @@ def _poisson_h_eta_fd(spec, x, p, step=1e-6):
 
 def _poisson_h_h_eta_fd(spec, x, p, step=1e-6):
     """{H, {H, eta}} with the outer bracket done by central differences."""
-    ham = lambda xx, pp: sc.hamiltonian(spec, xx, pp)
-    inner = lambda xx, pp: sc.poisson_h_eta(spec, xx, pp)
+    ham = lambda xx, pp: spec.flow_terms(xx, pp)[0]
+    inner = lambda xx, pp: sc.classical._orbit(spec, ClassicalState(xx, pp))[2]
     dfdx = (inner(x + step, p) - inner(x - step, p)) / (2 * step)
     dfdp = (inner(x, p + step) - inner(x, p - step)) / (2 * step)
     dhdx = (ham(x + step, p) - ham(x - step, p)) / (2 * step)
@@ -514,10 +542,10 @@ class TestPoissonClosure:
     @pytest.mark.parametrize("spec", [PT12, DO1, AW1])
     def test_analytic_brackets_match_finite_differences(self, spec):
         for state in sc.sample_states(spec, 10, seed=5):
-            ana1 = sc.poisson_h_eta(spec, state.x, state.p)
+            ana1 = sc.classical._orbit(spec, state)[2]
             fd1 = _poisson_h_eta_fd(spec, state.x, state.p)
             assert abs(ana1 - fd1) <= 1e-6 * max(1.0, abs(ana1))
-            ana2 = sc.poisson_h_h_eta(spec, state.x, state.p)
+            ana2 = sc.classical._h_and_h_h_eta(spec, state.x, state.p)[1]
             fd2 = _poisson_h_h_eta_fd(spec, state.x, state.p)
             assert abs(ana2 - fd2) <= 1e-6 * max(1.0, abs(ana2))
 
