@@ -195,10 +195,20 @@ def build_basic(
 
 def _closure_vectors(spec: SystemSpec, ham: TruncatedOperator):
     """The levels, read off the diagonal of H, and the R-polynomial values
-    on them (no positivity requirement)."""
+    on them (no positivity requirement).  Refuses the first level where
+    one of them overflows: the levels stay finite, but R0(E) ~ E^2 need not
+    (aw at small q)."""
     levels = ham.bands[1].real
     model = r_polynomials(spec)
-    return levels, model.r0(levels), model.r1(levels), model.rm1(levels)
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = (model.r0(levels), model.r1(levels), model.rm1(levels))
+    overflow = np.flatnonzero(~np.isfinite(values).all(axis=0))
+    if overflow.size:
+        raise ParameterOutOfRange(
+            f"R0, R1 or R-1 at level E_{overflow[0]} overflows double precision "
+            f"for {spec}"
+        )
+    return (levels, *values)
 
 
 @lru_cache(maxsize=_KEPT)

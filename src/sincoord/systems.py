@@ -697,16 +697,27 @@ def alpha_pm(spec: SystemSpec, e):
 
 def frequency_pair(r0v, r1v, e):
     """(alpha_plus, alpha_minus) from R0(e) and R1(e), for callers that
-    already hold those values; see `alpha_pm`."""
-    disc = r1v * r1v + 4.0 * r0v
-    if np.any(disc < 0.0):
-        first = np.flatnonzero(disc < 0.0)[0]
-        raise ComplexFrequencies(
-            f"discriminant {np.ravel(disc)[first]} < 0 at energy "
-            f"{np.ravel(e)[first]}: no real frequency pair"
+    already hold those values; see `alpha_pm`.  Raises ParameterOutOfRange
+    at the first entry of e where the pair overflows, as R1^2 can on a
+    spectrum whose levels are finite (aw at small q); every caller passes
+    levels from E_0 on, so the message names that entry as a level."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        disc = r1v * r1v + 4.0 * r0v
+        if np.any(disc < 0.0):
+            first = np.flatnonzero(disc < 0.0)[0]
+            raise ComplexFrequencies(
+                f"discriminant {np.ravel(disc)[first]} < 0 at energy "
+                f"{np.ravel(e)[first]}: no real frequency pair"
+            )
+        root = np.sqrt(disc)
+        ap, am = 0.5 * (r1v + root), 0.5 * (r1v - root)
+    overflow = np.flatnonzero(~(np.isfinite(ap) & np.isfinite(am)))
+    if overflow.size:
+        raise ParameterOutOfRange(
+            f"the frequency pair at level E_{overflow[0]} (energy "
+            f"{np.ravel(e)[overflow[0]]}) overflows double precision"
         )
-    root = np.sqrt(disc)
-    return (0.5 * (r1v + root), 0.5 * (r1v - root))
+    return ap, am
 
 
 def check_spectrum_closure(spec: SystemSpec, n_max: int) -> CheckReport:

@@ -263,6 +263,11 @@ class TestExitCodes:
 
 
 SWEEP_VALUES = ("1e-300", "1e-8", "1", "1e150", "1e308", "inf")
+# aw at small q, where the levels stay finite but R0(E) ~ E^2 or R1^2 can
+# overflow on the truncated spectrum; q near 1 is left out, since a
+# classical check there takes seconds
+AW_SWEEP_Q = ("1e-300", "1e-8", "1e-5", "1e-3", "0.05", "0.5")
+AW_SWEEP_A = ("0,0,0,0", "0.999,0.5,-0.999,0.1", "1e-300,-1e-300,0.5,0.5")
 
 
 @pytest.mark.parametrize(
@@ -272,12 +277,17 @@ SWEEP_VALUES = ("1e-300", "1e-8", "1", "1e150", "1e308", "inf")
     "system",
     [("pt", "--g", v, "--h", "1") for v in SWEEP_VALUES]
     + [("pt", "--g", "1", "--h", v) for v in SWEEP_VALUES]
-    + [("do", "--a", v) for v in SWEEP_VALUES],
+    + [("do", "--a", v) for v in SWEEP_VALUES]
+    + [
+        ("aw", f"--a={a}", "--q", q, "--states=1")
+        for q in AW_SWEEP_Q for a in AW_SWEEP_A
+    ],
     ids=lambda system: "-".join(system),
 )
 def test_extreme_parameters_end_in_a_documented_outcome(system, suite, capsys):
-    """Tiny, huge and infinite pt and do parameters exit 0, 1 or 2 without
-    a traceback or a numpy warning, and only an exit 2 writes to stderr."""
+    """Tiny, huge and infinite pt and do parameters, and aw at small q, exit
+    0, 1 or 2 without a traceback or a numpy warning, and only an exit 2
+    writes to stderr."""
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         code = cli.main([suite, "--system", *system])
@@ -288,6 +298,29 @@ def test_extreme_parameters_end_in_a_documented_outcome(system, suite, capsys):
         assert err.startswith("error: ") and err.count("\n") == 1
     else:
         assert err == ""
+
+
+@pytest.mark.parametrize(
+    "argv, level",
+    [
+        (["heisenberg", "--system", "aw", "--a=0,0,0,0", "--q", "1e-8"], 19),
+        (["ladder", "--system", "aw", "--a=0,0,0,0", "--q", "1e-8"], 19),
+        (["coherent", "--system", "aw", "--a=0.1,0.2,-0.1,0.3", "--q", "1e-3"], 51),
+        (["ladder", "--system", "aw", "--a=0,0,0,0", "--q", "1e-5", "--n", "31"], 30),
+    ],
+    ids=["heisenberg", "ladder", "coherent", "frequency-pair"],
+)
+def test_closure_overflow_on_finite_levels_is_refused(argv, level, capsys):
+    """The first level where R0, R1, R-1 or the frequency pair overflows is
+    named before anything is built from it."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = cli.main(argv)
+    captured = capsys.readouterr()
+    assert code == 2 and caught == [] and captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert f"at level E_{level} " in captured.err
+    assert "overflows double precision" in captured.err
 
 
 class TestDeterminism:
