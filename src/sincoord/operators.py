@@ -39,6 +39,7 @@ from .errors import (
 from .polynomials import norms, recurrence
 from .report import CheckReport, make_report
 from .systems import (
+    _CACHE_SIZE,
     DeformedOscillator,
     SystemSpec,
     alpha_pm,
@@ -162,11 +163,7 @@ def _read_only(*arrays: np.ndarray) -> None:
         array.setflags(write=False)
 
 
-# Results kept per (system, N, G): one suite asks for at most three sizes.
-_KEPT = 4
-
-
-@lru_cache(maxsize=_KEPT)
+@lru_cache(maxsize=_CACHE_SIZE)
 def build_basic(
     spec: SystemSpec, n_dim: int, guard: int
 ) -> tuple[TruncatedOperator, TruncatedOperator, TruncatedOperator]:
@@ -211,7 +208,7 @@ def _closure_vectors(spec: SystemSpec, ham: TruncatedOperator):
     return (levels, *values)
 
 
-@lru_cache(maxsize=_KEPT)
+@lru_cache(maxsize=_CACHE_SIZE)
 def _closure_data(spec: SystemSpec, n_dim: int, guard: int):
     """eta, [H, eta], the levels, R-1/R0 and alpha_pm on the spectrum;
     demands R0 > 0 and distinct frequencies.  The arrays are read-only and

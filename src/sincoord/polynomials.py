@@ -15,7 +15,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ParameterOutOfRange, QuadratureNotConverged
-from .systems import SystemSpec
+from .systems import _CACHE_SIZE, SystemSpec
 
 
 @dataclass(frozen=True)
@@ -41,7 +41,7 @@ def _guard_c(fn: Callable) -> Callable:
     return c
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_CACHE_SIZE)
 def recurrence(spec: SystemSpec) -> RecurrenceData:
     """Three-term recurrence coefficients for the system's eigenpolynomials."""
     a_coef, b_coef, c_coef = spec.recurrence_coefficients()
@@ -74,7 +74,7 @@ class WeightFunction:
     deta_dx: Callable
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_CACHE_SIZE)
 def weight(spec: SystemSpec) -> WeightFunction:
     """Pointwise-evaluable squared ground state and coordinate map."""
     return WeightFunction(
@@ -96,7 +96,7 @@ def gram_matrix(spec: SystemSpec, n_max: int) -> np.ndarray:
     return (polys * weights) @ polys.T
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_CACHE_SIZE)
 def norms(spec: SystemSpec, n_max: int) -> np.ndarray:
     """Squared norms h_n of phi_n = phi_0 P_n, n = 0 .. n_max, by quadrature.
 

@@ -624,6 +624,10 @@ _MAX_NODES = 1 << 16
 # bytes a level, so the cap holds it near 330 MiB.
 _MAX_SIZE = 1 << 19
 
+# Results kept by each cache keyed by a spec (and sizes): a CLI invocation
+# asks about one system, and one suite about at most three (N, G) of it.
+_CACHE_SIZE = 4
+
 
 def _grid(step: float, first: int, last: int) -> np.ndarray:
     """The points step * k for k = first .. last."""
@@ -671,13 +675,13 @@ def energies(spec: SystemSpec, count: int) -> np.ndarray:
     return levels
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_CACHE_SIZE)
 def r_polynomials(spec: SystemSpec) -> SpectralModel:
     """Closure coefficient polynomials R0, R1, R-1."""
     return SpectralModel(*spec.closure_polynomials())
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_CACHE_SIZE)
 def classical_r_polynomials(spec: SystemSpec) -> ClassicalClosure:
     """Closure coefficients of the classical double Poisson bracket."""
     r0, rm1 = spec.classical_closure()

@@ -88,3 +88,25 @@ def test_qpochhammer_factors_are_blocked():
     finally:
         tracemalloc.stop()
     assert peak < LIMIT
+
+
+def test_spec_keyed_caches_keep_memory_flat():
+    """Every cache keyed by a system keeps a few results, so checks over 500
+    distinct systems leave no more memory behind than a few of them do."""
+    specs = [sc.PoschlTeller(1.0 + k / 1000.0, 1.0) for k in range(520)]
+
+    def check(spec):
+        sc.check_ladder_action(spec, 30, 4)
+        sc.check_hermitian_conjugacy(spec, 30, 4)
+
+    for spec in specs[:20]:
+        check(spec)
+    tracemalloc.start()
+    try:
+        for spec in specs[20:]:
+            check(spec)
+        retained, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # unbounded caches keep about 3 KB per system, 1.5 MB over these 500
+    assert retained < 2**17
