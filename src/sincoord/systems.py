@@ -258,7 +258,7 @@ class DeformedOscillator:
         return (
             lambda n: 0.5 * (n + 1),
             lambda n: 0.0 * n,
-            lambda n: 0.5 * (n + 2.0 * a - 1.0),
+            lambda n: 0.5 * ((n - 1) + 2.0 * a),  # exact at n = 1
         )
 
     def eta(self, x):

@@ -323,6 +323,13 @@ def test_closure_overflow_on_finite_levels_is_refused(argv, level, capsys):
     assert "overflows double precision" in captured.err
 
 
+@pytest.mark.parametrize("a", ["1e-16", "1e-17", "1e-300"])
+def test_coherent_do_at_tiny_a_passes(a, capsys):
+    # C_1 = a is formed exactly, so the 1F1 comparison keeps its digits
+    assert cli.main(["coherent", "--system", "do", "--a", a]) == 0
+    assert capsys.readouterr().err == ""
+
+
 class TestDeterminism:
     def test_json_reports_are_byte_identical(self, tmp_path):
         paths = [tmp_path / "first.json", tmp_path / "second.json"]

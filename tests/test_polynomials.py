@@ -133,6 +133,12 @@ class TestRecurrence:
         rec = sc.recurrence(DO1)
         assert (rec.A(1), rec.B(1), rec.C(1)) == (1.0, 0.0, 1.0)
 
+    @pytest.mark.parametrize("a", [3e-16, 0.3])
+    def test_do_first_lowering_coefficient_is_exact(self, a):
+        # C_1 = a; formed as 0.5 (n + 2a - 1) it cancels at n = 1
+        rec = sc.recurrence(sc.DeformedOscillator(a))
+        assert rec.C(1) == a and rec.C(np.array([1, 2]))[0] == a
+
     def test_do_diagonal_vanishes(self):
         rec = sc.recurrence(DO1)
         assert all(rec.B(n) == 0.0 for n in range(30))

@@ -100,7 +100,7 @@ def scalar_coefficients(spec):
         return (
             lambda n: 0.5 * (n + 1),
             lambda n: 0.0,
-            lambda n: 0.5 * (n + 2.0 * a - 1.0),
+            lambda n: 0.5 * ((n - 1) + 2.0 * a),
         )
     q, b4 = spec.q, spec.b4
     a1, a2, a3, a4 = spec.params
