@@ -302,8 +302,7 @@ def main(argv=None) -> int:
             # value, so explicit flags win
             args = _PARSER.parse_args(_config_tokens(args.config) + list(argv))
         spec = _build_spec(args)
-        # a trajectory export replaces the csv report file; only it keeps
-        # the trajectory
+        # only a trajectory export, which replaces the csv report, keeps one
         export = (
             args.suite == "classical" and args.format == "csv"
             and args.x0 is not None and args.out is not None

@@ -192,18 +192,16 @@ def build_basic(
 
 def _closure_vectors(spec: SystemSpec, ham: TruncatedOperator):
     """The levels, read off the diagonal of H, and the R-polynomial values
-    on them (no positivity requirement).  Refuses the first level where
-    one of them overflows: the levels stay finite, but R0(E) ~ E^2 need not
-    (aw at small q)."""
+    on them (no positivity requirement); refuses the first level where one
+    overflows, as R0 ~ E^2 can on finite levels (aw at small q)."""
     levels = ham.bands[1].real
     model = r_polynomials(spec)
     with np.errstate(over="ignore", invalid="ignore"):
         values = (model.r0(levels), model.r1(levels), model.rm1(levels))
-    overflow = np.flatnonzero(~np.isfinite(values).all(axis=0))
-    if overflow.size:
+    bad = np.flatnonzero(~np.isfinite(values).all(axis=0))
+    if bad.size:
         raise ParameterOutOfRange(
-            f"R0, R1 or R-1 at level E_{overflow[0]} overflows double precision "
-            f"for {spec}"
+            f"R0, R1 or R-1 at level E_{bad[0]} overflows double precision for {spec}"
         )
     return (levels, *values)
 

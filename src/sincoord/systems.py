@@ -624,8 +624,7 @@ _MAX_NODES = 1 << 16
 # bytes a level, so the cap holds it near 330 MiB.
 _MAX_SIZE = 1 << 19
 
-# Results kept by each cache keyed by a spec (and sizes): a CLI invocation
-# asks about one system, and one suite about at most three (N, G) of it.
+# Results kept by each spec-keyed cache: an invocation asks about one system.
 _CACHE_SIZE = 4
 
 
@@ -701,27 +700,21 @@ def alpha_pm(spec: SystemSpec, e):
 
 def frequency_pair(r0v, r1v, e):
     """(alpha_plus, alpha_minus) from R0(e) and R1(e), for callers that
-    already hold those values; see `alpha_pm`.  Raises ParameterOutOfRange
-    at the first entry of e where the pair overflows, as R1^2 can on a
-    spectrum whose levels are finite (aw at small q); every caller passes
-    levels from E_0 on, so the message names that entry as a level."""
+    already hold those values; see `alpha_pm`.  Each caller passes levels
+    from E_0 on, and the first whose R1^2 overflows (aw at small q) is refused."""
     with np.errstate(over="ignore", invalid="ignore"):
         disc = r1v * r1v + 4.0 * r0v
-        if np.any(disc < 0.0):
-            first = np.flatnonzero(disc < 0.0)[0]
+    bad = np.flatnonzero(~(np.isfinite(disc) & (disc >= 0.0)))
+    if bad.size:
+        first, value = bad[0], np.ravel(disc)[bad[0]]
+        if value < 0.0:
             raise ComplexFrequencies(
-                f"discriminant {np.ravel(disc)[first]} < 0 at energy "
-                f"{np.ravel(e)[first]}: no real frequency pair"
+                f"discriminant {value} < 0 at energy {np.ravel(e)[first]}: "
+                "no real frequency pair"
             )
-        root = np.sqrt(disc)
-        ap, am = 0.5 * (r1v + root), 0.5 * (r1v - root)
-    overflow = np.flatnonzero(~(np.isfinite(ap) & np.isfinite(am)))
-    if overflow.size:
-        raise ParameterOutOfRange(
-            f"the frequency pair at level E_{overflow[0]} (energy "
-            f"{np.ravel(e)[overflow[0]]}) overflows double precision"
-        )
-    return ap, am
+        raise ParameterOutOfRange(f"the frequency pair at level E_{first} overflows")
+    root = np.sqrt(disc)
+    return (0.5 * (r1v + root), 0.5 * (r1v - root))
 
 
 def check_spectrum_closure(spec: SystemSpec, n_max: int) -> CheckReport:

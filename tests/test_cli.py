@@ -320,7 +320,7 @@ def test_closure_overflow_on_finite_levels_is_refused(argv, level, capsys):
     assert code == 2 and caught == [] and captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
     assert f"at level E_{level} " in captured.err
-    assert "overflows double precision" in captured.err
+    assert "overflows" in captured.err
 
 
 @pytest.mark.parametrize("a", ["1e-16", "1e-17", "1e-300"])
