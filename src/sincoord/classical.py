@@ -104,7 +104,7 @@ def _orbit(spec: SystemSpec, state: ClassicalState) -> tuple[float, float, float
 
 def closed_form_eta(spec: SystemSpec, state: ClassicalState, t):
     """eta(x(t)) from the single-frequency closed form, with the constants
-    of the state's orbit (`_orbit`, which refuses R0(H0) <= 0 or overflowing)."""
+    of the state's orbit (`_orbit` refuses an R0(H0) <= 0 or overflowing)."""
     omega, ratio, bracket0, eta0 = _orbit(spec, state)
     ts = np.asarray(t, dtype=float)
     values = (
