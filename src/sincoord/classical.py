@@ -283,15 +283,17 @@ def reconstruct_potential(coord, r00: float, rm10: float, c: float, r1: float):
     """Potential from the coordinate map and closure constants:
     V(x) = (r00 eta^2 / 2 + rm10 eta + c) / (d eta/dx)^2 - r1 / 8.
 
-    `coord` supplies eta(x) and deta_dx(x); evaluation raises
-    SingularDerivative where the derivative vanishes.
+    `coord` supplies eta(x) and deta_dx(x).  The potential takes a point
+    or an array of them and raises SingularDerivative, naming the first
+    point where the derivative vanishes.
     """
 
-    def potential(x: float) -> float:
-        d = float(coord.deta_dx(x))
-        if d == 0.0:
-            raise SingularDerivative(f"d eta/dx = 0 at x={x}")
-        e = float(coord.eta(x))
+    def potential(x):
+        d = coord.deta_dx(x)
+        zero = np.flatnonzero(np.equal(d, 0.0))
+        if zero.size:
+            raise SingularDerivative(f"d eta/dx = 0 at x={np.ravel(x)[zero[0]]}")
+        e = coord.eta(x)
         return (0.5 * r00 * e * e + rm10 * e + c) / (d * d) - r1 / 8.0
 
     return potential
@@ -327,8 +329,7 @@ def check_potential_reconstruction(g: float, h: float) -> CheckReport:
     const = (v_fit + r1 / 8.0) * deta_fit**2 - 0.5 * r00 * eta_fit**2 - rm10 * eta_fit
     potential = reconstruct_potential(spec, r00, rm10, const, r1)
     xs = np.linspace(0.15, 0.5 * math.pi - 0.15, 50)
-    target = pt_reference_potential(g, h, xs)
-    worst = np.max([abs(potential(float(x)) - float(v)) for x, v in zip(xs, target)])
+    worst = np.max(np.abs(potential(xs) - pt_reference_potential(g, h, xs)))
     return make_report(
         "potential_reconstruction", worst, 1e-10, points=len(xs), c=const
     )

@@ -89,7 +89,8 @@ class HeisenbergSolution:
         )
 
 
-def _solution(eta_op, comm_op, ratio, ap, am) -> HeisenbergSolution:
+def build_solution(spec: SystemSpec, n_dim: int, guard: int) -> HeisenbergSolution:
+    eta_op, comm_op, _, ratio, ap, am = _closure_data(spec, n_dim, guard)
     pair = _ladder_pair(eta_op, comm_op, ratio, ap, am, Normalization.UNIT)
     return HeisenbergSolution(
         a_plus=pair.a_plus,
@@ -98,11 +99,6 @@ def _solution(eta_op, comm_op, ratio, ap, am) -> HeisenbergSolution:
         freq_plus=ap,
         freq_minus=am,
     )
-
-
-def build_solution(spec: SystemSpec, n_dim: int, guard: int) -> HeisenbergSolution:
-    eta_op, comm_op, _, ratio, ap, am = _closure_data(spec, n_dim, guard)
-    return _solution(eta_op, comm_op, ratio, ap, am)
 
 
 def _closed_form(eta, comm, ratio, ap, am, phase_p, phase_m) -> np.ndarray:
@@ -164,7 +160,7 @@ def check_heisenberg(
         raise ParameterOutOfRange("need at least one time sample")
     eta_op, comm_op, levels, ratio, ap, am = _closure_data(spec, n_dim, guard)
     grid = _times(times)
-    solution = _solution(eta_op, comm_op, ratio, ap, am)
+    solution = build_solution(spec, n_dim, guard)
     gaps = _level_gaps(levels)
     worst_oracle = 0.0
     worst_split = 0.0

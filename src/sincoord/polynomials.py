@@ -85,9 +85,8 @@ def weight(spec: SystemSpec) -> WeightFunction:
 def _weighted_polys(spec: SystemSpec, n_max: int) -> tuple[np.ndarray, np.ndarray]:
     """P_0 .. P_{n_max} at the family's quadrature nodes, and the weights
     times the density there."""
-    wf = weight(spec)
     x, w = spec.quadrature_nodes(n_max)
-    return eval_all(spec, n_max, wf.eta(x)), w * wf.density(x)
+    return eval_all(spec, n_max, spec.eta(x)), w * spec.density(x)
 
 
 def gram_matrix(spec: SystemSpec, n_max: int) -> np.ndarray:
@@ -96,14 +95,12 @@ def gram_matrix(spec: SystemSpec, n_max: int) -> np.ndarray:
     return (polys * weights) @ polys.T
 
 
-@lru_cache(maxsize=_CACHE_SIZE)
 def norms(spec: SystemSpec, n_max: int) -> np.ndarray:
     """Squared norms h_n of phi_n = phi_0 P_n, n = 0 .. n_max, by quadrature.
 
     The rule is each family's `quadrature_nodes`; it never uses the
     recurrence coefficients, so the norms stay an independent oracle for
-    them.  Convergence is asserted by node doubling at 1e-8 relative.  The
-    array is read-only and shared between calls with the same arguments.
+    them.  Convergence is asserted by node doubling at 1e-8 relative.
     """
     # a density that overflows gives non-finite norms, refused just below
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
@@ -121,5 +118,4 @@ def norms(spec: SystemSpec, n_max: int) -> np.ndarray:
         raise QuadratureNotConverged(
             f"norms moved by {drift:.3e} relative under node doubling"
         )
-    fine.setflags(write=False)
     return fine

@@ -361,23 +361,6 @@ class AskeyWilson:
     def log_q(self) -> float:
         return math.log(self.q)
 
-    # Coefficients of the classical closure polynomials.
-    @property
-    def c1(self) -> float:
-        return 1.0 + self.b4
-
-    @property
-    def c2(self) -> float:
-        return (1.0 - self.b4) ** 2 / 4.0
-
-    @property
-    def c3(self) -> float:
-        return (self.b1 + self.b3) / 4.0
-
-    @property
-    def c4(self) -> float:
-        return (1.0 - self.b4) * (self.b1 - self.b3) / 8.0
-
     @property
     def level_cap(self) -> int:
         """Largest level index checked for the spectrum.
@@ -448,11 +431,12 @@ class AskeyWilson:
         return r0, r1, rm1
 
     def classical_closure(self) -> tuple[HPoly, HPoly]:
-        gsq = self.log_q**2
-        return (
-            HPoly((gsq * self.c2, gsq * self.c1, gsq)),
-            HPoly((-gsq * self.c4, -gsq * self.c3)),
-        )
+        gsq, b1, b3, b4 = self.log_q**2, self.b1, self.b3, self.b4
+        c1 = 1.0 + b4
+        c2 = (1.0 - b4) ** 2 / 4.0
+        c3 = (b1 + b3) / 4.0
+        c4 = (1.0 - b4) * (b1 - b3) / 8.0
+        return HPoly((gsq * c2, gsq * c1, gsq)), HPoly((-gsq * c4, -gsq * c3))
 
     def recurrence_coefficients(self):
         """Askey-Wilson polynomials in eta = cos x."""

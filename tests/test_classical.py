@@ -586,6 +586,22 @@ class TestReconstructPotential:
         with pytest.raises(sc.SingularDerivative):
             potential(0.5)
 
+    def test_array_form_matches_the_per_point_values(self):
+        constants = (1.3, -0.4, 0.2, 4.0)
+        r00, rm10, c, r1 = constants
+        xs = np.linspace(0.15, 0.5 * math.pi - 0.15, 50)
+        per_point = []
+        for x in xs.tolist():
+            d, e = float(PT12.deta_dx(x)), float(PT12.eta(x))
+            per_point.append((0.5 * r00 * e * e + rm10 * e + c) / (d * d) - r1 / 8.0)
+        values = sc.reconstruct_potential(PT12, *constants)(xs)
+        assert values.tobytes() == np.array(per_point).tobytes()
+
+    def test_array_with_a_singular_point_names_it(self):
+        potential = sc.reconstruct_potential(PT11, 1.0, 0.0, 0.0, 0.0)
+        with pytest.raises(sc.SingularDerivative, match=r"at x=0\.0$"):
+            potential(np.array([0.3, 0.0, 0.7]))
+
 
 def _reference_csv(path, times, eta_closed, eta_numeric):
     """The per-row writer the block writer must match byte for byte."""
