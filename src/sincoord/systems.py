@@ -459,10 +459,12 @@ class AskeyWilson:
             )
 
         # The diagonal coefficient is invariant under rescaling of P_n,
-        # so it may be computed with any nonzero parameter in the
-        # distinguished slot of the one-parameter-singled-out form.
-        slot_index = next((i for i, v in enumerate(self.params) if v != 0.0), None)
-        slot = 0.0 if slot_index is None else self.params[slot_index]
+        # so any nonzero parameter may take the distinguished slot of the
+        # one-parameter-singled-out form.  The largest in size (the first
+        # on ties) keeps the 1/a-sized terms small: a tiny one cancels them
+        # to no digit.  The slot holds 0 only when all four vanish.
+        slot_index = max(range(4), key=lambda i: abs(self.params[i]))
+        slot = self.params[slot_index]
         rest = [v for i, v in enumerate(self.params) if i != slot_index]
 
         def b_coef(n):

@@ -80,6 +80,13 @@ class TestSubcommands:
         assert "hermitian_conjugacy" in result.stdout
         assert result.stderr == ""
 
+    @pytest.mark.parametrize(
+        "params", ["--a=1e-8,0.2,-0.1,0.3", "--a=1e-300,-1e-300,0.5,0.5"]
+    )
+    def test_ladder_aw_with_a_tiny_first_parameter(self, params):
+        result = run_cli("ladder", "--system", "aw", params, "--q", "0.5")
+        assert result.returncode == 0, result.stdout + result.stderr
+
     def test_heisenberg_aw(self):
         result = run_cli(
             "heisenberg", "--system", "aw", "--q", "0.5", "--a", "0.1,0.2,-0.1,0.3"

@@ -1,6 +1,7 @@
 """Recurrence evaluation against independent oracles, weights, and norms."""
 
 import cmath
+import itertools
 import math
 import warnings
 
@@ -163,6 +164,20 @@ class TestRecurrence:
         for spec in (PT11, PT23, DO1, AW1):
             rec = sc.recurrence(spec)
             assert all(rec.A(n) != 0.0 for n in range(40))
+
+    def test_aw_diagonal_does_not_depend_on_the_parameter_order(self):
+        # B_n is symmetric in a1..a4; with a tiny a1 in the distinguished
+        # slot its 1/a1-sized terms cancelled to no digit.  B_n decays like
+        # q^n while its terms stay of size a + 1/a, so the scale is
+        # max(1, |B_n|).
+        n = np.arange(30)
+        diagonals = [
+            sc.recurrence(sc.AskeyWilson(*order, q=0.5)).B(n)
+            for order in itertools.permutations((1e-8, 0.2, -0.1, 0.3))
+        ]
+        for diagonal in diagonals[1:]:
+            scale = np.maximum(1.0, np.abs(diagonals[0]))
+            assert np.max(np.abs(diagonal - diagonals[0]) / scale) <= 1e-15
 
     def test_pt_balanced_couplings_give_symmetric_diagonal(self):
         rec = sc.recurrence(sc.PoschlTeller(0.3, 0.7))

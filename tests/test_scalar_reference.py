@@ -119,8 +119,8 @@ def scalar_coefficients(spec):
             2.0 * (1.0 - b4 * q ** (2 * n - 2)) * (1.0 - b4 * q ** (2 * n - 1))
         )
 
-    slot_index = next((i for i, v in enumerate(spec.params) if v != 0.0), None)
-    slot = 0.0 if slot_index is None else spec.params[slot_index]
+    slot_index = max(range(4), key=lambda i: abs(spec.params[i]))
+    slot = spec.params[slot_index]
     rest = [v for i, v in enumerate(spec.params) if i != slot_index]
 
     def b_coef(n):
