@@ -223,7 +223,8 @@ def check_closed_vs_flow(
     trajectories: list | None = None,
 ) -> list[CheckReport]:
     """Closed form against the RK4 oracle over three periods, or up to
-    `t_end` when it is given.
+    `t_end` when it is given; the report then names the span the flow
+    integrated, round(t_end / dt) * dt.
 
     Returns two reports: the trajectory deviation and the energy drift of
     the oracle itself, relative to max(1, |H0|) and held to 1e-8.  When
@@ -242,7 +243,10 @@ def check_closed_vs_flow(
         worst_drift = np.maximum(worst_drift, traj.energy_drift / max(1.0, h0))
         if trajectories is not None:
             trajectories.append((traj, closed))
-    extent = {"dt": dt, "periods": _PERIODS} if t_end is None else {"t_end": t_end}
+    if t_end is None:
+        extent = {"dt": dt, "periods": _PERIODS}
+    else:
+        extent = {"t_end": float(traj.times[-1])}
     return [
         make_report(
             "classical_closed_vs_flow", worst_dev, 1e-6, states=len(states), **extent

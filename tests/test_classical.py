@@ -458,6 +458,14 @@ class TestClosedVsFlow:
         h0 = DO1.flow_terms(state.x, state.p)[0]
         assert drift.max_residual == traj.energy_drift / max(1.0, abs(h0))
 
+    def test_reports_the_span_the_flow_integrated(self, capsys):
+        # 0.0015 / 0.001 rounds to 2 steps, so the last row is at t = 0.002
+        argv = ["classical", "--system", "do", "--a", "1", "--x0", "0.5", "--p0", "0.3",
+                "--tend", "0.0015", "--format", "json"]
+        assert cli.main(argv) == 0
+        checks = {c["name"]: c for c in json.loads(capsys.readouterr().out)["checks"]}
+        assert checks["classical_closed_vs_flow"]["details"] == {"states": 1, "t_end": 0.002}
+
     def test_only_a_trajectory_export_keeps_trajectories(self, monkeypatch, tmp_path):
         handed = []
         run = cli.run
