@@ -460,8 +460,8 @@ class AskeyWilson:
 
         # The diagonal coefficient is invariant under rescaling of P_n,
         # so any nonzero parameter may take the distinguished slot of the
-        # one-parameter-singled-out form.  The largest in size (the first
-        # on ties) keeps the 1/a-sized terms small: a tiny one cancels them
+        # one-parameter-singled-out form.  It takes the largest in size
+        # (the first on ties): with a tiny one the 1/a-sized terms cancel
         # to no digit.  The slot holds 0 only when all four vanish.
         slot_index = max(range(4), key=lambda i: abs(self.params[i]))
         slot = self.params[slot_index]
