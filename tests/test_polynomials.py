@@ -80,6 +80,23 @@ def do_cutoff_scan(a, n_max):
     return half
 
 
+def aw_diagonal_oracle(params, q, n):
+    """Askey-Wilson B_n in multi-precision, params[0] in the distinguished slot."""
+    with mpmath.workdps(40):
+        a, b, c, d = (mpmath.mpf(v) for v in params)
+        q = mpmath.mpf(q)
+        b4 = a * b * c * d
+        a_ks = (
+            (1 - a * b * q**n) * (1 - a * c * q**n) * (1 - a * d * q**n)
+            * (1 - b4 * q ** (n - 1))
+        ) / (a * (1 - b4 * q ** (2 * n - 1)) * (1 - b4 * q ** (2 * n)))
+        c_ks = (
+            a * (1 - q**n) * (1 - b * c * q ** (n - 1)) * (1 - b * d * q ** (n - 1))
+            * (1 - c * d * q ** (n - 1))
+        ) / ((1 - b4 * q ** (2 * n - 2)) * (1 - b4 * q ** (2 * n - 1)))
+        return float((a + 1 / a - a_ks - c_ks) / 2)
+
+
 def aw_poly_oracle(spec, n, theta):
     """Askey-Wilson value from the terminating basic hypergeometric sum.
 
@@ -167,17 +184,17 @@ class TestRecurrence:
 
     def test_aw_diagonal_does_not_depend_on_the_parameter_order(self):
         # B_n is symmetric in a1..a4; with a tiny a1 in the distinguished
-        # slot its 1/a1-sized terms cancelled to no digit.  B_n decays like
-        # q^n while its terms stay of size a + 1/a, so the scale is
-        # max(1, |B_n|).
-        n = np.arange(30)
-        diagonals = [
-            sc.recurrence(sc.AskeyWilson(*order, q=0.5)).B(n)
-            for order in itertools.permutations((1e-8, 0.2, -0.1, 0.3))
-        ]
-        for diagonal in diagonals[1:]:
-            scale = np.maximum(1.0, np.abs(diagonals[0]))
-            assert np.max(np.abs(diagonal - diagonals[0]) / scale) <= 1e-15
+        # slot its 1/a1-sized terms cancelled to no digit.  Every ordering
+        # is held to a 40-digit evaluation with the tiny a1 in the slot.
+        # Even the best slot, a = 0.3, subtracts terms of size a + 1/a from
+        # B_1 ~ 0.1, so double rounding alone leaves a relative error near
+        # 5e-15 there; the bound is absolute, 1e-15, which |B_n| <= 0.21
+        # keeps below one unit of the terms.
+        params, n = (1e-8, 0.2, -0.1, 0.3), np.arange(30)
+        reference = np.array([aw_diagonal_oracle(params, 0.5, k) for k in n])
+        for order in itertools.permutations(params):
+            diagonal = sc.recurrence(sc.AskeyWilson(*order, q=0.5)).B(n)
+            assert np.max(np.abs(diagonal - reference)) <= 1e-15, order
 
     def test_pt_balanced_couplings_give_symmetric_diagonal(self):
         rec = sc.recurrence(sc.PoschlTeller(0.3, 0.7))

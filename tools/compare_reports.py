@@ -1,6 +1,6 @@
 """Compare the CLI's output under two source trees, byte for byte.
 
-    python tools/compare_reports.py OLD_TREE NEW_TREE [--corpus FILE]
+    python tools/compare_reports.py OLD_TREE NEW_TREE
 
 Each tree is a checkout holding `src/sincoord`.  One fresh interpreter per
 tree runs every invocation of the corpus through `sincoord.cli.main`, with
@@ -10,9 +10,8 @@ stderr, the exit code and the bytes of the `--out` file are compared; every
 invocation where one differs is printed.  Exits 0 when none differs, 1 when
 one does and 2 when a tree cannot be run.
 
-The default corpus is the 8 reference systems x 6 suites x 5 variants, a
+The corpus is the 8 reference systems x 6 suites x 5 variants, a
 `--tend 10` trajectory export per system and the README's exit-2 examples.
-`--corpus FILE` reads a JSON list of argument lists instead.
 """
 
 from __future__ import annotations
@@ -96,13 +95,7 @@ def default_corpus() -> list[list[str]]:
 
 
 def _out_path(argv: list[str]) -> str | None:
-    path = None
-    for k, token in enumerate(argv):
-        if token == "--out" and k + 1 < len(argv):
-            path = argv[k + 1]
-        elif token.startswith("--out="):
-            path = token.removeprefix("--out=")
-    return path
+    return argv[argv.index("--out") + 1] if "--out" in argv else None
 
 
 def worker(src: str, corpus_path: str, results_path: str) -> None:
@@ -195,12 +188,8 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("old_tree")
     parser.add_argument("new_tree")
-    parser.add_argument("--corpus", help="JSON list of argument lists")
     args = parser.parse_args(argv)
-    if args.corpus is None:
-        corpus = default_corpus()
-    else:
-        corpus = json.loads(Path(args.corpus).read_text(encoding="utf-8"))
+    corpus = default_corpus()
     try:
         diffs = compare(args.old_tree, args.new_tree, corpus)
     except RuntimeError as exc:
