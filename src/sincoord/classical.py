@@ -9,6 +9,8 @@ Hamilton's equations that knows nothing about the closure.
 Each RK4 stage makes one call to the family's `flow_terms`, which returns
 H with both partials, and the call at each accepted point serves twice: its
 H feeds the energy-drift guard and its partials are the next step's k1.
+For aw, `flow_terms` is a kernel bound once per system, with its constants
+as locals, and `second_partials` calls the same kernel.
 """
 
 from __future__ import annotations
@@ -135,8 +137,9 @@ def flow_oracle(
 
     Takes round(t_end / dt) steps, so the flow ends at that many times dt;
     a span that rounds to no step (t_end <= dt / 2) raises
-    ParameterOutOfRange.  Raises DomainEscape if the position leaves the
-    open domain and EnergyDrift if the conserved energy moves by more than
+    ParameterOutOfRange.  Raises DomainEscape, naming the time t and the
+    step dt, if a step takes the position out of the open domain, and
+    EnergyDrift if the conserved energy moves by more than
     1e-6 relative or a stage of a step overflows, divides by zero or takes
     the sine of an infinite position (after a partial overflowed to inf).
     """
@@ -175,7 +178,10 @@ def flow_oracle(
             x += sixth * (dhdp + 2.0 * dp2 + 2.0 * dp3 + dp4)
             p -= sixth * (dhdx + 2.0 * dx2 + 2.0 * dx3 + dx4)
             if not lo < x < hi:
-                require_inside(spec, x, DomainEscape)
+                raise DomainEscape(
+                    f"x={x} lies outside the open domain ({lo}, {hi}) "
+                    f"at t={times[k + 1]}, after a step of dt={dt}"
+                )
             energy, dhdx, dhdp = terms(x, p)
             drift = abs(energy - e0)
             if drift > guard:

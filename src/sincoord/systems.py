@@ -18,7 +18,8 @@ modules need to know about it:
   rule in the family's own variable;
 * the classical `flow_terms` (H with dH/dx and dH/dp, written once and
   evaluated together) and `second_partials`; aw writes its complex
-  potential in real arithmetic, as a product of two pairs of factors;
+  potential in real arithmetic, as a product of two pairs of factors, in a
+  kernel bound once per system that its `second_partials` calls too;
 * the phase-space `sample_box`;
 * per-check default `tolerances` and `relative_residuals`, the residual
   mode (per-column relative rather than absolute) of the matrix checks;
@@ -44,7 +45,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from typing import ClassVar, Union
+from typing import Callable, ClassVar, Union
 
 import numpy as np
 
@@ -547,8 +548,12 @@ class AskeyWilson:
         consts.append((1 - a1 * a2) * (1 - a3 * a4) / 4)
         return tuple(float(v) for v in consts)
 
-    def _pair_terms(self, x: float) -> tuple[float, float, float, float]:
-        """|V|, d|V|/dx, Re V and d(Re V)/dx at x, in real arithmetic.
+    @cached_property
+    def flow_terms(self) -> Callable[..., tuple[float, ...]]:
+        """The function (x, p) -> (H, dH/dx, dH/dp) of H = |V| cosh(p ln q)
+        - Re V, built once per system with the pair constants, ln q and the
+        math functions bound as locals.  With `second` true it returns
+        (d2H/dp2, d2H/dpdx) instead, from the same pair terms.
 
         V = (1 - a1 z)(1 - a2 z)(1 - a3 z)(1 - a4 z) / (1 - z^2)^2 with
         z = exp(ix).  With c = cos x and s = sin x, a pair of factors is
@@ -557,45 +562,44 @@ class AskeyWilson:
         formed as (1 - a)(1 - b) - (1 + ab) s^2 / (1 + c) for c > 0 and as
         (1 + ab) s^2 / (1 - c) - (1 + a)(1 + b) otherwise, which does not
         cancel near the walls when a, b are close to +-1.  The derivatives
-        follow from the product rule over the two pairs.
+        of |V| and Re V follow from the product rule over the two pairs.
         """
         # per pair: u = 1 + ab, m = (1 - ab)^2, e = (1 - a)(1 - b), f = (1 + a)(1 + b)
         u12, m12, e12, f12, u34, m34, e34, f34, k = self.pair_constants
-        s, c = math.sin(x), math.cos(x)
-        ss = s * s
-        if c > 0.0:
-            t = ss / (1.0 + c)  # 1 - c
-            re12, re34 = e12 - u12 * t, e34 - u34 * t
-        else:
-            t = ss / (1.0 - c)  # 1 + c
-            re12, re34 = u12 * t - f12, u34 * t - f34
-        # |P|^2 and its derivative over 2 s, per pair
-        n12, n34 = re12 * re12 + m12 * ss, re34 * re34 + m34 * ss
-        h12, h34 = m12 * c - u12 * re12, m34 * c - u34 * re34
-        prod = re12 * re34
-        r = math.sqrt(n12 * n34)
-        q4 = 0.25 / ss
-        q4s = q4 / s
-        return (
-            r * q4,
-            (ss * (h12 * n34 + h34 * n12) - 2.0 * c * n12 * n34) * q4s / r,
-            k - prod * q4,
-            (ss * (u12 * re34 + u34 * re12) + 2.0 * c * prod) * q4s,
-        )
-
-    def flow_terms(self, x: float, p: float) -> tuple[float, float, float]:
-        """(H, dH/dx, dH/dp) of H = |V| cosh(p ln q) - Re V."""
         gam = self.log_q
-        w, wx, v, vx = self._pair_terms(x)
-        gp = gam * p
-        c = math.cosh(gp)
-        return (w * c - v, wx * c - vx, gam * w * math.sinh(gp))
+        sin, cos, sqrt, cosh, sinh = math.sin, math.cos, math.sqrt, math.cosh, math.sinh
+
+        def flow_terms(x: float, p: float, second: bool = False) -> tuple[float, ...]:
+            s, c = sin(x), cos(x)
+            ss = s * s
+            if c > 0.0:
+                t = ss / (1.0 + c)  # 1 - c
+                re12, re34 = e12 - u12 * t, e34 - u34 * t
+            else:
+                t = ss / (1.0 - c)  # 1 + c
+                re12, re34 = u12 * t - f12, u34 * t - f34
+            # |P|^2 and its derivative over 2 s, per pair
+            n12, n34 = re12 * re12 + m12 * ss, re34 * re34 + m34 * ss
+            h12, h34 = m12 * c - u12 * re12, m34 * c - u34 * re34
+            r = sqrt(n12 * n34)
+            q4 = 0.25 / ss
+            q4s = q4 / s
+            w = r * q4  # |V|
+            wx = (ss * (h12 * n34 + h34 * n12) - 2.0 * c * n12 * n34) * q4s / r
+            gp = gam * p
+            ch = cosh(gp)
+            if second:
+                return (gam * gam * w * ch, gam * wx * sinh(gp))
+            prod = re12 * re34
+            v = k - prod * q4  # Re V
+            vx = (ss * (u12 * re34 + u34 * re12) + 2.0 * c * prod) * q4s
+            return (w * ch - v, wx * ch - vx, gam * w * sinh(gp))
+
+        return flow_terms
 
     def second_partials(self, x: float, p: float) -> tuple[float, float]:
-        """(d2H/dp2, d2H/dpdx)."""
-        gam = self.log_q
-        w, wx, _, _ = self._pair_terms(x)
-        return (gam * gam * w * math.cosh(gam * p), gam * wx * math.sinh(gam * p))
+        """(d2H/dp2, d2H/dpdx), from the same kernel as `flow_terms`."""
+        return self.flow_terms(x, p, True)
 
 
 SystemSpec = Union[PoschlTeller, DeformedOscillator, AskeyWilson]

@@ -1,6 +1,7 @@
 """Classical closed form, RK4 flow oracle, closure, potential rebuild."""
 
 import cmath
+import dataclasses
 import json
 import math
 import tracemalloc
@@ -26,8 +27,9 @@ AW2 = sc.AskeyWilson(0.5, -0.6, 0.3, 0.0, q=0.55)
 
 
 def _reference_terms(spec):
-    """H and (dH/dx, dH/dp) as separate scalar functions, in the operation
-    order `flow_terms` must keep: pt's H in its tan form and its partials in
+    """H, (dH/dx, dH/dp) and the second partials (d2H/dp2, d2H/dpdx) as
+    separate scalar functions, in the operation order `flow_terms` and
+    `second_partials` must keep: pt's H in its tan form and its partials in
     sin/cos form, aw's potential as two real pairs of factors."""
     if isinstance(spec, sc.PoschlTeller):
         g, h = spec.g, spec.h
@@ -42,6 +44,9 @@ def _reference_terms(spec):
             du = -g / (sx * sx) - h / (cx * cx)
             return (u * du, p)
 
+        def second(x, p):
+            return (1.0, 0.0)
+
     elif isinstance(spec, sc.DeformedOscillator):
         a = spec.a
 
@@ -51,6 +56,10 @@ def _reference_terms(spec):
         def partials(x, p):
             r = math.hypot(a, x)
             return (x * math.cosh(p) / r, r * math.sinh(p))
+
+        def second(x, p):
+            r = math.hypot(a, x)
+            return (r * math.cosh(p), x * math.sinh(p) / r)
 
     else:
         gam = math.log(spec.q)
@@ -85,17 +94,26 @@ def _reference_terms(spec):
             w = math.sqrt(n12 * n34) * q4
             return w * math.cosh(gam * p) - (k - re12 * re34 * q4)
 
-        def partials(x, p):
+        def modulus(x):
+            """|V| and d|V|/dx."""
             s, c, ss, re12, re34, n12, n34 = pairs(x)
             r = math.sqrt(n12 * n34)
-            q4s = 0.25 / ss / s
             h12, h34 = m12 * c - u12 * re12, m34 * c - u34 * re34
-            wx = (ss * (h12 * n34 + h34 * n12) - 2.0 * c * n12 * n34) * q4s / r
-            vx = (ss * (u12 * re34 + u34 * re12) + 2.0 * c * (re12 * re34)) * q4s
-            gp = gam * p
-            return (wx * math.cosh(gp) - vx, gam * (r * (0.25 / ss)) * math.sinh(gp))
+            wx = (ss * (h12 * n34 + h34 * n12) - 2.0 * c * n12 * n34) * (0.25 / ss / s) / r
+            return r * (0.25 / ss), wx
 
-    return energy, partials
+        def partials(x, p):
+            s, c, ss, re12, re34, _, _ = pairs(x)
+            w, wx = modulus(x)
+            vx = (ss * (u12 * re34 + u34 * re12) + 2.0 * c * (re12 * re34)) * (0.25 / ss / s)
+            gp = gam * p
+            return (wx * math.cosh(gp) - vx, gam * w * math.sinh(gp))
+
+        def second(x, p):
+            w, wx = modulus(x)
+            return (gam * gam * w * math.cosh(gam * p), gam * wx * math.sinh(gam * p))
+
+    return energy, partials, second
 
 
 def _complex_terms(spec, x, p, real=math, cplx=cmath):
@@ -142,10 +160,24 @@ def _aw_accuracy_points(count, seed):
     return points
 
 
+def _count_kernel_calls(spec, monkeypatch):
+    """Record the arguments of every call of `spec.flow_terms` (aw's kernel
+    bound to the instance, pt's and do's method) in the returned list."""
+    calls = []
+    kernel = spec.flow_terms
+
+    def counted(*args):
+        calls.append(args)
+        return kernel(*args)
+
+    monkeypatch.setitem(vars(spec), "flow_terms", counted)
+    return calls
+
+
 def _reference_flow(spec, state, t_end, dt):
     """The scalar RK4 loop with five separate evaluations per step: four
     partials and the energy behind the drift guard."""
-    energy, partials = _reference_terms(spec)
+    energy, partials, _ = _reference_terms(spec)
     lo, hi = spec.domain
     steps = max(1, int(round(t_end / dt)))
     times = np.arange(steps + 1) * dt
@@ -168,7 +200,10 @@ def _reference_flow(spec, state, t_end, dt):
         x += dt / 6.0 * (k1x + 2.0 * k2x + 2.0 * k3x + k4x)
         p += dt / 6.0 * (k1p + 2.0 * k2p + 2.0 * k3p + k4p)
         if not lo < x < hi:
-            raise sc.DomainEscape(f"x={x} lies outside the open domain ({lo}, {hi})")
+            raise sc.DomainEscape(
+                f"x={x} lies outside the open domain ({lo}, {hi}) "
+                f"at t={times[k + 1]}, after a step of dt={dt}"
+            )
         drift = abs(energy(x, p) - e0)
         if drift > guard:
             raise sc.EnergyDrift(
@@ -251,6 +286,20 @@ class TestFlowOracle:
             traj = sc.flow_oracle(spec, state, t_end, 1e-3)
             closed = sc.closed_form_eta(spec, state, traj.times)
             assert np.max(np.abs(closed - traj.eta_values)) < 1e-6
+
+    @pytest.mark.parametrize(
+        "spec,state",
+        [(PT11, ClassicalState(0.8, 0.7)), (DO1, ClassicalState(0.5, 0.3)),
+         (AW1, ClassicalState(2.2, 0.5))],
+        ids=["pt", "do", "aw"],
+    )
+    def test_one_kernel_call_per_stage(self, spec, state, monkeypatch):
+        # three stages per step and the accepted point, whose partials are
+        # the next step's first stage; one more call at the initial state
+        spec = dataclasses.replace(spec)
+        calls = _count_kernel_calls(spec, monkeypatch)
+        traj = sc.flow_oracle(spec, state, 0.5, 1e-3)
+        assert len(calls) == 4 * (len(traj.times) - 1) + 1
 
     def test_domain_escape_with_coarse_step(self):
         # a huge step overshoots straight through the repulsive wall
@@ -382,13 +431,20 @@ class TestFlowMatchesReference:
             sc.flow_oracle(spec, state, t_end, dt)
         assert str(raised.value) == str(expected.value)
 
-    @pytest.mark.parametrize("spec", [PT12, DO1, AW1, AW2])
+    @pytest.mark.parametrize("spec", [PT12, DO1, AW1, AW2, AW0])
     def test_hamiltonian_and_brackets(self, spec):
-        energy, partials = _reference_terms(spec)
-        for state in sc.sample_states(spec, 20, seed=9):
+        energy, partials, second = _reference_terms(spec)
+        states = sc.sample_states(spec, 20, seed=9)
+        if spec.tag == "aw":
+            # cos x <= 0 past pi/2, where the real part of a pair takes its
+            # second form; next to each wall and on both sides of pi/2
+            states += [ClassicalState(x, 0.6) for x in (1e-4, 1.5, 1.6, 2.9, math.pi - 1e-4)]
+            assert any(state.x > 0.5 * math.pi for state in states)
+        for state in states:
             x, p = state.x, state.p
             assert sc.classical._initial_terms(spec, state)[0] == energy(x, p)
             assert spec.flow_terms(x, p) == (energy(x, p), *partials(x, p))
+            assert spec.second_partials(x, p) == second(x, p)
             assert sc.classical._orbit(spec, state)[2] == -partials(x, p)[1] * spec.deta_dx(x)
 
 
@@ -558,18 +614,12 @@ class TestPoissonClosure:
             assert abs(ana2 - fd2) <= 1e-6 * max(1.0, abs(ana2))
 
     def test_one_flow_terms_evaluation_per_state(self, monkeypatch):
-        # flow_terms and second_partials each take aw's pair terms once; a
+        # flow_terms and second_partials each call aw's kernel once; a
         # separate H evaluation would add a third call per state
-        calls = []
-        pair_terms = sc.AskeyWilson._pair_terms
-
-        def counted(self, x):
-            calls.append(x)
-            return pair_terms(self, x)
-
-        monkeypatch.setattr(sc.AskeyWilson, "_pair_terms", counted)
-        states = sc.sample_states(AW1, 50, seed=42)
-        sc.check_poisson_closure(AW1, states)
+        spec = dataclasses.replace(AW1)
+        calls = _count_kernel_calls(spec, monkeypatch)
+        states = sc.sample_states(spec, 50, seed=42)
+        sc.check_poisson_closure(spec, states)
         assert len(calls) == 2 * len(states)
 
 

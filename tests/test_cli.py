@@ -132,6 +132,14 @@ class TestExitCodes:
         assert result.returncode == 2
         assert "error" in result.stderr
 
+    def test_flow_escape_names_the_step(self, capsys):
+        # an RK4 step of dt 1e-3 crosses the weak g wall at x = 0
+        code = cli.main(["classical", "--system", "pt", "--g", "1e-8", "--h", "1"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: x=-0.0010108879027266448 lies outside the open domain")
+        assert err.endswith(" at t=0.861, after a step of dt=0.001\n")
+
     def test_missing_parameters_exit_two(self):
         result = run_cli("spectrum", "--system", "pt")
         assert result.returncode == 2

@@ -11,7 +11,8 @@ invocation where one differs is printed.  Exits 0 when none differs, 1 when
 one does and 2 when a tree cannot be run.
 
 The corpus is the 8 reference systems x 6 suites x 5 variants, a
-`--tend 10` trajectory export per system and the README's exit-2 examples.
+`--tend 10` trajectory export per system (two for aw, from either side of
+x = pi/2), the README's exit-2 examples and a flow that leaves pt's domain.
 """
 
 from __future__ import annotations
@@ -45,8 +46,9 @@ VARIANTS = (
     ("--format", "text"),
     ("--format", "csv", "--out", "report.csv"),
 )
-# an initial position inside each family's domain
-EXPORT_X0 = {"pt": "0.7", "do": "0.5", "aw": "1.2"}
+# initial positions inside each family's domain; aw's second lies past pi/2,
+# where cos x <= 0 and its flow kernel forms the pairs' real parts the other way
+EXPORT_X0 = {"pt": ("0.7",), "do": ("0.5",), "aw": ("1.2", "2.2")}
 EXIT_2 = (
     ("ladder", "--system", "pt", "--g", "1", "--h", "1", "--guard", "0"),
     ("heisenberg", "--system", "pt", "--g", "1", "--h", "1", "--t", "nan"),
@@ -73,6 +75,7 @@ EXIT_2 = (
     ("classical", "--system", "do", "--a", "1", "--dt", "0"),
     ("ladder", "--system", "do", "--a", "1", "--n", "100000000"),
     ("ladder", "--system", "do", "--a", "1", "--n", "2049"),
+    ("classical", "--system", "pt", "--g", "1e-8", "--h", "1"),
 )
 # Address space of a worker: a request that allocated before its refusal
 # ends in MemoryError instead of exhausting the machine.
@@ -87,9 +90,10 @@ def default_corpus() -> list[list[str]]:
         for variant in VARIANTS
     ]
     corpus += [
-        ["classical", *system, "--x0", EXPORT_X0[system[1]], "--p0", "0.3",
+        ["classical", *system, "--x0", x0, "--p0", "0.3",
          "--tend", "10", "--format", "csv", "--out", "trajectory.csv"]
         for system in SYSTEMS
+        for x0 in EXPORT_X0[system[1]]
     ]
     return corpus + [list(argv) for argv in EXIT_2]
 
