@@ -6,11 +6,12 @@ frequency sqrt(R0(H0)) around the offset -R-1(H0)/R0(H0).  The closed form
 built from that is checked here against a fixed-step RK4 integration of
 Hamilton's equations that knows nothing about the closure.
 
-Each RK4 stage makes one call to the family's `flow_terms`, which returns
-H with both partials, and the call at each accepted point serves twice: its
-H feeds the energy-drift guard and its partials are the next step's k1.
-For aw, `flow_terms` is a kernel bound once per system, with its constants
-as locals, and `second_partials` calls the same kernel.
+Each RK4 stage makes one kernel call.  Stages 2-4 call the family's
+`flow_partials`, which returns the two partials without forming H; the
+accepted point calls `flow_terms`, which returns H with both partials, and
+serves twice: its H feeds the energy-drift guard and its partials are the
+next step's k1.  Both kernels are modes of one body, bound once per system
+with its constants as locals.
 """
 
 from __future__ import annotations
@@ -57,7 +58,8 @@ class Trajectory:
 
 
 def _h_and_h_h_eta(spec: SystemSpec, x: float, p: float) -> tuple[float, float]:
-    """H and {H, {H, eta}}, both from one `flow_terms` call."""
+    """H and {H, {H, eta}}, from one `flow_terms` and one `second_partials`
+    call."""
     h, dhdx, dhdp = spec.flow_terms(x, p)
     d2p2, d2pdx = spec.second_partials(x, p)
     deta, d2eta = spec.deta_dx(x), spec.d2eta_dx2(x)
@@ -162,7 +164,7 @@ def flow_oracle(
     times = np.arange(steps + 1) * dt
     x, p = state.x, state.p
     xs = array("d", [x])
-    terms = spec.flow_terms
+    terms, partials = spec.flow_terms, spec.flow_partials
     lo, hi = spec.domain
     e0, dhdx, dhdp = _initial_terms(spec, state)
     guard = 1e-6 * max(1.0, abs(e0))
@@ -172,9 +174,9 @@ def flow_oracle(
         for k in range(steps):
             # k_i = (dH/dp, -dH/dx) at stage i.  The minus signs move into
             # the p updates; negation is exact, so they round as before.
-            _, dx2, dp2 = terms(x + half * dhdp, p - half * dhdx)
-            _, dx3, dp3 = terms(x + half * dp2, p - half * dx2)
-            _, dx4, dp4 = terms(x + dt * dp3, p - dt * dx3)
+            dx2, dp2 = partials(x + half * dhdp, p - half * dhdx)
+            dx3, dp3 = partials(x + half * dp2, p - half * dx2)
+            dx4, dp4 = partials(x + dt * dp3, p - dt * dx3)
             x += sixth * (dhdp + 2.0 * dp2 + 2.0 * dp3 + dp4)
             p -= sixth * (dhdx + 2.0 * dx2 + 2.0 * dx3 + dx4)
             if not lo < x < hi:

@@ -15,11 +15,12 @@ A guard band of G top indices absorbs truncation damage; identities are only
 asserted on the interior window 0 .. N-G-1.
 
 The bands of H and eta come from one array call each of the family's
-`energy` and recurrence coefficients.  `build_basic` and `_closure_data`
-keep their last few results per (system, N, G), so the checks of one suite
-build eta, [H, eta] and the frequencies once; the arrays they hand out are
-read-only.  The band helpers also take a stack of operators, (T, 3, N)
-bands with a leading batch axis, as the Heisenberg time grid uses them.
+`energy` and recurrence coefficients.  `build_basic`, `_closure_vectors`
+and `_closure_data` keep their last few results per (system, N, G), so the
+checks of one suite build eta, [H, eta], the R-polynomial values and the
+frequencies once; the arrays they hand out are read-only.  The band
+helpers also take a stack of operators, (T, 3, N) bands with a leading
+batch axis, as the Heisenberg time grid uses them.
 """
 
 from __future__ import annotations
@@ -190,10 +191,13 @@ def build_basic(
     return wrap(ham), wrap(eta), wrap(comm)
 
 
-def _closure_vectors(spec: SystemSpec, ham: TruncatedOperator):
+@lru_cache(maxsize=_CACHE_SIZE)
+def _closure_vectors(spec: SystemSpec, n_dim: int, guard: int):
     """The levels, read off the diagonal of H, and the R-polynomial values
     on them (no positivity requirement); refuses the first level where one
-    overflows, as R0 ~ E^2 can on finite levels (aw at small q)."""
+    overflows, as R0 ~ E^2 can on finite levels (aw at small q).  The
+    arrays are read-only and shared between calls with the same arguments."""
+    ham = build_basic(spec, n_dim, guard)[0]
     levels = ham.bands[1].real
     model = r_polynomials(spec)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -203,6 +207,7 @@ def _closure_vectors(spec: SystemSpec, ham: TruncatedOperator):
         raise ParameterOutOfRange(
             f"R0, R1 or R-1 at level E_{bad[0]} overflows double precision for {spec}"
         )
+    _read_only(*values)
     return (levels, *values)
 
 
@@ -211,8 +216,8 @@ def _closure_data(spec: SystemSpec, n_dim: int, guard: int):
     """eta, [H, eta], the levels, R-1/R0 and alpha_pm on the spectrum;
     demands R0 > 0 and distinct frequencies.  The arrays are read-only and
     shared between calls with the same arguments."""
-    ham, eta_op, comm_op = build_basic(spec, n_dim, guard)
-    levels, r0v, r1v, rm1v = _closure_vectors(spec, ham)
+    _, eta_op, comm_op = build_basic(spec, n_dim, guard)
+    levels, r0v, r1v, rm1v = _closure_vectors(spec, n_dim, guard)
     if np.any(r0v <= 0.0):
         raise ComplexFrequencies(
             "R0(E_n) must be positive on the truncated spectrum"
@@ -292,8 +297,8 @@ def check_ladder_action(spec: SystemSpec, n_dim: int, guard: int) -> CheckReport
 
 def check_two_commutator(spec: SystemSpec, n_dim: int, guard: int) -> CheckReport:
     """[H, [H, eta]] = eta R0(H) + [H, eta] R1(H) + R-1(H) on the window."""
-    ham, eta_op, comm_op = build_basic(spec, n_dim, guard)
-    levels, r0v, r1v, rm1v = _closure_vectors(spec, ham)
+    _, eta_op, comm_op = build_basic(spec, n_dim, guard)
+    levels, r0v, r1v, rm1v = _closure_vectors(spec, n_dim, guard)
     lhs = _commutator_with_h(levels, comm_op.bands)
     rhs = _plus_diagonal(
         eta_op.bands * r0v[None, :] + comm_op.bands * r1v[None, :], rm1v

@@ -16,10 +16,11 @@ modules need to know about it:
 * the coordinate map: `domain`, `eta`, `deta_dx`, `d2eta_dx2`;
 * the ground-state `density` and its `quadrature_nodes`, a trapezoid-type
   rule in the family's own variable;
-* the classical `flow_terms` (H with dH/dx and dH/dp, written once and
-  evaluated together) and `second_partials`; aw writes its complex
-  potential in real arithmetic, as a product of two pairs of factors, in a
-  kernel bound once per system that its `second_partials` calls too;
+* the classical flow kernels, modes of one body `_kernel(mode)` bound once
+  per system with its constants as locals: `flow_terms` (H with dH/dx and
+  dH/dp), `flow_partials` (the two partials, without forming H) and
+  `second_partials`, a third mode for aw, whose complex potential is
+  written in real arithmetic as a product of two pairs of factors;
 * the phase-space `sample_box`;
 * per-check default `tolerances` and `relative_residuals`, the residual
   mode (per-column relative rather than absolute) of the matrix checks;
@@ -88,6 +89,15 @@ class ClassicalClosure:
 
     r0: HPoly
     rm1: HPoly
+
+
+def _kernel_property(mode: str) -> cached_property:
+    """The family's flow kernel `_kernel(mode)`, built on first access and
+    kept on the instance (outside the dataclass fields), so that it is bound
+    once per system.  Each takes (x, p): "terms" returns (H, dH/dx, dH/dp),
+    "partials" (dH/dx, dH/dp) without forming H and "second" (d2H/dp2,
+    d2H/dpdx)."""
+    return cached_property(lambda self: self._kernel(mode))
 
 
 @dataclass(frozen=True)
@@ -198,15 +208,27 @@ class PoschlTeller:
         x = 0.5 * math.pi / (1.0 + np.exp(-2.0 * u))
         return x, step * (0.125 * math.pi**2) * np.cosh(t) / np.cosh(u) ** 2
 
-    def flow_terms(self, x: float, p: float) -> tuple[float, float, float]:
-        """(H, dH/dx, dH/dp); H in its tan form, the partials in sin/cos."""
+    def _kernel(self, mode: str) -> Callable[[float, float], tuple[float, ...]]:
+        """The flow kernel of `mode`: H in its tan form, the partials in
+        sin/cos; the "partials" mode returns before the tangent."""
         g, h = self.g, self.h
-        t = math.tan(x)
-        u = g / t - h * t
-        sx, cx = math.sin(x), math.cos(x)
-        v = g * cx / sx - h * sx / cx
-        dv = -g / (sx * sx) - h / (cx * cx)
-        return (0.5 * p * p + 0.5 * u * u, v * dv, p)
+        sin, cos, tan = math.sin, math.cos, math.tan
+        partials = mode == "partials"
+
+        def kernel(x: float, p: float) -> tuple[float, ...]:
+            sx, cx = sin(x), cos(x)
+            v = g * cx / sx - h * sx / cx
+            dv = -g / (sx * sx) - h / (cx * cx)
+            if partials:
+                return (v * dv, p)
+            t = tan(x)
+            u = g / t - h * t
+            return (0.5 * p * p + 0.5 * u * u, v * dv, p)
+
+        return kernel
+
+    flow_terms = _kernel_property("terms")
+    flow_partials = _kernel_property("partials")
 
     def second_partials(self, x: float, p: float) -> tuple[float, float]:
         """(d2H/dp2, d2H/dpdx)."""
@@ -302,11 +324,24 @@ class DeformedOscillator:
         x = _grid(step, -reach, reach)
         return x, np.full(x.shape, step)
 
-    def flow_terms(self, x: float, p: float) -> tuple[float, float, float]:
-        """(H, dH/dx, dH/dp)."""
-        r = math.hypot(self.a, x)
-        c = math.cosh(p)
-        return (r * c - self.a, x * c / r, r * math.sinh(p))
+    def _kernel(self, mode: str) -> Callable[[float, float], tuple[float, ...]]:
+        """The flow kernel of `mode`, H = sqrt(a^2 + x^2) cosh p - a."""
+        a = self.a
+        hypot, cosh, sinh = math.hypot, math.cosh, math.sinh
+        partials = mode == "partials"
+
+        def kernel(x: float, p: float) -> tuple[float, ...]:
+            r = hypot(a, x)
+            c = cosh(p)
+            dhdx, dhdp = x * c / r, r * sinh(p)
+            if partials:
+                return (dhdx, dhdp)
+            return (r * c - a, dhdx, dhdp)
+
+        return kernel
+
+    flow_terms = _kernel_property("terms")
+    flow_partials = _kernel_property("partials")
 
     def second_partials(self, x: float, p: float) -> tuple[float, float]:
         """(d2H/dp2, d2H/dpdx)."""
@@ -548,12 +583,11 @@ class AskeyWilson:
         consts.append((1 - a1 * a2) * (1 - a3 * a4) / 4)
         return tuple(float(v) for v in consts)
 
-    @cached_property
-    def flow_terms(self) -> Callable[..., tuple[float, ...]]:
-        """The function (x, p) -> (H, dH/dx, dH/dp) of H = |V| cosh(p ln q)
-        - Re V, built once per system with the pair constants, ln q and the
-        math functions bound as locals.  With `second` true it returns
-        (d2H/dp2, d2H/dpdx) instead, from the same pair terms.
+    def _kernel(self, mode: str) -> Callable[[float, float], tuple[float, ...]]:
+        """The flow kernel of `mode` for H = |V| cosh(p ln q) - Re V, with
+        the pair constants, ln q and the math functions bound as locals.
+        The "second" mode returns (d2H/dp2, d2H/dpdx) from the same pair
+        terms, and the "partials" mode never forms Re V.
 
         V = (1 - a1 z)(1 - a2 z)(1 - a3 z)(1 - a4 z) / (1 - z^2)^2 with
         z = exp(ix).  With c = cos x and s = sin x, a pair of factors is
@@ -568,8 +602,9 @@ class AskeyWilson:
         u12, m12, e12, f12, u34, m34, e34, f34, k = self.pair_constants
         gam = self.log_q
         sin, cos, sqrt, cosh, sinh = math.sin, math.cos, math.sqrt, math.cosh, math.sinh
+        second, partials = mode == "second", mode == "partials"
 
-        def flow_terms(x: float, p: float, second: bool = False) -> tuple[float, ...]:
+        def kernel(x: float, p: float) -> tuple[float, ...]:
             s, c = sin(x), cos(x)
             ss = s * s
             if c > 0.0:
@@ -591,15 +626,18 @@ class AskeyWilson:
             if second:
                 return (gam * gam * w * ch, gam * wx * sinh(gp))
             prod = re12 * re34
-            v = k - prod * q4  # Re V
             vx = (ss * (u12 * re34 + u34 * re12) + 2.0 * c * prod) * q4s
-            return (w * ch - v, wx * ch - vx, gam * w * sinh(gp))
+            dhdx, dhdp = wx * ch - vx, gam * w * sinh(gp)
+            if partials:
+                return (dhdx, dhdp)
+            v = k - prod * q4  # Re V
+            return (w * ch - v, dhdx, dhdp)
 
-        return flow_terms
+        return kernel
 
-    def second_partials(self, x: float, p: float) -> tuple[float, float]:
-        """(d2H/dp2, d2H/dpdx), from the same kernel as `flow_terms`."""
-        return self.flow_terms(x, p, True)
+    flow_terms = _kernel_property("terms")
+    flow_partials = _kernel_property("partials")
+    second_partials = _kernel_property("second")
 
 
 SystemSpec = Union[PoschlTeller, DeformedOscillator, AskeyWilson]

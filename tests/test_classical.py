@@ -160,17 +160,18 @@ def _aw_accuracy_points(count, seed):
     return points
 
 
-def _count_kernel_calls(spec, monkeypatch):
-    """Record the arguments of every call of `spec.flow_terms` (aw's kernel
-    bound to the instance, pt's and do's method) in the returned list."""
-    calls = []
-    kernel = spec.flow_terms
+def _count_kernel_calls(spec, monkeypatch, *names):
+    """Record the arguments of every call of each named kernel of `spec`,
+    wrapped in the instance `__dict__` where the bound kernel sits, in the
+    returned dict of lists keyed by name."""
+    calls = {}
+    for name in names:
 
-    def counted(*args):
-        calls.append(args)
-        return kernel(*args)
+        def counted(*args, kernel=getattr(spec, name), record=calls.setdefault(name, [])):
+            record.append(args)
+            return kernel(*args)
 
-    monkeypatch.setitem(vars(spec), "flow_terms", counted)
+        monkeypatch.setitem(vars(spec), name, counted)
     return calls
 
 
@@ -294,12 +295,15 @@ class TestFlowOracle:
         ids=["pt", "do", "aw"],
     )
     def test_one_kernel_call_per_stage(self, spec, state, monkeypatch):
-        # three stages per step and the accepted point, whose partials are
-        # the next step's first stage; one more call at the initial state
+        # three partials-only stages per step and H with the partials at the
+        # accepted point, whose partials are the next step's first stage; one
+        # more H at the initial state
         spec = dataclasses.replace(spec)
-        calls = _count_kernel_calls(spec, monkeypatch)
+        calls = _count_kernel_calls(spec, monkeypatch, "flow_terms", "flow_partials")
         traj = sc.flow_oracle(spec, state, 0.5, 1e-3)
-        assert len(calls) == 4 * (len(traj.times) - 1) + 1
+        steps = len(traj.times) - 1
+        assert len(calls["flow_partials"]) == 3 * steps
+        assert len(calls["flow_terms"]) == steps + 1
 
     def test_domain_escape_with_coarse_step(self):
         # a huge step overshoots straight through the repulsive wall
@@ -445,6 +449,55 @@ class TestFlowMatchesReference:
             assert spec.flow_terms(x, p) == (energy(x, p), *partials(x, p))
             assert spec.second_partials(x, p) == second(x, p)
             assert sc.classical._orbit(spec, state)[2] == -partials(x, p)[1] * spec.deta_dx(x)
+
+
+def _kernel_points(spec, count, seed):
+    """Seeded (x, p) points for comparing a family's kernels: x across the
+    domain (on both sides of pi/2 for aw), 1e-4 inside each wall and 0.3
+    past it, as an RK4 stage may ask, with |p| <= 5; then points where a
+    kernel divides by zero, overflows or is handed inf or nan."""
+    rng = np.random.default_rng(seed)
+    lo, hi = spec.domain if spec.tag != "do" else (-30.0, 30.0)
+    xs = [*rng.uniform(lo, hi, count), lo + 1e-4, hi - 1e-4, lo - 0.3, hi + 0.3]
+    if spec.tag == "aw":
+        xs += [1.5, 1.6]
+    points = [(float(x), float(p)) for x, p in zip(xs, rng.uniform(-5.0, 5.0, len(xs)))]
+    return points + [(0.0, 0.3), (1e-170, 0.3), (0.5, 800.0), (math.inf, 0.3),
+                     (math.nan, 0.3), (0.5, math.nan)]
+
+
+def _kernel_outcome(kernel, x, p):
+    """The kernel's values as hex strings (bit for bit, NaN and the sign of
+    zero included), or the type and message of the error it raised."""
+    try:
+        return tuple(map(float.hex, kernel(x, p)))
+    except (ArithmeticError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+class TestKernelModes:
+    @pytest.mark.parametrize(
+        "spec", [PT11, PT12, DO1, sc.DeformedOscillator(1e-3), AW1, AW2, AW0,
+                 sc.AskeyWilson(0.99, -0.98, 0.97, 0.5, q=0.9)],
+        ids=["pt11", "pt12", "do1", "do-small", "aw1", "aw2", "aw0", "aw-near-one"],
+    )
+    def test_partials_match_terms_bit_for_bit(self, spec):
+        errors = 0
+        for x, p in _kernel_points(spec, 200, seed=17):
+            terms = _kernel_outcome(spec.flow_terms, x, p)
+            if isinstance(terms[0], str):
+                terms = terms[1:]
+            else:
+                errors += 1
+            assert _kernel_outcome(spec.flow_partials, x, p) == terms, (x, p)
+        assert errors > 0  # the error paths were compared too
+
+    def test_kernels_are_bound_once_per_system(self):
+        spec = dataclasses.replace(AW1)
+        for name in ("flow_terms", "flow_partials", "second_partials"):
+            assert getattr(spec, name) is getattr(spec, name)
+        assert spec.flow_terms is not dataclasses.replace(spec).flow_terms
+        assert spec == dataclasses.replace(spec) and "flow_terms" not in repr(spec)
 
 
 class TestAskeyWilsonTerms:
@@ -613,13 +666,14 @@ class TestPoissonClosure:
             assert abs(ana2 - fd2) <= 1e-6 * max(1.0, abs(ana2))
 
     def test_one_flow_terms_evaluation_per_state(self, monkeypatch):
-        # flow_terms and second_partials each call aw's kernel once; a
-        # separate H evaluation would add a third call per state
+        # one flow_terms and one second_partials call per state; a separate
+        # H evaluation would add a third kernel call
         spec = dataclasses.replace(AW1)
-        calls = _count_kernel_calls(spec, monkeypatch)
+        names = ("flow_terms", "flow_partials", "second_partials")
+        calls = _count_kernel_calls(spec, monkeypatch, *names)
         states = sc.sample_states(spec, 50, seed=42)
         sc.check_poisson_closure(spec, states)
-        assert len(calls) == 2 * len(states)
+        assert [len(calls[name]) for name in names] == [len(states), 0, len(states)]
 
 
 class TestReconstructPotential:

@@ -141,6 +141,7 @@ class TestBuildBasic:
 
 def _clear_operator_caches():
     operators.build_basic.cache_clear()
+    operators._closure_vectors.cache_clear()
     operators._closure_data.cache_clear()
 
 
@@ -163,7 +164,8 @@ class TestSharedBuilds:
             with pytest.raises(ValueError):
                 op.bands[1, 0] = 1.0
         eta, comm, levels, ratio, ap, am = operators._closure_data(AW1, 12, 4)
-        for array in (eta.bands, comm.bands, levels, ratio, ap, am):
+        for array in (eta.bands, comm.bands, levels, ratio, ap, am,
+                      *operators._closure_vectors(AW1, 12, 4)):
             with pytest.raises(ValueError):
                 array[0] = 1.0
 
@@ -173,7 +175,19 @@ class TestSharedBuilds:
             check(DO1, 30, 4)
         sc.check_su11(DO1.a, 30, 4)
         assert operators.build_basic.cache_info().misses == 1
+        assert operators._closure_vectors.cache_info().misses == 1
         assert operators._closure_data.cache_info().misses == 1
+
+    def test_two_commutator_runs_where_the_ladder_is_refused(self):
+        # R0(E_0) = 4 (g + h)^2 - 4 < 0: the ladder refuses the spectrum, and
+        # the two-commutator identity, which demands no sign of R0, holds on it
+        spec = sc.PoschlTeller(0.2, 0.3)
+        _clear_operator_caches()
+        before = sc.check_two_commutator(spec, 30, 4)
+        with pytest.raises(sc.ComplexFrequencies):
+            sc.check_ladder_action(spec, 30, 4)
+        assert before.passed and sc.check_two_commutator(spec, 30, 4) == before
+        assert operators._closure_vectors.cache_info().misses == 1
 
     @pytest.mark.parametrize("spec", ALL + [sc.DeformedOscillator(1.3)])
     def test_reports_do_not_depend_on_the_checks_run_before(self, spec):

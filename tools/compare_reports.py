@@ -12,7 +12,8 @@ one does and 2 when a tree cannot be run.
 
 The corpus is the 8 reference systems x 6 suites x 5 variants, a
 `--tend 10` trajectory export per system (two for aw, from either side of
-x = pi/2), the README's exit-2 examples and a flow that leaves pt's domain.
+x = pi/2), the README's exit-2 examples, a flow that leaves pt's domain and
+one flow per family whose error is raised in an RK4 stage.
 """
 
 from __future__ import annotations
@@ -76,6 +77,12 @@ EXIT_2 = (
     ("ladder", "--system", "do", "--a", "1", "--n", "100000000"),
     ("ladder", "--system", "do", "--a", "1", "--n", "2049"),
     ("classical", "--system", "pt", "--g", "1e-8", "--h", "1"),
+    # the error of these three is raised in an RK4 stage, not at the accepted point
+    ("classical", "--system", "pt", "--g", "1", "--h", "1", "--x0=1e-150",
+     "--p0=0.1", "--tend", "1"),
+    ("classical", "--system", "aw", "--a=0.3,-0.2,0.4,0.1", "--q", "0.6",
+     "--x0=1e-130", "--p0=0.1", "--tend", "1"),
+    ("classical", "--system", "do", "--a", "1", "--x0=0.5", "--p0=700", "--tend", "1"),
 )
 # Address space of a worker: a request that allocated before its refusal
 # ends in MemoryError instead of exhausting the machine.
