@@ -1,4 +1,4 @@
-"""Special functions: complex gamma, q-shifted factorials, 1F1.
+"""Special functions: complex gamma, infinite products over q^k, 1F1.
 
 These are deliberately self-contained (no scipy) so that the test suite can
 cross-check them against independent implementations.
@@ -27,7 +27,7 @@ _LANCZOS_C = (
     1.5056327351493116e-7,
 )
 
-# Entries per block of factors in the infinite q-Pochhammer product.
+# Entries per block of factors in an infinite product over q^k.
 _BLOCK = 2**15
 
 
@@ -54,6 +54,36 @@ def gamma_abs_sq(a: float, x):
     return float(out[0]) if xs.ndim == 0 else out
 
 
+def q_product(q: float, floor: float, size: int, fill, dtype=float) -> np.ndarray:
+    """The product over k of the factor rows that `fill` writes, for the
+    powers q^k from q^0 while |q^k| >= floor, at each of `size` entries.
+
+    The powers are formed once by repeated multiplication.  `fill(qks,
+    out)` writes into the rows of `out` the factors of a column `qks` of
+    consecutive powers, one row per k.  A block of about _BLOCK entries is
+    filled under the running product as row 0 and reduced down its first
+    axis, which multiplies in the order ((r f_k) f_{k+1}) ... of a loop
+    over k.  The block is allocated once, so memory stays flat although the
+    number of factors grows like 1 / |ln q|.
+    """
+    powers = []
+    qk = 1.0
+    while abs(qk) >= floor:
+        powers.append(qk)
+        qk *= q
+    powers = np.array(powers)[:, None]
+    rows = max(1, _BLOCK // max(1, size))
+    block = np.empty((min(rows, len(powers)) + 1, size), dtype=dtype)
+    result = np.ones(size, dtype=dtype)
+    for start in range(0, len(powers), rows):
+        qks = powers[start:start + rows]
+        part = block[: len(qks) + 1]
+        part[0] = result
+        fill(qks, part[1:])
+        result = part.prod(axis=0)
+    return result
+
+
 def qpochhammer(z, q: float):
     """Infinite q-shifted factorial (z; q)_inf = prod_{k>=0} (1 - z q^k).
 
@@ -62,38 +92,24 @@ def qpochhammer(z, q: float):
     rounding.  An array z gives the product at each entry, each with its
     own truncation.
 
-    The powers q^k are formed once by repeated multiplication.  The
-    factors 1 - z q^k (1 past an entry's truncation) are built for a block
-    of k at a time, under the running product as row 0, and each block is
-    reduced down its first axis.  That multiplies in the order
-    ((r f_k) f_{k+1}) ... of a loop over k, so arrays of two or more
-    entries get the same bits as that loop.  A lone entry may differ in the
-    last bits: numpy reduces a single contiguous axis with its scalar
-    complex multiply, not the fused multiply-add kernel of elementwise
-    products.  Blocks hold about _BLOCK entries, so memory stays flat
-    although the number of factors grows like 39 / |ln q|.
+    The factors 1 - z q^k (1 past an entry's truncation) are multiplied in
+    blocks by `q_product`, in the order of a loop over k, so arrays of two
+    or more entries get the same bits as that loop.  A lone entry may
+    differ in the last bits: numpy reduces a single contiguous axis with
+    its scalar complex multiply, not the fused multiply-add kernel of
+    elementwise products.
     """
     if not 0.0 < abs(q) < 1.0:
         raise ParameterOutOfRange(f"infinite product needs 0 < |q| < 1, got q={q}")
     zs = np.asarray(z, dtype=complex)
     flat = zs.ravel()
     cutoff = 1e-17 / (1.0 + np.abs(flat))
-    floor = cutoff.min(initial=math.inf)
-    powers = []
-    qk = 1.0
-    while abs(qk) >= floor:
-        powers.append(qk)
-        qk *= q
-    powers = np.array(powers)[:, None]
-    result = np.ones_like(flat)
-    rows = max(1, _BLOCK // max(1, flat.size))
-    for start in range(0, len(powers), rows):
-        qks = powers[start:start + rows]
-        block = np.empty((len(qks) + 1, flat.size), dtype=complex)
-        block[0] = result
-        np.subtract(1.0, flat * qks, out=block[1:])
-        block[1:][np.abs(qks) < cutoff] = 1.0
-        result = block.prod(axis=0)
+
+    def fill(qks, out):
+        np.subtract(1.0, flat * qks, out=out)
+        out[np.abs(qks) < cutoff] = 1.0
+
+    result = q_product(q, cutoff.min(initial=math.inf), flat.size, fill, complex)
     if zs.ndim == 0:
         return complex(result[0])
     return result.reshape(zs.shape)

@@ -536,14 +536,47 @@ class AskeyWilson:
         return -np.cos(np.asarray(x, dtype=float))
 
     def density(self, x):
+        """|(e^(2ix); q)_inf|^2 / prod_j |(a_j e^(ix); q)_inf|^2, in real
+        arithmetic.
+
+        For real c, |1 - c q^k e^(i theta)|^2 = (1 - |c| q^k)^2 + 4 |c| q^k t
+        with t = sin^2(theta / 2) for c >= 0 and cos^2(theta / 2) for c < 0.
+        Both terms are non-negative, so no factor cancels.  The numerator
+        has c = 1 and theta = 2x, so t = sin^2 x; a zero a_j has no factor.
+        A block of factors is one matrix product of the columns
+        ((1 - |c| q^k)^2, |c| q^k) with the rows (1, 4t).  The ratio of the
+        numerator's factor to the product of the a_j factors is formed for
+        each k, in place, and multiplied over k in blocks by
+        `special.q_product` until q^k < 5e-18, where every factor is one to
+        double precision.
+        """
         xs = np.asarray(x, dtype=float)
         require_inside(self, xs)
-        z = np.exp(1j * xs)
-        num = np.abs(special.qpochhammer(z * z, self.q)) ** 2
-        den = 1.0
-        for aj in self.params:
-            den = den * np.abs(special.qpochhammer(aj * z, self.q)) ** 2
-        return float(num / den) if xs.ndim == 0 else num / den
+        flat = xs.ravel()
+        ones = np.ones_like(flat)
+        num_rows = np.stack((ones, 4.0 * np.sin(flat) ** 2))
+        sin_rows = np.stack((ones, 4.0 * np.sin(0.5 * flat) ** 2))
+        cos_rows = np.stack((ones, 4.0 * np.cos(0.5 * flat) ** 2))
+        terms = [(abs(a), sin_rows if a > 0 else cos_rows) for a in self.params if a]
+        scratch = None
+
+        def factors(rq, rows, out):
+            np.matmul(np.hstack(((1.0 - rq) ** 2, rq)), rows, out=out)
+
+        def fill(qks, out):
+            nonlocal scratch
+            if scratch is None:  # the first block is the largest
+                scratch = np.empty_like(out)
+            den = scratch[: len(qks)]
+            den.fill(1.0)
+            for r, rows in terms:
+                factors(r * qks, rows, out)
+                den *= out
+            factors(qks, num_rows, out)
+            out /= den
+
+        rho = special.q_product(self.q, 5e-18, flat.size, fill)
+        return float(rho[0]) if xs.ndim == 0 else rho.reshape(xs.shape)
 
     def quadrature_nodes(self, n_max: int) -> tuple[np.ndarray, np.ndarray]:
         """Periodic trapezoid nodes k pi / m, 0 < k < m, and weights pi / m.

@@ -3,10 +3,10 @@
 One dense 2048 x 2048 complex matrix is 64 MiB; the traced peak of the
 banded checks at that size stays far below 8 MiB, so any N x N temporary
 reintroduced on these paths fails here.  The same limit holds the blocked
-q-Pochhammer product at q = 0.999, whose ~40,000 factors over 1,041 nodes
-would take 660 MiB as one array.  A long Heisenberg time grid runs in
-blocks of bounded size: 200 samples at N 2048 in one (T, 3, N) batch would
-peak near 170 MiB.  A size beyond its cap is refused before anything of that
+q-Pochhammer product and the blocked aw density at q = 0.999, whose ~40,000
+factors over 1,041 nodes would take 660 MiB and 310 MiB as one array.  A
+long Heisenberg time grid runs in blocks of bounded size: 200 samples at
+N 2048 in one (T, 3, N) batch would peak near 170 MiB.  A size beyond its cap is refused before anything of that
 size is allocated.
 """
 
@@ -84,6 +84,20 @@ def test_qpochhammer_factors_are_blocked():
     tracemalloc.start()
     try:
         qpochhammer(z, 0.999)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < LIMIT
+
+
+def test_aw_density_factors_are_blocked():
+    spec = sc.AskeyWilson(0.1, 0.2, -0.1, 0.3, q=0.999)
+    x = math.pi * np.arange(1, 1042) / 1042
+    tracemalloc.start()
+    try:
+        # the density over- and underflows at this q; only its memory counts
+        with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+            spec.density(x)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

@@ -97,6 +97,29 @@ def aw_diagonal_oracle(params, q, n):
         return float((a + 1 / a - a_ks - c_ks) / 2)
 
 
+def aw_density_oracle(spec, x):
+    """The aw density at 40 digits from the complex products
+    (c e^(i theta); q)_inf = prod_k (1 - c q^k e^(i theta)) and their moduli."""
+    with mpmath.workdps(40):
+        q = mpmath.mpf(spec.q)
+        z = mpmath.expj(mpmath.mpf(x))
+
+        def product(c):
+            if spec.q <= 0.9:
+                return mpmath.qp(c, q)
+            # mpmath.qp raises NoConvergence at q 0.99: multiply the factors
+            # until |c| q^k < 1e-30; the rest move the product by ~1e-28
+            p, ck = mpmath.mpc(1), c
+            for _ in range(math.ceil(math.log(1e-30) / math.log(spec.q))):
+                p -= p * ck
+                ck *= q
+            return p
+
+        moduli = {c: abs(product(mpmath.mpf(c) * z)) ** 2 for c in set(spec.params)}
+        den = mpmath.fprod(moduli[c] for c in spec.params)
+        return abs(product(z * z)) ** 2 / den
+
+
 def aw_poly_oracle(spec, n, theta):
     """Askey-Wilson value from the terminating basic hypergeometric sum.
 
@@ -378,6 +401,27 @@ class TestWeight:
         for aj in AW1.params:
             den *= abs(complex(mpmath.qp(aj * z, 0.5))) ** 2
         assert wf.density(x) == pytest.approx(num / den, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "params, q",
+        [
+            ((0.999, 0.5, -0.999, 0.1), 0.5),
+            ((-0.999, -0.9, 0.1, 0.0), 0.05),
+            ((0.99, 0.99, -0.1, 0.3), 0.99),
+            ((0.0, 0.0, 0.0, 0.0), 0.5),
+            ((1e-8, 0.0, 0.0, 0.0), 0.9),
+            ((0.8, -0.8, 0.8, -0.8), 0.6),
+        ],
+    )
+    def test_aw_density_against_complex_products(self, params, q):
+        # next to both walls, where sin^2 or cos^2 of x/2 is tiny, and inside
+        spec = sc.AskeyWilson(*params, q=q)
+        xs = [1e-6, 1e-3, 0.3, math.pi / 2, 2.9, math.pi - 1e-3, math.pi - 1e-6]
+        got = spec.density(np.array(xs))
+        for x, value in zip(xs, got):
+            ref = aw_density_oracle(spec, x)
+            assert abs(mpmath.mpf(value) / ref - 1) <= 1e-12
+            assert abs(mpmath.mpf(spec.density(x)) / ref - 1) <= 1e-12
 
     def test_aw_density_positive(self):
         wf = sc.weight(AW1)

@@ -12,8 +12,9 @@ one does and 2 when a tree cannot be run.
 
 The corpus is the 8 reference systems x 6 suites x 5 variants, a
 `--tend 10` trajectory export per system (two for aw, from either side of
-x = pi/2), the README's exit-2 examples, a flow that leaves pt's domain and
-one flow per family whose error is raised in an RK4 stage.
+x = pi/2), four aw `ladder` runs at the edges of its ground-state density,
+the README's exit-2 examples, a flow that leaves pt's domain and one flow
+per family whose error is raised in an RK4 stage.
 """
 
 from __future__ import annotations
@@ -50,6 +51,15 @@ VARIANTS = (
 # initial positions inside each family's domain; aw's second lies past pi/2,
 # where cos x <= 0 and its flow kernel forms the pairs' real parts the other way
 EXPORT_X0 = {"pt": ("0.7",), "do": ("0.5",), "aw": ("1.2", "2.2")}
+# aw's density is a product of factors |1 - c q^k e^(i theta)|^2: these put
+# a_i near +-1, q small, q near 1, and q 0.997, just below the 0.998 that
+# EXIT_2 holds as refused
+DENSITY_EDGES = (
+    ("ladder", "--system", "aw", "--a=0.999,0.5,-0.999,0.1", "--q", "0.5"),
+    ("ladder", "--system", "aw", "--a=-0.999,-0.9,0.1,0", "--q", "0.05"),
+    ("ladder", "--system", "aw", "--a=0.1,0.2,-0.1,0.3", "--q", "0.99"),
+    ("ladder", "--system", "aw", "--a=0.1,0.2,-0.1,0.3", "--q", "0.997"),
+)
 EXIT_2 = (
     ("ladder", "--system", "pt", "--g", "1", "--h", "1", "--guard", "0"),
     ("heisenberg", "--system", "pt", "--g", "1", "--h", "1", "--t", "nan"),
@@ -102,7 +112,7 @@ def default_corpus() -> list[list[str]]:
         for system in SYSTEMS
         for x0 in EXPORT_X0[system[1]]
     ]
-    return corpus + [list(argv) for argv in EXIT_2]
+    return corpus + [list(argv) for argv in DENSITY_EDGES + EXIT_2]
 
 
 def _out_path(argv: list[str]) -> str | None:
