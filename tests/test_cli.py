@@ -153,6 +153,28 @@ class TestExitCodes:
         assert "hermitian_conjugacy" in result.stdout
         assert result.stderr == ""
 
+    @pytest.mark.parametrize("a", ["0.016", "0.45", "0.5", "90"])
+    def test_do_norms_at_the_edges_of_the_density_pass(self, a):
+        # 0.016 has the largest rule admitted (65,001 nodes); 0.45 and 0.5
+        # lie either side of the a < 1/2 shift in |Gamma(a + ix)|^2
+        result = run_cli("ladder", "--system", "do", "--a", a)
+        assert result.returncode == 0
+        assert "hermitian_conjugacy" in result.stdout
+        assert result.stderr == ""
+
+    @pytest.mark.parametrize(
+        "a, message",
+        [
+            ("0.015", "the quadrature rule needs 69335 nodes, more than the 65536 allowed"),
+            # h_21 leaves double range, though the density does not
+            ("92", "quadrature produced a non-finite norm"),
+        ],
+    )
+    def test_do_norms_past_the_edges_exit_two(self, a, message):
+        result = run_cli("ladder", "--system", "do", "--a", a)
+        assert result.returncode == 2
+        assert result.stderr == f"error: {message}\n"
+
     def test_wrong_parameter_count_exits_two(self):
         result = run_cli("spectrum", "--system", "aw", "--q", "0.5", "--a", "0.1,0.2")
         assert result.returncode == 2

@@ -4,7 +4,9 @@ One dense 2048 x 2048 complex matrix is 64 MiB; the traced peak of the
 banded checks at that size stays far below 8 MiB, so any N x N temporary
 reintroduced on these paths fails here.  The same limit holds the blocked
 q-Pochhammer product and the blocked aw density at q = 0.999, whose ~40,000
-factors over 1,041 nodes would take 660 MiB and 310 MiB as one array.  A
+factors over 1,041 nodes would take 660 MiB and 310 MiB as one array, and
+do's density on its largest admitted rule, whose eight Lanczos terms over
+65,001 nodes take 4 MiB as one (8, M) array.  A
 long Heisenberg time grid runs in blocks of bounded size: 200 samples at
 N 2048 in one (T, 3, N) batch would peak near 170 MiB.  A size beyond its cap is refused before anything of that
 size is allocated.
@@ -102,6 +104,23 @@ def test_aw_density_factors_are_blocked():
     finally:
         tracemalloc.stop()
     assert peak < LIMIT
+
+
+def test_do_density_terms_are_blocked():
+    # the rule of `ladder --system do --a 0.016`, the largest admitted
+    spec = sc.DeformedOscillator(0.016)
+    x, _ = spec.quadrature_nodes(21)
+    assert len(x) == 65001
+    tracemalloc.start()
+    try:
+        spec.density(x)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # blocked, the peak is the 0.5 MiB result and one block's terms, about
+    # 1.2 MiB; unblocked it is 8.9 MiB, and 7.4 MiB with the (8, M) terms
+    # divided in place, which LIMIT alone would let pass
+    assert peak < LIMIT // 4
 
 
 def test_spec_keyed_caches_keep_memory_flat():

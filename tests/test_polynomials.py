@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 import sincoord as sc
 from sincoord import special
 from sincoord.special import _LANCZOS_C as LANCZOS_C
-from sincoord.special import _gamma, gamma_abs_sq, hyp1f1, qpochhammer
+from sincoord.special import gamma_abs_sq, hyp1f1, qpochhammer
 
 PT11 = sc.PoschlTeller(1.0, 1.0)
 PT23 = sc.PoschlTeller(2.0, 3.0)
@@ -300,10 +300,34 @@ class TestSpecialFunctions:
             ref = np.exp(2.0 * np.real(scipy.special.loggamma(a + 1j * xs)))
             assert np.max(np.abs(mine - ref) / ref) < 1e-12
 
-    def test_gamma_reflection_consistency(self):
-        z = complex(0.3, 1.7)
-        g, g_reflected = _gamma(np.array([z, 1 - z]))
-        assert abs(g * g_reflected - math.pi / cmath.sin(math.pi * z)) < 1e-14
+    def test_gamma_closed_forms(self):
+        # |Gamma(1/2 + ix)|^2 = pi / cosh(pi x), |Gamma(1 + ix)|^2 = pi x / sinh(pi x),
+        # and |Gamma(ix)|^2 = pi / (x sinh(pi x)), the shifted form at a = 0
+        xs = np.concatenate(([1e-3, -1e-3], np.linspace(-60.0, 60.0, 240)))
+        sinh = np.sinh(math.pi * xs)
+        bound = 128.0 * np.finfo(float).eps * np.maximum(1.0, np.abs(xs))
+        for a, ref in (
+            (0.5, math.pi / np.cosh(math.pi * xs)),
+            (1.0, math.pi * xs / sinh),
+            (0.0, math.pi / (xs * sinh)),
+        ):
+            assert np.all(np.abs(gamma_abs_sq(a, xs) / ref - 1.0) < bound)
+        assert gamma_abs_sq(1.0, 0.0) == pytest.approx(1.0, rel=1e-15)
+
+    @pytest.mark.parametrize("a", [0.01, 0.1, 0.3, 0.45, 0.5, 0.6, 1.0, 2.0, 4.0])
+    def test_gamma_against_mpmath(self, a):
+        xs = np.concatenate(([0.0, 1e-3, -1e-3], np.linspace(-220.0, 220.0, 89)))
+        got = gamma_abs_sq(a, xs)
+        bound = 128.0 * np.finfo(float).eps * np.maximum(1.0, np.abs(xs))
+        with mpmath.workdps(40):
+            for x, value, tol in zip(xs.tolist(), got.tolist(), bound.tolist()):
+                ref = abs(mpmath.gamma(mpmath.mpc(a, x))) ** 2
+                assert abs(mpmath.mpf(value) / ref - 1) < tol
+
+    def test_gamma_domain(self):
+        with pytest.raises(sc.ParameterOutOfRange, match="a > -1/2"):
+            gamma_abs_sq(-0.5, 1.0)
+        assert gamma_abs_sq(2.0, np.zeros((0, 3))).shape == (0, 3)
 
     def test_qpochhammer_against_mpmath(self):
         for z in (0.3, -0.8, complex(0.2, 0.6)):
@@ -313,8 +337,6 @@ class TestSpecialFunctions:
 
     def test_array_gamma_matches_scalar_lanczos_loop(self):
         def lanczos_loop(z):
-            if z.real < 0.5:
-                return math.pi / (cmath.sin(math.pi * z) * lanczos_loop(1.0 - z))
             w = z - 1.0
             s = LANCZOS_C[0] + 0j
             for k in range(1, len(LANCZOS_C)):
@@ -324,10 +346,15 @@ class TestSpecialFunctions:
 
         for a in (0.1, 0.3, 0.75, 2.0):
             xs = np.linspace(-40.0, 40.0, 81)
-            ref = np.array([abs(lanczos_loop(complex(a, x))) ** 2 for x in xs])
-            # numpy and Python round the complex power t ** (w + 1/2)
-            # differently: an ulp of arg(t), up to pi eps, times Im w = x,
-            # squared in |Gamma|^2, gives about 2 pi |x| eps
+            if a < 0.5:  # the shift |Gamma(a + 1 + ix)|^2 / (a^2 + x^2)
+                ref = np.array([abs(lanczos_loop(complex(a + 1.0, x))) ** 2 for x in xs])
+                ref /= a * a + xs * xs
+            else:
+                ref = np.array([abs(lanczos_loop(complex(a, x))) ** 2 for x in xs])
+            # the loop's complex power t ** (w + 1/2) and the real
+            # exp(... - 2 x atan2(x, Re t)) round arg(t) differently: an ulp
+            # of it, up to pi eps, times Im w = x, squared in |Gamma|^2,
+            # gives about 2 pi |x| eps
             bound = 16.0 * np.finfo(float).eps * np.maximum(1.0, np.abs(xs))
             assert np.all(np.abs(gamma_abs_sq(a, xs) / ref - 1.0) < bound)
 

@@ -12,9 +12,9 @@ one does and 2 when a tree cannot be run.
 
 The corpus is the 8 reference systems x 6 suites x 5 variants, a
 `--tend 10` trajectory export per system (two for aw, from either side of
-x = pi/2), four aw `ladder` runs at the edges of its ground-state density,
-the README's exit-2 examples, a flow that leaves pt's domain and one flow
-per family whose error is raised in an RK4 stage.
+x = pi/2), four aw and four do `ladder` runs at the edges of their
+ground-state densities, the README's exit-2 examples, a flow that leaves
+pt's domain and one flow per family whose error is raised in an RK4 stage.
 """
 
 from __future__ import annotations
@@ -60,6 +60,12 @@ DENSITY_EDGES = (
     ("ladder", "--system", "aw", "--a=0.1,0.2,-0.1,0.3", "--q", "0.99"),
     ("ladder", "--system", "aw", "--a=0.1,0.2,-0.1,0.3", "--q", "0.997"),
 )
+# do's density is |Gamma(a + ix)|^2: a 0.016 has the largest rule admitted,
+# 0.45 and 0.5 lie either side of the a < 1/2 shift, and 90 is below the
+# 92 at which EXIT_2 holds h_21 as leaving double range
+DO_DENSITY_EDGES = tuple(
+    ("ladder", "--system", "do", "--a", a) for a in ("0.016", "0.45", "0.5", "90")
+)
 EXIT_2 = (
     ("ladder", "--system", "pt", "--g", "1", "--h", "1", "--guard", "0"),
     ("heisenberg", "--system", "pt", "--g", "1", "--h", "1", "--t", "nan"),
@@ -87,6 +93,8 @@ EXIT_2 = (
     ("ladder", "--system", "do", "--a", "1", "--n", "100000000"),
     ("ladder", "--system", "do", "--a", "1", "--n", "2049"),
     ("classical", "--system", "pt", "--g", "1e-8", "--h", "1"),
+    ("ladder", "--system", "do", "--a", "0.015"),
+    ("ladder", "--system", "do", "--a", "92"),
     # the error of these three is raised in an RK4 stage, not at the accepted point
     ("classical", "--system", "pt", "--g", "1", "--h", "1", "--x0=1e-150",
      "--p0=0.1", "--tend", "1"),
@@ -112,7 +120,7 @@ def default_corpus() -> list[list[str]]:
         for system in SYSTEMS
         for x0 in EXPORT_X0[system[1]]
     ]
-    return corpus + [list(argv) for argv in DENSITY_EDGES + EXIT_2]
+    return corpus + [list(argv) for argv in DENSITY_EDGES + DO_DENSITY_EDGES + EXIT_2]
 
 
 def _out_path(argv: list[str]) -> str | None:
