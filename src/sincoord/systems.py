@@ -475,10 +475,24 @@ class AskeyWilson:
         return HPoly((gsq * c2, gsq * c1, gsq)), HPoly((-gsq * c4, -gsq * c3))
 
     def recurrence_coefficients(self):
-        """Askey-Wilson polynomials in eta = cos x."""
-        qp, b4 = self._q_pow, self.b4
+        """Askey-Wilson polynomials in eta = cos x.
+
+        B_n is the form of KLS (14.1.4) written symmetric in a1..a4, with no
+        parameter singled out and no 1/a: with Q = q^n and e1, e3, e4 the
+        elementary symmetric functions of a1..a4,
+        2 B_n = -Q [(e1 q + e3)(q + e4 Q^2) - Q (q + 1)(e1 e4 + e3 q)]
+                / ((q^2 - e4 Q^2)(e4 Q^2 - 1)).
+        e1, e3 and e4 are formed exactly from the parameters and rounded
+        once, never taken from b1, b3, b4: the closure polynomials are built
+        from those, and the checks must not share a number with them.
+        """
+        qp, b4, q = self._q_pow, self.b4, self.q
         a1, a2, a3, a4 = self.params
         pair_products = (a1 * a2, a1 * a3, a1 * a4, a2 * a3, a2 * a4, a3 * a4)
+        f1, f2, f3, f4 = (Fraction(v) for v in self.params)
+        e1 = float(f1 + f2 + f3 + f4)
+        e3 = float(f1 * f2 * (f3 + f4) + f3 * f4 * (f1 + f2))
+        e4 = float(f1 * f2 * f3 * f4)
 
         def a_coef(n):
             return (1.0 - b4 * qp(n - 1)) / (
@@ -494,35 +508,15 @@ class AskeyWilson:
                 2.0 * (1.0 - b4 * qp(2 * n - 2)) * (1.0 - b4 * qp(2 * n - 1))
             )
 
-        # The diagonal coefficient is invariant under rescaling of P_n,
-        # so any nonzero parameter may take the distinguished slot of the
-        # one-parameter-singled-out form.  It takes the largest in size
-        # (the first on ties): with a tiny one the 1/a-sized terms cancel
-        # to no digit.  The slot holds 0 only when all four vanish.
-        slot_index = max(range(4), key=lambda i: abs(self.params[i]))
-        slot = self.params[slot_index]
-        rest = [v for i, v in enumerate(self.params) if i != slot_index]
-
         def b_coef(n):
-            if slot == 0.0:
-                return 0.0 * n  # fully symmetric weight
-            a = slot
-            b, c, d = rest
-            q_n, q_down, q_odd = qp(n), qp(n - 1), qp(2 * n - 1)
-            a_ks = (
-                (1.0 - a * b * q_n)
-                * (1.0 - a * c * q_n)
-                * (1.0 - a * d * q_n)
-                * (1.0 - b4 * q_down)
-            ) / (a * (1.0 - b4 * q_odd) * (1.0 - b4 * qp(2 * n)))
-            c_ks = (
-                a
-                * (1.0 - q_n)
-                * (1.0 - b * c * q_down)
-                * (1.0 - b * d * q_down)
-                * (1.0 - c * d * q_down)
-            ) / ((1.0 - b4 * qp(2 * n - 2)) * (1.0 - b4 * q_odd))
-            return 0.5 * (a + 1.0 / a - a_ks - c_ks)
+            big_q = qp(n)
+            e4_q2 = e4 * big_q * big_q
+            return (
+                -0.5
+                * big_q
+                * ((e1 * q + e3) * (q + e4_q2) - big_q * (q + 1.0) * (e1 * e4 + e3 * q))
+                / ((q * q - e4_q2) * (e4_q2 - 1.0))
+            )
 
         return a_coef, b_coef, c_coef
 

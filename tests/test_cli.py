@@ -87,6 +87,12 @@ class TestSubcommands:
         result = run_cli("ladder", "--system", "aw", params, "--q", "0.5")
         assert result.returncode == 0, result.stdout + result.stderr
 
+    @pytest.mark.parametrize("suite", ["ladder", "heisenberg", "coherent"])
+    def test_aw_with_every_nonzero_parameter_tiny(self, suite, capsys):
+        # B_n = 5e-9 q^n here: a form with 1/a-sized terms loses every digit
+        code = cli.main([suite, "--system", "aw", "--a=1e-8,0,0,0", "--q", "0.5"])
+        assert code == 0, capsys.readouterr().out
+
     def test_heisenberg_aw(self):
         result = run_cli(
             "heisenberg", "--system", "aw", "--q", "0.5", "--a", "0.1,0.2,-0.1,0.3"

@@ -1,10 +1,12 @@
 """Truncated-matrix structure and the ladder identities."""
 
+import json
+
 import numpy as np
 import pytest
 
 import sincoord as sc
-from sincoord import operators
+from sincoord import cli, operators, polynomials, systems
 from sincoord.operators import Normalization
 
 PT11 = sc.PoschlTeller(1.0, 1.0)
@@ -306,6 +308,38 @@ class TestTwoCommutator:
         report = sc.check_two_commutator(PT11, 100, 4)
         assert report.tolerance == 1e-10
         assert report.passed
+
+
+class TestOracleIndependence:
+    """eta takes nothing from the closure side: B_n is formed from a1..a4,
+    not from the b1, b3, b4 that R-1 is built from, so a closure
+    coefficient moved by 1e-5 relative must fail the two-commutator check."""
+
+    @staticmethod
+    def _clear_caches():
+        for module in (systems, polynomials, operators):
+            for value in vars(module).values():
+                if callable(getattr(value, "cache_clear", None)):
+                    value.cache_clear()
+
+    @pytest.mark.parametrize("name", ["b1", "b3", "b4"])
+    def test_planted_closure_defect_fails(self, name, monkeypatch, capsys):
+        exact = getattr(sc.AskeyWilson, name).fget
+        monkeypatch.setattr(
+            sc.AskeyWilson, name, property(lambda self: exact(self) * (1.0 + 1e-5))
+        )
+        self._clear_caches()
+        try:
+            code = cli.main(
+                ["ladder", "--system", "aw", "--a=0.3,-0.2,0.4,0.1", "--q", "0.6",
+                 "--format", "json"]
+            )
+        finally:
+            monkeypatch.undo()
+            self._clear_caches()
+        checks = {c["name"]: c for c in json.loads(capsys.readouterr().out)["checks"]}
+        assert code == 1
+        assert not checks["two_commutator"]["pass"]
 
 
 class TestHermitianConjugacy:

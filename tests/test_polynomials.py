@@ -81,9 +81,16 @@ def do_cutoff_scan(a, n_max):
 
 
 def aw_diagonal_oracle(params, q, n):
-    """Askey-Wilson B_n in multi-precision, params[0] in the distinguished slot."""
+    """Askey-Wilson B_n in multi-precision from the form of KLS (14.1.4) that
+    singles out one parameter.  B_n does not depend on which nonzero a_i
+    takes the slot; the largest in size takes it, where the 1/a-sized terms
+    cancel least.  With all four 0 the weight is even about x = pi/2 and
+    B_n = 0."""
+    a, b, c, d = sorted(params, key=abs, reverse=True)
+    if a == 0.0:
+        return 0.0
     with mpmath.workdps(40):
-        a, b, c, d = (mpmath.mpf(v) for v in params)
+        a, b, c, d = (mpmath.mpf(v) for v in (a, b, c, d))
         q = mpmath.mpf(q)
         b4 = a * b * c * d
         a_ks = (
@@ -95,6 +102,25 @@ def aw_diagonal_oracle(params, q, n):
             * (1 - c * d * q ** (n - 1))
         ) / ((1 - b4 * q ** (2 * n - 2)) * (1 - b4 * q ** (2 * n - 1)))
         return float((a + 1 / a - a_ks - c_ks) / 2)
+
+
+def aw_diagonal_sweep():
+    """Seeded aw systems with |a_i| <= 0.99 and q from 1e-6 to 0.99, and the
+    edges: one tiny parameter, all four 0, a pair of opposite parameters
+    whose products underflow, and a_i near +-1 at small q."""
+    rng = np.random.default_rng(20)
+    cases = [
+        ((1e-8, 0.0, 0.0, 0.0), 0.5),
+        ((0.0, 0.0, 0.0, 0.0), 0.5),
+        ((1e-300, -1e-300, 0.5, 0.5), 0.5),
+        ((0.999, 0.5, -0.999, 0.1), 1e-5),
+    ]
+    while len(cases) < 54:
+        params = tuple(rng.uniform(-0.99, 0.99, 4).tolist())
+        q = float(10.0 ** rng.uniform(-6.0, math.log10(0.99)))
+        if math.prod(params) < q:
+            cases.append((params, q))
+    return cases
 
 
 def aw_density_oracle(spec, x):
@@ -206,18 +232,48 @@ class TestRecurrence:
             assert all(rec.A(n) != 0.0 for n in range(40))
 
     def test_aw_diagonal_does_not_depend_on_the_parameter_order(self):
-        # B_n is symmetric in a1..a4; with a tiny a1 in the distinguished
-        # slot its 1/a1-sized terms cancelled to no digit.  Every ordering
-        # is held to a 40-digit evaluation with the tiny a1 in the slot.
-        # Even the best slot, a = 0.3, subtracts terms of size a + 1/a from
-        # B_1 ~ 0.1, so double rounding alone leaves a relative error near
-        # 5e-15 there; the bound is absolute, 1e-15, which |B_n| <= 0.21
-        # keeps below one unit of the terms.
+        # B_n is symmetric in a1..a4, and so is its form: every ordering of
+        # a tiny a1 among the others is held to one 40-digit evaluation,
+        # absolutely, where |B_n| <= 0.21
         params, n = (1e-8, 0.2, -0.1, 0.3), np.arange(30)
         reference = np.array([aw_diagonal_oracle(params, 0.5, k) for k in n])
         for order in itertools.permutations(params):
             diagonal = sc.recurrence(sc.AskeyWilson(*order, q=0.5)).B(n)
             assert np.max(np.abs(diagonal - reference)) <= 1e-15, order
+
+    @pytest.mark.parametrize("params, q", aw_diagonal_sweep())
+    def test_aw_diagonal_against_multiprecision(self, params, q):
+        # relative to |B_n|, which is as tiny as the a_i when every nonzero
+        # a_i is tiny
+        spec = sc.AskeyWilson(*params, q=q)
+        n = np.arange(min(30, spec.level_cap + 1))
+        diagonal = sc.recurrence(spec).B(n)
+        reference = np.array([aw_diagonal_oracle(params, q, int(k)) for k in n])
+        assert np.all(np.abs(diagonal - reference) <= 1e-12 * np.abs(reference))
+
+    @pytest.mark.parametrize("slot", range(4))
+    def test_aw_diagonal_closed_form_is_the_kls_form(self, slot):
+        # identically in a1..a4, q and Q = q^n, whichever a_i takes the slot
+        sympy = pytest.importorskip("sympy")
+        params, (q, big_q) = sympy.symbols("a1:5"), sympy.symbols("q Q")
+        e1 = sum(params)
+        e3 = sum(x * y * z for x, y, z in itertools.combinations(params, 3))
+        e4 = sympy.Mul(*params)
+        closed = -big_q * (
+            (e1 * q + e3) * (q + e4 * big_q**2) - big_q * (q + 1) * (e1 * e4 + e3 * q)
+        ) / (2 * (q**2 - e4 * big_q**2) * (e4 * big_q**2 - 1))
+        a = params[slot]
+        b, c, d = (v for i, v in enumerate(params) if i != slot)
+        a_ks = (
+            (1 - a * b * big_q) * (1 - a * c * big_q) * (1 - a * d * big_q)
+            * (1 - e4 * big_q / q)
+        ) / (a * (1 - e4 * big_q**2 / q) * (1 - e4 * big_q**2))
+        c_ks = (
+            a * (1 - big_q) * (1 - b * c * big_q / q) * (1 - b * d * big_q / q)
+            * (1 - c * d * big_q / q)
+        ) / ((1 - e4 * big_q**2 / q**2) * (1 - e4 * big_q**2 / q))
+        kls = (a + 1 / a - a_ks - c_ks) / 2
+        assert sympy.cancel(sympy.together(closed - kls)) == 0
 
     def test_pt_balanced_couplings_give_symmetric_diagonal(self):
         rec = sc.recurrence(sc.PoschlTeller(0.3, 0.7))

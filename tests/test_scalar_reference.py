@@ -8,6 +8,7 @@ bit for bit on seeded random pt, do and aw systems, refusals included.
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -119,29 +120,20 @@ def scalar_coefficients(spec):
             2.0 * (1.0 - b4 * q ** (2 * n - 2)) * (1.0 - b4 * q ** (2 * n - 1))
         )
 
-    slot_index = max(range(4), key=lambda i: abs(spec.params[i]))
-    slot = spec.params[slot_index]
-    rest = [v for i, v in enumerate(spec.params) if i != slot_index]
+    f1, f2, f3, f4 = (Fraction(v) for v in spec.params)
+    e1 = float(f1 + f2 + f3 + f4)
+    e3 = float(f1 * f2 * (f3 + f4) + f3 * f4 * (f1 + f2))
+    e4 = float(f1 * f2 * f3 * f4)
 
     def b_coef(n):
-        if slot == 0.0:
-            return 0.0
-        a = slot
-        b, c, d = rest
-        a_ks = (
-            (1.0 - a * b * q**n)
-            * (1.0 - a * c * q**n)
-            * (1.0 - a * d * q**n)
-            * (1.0 - b4 * q ** (n - 1))
-        ) / (a * (1.0 - b4 * q ** (2 * n - 1)) * (1.0 - b4 * q ** (2 * n)))
-        c_ks = (
-            a
-            * (1.0 - q**n)
-            * (1.0 - b * c * q ** (n - 1))
-            * (1.0 - b * d * q ** (n - 1))
-            * (1.0 - c * d * q ** (n - 1))
-        ) / ((1.0 - b4 * q ** (2 * n - 2)) * (1.0 - b4 * q ** (2 * n - 1)))
-        return 0.5 * (a + 1.0 / a - a_ks - c_ks)
+        big_q = q**n
+        e4_q2 = e4 * big_q * big_q
+        return (
+            -0.5
+            * big_q
+            * ((e1 * q + e3) * (q + e4_q2) - big_q * (q + 1.0) * (e1 * e4 + e3 * q))
+            / ((q * q - e4_q2) * (e4_q2 - 1.0))
+        )
 
     return a_coef, b_coef, c_coef
 

@@ -13,7 +13,8 @@ one does and 2 when a tree cannot be run.
 The corpus is the 8 reference systems x 6 suites x 5 variants, a
 `--tend 10` trajectory export per system (two for aw, from either side of
 x = pi/2), four aw and four do `ladder` runs at the edges of their
-ground-state densities, the README's exit-2 examples, a flow that leaves
+ground-state densities, four aw runs at the edges of its diagonal
+recurrence coefficient B_n, the README's exit-2 examples, a flow that leaves
 pt's domain and one flow per family whose error is raised in an RK4 stage.
 """
 
@@ -59,6 +60,13 @@ DENSITY_EDGES = (
     ("ladder", "--system", "aw", "--a=-0.999,-0.9,0.1,0", "--q", "0.05"),
     ("ladder", "--system", "aw", "--a=0.1,0.2,-0.1,0.3", "--q", "0.99"),
     ("ladder", "--system", "aw", "--a=0.1,0.2,-0.1,0.3", "--q", "0.997"),
+)
+# aw's B_n with every nonzero a_i tiny, where it is tiny itself, and with a
+# pair of opposite a_i whose products underflow
+B_N_EDGES = (
+    *((suite, "--system", "aw", "--a=1e-8,0,0,0", "--q", "0.5")
+      for suite in ("ladder", "heisenberg", "coherent")),
+    ("ladder", "--system", "aw", "--a=1e-300,-1e-300,0.5,0.5", "--q", "0.5"),
 )
 # do's density is |Gamma(a + ix)|^2: a 0.016 has the largest rule admitted,
 # 0.45 and 0.5 lie either side of the a < 1/2 shift, and 90 is below the
@@ -120,7 +128,8 @@ def default_corpus() -> list[list[str]]:
         for system in SYSTEMS
         for x0 in EXPORT_X0[system[1]]
     ]
-    return corpus + [list(argv) for argv in DENSITY_EDGES + DO_DENSITY_EDGES + EXIT_2]
+    edges = DENSITY_EDGES + B_N_EDGES + DO_DENSITY_EDGES + EXIT_2
+    return corpus + [list(argv) for argv in edges]
 
 
 def _out_path(argv: list[str]) -> str | None:
