@@ -9,14 +9,16 @@ term against an independent 1F1 evaluation.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 from .errors import ParameterOutOfRange, SeriesNotConverged, ZeroRecurrenceCoefficient
-from .operators import Normalization, build_ladder
+from .operators import build_ladder
 from .polynomials import eval_all, recurrence
 from .report import CheckReport, make_report
 from .special import hyp1f1
-from .systems import DeformedOscillator, SystemSpec, require_size
+from .systems import _CACHE_SIZE, DeformedOscillator, SystemSpec, require_size
 
 
 def coherent_coeffs(spec: SystemSpec, lam: complex, truncation: int) -> np.ndarray:
@@ -24,12 +26,18 @@ def coherent_coeffs(spec: SystemSpec, lam: complex, truncation: int) -> np.ndarr
     one-step recursion; c_0 = 1.
 
     Raises ParameterOutOfRange for a non-finite lam and SeriesNotConverged
-    when a coefficient overflows.
+    when a coefficient overflows.  The array is read-only and shared
+    between calls with the same arguments.
     """
-    lam = complex(lam)
+    # complex first, so that 0.3, 0.3 + 0j and numpy scalars share one entry
+    return _series(spec, complex(lam), truncation)
+
+
+@lru_cache(maxsize=_CACHE_SIZE)
+def _series(spec: SystemSpec, lam: complex, truncation: int) -> np.ndarray:
     if not np.isfinite(lam):
         raise ParameterOutOfRange(f"eigenvalue must be finite, got lambda={lam}")
-    lowering = recurrence(spec).C(np.arange(1, truncation + 1))
+    lowering = recurrence(spec).table("C", truncation + 1)
     zero = np.flatnonzero(lowering == 0.0)
     if zero.size:
         raise ZeroRecurrenceCoefficient(f"C_{zero[0] + 1} = 0")
@@ -43,6 +51,7 @@ def coherent_coeffs(spec: SystemSpec, lam: complex, truncation: int) -> np.ndarr
         raise SeriesNotConverged(
             f"coefficient c_{overflow[0]} overflows at lambda={lam}"
         )
+    coeffs.setflags(write=False)
     return coeffs
 
 
@@ -64,7 +73,7 @@ def check_eigenvalue(
     lam = complex(lam)
     coeffs = coherent_coeffs(spec, lam, truncation)
     n_dim = truncation + guard
-    pair = build_ladder(spec, n_dim, guard, Normalization.UNIT)
+    pair = build_ladder(spec, n_dim, guard)
     padded = np.zeros(n_dim, dtype=complex)
     padded[: truncation + 1] = coeffs
     residual = pair.a_minus.apply(padded) - lam * padded

@@ -26,12 +26,11 @@ import numpy as np
 
 from .errors import ParameterOutOfRange
 from .operators import (
-    Normalization,
     TruncatedOperator,
     build_basic,
+    build_ladder,
     _closure_data,
     _column_max,
-    _ladder_pair,
     _level_gaps,
     _plus_diagonal,
     _window_max,
@@ -90,8 +89,8 @@ class HeisenbergSolution:
 
 
 def build_solution(spec: SystemSpec, n_dim: int, guard: int) -> HeisenbergSolution:
-    eta_op, comm_op, _, ratio, ap, am = _closure_data(spec, n_dim, guard)
-    pair = _ladder_pair(eta_op, comm_op, ratio, ap, am, Normalization.UNIT)
+    pair = build_ladder(spec, n_dim, guard)
+    *_, ratio, ap, am = _closure_data(spec, n_dim, guard)
     return HeisenbergSolution(
         a_plus=pair.a_plus,
         a_minus=pair.a_minus,

@@ -14,11 +14,13 @@ operators, [a'-, a'+] in `check_su11`, and for callers that want a matrix.
 A guard band of G top indices absorbs truncation damage; identities are only
 asserted on the interior window 0 .. N-G-1.
 
-The bands of H and eta come from one array call each of the family's
-`energy` and recurrence coefficients.  `build_basic`, `_closure_vectors`
-and `_closure_data` keep their last few results per (system, N, G), so the
-checks of one suite build eta, [H, eta], the R-polynomial values and the
-frequencies once; the arrays they hand out are read-only.  The band
+The bands of H and eta come from one array call of the family's `energy`
+and the shared tables of its recurrence coefficients
+(`RecurrenceData.table`).  `build_basic`, `_closure_vectors`,
+`_closure_data` and `build_ladder` keep their last few results per
+(system, N, G), the pair also per normalization, so the checks of one
+suite build eta, [H, eta], the R-polynomial values, the frequencies and
+each ladder pair once; the arrays they hand out are read-only.  The band
 helpers also take a stack of operators, (T, 3, N) bands with a leading
 batch axis, as the Heisenberg time grid uses them.
 """
@@ -178,11 +180,10 @@ def build_basic(
     _check_dims(n_dim, guard)
     rec = recurrence(spec)
     levels = energies(spec, n_dim)
-    n = np.arange(n_dim)
     eta = np.zeros((3, n_dim), dtype=complex)
-    eta[0, 1:] = rec.C(n[1:])
-    eta[1] = rec.B(n)
-    eta[2, :-1] = rec.A(n[:-1])
+    eta[0, 1:] = rec.table("C", n_dim)
+    eta[1] = rec.table("B", n_dim)
+    eta[2, :-1] = rec.table("A", n_dim - 1)
     ham = np.zeros((3, n_dim), dtype=complex)
     ham[1] = levels
     comm = _commutator_with_h(levels, eta)
@@ -230,15 +231,12 @@ def _closure_data(spec: SystemSpec, n_dim: int, guard: int):
     return eta_op, comm_op, levels, ratio, ap, am
 
 
-def _ladder_pair(
-    eta_op: TruncatedOperator,
-    comm_op: TruncatedOperator,
-    ratio: np.ndarray,
-    ap: np.ndarray,
-    am: np.ndarray,
-    normalization: Normalization,
+@lru_cache(maxsize=_CACHE_SIZE)
+def _ladder(
+    spec: SystemSpec, n_dim: int, guard: int, normalization: Normalization
 ) -> LadderPair:
     """The pair from eta, [H, eta], R-1/R0 and alpha_pm on the spectrum."""
+    eta_op, comm_op, _, ratio, ap, am = _closure_data(spec, n_dim, guard)
     shifted = _plus_diagonal(eta_op.bands, ratio)
     plus = comm_op.bands - shifted * am[None, :]
     minus = -comm_op.bands + shifted * ap[None, :]
@@ -246,7 +244,8 @@ def _ladder_pair(
         denom = ap - am
         plus = plus / denom[None, :]
         minus = minus / denom[None, :]
-    wrap = lambda b: TruncatedOperator(dim=eta_op.dim, guard=eta_op.guard, bands=b)
+    _read_only(plus, minus)
+    wrap = lambda b: TruncatedOperator(dim=n_dim, guard=guard, bands=b)
     return LadderPair(a_plus=wrap(plus), a_minus=wrap(minus))
 
 
@@ -261,9 +260,10 @@ def build_ladder(
     UNIT divides by the frequency difference (the pair whose matrix
     elements are exactly A_n and C_n); PRIMED omits that division, which
     is the same as right-multiplying by alpha_plus(H) - alpha_minus(H).
+    The bands are read-only and shared between calls with the same
+    arguments, whether or not the normalization is spelled out.
     """
-    eta_op, comm_op, _, ratio, ap, am = _closure_data(spec, n_dim, guard)
-    return _ladder_pair(eta_op, comm_op, ratio, ap, am, normalization)
+    return _ladder(spec, n_dim, guard, normalization)
 
 
 def check_ladder_action(spec: SystemSpec, n_dim: int, guard: int) -> CheckReport:
@@ -276,9 +276,8 @@ def check_ladder_action(spec: SystemSpec, n_dim: int, guard: int) -> CheckReport
     rec = recurrence(spec)
     pair = build_ladder(spec, n_dim, guard)
     d = pair.a_plus.interior
-    n = np.arange(d)
-    up = rec.A(n[:-1])  # raising acts on 0 .. d-2
-    down = rec.C(n[1:])  # lowering on 1 .. d-1
+    up = rec.table("A", d - 1)  # raising acts on 0 .. d-2
+    down = rec.table("C", d)  # lowering on 1 .. d-1
     target_up = np.zeros((3, n_dim), dtype=complex)
     target_up[2, : d - 1] = up
     target_dn = np.zeros((3, n_dim), dtype=complex)
@@ -341,7 +340,7 @@ def check_su11(a: float, n_dim: int, guard: int) -> CheckReport:
     require_size("su11 N", n_dim, _MAX_DENSE)
     spec = DeformedOscillator(a)
     pair = build_ladder(spec, n_dim, guard, Normalization.PRIMED)
-    levels = energies(spec, n_dim)
+    levels = _closure_data(spec, n_dim, guard)[2]
     ap = pair.a_plus.bands
     am = pair.a_minus.bands
     res_plus = _commutator_with_h(levels, ap) - ap

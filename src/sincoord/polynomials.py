@@ -8,7 +8,7 @@ for these systems hold verbatim.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable
 
@@ -25,11 +25,35 @@ class RecurrenceData:
     Each takes an int n or an int array of them and returns a float or a
     float array.  C(0) would multiply the nonexistent P_{-1}; asking for it
     raises.
+
+    `table` hands out the leading entries of one memoised array per
+    coefficient, so a system's coefficients are formed once however many
+    callers ask for them.
     """
 
     A: Callable
     B: Callable
     C: Callable
+    _tables: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def table(self, name: str, stop: int) -> np.ndarray:
+        """The coefficient `name` ("A", "B" or "C") at n = first .. stop-1,
+        where first is 0 for A and B and 1 for C, as a read-only array.
+
+        Each coefficient keeps its own array, grown to the largest stop
+        asked for by one call of its function on the missing indices; a
+        smaller request gets a slice of it.  Every entry has the bits of
+        the elementwise call on any array holding its index.
+        """
+        first = 1 if name == "C" else 0
+        count = max(stop - first, 0)
+        memo = self._tables.get(name, np.empty(0))
+        if count > memo.size:
+            tail = getattr(self, name)(np.arange(first + memo.size, first + count))
+            memo = np.concatenate((memo, tail))
+            memo.setflags(write=False)
+            self._tables[name] = memo
+        return memo[:count]
 
 
 def _guard_c(fn: Callable) -> Callable:
@@ -49,18 +73,29 @@ def recurrence(spec: SystemSpec) -> RecurrenceData:
 
 
 def eval_all(spec: SystemSpec, n_max: int, eta) -> np.ndarray:
-    """P_0 .. P_{n_max} at the coordinate values eta, shape (n_max+1, ...)."""
+    """P_0 .. P_{n_max} at the coordinate values eta, shape (n_max+1, ...).
+
+    Each row is written in place as ((eta - B_n) P_n - C_n P_{n-1}) / A_n.
+    """
     eta_arr = np.asarray(eta, dtype=float)
     rec = recurrence(spec)
-    degrees = np.arange(n_max)
-    a, b = rec.A(degrees).tolist(), rec.B(degrees).tolist()
-    c = [0.0] + rec.C(degrees[1:]).tolist()  # C_0 is never used
+    a, b = rec.table("A", n_max).tolist(), rec.table("B", n_max).tolist()
+    c = [0.0] + rec.table("C", n_max).tolist()  # C_0 is never used
     out = np.empty((n_max + 1,) + eta_arr.shape, dtype=float)
-    out[0] = 1.0
+    # rows of the flattened points, so that a 0-d eta also gets array rows
+    x, rows = eta_arr.reshape(-1), out.reshape(n_max + 1, -1)
+    rows[0] = 1.0
     if n_max >= 1:
-        out[1] = (eta_arr - b[0]) / a[0]
+        np.subtract(x, b[0], out=rows[1])
+        rows[1] /= a[0]
+    spare = np.empty_like(x)
     for n in range(1, n_max):
-        out[n + 1] = ((eta_arr - b[n]) * out[n] - c[n] * out[n - 1]) / a[n]
+        new = rows[n + 1]
+        np.subtract(x, b[n], out=new)
+        new *= rows[n]
+        np.multiply(c[n], rows[n - 1], out=spare)
+        new -= spare
+        new /= a[n]
     return out
 
 
@@ -98,9 +133,10 @@ def gram_matrix(spec: SystemSpec, n_max: int) -> np.ndarray:
 def norms(spec: SystemSpec, n_max: int) -> np.ndarray:
     """Squared norms h_n of phi_n = phi_0 P_n, n = 0 .. n_max, by quadrature.
 
-    The rule is each family's `quadrature_nodes`; it never uses the
-    recurrence coefficients, so the norms stay an independent oracle for
-    them.  Convergence is asserted by node doubling at 1e-8 relative.
+    The nodes, weights and density are each family's `quadrature_nodes`
+    and `density`, which never use the recurrence coefficients; the P_n
+    themselves come from `eval_all`, which does.  Convergence is asserted
+    by node doubling at 1e-8 relative.
     """
     # a density that overflows gives non-finite norms, refused just below
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):

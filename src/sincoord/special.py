@@ -69,29 +69,38 @@ def q_product(q: float, floor: float, size: int, fill, dtype=float) -> np.ndarra
     """The product over k of the factor rows that `fill` writes, for the
     powers q^k from q^0 while |q^k| >= floor, at each of `size` entries.
 
-    The powers are formed once by repeated multiplication.  `fill(qks,
-    out)` writes into the rows of `out` the factors of a column `qks` of
-    consecutive powers, one row per k.  A block of about _BLOCK entries is
-    filled under the running product as row 0 and reduced down its first
-    axis, which multiplies in the order ((r f_k) f_{k+1}) ... of a loop
-    over k.  The block is allocated once, so memory stays flat although the
+    The powers are formed a column at a time by `np.multiply.accumulate`
+    from the power carried over, the same products as repeated
+    multiplication.  `fill(qks, out)` writes into the rows of `out` the
+    factors of a column `qks` of consecutive powers, one row per k.  A
+    block of about _BLOCK entries is filled under the running product as
+    row 0 and reduced down its first axis, which multiplies in the order
+    ((r f_k) f_{k+1}) ... of a loop over k.  The first block is the
+    largest and is allocated once, so memory stays flat although the
     number of factors grows like 1 / |ln q|.
     """
-    powers = []
-    qk = 1.0
-    while abs(qk) >= floor:
-        powers.append(qk)
-        qk *= q
-    powers = np.array(powers)[:, None]
     rows = max(1, _BLOCK // max(1, size))
-    block = np.empty((min(rows, len(powers)) + 1, size), dtype=dtype)
+    # |q^k| >= floor up to k = ln(floor) / ln|q|; one more power covers the
+    # rounding of the repeated products
+    reach = math.log(floor) / math.log(abs(q)) if 0.0 < floor <= 1.0 else 0.0
+    count = int(reach) + 2
     result = np.ones(size, dtype=dtype)
-    for start in range(0, len(powers), rows):
-        qks = powers[start:start + rows]
-        part = block[: len(qks) + 1]
+    block, qk, done = None, 1.0, 0
+    while abs(qk) >= floor:
+        # past a low estimate two at a time, never more than the first block
+        qks = np.full((min(rows, max(count - done, 2)), 1), q)
+        qks[0] = qk
+        np.multiply.accumulate(qks, out=qks)
+        keep = int(np.count_nonzero(np.abs(qks) >= floor))
+        if block is None:
+            block = np.empty((keep + 1, size), dtype=dtype)
+        part = block[: keep + 1]
         part[0] = result
-        fill(qks, part[1:])
+        fill(qks[:keep], part[1:])
         result = part.prod(axis=0)
+        if keep < len(qks):
+            break
+        qk, done = float(qks[-1, 0]) * q, done + keep
     return result
 
 

@@ -4,7 +4,8 @@ One dense 2048 x 2048 complex matrix is 64 MiB; the traced peak of the
 banded checks at that size stays far below 8 MiB, so any N x N temporary
 reintroduced on these paths fails here.  The same limit holds the blocked
 q-Pochhammer product and the blocked aw density at q = 0.999, whose ~40,000
-factors over 1,041 nodes would take 660 MiB and 310 MiB as one array, and
+factors over 1,041 nodes would take 660 MiB and 310 MiB as one array, the
+q-Pochhammer powers of one entry at q = 0.99999, and
 do's density on its largest admitted rule, whose eight Lanczos terms over
 65,001 nodes take 4 MiB as one (8, M) array.  A
 long Heisenberg time grid runs in blocks of bounded size: 200 samples at
@@ -86,6 +87,18 @@ def test_qpochhammer_factors_are_blocked():
     tracemalloc.start()
     try:
         qpochhammer(z, 0.999)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < LIMIT
+
+
+def test_qpochhammer_powers_are_blocked():
+    # about 3.9e6 powers q^k >= 1e-17: listed before the first block, they
+    # took a peak of 155 MiB
+    tracemalloc.start()
+    try:
+        qpochhammer(np.array([0.7 + 0.1j]), 0.99999)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
