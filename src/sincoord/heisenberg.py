@@ -135,8 +135,8 @@ def oracle_evolution(
     spec: SystemSpec, n_dim: int, guard: int, t: float
 ) -> TruncatedOperator:
     """Elementwise phase oracle: (eta)_mn e^{i (E_m - E_n) t}."""
-    ham, eta_op, _ = build_basic(spec, n_dim, guard)
-    gaps = _level_gaps(ham.bands[1].real)
+    levels, eta_op, _ = build_basic(spec, n_dim, guard)
+    gaps = _level_gaps(levels)
     bands = _phase_oracle(eta_op.bands, gaps, _times((t,)))
     return TruncatedOperator(dim=n_dim, guard=guard, bands=bands[0])
 

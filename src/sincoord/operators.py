@@ -1,28 +1,27 @@
 """Truncated operators in the energy eigenbasis and the ladder-operator checks.
 
-Every operator here is tridiagonal over the unnormalised eigenvectors
-phi_0 .. phi_{N-1}: H is diagonal, and eta, [H, eta], the ladder pair and
-the evolved coordinate couple each phi_n to its nearest neighbours only.  An
-operator is stored as its three diagonals indexed by column, since column n
-holds the expansion of (operator phi_n): the entry (n-1, n) above the
-diagonal, (n, n) on it and (n+1, n) below it.  Every function of the
-Hamiltonian multiplies the bands column-wise, in the order the defining
-expressions are written, and every commutator with the diagonal H multiplies
-them by the level gaps E_m - E_n.  The dense N x N matrix is built on demand
-(`TruncatedOperator.entries`), for the one product of two non-diagonal
-operators, [a'-, a'+] in `check_su11`, and for callers that want a matrix.
-A guard band of G top indices absorbs truncation damage; identities are only
+Every operator here is stored in the shape of its nonzeros over the
+unnormalised eigenvectors phi_0 .. phi_{N-1}.  H is its vector of levels.
+eta, [H, eta], the ladder pair and the evolved coordinate couple each phi_n
+to its nearest neighbours only and are stored as their three diagonals
+indexed by column, since column n holds the expansion of (operator phi_n):
+the entry (n-1, n) above the diagonal, (n, n) on it and (n+1, n) below it.
+Functions of H multiply the bands column-wise, in the order the defining
+expressions are written, and commutators with H multiply them by the level
+gaps E_m - E_n.  [a'-, a'+] in `check_su11` is formed on its five
+diagonals; `TruncatedOperator.entries` is a dense view for callers only.  A
+guard band of G top indices absorbs truncation damage; identities are only
 asserted on the interior window 0 .. N-G-1.
 
-The bands of H and eta come from one array call of the family's `energy`
-and the shared tables of its recurrence coefficients
+The levels and the bands of eta come from one array call of the family's
+`energy` and the shared tables of its recurrence coefficients
 (`RecurrenceData.table`).  `build_basic`, `_closure_vectors`,
 `_closure_data` and `build_ladder` keep their last few results per
 (system, N, G), the pair also per normalization, so the checks of one
 suite build eta, [H, eta], the R-polynomial values, the frequencies and
-each ladder pair once; the arrays they hand out are read-only.  The band
-helpers also take a stack of operators, (T, 3, N) bands with a leading
-batch axis, as the Heisenberg time grid uses them.
+each ladder pair once; the arrays they hand out are read-only.  The
+helpers on three bands also take a stack of operators, (T, 3, N) bands with
+a leading batch axis, as the Heisenberg time grid uses them.
 """
 
 from __future__ import annotations
@@ -82,14 +81,13 @@ class TruncatedOperator:
         dense[cols[1:], cols[:-1]] = self.bands[2, :-1]
         return dense
 
-    def window_mask(self) -> np.ndarray:
-        """(3, N) mask of the band slots whose row and column both lie in
-        the window 0 .. interior-1."""
-        d = self.interior
-        mask = np.zeros((3, self.dim), dtype=bool)
-        mask[0, 1:d] = True
-        mask[1, :d] = True
-        mask[2, : d - 1] = True
+    def window_mask(self, bands: int = 3) -> np.ndarray:
+        """(bands, N) mask of the slots, of `bands` diagonals centred on the
+        main one, whose row and column both lie in the window 0 .. interior-1."""
+        mask = np.zeros((bands, self.dim), dtype=bool)
+        for i in range(bands):
+            shift = i - bands // 2  # slot (i, n) is the entry (n + shift, n)
+            mask[i, max(0, -shift) : self.interior - max(0, shift)] = True
         return mask
 
     def apply(self, vector: np.ndarray) -> np.ndarray:
@@ -111,11 +109,6 @@ class Normalization(Enum):
 class LadderPair:
     a_plus: TruncatedOperator
     a_minus: TruncatedOperator
-
-
-# Largest dimension of `check_su11`'s dense product, whose four N x N
-# complex matrices take 64 N^2 bytes: 256 MiB at the cap.
-_MAX_DENSE = 1 << 11
 
 
 def _check_dims(n_dim: int, guard: int) -> None:
@@ -149,10 +142,24 @@ def _plus_diagonal(bands: np.ndarray, values: np.ndarray) -> np.ndarray:
     return out
 
 
+def _band_product(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The five diagonals of X Y for tridiagonal bands x and y: out[i, n] is
+    the entry (n + i - 2, n), the sum of X_mk Y_kn over k = n-1, n, n+1 in
+    that order."""
+    n_dim = x.shape[-1]
+    padded = np.zeros((3, n_dim + 2), dtype=complex)
+    padded[:, 1:-1] = x
+    out = np.zeros((5, n_dim), dtype=complex)
+    for s in range(3):
+        # k = n + s - 1: Y_kn = y[s, n], and X_mk = x[j, k] for m = k + j - 1
+        out[s : s + 3] += padded[:, s : s + n_dim] * y[s]
+    return out
+
+
 def _window_max(values: np.ndarray, op: TruncatedOperator) -> float:
-    """Largest of the nonnegative band `values` inside op's window, over
-    every operator of a batch."""
-    return float(np.max(values, where=op.window_mask(), initial=0.0))
+    """Largest of the nonnegative band `values`, of three diagonals or five,
+    inside op's window, over every operator of a batch."""
+    return float(np.max(values, where=op.window_mask(values.shape[-2]), initial=0.0))
 
 
 def _column_max(values: np.ndarray, op: TruncatedOperator, floor: float) -> np.ndarray:
@@ -169,13 +176,13 @@ def _read_only(*arrays: np.ndarray) -> None:
 @lru_cache(maxsize=_CACHE_SIZE)
 def build_basic(
     spec: SystemSpec, n_dim: int, guard: int
-) -> tuple[TruncatedOperator, TruncatedOperator, TruncatedOperator]:
+) -> tuple[np.ndarray, TruncatedOperator, TruncatedOperator]:
     """Hamiltonian, coordinate operator, and their commutator.
 
-    H is diagonal with the exact spectrum; the coordinate is tridiagonal
-    with the recurrence coefficients (A_n below, B_n on, C_n above the
-    diagonal, per column n).  The bands are read-only and shared between
-    calls with the same arguments.
+    H is diagonal, so it is handed out as its levels E_0 .. E_{N-1}, a float
+    vector; the coordinate is tridiagonal with the recurrence coefficients
+    (A_n below, B_n on, C_n above the diagonal, per column n).  The arrays
+    are read-only and shared between calls with the same arguments.
     """
     _check_dims(n_dim, guard)
     rec = recurrence(spec)
@@ -184,22 +191,19 @@ def build_basic(
     eta[0, 1:] = rec.table("C", n_dim)
     eta[1] = rec.table("B", n_dim)
     eta[2, :-1] = rec.table("A", n_dim - 1)
-    ham = np.zeros((3, n_dim), dtype=complex)
-    ham[1] = levels
     comm = _commutator_with_h(levels, eta)
-    _read_only(ham, eta, comm)
+    _read_only(levels, eta, comm)
     wrap = lambda b: TruncatedOperator(dim=n_dim, guard=guard, bands=b)
-    return wrap(ham), wrap(eta), wrap(comm)
+    return levels, wrap(eta), wrap(comm)
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
 def _closure_vectors(spec: SystemSpec, n_dim: int, guard: int):
-    """The levels, read off the diagonal of H, and the R-polynomial values
-    on them (no positivity requirement); refuses the first level where one
-    overflows, as R0 ~ E^2 can on finite levels (aw at small q).  The
-    arrays are read-only and shared between calls with the same arguments."""
-    ham = build_basic(spec, n_dim, guard)[0]
-    levels = ham.bands[1].real
+    """The levels of H and the R-polynomial values on them (no positivity
+    requirement); refuses the first level where one overflows, as R0 ~ E^2
+    can on finite levels (aw at small q).  The arrays are read-only and
+    shared between calls with the same arguments."""
+    levels = build_basic(spec, n_dim, guard)[0]
     model = r_polynomials(spec)
     with np.errstate(over="ignore", invalid="ignore"):
         values = (model.r0(levels), model.r1(levels), model.rm1(levels))
@@ -337,27 +341,17 @@ def check_su11(a: float, n_dim: int, guard: int) -> CheckReport:
     """su(1,1) relations of the primed pair for the deformed oscillator
     with parameter a: [H, a'_pm] = +/- a'_pm and [a'_minus, a'_plus] =
     2 (H + a)."""
-    require_size("su11 N", n_dim, _MAX_DENSE)
     spec = DeformedOscillator(a)
     pair = build_ladder(spec, n_dim, guard, Normalization.PRIMED)
-    levels = _closure_data(spec, n_dim, guard)[2]
-    ap = pair.a_plus.bands
-    am = pair.a_minus.bands
+    levels = build_basic(spec, n_dim, guard)[0]
+    ap, am = pair.a_plus.bands, pair.a_minus.bands
     res_plus = _commutator_with_h(levels, ap) - ap
     res_minus = _commutator_with_h(levels, am) + am
-    # kept as a dense product: a banded one would add each entry's terms in
-    # another order and move this residual
-    dense_ap = pair.a_plus.entries
-    dense_am = pair.a_minus.entries
-    res_comm = (
-        dense_am @ dense_ap - dense_ap @ dense_am - 2.0 * np.diag(levels + a)
-    )
-    d = n_dim - guard
-    resid = np.max((
-        _window_max(np.abs(res_plus), pair.a_plus),
-        _window_max(np.abs(res_minus), pair.a_minus),
-        np.max(np.abs(res_comm[:d, :d])),
-    ))
+    res_comm = _band_product(am, ap)
+    res_comm -= _band_product(ap, am)
+    res_comm[2] -= 2.0 * (levels + a)
+    residuals = (res_plus, res_minus, res_comm)
+    resid = np.max([_window_max(np.abs(r), pair.a_plus) for r in residuals])
     return make_report("su11", resid, 1e-12, N=n_dim, G=guard)
 
 

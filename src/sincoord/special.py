@@ -79,6 +79,8 @@ def q_product(q: float, floor: float, size: int, fill, dtype=float) -> np.ndarra
     largest and is allocated once, so memory stays flat although the
     number of factors grows like 1 / |ln q|.
     """
+    if not 0.0 < floor < math.inf:
+        raise ParameterOutOfRange(f"power floor must be positive and finite, got {floor}")
     rows = max(1, _BLOCK // max(1, size))
     # |q^k| >= floor up to k = ln(floor) / ln|q|; one more power covers the
     # rounding of the repeated products
@@ -110,7 +112,7 @@ def qpochhammer(z, q: float):
     The product is truncated once |q|^k < 1e-17 / (1 + |z|), past which the
     remaining factors differ from one by less than double-precision
     rounding.  An array z gives the product at each entry, each with its
-    own truncation.
+    own truncation; a NaN or infinite entry is refused.
 
     The factors 1 - z q^k (1 past an entry's truncation) are multiplied in
     blocks by `q_product`, in the order of a loop over k, so arrays of two
@@ -123,13 +125,15 @@ def qpochhammer(z, q: float):
         raise ParameterOutOfRange(f"infinite product needs 0 < |q| < 1, got q={q}")
     zs = np.asarray(z, dtype=complex)
     flat = zs.ravel()
+    if not np.isfinite(flat).all():
+        raise ParameterOutOfRange(f"(z; q)_inf needs a finite z, got {z}")
     cutoff = 1e-17 / (1.0 + np.abs(flat))
 
     def fill(qks, out):
         np.subtract(1.0, flat * qks, out=out)
         out[np.abs(qks) < cutoff] = 1.0
 
-    result = q_product(q, cutoff.min(initial=math.inf), flat.size, fill, complex)
+    result = q_product(q, cutoff.min(initial=1e-17), flat.size, fill, complex)
     if zs.ndim == 0:
         return complex(result[0])
     return result.reshape(zs.shape)

@@ -693,10 +693,10 @@ def _grid(step: float, first: int, last: int) -> np.ndarray:
     return step * np.arange(first, last + 1)
 
 
-def require_size(name: str, value: int, cap: int = _MAX_SIZE) -> None:
-    """Raise ParameterOutOfRange if the requested size `value` exceeds `cap`."""
-    if value > cap:
-        raise ParameterOutOfRange(f"{name}={value} exceeds the size cap {cap}")
+def require_size(name: str, value: int) -> None:
+    """Raise ParameterOutOfRange if the requested size `value` exceeds the cap."""
+    if value > _MAX_SIZE:
+        raise ParameterOutOfRange(f"{name}={value} exceeds the size cap {_MAX_SIZE}")
 
 
 def require_inside(spec: SystemSpec, x, error: type[Exception] = EvaluationDomain) -> None:

@@ -14,9 +14,11 @@ import numpy as np
 import pytest
 
 import sincoord as sc
-from sincoord import cli, polynomials, systems
+from sincoord import cli
 from sincoord._g17 import _RANGE, BlockFormatter
 from sincoord.classical import ClassicalState
+
+from conftest import empty_caches
 
 PT11 = sc.PoschlTeller(1.0, 1.0)
 PT12 = sc.PoschlTeller(1.0, 2.0)
@@ -520,13 +522,6 @@ class TestAskeyWilsonTerms:
         assert worst <= 2e-15
 
 
-def _clear_caches():
-    for module in (systems, polynomials):
-        for value in vars(module).values():
-            if callable(getattr(value, "cache_clear", None)):
-                value.cache_clear()
-
-
 class TestOracleIndependence:
     """The flow oracle takes nothing from the closure side: a closure
     coefficient moved by 1e-3 relative must fail the classical suite."""
@@ -537,7 +532,7 @@ class TestOracleIndependence:
         monkeypatch.setattr(
             sc.AskeyWilson, name, property(lambda self: exact(self) * (1.0 + 1e-3))
         )
-        _clear_caches()
+        empty_caches()
         try:
             code = cli.main(
                 ["classical", "--system", "aw", "--a=0.3,-0.2,0.4,0.1", "--q", "0.6",
@@ -545,7 +540,7 @@ class TestOracleIndependence:
             )
         finally:
             monkeypatch.undo()
-            _clear_caches()
+            empty_caches()
         checks = {c["name"]: c for c in json.loads(capsys.readouterr().out)["checks"]}
         assert code == 1
         assert not checks["classical_closed_vs_flow"]["pass"]

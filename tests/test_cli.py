@@ -73,6 +73,20 @@ class TestSubcommands:
         assert result.returncode == 0
         assert "su11" in result.stdout
 
+    @pytest.mark.parametrize(
+        "a, code, su11",
+        [("1.3", 1, "3.724e-10 1.0e-12 FAIL"), ("1", 0, "0.000e+00 1.0e-12 PASS")],
+        ids=["a1.3-rounding-floor", "a1"],
+    )
+    def test_ladder_do_checks_su11_past_2048(self, a, code, su11):
+        # su11 once refused N > 2048 with exit 2; at a 1.3 the rounding floor
+        # of [a'-, a'+] grows with N and is past its 1e-12 here
+        result = run_cli("ladder", "--system", "do", "--a", a, "--n", "2049")
+        assert result.returncode == code
+        lines = [line.split() for line in result.stdout.splitlines()]
+        assert ["su11", *su11.split()] in lines
+        assert result.stderr == ""
+
     def test_ladder_pt_coupling_below_one(self):
         # an endpoint singularity of the density the norms must integrate
         result = run_cli("ladder", "--system", "pt", "--g", "0.3", "--h", "1")
@@ -241,7 +255,6 @@ class TestExitCodes:
              "1000000000"),
             ("classical", "--system", "do", "--a", "1", "--states", "1000000000"),
             ("coherent", "--system", "do", "--a", "1", "--n", "100000000"),
-            ("ladder", "--system", "do", "--a", "1.3", "--n", "2049"),
             ("classical", "--system", "aw", "--a=0.1,0.2,-0.1,0.3", "--q", "0.5",
              "--x0=1.5", "--p0=0.3", "--tend", "1e-9", "--format", "csv",
              "--out", os.devnull),
@@ -264,7 +277,7 @@ class TestExitCodes:
             "level-overflow-aw-coherent-q1e-5",
             "dimension-beyond-cap-ladder", "dimension-beyond-cap-heisenberg",
             "levels-beyond-cap-spectrum", "states-beyond-cap-classical",
-            "truncation-beyond-cap-coherent", "dimension-beyond-cap-su11",
+            "truncation-beyond-cap-coherent",
             "span-below-half-step-export", "three-periods-below-half-step",
         ],
     )

@@ -1,16 +1,19 @@
-"""Operators are stored as three diagonals, so the checks need O(N) memory.
+"""Operators are stored in the shape of their nonzeros, so the checks need
+O(N) memory.
 
 One dense 2048 x 2048 complex matrix is 64 MiB; the traced peak of the
 banded checks at that size stays far below 8 MiB, so any N x N temporary
-reintroduced on these paths fails here.  The same limit holds the blocked
-q-Pochhammer product and the blocked aw density at q = 0.999, whose ~40,000
-factors over 1,041 nodes would take 660 MiB and 310 MiB as one array, the
-q-Pochhammer powers of one entry at q = 0.99999, and
-do's density on its largest admitted rule, whose eight Lanczos terms over
-65,001 nodes take 4 MiB as one (8, M) array.  A
+reintroduced on these paths fails here.  That includes su(1,1)'s
+[a'-, a'+], formed on five diagonals, which peaked at 256 MiB as a dense
+product.  The same limit holds the blocked q-Pochhammer product and the
+blocked aw density at q = 0.999, whose ~40,000 factors over 1,041 nodes
+would take 660 MiB and 310 MiB as one array, the q-Pochhammer powers of one
+entry at q = 0.99999, and do's density on its largest admitted rule, whose
+eight Lanczos terms over 65,001 nodes take 4 MiB as one (8, M) array.  A
 long Heisenberg time grid runs in blocks of bounded size: 200 samples at
-N 2048 in one (T, 3, N) batch would peak near 170 MiB.  A size beyond its cap is refused before anything of that
-size is allocated.
+N 2048 in one (T, 3, N) batch would peak near 170 MiB.  A size beyond the
+shared cap is refused before anything of that size is allocated; su11 has
+no cap of its own.
 """
 
 import math
@@ -37,10 +40,11 @@ LIMIT = 8 * 2**20
         lambda: sc.check_two_commutator(DO1, 2048, 4),
         lambda: sc.check_ground_state_condition(DO1, 2048, 4),
         lambda: sc.check_heisenberg(DO1, 2048, 4, t_samples=np.linspace(0, 5, 200)),
+        lambda: sc.check_su11(1.3, 2048, 4),
     ],
     ids=[
         "heisenberg", "coherent", "ladder_action", "two_commutator", "ground_state",
-        "heisenberg_long_grid",
+        "heisenberg_long_grid", "su11",
     ],
 )
 def test_peak_memory_is_linear_in_n(check):
@@ -58,7 +62,7 @@ def test_peak_memory_is_linear_in_n(check):
     [
         lambda: sc.check_ladder_action(DO1, 10**8, 4),
         lambda: sc.check_heisenberg(DO1, 10**8, 4),
-        lambda: sc.check_su11(1.3, 2049, 4),
+        lambda: sc.check_su11(1.3, 10**8, 4),
         lambda: sc.check_spectrum_closure(PT11, 10**9),
         lambda: sc.check_eigenvalue(DO1, 0.3, 10**8, 4),
         lambda: sc.sample_states(DO1, 10**9),

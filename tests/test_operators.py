@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 
 import sincoord as sc
-from sincoord import cli, operators, polynomials, systems
+from sincoord import cli, operators
 from sincoord.operators import Normalization
+
+from conftest import empty_caches
 
 PT11 = sc.PoschlTeller(1.0, 1.0)
 PT12 = sc.PoschlTeller(1.0, 2.0)
@@ -29,7 +31,7 @@ def dense_basic(spec, n_dim):
             eta[n + 1, n] = rec.A(n)
         if n >= 1:
             eta[n - 1, n] = rec.C(n)
-    ham = np.diag(levels.astype(complex))
+    ham = np.diag(levels)
     comm = (levels[:, None] - levels[None, :]) * eta
     return ham, eta, comm
 
@@ -39,9 +41,12 @@ class TestBandedStorage:
 
     @pytest.mark.parametrize("spec", SPECS)
     def test_basic_equals_dense_construction(self, spec):
-        for op, dense in zip(sc.build_basic(spec, 12, 4), dense_basic(spec, 12)):
+        levels, *ops = sc.build_basic(spec, 12, 4)
+        ham, *dense = dense_basic(spec, 12)
+        assert levels.dtype == float and np.array_equal(np.diag(levels), ham)
+        for op, matrix in zip(ops, dense):
             assert op.bands.shape == (3, 12)
-            assert np.array_equal(op.entries, dense)
+            assert np.array_equal(op.entries, matrix)
 
     @pytest.mark.parametrize("spec", SPECS)
     @pytest.mark.parametrize("normalization", list(Normalization))
@@ -82,15 +87,16 @@ class TestBandedStorage:
         assert report.max_residual == float(np.max(diff))
 
     def test_slots_outside_the_matrix_hold_zero(self):
-        for op in sc.build_basic(AW1, 8, 2):
+        for op in sc.build_basic(AW1, 8, 2)[1:]:
             assert op.bands[0, 0] == 0.0 and op.bands[2, -1] == 0.0
 
     def test_window_mask_covers_the_interior_block(self):
         _, eta, _ = sc.build_basic(DO1, 9, 3)
-        rows = np.arange(9)[None, :] + np.array([-1, 0, 1])[:, None]
-        cols = np.broadcast_to(np.arange(9), (3, 9))
-        inside = (rows >= 0) & (rows < 6) & (cols < 6)
-        assert np.array_equal(eta.window_mask(), inside)
+        for bands in (3, 5):
+            rows = np.arange(9)[None, :] + np.arange(bands)[:, None] - bands // 2
+            cols = np.broadcast_to(np.arange(9), (bands, 9))
+            inside = (rows >= 0) & (rows < 6) & (cols < 6)
+            assert np.array_equal(eta.window_mask(bands), inside)
 
     def test_apply_matches_dense_product(self):
         rng = np.random.default_rng(3)
@@ -102,9 +108,8 @@ class TestBandedStorage:
 
 class TestBuildBasic:
     def test_do_hamiltonian_diagonal(self):
-        ham, _, _ = sc.build_basic(DO1, 4, 1)
-        assert np.allclose(np.diag(ham.entries), [0, 1, 2, 3])
-        assert np.count_nonzero(ham.entries - np.diag(np.diag(ham.entries))) == 0
+        levels, _, _ = sc.build_basic(DO1, 4, 1)
+        assert np.array_equal(levels, [0, 1, 2, 3])
 
     def test_commutator_diagonal_vanishes(self):
         for spec in ALL:
@@ -114,8 +119,9 @@ class TestBuildBasic:
     def test_commutator_matches_dense_product(self):
         # the elementwise (E_m - E_n) eta_mn agrees with H eta - eta H
         for spec in ALL:
-            ham, eta, comm = sc.build_basic(spec, 12, 4)
-            dense = ham.entries @ eta.entries - eta.entries @ ham.entries
+            levels, eta, comm = sc.build_basic(spec, 12, 4)
+            ham = np.diag(levels)
+            dense = ham @ eta.entries - eta.entries @ ham
             scale = np.max(np.abs(dense))
             assert np.max(np.abs(comm.entries - dense)) <= 1e-14 * scale
 
@@ -141,12 +147,6 @@ class TestBuildBasic:
             sc.build_basic(DO1, 3, 2)
 
 
-def _clear_operator_caches():
-    operators.build_basic.cache_clear()
-    operators._closure_vectors.cache_clear()
-    operators._closure_data.cache_clear()
-
-
 LADDER_CHECKS = (
     sc.check_ladder_action,
     sc.check_two_commutator,
@@ -162,9 +162,10 @@ def _su11(spec, n_dim, guard):
 
 class TestSharedBuilds:
     def test_returned_bands_are_read_only(self):
-        for op in sc.build_basic(AW1, 12, 4):
+        levels, eta, comm = sc.build_basic(AW1, 12, 4)
+        for array in (levels, eta.bands, comm.bands):
             with pytest.raises(ValueError):
-                op.bands[1, 0] = 1.0
+                array[0] = 1.0
         eta, comm, levels, ratio, ap, am = operators._closure_data(AW1, 12, 4)
         for array in (eta.bands, comm.bands, levels, ratio, ap, am,
                       *operators._closure_vectors(AW1, 12, 4)):
@@ -172,7 +173,7 @@ class TestSharedBuilds:
                 array[0] = 1.0
 
     def test_one_build_per_system_and_size(self):
-        _clear_operator_caches()
+        empty_caches()
         for check in LADDER_CHECKS:
             check(DO1, 30, 4)
         sc.check_su11(DO1.a, 30, 4)
@@ -184,7 +185,7 @@ class TestSharedBuilds:
         # R0(E_0) = 4 (g + h)^2 - 4 < 0: the ladder refuses the spectrum, and
         # the two-commutator identity, which demands no sign of R0, holds on it
         spec = sc.PoschlTeller(0.2, 0.3)
-        _clear_operator_caches()
+        empty_caches()
         before = sc.check_two_commutator(spec, 30, 4)
         with pytest.raises(sc.ComplexFrequencies):
             sc.check_ladder_action(spec, 30, 4)
@@ -198,10 +199,10 @@ class TestSharedBuilds:
             checks += (_su11,)
         alone = []
         for check in checks:
-            _clear_operator_caches()
+            empty_caches()
             alone.append(check(spec, 30, 4))
         for order in (checks, checks[::-1]):
-            _clear_operator_caches()
+            empty_caches()
             after = {check: check(spec, 30, 4) for check in order}
             assert [after[check] for check in checks] == alone
 
@@ -315,20 +316,13 @@ class TestOracleIndependence:
     not from the b1, b3, b4 that R-1 is built from, so a closure
     coefficient moved by 1e-5 relative must fail the two-commutator check."""
 
-    @staticmethod
-    def _clear_caches():
-        for module in (systems, polynomials, operators):
-            for value in vars(module).values():
-                if callable(getattr(value, "cache_clear", None)):
-                    value.cache_clear()
-
     @pytest.mark.parametrize("name", ["b1", "b3", "b4"])
     def test_planted_closure_defect_fails(self, name, monkeypatch, capsys):
         exact = getattr(sc.AskeyWilson, name).fget
         monkeypatch.setattr(
             sc.AskeyWilson, name, property(lambda self: exact(self) * (1.0 + 1e-5))
         )
-        self._clear_caches()
+        empty_caches()
         try:
             code = cli.main(
                 ["ladder", "--system", "aw", "--a=0.3,-0.2,0.4,0.1", "--q", "0.6",
@@ -336,7 +330,7 @@ class TestOracleIndependence:
             )
         finally:
             monkeypatch.undo()
-            self._clear_caches()
+            empty_caches()
         checks = {c["name"]: c for c in json.loads(capsys.readouterr().out)["checks"]}
         assert code == 1
         assert not checks["two_commutator"]["pass"]
@@ -359,7 +353,58 @@ class TestHermitianConjugacy:
         assert up_hat == pytest.approx(down_hat, rel=1e-8)
 
 
+def random_tridiagonal(rng, n_dim):
+    """Seeded complex bands, zero in the two slots outside the matrix."""
+    bands = rng.normal(size=(3, n_dim)) + 1j * rng.normal(size=(3, n_dim))
+    bands[0, 0] = bands[2, -1] = 0.0
+    return bands
+
+
+def five_band_entries(bands):
+    """The dense matrix of five diagonals laid out as `_band_product` returns
+    them; asserts that every slot outside the matrix holds zero."""
+    n_dim = bands.shape[1]
+    dense = np.zeros((n_dim, n_dim), dtype=complex)
+    for i in range(5):
+        for col in range(n_dim):
+            row = col + i - 2
+            if 0 <= row < n_dim:
+                dense[row, col] = bands[i, col]
+            else:
+                assert bands[i, col] == 0.0
+    return dense
+
+
 class TestSu11:
+    # a on both sides of do's a < 1/2 shift and up to the largest admitted
+    A_GRID = (0.001, 0.016, 0.4, 0.45, 0.5, 1.0, 1.3, 2.5, 4.0, 7.77, 90.0)
+
+    @pytest.mark.parametrize("n_dim", [1, 2, 3, 7, 30])
+    def test_band_product_matches_dense_product(self, n_dim):
+        rng = np.random.default_rng(n_dim)
+        x, y = random_tridiagonal(rng, n_dim), random_tridiagonal(rng, n_dim)
+        wrap = lambda b: operators.TruncatedOperator(dim=n_dim, guard=0, bands=b)
+        dense_x, dense_y = wrap(x).entries, wrap(y).entries
+        product = five_band_entries(operators._band_product(x, y))
+        # entries beyond the five diagonals are exact zeros on both sides
+        bound = 8.0 * np.finfo(float).eps * (np.abs(dense_x) @ np.abs(dense_y))
+        assert np.all(np.abs(product - dense_x @ dense_y) <= bound)
+
+    @pytest.mark.parametrize("a", A_GRID)
+    def test_residual_is_the_dense_products_bit_for_bit(self, a):
+        # do's primed pair is exactly bidiagonal, so every entry of either
+        # product has at most one nonzero term, whatever order sums them
+        spec = sc.DeformedOscillator(a)
+        for n_dim in (6, 8, 30, 64, 100, 200, 512):
+            for guard in (g for g in (1, 4, 5) if n_dim >= g + 2):
+                pair = sc.build_ladder(spec, n_dim, guard, Normalization.PRIMED)
+                levels = sc.build_basic(spec, n_dim, guard)[0]
+                up, down = pair.a_plus.entries, pair.a_minus.entries
+                bracket = down @ up - up @ down - 2.0 * np.diag(levels + a)
+                d = n_dim - guard
+                expected = np.max(np.abs(bracket[:d, :d]))
+                assert sc.check_su11(a, n_dim, guard).max_residual == expected
+
     def test_do_relations(self):
         report = sc.check_su11(DO1.a, 30, 4)
         assert report.passed and report.max_residual <= 1e-12
@@ -379,9 +424,9 @@ class TestSu11:
         assert bracket[3, 3].real == pytest.approx(8.0, abs=1e-13)
 
     def test_raising_commutator_entry(self):
-        ham, _, _ = sc.build_basic(DO1, 12, 4)
+        ham = np.diag(sc.build_basic(DO1, 12, 4)[0])
         pair = sc.build_ladder(DO1, 12, 4, Normalization.PRIMED)
-        lhs = ham.entries @ pair.a_plus.entries - pair.a_plus.entries @ ham.entries
+        lhs = ham @ pair.a_plus.entries - pair.a_plus.entries @ ham
         assert lhs[6, 5] == pytest.approx(pair.a_plus.entries[6, 5])
         assert lhs[6, 5].real == pytest.approx(6.0, abs=1e-13)
 

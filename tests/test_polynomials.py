@@ -3,7 +3,10 @@
 import cmath
 import itertools
 import math
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -445,6 +448,43 @@ class TestSpecialFunctions:
         )
         empty = qpochhammer(np.zeros(0, dtype=complex), q)
         assert empty.shape == (0,)
+
+    @pytest.mark.parametrize("z", [complex("nan"), np.array([0.3, math.nan])])
+    def test_qpochhammer_refuses_a_nan_argument(self, z):
+        # a NaN floor once skipped every factor and gave (1+0j)
+        with pytest.raises(sc.ParameterOutOfRange, match="finite z"):
+            qpochhammer(z, 0.5)
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            "qpochhammer(complex('inf'), 0.5)",
+            "q_product(0.5, 0.0, 1, lambda qks, out: None)",
+            "q_product(0.5, -1e-17, 1, lambda qks, out: None)",
+        ],
+        ids=["infinite-z", "zero-floor", "negative-floor"],
+    )
+    def test_refusals_that_once_never_returned(self, call):
+        # a floor of 0 or below (infinite z gives 0) once multiplied powers
+        # forever; run apart, so a loop that never ends fails at the timeout
+        code = (
+            "import sincoord as sc\n"
+            "from sincoord.special import q_product, qpochhammer\n"
+            "try:\n"
+            f"    {call}\n"
+            "except sc.ParameterOutOfRange:\n"
+            "    raise SystemExit(3)\n"
+        )
+        src = str(Path(sc.__file__).resolve().parents[1])
+        result = subprocess.run(
+            [sys.executable, "-c", code], cwd=src, capture_output=True, timeout=30
+        )
+        assert result.returncode == 3
+
+    @pytest.mark.parametrize("floor", [math.nan, math.inf])
+    def test_q_product_refuses_a_floor_that_is_not_positive_and_finite(self, floor):
+        with pytest.raises(sc.ParameterOutOfRange, match="positive and finite"):
+            special.q_product(0.5, floor, 1, lambda qks, out: None)
 
     def test_hyp1f1_against_mpmath(self):
         for a, b, z in (

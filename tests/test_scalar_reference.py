@@ -273,7 +273,7 @@ def test_basic_bands_match_per_n_lists(spec, n_dim):
     ham, eta, comm = sc.build_basic(spec, n_dim, 4)
     levels = scalar_levels(spec, n_dim)
     up, diag, down = scalar_lists(spec, n_dim)
-    assert same_bits(ham.bands[1].real, levels)
+    assert same_bits(ham, levels)
     assert same_bits(eta.bands[2, :-1].real, up[:-1])
     assert same_bits(eta.bands[1].real, diag)
     assert same_bits(eta.bands[0, 1:].real, down)

@@ -2,14 +2,14 @@
 pairs and coherent series are each formed once and handed out read-only,
 with the bits of a fresh call."""
 
-import sys
-
 import numpy as np
 import pytest
 
 import sincoord as sc
 from sincoord import cli, coherent, operators
 from sincoord.operators import Normalization
+
+from conftest import empty_caches
 
 TABLE_SYSTEMS = [
     sc.PoschlTeller(1.3, 2.1),
@@ -24,15 +24,6 @@ COUNTS = (1, 2, 21, 30, 512)
 AW_LADDER = ["ladder", "--system", "aw", "--a=0.1,0.2,-0.1,0.3", "--q", "0.5"]
 
 
-def _empty_caches():
-    """Empty every lru_cache in the package, as a new process starts."""
-    for name, module in list(sys.modules.items()):
-        if name.startswith("sincoord."):
-            for value in vars(module).values():
-                if callable(getattr(value, "cache_clear", None)):
-                    value.cache_clear()
-
-
 def _same_bits(a, b) -> bool:
     a, b = np.asarray(a), np.asarray(b)
     return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
@@ -41,7 +32,7 @@ def _same_bits(a, b) -> bool:
 @pytest.mark.parametrize("spec", TABLE_SYSTEMS, ids=repr)
 @pytest.mark.parametrize("order", [COUNTS, COUNTS[::-1]], ids=["rising", "falling"])
 def test_table_slices_have_the_bits_of_a_fresh_call(spec, order):
-    _empty_caches()
+    empty_caches()
     rec = sc.recurrence(spec)
     for count in order:
         n = np.arange(count)
@@ -52,7 +43,7 @@ def test_table_slices_have_the_bits_of_a_fresh_call(spec, order):
 
 
 def test_tables_of_no_entries_are_empty():
-    _empty_caches()
+    empty_caches()
     rec = sc.recurrence(sc.PoschlTeller(1.3, 2.1))
     for name in "ABC":
         assert rec.table(name, 0).size == 0
@@ -61,7 +52,7 @@ def test_tables_of_no_entries_are_empty():
 
 def test_coefficients_keep_separate_tables():
     # the lowering series asks for C only; B is never formed for it
-    _empty_caches()
+    empty_caches()
     spec = sc.AskeyWilson(0.1, 0.2, -0.1, 0.3, q=0.5)
     sc.coherent_coeffs(spec, 0.2, 16)
     assert set(sc.recurrence(spec)._tables) == {"C"}
@@ -69,7 +60,7 @@ def test_coefficients_keep_separate_tables():
 
 @pytest.mark.parametrize("spec", TABLE_SYSTEMS[::2], ids=repr)
 def test_every_cached_array_is_read_only(spec):
-    _empty_caches()
+    empty_caches()
     rec = sc.recurrence(spec)
     arrays = [rec.table(name, 12) for name in "ABC"]
     for normalization in Normalization:
@@ -82,7 +73,7 @@ def test_every_cached_array_is_read_only(spec):
 
 
 def test_ladder_pair_is_shared_however_the_normalization_is_passed():
-    _empty_caches()
+    empty_caches()
     spec = sc.PoschlTeller(1.3, 2.1)
     pair = sc.build_ladder(spec, 12, 4)
     assert sc.build_ladder(spec, 12, 4, Normalization.UNIT) is pair
@@ -90,7 +81,7 @@ def test_ladder_pair_is_shared_however_the_normalization_is_passed():
 
 
 def test_coherent_series_is_shared_across_number_types():
-    _empty_caches()
+    empty_caches()
     spec = sc.DeformedOscillator(1.7)
     coeffs = sc.coherent_coeffs(spec, 0.3, 20)
     assert sc.coherent_coeffs(spec, 0.3 + 0j, 20) is coeffs
@@ -109,7 +100,7 @@ def test_aw_ladder_forms_each_power_table_once(monkeypatch, capsys):
         return q_pow(self, k)
 
     monkeypatch.setattr(sc.AskeyWilson, "_q_pow", counted)
-    _empty_caches()
+    empty_caches()
     assert cli.main(AW_LADDER) == 0
     capsys.readouterr()
     assert len(calls) == 10
@@ -128,14 +119,14 @@ def test_one_ladder_pair_per_size_and_normalization(argv, pairs, capsys):
     # do's su(1,1) check adds the PRIMED pair; `all` at pt's defaults runs
     # `heisenberg` at the ladder's N 30, so it shares that pair, and
     # `coherent` builds the one at N 64
-    _empty_caches()
+    empty_caches()
     assert cli.main(argv) == 0
     capsys.readouterr()
     assert operators._ladder.cache_info().misses == pairs
 
 
 def test_one_coherent_series_per_do_coherent(capsys):
-    _empty_caches()
+    empty_caches()
     assert cli.main(["coherent", "--system", "do", "--a", "1.7"]) == 0
     capsys.readouterr()
     info = coherent._series.cache_info()

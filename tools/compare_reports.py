@@ -14,8 +14,9 @@ The corpus is the 8 reference systems x 6 suites x 5 variants, a
 `--tend 10` trajectory export per system (two for aw, from either side of
 x = pi/2), four aw and four do `ladder` runs at the edges of their
 ground-state densities, four aw runs at the edges of its diagonal
-recurrence coefficient B_n, the README's exit-2 examples, a flow that leaves
-pt's domain and one flow per family whose error is raised in an RK4 stage.
+recurrence coefficient B_n, two do `ladder` runs past N 2048, the README's
+exit-2 examples, a flow that leaves pt's domain and one flow per family
+whose error is raised in an RK4 stage.
 """
 
 from __future__ import annotations
@@ -74,6 +75,11 @@ B_N_EDGES = (
 DO_DENSITY_EDGES = tuple(
     ("ladder", "--system", "do", "--a", a) for a in ("0.016", "0.45", "0.5", "90")
 )
+# su(1,1)'s [a'-, a'+] on five diagonals past the 2048 at which its dense
+# product was refused: a 1 passes, and a 1.3 fails on a rounding floor
+SU11_LARGE_N = tuple(
+    ("ladder", "--system", "do", "--a", a, "--n", "2049") for a in ("1", "1.3")
+)
 EXIT_2 = (
     ("ladder", "--system", "pt", "--g", "1", "--h", "1", "--guard", "0"),
     ("heisenberg", "--system", "pt", "--g", "1", "--h", "1", "--t", "nan"),
@@ -99,7 +105,6 @@ EXIT_2 = (
     ("ladder", "--system", "do", "--a", "1", "--n", "5"),
     ("classical", "--system", "do", "--a", "1", "--dt", "0"),
     ("ladder", "--system", "do", "--a", "1", "--n", "100000000"),
-    ("ladder", "--system", "do", "--a", "1", "--n", "2049"),
     ("classical", "--system", "pt", "--g", "1e-8", "--h", "1"),
     ("ladder", "--system", "do", "--a", "0.015"),
     ("ladder", "--system", "do", "--a", "92"),
@@ -128,7 +133,7 @@ def default_corpus() -> list[list[str]]:
         for system in SYSTEMS
         for x0 in EXPORT_X0[system[1]]
     ]
-    edges = DENSITY_EDGES + B_N_EDGES + DO_DENSITY_EDGES + EXIT_2
+    edges = DENSITY_EDGES + B_N_EDGES + DO_DENSITY_EDGES + SU11_LARGE_N + EXIT_2
     return corpus + [list(argv) for argv in edges]
 
 
