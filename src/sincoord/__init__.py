@@ -53,7 +53,6 @@ from .heisenberg import (
 from .operators import (
     LadderPair,
     Normalization,
-    TruncatedOperator,
     build_basic,
     build_ladder,
     check_ground_state_condition,
@@ -61,6 +60,7 @@ from .operators import (
     check_ladder_action,
     check_su11,
     check_two_commutator,
+    dense,
 )
 from .polynomials import (
     RecurrenceData,

@@ -273,6 +273,8 @@ def _config_tokens(path: str) -> list[str]:
                 tokens.append(f"--{key}={value.strip()}")
     except OSError as exc:
         raise ConfigError(f"cannot read config file: {exc}")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"cannot read config file: {path}: {exc}")
     return tokens
 
 

@@ -14,7 +14,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ParameterOutOfRange, SeriesNotConverged, ZeroRecurrenceCoefficient
-from .operators import build_ladder
+from .operators import _band_apply, build_ladder
 from .polynomials import eval_all, recurrence
 from .report import CheckReport, make_report
 from .special import hyp1f1
@@ -73,10 +73,10 @@ def check_eigenvalue(
     lam = complex(lam)
     coeffs = coherent_coeffs(spec, lam, truncation)
     n_dim = truncation + guard
-    pair = build_ladder(spec, n_dim, guard)
+    lowering = build_ladder(spec, n_dim, guard).a_minus
     padded = np.zeros(n_dim, dtype=complex)
     padded[: truncation + 1] = coeffs
-    residual = pair.a_minus.apply(padded) - lam * padded
+    residual = _band_apply(lowering, padded) - lam * padded
     scale = np.maximum(1.0, np.abs(lam * padded[:rows]))
     worst = float(np.max(np.abs(residual[:rows]) / scale))
     return make_report(

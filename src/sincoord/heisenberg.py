@@ -26,7 +26,6 @@ import numpy as np
 
 from .errors import ParameterOutOfRange
 from .operators import (
-    TruncatedOperator,
     build_basic,
     build_ladder,
     _closure_data,
@@ -65,8 +64,8 @@ def _phases(ap: np.ndarray, am: np.ndarray, times: np.ndarray):
 class HeisenbergSolution:
     """Positive/negative frequency split of the evolved coordinate."""
 
-    a_plus: TruncatedOperator
-    a_minus: TruncatedOperator
+    a_plus: np.ndarray
+    a_minus: np.ndarray
     constant_part: np.ndarray
     freq_plus: np.ndarray
     freq_minus: np.ndarray
@@ -74,26 +73,22 @@ class HeisenbergSolution:
     def split_bands(self, phase_p: np.ndarray, phase_m: np.ndarray) -> np.ndarray:
         """(T, 3, N) bands of a_plus e^{i a+ t} + const + a_minus e^{i a- t}
         from the phases of `_phases` (diagonals right)."""
-        up = self.a_plus.bands * phase_p[:, None, :]
-        down = self.a_minus.bands * phase_m[:, None, :]
+        up = self.a_plus * phase_p[:, None, :]
+        down = self.a_minus * phase_m[:, None, :]
         return _plus_diagonal(up, self.constant_part) + down
 
-    def evolve(self, t: float) -> TruncatedOperator:
+    def evolve(self, t: float) -> np.ndarray:
         """a_plus e^{i a+ t} + const + a_minus e^{i a- t} (diagonals right)."""
         phases = _phases(self.freq_plus, self.freq_minus, _times((t,)))
-        return TruncatedOperator(
-            dim=self.a_plus.dim,
-            guard=self.a_plus.guard,
-            bands=self.split_bands(*phases)[0],
-        )
+        return self.split_bands(*phases)[0]
 
 
 def build_solution(spec: SystemSpec, n_dim: int, guard: int) -> HeisenbergSolution:
-    pair = build_ladder(spec, n_dim, guard)
+    a_plus, a_minus = build_ladder(spec, n_dim, guard)
     *_, ratio, ap, am = _closure_data(spec, n_dim, guard)
     return HeisenbergSolution(
-        a_plus=pair.a_plus,
-        a_minus=pair.a_minus,
+        a_plus=a_plus,
+        a_minus=a_minus,
         constant_part=-ratio,
         freq_plus=ap,
         freq_minus=am,
@@ -118,27 +113,20 @@ def _phase_oracle(eta, gaps, times: np.ndarray) -> np.ndarray:
     return eta * np.exp(1j * gaps * times[:, None, None])
 
 
-def exact_evolution(
-    spec: SystemSpec, n_dim: int, guard: int, t: float
-) -> TruncatedOperator:
+def exact_evolution(spec: SystemSpec, n_dim: int, guard: int, t: float) -> np.ndarray:
     """Closed-form e^{itH} eta e^{-itH} from the closure data.
 
     Every function of H multiplies from the right as a diagonal.
     """
-    eta_op, comm_op, _, ratio, ap, am = _closure_data(spec, n_dim, guard)
+    eta, comm, _, ratio, ap, am = _closure_data(spec, n_dim, guard)
     phases = _phases(ap, am, _times((t,)))
-    bands = _closed_form(eta_op.bands, comm_op.bands, ratio, ap, am, *phases)
-    return TruncatedOperator(dim=n_dim, guard=guard, bands=bands[0])
+    return _closed_form(eta, comm, ratio, ap, am, *phases)[0]
 
 
-def oracle_evolution(
-    spec: SystemSpec, n_dim: int, guard: int, t: float
-) -> TruncatedOperator:
+def oracle_evolution(spec: SystemSpec, n_dim: int, guard: int, t: float) -> np.ndarray:
     """Elementwise phase oracle: (eta)_mn e^{i (E_m - E_n) t}."""
-    levels, eta_op, _ = build_basic(spec, n_dim, guard)
-    gaps = _level_gaps(levels)
-    bands = _phase_oracle(eta_op.bands, gaps, _times((t,)))
-    return TruncatedOperator(dim=n_dim, guard=guard, bands=bands[0])
+    levels, eta, _ = build_basic(spec, n_dim, guard)
+    return _phase_oracle(eta, _level_gaps(levels), _times((t,)))[0]
 
 
 def check_heisenberg(
@@ -157,7 +145,7 @@ def check_heisenberg(
     times = [float(t) for t in t_samples]
     if not times:
         raise ParameterOutOfRange("need at least one time sample")
-    eta_op, comm_op, levels, ratio, ap, am = _closure_data(spec, n_dim, guard)
+    eta, comm, levels, ratio, ap, am = _closure_data(spec, n_dim, guard)
     grid = _times(times)
     solution = build_solution(spec, n_dim, guard)
     gaps = _level_gaps(levels)
@@ -167,18 +155,18 @@ def check_heisenberg(
     for start in range(0, len(grid), step):
         block = grid[start : start + step]
         phases = _phases(ap, am, block)
-        exact = _closed_form(eta_op.bands, comm_op.bands, ratio, ap, am, *phases)
-        oracle = _phase_oracle(eta_op.bands, gaps, block)
+        exact = _closed_form(eta, comm, ratio, ap, am, *phases)
+        oracle = _phase_oracle(eta, gaps, block)
         split = solution.split_bands(*phases)
         if spec.relative_residuals:
-            col_scale = _column_max(np.abs(oracle), eta_op, 1.0)[:, None, :]
+            col_scale = _column_max(np.abs(oracle), guard, 1.0)[:, None, :]
         else:
             col_scale = 1.0
         worst_oracle = np.maximum(
-            worst_oracle, _window_max(np.abs(exact - oracle) / col_scale, eta_op)
+            worst_oracle, _window_max(np.abs(exact - oracle) / col_scale, guard)
         )
         worst_split = np.maximum(
-            worst_split, _window_max(np.abs(exact - split) / col_scale, eta_op)
+            worst_split, _window_max(np.abs(exact - split) / col_scale, guard)
         )
     return make_report(
         "heisenberg_evolution",

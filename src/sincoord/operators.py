@@ -3,14 +3,16 @@
 Every operator here is stored in the shape of its nonzeros over the
 unnormalised eigenvectors phi_0 .. phi_{N-1}.  H is its vector of levels.
 eta, [H, eta], the ladder pair and the evolved coordinate couple each phi_n
-to its nearest neighbours only and are stored as their three diagonals
-indexed by column, since column n holds the expansion of (operator phi_n):
-the entry (n-1, n) above the diagonal, (n, n) on it and (n+1, n) below it.
+to its nearest neighbours only and are stored as a (3, N) complex array of
+their three diagonals indexed by column, since column n holds the expansion
+of (operator phi_n): bands[k, n] is the entry (n + k - 1, n), so row 0 is
+(n-1, n) above the diagonal, row 1 (n, n) on it and row 2 (n+1, n) below
+it; the two slots outside the matrix, (-1, 0) and (N, N-1), hold zero.
 Functions of H multiply the bands column-wise, in the order the defining
 expressions are written, and commutators with H multiply them by the level
 gaps E_m - E_n.  [a'-, a'+] in `check_su11` is formed on its five
-diagonals; `TruncatedOperator.entries` is a dense view for callers only.  A
-guard band of G top indices absorbs truncation damage; identities are only
+diagonals; `dense` is a dense view for callers only.  A guard band of the
+check's G top indices absorbs truncation damage; identities are only
 asserted on the interior window 0 .. N-G-1.
 
 The levels and the bands of eta come from one array call of the family's
@@ -26,9 +28,9 @@ a leading batch axis, as the Heisenberg time grid uses them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -52,63 +54,14 @@ from .systems import (
 )
 
 
-@dataclass(frozen=True)
-class TruncatedOperator:
-    """Tridiagonal N x N complex operator with a truncation guard band.
-
-    `bands` has shape (3, N); `bands[k, n]` is the entry (n + k - 1, n):
-    row 0 is the superdiagonal, row 1 the diagonal and row 2 the
-    subdiagonal, each indexed by column.  The two slots that fall outside
-    the matrix, (-1, 0) and (N, N-1), hold zero.
-    """
-
-    dim: int
-    guard: int
-    bands: np.ndarray
-
-    @property
-    def interior(self) -> int:
-        """First index of the guard band; the window is 0 .. interior-1."""
-        return self.dim - self.guard
-
-    @property
-    def entries(self) -> np.ndarray:
-        """The dense N x N matrix, built anew on every access."""
-        cols = np.arange(self.dim)
-        dense = np.zeros((self.dim, self.dim), dtype=complex)
-        dense[cols[:-1], cols[1:]] = self.bands[0, 1:]
-        dense[cols, cols] = self.bands[1]
-        dense[cols[1:], cols[:-1]] = self.bands[2, :-1]
-        return dense
-
-    def window_mask(self, bands: int = 3) -> np.ndarray:
-        """(bands, N) mask of the slots, of `bands` diagonals centred on the
-        main one, whose row and column both lie in the window 0 .. interior-1."""
-        mask = np.zeros((bands, self.dim), dtype=bool)
-        for i in range(bands):
-            shift = i - bands // 2  # slot (i, n) is the entry (n + shift, n)
-            mask[i, max(0, -shift) : self.interior - max(0, shift)] = True
-        return mask
-
-    def apply(self, vector: np.ndarray) -> np.ndarray:
-        """The operator times a vector; row n sums its three entries in
-        column order, (n, n-1), (n, n), (n, n+1)."""
-        out = np.zeros(self.dim, dtype=complex)
-        out[1:] = self.bands[2, :-1] * vector[:-1]
-        out += self.bands[1] * vector
-        out[:-1] += self.bands[0, 1:] * vector[1:]
-        return out
-
-
 class Normalization(Enum):
     UNIT = "unit"
     PRIMED = "primed"
 
 
-@dataclass(frozen=True)
-class LadderPair:
-    a_plus: TruncatedOperator
-    a_minus: TruncatedOperator
+class LadderPair(NamedTuple):
+    a_plus: np.ndarray
+    a_minus: np.ndarray
 
 
 def _check_dims(n_dim: int, guard: int) -> None:
@@ -156,16 +109,49 @@ def _band_product(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return out
 
 
-def _window_max(values: np.ndarray, op: TruncatedOperator) -> float:
+def _band_apply(bands: np.ndarray, vector: np.ndarray) -> np.ndarray:
+    """The operator times a vector; row n sums its three entries in column
+    order, (n, n-1), (n, n), (n, n+1)."""
+    out = np.zeros(bands.shape[-1], dtype=complex)
+    out[1:] = bands[2, :-1] * vector[:-1]
+    out += bands[1] * vector
+    out[:-1] += bands[0, 1:] * vector[1:]
+    return out
+
+
+def dense(bands: np.ndarray) -> np.ndarray:
+    """The dense N x N complex matrix of (3, N) bands, built anew on every call."""
+    n_dim = bands.shape[-1]
+    cols = np.arange(n_dim)
+    out = np.zeros((n_dim, n_dim), dtype=complex)
+    out[cols[:-1], cols[1:]] = bands[0, 1:]
+    out[cols, cols] = bands[1]
+    out[cols[1:], cols[:-1]] = bands[2, :-1]
+    return out
+
+
+def _window_mask(n_dim: int, guard: int, bands: int = 3) -> np.ndarray:
+    """(bands, N) mask of the slots, of `bands` diagonals centred on the main
+    one, whose row and column both lie in the window 0 .. N-G-1."""
+    mask = np.zeros((bands, n_dim), dtype=bool)
+    for i in range(bands):
+        shift = i - bands // 2  # slot (i, n) is the entry (n + shift, n)
+        mask[i, max(0, -shift) : n_dim - guard - max(0, shift)] = True
+    return mask
+
+
+def _window_max(values: np.ndarray, guard: int) -> float:
     """Largest of the nonnegative band `values`, of three diagonals or five,
-    inside op's window, over every operator of a batch."""
-    return float(np.max(values, where=op.window_mask(values.shape[-2]), initial=0.0))
+    inside the window of guard band `guard`, over every operator of a batch."""
+    mask = _window_mask(values.shape[-1], guard, values.shape[-2])
+    return float(np.max(values, where=mask, initial=0.0))
 
 
-def _column_max(values: np.ndarray, op: TruncatedOperator, floor: float) -> np.ndarray:
+def _column_max(values: np.ndarray, guard: int, floor: float) -> np.ndarray:
     """Per column (and per operator of a batch), the largest of `floor` and
-    the band `values` inside op's window."""
-    return np.max(values, axis=-2, where=op.window_mask(), initial=floor)
+    the band `values` inside the window of guard band `guard`."""
+    mask = _window_mask(values.shape[-1], guard)
+    return np.max(values, axis=-2, where=mask, initial=floor)
 
 
 def _read_only(*arrays: np.ndarray) -> None:
@@ -176,7 +162,7 @@ def _read_only(*arrays: np.ndarray) -> None:
 @lru_cache(maxsize=_CACHE_SIZE)
 def build_basic(
     spec: SystemSpec, n_dim: int, guard: int
-) -> tuple[np.ndarray, TruncatedOperator, TruncatedOperator]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Hamiltonian, coordinate operator, and their commutator.
 
     H is diagonal, so it is handed out as its levels E_0 .. E_{N-1}, a float
@@ -193,8 +179,7 @@ def build_basic(
     eta[2, :-1] = rec.table("A", n_dim - 1)
     comm = _commutator_with_h(levels, eta)
     _read_only(levels, eta, comm)
-    wrap = lambda b: TruncatedOperator(dim=n_dim, guard=guard, bands=b)
-    return levels, wrap(eta), wrap(comm)
+    return levels, eta, comm
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
@@ -221,7 +206,7 @@ def _closure_data(spec: SystemSpec, n_dim: int, guard: int):
     """eta, [H, eta], the levels, R-1/R0 and alpha_pm on the spectrum;
     demands R0 > 0 and distinct frequencies.  The arrays are read-only and
     shared between calls with the same arguments."""
-    _, eta_op, comm_op = build_basic(spec, n_dim, guard)
+    _, eta, comm = build_basic(spec, n_dim, guard)
     levels, r0v, r1v, rm1v = _closure_vectors(spec, n_dim, guard)
     if np.any(r0v <= 0.0):
         raise ComplexFrequencies(
@@ -232,7 +217,7 @@ def _closure_data(spec: SystemSpec, n_dim: int, guard: int):
         raise DegenerateFrequencies("coincident frequencies on the spectrum")
     ratio = rm1v / r0v
     _read_only(ratio, ap, am)
-    return eta_op, comm_op, levels, ratio, ap, am
+    return eta, comm, levels, ratio, ap, am
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
@@ -240,17 +225,16 @@ def _ladder(
     spec: SystemSpec, n_dim: int, guard: int, normalization: Normalization
 ) -> LadderPair:
     """The pair from eta, [H, eta], R-1/R0 and alpha_pm on the spectrum."""
-    eta_op, comm_op, _, ratio, ap, am = _closure_data(spec, n_dim, guard)
-    shifted = _plus_diagonal(eta_op.bands, ratio)
-    plus = comm_op.bands - shifted * am[None, :]
-    minus = -comm_op.bands + shifted * ap[None, :]
+    eta, comm, _, ratio, ap, am = _closure_data(spec, n_dim, guard)
+    shifted = _plus_diagonal(eta, ratio)
+    plus = comm - shifted * am[None, :]
+    minus = -comm + shifted * ap[None, :]
     if normalization is Normalization.UNIT:
         denom = ap - am
         plus = plus / denom[None, :]
         minus = minus / denom[None, :]
     _read_only(plus, minus)
-    wrap = lambda b: TruncatedOperator(dim=n_dim, guard=guard, bands=b)
-    return LadderPair(a_plus=wrap(plus), a_minus=wrap(minus))
+    return LadderPair(a_plus=plus, a_minus=minus)
 
 
 def build_ladder(
@@ -278,16 +262,16 @@ def check_ladder_action(spec: SystemSpec, n_dim: int, guard: int) -> CheckReport
     operator must annihilate the ground state, column 0, absolutely.
     """
     rec = recurrence(spec)
-    pair = build_ladder(spec, n_dim, guard)
-    d = pair.a_plus.interior
+    ap, am = build_ladder(spec, n_dim, guard)
+    d = n_dim - guard
     up = rec.table("A", d - 1)  # raising acts on 0 .. d-2
     down = rec.table("C", d)  # lowering on 1 .. d-1
     target_up = np.zeros((3, n_dim), dtype=complex)
     target_up[2, : d - 1] = up
     target_dn = np.zeros((3, n_dim), dtype=complex)
     target_dn[0, 1:d] = down
-    dev_up = _column_max(np.abs(pair.a_plus.bands - target_up), pair.a_plus, 0.0)
-    dev_dn = _column_max(np.abs(pair.a_minus.bands - target_dn), pair.a_minus, 0.0)
+    dev_up = _column_max(np.abs(ap - target_up), guard, 0.0)
+    dev_dn = _column_max(np.abs(am - target_dn), guard, 0.0)
     dev_up, dev_dn = dev_up[: d - 1], dev_dn[:d]
     if spec.relative_residuals:
         dev_up = dev_up / np.maximum(1.0, np.abs(up))
@@ -300,16 +284,14 @@ def check_ladder_action(spec: SystemSpec, n_dim: int, guard: int) -> CheckReport
 
 def check_two_commutator(spec: SystemSpec, n_dim: int, guard: int) -> CheckReport:
     """[H, [H, eta]] = eta R0(H) + [H, eta] R1(H) + R-1(H) on the window."""
-    _, eta_op, comm_op = build_basic(spec, n_dim, guard)
+    _, eta, comm = build_basic(spec, n_dim, guard)
     levels, r0v, r1v, rm1v = _closure_vectors(spec, n_dim, guard)
-    lhs = _commutator_with_h(levels, comm_op.bands)
-    rhs = _plus_diagonal(
-        eta_op.bands * r0v[None, :] + comm_op.bands * r1v[None, :], rm1v
-    )
+    lhs = _commutator_with_h(levels, comm)
+    rhs = _plus_diagonal(eta * r0v[None, :] + comm * r1v[None, :], rm1v)
     diff = np.abs(lhs - rhs)
     if spec.relative_residuals:
-        diff = diff / _column_max(np.abs(lhs), eta_op, 1.0)
-    resid = _window_max(diff, eta_op)
+        diff = diff / _column_max(np.abs(lhs), guard, 1.0)
+    resid = _window_max(diff, guard)
     return make_report(
         "two_commutator", resid, spec.tolerances["two_commutator"], N=n_dim, G=guard
     )
@@ -321,12 +303,12 @@ def check_hermitian_conjugacy(spec: SystemSpec, n_dim: int, guard: int) -> Check
     Equivalent to the bridge A_n h_{n+1} = C_{n+1} h_n with the quadrature
     norms h_n; checked for n up to min(20, window - 2).
     """
-    pair = build_ladder(spec, n_dim, guard)
-    n_top = min(20, pair.a_plus.interior - 2)
+    ap, am = build_ladder(spec, n_dim, guard)
+    n_top = min(20, n_dim - guard - 2)
     h = norms(spec, n_top + 1)
     scale = np.sqrt(h)
-    below = pair.a_plus.bands[2, : n_top + 1].real  # entry (n+1, n)
-    above = pair.a_minus.bands[0, 1 : n_top + 2].real  # entry (n-1, n)
+    below = ap[2, : n_top + 1].real  # entry (n+1, n)
+    above = am[0, 1 : n_top + 2].real  # entry (n-1, n)
     up = below * scale[1:] / scale[:-1]
     down = above * scale[:-1] / scale[1:]
     worst = np.max(
@@ -342,16 +324,15 @@ def check_su11(a: float, n_dim: int, guard: int) -> CheckReport:
     with parameter a: [H, a'_pm] = +/- a'_pm and [a'_minus, a'_plus] =
     2 (H + a)."""
     spec = DeformedOscillator(a)
-    pair = build_ladder(spec, n_dim, guard, Normalization.PRIMED)
+    ap, am = build_ladder(spec, n_dim, guard, Normalization.PRIMED)
     levels = build_basic(spec, n_dim, guard)[0]
-    ap, am = pair.a_plus.bands, pair.a_minus.bands
     res_plus = _commutator_with_h(levels, ap) - ap
     res_minus = _commutator_with_h(levels, am) + am
     res_comm = _band_product(am, ap)
     res_comm -= _band_product(ap, am)
     res_comm[2] -= 2.0 * (levels + a)
     residuals = (res_plus, res_minus, res_comm)
-    resid = np.max([_window_max(np.abs(r), pair.a_plus) for r in residuals])
+    resid = np.max([_window_max(np.abs(r), guard) for r in residuals])
     return make_report("su11", resid, 1e-12, N=n_dim, G=guard)
 
 
@@ -360,14 +341,14 @@ def check_ground_state_condition(
 ) -> CheckReport:
     """The lowering-frequency part must vanish on the ground state:
     -[H, eta] phi_0 + (eta alpha_plus(0) - R-1(0)/alpha_minus(0)) phi_0 = 0."""
-    _, eta_op, comm_op = build_basic(spec, n_dim, guard)
+    _, eta, comm = build_basic(spec, n_dim, guard)
     ap0, am0 = alpha_pm(spec, 0.0)
     if am0 == 0.0:
         raise VanishingFrequency("alpha_minus(0) = 0")
     const = r_polynomials(spec).rm1(0.0) / am0
     # column 0 has entries in rows 0 and 1 only, both inside the window
-    term_comm = -comm_op.bands[1:, 0]
-    term_eta = ap0 * eta_op.bands[1:, 0]
+    term_comm = -comm[1:, 0]
+    term_eta = ap0 * eta[1:, 0]
     term_const = np.array([-const, 0.0], dtype=complex)
     column = term_comm + term_eta + term_const
     scale = max(

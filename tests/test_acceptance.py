@@ -54,9 +54,9 @@ def test_criterion_02_ladder_identities():
 
     # pinned single matrix elements
     pt_pair = sc.build_ladder(sc.PoschlTeller(1, 1), 10, 4, Normalization.PRIMED)
-    dev_pt = abs(pt_pair.a_minus.entries[0, 1] / 2.0 - 3.0)
+    dev_pt = abs(sc.dense(pt_pair.a_minus)[0, 1] / 2.0 - 3.0)
     do_pair = sc.build_ladder(sc.DeformedOscillator(1.0), 10, 4, Normalization.PRIMED)
-    dev_do = abs(do_pair.a_minus.entries[0, 1] - 2.0)
+    dev_do = abs(sc.dense(do_pair.a_minus)[0, 1] - 2.0)
     report_line("2c pinned lowering entries", max(dev_pt, dev_do), 1e-12)
 
     # Askey-Wilson columns against the printed coefficient expressions
@@ -76,8 +76,8 @@ def test_criterion_02_ladder_identities():
         )
         worst_cols = max(
             worst_cols,
-            abs(pair.a_minus.entries[n - 1, n].real - low) / abs(low),
-            abs(pair.a_plus.entries[n + 1, n].real - up) / abs(up),
+            abs(sc.dense(pair.a_minus)[n - 1, n].real - low) / abs(low),
+            abs(sc.dense(pair.a_plus)[n + 1, n].real - up) / abs(up),
         )
     report_line("2d aw columns vs printed coefficients", worst_cols, 1e-9)
 
@@ -112,10 +112,10 @@ def test_criterion_04_heisenberg_solution():
     worst_do = 0.0
     for t in grid:
         evolved = sc.exact_evolution(spec, 30, 4, t)
-        expected = eta.entries * math.cos(t) + 1j * comm.entries * math.sin(t)
-        d = evolved.interior
+        expected = sc.dense(eta) * math.cos(t) + 1j * sc.dense(comm) * math.sin(t)
+        d = 30 - 4
         worst_do = max(
-            worst_do, float(np.max(np.abs(evolved.entries[:d, :d] - expected[:d, :d])))
+            worst_do, float(np.max(np.abs(sc.dense(evolved)[:d, :d] - expected[:d, :d])))
         )
     report_line("4c oscillator cos/sin form", worst_do, 1e-12)
 

@@ -462,6 +462,15 @@ class TestConfigFile:
         )
         assert result.stdout == ""
 
+    def test_file_that_is_not_utf8_exits_two(self, tmp_path):
+        config = tmp_path / "sweep.cfg"
+        config.write_bytes(b"system = do\na = 1\xff\n")
+        result = run_cli("spectrum", "--config", str(config))
+        assert result.returncode == 2
+        assert result.stderr.startswith("error: cannot read config file:")
+        assert "Traceback" not in result.stderr
+        assert result.stdout == ""
+
     @pytest.mark.parametrize(
         "line, flag, value",
         [("system = xx", "--system", "xx"), ("format = xml", "--format", "xml")],

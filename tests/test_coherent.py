@@ -83,7 +83,7 @@ class TestEigenvalueProperty:
     def test_equals_dense_evaluation(self, spec, lam):
         lam = spec.coherent_lambda if lam is None else lam
         coeffs = sc.coherent_coeffs(spec, lam, 36)
-        lowering = sc.build_ladder(spec, 40, 4).a_minus.entries
+        lowering = sc.dense(sc.build_ladder(spec, 40, 4).a_minus)
         padded = np.zeros(40, dtype=complex)
         padded[:37] = coeffs
         residual = lowering @ padded - complex(lam) * padded

@@ -65,7 +65,7 @@ def test_every_cached_array_is_read_only(spec):
     arrays = [rec.table(name, 12) for name in "ABC"]
     for normalization in Normalization:
         pair = sc.build_ladder(spec, 12, 4, normalization)
-        arrays += [pair.a_plus.bands, pair.a_minus.bands]
+        arrays += [pair.a_plus, pair.a_minus]
     arrays.append(sc.coherent_coeffs(spec, 0.2, 8))
     for array in arrays:
         with pytest.raises(ValueError):

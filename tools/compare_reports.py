@@ -14,8 +14,9 @@ The corpus is the 8 reference systems x 6 suites x 5 variants, a
 `--tend 10` trajectory export per system (two for aw, from either side of
 x = pi/2), four aw and four do `ladder` runs at the edges of their
 ground-state densities, four aw runs at the edges of its diagonal
-recurrence coefficient B_n, two do `ladder` runs past N 2048, the README's
-exit-2 examples, a flow that leaves pt's domain and one flow per family
+recurrence coefficient B_n, two do `ladder` runs past N 2048, `heisenberg`
+and `coherent` at N 512 for one system per family, the README's exit-2
+examples, a flow that leaves pt's domain and one flow per family
 whose error is raised in an RK4 stage.
 """
 
@@ -80,6 +81,12 @@ DO_DENSITY_EDGES = tuple(
 SU11_LARGE_N = tuple(
     ("ladder", "--system", "do", "--a", a, "--n", "2049") for a in ("1", "1.3")
 )
+# the banded operators at the largest N of the benchmark's `matrix` workload
+MATRIX_N = tuple(
+    (suite, *system, "--n", "512", "--format", "json")
+    for system in (SYSTEMS[1], SYSTEMS[4], SYSTEMS[6])
+    for suite in ("heisenberg", "coherent")
+)
 EXIT_2 = (
     ("ladder", "--system", "pt", "--g", "1", "--h", "1", "--guard", "0"),
     ("heisenberg", "--system", "pt", "--g", "1", "--h", "1", "--t", "nan"),
@@ -133,7 +140,10 @@ def default_corpus() -> list[list[str]]:
         for system in SYSTEMS
         for x0 in EXPORT_X0[system[1]]
     ]
-    edges = DENSITY_EDGES + B_N_EDGES + DO_DENSITY_EDGES + SU11_LARGE_N + EXIT_2
+    edges = (
+        DENSITY_EDGES + B_N_EDGES + DO_DENSITY_EDGES + SU11_LARGE_N + MATRIX_N
+        + EXIT_2
+    )
     return corpus + [list(argv) for argv in edges]
 
 
