@@ -25,10 +25,14 @@ def coherent_coeffs(spec: SystemSpec, lam: complex, truncation: int) -> np.ndarr
     """c_n = lam^n / prod_{k=1..n} C_k, n = 0 .. truncation, via the stable
     one-step recursion; c_0 = 1.
 
-    Raises ParameterOutOfRange for a non-finite lam and SeriesNotConverged
-    when a coefficient overflows.  The array is read-only and shared
-    between calls with the same arguments.
+    Raises ParameterOutOfRange for a non-finite lam or a truncation that is
+    negative or past the size cap, and SeriesNotConverged when a coefficient
+    overflows.  The array is read-only and shared between calls with the
+    same arguments.
     """
+    if truncation < 0:
+        raise ParameterOutOfRange(f"need truncation >= 0, got truncation={truncation}")
+    require_size("truncation", truncation)
     # complex first, so that 0.3, 0.3 + 0j and numpy scalars share one entry
     return _series(spec, complex(lam), truncation)
 
@@ -41,11 +45,14 @@ def _series(spec: SystemSpec, lam: complex, truncation: int) -> np.ndarray:
     zero = np.flatnonzero(lowering == 0.0)
     if zero.size:
         raise ZeroRecurrenceCoefficient(f"C_{zero[0] + 1} = 0")
-    coeffs = np.zeros(truncation + 1, dtype=complex)
-    coeffs[0] = 1.0
+    # each term a complex128 scalar, whose arithmetic has the array's bits
+    term = np.complex128(1.0)
+    terms = [term]
     with np.errstate(over="ignore", invalid="ignore"):  # reported just below
-        for n, c_n in enumerate(lowering.tolist(), start=1):
-            coeffs[n] = lam * coeffs[n - 1] / c_n
+        for c_n in lowering.tolist():
+            term = lam * term / c_n
+            terms.append(term)
+    coeffs = np.array(terms)
     overflow = np.flatnonzero(~np.isfinite(coeffs))
     if overflow.size:
         raise SeriesNotConverged(
@@ -69,7 +76,6 @@ def check_eigenvalue(
             "no row lies outside the guard band: the eigenvalue check needs "
             f"truncation > G, got truncation={truncation}, G={guard}"
         )
-    require_size("truncation", truncation)
     lam = complex(lam)
     coeffs = coherent_coeffs(spec, lam, truncation)
     n_dim = truncation + guard
@@ -99,12 +105,15 @@ def check_mp_hypergeometric(
     """Deformed-oscillator eigenstate series vs its 1F1 closed form.
 
     Compares sum_n c_n P_n(x) against e^{2 i lam} 1F1(a + ix; 2a; -4 i lam)
-    pointwise.  Raises SeriesNotConverged if the last retained term is not
-    negligible at some sample.
+    pointwise.  Raises ParameterOutOfRange when there is no x sample, and
+    SeriesNotConverged if the last retained term is not negligible at some
+    sample.
     """
     spec = DeformedOscillator(a)
     lam = complex(lam)
     xs = np.atleast_1d(np.asarray(x_samples, dtype=float))
+    if xs.size == 0:
+        raise ParameterOutOfRange("need at least one x sample")
     coeffs = coherent_coeffs(spec, lam, truncation)
     # an overflowing series is NaN, and its residual is refused in make_report
     with np.errstate(over="ignore", invalid="ignore"):
@@ -117,9 +126,10 @@ def check_mp_hypergeometric(
             f"series tail {last_terms.max():.3e} above 1e-14 at truncation "
             f"{truncation}"
         )
+    phase, z = np.exp(2j * lam), -4j * lam
     worst = 0.0
-    for x, lhs in zip(xs, series):
-        rhs = np.exp(2j * lam) * hyp1f1(complex(a, x), 2.0 * a, -4j * lam)
+    for x, lhs in zip(xs.tolist(), series):
+        rhs = phase * hyp1f1(complex(a, x), 2.0 * a, z)
         worst = np.maximum(worst, abs(lhs - rhs) / max(1.0, abs(rhs)))
     return make_report(
         "coherent_1f1",

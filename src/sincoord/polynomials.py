@@ -15,7 +15,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ParameterOutOfRange, QuadratureNotConverged
-from .systems import _CACHE_SIZE, SystemSpec
+from .systems import _CACHE_SIZE, SystemSpec, require_size
 
 
 @dataclass(frozen=True)
@@ -75,27 +75,34 @@ def recurrence(spec: SystemSpec) -> RecurrenceData:
 def eval_all(spec: SystemSpec, n_max: int, eta) -> np.ndarray:
     """P_0 .. P_{n_max} at the coordinate values eta, shape (n_max+1, ...).
 
-    Each row is written in place as ((eta - B_n) P_n - C_n P_{n-1}) / A_n.
+    Each row is written in place as ((eta - B_n) P_n - C_n P_{n-1}) / A_n:
+    one broadcast subtraction puts eta - B_n in row n + 1 for every n, and
+    each level then takes four in-place ufunc calls.  Raises
+    ParameterOutOfRange for an n_max that is negative or past the size cap.
     """
+    if n_max < 0:
+        raise ParameterOutOfRange(f"need n_max >= 0, got n_max={n_max}")
+    require_size("n_max", n_max)
     eta_arr = np.asarray(eta, dtype=float)
     rec = recurrence(spec)
-    a, b = rec.table("A", n_max).tolist(), rec.table("B", n_max).tolist()
+    a = rec.table("A", n_max).tolist()
     c = [0.0] + rec.table("C", n_max).tolist()  # C_0 is never used
     out = np.empty((n_max + 1,) + eta_arr.shape, dtype=float)
     # rows of the flattened points, so that a 0-d eta also gets array rows
-    x, rows = eta_arr.reshape(-1), out.reshape(n_max + 1, -1)
-    rows[0] = 1.0
+    x, flat = eta_arr.reshape(-1), out.reshape(n_max + 1, -1)
+    flat[0] = 1.0
+    np.subtract(x, rec.table("B", n_max)[:, None], flat[1:])
+    rows = list(flat)
     if n_max >= 1:
-        np.subtract(x, b[0], out=rows[1])
-        rows[1] /= a[0]
+        np.divide(rows[1], a[0], rows[1])
     spare = np.empty_like(x)
+    multiply, subtract, divide = np.multiply, np.subtract, np.divide
     for n in range(1, n_max):
         new = rows[n + 1]
-        np.subtract(x, b[n], out=new)
-        new *= rows[n]
-        np.multiply(c[n], rows[n - 1], out=spare)
-        new -= spare
-        new /= a[n]
+        multiply(new, rows[n], new)
+        multiply(c[n], rows[n - 1], spare)
+        subtract(new, spare, new)
+        divide(new, a[n], new)
     return out
 
 

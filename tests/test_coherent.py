@@ -107,6 +107,11 @@ class TestEigenvalueProperty:
         with pytest.raises(sc.ParameterOutOfRange):
             sc.coherent_coeffs(PT11, lam, 10)
 
+    @pytest.mark.parametrize("truncation", [-1, -2])
+    def test_negative_truncation_is_refused(self, truncation):
+        with pytest.raises(sc.ParameterOutOfRange, match="truncation >= 0"):
+            sc.coherent_coeffs(DO1, 0.3, truncation)
+
     @pytest.mark.parametrize("spec", [PT11, DO1, AW1])
     def test_overflowing_coefficients_are_refused(self, spec):
         with pytest.raises(sc.SeriesNotConverged):
@@ -143,6 +148,15 @@ class TestHypergeometricClosedForm:
         for a in (0.5, 2.0):
             report = sc.check_mp_hypergeometric(a, 0.25, xs, 60)
             assert report.passed
+
+    def test_no_x_sample_is_refused(self):
+        # a verdict on no sample would be a PASS at 0.0
+        with pytest.raises(sc.ParameterOutOfRange, match="x sample"):
+            sc.check_mp_hypergeometric(1.0, 0.3, [], 60)
+
+    def test_negative_truncation_is_refused(self):
+        with pytest.raises(sc.ParameterOutOfRange, match="truncation >= 0"):
+            sc.check_mp_hypergeometric(1.0, 0.3, [0.0], truncation=-1)
 
     def test_undersized_truncation_is_detected(self):
         with pytest.raises(sc.SeriesNotConverged):

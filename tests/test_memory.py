@@ -66,8 +66,15 @@ def test_peak_memory_is_linear_in_n(check):
         lambda: sc.check_spectrum_closure(PT11, 10**9),
         lambda: sc.check_eigenvalue(DO1, 0.3, 10**8, 4),
         lambda: sc.sample_states(DO1, 10**9),
+        # one past the cap: a request that slipped through would stay small
+        lambda: sc.coherent_coeffs(DO1, 0.3, _MAX_SIZE + 1),
+        lambda: sc.check_mp_hypergeometric(1.0, 0.3, [0.0], _MAX_SIZE + 1),
+        lambda: sc.eval_all(DO1, _MAX_SIZE + 1, 0.3),
     ],
-    ids=["ladder", "heisenberg", "su11", "spectrum", "coherent", "states"],
+    ids=[
+        "ladder", "heisenberg", "su11", "spectrum", "coherent", "states",
+        "coherent_coeffs", "coherent_1f1", "eval_all",
+    ],
 )
 def test_size_beyond_cap_is_refused_before_allocation(request_):
     tracemalloc.start()

@@ -290,6 +290,11 @@ class TestEvalPoly:
         for spec in (PT11, DO1, AW1):
             assert sc.eval_all(spec, 0, 0.37)[0] == 1.0
 
+    @pytest.mark.parametrize("n_max", [-1, -2])
+    def test_negative_degree_is_refused(self, n_max):
+        with pytest.raises(sc.ParameterOutOfRange, match="n_max >= 0"):
+            sc.eval_all(DO1, n_max, 0.37)
+
     def test_do_linear_value(self):
         assert sc.eval_all(DO1, 1, 0.7)[1] == pytest.approx(1.4, abs=1e-15)
 

@@ -287,6 +287,28 @@ def test_eval_all_matches_scalar_coefficients(spec):
     assert same_bits(sc.eval_all(spec, 2, 0.3), scalar_eval_all(spec, 2, 0.3))
 
 
+def coherent_samples(spec) -> np.ndarray:
+    """20 coordinate values inside the family's range of eta, as many as
+    `coherent_1f1` sums the series at."""
+    if isinstance(spec, sc.DeformedOscillator):
+        return np.linspace(-5.0, 5.0, 20)
+    return np.linspace(-0.95, 0.95, 20)
+
+
+@pytest.mark.parametrize("spec", SYSTEMS, ids=lambda s: s.tag)
+def test_eval_all_matches_scalar_coefficients_at_the_coherent_tail(spec):
+    # the shape of `coherent_1f1` at the largest truncation of the benchmark
+    eta = coherent_samples(spec)
+    assert same_bits(sc.eval_all(spec, 427, eta), scalar_eval_all(spec, 427, eta))
+
+
+@pytest.mark.parametrize("n_max", (0, 1))
+@pytest.mark.parametrize("spec", SYSTEMS, ids=lambda s: s.tag)
+def test_eval_all_of_degree_at_most_one_matches_scalar_coefficients(spec, n_max):
+    eta = np.float64(0.3)  # 0-d
+    assert same_bits(sc.eval_all(spec, n_max, eta), scalar_eval_all(spec, n_max, eta))
+
+
 @pytest.mark.parametrize("n_dim", SIZES[1:])
 @pytest.mark.parametrize("spec", SYSTEMS, ids=lambda s: s.tag)
 def test_heisenberg_matches_per_sample_loop(spec, n_dim):
@@ -315,6 +337,13 @@ def test_coherent_coefficients_match_per_row_loop(spec, truncation):
         assert not np.all(np.isfinite(ref))
     else:
         assert same_bits(coeffs, ref)
+
+
+@pytest.mark.parametrize("spec", SYSTEMS, ids=lambda s: s.tag)
+def test_coherent_coefficients_at_a_complex_lambda_match_per_row_loop(spec):
+    lam = 0.25 + 0.1j
+    coeffs = sc.coherent_coeffs(spec, lam, 427)
+    assert same_bits(coeffs, per_row_coefficients(spec, lam, 427))
 
 
 def _pow_mismatch():

@@ -15,9 +15,10 @@ The corpus is the 8 reference systems x 6 suites x 5 variants, a
 x = pi/2), four aw and four do `ladder` runs at the edges of their
 ground-state densities, four aw runs at the edges of its diagonal
 recurrence coefficient B_n, two do `ladder` runs past N 2048, `heisenberg`
-and `coherent` at N 512 for one system per family, the README's exit-2
-examples, a flow that leaves pt's domain and one flow per family
-whose error is raised in an RK4 stage.
+and `coherent` at N 512 for one system per family, two do `coherent` runs
+at the tail sizes of the benchmark's `matrix` workload (one with a complex
+lambda), the README's exit-2 examples, a flow that leaves pt's domain and
+one flow per family whose error is raised in an RK4 stage: 298 invocations.
 """
 
 from __future__ import annotations
@@ -81,11 +82,16 @@ DO_DENSITY_EDGES = tuple(
 SU11_LARGE_N = tuple(
     ("ladder", "--system", "do", "--a", a, "--n", "2049") for a in ("1", "1.3")
 )
-# the banded operators at the largest N of the benchmark's `matrix` workload
+# the banded operators at the largest N of the benchmark's `matrix` workload,
+# and do's coherent series and 1F1 sum at the N 304-431 that set its tail
 MATRIX_N = tuple(
     (suite, *system, "--n", "512", "--format", "json")
     for system in (SYSTEMS[1], SYSTEMS[4], SYSTEMS[6])
     for suite in ("heisenberg", "coherent")
+) + (
+    ("coherent", "--system", "do", "--a", "3.7", "--n", "431", "--lambda", "0.25+0.1j",
+     "--format", "json"),
+    ("coherent", "--system", "do", "--a", "0.7", "--n", "304", "--format", "json"),
 )
 EXIT_2 = (
     ("ladder", "--system", "pt", "--g", "1", "--h", "1", "--guard", "0"),
