@@ -6,19 +6,24 @@ frequency sqrt(R0(H0)) around the offset -R-1(H0)/R0(H0).  The closed form
 built from that is checked here against a fixed-step RK4 integration of
 Hamilton's equations that knows nothing about the closure.
 
-Each RK4 stage makes one kernel call.  Stages 2-4 call the family's
-`flow_partials`, which returns the two partials without forming H; the
-accepted point calls `flow_terms`, which returns H with both partials, and
-serves twice: its H feeds the energy-drift guard and its partials are the
-next step's k1.  Both kernels are modes of one body, bound once per system
-with its constants as locals.
+The RK4 loop is compiled per system (`compile_flow`) from one template
+with the family's flow statements written into it: stages 2-4 run the
+statements that form the two partials without H, and the accepted point
+runs them with the energy statements, whose H feeds the energy-drift guard
+while the partials are the next step's k1.  No stage makes a call of its
+own.  `flow_terms` and `second_partials` are compiled from the same
+statements, so each family's H and partials are written once.
 """
 
 from __future__ import annotations
 
+import linecache
 import math
+import textwrap
 from array import array
 from dataclasses import dataclass
+from functools import partial
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -126,6 +131,116 @@ def period(spec: SystemSpec, state: ClassicalState) -> float:
     return 2.0 * math.pi / _orbit(spec, state)[0]
 
 
+# The flow compiled from a family's statements.  Each family writes its
+# Hamiltonian once, as three blocks of statements over the phase-space point
+# X, P and its own constants: the flow block sets KX = dH/dx and KP = dH/dp,
+# the energy block after it sets E = H, and the second block after the flow
+# block sets D2P2 = d2H/dp2 and D2PDX = d2H/dpdx.  The template pastes the
+# flow block into RK4 stages 2-4 and, with the energy block, into the
+# accepted point, whose H feeds the energy-drift guard and whose partials
+# are the next step's first stage.  The names of the family's `flow_locals`
+# (its constants and math functions) lead every signature, so they are
+# locals of each function; no value is formatted into the source, and every
+# system of a family compiles to the same code.
+_FLOW_SOURCE = """\
+def flow_terms(%(names)s, X, P):
+%(flow)s
+%(energy)s
+    return (E, KX, KP)
+
+
+def second_partials(%(names)s, X, P):
+%(flow)s
+%(second)s
+    return (D2P2, D2PDX)
+
+
+def flow_loop(%(names)s, x, p, hx, hp, e0, guard, dt, steps, lo, hi, times, append):
+    half, sixth = 0.5 * dt, dt / 6.0
+    max_drift = 0.0
+    for step in range(steps):
+        # k_i = (dH/dp, -dH/dx) at stage i.  The minus signs move into the p
+        # updates; negation is exact, so they round as in the textbook form.
+        X, P = x + half * hp, p - half * hx
+%(stage)s
+        hx2, hp2 = KX, KP
+        X, P = x + half * hp2, p - half * hx2
+%(stage)s
+        hx3, hp3 = KX, KP
+        X, P = x + dt * hp3, p - dt * hx3
+%(stage)s
+        x += sixth * (hp + 2.0 * hp2 + 2.0 * hp3 + KP)
+        p -= sixth * (hx + 2.0 * hx2 + 2.0 * hx3 + KX)
+        if not lo < x < hi:
+            raise DomainEscape(
+                f"x={x} lies outside the open domain ({lo}, {hi}) "
+                f"at t={times[step + 1]}, after a step of dt={dt}"
+            )
+        X, P = x, p
+%(stage)s
+%(stage_energy)s
+        hx, hp = KX, KP
+        drift = abs(E - e0)
+        if drift > guard:
+            raise EnergyDrift(
+                f"energy moved by {drift} (guard {guard}) at t={times[step + 1]}"
+            )
+        if drift > max_drift:
+            max_drift = drift
+        append(x)
+    return max_drift
+"""
+
+
+class CompiledFlow(NamedTuple):
+    """A system's flow functions, with its constants bound.
+
+    `terms(x, p)` returns (H, dH/dx, dH/dp) and `second_partials(x, p)`
+    (d2H/dp2, d2H/dpdx).  `loop(x, p, dH/dx, dH/dp, H0, guard, dt, steps,
+    lo, hi, times, append)` takes the RK4 steps from the state and the
+    partials there, hands each accepted position to `append` and returns the
+    largest energy drift.  It raises DomainEscape or EnergyDrift as
+    `flow_oracle` describes, and lets the ArithmeticError or ValueError of
+    a stage through.
+    """
+
+    terms: Callable[[float, float], tuple[float, float, float]]
+    second_partials: Callable[[float, float], tuple[float, float]]
+    loop: Callable[..., float]
+
+
+def _block(statements: str, indent: int) -> str:
+    return textwrap.indent(textwrap.dedent(statements).strip(), " " * indent)
+
+
+def compile_flow(spec: SystemSpec) -> CompiledFlow:
+    """The functions of `_FLOW_SOURCE` with the family's statements pasted
+    in, compiled and bound to the system's `flow_locals`.
+
+    The source is registered with `linecache` as "<sincoord flow TAG>", so a
+    traceback from inside it shows the statement that raised.  A system
+    compiles once, on first use: `flow` is a cached property of the family.
+    """
+    bound = spec.flow_locals()
+    source = _FLOW_SOURCE % {
+        "names": ", ".join(bound),
+        "flow": _block(spec.flow_statements, 4),
+        "energy": _block(spec.energy_statements, 4),
+        "second": _block(spec.second_statements, 4),
+        "stage": _block(spec.flow_statements, 8),
+        "stage_energy": _block(spec.energy_statements, 8),
+    }
+    filename = f"<sincoord flow {spec.tag}>"
+    linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
+    namespace = {"DomainEscape": DomainEscape, "EnergyDrift": EnergyDrift}
+    exec(compile(source, filename, "exec"), namespace)
+    values = tuple(bound.values())
+    return CompiledFlow(
+        *(partial(namespace[name], *values)
+          for name in ("flow_terms", "second_partials", "flow_loop"))
+    )
+
+
 # Largest number of RK4 steps taken; past it the flow is refused rather than
 # allocated.  The time grid and the positions take 16 bytes per step, so the
 # cap bounds them at 1 GiB.
@@ -144,6 +259,7 @@ def flow_oracle(
     EnergyDrift if the conserved energy moves by more than
     1e-6 relative or a stage of a step overflows, divides by zero or takes
     the sine of an infinite position (after a partial overflowed to inf).
+    The steps are taken by the system's compiled `flow.loop`.
     """
     if not 0.0 < dt < math.inf:
         raise ParameterOutOfRange(f"dt must be positive and finite, got {dt}")
@@ -162,40 +278,18 @@ def flow_oracle(
             "so the flow would take no step"
         )
     times = np.arange(steps + 1) * dt
-    x, p = state.x, state.p
-    xs = array("d", [x])
-    terms, partials = spec.flow_terms, spec.flow_partials
-    lo, hi = spec.domain
-    e0, dhdx, dhdp = _initial_terms(spec, state)
+    xs = array("d", [state.x])
+    e0, hx, hp = _initial_terms(spec, state)
     guard = 1e-6 * max(1.0, abs(e0))
-    half, sixth = 0.5 * dt, dt / 6.0
-    max_drift = 0.0
+    lo, hi = spec.domain
     try:
-        for k in range(steps):
-            # k_i = (dH/dp, -dH/dx) at stage i.  The minus signs move into
-            # the p updates; negation is exact, so they round as before.
-            dx2, dp2 = partials(x + half * dhdp, p - half * dhdx)
-            dx3, dp3 = partials(x + half * dp2, p - half * dx2)
-            dx4, dp4 = partials(x + dt * dp3, p - dt * dx3)
-            x += sixth * (dhdp + 2.0 * dp2 + 2.0 * dp3 + dp4)
-            p -= sixth * (dhdx + 2.0 * dx2 + 2.0 * dx3 + dx4)
-            if not lo < x < hi:
-                raise DomainEscape(
-                    f"x={x} lies outside the open domain ({lo}, {hi}) "
-                    f"at t={times[k + 1]}, after a step of dt={dt}"
-                )
-            energy, dhdx, dhdp = terms(x, p)
-            drift = abs(energy - e0)
-            if drift > guard:
-                raise EnergyDrift(
-                    f"energy moved by {drift} (guard {guard}) at t={times[k + 1]}"
-                )
-            if drift > max_drift:
-                max_drift = drift
-            xs.append(x)
+        max_drift = spec.flow.loop(
+            state.x, state.p, hx, hp, e0, guard, dt, steps, lo, hi, times, xs.append
+        )
     except (ArithmeticError, ValueError) as exc:
+        # xs holds the positions up to the step that raised
         raise EnergyDrift(
-            f"H or its partials are not finite in the step to t={times[k + 1]} ({exc})"
+            f"H or its partials are not finite in the step to t={times[len(xs)]} ({exc})"
         ) from None
     return Trajectory(times=times, eta_values=spec.eta(xs), energy_drift=max_drift)
 

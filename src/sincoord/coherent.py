@@ -9,6 +9,7 @@ term against an independent 1F1 evaluation.
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 
 import numpy as np
@@ -105,15 +106,23 @@ def check_mp_hypergeometric(
     """Deformed-oscillator eigenstate series vs its 1F1 closed form.
 
     Compares sum_n c_n P_n(x) against e^{2 i lam} 1F1(a + ix; 2a; -4 i lam)
-    pointwise.  Raises ParameterOutOfRange when there is no x sample, and
+    pointwise.  Raises ParameterOutOfRange unless the x samples are one
+    number or a flat sequence of at least one finite number, and
     SeriesNotConverged if the last retained term is not negligible at some
     sample.
     """
     spec = DeformedOscillator(a)
     lam = complex(lam)
     xs = np.atleast_1d(np.asarray(x_samples, dtype=float))
+    if xs.ndim != 1:
+        raise ParameterOutOfRange(
+            f"x samples must be a number or a flat sequence, got shape {xs.shape}"
+        )
     if xs.size == 0:
         raise ParameterOutOfRange("need at least one x sample")
+    for x in xs.tolist():
+        if not math.isfinite(x):
+            raise ParameterOutOfRange(f"x sample must be finite, got x={x}")
     coeffs = coherent_coeffs(spec, lam, truncation)
     # an overflowing series is NaN, and its residual is refused in make_report
     with np.errstate(over="ignore", invalid="ignore"):

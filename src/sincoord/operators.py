@@ -65,6 +65,7 @@ class LadderPair(NamedTuple):
 
 
 def _check_dims(n_dim: int, guard: int) -> None:
+    require_size("G", guard)
     require_size("N", n_dim)
     if not 0 < guard < n_dim:
         raise ParameterOutOfRange(

@@ -16,11 +16,13 @@ modules need to know about it:
 * the coordinate map: `domain`, `eta`, `deta_dx`, `d2eta_dx2`;
 * the ground-state `density` and its `quadrature_nodes`, a trapezoid-type
   rule in the family's own variable;
-* the classical flow kernels, modes of one body `_kernel(mode)` bound once
-  per system with its constants as locals: `flow_terms` (H with dH/dx and
-  dH/dp), `flow_partials` (the two partials, without forming H) and
-  `second_partials`, a third mode for aw, whose complex potential is
-  written in real arithmetic as a product of two pairs of factors;
+* the classical Hamiltonian, written once as three blocks of statements
+  over X, P and the names of `flow_locals()`: `flow_statements` (dH/dx,
+  dH/dp), `energy_statements` (H) and `second_statements` (d2H/dp2,
+  d2H/dpdx); aw's complex potential is written in real arithmetic as a
+  product of two pairs of factors.  `classical.compile_flow` turns them
+  into `flow_terms` (H with dH/dx and dH/dp), `second_partials` and the
+  RK4 loop, on first use of `flow`, once per system;
 * the phase-space `sample_box`;
 * per-check default `tolerances` and `relative_residuals`, the residual
   mode (per-column relative rather than absolute) of the matrix checks;
@@ -42,6 +44,7 @@ alpha_pm(E) built from them.
 from __future__ import annotations
 
 import math
+import operator
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -91,17 +94,31 @@ class ClassicalClosure:
     rm1: HPoly
 
 
-def _kernel_property(mode: str) -> cached_property:
-    """The family's flow kernel `_kernel(mode)`, built on first access and
-    kept on the instance (outside the dataclass fields), so that it is bound
-    once per system.  Each takes (x, p): "terms" returns (H, dH/dx, dH/dp),
-    "partials" (dH/dx, dH/dp) without forming H and "second" (d2H/dp2,
-    d2H/dpdx)."""
-    return cached_property(lambda self: self._kernel(mode))
+class _CompiledFlow:
+    """The classical flow members of a family, compiled from its flow
+    statements by `classical.compile_flow` on first use and kept on the
+    instance (outside the dataclass fields), so that a system compiles them
+    once however many states it flows."""
+
+    @cached_property
+    def flow(self):
+        from .classical import compile_flow  # classical imports this module
+
+        return compile_flow(self)
+
+    @property
+    def flow_terms(self) -> Callable[[float, float], tuple[float, float, float]]:
+        """(x, p) -> (H, dH/dx, dH/dp)."""
+        return self.flow.terms
+
+    @property
+    def second_partials(self) -> Callable[[float, float], tuple[float, float]]:
+        """(x, p) -> (d2H/dp2, d2H/dpdx)."""
+        return self.flow.second_partials
 
 
 @dataclass(frozen=True)
-class PoschlTeller:
+class PoschlTeller(_CompiledFlow):
     """Trigonometric Poschl-Teller well on (0, pi/2) with couplings g, h > 0."""
 
     g: float
@@ -208,35 +225,29 @@ class PoschlTeller:
         x = 0.5 * math.pi / (1.0 + np.exp(-2.0 * u))
         return x, step * (0.125 * math.pi**2) * np.cosh(t) / np.cosh(u) ** 2
 
-    def _kernel(self, mode: str) -> Callable[[float, float], tuple[float, ...]]:
-        """The flow kernel of `mode`: H in its tan form, the partials in
-        sin/cos; the "partials" mode returns before the tangent."""
-        g, h = self.g, self.h
-        sin, cos, tan = math.sin, math.cos, math.tan
-        partials = mode == "partials"
+    # H in its tan form, the partials in sin/cos, so that the stages skip
+    # the tangent
+    flow_statements: ClassVar[str] = """
+        sx, cx = sin(X), cos(X)
+        v = g * cx / sx - h * sx / cx
+        dv = -g / (sx * sx) - h / (cx * cx)
+        KX, KP = v * dv, P
+    """
+    energy_statements: ClassVar[str] = """
+        t = tan(X)
+        u = g / t - h * t
+        E = 0.5 * P * P + 0.5 * u * u
+    """
+    second_statements: ClassVar[str] = """
+        D2P2, D2PDX = 1.0, 0.0
+    """
 
-        def kernel(x: float, p: float) -> tuple[float, ...]:
-            sx, cx = sin(x), cos(x)
-            v = g * cx / sx - h * sx / cx
-            dv = -g / (sx * sx) - h / (cx * cx)
-            if partials:
-                return (v * dv, p)
-            t = tan(x)
-            u = g / t - h * t
-            return (0.5 * p * p + 0.5 * u * u, v * dv, p)
-
-        return kernel
-
-    flow_terms = _kernel_property("terms")
-    flow_partials = _kernel_property("partials")
-
-    def second_partials(self, x: float, p: float) -> tuple[float, float]:
-        """(d2H/dp2, d2H/dpdx)."""
-        return (1.0, 0.0)
+    def flow_locals(self) -> dict[str, object]:
+        return {"g": self.g, "h": self.h, "sin": math.sin, "cos": math.cos, "tan": math.tan}
 
 
 @dataclass(frozen=True)
-class DeformedOscillator:
+class DeformedOscillator(_CompiledFlow):
     """Shift-operator deformation of the harmonic oscillator, parameter a > 0.
 
     Its spectrum is exactly equi-spaced and its eigenpolynomials are the
@@ -324,33 +335,25 @@ class DeformedOscillator:
         x = _grid(step, -reach, reach)
         return x, np.full(x.shape, step)
 
-    def _kernel(self, mode: str) -> Callable[[float, float], tuple[float, ...]]:
-        """The flow kernel of `mode`, H = sqrt(a^2 + x^2) cosh p - a."""
-        a = self.a
-        hypot, cosh, sinh = math.hypot, math.cosh, math.sinh
-        partials = mode == "partials"
+    # H = sqrt(a^2 + x^2) cosh p - a
+    flow_statements: ClassVar[str] = """
+        r = hypot(a, X)
+        c = cosh(P)
+        KX, KP = X * c / r, r * sinh(P)
+    """
+    energy_statements: ClassVar[str] = """
+        E = r * c - a
+    """
+    second_statements: ClassVar[str] = """
+        D2P2, D2PDX = r * c, X * sinh(P) / r
+    """
 
-        def kernel(x: float, p: float) -> tuple[float, ...]:
-            r = hypot(a, x)
-            c = cosh(p)
-            dhdx, dhdp = x * c / r, r * sinh(p)
-            if partials:
-                return (dhdx, dhdp)
-            return (r * c - a, dhdx, dhdp)
-
-        return kernel
-
-    flow_terms = _kernel_property("terms")
-    flow_partials = _kernel_property("partials")
-
-    def second_partials(self, x: float, p: float) -> tuple[float, float]:
-        """(d2H/dp2, d2H/dpdx)."""
-        r = math.hypot(self.a, x)
-        return (r * math.cosh(p), x * math.sinh(p) / r)
+    def flow_locals(self) -> dict[str, object]:
+        return {"a": self.a, "hypot": math.hypot, "cosh": math.cosh, "sinh": math.sinh}
 
 
 @dataclass(frozen=True)
-class AskeyWilson:
+class AskeyWilson(_CompiledFlow):
     """Askey-Wilson system: four parameters a1..a4 on top of the base q."""
 
     a1: float
@@ -590,81 +593,74 @@ class AskeyWilson:
         x = _grid(math.pi / m, 1, m - 1)
         return x, np.full(x.shape, math.pi / m)
 
-    @cached_property
-    def pair_constants(self) -> tuple[float, ...]:
-        """Constants of the factor pairs (a1, a2) and (a3, a4) of V.
+    # H = |V| cosh(p ln q) - Re V with
+    # V = (1 - a1 z)(1 - a2 z)(1 - a3 z)(1 - a4 z) / (1 - z^2)^2, z = exp(ix).
+    # With c = cos x and s = sin x, a pair of factors is
+    # P = (1 - a z)(1 - b z) / z = (1 + ab) c - (a + b) + i (ab - 1) s, and
+    # (1 - z^2)^2 = -4 s^2 z^2, so V = -P12 P34 / (4 s^2).  Re P is formed as
+    # (1 - a)(1 - b) - (1 + ab) s^2 / (1 + c) for c > 0 and as
+    # (1 + ab) s^2 / (1 - c) - (1 + a)(1 + b) otherwise, which does not cancel
+    # near the walls when a, b are close to +-1.  The derivatives of |V| and
+    # Re V follow from the product rule over the two pairs; the stages never
+    # form Re V, and the second partials come from the same pair terms.
+    flow_statements: ClassVar[str] = """
+        s, c = sin(X), cos(X)
+        ss = s * s
+        if c > 0.0:
+            t = ss / (1.0 + c)  # 1 - c
+            re12, re34 = e12 - u12 * t, e34 - u34 * t
+        else:
+            t = ss / (1.0 - c)  # 1 + c
+            re12, re34 = u12 * t - f12, u34 * t - f34
+        # |P|^2 and its derivative over 2 s, per pair
+        n12, n34 = re12 * re12 + m12 * ss, re34 * re34 + m34 * ss
+        h12, h34 = m12 * c - u12 * re12, m34 * c - u34 * re34
+        r = sqrt(n12 * n34)
+        q4 = 0.25 / ss
+        q4s = q4 / s
+        w = r * q4  # |V|
+        wx = (ss * (h12 * n34 + h34 * n12) - 2.0 * c * n12 * n34) * q4s / r
+        gp = gam * P
+        ch = cosh(gp)
+        prod = re12 * re34
+        vx = (ss * (u12 * re34 + u34 * re12) + 2.0 * c * prod) * q4s
+        KX, KP = wx * ch - vx, gam * w * sinh(gp)
+    """
+    energy_statements: ClassVar[str] = """
+        v = k - prod * q4  # Re V
+        E = w * ch - v
+    """
+    second_statements: ClassVar[str] = """
+        D2P2, D2PDX = gam * gam * w * ch, gam * wx * sinh(gp)
+    """
 
-        For each pair (a, b): 1 + ab, (1 - ab)^2, (1 - a)(1 - b) and
-        (1 + a)(1 + b); then (1 - a1 a2)(1 - a3 a4) / 4.  Each is formed
-        exactly from the parameters and rounded once.  They are taken from
-        a1..a4 and never from b1, b3, b4: the closure polynomials are built
-        from those, and the flow oracle must not share a number with what
-        it checks.
+    def flow_locals(self) -> dict[str, object]:
+        """ln q, the math functions and the constants of the factor pairs
+        (a1, a2) and (a3, a4) of V: for each pair (a, b), u = 1 + ab,
+        m = (1 - ab)^2, e = (1 - a)(1 - b) and f = (1 + a)(1 + b); then
+        k = (1 - a1 a2)(1 - a3 a4) / 4.
+
+        Each constant is formed exactly from the parameters and rounded
+        once.  They are taken from a1..a4 and never from b1, b3, b4: the
+        closure polynomials are built from those, and the flow oracle must
+        not share a number with what it checks.
         """
         a1, a2, a3, a4 = (Fraction(v) for v in self.params)
-        consts = []
-        for a, b in ((a1, a2), (a3, a4)):
-            consts += (
-                1 + a * b, (1 - a * b) ** 2, (1 - a) * (1 - b), (1 + a) * (1 + b)
-            )
-        consts.append((1 - a1 * a2) * (1 - a3 * a4) / 4)
-        return tuple(float(v) for v in consts)
-
-    def _kernel(self, mode: str) -> Callable[[float, float], tuple[float, ...]]:
-        """The flow kernel of `mode` for H = |V| cosh(p ln q) - Re V, with
-        the pair constants, ln q and the math functions bound as locals.
-        The "second" mode returns (d2H/dp2, d2H/dpdx) from the same pair
-        terms, and the "partials" mode never forms Re V.
-
-        V = (1 - a1 z)(1 - a2 z)(1 - a3 z)(1 - a4 z) / (1 - z^2)^2 with
-        z = exp(ix).  With c = cos x and s = sin x, a pair of factors is
-        P = (1 - a z)(1 - b z) / z = (1 + ab) c - (a + b) + i (ab - 1) s,
-        and (1 - z^2)^2 = -4 s^2 z^2, so V = -P12 P34 / (4 s^2).  Re P is
-        formed as (1 - a)(1 - b) - (1 + ab) s^2 / (1 + c) for c > 0 and as
-        (1 + ab) s^2 / (1 - c) - (1 + a)(1 + b) otherwise, which does not
-        cancel near the walls when a, b are close to +-1.  The derivatives
-        of |V| and Re V follow from the product rule over the two pairs.
-        """
-        # per pair: u = 1 + ab, m = (1 - ab)^2, e = (1 - a)(1 - b), f = (1 + a)(1 + b)
-        u12, m12, e12, f12, u34, m34, e34, f34, k = self.pair_constants
-        gam = self.log_q
-        sin, cos, sqrt, cosh, sinh = math.sin, math.cos, math.sqrt, math.cosh, math.sinh
-        second, partials = mode == "second", mode == "partials"
-
-        def kernel(x: float, p: float) -> tuple[float, ...]:
-            s, c = sin(x), cos(x)
-            ss = s * s
-            if c > 0.0:
-                t = ss / (1.0 + c)  # 1 - c
-                re12, re34 = e12 - u12 * t, e34 - u34 * t
-            else:
-                t = ss / (1.0 - c)  # 1 + c
-                re12, re34 = u12 * t - f12, u34 * t - f34
-            # |P|^2 and its derivative over 2 s, per pair
-            n12, n34 = re12 * re12 + m12 * ss, re34 * re34 + m34 * ss
-            h12, h34 = m12 * c - u12 * re12, m34 * c - u34 * re34
-            r = sqrt(n12 * n34)
-            q4 = 0.25 / ss
-            q4s = q4 / s
-            w = r * q4  # |V|
-            wx = (ss * (h12 * n34 + h34 * n12) - 2.0 * c * n12 * n34) * q4s / r
-            gp = gam * p
-            ch = cosh(gp)
-            if second:
-                return (gam * gam * w * ch, gam * wx * sinh(gp))
-            prod = re12 * re34
-            vx = (ss * (u12 * re34 + u34 * re12) + 2.0 * c * prod) * q4s
-            dhdx, dhdp = wx * ch - vx, gam * w * sinh(gp)
-            if partials:
-                return (dhdx, dhdp)
-            v = k - prod * q4  # Re V
-            return (w * ch - v, dhdx, dhdp)
-
-        return kernel
-
-    flow_terms = _kernel_property("terms")
-    flow_partials = _kernel_property("partials")
-    second_partials = _kernel_property("second")
+        consts = {}
+        for pair, a, b in (("12", a1, a2), ("34", a3, a4)):
+            consts |= {
+                "u" + pair: 1 + a * b,
+                "m" + pair: (1 - a * b) ** 2,
+                "e" + pair: (1 - a) * (1 - b),
+                "f" + pair: (1 + a) * (1 + b),
+            }
+        consts["k"] = (1 - a1 * a2) * (1 - a3 * a4) / 4
+        return {
+            **{name: float(value) for name, value in consts.items()},
+            "gam": self.log_q,
+            "sin": math.sin, "cos": math.cos, "sqrt": math.sqrt,
+            "cosh": math.cosh, "sinh": math.sinh,
+        }
 
 
 SystemSpec = Union[PoschlTeller, DeformedOscillator, AskeyWilson]
@@ -694,7 +690,12 @@ def _grid(step: float, first: int, last: int) -> np.ndarray:
 
 
 def require_size(name: str, value: int) -> None:
-    """Raise ParameterOutOfRange if the requested size `value` exceeds the cap."""
+    """Raise ParameterOutOfRange unless the requested size `value` is an
+    integer (a Python or numpy int) within the cap."""
+    try:
+        operator.index(value)
+    except TypeError:
+        raise ParameterOutOfRange(f"{name} must be an integer, got {name}={value!r}") from None
     if value > _MAX_SIZE:
         raise ParameterOutOfRange(f"{name}={value} exceeds the size cap {_MAX_SIZE}")
 

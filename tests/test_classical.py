@@ -1,9 +1,15 @@
 """Classical closed form, RK4 flow oracle, closure, potential rebuild."""
 
+import ast
 import cmath
 import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
+import textwrap
+import traceback
 import tracemalloc
 import warnings
 from decimal import Decimal
@@ -162,24 +168,44 @@ def _aw_accuracy_points(count, seed):
     return points
 
 
-def _count_kernel_calls(spec, monkeypatch, *names):
-    """Record the arguments of every call of each named kernel of `spec`,
-    wrapped in the instance `__dict__` where the bound kernel sits, in the
-    returned dict of lists keyed by name."""
+def _count_flow_calls(spec, monkeypatch, *names):
+    """Record the arguments of every call of each named function of the
+    compiled `spec.flow` ("terms", "second_partials" or "loop"), wrapped in
+    a copy of it put in the instance `__dict__` where the compiled flow
+    sits, in the returned dict of lists keyed by name."""
     calls = {}
+    wrapped = {}
     for name in names:
 
-        def counted(*args, kernel=getattr(spec, name), record=calls.setdefault(name, [])):
+        def counted(*args, call=getattr(spec.flow, name), record=calls.setdefault(name, [])):
             record.append(args)
-            return kernel(*args)
+            return call(*args)
 
-        monkeypatch.setitem(vars(spec), name, counted)
+        wrapped[name] = counted
+    monkeypatch.setitem(vars(spec), "flow", spec.flow._replace(**wrapped))
     return calls
+
+
+def _instrumented(spec, flow_line="", energy_line="", **extra):
+    """A copy of `spec` whose flow is compiled with `flow_line` appended to
+    its family's flow statements and `energy_line` to its energy
+    statements, and with the `extra` values among its flow locals; the
+    family itself is left as it was."""
+    family, copy = type(spec), dataclasses.replace(spec)
+    flow_locals = family.flow_locals
+    with pytest.MonkeyPatch.context() as patch:
+        for block, line in (("flow", flow_line), ("energy", energy_line)):
+            name = f"{block}_statements"
+            patch.setattr(family, name, textwrap.dedent(getattr(family, name)) + line + "\n")
+        patch.setattr(family, "flow_locals", lambda self: {**flow_locals(self), **extra})
+        copy.flow  # compiled here, while the lines are in place
+    return copy
 
 
 def _reference_flow(spec, state, t_end, dt):
     """The scalar RK4 loop with five separate evaluations per step: four
-    partials and the energy behind the drift guard."""
+    partials and the energy behind the drift guard.  An error in a stage's
+    partials ends it with the EnergyDrift of `flow_oracle`."""
     energy, partials, _ = _reference_terms(spec)
     lo, hi = spec.domain
     steps = max(1, int(round(t_end / dt)))
@@ -196,10 +222,15 @@ def _reference_flow(spec, state, t_end, dt):
         return dhdp, -dhdx
 
     for k in range(steps):
-        k1x, k1p = rhs(x, p)
-        k2x, k2p = rhs(x + 0.5 * dt * k1x, p + 0.5 * dt * k1p)
-        k3x, k3p = rhs(x + 0.5 * dt * k2x, p + 0.5 * dt * k2p)
-        k4x, k4p = rhs(x + dt * k3x, p + dt * k3p)
+        try:
+            k1x, k1p = rhs(x, p)
+            k2x, k2p = rhs(x + 0.5 * dt * k1x, p + 0.5 * dt * k1p)
+            k3x, k3p = rhs(x + 0.5 * dt * k2x, p + 0.5 * dt * k2p)
+            k4x, k4p = rhs(x + dt * k3x, p + dt * k3p)
+        except (ArithmeticError, ValueError) as exc:
+            raise sc.EnergyDrift(
+                f"H or its partials are not finite in the step to t={times[k + 1]} ({exc})"
+            ) from None
         x += dt / 6.0 * (k1x + 2.0 * k2x + 2.0 * k3x + k4x)
         p += dt / 6.0 * (k1p + 2.0 * k2p + 2.0 * k3p + k4p)
         if not lo < x < hi:
@@ -296,16 +327,23 @@ class TestFlowOracle:
          (AW1, ClassicalState(2.2, 0.5))],
         ids=["pt", "do", "aw"],
     )
-    def test_one_kernel_call_per_stage(self, spec, state, monkeypatch):
-        # three partials-only stages per step and H with the partials at the
-        # accepted point, whose partials are the next step's first stage; one
-        # more H at the initial state
-        spec = dataclasses.replace(spec)
-        calls = _count_kernel_calls(spec, monkeypatch, "flow_terms", "flow_partials")
-        traj = sc.flow_oracle(spec, state, 0.5, 1e-3)
+    def test_h_formed_once_per_accepted_step(self, spec, state):
+        # the flow statements run at three stages and at the accepted point
+        # of every step, whose partials are the next step's first stage;
+        # the energy statements at the accepted point only; both once more
+        # at the initial state
+        ticks = []
+        counted = _instrumented(
+            spec, flow_line="tick('flow')", energy_line="tick('energy')", tick=ticks.append
+        )
+        traj = sc.flow_oracle(counted, state, 0.5, 1e-3)
         steps = len(traj.times) - 1
-        assert len(calls["flow_partials"]) == 3 * steps
-        assert len(calls["flow_terms"]) == steps + 1
+        assert ticks.count("flow") == 4 * steps + 1
+        assert ticks.count("energy") == steps + 1
+        # and counting moved no value
+        plain = sc.flow_oracle(spec, state, 0.5, 1e-3)
+        assert np.array_equal(traj.eta_values, plain.eta_values)
+        assert traj.energy_drift == plain.energy_drift
 
     def test_domain_escape_with_coarse_step(self):
         # a huge step overshoots straight through the repulsive wall
@@ -395,29 +433,39 @@ class TestFlowOracle:
 
 
 class TestFlowMatchesReference:
-    """One `flow_terms` call per stage, k1 taken from the previous step's
-    energy evaluation and constants bound once must leave every value of the
+    """The compiled loop, with k1 taken from the previous step's energy
+    evaluation and the constants bound once, must leave every value of the
     five-evaluation loop unchanged."""
 
     @pytest.mark.parametrize(
-        "spec,x,p",
+        "spec,x,p,t_end,dt",
         [
-            (PT11, 0.8, 0.7),
-            (PT11, 0.6, -1.1),
-            (sc.PoschlTeller(2.0, 3.0), 0.95, 1.2),
-            (DO1, 0.5, 0.3),
-            (sc.DeformedOscillator(1.3), -1.4, 0.9),
-            (DO1, 1, 1),
-            (AW1, 1.3, 0.7),
-            (AW1, 2.2, 0.5),
-            (AW2, 0.9, -0.8),
-            (AW0, 1.6, 0.4),
+            (PT11, 0.8, 0.7, 4.0, 1e-3),
+            (PT11, 0.6, -1.1, 4.0, 1e-3),
+            (sc.PoschlTeller(2.0, 3.0), 0.95, 1.2, 4.0, 1e-3),
+            (DO1, 0.5, 0.3, 4.0, 1e-3),
+            (sc.DeformedOscillator(1.3), -1.4, 0.9, 4.0, 1e-3),
+            (DO1, 1, 1, 4.0, 1e-3),
+            (AW1, 1.3, 0.7, 4.0, 1e-3),
+            (AW1, 2.2, 0.5, 4.0, 1e-3),
+            (AW2, 0.9, -0.8, 4.0, 1e-3),
+            (AW0, 1.6, 0.4, 4.0, 1e-3),
+            # aw on each side of pi/2, where a pair's real part changes form
+            (AW1, 1.5, 0.6, 4.0, 1e-3),
+            (AW1, 1.65, -0.6, 4.0, 1e-3),
+            (AW2, 1.55, 0.3, 4.0, 1e-3),
+            (AW2, 1.6, -0.2, 4.0, 1e-3),
+            # 1e-4 from each wall, with a step fine enough to stay inside
+            (PT11, 1e-4, 0.3, 1e-7, 1e-10),
+            (PT11, 0.5 * math.pi - 1e-4, 0.3, 1e-7, 1e-10),
+            (AW1, 1e-4, 0.3, 1e-11, 1e-14),
+            (AW1, math.pi - 1e-4, 0.3, 1e-11, 1e-14),
         ],
     )
-    def test_bit_identical(self, spec, x, p):
+    def test_bit_identical(self, spec, x, p, t_end, dt):
         state = ClassicalState(x, p)
-        times, eta_values, drift = _reference_flow(spec, state, 4.0, 1e-3)
-        traj = sc.flow_oracle(spec, state, 4.0, 1e-3)
+        times, eta_values, drift = _reference_flow(spec, state, t_end, dt)
+        traj = sc.flow_oracle(spec, state, t_end, dt)
         assert np.array_equal(traj.times, times)
         assert np.array_equal(traj.eta_values, eta_values)
         assert traj.energy_drift == drift
@@ -427,8 +475,19 @@ class TestFlowMatchesReference:
         [
             (PT11, ClassicalState(0.3, -2.0), 5.0, 0.9, sc.DomainEscape),
             (DO1, ClassicalState(1.0, 1.0), 60.0, 1.7, sc.EnergyDrift),
+            (PT11, ClassicalState(1e-4, 0.3), 1.0, 1e-3, sc.DomainEscape),
+            (PT11, ClassicalState(0.5 * math.pi - 1e-4, 0.3), 1.0, 1e-3, sc.DomainEscape),
+            (AW1, ClassicalState(1e-4, 0.3), 1.0, 1e-3, sc.EnergyDrift),
+            (AW1, ClassicalState(math.pi - 1e-4, 0.3), 1.0, 1e-3, sc.EnergyDrift),
+            # the flows of tools/compare_reports.py whose error is raised in
+            # an RK4 stage
+            (PT11, ClassicalState(1e-150, 0.1), 1.0, 1e-3, sc.EnergyDrift),
+            (sc.AskeyWilson(0.3, -0.2, 0.4, 0.1, q=0.6), ClassicalState(1e-130, 0.1),
+             1.0, 1e-3, sc.EnergyDrift),
+            (DO1, ClassicalState(0.5, 700.0), 1.0, 1e-3, sc.EnergyDrift),
         ],
-        ids=["domain-escape", "energy-drift"],
+        ids=["domain-escape", "energy-drift", "pt-low-wall", "pt-high-wall",
+             "aw-low-wall", "aw-high-wall", "pt-stage", "aw-stage", "do-stage"],
     )
     def test_same_error(self, spec, state, t_end, dt, error):
         with pytest.raises(error) as expected:
@@ -477,13 +536,35 @@ def _kernel_outcome(kernel, x, p):
         return type(exc), str(exc)
 
 
-class TestKernelModes:
+def _stage_outcome(spec, recorded, x, p):
+    """What RK4 stage 2 of `spec`'s compiled loop gives at (x, p), as
+    `_kernel_outcome` does: the partials that a line appended to its flow
+    statements put in `recorded`, or the error of the stage.  With a first
+    stage of zero, stage 2 is at (x, p) itself.  What follows it may raise,
+    or leave even an infinite domain at a NaN position, once it has
+    recorded."""
+    recorded.clear()
+    try:
+        spec.flow.loop(x, p, 0.0, 0.0, 0.0, math.inf, 1e-3, 1, -math.inf, math.inf,
+                       np.arange(2) * 1e-3, lambda _: None)
+    except (ArithmeticError, ValueError, sc.DomainEscape) as exc:
+        if not recorded:
+            return type(exc), str(exc)
+    return tuple(map(float.hex, recorded[0]))
+
+
+class TestCompiledFlow:
     @pytest.mark.parametrize(
         "spec", [PT11, PT12, DO1, sc.DeformedOscillator(1e-3), AW1, AW2, AW0,
                  sc.AskeyWilson(0.99, -0.98, 0.97, 0.5, q=0.9)],
         ids=["pt11", "pt12", "do1", "do-small", "aw1", "aw2", "aw0", "aw-near-one"],
     )
-    def test_partials_match_terms_bit_for_bit(self, spec):
+    def test_stages_match_flow_terms_bit_for_bit(self, spec):
+        # the loop's stages run the flow statements without the energy
+        # block, which must neither move the partials nor raise where they
+        # do not
+        recorded = []
+        stages = _instrumented(spec, flow_line="record((KX, KP))", record=recorded.append)
         errors = 0
         for x, p in _kernel_points(spec, 200, seed=17):
             terms = _kernel_outcome(spec.flow_terms, x, p)
@@ -491,15 +572,92 @@ class TestKernelModes:
                 terms = terms[1:]
             else:
                 errors += 1
-            assert _kernel_outcome(spec.flow_partials, x, p) == terms, (x, p)
+            assert _stage_outcome(stages, recorded, x, p) == terms, (x, p)
         assert errors > 0  # the error paths were compared too
 
-    def test_kernels_are_bound_once_per_system(self):
+    def test_compiled_once_per_system(self, monkeypatch):
+        compiled = []
+        compile_flow = sc.classical.compile_flow
+        monkeypatch.setattr(
+            sc.classical, "compile_flow", lambda spec: compiled.append(spec) or compile_flow(spec)
+        )
         spec = dataclasses.replace(AW1)
-        for name in ("flow_terms", "flow_partials", "second_partials"):
-            assert getattr(spec, name) is getattr(spec, name)
-        assert spec.flow_terms is not dataclasses.replace(spec).flow_terms
-        assert spec == dataclasses.replace(spec) and "flow_terms" not in repr(spec)
+        states = sc.sample_states(spec, 3, seed=4)
+        sc.check_closed_vs_flow(spec, states, t_end=0.05)
+        sc.check_poisson_closure(spec, states)
+        assert compiled == [spec]
+        assert spec.flow_terms is spec.flow_terms and spec.flow is spec.flow
+        # kept on the instance, not on the class or the module: an equal
+        # system compiles its own
+        other = dataclasses.replace(spec)
+        assert other.flow is not spec.flow and compiled == [spec, other]
+        assert spec == other and "flow" not in repr(spec)
+
+    def test_nothing_is_compiled_at_import(self):
+        probe = (
+            "import linecache, sincoord.cli\n"
+            "print([name for name in linecache.cache if name.startswith('<sincoord')])"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", probe], capture_output=True, text=True, check=True,
+            env={**os.environ, "PYTHONPATH": os.path.dirname(sc.__path__[0])},
+        ).stdout
+        assert out.strip() == "[]"
+
+    @pytest.mark.parametrize(
+        "first, second",
+        [(PT11, sc.PoschlTeller(2.5, 0.7)), (DO1, sc.DeformedOscillator(3.25)),
+         (AW1, sc.AskeyWilson(0.5, -0.6, 0.3, 0.0, q=0.55))],
+        ids=["pt", "do", "aw"],
+    )
+    def test_systems_of_a_family_compile_to_the_same_code(self, first, second):
+        # no parameter is formatted into the source: it is bound as a value
+        assert first.flow_locals() != second.flow_locals()
+        for name in ("terms", "second_partials", "loop"):
+            one = getattr(first.flow, name).func.__code__
+            two = getattr(second.flow, name).func.__code__
+            assert one.co_code == two.co_code and one.co_consts == two.co_consts
+
+    @pytest.mark.parametrize(
+        "spec, x, p, line",
+        [(PT11, 0.0, 0.3, "v = g * cx / sx - h * sx / cx"),
+         (DO1, 0.5, 800.0, "c = cosh(P)"),
+         (AW1, 1.5, 1e4, "ch = cosh(gp)")],
+        ids=["pt", "do", "aw"],
+    )
+    def test_traceback_shows_the_statement(self, spec, x, p, line):
+        with pytest.raises(ArithmeticError) as raised:
+            spec.flow_terms(x, p)
+        text = "".join(traceback.format_exception(raised.value))
+        assert f'File "<sincoord flow {spec.tag}>"' in text and line in text
+
+    def test_traceback_from_a_stage_shows_the_statement(self):
+        # flow_oracle turns the stage's error into EnergyDrift; the stage's
+        # own traceback points into the loop
+        with pytest.raises(sc.EnergyDrift) as raised:
+            sc.flow_oracle(PT11, ClassicalState(1e-150, 0.1), 1.0, 1e-3)
+        stage = raised.value.__context__
+        frames = traceback.extract_tb(stage.__traceback__)
+        assert (frames[-1].filename, frames[-1].name) == ("<sincoord flow pt>", "flow_loop")
+        assert frames[-1].line == "sx, cx = sin(X), cos(X)"
+
+    @pytest.mark.parametrize("spec", [PT11, DO1, AW1], ids=["pt", "do", "aw"])
+    def test_statements_keep_off_the_template_names(self, spec):
+        # a statement that assigned a name of the loop would change the flow
+        template = sc.classical._FLOW_SOURCE % {
+            "names": "unused", "flow": "    pass", "energy": "    pass",
+            "second": "    pass", "stage": "        pass", "stage_energy": "        pass",
+        }
+        namespace = {}
+        exec(compile(template, "<template>", "exec"), namespace)
+        loop_names = set(namespace["flow_loop"].__code__.co_varnames)
+        interface = {"X", "P", "KX", "KP", "E", "D2P2", "D2PDX"}
+        for block in ("flow", "energy", "second"):
+            statements = textwrap.dedent(getattr(spec, f"{block}_statements"))
+            names = {node.id for node in ast.walk(ast.parse(statements))
+                     if isinstance(node, ast.Name)}
+            assert not (names & loop_names) - interface, block
+        assert not set(spec.flow_locals()) & loop_names
 
 
 class TestAskeyWilsonTerms:
@@ -661,11 +819,11 @@ class TestPoissonClosure:
             assert abs(ana2 - fd2) <= 1e-6 * max(1.0, abs(ana2))
 
     def test_one_flow_terms_evaluation_per_state(self, monkeypatch):
-        # one flow_terms and one second_partials call per state; a separate
-        # H evaluation would add a third kernel call
+        # one flow_terms and one second_partials call per state and no flow;
+        # a separate H evaluation would add a third call
         spec = dataclasses.replace(AW1)
-        names = ("flow_terms", "flow_partials", "second_partials")
-        calls = _count_kernel_calls(spec, monkeypatch, *names)
+        names = ("terms", "loop", "second_partials")
+        calls = _count_flow_calls(spec, monkeypatch, *names)
         states = sc.sample_states(spec, 50, seed=42)
         sc.check_poisson_closure(spec, states)
         assert [len(calls[name]) for name in names] == [len(states), 0, len(states)]

@@ -127,6 +127,15 @@ class TestEigenvalueProperty:
         report = sc.check_eigenvalue(PT11, 0.2, 5, 4)
         assert report.passed and report.details["truncation"] == 5
 
+    @pytest.mark.parametrize(
+        "truncation, guard, message",
+        [(10.5, 4, "truncation must be an integer, got truncation=10.5"),
+         (10, 4.5, "G must be an integer, got G=4.5")],
+    )
+    def test_non_integer_size_is_refused_naming_it(self, truncation, guard, message):
+        with pytest.raises(sc.ParameterOutOfRange, match=message):
+            sc.check_eigenvalue(DO1, 0.3, truncation, guard)
+
 
 class TestHypergeometricClosedForm:
     def test_zero_eigenvalue_gives_unity_everywhere(self):
@@ -157,6 +166,24 @@ class TestHypergeometricClosedForm:
     def test_negative_truncation_is_refused(self):
         with pytest.raises(sc.ParameterOutOfRange, match="truncation >= 0"):
             sc.check_mp_hypergeometric(1.0, 0.3, [0.0], truncation=-1)
+
+    @pytest.mark.parametrize("x", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_x_sample_is_refused_naming_it(self, x):
+        # before the 1F1 series, which would not settle at such a point
+        with pytest.raises(sc.ParameterOutOfRange, match=f"x sample must be finite, got x={x}"):
+            sc.check_mp_hypergeometric(1.0, 0.3, [0.2, x], 60)
+
+    def test_nested_samples_are_refused_naming_their_shape(self):
+        with pytest.raises(sc.ParameterOutOfRange, match=r"got shape \(1, 2\)"):
+            sc.check_mp_hypergeometric(1.0, 0.3, [[0.1, 0.2]], 60)
+
+    def test_non_integer_truncation_is_refused_naming_it(self):
+        with pytest.raises(sc.ParameterOutOfRange, match="truncation=60.5"):
+            sc.check_mp_hypergeometric(1.0, 0.3, [0.1], 60.5)
+
+    def test_one_number_is_one_sample(self):
+        report = sc.check_mp_hypergeometric(1.0, 0.3, 0.4, 60)
+        assert report.passed and report.details["samples"] == 1
 
     def test_undersized_truncation_is_detected(self):
         with pytest.raises(sc.SeriesNotConverged):

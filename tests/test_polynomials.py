@@ -295,6 +295,14 @@ class TestEvalPoly:
         with pytest.raises(sc.ParameterOutOfRange, match="n_max >= 0"):
             sc.eval_all(DO1, n_max, 0.37)
 
+    @pytest.mark.parametrize("n_max", [2.5, 3.0])
+    def test_non_integer_degree_is_refused_naming_it(self, n_max):
+        with pytest.raises(sc.ParameterOutOfRange, match=f"n_max must be an integer, got n_max={n_max}"):
+            sc.eval_all(DO1, n_max, 0.37)
+
+    def test_numpy_integer_degree_is_a_degree(self):
+        assert np.array_equal(sc.eval_all(DO1, np.int64(3), 0.37), sc.eval_all(DO1, 3, 0.37))
+
     def test_do_linear_value(self):
         assert sc.eval_all(DO1, 1, 0.7)[1] == pytest.approx(1.4, abs=1e-15)
 
