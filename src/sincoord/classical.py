@@ -11,8 +11,9 @@ with the family's flow statements written into it: stages 2-4 run the
 statements that form the two partials without H, and the accepted point
 runs them with the energy statements, whose H feeds the energy-drift guard
 while the partials are the next step's k1.  No stage makes a call of its
-own.  `flow_terms` and `second_partials` are compiled from the same
-statements, so each family's H and partials are written once.
+own.  `terms`, which returns H with its first and second partials from one
+pass, is compiled from the same statements, so each family's H and partials
+are written once.
 """
 
 from __future__ import annotations
@@ -63,16 +64,14 @@ class Trajectory:
 
 
 def _h_and_h_h_eta(spec: SystemSpec, x: float, p: float) -> tuple[float, float]:
-    """H and {H, {H, eta}}, from one `flow_terms` and one `second_partials`
-    call."""
-    h, dhdx, dhdp = spec.flow_terms(x, p)
-    d2p2, d2pdx = spec.second_partials(x, p)
+    """H and {H, {H, eta}}, from one `terms` call."""
+    h, dhdx, dhdp, d2p2, d2pdx = spec.flow.terms(x, p)
     deta, d2eta = spec.deta_dx(x), spec.d2eta_dx2(x)
     return h, -dhdx * d2p2 * deta + dhdp * d2pdx * deta + dhdp * dhdp * d2eta
 
 
 def _initial_terms(spec: SystemSpec, state: ClassicalState) -> tuple[float, float, float]:
-    """`flow_terms` at the initial state.
+    """H, dH/dx and dH/dp at the initial state, from one `terms` call.
 
     Raises DomainEscape unless the state lies inside the domain and
     ParameterOutOfRange unless its energy is finite; an overflow or a
@@ -81,7 +80,7 @@ def _initial_terms(spec: SystemSpec, state: ClassicalState) -> tuple[float, floa
     """
     require_inside(spec, state.x, DomainEscape)
     try:
-        terms = spec.flow_terms(state.x, state.p)
+        terms = spec.flow.terms(state.x, state.p)[:3]
     except ArithmeticError:
         terms = (math.inf, math.nan, math.nan)
     if not math.isfinite(terms[0]):
@@ -134,25 +133,23 @@ def period(spec: SystemSpec, state: ClassicalState) -> float:
 # The flow compiled from a family's statements.  Each family writes its
 # Hamiltonian once, as three blocks of statements over the phase-space point
 # X, P and its own constants: the flow block sets KX = dH/dx and KP = dH/dp,
-# the energy block after it sets E = H, and the second block after the flow
-# block sets D2P2 = d2H/dp2 and D2PDX = d2H/dpdx.  The template pastes the
-# flow block into RK4 stages 2-4 and, with the energy block, into the
-# accepted point, whose H feeds the energy-drift guard and whose partials
-# are the next step's first stage.  The names of the family's `flow_locals`
-# (its constants and math functions) lead every signature, so they are
-# locals of each function; no value is formatted into the source, and every
-# system of a family compiles to the same code.
+# the energy block after it sets E = H, and the second block sets
+# D2P2 = d2H/dp2 and D2PDX = d2H/dpdx from the flow block's names (never
+# from the energy block's).  `terms` runs the three in that order.  The
+# template pastes the flow block into RK4 stages 2-4 and, with the energy
+# block, into the accepted point, whose H feeds the energy-drift guard and
+# whose partials are the next step's first stage.  A step that ends at a
+# position that is not finite got there through a partial that overflowed,
+# and is refused as such.  The names of the family's `flow_locals` (its
+# constants and math functions) lead every signature, so they are locals of
+# each function; no value is formatted into the source, and every system of
+# a family compiles to the same code.
 _FLOW_SOURCE = """\
-def flow_terms(%(names)s, X, P):
+def terms(%(names)s, X, P):
 %(flow)s
 %(energy)s
-    return (E, KX, KP)
-
-
-def second_partials(%(names)s, X, P):
-%(flow)s
 %(second)s
-    return (D2P2, D2PDX)
+    return (E, KX, KP, D2P2, D2PDX)
 
 
 def flow_loop(%(names)s, x, p, hx, hp, e0, guard, dt, steps, lo, hi, times, append):
@@ -172,6 +169,8 @@ def flow_loop(%(names)s, x, p, hx, hp, e0, guard, dt, steps, lo, hi, times, appe
         x += sixth * (hp + 2.0 * hp2 + 2.0 * hp3 + KP)
         p -= sixth * (hx + 2.0 * hx2 + 2.0 * hx3 + KX)
         if not lo < x < hi:
+            if not isfinite(x):
+                raise ArithmeticError(f"position x={x}")
             raise DomainEscape(
                 f"x={x} lies outside the open domain ({lo}, {hi}) "
                 f"at t={times[step + 1]}, after a step of dt={dt}"
@@ -195,17 +194,16 @@ def flow_loop(%(names)s, x, p, hx, hp, e0, guard, dt, steps, lo, hi, times, appe
 class CompiledFlow(NamedTuple):
     """A system's flow functions, with its constants bound.
 
-    `terms(x, p)` returns (H, dH/dx, dH/dp) and `second_partials(x, p)`
-    (d2H/dp2, d2H/dpdx).  `loop(x, p, dH/dx, dH/dp, H0, guard, dt, steps,
-    lo, hi, times, append)` takes the RK4 steps from the state and the
-    partials there, hands each accepted position to `append` and returns the
-    largest energy drift.  It raises DomainEscape or EnergyDrift as
-    `flow_oracle` describes, and lets the ArithmeticError or ValueError of
-    a stage through.
+    `terms(x, p)` returns (H, dH/dx, dH/dp, d2H/dp2, d2H/dpdx).
+    `loop(x, p, dH/dx, dH/dp, H0, guard, dt, steps, lo, hi, times, append)`
+    takes the RK4 steps from the state and the partials there, hands each
+    accepted position to `append` and returns the largest energy drift.  It
+    raises DomainEscape or EnergyDrift as `flow_oracle` describes, and lets
+    the ArithmeticError or ValueError of a stage, or of a step to a position
+    that is not finite, through.
     """
 
-    terms: Callable[[float, float], tuple[float, float, float]]
-    second_partials: Callable[[float, float], tuple[float, float]]
+    terms: Callable[[float, float], tuple[float, float, float, float, float]]
     loop: Callable[..., float]
 
 
@@ -232,12 +230,13 @@ def compile_flow(spec: SystemSpec) -> CompiledFlow:
     }
     filename = f"<sincoord flow {spec.tag}>"
     linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
-    namespace = {"DomainEscape": DomainEscape, "EnergyDrift": EnergyDrift}
+    namespace = {
+        "DomainEscape": DomainEscape, "EnergyDrift": EnergyDrift, "isfinite": math.isfinite
+    }
     exec(compile(source, filename, "exec"), namespace)
     values = tuple(bound.values())
     return CompiledFlow(
-        *(partial(namespace[name], *values)
-          for name in ("flow_terms", "second_partials", "flow_loop"))
+        *(partial(namespace[name], *values) for name in ("terms", "flow_loop"))
     )
 
 
@@ -257,8 +256,9 @@ def flow_oracle(
     ParameterOutOfRange.  Raises DomainEscape, naming the time t and the
     step dt, if a step takes the position out of the open domain, and
     EnergyDrift if the conserved energy moves by more than
-    1e-6 relative or a stage of a step overflows, divides by zero or takes
-    the sine of an infinite position (after a partial overflowed to inf).
+    1e-6 relative, a stage of a step overflows, divides by zero or takes
+    the sine of an infinite position, or a step ends at a position that is
+    not finite (in each case after a partial overflowed to inf).
     The steps are taken by the system's compiled `flow.loop`.
     """
     if not 0.0 < dt < math.inf:

@@ -21,8 +21,8 @@ modules need to know about it:
   dH/dp), `energy_statements` (H) and `second_statements` (d2H/dp2,
   d2H/dpdx); aw's complex potential is written in real arithmetic as a
   product of two pairs of factors.  `classical.compile_flow` turns them
-  into `flow_terms` (H with dH/dx and dH/dp), `second_partials` and the
-  RK4 loop, on first use of `flow`, once per system;
+  into `flow.terms` (H with its first and second partials) and the RK4
+  `flow.loop`, on first use of `flow`, once per system;
 * the phase-space `sample_box`;
 * per-check default `tolerances` and `relative_residuals`, the residual
   mode (per-column relative rather than absolute) of the matrix checks;
@@ -49,7 +49,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from typing import Callable, ClassVar, Union
+from typing import ClassVar, Union
 
 import numpy as np
 
@@ -95,26 +95,17 @@ class ClassicalClosure:
 
 
 class _CompiledFlow:
-    """The classical flow members of a family, compiled from its flow
-    statements by `classical.compile_flow` on first use and kept on the
-    instance (outside the dataclass fields), so that a system compiles them
-    once however many states it flows."""
+    """The classical `flow` of a family (`classical.CompiledFlow`: `terms`
+    and `loop`), compiled from its flow statements by
+    `classical.compile_flow` on first use and kept on the instance (outside
+    the dataclass fields), so that a system compiles it once however many
+    states it flows."""
 
     @cached_property
     def flow(self):
         from .classical import compile_flow  # classical imports this module
 
         return compile_flow(self)
-
-    @property
-    def flow_terms(self) -> Callable[[float, float], tuple[float, float, float]]:
-        """(x, p) -> (H, dH/dx, dH/dp)."""
-        return self.flow.terms
-
-    @property
-    def second_partials(self) -> Callable[[float, float], tuple[float, float]]:
-        """(x, p) -> (d2H/dp2, d2H/dpdx)."""
-        return self.flow.second_partials
 
 
 @dataclass(frozen=True)

@@ -36,8 +36,8 @@ AW2 = sc.AskeyWilson(0.5, -0.6, 0.3, 0.0, q=0.55)
 
 def _reference_terms(spec):
     """H, (dH/dx, dH/dp) and the second partials (d2H/dp2, d2H/dpdx) as
-    separate scalar functions, in the operation order `flow_terms` and
-    `second_partials` must keep: pt's H in its tan form and its partials in
+    separate scalar functions, in the operation order the compiled
+    `flow.terms` must keep: pt's H in its tan form and its partials in
     sin/cos form, aw's potential as two real pairs of factors."""
     if isinstance(spec, sc.PoschlTeller):
         g, h = spec.g, spec.h
@@ -125,7 +125,7 @@ def _reference_terms(spec):
 
 
 def _complex_terms(spec, x, p, real=math, cplx=cmath):
-    """flow_terms and second_partials of aw from one complex factor per
+    """The five values of aw's `flow.terms` from one complex factor per
     parameter, z = exp(ix): the form the paired real terms replaced, kept as
     an independent cross-check.  `real` and `cplx` supply log, cosh, sinh
     and exp: math and cmath in double precision, or mpmath."""
@@ -170,7 +170,7 @@ def _aw_accuracy_points(count, seed):
 
 def _count_flow_calls(spec, monkeypatch, *names):
     """Record the arguments of every call of each named function of the
-    compiled `spec.flow` ("terms", "second_partials" or "loop"), wrapped in
+    compiled `spec.flow` ("terms" or "loop"), wrapped in
     a copy of it put in the instance `__dict__` where the compiled flow
     sits, in the returned dict of lists keyed by name."""
     calls = {}
@@ -233,6 +233,11 @@ def _reference_flow(spec, state, t_end, dt):
             ) from None
         x += dt / 6.0 * (k1x + 2.0 * k2x + 2.0 * k3x + k4x)
         p += dt / 6.0 * (k1p + 2.0 * k2p + 2.0 * k3p + k4p)
+        if not math.isfinite(x):
+            raise sc.EnergyDrift(
+                f"H or its partials are not finite in the step to t={times[k + 1]} "
+                f"(position x={x})"
+            )
         if not lo < x < hi:
             raise sc.DomainEscape(
                 f"x={x} lies outside the open domain ({lo}, {hi}) "
@@ -272,7 +277,7 @@ class TestClosedForm:
     def test_pt_matches_printed_specialisation(self):
         g, h = 1.0, 2.0
         state = ClassicalState(0.9, 0.6)
-        h0 = PT12.flow_terms(state.x, state.p)[0]
+        h0 = PT12.flow.terms(state.x, state.p)[0]
         hp0 = h0 + 0.5 * (g + h) ** 2
         omega = 2.0 * math.sqrt(2.0 * hp0)
         offset = (g**2 - h**2) / (2.0 * hp0)
@@ -485,9 +490,14 @@ class TestFlowMatchesReference:
             (sc.AskeyWilson(0.3, -0.2, 0.4, 0.1, q=0.6), ClassicalState(1e-130, 0.1),
              1.0, 1e-3, sc.EnergyDrift),
             (DO1, ClassicalState(0.5, 700.0), 1.0, 1e-3, sc.EnergyDrift),
+            # a partial overflows to inf inside a stage and the step ends at
+            # a position that is not finite: nan, then -inf
+            (DO1, ClassicalState(0.0, 700.0), 1.0, 1e-3, sc.EnergyDrift),
+            (DO1, ClassicalState(1e308, 0.1), 1.0, 1e-3, sc.EnergyDrift),
         ],
         ids=["domain-escape", "energy-drift", "pt-low-wall", "pt-high-wall",
-             "aw-low-wall", "aw-high-wall", "pt-stage", "aw-stage", "do-stage"],
+             "aw-low-wall", "aw-high-wall", "pt-stage", "aw-stage", "do-stage",
+             "do-nan-position", "do-infinite-position"],
     )
     def test_same_error(self, spec, state, t_end, dt, error):
         with pytest.raises(error) as expected:
@@ -507,8 +517,7 @@ class TestFlowMatchesReference:
         for state in states:
             x, p = state.x, state.p
             assert sc.classical._initial_terms(spec, state)[0] == energy(x, p)
-            assert spec.flow_terms(x, p) == (energy(x, p), *partials(x, p))
-            assert spec.second_partials(x, p) == second(x, p)
+            assert spec.flow.terms(x, p) == (energy(x, p), *partials(x, p), *second(x, p))
             assert sc.classical._orbit(spec, state)[2] == -partials(x, p)[1] * spec.deta_dx(x)
 
 
@@ -567,9 +576,9 @@ class TestCompiledFlow:
         stages = _instrumented(spec, flow_line="record((KX, KP))", record=recorded.append)
         errors = 0
         for x, p in _kernel_points(spec, 200, seed=17):
-            terms = _kernel_outcome(spec.flow_terms, x, p)
+            terms = _kernel_outcome(spec.flow.terms, x, p)
             if isinstance(terms[0], str):
-                terms = terms[1:]
+                terms = terms[1:3]
             else:
                 errors += 1
             assert _stage_outcome(stages, recorded, x, p) == terms, (x, p)
@@ -586,7 +595,7 @@ class TestCompiledFlow:
         sc.check_closed_vs_flow(spec, states, t_end=0.05)
         sc.check_poisson_closure(spec, states)
         assert compiled == [spec]
-        assert spec.flow_terms is spec.flow_terms and spec.flow is spec.flow
+        assert spec.flow is spec.flow
         # kept on the instance, not on the class or the module: an equal
         # system compiles its own
         other = dataclasses.replace(spec)
@@ -613,7 +622,7 @@ class TestCompiledFlow:
     def test_systems_of_a_family_compile_to_the_same_code(self, first, second):
         # no parameter is formatted into the source: it is bound as a value
         assert first.flow_locals() != second.flow_locals()
-        for name in ("terms", "second_partials", "loop"):
+        for name in ("terms", "loop"):
             one = getattr(first.flow, name).func.__code__
             two = getattr(second.flow, name).func.__code__
             assert one.co_code == two.co_code and one.co_consts == two.co_consts
@@ -627,7 +636,7 @@ class TestCompiledFlow:
     )
     def test_traceback_shows_the_statement(self, spec, x, p, line):
         with pytest.raises(ArithmeticError) as raised:
-            spec.flow_terms(x, p)
+            spec.flow.terms(x, p)
         text = "".join(traceback.format_exception(raised.value))
         assert f'File "<sincoord flow {spec.tag}>"' in text and line in text
 
@@ -640,6 +649,20 @@ class TestCompiledFlow:
         frames = traceback.extract_tb(stage.__traceback__)
         assert (frames[-1].filename, frames[-1].name) == ("<sincoord flow pt>", "flow_loop")
         assert frames[-1].line == "sx, cx = sin(X), cos(X)"
+
+    @pytest.mark.parametrize("spec", [PT11, DO1, AW1], ids=["pt", "do", "aw"])
+    def test_second_block_reads_only_the_flow_block(self, spec):
+        # `terms` runs the second block after the energy block: a name the
+        # energy block assigned and the second block read would silently move
+        # D2P2 or D2PDX away from what the flow block's values give
+        def names(block, context):
+            tree = ast.parse(textwrap.dedent(getattr(spec, f"{block}_statements")))
+            return {node.id for node in ast.walk(tree)
+                    if isinstance(node, ast.Name) and isinstance(node.ctx, context)}
+
+        read = names("second", ast.Load)
+        assert not names("energy", ast.Store) & read
+        assert read <= names("flow", ast.Store) | set(spec.flow_locals()) | {"X", "P"}
 
     @pytest.mark.parametrize("spec", [PT11, DO1, AW1], ids=["pt", "do", "aw"])
     def test_statements_keep_off_the_template_names(self, spec):
@@ -665,14 +688,14 @@ class TestAskeyWilsonTerms:
     def test_match_complex_factors(self, spec):
         for state in sc.sample_states(spec, 20, seed=9):
             x, p = state.x, state.p
-            got = spec.flow_terms(x, p) + spec.second_partials(x, p)
+            got = spec.flow.terms(x, p)
             for value, expected in zip(got, _complex_terms(spec, x, p)):
                 assert abs(value - expected) <= 1e-14 * max(1.0, abs(expected))
 
     def test_match_mpmath_within_rounding(self):
         worst = 0.0
         for spec, x, p in _aw_accuracy_points(150, seed=2024):
-            got = spec.flow_terms(x, p) + spec.second_partials(x, p)
+            got = spec.flow.terms(x, p)
             with mpmath.workdps(40):
                 exact = _complex_terms(spec, x, p, mpmath, mpmath)
                 errors = [abs(v - e) / max(1, abs(e)) for v, e in zip(got, exact)]
@@ -716,7 +739,7 @@ class TestClosedVsFlow:
         (traj, closed), = trajectories
         assert len(traj.times) == 2001 and traj.times[-1] == pytest.approx(2.0)
         assert deviation.max_residual == np.max(np.abs(closed - traj.eta_values))
-        h0 = DO1.flow_terms(state.x, state.p)[0]
+        h0 = DO1.flow.terms(state.x, state.p)[0]
         assert drift.max_residual == traj.energy_drift / max(1.0, abs(h0))
 
     def test_reports_the_span_the_flow_integrated(self, capsys):
@@ -759,7 +782,7 @@ class TestNoStates:
 
 def _poisson_h_eta_fd(spec, x, p, step=1e-6):
     """{H, eta} with all derivatives replaced by central differences."""
-    ham = lambda xx, pp: spec.flow_terms(xx, pp)[0]
+    ham = lambda xx, pp: spec.flow.terms(xx, pp)[0]
     dhdp = (ham(x, p + step) - ham(x, p - step)) / (2 * step)
     deta = float(spec.eta(x + step) - spec.eta(x - step)) / (2 * step)
     return -dhdp * deta
@@ -767,7 +790,7 @@ def _poisson_h_eta_fd(spec, x, p, step=1e-6):
 
 def _poisson_h_h_eta_fd(spec, x, p, step=1e-6):
     """{H, {H, eta}} with the outer bracket done by central differences."""
-    ham = lambda xx, pp: spec.flow_terms(xx, pp)[0]
+    ham = lambda xx, pp: spec.flow.terms(xx, pp)[0]
     inner = lambda xx, pp: sc.classical._orbit(spec, ClassicalState(xx, pp))[2]
     dfdx = (inner(x + step, p) - inner(x - step, p)) / (2 * step)
     dfdp = (inner(x, p + step) - inner(x, p - step)) / (2 * step)
@@ -819,14 +842,15 @@ class TestPoissonClosure:
             assert abs(ana2 - fd2) <= 1e-6 * max(1.0, abs(ana2))
 
     def test_one_flow_terms_evaluation_per_state(self, monkeypatch):
-        # one flow_terms and one second_partials call per state and no flow;
-        # a separate H evaluation would add a third call
+        # one `terms` call per state, giving H and both orders of partials,
+        # and no flow; a separate H or second-partial evaluation would add a
+        # second call
         spec = dataclasses.replace(AW1)
-        names = ("terms", "loop", "second_partials")
+        names = ("terms", "loop")
         calls = _count_flow_calls(spec, monkeypatch, *names)
         states = sc.sample_states(spec, 50, seed=42)
         sc.check_poisson_closure(spec, states)
-        assert [len(calls[name]) for name in names] == [len(states), 0, len(states)]
+        assert [len(calls[name]) for name in names] == [len(states), 0]
 
 
 class TestReconstructPotential:

@@ -160,6 +160,18 @@ class TestExitCodes:
         assert err.startswith("error: x=-0.0010108879027266448 lies outside the open domain")
         assert err.endswith(" at t=0.861, after a step of dt=0.001\n")
 
+    @pytest.mark.parametrize(
+        "x0, p0, t, x", [("0", "700", "0.001", "nan"), ("1e308", "0.1", "0.404", "-inf")]
+    )
+    def test_flow_to_a_nonfinite_position_is_a_nonfinite_step(self, x0, p0, t, x, capsys):
+        # a partial overflows to inf inside a stage: the step is refused as
+        # not finite, not as leaving do's open domain (-inf, inf)
+        code = cli.main(["classical", "--system", "do", "--a", "1", f"--x0={x0}", f"--p0={p0}"])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: H or its partials are not finite in the step to t={t} (position x={x})\n"
+        )
+
     def test_missing_parameters_exit_two(self):
         result = run_cli("spectrum", "--system", "pt")
         assert result.returncode == 2

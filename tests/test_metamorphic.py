@@ -6,11 +6,14 @@ which swaps g and h and sends eta = cos 2x to -eta.  aw's polynomials are
 symmetric in a1 .. a4, and flipping the sign of every a_i sends eta =
 cos theta to -eta.  Each pair of invocations must give the same exit code,
 the same checks with the same verdicts, and residuals within a factor 4
-(plus 1e-15) of each other.  `classical` is left out: its sampled
-phase-space states are not mirrored between the two sides.
+(plus 1e-15) of each other.  `classical` samples states that are not
+mirrored between the two sides, so it runs on explicit mirrored states: a
+phase-space point (x, p) maps to (pi/2 - x, -p) under pt's swap, to
+(pi - x, -p) under aw's sign flip and to (-x, -p) under do's x -> -x.
 """
 
 import json
+import math
 
 import pytest
 
@@ -36,6 +39,22 @@ def pt_args(g, h):
 
 def aw_args(a, q):
     return ("--system", "aw", "--a=" + ",".join(map(repr, a)), "--q", repr(q))
+
+
+def state_args(x, p):
+    return (f"--x0={x!r}", f"--p0={p!r}")
+
+
+CLASSICAL_MIRRORS = [
+    *((pt_args(g, h) + state_args(x, p), pt_args(h, g) + state_args(math.pi / 2 - x, -p))
+      for g, h in ((1.3, 2.1), (0.8, 3.5))
+      for x, p in ((0.7, 0.3), (0.4, -0.9))),
+    (aw_args(AW_A, 0.5) + state_args(1.2, 0.3),
+     aw_args(AW_IMAGES["negated"](AW_A), 0.5) + state_args(math.pi - 1.2, -0.3)),
+    *((("--system", "do", "--a", "1.3") + state_args(x, p),
+       ("--system", "do", "--a", "1.3") + state_args(-x, -p))
+      for x, p in ((0.5, 0.3), (-1.7, 1.1))),
+]
 
 
 def run(suite, system, capsys):
@@ -81,6 +100,21 @@ def test_pt_swap_of_g_and_h(suite, g, h, capsys):
 def test_aw_parameter_symmetries(suite, q, image, capsys):
     first = run(suite, aw_args(AW_A, q), capsys)
     second = run(suite, aw_args(AW_IMAGES[image](AW_A), q), capsys)
+    assert disagreements(first, second) == []
+
+
+@pytest.mark.parametrize(
+    "system, mirror", CLASSICAL_MIRRORS,
+    ids=["pt-1.3-2.1-a", "pt-1.3-2.1-b", "pt-0.8-3.5-a", "pt-0.8-3.5-b", "aw-negated",
+         "do-a", "do-b"],
+)
+def test_classical_mirror_states(system, mirror, capsys):
+    # RK4 commutes with each map, so the flows mirror each other to rounding
+    first = run("classical", system, capsys)
+    second = run("classical", mirror, capsys)
+    assert {"classical_closed_vs_flow", "classical_energy_drift", "poisson_closure"} <= {
+        c["name"] for c in first[1]["checks"]
+    }
     assert disagreements(first, second) == []
 
 
