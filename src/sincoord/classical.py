@@ -91,15 +91,18 @@ def _initial_terms(spec: SystemSpec, state: ClassicalState) -> tuple[float, floa
     return terms
 
 
-def _orbit(spec: SystemSpec, state: ClassicalState) -> tuple[float, float, float, float]:
-    """The constants of the state's sinusoid, from one `_initial_terms` call:
-    omega = sqrt(R0(H0)), the offset R-1(H0)/R0(H0), the initial bracket
-    {H, eta} = -dH/dp * eta'(x0) and eta(x0).
+def _orbit(
+    spec: SystemSpec, state: ClassicalState, terms: tuple[float, float, float] | None = None
+) -> tuple[float, float, float, float]:
+    """The constants of the state's sinusoid, from the state's `terms` (one
+    `_initial_terms` call when they are not given): omega = sqrt(R0(H0)),
+    the offset R-1(H0)/R0(H0), the initial bracket {H, eta} = -dH/dp *
+    eta'(x0) and eta(x0).
 
     Raises NonOscillatory if R0(H0) <= 0 and ParameterOutOfRange if R0(H0)
     overflows, besides the refusals of `_initial_terms`.
     """
-    h0, _, dhdp = _initial_terms(spec, state)
+    h0, _, dhdp = _initial_terms(spec, state) if terms is None else terms
     closure = classical_r_polynomials(spec)
     r0v = closure.r0(h0)
     if r0v <= 0.0:
@@ -113,7 +116,12 @@ def _orbit(spec: SystemSpec, state: ClassicalState) -> tuple[float, float, float
 def closed_form_eta(spec: SystemSpec, state: ClassicalState, t):
     """eta(x(t)) from the single-frequency closed form, with the constants
     of the state's orbit (`_orbit` refuses an R0(H0) <= 0 or overflowing)."""
-    omega, ratio, bracket0, eta0 = _orbit(spec, state)
+    return _closed_form(_orbit(spec, state), t)
+
+
+def _closed_form(orbit: tuple[float, float, float, float], t):
+    """eta at the times t on the sinusoid with the constants `orbit`."""
+    omega, ratio, bracket0, eta0 = orbit
     ts = np.asarray(t, dtype=float)
     values = (
         -bracket0 * np.sin(omega * ts) / omega
@@ -246,21 +254,9 @@ def compile_flow(spec: SystemSpec) -> CompiledFlow:
 _MAX_STEPS = 1 << 26
 
 
-def flow_oracle(
-    spec: SystemSpec, state: ClassicalState, t_end: float, dt: float
-) -> Trajectory:
-    """Fixed-step RK4 integration of dx/dt = dH/dp, dp/dt = -dH/dx.
-
-    Takes round(t_end / dt) steps, so the flow ends at that many times dt;
-    a span that rounds to no step (t_end <= dt / 2) raises
-    ParameterOutOfRange.  Raises DomainEscape, naming the time t and the
-    step dt, if a step takes the position out of the open domain, and
-    EnergyDrift if the conserved energy moves by more than
-    1e-6 relative, a stage of a step overflows, divides by zero or takes
-    the sine of an infinite position, or a step ends at a position that is
-    not finite (in each case after a partial overflowed to inf).
-    The steps are taken by the system's compiled `flow.loop`.
-    """
+def _steps(t_end: float, dt: float) -> int:
+    """round(t_end / dt), with the refusals of a step or span that
+    `flow_oracle` describes."""
     if not 0.0 < dt < math.inf:
         raise ParameterOutOfRange(f"dt must be positive and finite, got {dt}")
     if not 0.0 < t_end < math.inf:
@@ -277,9 +273,36 @@ def flow_oracle(
             f"the span {t_end} is at most half a step of dt={dt}, "
             "so the flow would take no step"
         )
+    return steps
+
+
+def flow_oracle(
+    spec: SystemSpec,
+    state: ClassicalState,
+    t_end: float,
+    dt: float,
+    *,
+    _terms: tuple[float, float, float] | None = None,
+) -> Trajectory:
+    """Fixed-step RK4 integration of dx/dt = dH/dp, dp/dt = -dH/dx.
+
+    Takes round(t_end / dt) steps, so the flow ends at that many times dt;
+    a span that rounds to no step (t_end <= dt / 2) raises
+    ParameterOutOfRange.  Raises DomainEscape, naming the time t and the
+    step dt, if a step takes the position out of the open domain, and
+    EnergyDrift if the conserved energy moves by more than
+    1e-6 relative, a stage of a step overflows, divides by zero or takes
+    the sine of an infinite position, or a step ends at a position that is
+    not finite (in each case after a partial overflowed to inf).
+    The steps are taken by the system's compiled `flow.loop`.
+
+    `_terms` is for `check_closed_vs_flow`, which has already formed the
+    state's `_initial_terms` (and so made their refusals).
+    """
+    steps = _steps(t_end, dt)
     times = np.arange(steps + 1) * dt
     xs = array("d", [state.x])
-    e0, hx, hp = _initial_terms(spec, state)
+    e0, hx, hp = _initial_terms(spec, state) if _terms is None else _terms
     guard = 1e-6 * max(1.0, abs(e0))
     lo, hi = spec.domain
     try:
@@ -334,15 +357,25 @@ def check_closed_vs_flow(
     values) pair is appended to it.
     """
     _require_states(states)
+    if t_end is not None:
+        _steps(t_end, dt)  # a bad span is refused before any state
     worst_dev = 0.0
     worst_drift = 0.0
     for state in states:
-        span = _PERIODS * period(spec, state) if t_end is None else t_end
-        traj = flow_oracle(spec, state, span, dt)
-        closed = closed_form_eta(spec, state, traj.times)
+        # the state's terms are formed once and handed to the period, the
+        # flow's first step and the closed form; each refusal comes where
+        # `period`, `flow_oracle` or `closed_form_eta` would make it
+        terms = _initial_terms(spec, state)
+        if t_end is None:
+            orbit = _orbit(spec, state, terms)
+            span = _PERIODS * (2.0 * math.pi / orbit[0])  # period(spec, state)
+            traj = flow_oracle(spec, state, span, dt, _terms=terms)
+        else:
+            traj = flow_oracle(spec, state, t_end, dt, _terms=terms)
+            orbit = _orbit(spec, state, terms)
+        closed = _closed_form(orbit, traj.times)
         worst_dev = np.maximum(worst_dev, np.max(np.abs(closed - traj.eta_values)))
-        h0 = abs(_initial_terms(spec, state)[0])
-        worst_drift = np.maximum(worst_drift, traj.energy_drift / max(1.0, h0))
+        worst_drift = np.maximum(worst_drift, traj.energy_drift / max(1.0, abs(terms[0])))
         if trajectories is not None:
             trajectories.append((traj, closed))
     if t_end is None:

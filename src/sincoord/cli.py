@@ -97,30 +97,64 @@ def _fmt_float(value: float) -> str:
     return format(float(value), ".17g")
 
 
-def _render_json(obj, indent: int = 0) -> str:
-    """Deterministic JSON with fixed 17-significant-digit floats."""
-    pad = "  " * indent
+# json.dumps's quoting of a str (ASCII, with escapes), without its call
+_quote = json.encoder.encode_basestring_ascii
+
+
+def _render_dict(obj: dict, indent: int) -> str:
+    if not obj:
+        return "{}"
     inner = "  " * (indent + 1)
+    rows = [
+        f"{inner}{_quote(str(k))}: {_render_json(v, indent + 1)}" for k, v in obj.items()
+    ]
+    return "{\n" + ",\n".join(rows) + "\n" + "  " * indent + "}"
+
+
+def _render_list(obj, indent: int) -> str:
+    if not obj:
+        return "[]"
+    inner = "  " * (indent + 1)
+    rows = [f"{inner}{_render_json(v, indent + 1)}" for v in obj]
+    return "[\n" + ",\n".join(rows) + "\n" + "  " * indent + "]"
+
+
+def _render_json(obj, indent: int = 0) -> str:
+    """Deterministic JSON with fixed 17-significant-digit floats.
+
+    The exact types of a report come first; a subclass (a numpy float, an
+    IntEnum) takes the first branch of the isinstance chain it matches, and
+    anything else, a str subclass too, is rendered as its quoted str().
+    """
+    kind = type(obj)
+    if kind is float:
+        return format(obj, ".17g")
+    if kind is dict:
+        return _render_dict(obj, indent)
+    if kind is list or kind is tuple:
+        return _render_list(obj, indent)
+    if kind is bool:
+        return "true" if obj else "false"
+    if kind is int:
+        return str(obj)
+    if kind is str:
+        return _quote(obj)
     if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        rows = [
-            f"{inner}{json.dumps(str(k))}: {_render_json(v, indent + 1)}"
-            for k, v in obj.items()
-        ]
-        return "{\n" + ",\n".join(rows) + "\n" + pad + "}"
+        return _render_dict(obj, indent)
     if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        rows = [f"{inner}{_render_json(v, indent + 1)}" for v in obj]
-        return "[\n" + ",\n".join(rows) + "\n" + pad + "]"
+        return _render_list(obj, indent)
     if isinstance(obj, bool):
         return "true" if obj else "false"
     if isinstance(obj, int):
         return str(obj)
     if isinstance(obj, float):
         return _fmt_float(obj)
-    return json.dumps(str(obj))
+    return _quote(str(obj))
+
+
+def _params(spec: SystemSpec) -> dict:
+    """The system's parameters: its dataclass fields, by name."""
+    return {f.name: getattr(spec, f.name) for f in dataclasses.fields(spec)}
 
 
 def _report_document(
@@ -128,7 +162,7 @@ def _report_document(
 ) -> dict:
     return {
         "system": spec.tag,
-        "params": dataclasses.asdict(spec),
+        "params": _params(spec),
         "N": args.n if args.n is not None else 0,
         "G": args.guard,
         "checks": [
@@ -169,7 +203,7 @@ def emit_report(
 
 def format_text_table(spec: SystemSpec, reports: list[CheckReport]) -> str:
     head = f"system={spec.tag}"
-    for key, value in dataclasses.asdict(spec).items():
+    for key, value in _params(spec).items():
         head += f" {key}={value:g}"
     lines = [head, f"{'check':<28}{'max_residual':>14}{'tolerance':>12}  status"]
     for r in reports:

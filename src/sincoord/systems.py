@@ -47,7 +47,6 @@ import math
 import operator
 import sys
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property, lru_cache
 from typing import ClassVar, Union
 
@@ -369,7 +368,7 @@ class AskeyWilson(_CompiledFlow):
     coherent_lambda: ClassVar[complex] = 0.2
 
     # Constants of the parameters, computed on first use and kept on the
-    # instance (outside the dataclass fields, so `asdict` does not see them).
+    # instance (outside the dataclass fields, the report's `params`).
     @cached_property
     def params(self) -> tuple[float, float, float, float]:
         return (self.a1, self.a2, self.a3, self.a4)
@@ -476,17 +475,18 @@ class AskeyWilson(_CompiledFlow):
         elementary symmetric functions of a1..a4,
         2 B_n = -Q [(e1 q + e3)(q + e4 Q^2) - Q (q + 1)(e1 e4 + e3 q)]
                 / ((q^2 - e4 Q^2)(e4 Q^2 - 1)).
-        e1, e3 and e4 are formed exactly from the parameters and rounded
-        once, never taken from b1, b3, b4: the closure polynomials are built
-        from those, and the checks must not share a number with them.
+        e1, e3 and e4 are exact integer ratios over one common denominator
+        of the parameters (`_integer_ratios`), each rounded once, and never
+        taken from b1, b3, b4: the closure polynomials are built from those,
+        and the checks must not share a number with them.
         """
         qp, b4, q = self._q_pow, self.b4, self.q
         a1, a2, a3, a4 = self.params
         pair_products = (a1 * a2, a1 * a3, a1 * a4, a2 * a3, a2 * a4, a3 * a4)
-        f1, f2, f3, f4 = (Fraction(v) for v in self.params)
-        e1 = float(f1 + f2 + f3 + f4)
-        e3 = float(f1 * f2 * (f3 + f4) + f3 * f4 * (f1 + f2))
-        e4 = float(f1 * f2 * f3 * f4)
+        (n1, n2, n3, n4), d = _integer_ratios(self.params)
+        e1 = (n1 + n2 + n3 + n4) / d
+        e3 = (n1 * n2 * (n3 + n4) + n3 * n4 * (n1 + n2)) / d**3
+        e4 = n1 * n2 * n3 * n4 / d**4
 
         def a_coef(n):
             return (1.0 - b4 * qp(n - 1)) / (
@@ -631,23 +631,25 @@ class AskeyWilson(_CompiledFlow):
         m = (1 - ab)^2, e = (1 - a)(1 - b) and f = (1 + a)(1 + b); then
         k = (1 - a1 a2)(1 - a3 a4) / 4.
 
-        Each constant is formed exactly from the parameters and rounded
-        once.  They are taken from a1..a4 and never from b1, b3, b4: the
-        closure polynomials are built from those, and the flow oracle must
-        not share a number with what it checks.
+        Each constant is an exact integer ratio over one common denominator
+        of the parameters (`_integer_ratios`), rounded once.  They are taken
+        from a1..a4 and never from b1, b3, b4: the closure polynomials are
+        built from those, and the flow oracle must not share a number with
+        what it checks.
         """
-        a1, a2, a3, a4 = (Fraction(v) for v in self.params)
+        (n1, n2, n3, n4), d = _integer_ratios(self.params)
+        d2 = d * d
         consts = {}
-        for pair, a, b in (("12", a1, a2), ("34", a3, a4)):
+        for pair, a, b in (("12", n1, n2), ("34", n3, n4)):
             consts |= {
-                "u" + pair: 1 + a * b,
-                "m" + pair: (1 - a * b) ** 2,
-                "e" + pair: (1 - a) * (1 - b),
-                "f" + pair: (1 + a) * (1 + b),
+                "u" + pair: (d2 + a * b) / d2,
+                "m" + pair: (d2 - a * b) ** 2 / (d2 * d2),
+                "e" + pair: (d - a) * (d - b) / d2,
+                "f" + pair: (d + a) * (d + b) / d2,
             }
-        consts["k"] = (1 - a1 * a2) * (1 - a3 * a4) / 4
+        consts["k"] = (d2 - n1 * n2) * (d2 - n3 * n4) / (4 * d2 * d2)
         return {
-            **{name: float(value) for name, value in consts.items()},
+            **consts,
             "gam": self.log_q,
             "sin": math.sin, "cos": math.cos, "sqrt": math.sqrt,
             "cosh": math.cosh, "sinh": math.sinh,
@@ -668,6 +670,20 @@ _MAX_SIZE = 1 << 19
 
 # Results kept by each spec-keyed cache: an invocation asks about one system.
 _CACHE_SIZE = 4
+
+
+def _integer_ratios(values) -> tuple[list[int], int]:
+    """Integer numerators of the floats `values` over one common
+    denominator: the least common multiple of their `as_integer_ratio()`
+    denominators, a power of two.
+
+    A constant formed from the numerators in integer arithmetic is exact,
+    and one int / int division rounds it correctly (CPython rounds a true
+    division of ints to the nearest float), as `float(Fraction(...))` does.
+    """
+    ratios = [v.as_integer_ratio() for v in values]
+    den = math.lcm(*(d for _, d in ratios))
+    return [n * (den // d) for n, d in ratios], den
 
 
 def _grid(step: float, first: int, last: int) -> np.ndarray:

@@ -727,7 +727,52 @@ class TestOracleIndependence:
         assert not checks["classical_closed_vs_flow"]["pass"]
 
 
+def _public_flow_check(spec, states, dt, t_end):
+    """The flow check's residuals from the public `period`, `flow_oracle`
+    and `closed_form_eta`, each forming the initial terms itself."""
+    worst_dev = worst_drift = 0.0
+    for state in states:
+        span = 3.0 * sc.period(spec, state) if t_end is None else t_end
+        traj = sc.flow_oracle(spec, state, span, dt)
+        closed = sc.closed_form_eta(spec, state, traj.times)
+        worst_dev = max(worst_dev, np.max(np.abs(closed - traj.eta_values)))
+        h0 = abs(spec.flow.terms(state.x, state.p)[0])
+        worst_drift = max(worst_drift, traj.energy_drift / max(1.0, h0))
+    return worst_dev, worst_drift
+
+
 class TestClosedVsFlow:
+    @pytest.mark.parametrize("spec", [PT12, DO1, AW1], ids=["pt", "do", "aw"])
+    @pytest.mark.parametrize("t_end", [None, 0.5])
+    def test_matches_the_public_functions(self, spec, t_end):
+        states = sc.sample_states(spec, 2, seed=3)
+        deviation, drift = sc.check_closed_vs_flow(spec, states, t_end=t_end)
+        expected = _public_flow_check(spec, states, 1e-3, t_end)
+        assert (deviation.max_residual, drift.max_residual) == expected
+
+    @pytest.mark.parametrize(
+        "spec, state, t_end, dt",
+        [
+            (PT11, ClassicalState(0.0, 1.0), None, 0.0),  # period refuses the state
+            (PT11, ClassicalState(0.0, 1.0), 1.0, 0.0),  # flow_oracle refuses dt first
+            (PT11, ClassicalState(0.0, 1.0), 1.0, 1e-3),
+            (DO1, ClassicalState(0.0, 800.0), None, 1e-3),
+            (DO1, ClassicalState(0.0, 800.0), 1e-9, 1e-3),
+            (sc.PoschlTeller(6.69e153, 1.0), ClassicalState(0.7, 1.0), None, 1e-3),
+            (sc.PoschlTeller(6.69e153, 1.0), ClassicalState(0.7, 1.0), 0.01, 1e-3),
+            (sc.PoschlTeller(1.0, 1.0), ClassicalState(0.7, 0.3), 1e300, 1e-3),
+        ],
+        ids=["wall", "wall-bad-dt", "wall-tend", "overflow", "overflow-short",
+             "r0-overflow", "r0-overflow-tend", "too-many-steps"],
+    )
+    def test_refusals_come_in_the_order_of_the_public_functions(self, spec, state, t_end, dt):
+        with pytest.raises(sc.SincoordError) as expected:
+            _public_flow_check(spec, [state], dt, t_end)
+        with pytest.raises(sc.SincoordError) as raised:
+            sc.check_closed_vs_flow(spec, [state], dt=dt, t_end=t_end)
+        assert type(raised.value) is type(expected.value)
+        assert str(raised.value) == str(expected.value)
+
     def test_fixed_end_time_hands_back_its_trajectory(self):
         state = ClassicalState(0.5, 0.3)
         trajectories = []
@@ -851,6 +896,19 @@ class TestPoissonClosure:
         states = sc.sample_states(spec, 50, seed=42)
         sc.check_poisson_closure(spec, states)
         assert [len(calls[name]) for name in names] == [len(states), 0]
+
+    @pytest.mark.parametrize("t_end", [None, 0.05])
+    def test_one_flow_terms_evaluation_per_flow_state(self, monkeypatch, t_end):
+        # the flow check forms each state's H and partials once, for the
+        # period, the first RK4 step, the closed form and |H0|; a second
+        # evaluation at the initial point would add a call
+        spec = dataclasses.replace(AW1)
+        names = ("terms", "loop")
+        calls = _count_flow_calls(spec, monkeypatch, *names)
+        states = sc.sample_states(spec, 2, seed=42)
+        sc.check_closed_vs_flow(spec, states, t_end=t_end)
+        assert [len(calls[name]) for name in names] == [len(states), len(states)]
+        assert [args[-2:] for args in calls["terms"]] == [(s.x, s.p) for s in states]
 
 
 class TestReconstructPotential:

@@ -1,7 +1,11 @@
 """Command-line surface: suites, report formats, exit codes."""
 
 import argparse
+import collections
+import dataclasses
+import enum
 import json
+import math
 import os
 import resource
 import subprocess
@@ -9,9 +13,11 @@ import sys
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from sincoord import cli
+from sincoord.report import CheckReport
 
 # the directory the package is imported from, so that `python -m sincoord`
 # runs the same code without an install
@@ -558,7 +564,81 @@ class TestParser:
         assert built == []
 
 
+def test_startup_imports_neither_fractions_nor_decimal():
+    # aw's exact constants are integer ratios, so a start pays for neither
+    path = os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH"))))
+    code = "import sys, sincoord.cli; print(sorted({'fractions', 'decimal'} & set(sys.modules)))"
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=600,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert (result.returncode, result.stdout, result.stderr) == (0, "[]\n", "")
+
+
+class Flag(enum.IntFlag):
+    ON = 1
+
+
+class Count(enum.IntEnum):
+    TWO = 2
+
+
+class Name(str, enum.Enum):
+    X = "x"
+
+
+def _reference_render_json(obj, indent=0):
+    """The recursive isinstance-chain renderer the type-dispatched
+    `cli._render_json` replaced, kept as the reference for its bytes."""
+    pad = "  " * indent
+    inner = "  " * (indent + 1)
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        rows = [
+            f"{inner}{json.dumps(str(k))}: {_reference_render_json(v, indent + 1)}"
+            for k, v in obj.items()
+        ]
+        return "{\n" + ",\n".join(rows) + "\n" + pad + "}"
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        rows = [f"{inner}{_reference_render_json(v, indent + 1)}" for v in obj]
+        return "[\n" + ",\n".join(rows) + "\n" + pad + "]"
+    if isinstance(obj, bool):
+        return "true" if obj else "false"
+    if isinstance(obj, int):
+        return str(obj)
+    if isinstance(obj, float):
+        return format(float(obj), ".17g")
+    return json.dumps(str(obj))
+
+
 class TestReportDocument:
+    @pytest.mark.parametrize(
+        "details",
+        [
+            {"x": np.float64(0.1), "n": np.int64(7), "ok": np.bool_(True), "no": np.bool_(False)},
+            {"pair": (1, 2.5), "nested": ((), [(-1,)]), "empty": {}, "none": []},
+            {"zero": -0.0, "tiny": 5e-324, "huge": 1e308, "inf": math.inf, "nan": math.nan},
+            {"quote": 'say "hi"', "slash": "a\\b/c", "control": "\t\n\x00\x1f\x7f",
+             "text": "\u00e9\u4e2d\U0001f600", "key \"\u00e9\\": None},
+            {1: True, 2.5: False, (3, 4): 10**30, None: [None, object]},
+            {"flag": Flag.ON, "count": Count.TWO, "name": Name.X,
+             "ordered": collections.OrderedDict(a=1.5), "user": collections.UserDict(a=1.5)},
+        ],
+        ids=["numpy", "sequences", "floats", "strings", "odd-keys", "subclasses"],
+    )
+    def test_renders_the_bytes_of_the_recursive_renderer(self, details):
+        import sincoord as sc
+
+        spec = sc.AskeyWilson(0.1, 0.2, -0.1, 0.3, q=0.5)
+        args = cli.build_parser().parse_args(["heisenberg", "--n", "20"])
+        report = CheckReport("check", 1e-12, 1e-9, True, details)
+        document = cli._report_document(spec, args, [report, report])
+        assert cli._render_json(document) == _reference_render_json(document)
+        assert document["params"] == dataclasses.asdict(spec)
+
     def test_empty_report_list_renders_valid_json(self):
         import sincoord as sc
 

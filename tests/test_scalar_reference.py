@@ -374,3 +374,34 @@ def test_aw_powers_come_from_python_pow():
     assert same_bits(rec.A(n), up)
     assert same_bits(rec.B(n), diag)
     assert same_bits(rec.C(n[1:]), down)
+
+
+# a1..a4 at the edges of their bits (subnormal, tiny, -0.0, just below +-1),
+# and with full mantissas, where a constant rounded twice would differ
+EXACT_CONSTANT_EDGES = [
+    sc.AskeyWilson(0.7076604676433873, -0.9235005608951805, 0.45471778393128925,
+                   -0.6422018712069331, q=0.5),
+    sc.AskeyWilson(5e-324, 0.5, -0.5, 0.1, q=0.5),
+    sc.AskeyWilson(-5e-324, 5e-324, 1e-300, -1e-300, q=0.5),
+    sc.AskeyWilson(-0.0, 0.2, -0.1, 0.3, q=0.6),
+    sc.AskeyWilson(0.9999999999999999, -0.9999999999999999, 0.999, 0.0, q=0.9),
+    sc.AskeyWilson(2.2250738585072014e-308, 1 / 3, -0.999, 0.5, q=0.05),
+]
+
+
+@pytest.mark.parametrize("spec", EXACT_CONSTANT_EDGES, ids=lambda s: repr(s.params))
+def test_aw_exact_constants_round_as_fractions_do(spec):
+    # e1, e3 and e4 (through B_n) and the flow's pair constants are exact
+    # rationals of a1..a4 rounded once, as float(Fraction(...)) rounds them
+    n = range(30)
+    b_coef, scalar_b = spec.recurrence_coefficients()[1], scalar_coefficients(spec)[1]
+    assert same_bits([b_coef(k) for k in n], [scalar_b(k) for k in n])
+    a1, a2, a3, a4 = (Fraction(v) for v in spec.params)
+    expected = {"k": (1 - a1 * a2) * (1 - a3 * a4) / 4}
+    for pair, a, b in (("12", a1, a2), ("34", a3, a4)):
+        expected |= {"u" + pair: 1 + a * b, "m" + pair: (1 - a * b) ** 2,
+                     "e" + pair: (1 - a) * (1 - b), "f" + pair: (1 + a) * (1 + b)}
+    constants = spec.flow_locals()
+    assert {k: constants[k].hex() for k in expected} == {
+        k: float(v).hex() for k, v in expected.items()
+    }

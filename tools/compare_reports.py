@@ -14,14 +14,16 @@ The corpus is the 8 reference systems x 6 suites x 5 variants, a
 `--tend 10` trajectory export per system (two for aw, from either side of
 x = pi/2), four aw and four do `ladder` runs at the edges of their
 ground-state densities, four aw runs at the edges of its diagonal
-recurrence coefficient B_n, two do `ladder` runs past N 2048, `heisenberg`
+recurrence coefficient B_n, nine aw runs (`ladder`, `coherent` and
+`classical --states 1`) at parameter bits that stretch its exact integer-ratio
+constants, two do `ladder` runs past N 2048, `heisenberg`
 and `coherent` at N 512 for one system per family, two do `coherent` runs
 at the tail sizes of the benchmark's `matrix` workload (one with a complex
 lambda), the README's exit-2 examples, a flow that leaves pt's domain,
 one flow per family whose error is raised in an RK4 stage, two do flows
 whose step ends at a position that is not finite, and the 23 known
 outcomes of tests/test_known_outcomes.py (runs that fail a check or are
-refused): 323 invocations.
+refused): 332 invocations.
 """
 
 from __future__ import annotations
@@ -73,6 +75,16 @@ B_N_EDGES = (
     *((suite, "--system", "aw", "--a=1e-8,0,0,0", "--q", "0.5")
       for suite in ("ladder", "heisenberg", "coherent")),
     ("ladder", "--system", "aw", "--a=1e-300,-1e-300,0.5,0.5", "--q", "0.5"),
+)
+# aw's exact constants (e1, e3, e4 of B_n and the flow's pair constants) are
+# integer ratios over the common denominator of a1..a4: a subnormal a_i
+# (denominator 2^1074), a -0.0 a_i and the largest a_i below 1, with the
+# residuals' 17 digits
+EXACT_CONSTANT_EDGES = tuple(
+    (*suite, "--system", "aw", a, "--q", "0.5", "--format", "json")
+    for a in ("--a=5e-324,0.5,-0.5,0.1", "--a=-0.0,0.2,-0.1,0.3",
+              "--a=0.9999999999999999,0.5,-0.5,0.1")
+    for suite in (("ladder",), ("coherent",), ("classical", "--states", "1"))
 )
 # do's density is |Gamma(a + ix)|^2: a 0.016 has the largest rule admitted,
 # 0.45 and 0.5 lie either side of the a < 1/2 shift, and 90 is below the
@@ -180,8 +192,8 @@ def default_corpus() -> list[list[str]]:
         for x0 in EXPORT_X0[system[1]]
     ]
     edges = (
-        DENSITY_EDGES + B_N_EDGES + DO_DENSITY_EDGES + SU11_LARGE_N + MATRIX_N
-        + EXIT_2 + KNOWN_OUTCOMES
+        DENSITY_EDGES + B_N_EDGES + EXACT_CONSTANT_EDGES + DO_DENSITY_EDGES
+        + SU11_LARGE_N + MATRIX_N + EXIT_2 + KNOWN_OUTCOMES
     )
     return corpus + [list(argv) for argv in edges]
 
