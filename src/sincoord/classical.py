@@ -135,7 +135,12 @@ def _closed_form(orbit: tuple[float, float, float, float], t):
 
 def period(spec: SystemSpec, state: ClassicalState) -> float:
     """2 pi / sqrt(R0(H0)): the oscillation period at this state's energy."""
-    return 2.0 * math.pi / _orbit(spec, state)[0]
+    return _period(_orbit(spec, state))
+
+
+def _period(orbit: tuple[float, float, float, float]) -> float:
+    """2 pi / omega: the period of the sinusoid with the constants `orbit`."""
+    return 2.0 * math.pi / orbit[0]
 
 
 # The flow compiled from a family's statements.  Each family writes its
@@ -254,9 +259,21 @@ def compile_flow(spec: SystemSpec) -> CompiledFlow:
 _MAX_STEPS = 1 << 26
 
 
-def _steps(t_end: float, dt: float) -> int:
-    """round(t_end / dt), with the refusals of a step or span that
-    `flow_oracle` describes."""
+def flow_oracle(
+    spec: SystemSpec, state: ClassicalState, t_end: float, dt: float
+) -> Trajectory:
+    """Fixed-step RK4 integration of dx/dt = dH/dp, dp/dt = -dH/dx.
+
+    Takes round(t_end / dt) steps, so the flow ends at that many times dt;
+    a span that rounds to no step (t_end <= dt / 2) raises
+    ParameterOutOfRange.  Raises DomainEscape, naming the time t and the
+    step dt, if a step takes the position out of the open domain, and
+    EnergyDrift if the conserved energy moves by more than
+    1e-6 relative, a stage of a step overflows, divides by zero or takes
+    the sine of an infinite position, or a step ends at a position that is
+    not finite (in each case after a partial overflowed to inf).
+    The steps are taken by the system's compiled `flow.loop`.
+    """
     if not 0.0 < dt < math.inf:
         raise ParameterOutOfRange(f"dt must be positive and finite, got {dt}")
     if not 0.0 < t_end < math.inf:
@@ -273,36 +290,9 @@ def _steps(t_end: float, dt: float) -> int:
             f"the span {t_end} is at most half a step of dt={dt}, "
             "so the flow would take no step"
         )
-    return steps
-
-
-def flow_oracle(
-    spec: SystemSpec,
-    state: ClassicalState,
-    t_end: float,
-    dt: float,
-    *,
-    _terms: tuple[float, float, float] | None = None,
-) -> Trajectory:
-    """Fixed-step RK4 integration of dx/dt = dH/dp, dp/dt = -dH/dx.
-
-    Takes round(t_end / dt) steps, so the flow ends at that many times dt;
-    a span that rounds to no step (t_end <= dt / 2) raises
-    ParameterOutOfRange.  Raises DomainEscape, naming the time t and the
-    step dt, if a step takes the position out of the open domain, and
-    EnergyDrift if the conserved energy moves by more than
-    1e-6 relative, a stage of a step overflows, divides by zero or takes
-    the sine of an infinite position, or a step ends at a position that is
-    not finite (in each case after a partial overflowed to inf).
-    The steps are taken by the system's compiled `flow.loop`.
-
-    `_terms` is for `check_closed_vs_flow`, which has already formed the
-    state's `_initial_terms` (and so made their refusals).
-    """
-    steps = _steps(t_end, dt)
     times = np.arange(steps + 1) * dt
     xs = array("d", [state.x])
-    e0, hx, hp = _initial_terms(spec, state) if _terms is None else _terms
+    e0, hx, hp = _initial_terms(spec, state)
     guard = 1e-6 * max(1.0, abs(e0))
     lo, hi = spec.domain
     try:
@@ -357,21 +347,20 @@ def check_closed_vs_flow(
     values) pair is appended to it.
     """
     _require_states(states)
-    if t_end is not None:
-        _steps(t_end, dt)  # a bad span is refused before any state
     worst_dev = 0.0
     worst_drift = 0.0
     for state in states:
-        # the state's terms are formed once and handed to the period, the
-        # flow's first step and the closed form; each refusal comes where
-        # `period`, `flow_oracle` or `closed_form_eta` would make it
-        terms = _initial_terms(spec, state)
+        # the state's terms are formed here once, for the orbit (the period
+        # and the closed form) and |H0|, and once more by `flow_oracle`;
+        # each refusal comes where `period`, `flow_oracle` or
+        # `closed_form_eta` would make it
         if t_end is None:
+            terms = _initial_terms(spec, state)
             orbit = _orbit(spec, state, terms)
-            span = _PERIODS * (2.0 * math.pi / orbit[0])  # period(spec, state)
-            traj = flow_oracle(spec, state, span, dt, _terms=terms)
+            traj = flow_oracle(spec, state, _PERIODS * _period(orbit), dt)
         else:
-            traj = flow_oracle(spec, state, t_end, dt, _terms=terms)
+            traj = flow_oracle(spec, state, t_end, dt)
+            terms = _initial_terms(spec, state)
             orbit = _orbit(spec, state, terms)
         closed = _closed_form(orbit, traj.times)
         worst_dev = np.maximum(worst_dev, np.max(np.abs(closed - traj.eta_values)))

@@ -101,54 +101,34 @@ def _fmt_float(value: float) -> str:
 _quote = json.encoder.encode_basestring_ascii
 
 
-def _render_dict(obj: dict, indent: int) -> str:
-    if not obj:
-        return "{}"
-    inner = "  " * (indent + 1)
-    rows = [
-        f"{inner}{_quote(str(k))}: {_render_json(v, indent + 1)}" for k, v in obj.items()
-    ]
-    return "{\n" + ",\n".join(rows) + "\n" + "  " * indent + "}"
-
-
-def _render_list(obj, indent: int) -> str:
-    if not obj:
-        return "[]"
-    inner = "  " * (indent + 1)
-    rows = [f"{inner}{_render_json(v, indent + 1)}" for v in obj]
-    return "[\n" + ",\n".join(rows) + "\n" + "  " * indent + "]"
-
-
 def _render_json(obj, indent: int = 0) -> str:
     """Deterministic JSON with fixed 17-significant-digit floats.
 
-    The exact types of a report come first; a subclass (a numpy float, an
-    IntEnum) takes the first branch of the isinstance chain it matches, and
-    anything else, a str subclass too, is rendered as its quoted str().
+    Floats, a report's most common values, are tested first; no float is
+    also a dict, list, tuple or int, so no value's branch depends on the
+    order.
     """
-    kind = type(obj)
-    if kind is float:
-        return format(obj, ".17g")
-    if kind is dict:
-        return _render_dict(obj, indent)
-    if kind is list or kind is tuple:
-        return _render_list(obj, indent)
-    if kind is bool:
-        return "true" if obj else "false"
-    if kind is int:
-        return str(obj)
-    if kind is str:
-        return _quote(obj)
+    if isinstance(obj, float):
+        return _fmt_float(obj)
+    pad = "  " * indent
+    inner = "  " * (indent + 1)
     if isinstance(obj, dict):
-        return _render_dict(obj, indent)
+        if not obj:
+            return "{}"
+        rows = [
+            f"{inner}{_quote(str(k))}: {_render_json(v, indent + 1)}"
+            for k, v in obj.items()
+        ]
+        return "{\n" + ",\n".join(rows) + "\n" + pad + "}"
     if isinstance(obj, (list, tuple)):
-        return _render_list(obj, indent)
+        if not obj:
+            return "[]"
+        rows = [f"{inner}{_render_json(v, indent + 1)}" for v in obj]
+        return "[\n" + ",\n".join(rows) + "\n" + pad + "]"
     if isinstance(obj, bool):
         return "true" if obj else "false"
     if isinstance(obj, int):
         return str(obj)
-    if isinstance(obj, float):
-        return _fmt_float(obj)
     return _quote(str(obj))
 
 

@@ -898,17 +898,20 @@ class TestPoissonClosure:
         assert [len(calls[name]) for name in names] == [len(states), 0]
 
     @pytest.mark.parametrize("t_end", [None, 0.05])
-    def test_one_flow_terms_evaluation_per_flow_state(self, monkeypatch, t_end):
-        # the flow check forms each state's H and partials once, for the
-        # period, the first RK4 step, the closed form and |H0|; a second
-        # evaluation at the initial point would add a call
+    def test_two_flow_terms_evaluations_per_flow_state(self, monkeypatch, t_end):
+        # the flow check forms each state's H and partials once for the
+        # orbit (period, closed form) and |H0|, and `flow_oracle` once for
+        # the first RK4 step; a further evaluation at the initial point
+        # would add a call
         spec = dataclasses.replace(AW1)
         names = ("terms", "loop")
         calls = _count_flow_calls(spec, monkeypatch, *names)
         states = sc.sample_states(spec, 2, seed=42)
         sc.check_closed_vs_flow(spec, states, t_end=t_end)
-        assert [len(calls[name]) for name in names] == [len(states), len(states)]
-        assert [args[-2:] for args in calls["terms"]] == [(s.x, s.p) for s in states]
+        assert [len(calls[name]) for name in names] == [2 * len(states), len(states)]
+        assert [args[-2:] for args in calls["terms"]] == [
+            (s.x, s.p) for s in states for _ in range(2)
+        ]
 
 
 class TestReconstructPotential:

@@ -588,7 +588,7 @@ class Name(str, enum.Enum):
 
 
 def _reference_render_json(obj, indent=0):
-    """The recursive isinstance-chain renderer the type-dispatched
+    """The dict-first renderer quoting with `json.dumps` that
     `cli._render_json` replaced, kept as the reference for its bytes."""
     pad = "  " * indent
     inner = "  " * (indent + 1)
