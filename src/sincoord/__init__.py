@@ -52,7 +52,6 @@ from .heisenberg import (
 )
 from .operators import (
     LadderPair,
-    Normalization,
     build_basic,
     build_ladder,
     check_ground_state_condition,

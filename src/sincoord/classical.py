@@ -91,18 +91,15 @@ def _initial_terms(spec: SystemSpec, state: ClassicalState) -> tuple[float, floa
     return terms
 
 
-def _orbit(
-    spec: SystemSpec, state: ClassicalState, terms: tuple[float, float, float] | None = None
-) -> tuple[float, float, float, float]:
-    """The constants of the state's sinusoid, from the state's `terms` (one
-    `_initial_terms` call when they are not given): omega = sqrt(R0(H0)),
-    the offset R-1(H0)/R0(H0), the initial bracket {H, eta} = -dH/dp *
-    eta'(x0) and eta(x0).
+def _orbit(spec: SystemSpec, state: ClassicalState) -> tuple[float, float, float, float, float]:
+    """The constants of the state's sinusoid, from one `_initial_terms`
+    call: omega = sqrt(R0(H0)), the offset R-1(H0)/R0(H0), the initial
+    bracket {H, eta} = -dH/dp * eta'(x0), eta(x0), and the energy H0.
 
     Raises NonOscillatory if R0(H0) <= 0 and ParameterOutOfRange if R0(H0)
     overflows, besides the refusals of `_initial_terms`.
     """
-    h0, _, dhdp = _initial_terms(spec, state) if terms is None else terms
+    h0, _, dhdp = _initial_terms(spec, state)
     closure = classical_r_polynomials(spec)
     r0v = closure.r0(h0)
     if r0v <= 0.0:
@@ -110,7 +107,7 @@ def _orbit(
     if r0v == math.inf:
         raise ParameterOutOfRange(f"R0(H0) overflows at the initial energy H0={h0}")
     bracket0 = -dhdp * spec.deta_dx(state.x)
-    return math.sqrt(r0v), closure.rm1(h0) / r0v, bracket0, float(spec.eta(state.x))
+    return math.sqrt(r0v), closure.rm1(h0) / r0v, bracket0, float(spec.eta(state.x)), h0
 
 
 def closed_form_eta(spec: SystemSpec, state: ClassicalState, t):
@@ -119,9 +116,9 @@ def closed_form_eta(spec: SystemSpec, state: ClassicalState, t):
     return _closed_form(_orbit(spec, state), t)
 
 
-def _closed_form(orbit: tuple[float, float, float, float], t):
+def _closed_form(orbit: tuple[float, float, float, float, float], t):
     """eta at the times t on the sinusoid with the constants `orbit`."""
-    omega, ratio, bracket0, eta0 = orbit
+    omega, ratio, bracket0, eta0, _ = orbit
     ts = np.asarray(t, dtype=float)
     values = (
         -bracket0 * np.sin(omega * ts) / omega
@@ -138,7 +135,7 @@ def period(spec: SystemSpec, state: ClassicalState) -> float:
     return _period(_orbit(spec, state))
 
 
-def _period(orbit: tuple[float, float, float, float]) -> float:
+def _period(orbit: tuple[float, float, float, float, float]) -> float:
     """2 pi / omega: the period of the sinusoid with the constants `orbit`."""
     return 2.0 * math.pi / orbit[0]
 
@@ -350,21 +347,20 @@ def check_closed_vs_flow(
     worst_dev = 0.0
     worst_drift = 0.0
     for state in states:
-        # the state's terms are formed here once, for the orbit (the period
-        # and the closed form) and |H0|, and once more by `flow_oracle`;
-        # each refusal comes where `period`, `flow_oracle` or
-        # `closed_form_eta` would make it
+        # the state's terms are formed once for the orbit (the period, the
+        # closed form and H0), and once more by `flow_oracle`; each refusal
+        # comes where `period`, `flow_oracle` or `closed_form_eta` would
+        # make it
         if t_end is None:
-            terms = _initial_terms(spec, state)
-            orbit = _orbit(spec, state, terms)
+            orbit = _orbit(spec, state)
             traj = flow_oracle(spec, state, _PERIODS * _period(orbit), dt)
         else:
             traj = flow_oracle(spec, state, t_end, dt)
-            terms = _initial_terms(spec, state)
-            orbit = _orbit(spec, state, terms)
+            orbit = _orbit(spec, state)
         closed = _closed_form(orbit, traj.times)
+        h0 = orbit[-1]
         worst_dev = np.maximum(worst_dev, np.max(np.abs(closed - traj.eta_values)))
-        worst_drift = np.maximum(worst_drift, traj.energy_drift / max(1.0, abs(terms[0])))
+        worst_drift = np.maximum(worst_drift, traj.energy_drift / max(1.0, abs(h0)))
         if trajectories is not None:
             trajectories.append((traj, closed))
     if t_end is None:

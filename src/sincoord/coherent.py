@@ -9,7 +9,6 @@ term against an independent 1F1 evaluation.
 
 from __future__ import annotations
 
-import math
 from functools import lru_cache
 
 import numpy as np
@@ -19,7 +18,13 @@ from .operators import _band_apply, build_ladder
 from .polynomials import eval_all, recurrence
 from .report import CheckReport, make_report
 from .special import hyp1f1
-from .systems import _CACHE_SIZE, DeformedOscillator, SystemSpec, require_size
+from .systems import (
+    _CACHE_SIZE,
+    DeformedOscillator,
+    SystemSpec,
+    require_samples,
+    require_size,
+)
 
 
 def coherent_coeffs(spec: SystemSpec, lam: complex, truncation: int) -> np.ndarray:
@@ -113,16 +118,7 @@ def check_mp_hypergeometric(
     """
     spec = DeformedOscillator(a)
     lam = complex(lam)
-    xs = np.atleast_1d(np.asarray(x_samples, dtype=float))
-    if xs.ndim != 1:
-        raise ParameterOutOfRange(
-            f"x samples must be a number or a flat sequence, got shape {xs.shape}"
-        )
-    if xs.size == 0:
-        raise ParameterOutOfRange("need at least one x sample")
-    for x in xs.tolist():
-        if not math.isfinite(x):
-            raise ParameterOutOfRange(f"x sample must be finite, got x={x}")
+    xs = require_samples("x", x_samples)
     coeffs = coherent_coeffs(spec, lam, truncation)
     # an overflowing series is NaN, and its residual is refused in make_report
     with np.errstate(over="ignore", invalid="ignore"):

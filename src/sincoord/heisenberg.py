@@ -19,12 +19,10 @@ long the grid is.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterOutOfRange
 from .operators import (
     build_basic,
     build_ladder,
@@ -35,23 +33,13 @@ from .operators import (
     _window_max,
 )
 from .report import CheckReport, make_report
-from .systems import SystemSpec
+from .systems import SystemSpec, require_samples
 
 DEFAULT_T_GRID = (0.0, 0.1, 0.37, 1.0, 2.5, 5.0)
 
 # Times x levels evaluated at once: N <= 512 runs the default grid in one
 # block, and a block of (T, 3, N) complex bands stays near 0.2 MiB.
 _BLOCK_ENTRIES = 4096
-
-
-def _times(t_samples) -> np.ndarray:
-    """The time samples as a float vector; a non-finite one is refused
-    before any time is evaluated."""
-    times = [float(t) for t in t_samples]
-    for t in times:
-        if not math.isfinite(t):
-            raise ParameterOutOfRange(f"time must be finite, got t={t}")
-    return np.array(times)
 
 
 def _phases(ap: np.ndarray, am: np.ndarray, times: np.ndarray):
@@ -80,7 +68,7 @@ class HeisenbergSolution:
 
     def evolve(self, t: float) -> np.ndarray:
         """a_plus e^{i a+ t} + const + a_minus e^{i a- t} (diagonals right)."""
-        phases = _phases(self.freq_plus, self.freq_minus, _times((t,)))
+        phases = _phases(self.freq_plus, self.freq_minus, require_samples("t", (t,)))
         return self.split_bands(*phases)[0]
 
 
@@ -120,14 +108,14 @@ def exact_evolution(spec: SystemSpec, n_dim: int, guard: int, t: float) -> np.nd
     Every function of H multiplies from the right as a diagonal.
     """
     eta, comm, _, ratio, ap, am = _closure_data(spec, n_dim, guard)
-    phases = _phases(ap, am, _times((t,)))
+    phases = _phases(ap, am, require_samples("t", (t,)))
     return _closed_form(eta, comm, ratio, ap, am, *phases)[0]
 
 
 def oracle_evolution(spec: SystemSpec, n_dim: int, guard: int, t: float) -> np.ndarray:
     """Elementwise phase oracle: (eta)_mn e^{i (E_m - E_n) t}."""
     levels, eta, _ = build_basic(spec, n_dim, guard)
-    return _phase_oracle(eta, _level_gaps(levels), _times((t,)))[0]
+    return _phase_oracle(eta, _level_gaps(levels), require_samples("t", (t,)))[0]
 
 
 def check_heisenberg(
@@ -141,13 +129,12 @@ def check_heisenberg(
     Residuals are entrywise over the interior window, per-column relative
     where the family has `relative_residuals`.  The operators and the
     frequencies are built once; the time samples then run through the
-    kernels in blocks, each sample costing O(N).
+    kernels in blocks, each sample costing O(N).  Raises
+    ParameterOutOfRange unless the t samples are one number or a flat
+    sequence of at least one finite number.
     """
-    times = [float(t) for t in t_samples]
-    if not times:
-        raise ParameterOutOfRange("need at least one time sample")
+    grid = require_samples("t", t_samples)
     eta, comm, levels, ratio, ap, am = _closure_data(spec, n_dim, guard)
-    grid = _times(times)
     solution = build_solution(spec, n_dim, guard)
     gaps = _level_gaps(levels)
     worst_oracle = 0.0
@@ -174,5 +161,5 @@ def check_heisenberg(
         G=guard,
         max_vs_oracle=float(worst_oracle),
         max_vs_decomposition=float(worst_split),
-        t_samples=times,
+        t_samples=grid.tolist(),
     )

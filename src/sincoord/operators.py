@@ -19,16 +19,15 @@ The levels and the bands of eta come from one array call of the family's
 `energy` and the shared tables of its recurrence coefficients
 (`RecurrenceData.table`).  `build_basic`, `_closure_vectors`,
 `_closure_data` and `build_ladder` keep their last few results per
-(system, N, G), the pair also per normalization, so the checks of one
-suite build eta, [H, eta], the R-polynomial values, the frequencies and
-each ladder pair once; the arrays they hand out are read-only.  The
-helpers on three bands also take a stack of operators, (T, 3, N) bands with
-a leading batch axis, as the Heisenberg time grid uses them.
+(system, N, G), so the checks of one suite build eta, [H, eta], the
+R-polynomial values, the frequencies and each ladder pair once; the arrays
+they hand out are read-only.  The helpers on three bands also take a stack
+of operators, (T, 3, N) bands with a leading batch axis, as the Heisenberg
+time grid uses them.
 """
 
 from __future__ import annotations
 
-from enum import Enum
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -52,11 +51,6 @@ from .systems import (
     r_polynomials,
     require_size,
 )
-
-
-class Normalization(Enum):
-    UNIT = "unit"
-    PRIMED = "primed"
 
 
 class LadderPair(NamedTuple):
@@ -222,37 +216,24 @@ def _closure_data(spec: SystemSpec, n_dim: int, guard: int):
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
-def _ladder(
-    spec: SystemSpec, n_dim: int, guard: int, normalization: Normalization
-) -> LadderPair:
-    """The pair from eta, [H, eta], R-1/R0 and alpha_pm on the spectrum."""
+def build_ladder(spec: SystemSpec, n_dim: int, guard: int) -> LadderPair:
+    """Raising/lowering pair assembled from H, eta, and [H, eta]: the
+    positive and negative frequency parts of the evolved coordinate,
+
+        a_plus  = ( [H, eta] - (eta + R-1/R0) alpha_minus(H)) / D(H),
+        a_minus = (-[H, eta] + (eta + R-1/R0) alpha_plus(H)) / D(H),
+
+    with D = alpha_plus - alpha_minus, whose matrix elements are exactly
+    A_n and C_n.  The bands are read-only and shared between calls with the
+    same arguments.
+    """
     eta, comm, _, ratio, ap, am = _closure_data(spec, n_dim, guard)
     shifted = _plus_diagonal(eta, ratio)
-    plus = comm - shifted * am[None, :]
-    minus = -comm + shifted * ap[None, :]
-    if normalization is Normalization.UNIT:
-        denom = ap - am
-        plus = plus / denom[None, :]
-        minus = minus / denom[None, :]
+    denom = ap - am
+    plus = (comm - shifted * am[None, :]) / denom[None, :]
+    minus = (-comm + shifted * ap[None, :]) / denom[None, :]
     _read_only(plus, minus)
     return LadderPair(a_plus=plus, a_minus=minus)
-
-
-def build_ladder(
-    spec: SystemSpec,
-    n_dim: int,
-    guard: int,
-    normalization: Normalization = Normalization.UNIT,
-) -> LadderPair:
-    """Raising/lowering pair assembled from H, eta, and [H, eta].
-
-    UNIT divides by the frequency difference (the pair whose matrix
-    elements are exactly A_n and C_n); PRIMED omits that division, which
-    is the same as right-multiplying by alpha_plus(H) - alpha_minus(H).
-    The bands are read-only and shared between calls with the same
-    arguments, whether or not the normalization is spelled out.
-    """
-    return _ladder(spec, n_dim, guard, normalization)
 
 
 def check_ladder_action(spec: SystemSpec, n_dim: int, guard: int) -> CheckReport:
@@ -321,12 +302,12 @@ def check_hermitian_conjugacy(spec: SystemSpec, n_dim: int, guard: int) -> Check
 
 
 def check_su11(a: float, n_dim: int, guard: int) -> CheckReport:
-    """su(1,1) relations of the primed pair for the deformed oscillator
-    with parameter a: [H, a'_pm] = +/- a'_pm and [a'_minus, a'_plus] =
-    2 (H + a)."""
+    """su(1,1) relations of the primed pair a'_pm = a_pm (alpha_plus(H) -
+    alpha_minus(H)) for the deformed oscillator with parameter a:
+    [H, a'_pm] = +/- a'_pm and [a'_minus, a'_plus] = 2 (H + a)."""
     spec = DeformedOscillator(a)
-    ap, am = build_ladder(spec, n_dim, guard, Normalization.PRIMED)
-    levels = build_basic(spec, n_dim, guard)[0]
+    _, _, levels, _, freq_p, freq_m = _closure_data(spec, n_dim, guard)
+    ap, am = (op * (freq_p - freq_m)[None, :] for op in build_ladder(spec, n_dim, guard))
     res_plus = _commutator_with_h(levels, ap) - ap
     res_minus = _commutator_with_h(levels, am) + am
     res_comm = _band_product(am, ap)

@@ -321,6 +321,12 @@ class DeformedOscillator(_CompiledFlow):
         else:
             half = 220.0
         step = min(0.1, self.a / 10.0)
+        if step == 0.0 or half / step == math.inf:
+            # a below about 1e-307 leaves a step too small to count the nodes
+            raise QuadratureNotConverged(
+                f"the quadrature rule of step {step!r} on [-{half}, {half}] needs "
+                f"more than the {_MAX_NODES} nodes allowed"
+            )
         reach = math.ceil(half / step)
         x = _grid(step, -reach, reach)
         return x, np.full(x.shape, step)
@@ -705,6 +711,28 @@ def require_size(name: str, value: int) -> None:
         raise ParameterOutOfRange(f"{name} must be an integer, got {name}={value!r}") from None
     if value > _MAX_SIZE:
         raise ParameterOutOfRange(f"{name}={value} exceeds the size cap {_MAX_SIZE}")
+
+
+def require_samples(name: str, samples) -> np.ndarray:
+    """The samples as a float vector; raise ParameterOutOfRange, naming
+    `name`, unless they are one number or a flat, non-empty sequence of
+    finite numbers."""
+    try:
+        values = np.atleast_1d(np.asarray(samples, dtype=float))
+    except (TypeError, ValueError):
+        raise ParameterOutOfRange(
+            f"{name} samples must be numbers, got {samples!r}"
+        ) from None
+    if values.ndim != 1:
+        raise ParameterOutOfRange(
+            f"{name} samples must be a number or a flat sequence, got shape {values.shape}"
+        )
+    if values.size == 0:
+        raise ParameterOutOfRange(f"need at least one {name} sample")
+    for value in values.tolist():
+        if not math.isfinite(value):
+            raise ParameterOutOfRange(f"{name} sample must be finite, got {name}={value}")
+    return values
 
 
 def require_inside(spec: SystemSpec, x, error: type[Exception] = EvaluationDomain) -> None:

@@ -14,7 +14,6 @@ from pathlib import Path
 import numpy as np
 
 import sincoord as sc
-from sincoord.operators import Normalization
 
 PT_SETS = [sc.PoschlTeller(1.0, 1.0), sc.PoschlTeller(2.0, 3.0)]
 PT_ALL = PT_SETS + [sc.PoschlTeller(0.7, 1.3)]
@@ -52,11 +51,14 @@ def test_criterion_02_ladder_identities():
     )
     report_line("2b ladder action (aw, relative)", worst_aw, 1e-9)
 
-    # pinned single matrix elements
-    pt_pair = sc.build_ladder(sc.PoschlTeller(1, 1), 10, 4, Normalization.PRIMED)
-    dev_pt = abs(sc.dense(pt_pair.a_minus)[0, 1] / 2.0 - 3.0)
-    do_pair = sc.build_ladder(sc.DeformedOscillator(1.0), 10, 4, Normalization.PRIMED)
-    dev_do = abs(sc.dense(do_pair.a_minus)[0, 1] - 2.0)
+    # pinned single matrix elements of the primed lowering operator, the
+    # unit entry (0, 1) times alpha_plus - alpha_minus at its column's E_1
+    def primed_entry(spec):
+        gap = np.subtract(*sc.alpha_pm(spec, sc.energies(spec, 2)[1]))
+        return sc.dense(sc.build_ladder(spec, 10, 4).a_minus)[0, 1] * gap
+
+    dev_pt = abs(primed_entry(sc.PoschlTeller(1, 1)) / 2.0 - 3.0)
+    dev_do = abs(primed_entry(sc.DeformedOscillator(1.0)) - 2.0)
     report_line("2c pinned lowering entries", max(dev_pt, dev_do), 1e-12)
 
     # Askey-Wilson columns against the printed coefficient expressions

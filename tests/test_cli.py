@@ -213,6 +213,26 @@ class TestExitCodes:
         assert result.returncode == 2
         assert result.stderr == f"error: {message}\n"
 
+    @pytest.mark.parametrize("suite", ["ladder", "all"])
+    @pytest.mark.parametrize(
+        "a, rule",
+        [
+            # a / 10 underflows the step to 0, or half / step overflows
+            ("5e-324", "of step 0.0 on [-52.0, 52.0] needs more than the 65536 nodes"),
+            ("2.5e-323", "of step 0.0 on [-52.0, 52.0] needs more than the 65536 nodes"),
+            ("1e-310", "of step 1e-311 on [-52.0, 52.0] needs more than the 65536 nodes"),
+            ("2.2e-308", "of step 2.2e-309 on [-52.0, 52.0] needs more than the 65536 nodes"),
+            # the node count is finite, and counted
+            ("1e-305", "needs 10399999999999999555"),
+        ],
+    )
+    def test_do_norms_at_tiny_a_refuse_the_rule(self, suite, a, rule, capsys):
+        code = cli.main([suite, "--system", "do", "--a", a])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith(f"error: the quadrature rule {rule}")
+        assert err.endswith("allowed\n") and err.count("\n") == 1
+
     def test_wrong_parameter_count_exits_two(self):
         result = run_cli("spectrum", "--system", "aw", "--q", "0.5", "--a", "0.1,0.2")
         assert result.returncode == 2

@@ -177,6 +177,10 @@ class TestHypergeometricClosedForm:
         with pytest.raises(sc.ParameterOutOfRange, match=r"got shape \(1, 2\)"):
             sc.check_mp_hypergeometric(1.0, 0.3, [[0.1, 0.2]], 60)
 
+    def test_samples_that_are_not_numbers_are_refused(self):
+        with pytest.raises(sc.ParameterOutOfRange, match=r"x samples must be numbers, got \['a'\]"):
+            sc.check_mp_hypergeometric(1.0, 0.3, ["a"], 60)
+
     def test_non_integer_truncation_is_refused_naming_it(self):
         with pytest.raises(sc.ParameterOutOfRange, match="truncation=60.5"):
             sc.check_mp_hypergeometric(1.0, 0.3, [0.1], 60.5)

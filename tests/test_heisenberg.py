@@ -143,14 +143,14 @@ class TestCheckHeisenberg:
         monkeypatch.setattr(
             heisenberg, "_phases", lambda *args: evaluated.append(args) or phases(*args)
         )
-        message = f"time must be finite, got t={bad}"
+        message = f"t sample must be finite, got t={bad}"
         with pytest.raises(sc.ParameterOutOfRange, match=message):
             sc.check_heisenberg(DO1, 20, 4, (0.1, 1.0, bad, 2.0))
         assert evaluated == []
         for evolution in (sc.exact_evolution, sc.oracle_evolution):
-            with pytest.raises(sc.ParameterOutOfRange, match="time must be finite"):
+            with pytest.raises(sc.ParameterOutOfRange, match="t sample must be finite"):
                 evolution(DO1, 20, 4, bad)
-        with pytest.raises(sc.ParameterOutOfRange, match="time must be finite"):
+        with pytest.raises(sc.ParameterOutOfRange, match="t sample must be finite"):
             sc.build_solution(DO1, 20, 4).evolve(bad)
 
     def test_single_time_entry_points_share_the_batched_kernels(self):
@@ -169,8 +169,25 @@ class TestCheckHeisenberg:
             assert np.array_equal(evolved, split[k])
 
     def test_rejects_empty_time_grid(self):
-        with pytest.raises(sc.ParameterOutOfRange):
+        with pytest.raises(sc.ParameterOutOfRange, match="need at least one t sample"):
             sc.check_heisenberg(DO1, 20, 4, ())
+
+    @pytest.mark.parametrize(
+        "samples, message",
+        [
+            ([[0.1]], r"t samples must be a number or a flat sequence, got shape \(1, 1\)"),
+            (["a"], r"t samples must be numbers, got \['a'\]"),
+            ("a", "t samples must be numbers, got 'a'"),
+        ],
+    )
+    def test_malformed_time_grid_is_refused_naming_it(self, samples, message):
+        with pytest.raises(sc.ParameterOutOfRange, match=message):
+            sc.check_heisenberg(DO1, 20, 4, samples)
+
+    def test_one_number_is_one_time_sample(self):
+        report = sc.check_heisenberg(DO1, 20, 4, 0.5)
+        assert report.details["t_samples"] == [0.5]
+        assert report == sc.check_heisenberg(DO1, 20, 4, [0.5])
 
     def test_full_grid_all_systems(self):
         for spec, n_dim in ((DO1, 30), (PT23, 30), (AW1, 20)):

@@ -7,7 +7,6 @@ import pytest
 
 import sincoord as sc
 from sincoord import cli, operators
-from sincoord.operators import Normalization
 
 from conftest import empty_caches
 
@@ -36,6 +35,13 @@ def dense_basic(spec, n_dim):
     return ham, eta, comm
 
 
+def primed_pair(spec, n_dim, guard):
+    """The primed pair a'_pm = a_pm (alpha_plus(H) - alpha_minus(H)), formed
+    from the unit pair as `check_su11` forms it."""
+    *_, ap, am = operators._closure_data(spec, n_dim, guard)
+    return sc.LadderPair(*(op * (ap - am)[None, :] for op in sc.build_ladder(spec, n_dim, guard)))
+
+
 class TestBandedStorage:
     SPECS = [PT11, sc.DeformedOscillator(1.3), AW1]
 
@@ -49,8 +55,7 @@ class TestBandedStorage:
             assert np.array_equal(sc.dense(op), matrix)
 
     @pytest.mark.parametrize("spec", SPECS)
-    @pytest.mark.parametrize("normalization", list(Normalization))
-    def test_ladder_equals_dense_construction(self, spec, normalization):
+    def test_ladder_equals_dense_construction(self, spec):
         _, eta, comm = dense_basic(spec, 12)
         levels = sc.energies(spec, 12)
         model = sc.r_polynomials(spec)
@@ -58,12 +63,9 @@ class TestBandedStorage:
         root = np.sqrt(r1v * r1v + 4.0 * r0v)
         ap, am = 0.5 * (r1v + root), 0.5 * (r1v - root)
         shifted = eta + np.diag((rm1v / r0v).astype(complex))
-        plus = comm - shifted * am[None, :]
-        minus = -comm + shifted * ap[None, :]
-        if normalization is Normalization.UNIT:
-            plus = plus / (ap - am)[None, :]
-            minus = minus / (ap - am)[None, :]
-        pair = sc.build_ladder(spec, 12, 4, normalization)
+        plus = (comm - shifted * am[None, :]) / (ap - am)[None, :]
+        minus = (-comm + shifted * ap[None, :]) / (ap - am)[None, :]
+        pair = sc.build_ladder(spec, 12, 4)
         assert np.array_equal(sc.dense(pair.a_plus), plus)
         assert np.array_equal(sc.dense(pair.a_minus), minus)
 
@@ -208,12 +210,12 @@ class TestSharedBuilds:
 
 class TestBuildLadder:
     def test_do_primed_lowering_entry(self):
-        pair = sc.build_ladder(DO1, 10, 4, Normalization.PRIMED)
+        pair = primed_pair(DO1, 10, 4)
         assert sc.dense(pair.a_minus)[0, 1].real == pytest.approx(2.0, abs=1e-13)
 
     def test_do_primed_equals_eta_plus_minus_commutator(self):
         _, eta, comm = sc.build_basic(DO1, 12, 4)
-        pair = sc.build_ladder(DO1, 12, 4, Normalization.PRIMED)
+        pair = primed_pair(DO1, 12, 4)
         d = 12 - 4
         up = (sc.dense(eta) + sc.dense(comm))[:d, :d]
         down = (sc.dense(eta) - sc.dense(comm))[:d, :d]
@@ -221,7 +223,7 @@ class TestBuildLadder:
         assert np.max(np.abs(sc.dense(pair.a_minus)[:d, :d] - down)) < 1e-13
 
     def test_pt_primed_half_lowering_entry(self):
-        pair = sc.build_ladder(PT11, 10, 4, Normalization.PRIMED)
+        pair = primed_pair(PT11, 10, 4)
         assert (sc.dense(pair.a_minus)[0, 1] / 2).real == pytest.approx(3.0, abs=1e-12)
 
     def test_lowering_annihilates_ground_state(self):
@@ -229,19 +231,20 @@ class TestBuildLadder:
             pair = sc.build_ladder(spec, 16, 4)
             assert np.max(np.abs(sc.dense(pair.a_minus)[:, 0])) < 1e-14
 
-    def test_primed_is_unit_times_frequency_gap(self):
+    def test_unit_times_frequency_gap_is_the_undivided_pair(self):
+        # (comm -/+ (eta + R-1/R0) alpha_mp) with no division, entry by entry
         for spec in ALL:
-            unit = sc.build_ladder(spec, 16, 4, Normalization.UNIT)
-            primed = sc.build_ladder(spec, 16, 4, Normalization.PRIMED)
+            unit = sc.build_ladder(spec, 16, 4)
+            _, eta, comm = dense_basic(spec, 16)
             levels = sc.energies(spec, 16)
-            gap = np.array([np.subtract(*sc.alpha_pm(spec, e)) for e in levels])
-            for mat_u, mat_p in (
-                (unit.a_plus, primed.a_plus),
-                (unit.a_minus, primed.a_minus),
-            ):
-                rebuilt = sc.dense(mat_u) * gap[None, :]
+            model = sc.r_polynomials(spec)
+            shifted = eta + np.diag((model.rm1(levels) / model.r0(levels)).astype(complex))
+            ap, am = np.array([sc.alpha_pm(spec, e) for e in levels]).T
+            primed = (comm - shifted * am[None, :], -comm + shifted * ap[None, :])
+            for mat_u, mat_p in zip(unit, primed):
+                rebuilt = sc.dense(mat_u) * (ap - am)[None, :]
                 scale = np.maximum(1.0, np.abs(rebuilt))
-                assert np.max(np.abs(rebuilt - sc.dense(mat_p)) / scale) < 1e-12
+                assert np.max(np.abs(rebuilt - mat_p) / scale) < 1e-12
 
     def test_strict_one_entry_sparsity(self):
         for spec in ALL:
@@ -395,13 +398,51 @@ class TestSu11:
         spec = sc.DeformedOscillator(a)
         for n_dim in (6, 8, 30, 64, 100, 200, 512):
             for guard in (g for g in (1, 4, 5) if n_dim >= g + 2):
-                pair = sc.build_ladder(spec, n_dim, guard, Normalization.PRIMED)
+                pair = primed_pair(spec, n_dim, guard)
                 levels = sc.build_basic(spec, n_dim, guard)[0]
                 up, down = sc.dense(pair.a_plus), sc.dense(pair.a_minus)
                 bracket = down @ up - up @ down - 2.0 * np.diag(levels + a)
                 d = n_dim - guard
                 expected = np.max(np.abs(bracket[:d, :d]))
                 assert sc.check_su11(a, n_dim, guard).max_residual == expected
+
+    @pytest.mark.parametrize("a", [5e-324, 0.016, 1.0, 1.3, 8.98e307])
+    @pytest.mark.parametrize("n_dim", [6, 30, 2049])
+    def test_primed_pair_has_the_bits_of_the_undivided_formula(self, a, n_dim, monkeypatch):
+        # for do alpha_plus - alpha_minus is exactly 2, so the unit pair times
+        # it is bit for bit comm -/+ (eta + R-1/R0) alpha_mp, undivided
+        spec = sc.DeformedOscillator(a)
+        levels, eta, comm = sc.build_basic(spec, n_dim, 4)
+        *_, ratio, ap, am = operators._closure_data(spec, n_dim, 4)
+        shifted = eta.copy()
+        shifted[1] = shifted[1] + ratio
+        up, down = comm - shifted * am[None, :], -comm + shifted * ap[None, :]
+        with np.errstate(all="ignore"):
+            bracket = operators._band_product(down, up)
+            bracket -= operators._band_product(up, down)
+            bracket[2] -= 2.0 * (levels + a)
+            expected = [
+                np.abs(operators._commutator_with_h(levels, up) - up),
+                np.abs(operators._commutator_with_h(levels, down) + down),
+                np.abs(bracket),
+            ]
+        products, maxima = [], []
+        band_product, window_max = operators._band_product, operators._window_max
+        monkeypatch.setattr(
+            operators, "_band_product", lambda x, y: products.append((x, y)) or band_product(x, y)
+        )
+        monkeypatch.setattr(
+            operators, "_window_max", lambda v, g: maxima.append(v) or window_max(v, g)
+        )
+        with np.errstate(all="ignore"):
+            try:
+                sc.check_su11(a, n_dim, 4)
+            except sc.NonFiniteResidual:
+                assert a == 8.98e307
+        assert [(x.tobytes(), y.tobytes()) for x, y in products] == [
+            (down.tobytes(), up.tobytes()), (up.tobytes(), down.tobytes())
+        ]
+        assert [v.tobytes() for v in maxima] == [v.tobytes() for v in expected]
 
     def test_do_relations(self):
         report = sc.check_su11(DO1.a, 30, 4)
@@ -414,7 +455,7 @@ class TestSu11:
         assert report.passed
 
     def test_commutator_diagonal_value(self):
-        pair = sc.build_ladder(DO1, 12, 4, Normalization.PRIMED)
+        pair = primed_pair(DO1, 12, 4)
         bracket = (
             sc.dense(pair.a_minus) @ sc.dense(pair.a_plus)
             - sc.dense(pair.a_plus) @ sc.dense(pair.a_minus)
@@ -423,7 +464,7 @@ class TestSu11:
 
     def test_raising_commutator_entry(self):
         ham = np.diag(sc.build_basic(DO1, 12, 4)[0])
-        pair = sc.build_ladder(DO1, 12, 4, Normalization.PRIMED)
+        pair = primed_pair(DO1, 12, 4)
         lhs = ham @ sc.dense(pair.a_plus) - sc.dense(pair.a_plus) @ ham
         assert lhs[6, 5] == pytest.approx(sc.dense(pair.a_plus)[6, 5])
         assert lhs[6, 5].real == pytest.approx(6.0, abs=1e-13)

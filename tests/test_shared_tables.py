@@ -7,7 +7,6 @@ import pytest
 
 import sincoord as sc
 from sincoord import cli, coherent, operators
-from sincoord.operators import Normalization
 
 from conftest import empty_caches
 
@@ -63,21 +62,20 @@ def test_every_cached_array_is_read_only(spec):
     empty_caches()
     rec = sc.recurrence(spec)
     arrays = [rec.table(name, 12) for name in "ABC"]
-    for normalization in Normalization:
-        pair = sc.build_ladder(spec, 12, 4, normalization)
-        arrays += [pair.a_plus, pair.a_minus]
+    arrays += list(sc.build_ladder(spec, 12, 4))
     arrays.append(sc.coherent_coeffs(spec, 0.2, 8))
     for array in arrays:
         with pytest.raises(ValueError):
             array[0] = 1.0
 
 
-def test_ladder_pair_is_shared_however_the_normalization_is_passed():
+def test_ladder_pair_is_shared_however_its_arguments_are_passed():
     empty_caches()
     spec = sc.PoschlTeller(1.3, 2.1)
     pair = sc.build_ladder(spec, 12, 4)
-    assert sc.build_ladder(spec, 12, 4, Normalization.UNIT) is pair
-    assert sc.build_ladder(spec, 12, 4, Normalization.PRIMED) is not pair
+    assert sc.build_ladder(spec, 12, 4) is pair
+    assert sc.build_ladder(sc.PoschlTeller(1.3, 2.1), 12, 4) is pair
+    assert sc.build_ladder(spec, 13, 4) is not pair
 
 
 def test_coherent_series_is_shared_across_number_types():
@@ -110,19 +108,19 @@ def test_aw_ladder_forms_each_power_table_once(monkeypatch, capsys):
     "argv, pairs",
     [
         (["ladder", "--system", "pt", "--g", "1.3", "--h", "2.1"], 1),
-        (["ladder", "--system", "do", "--a", "1.7"], 2),
+        (["ladder", "--system", "do", "--a", "1.7"], 1),
         (AW_LADDER, 1),
         (["all", "--system", "pt", "--g", "1.3", "--h", "2.1"], 2),
     ],
 )
-def test_one_ladder_pair_per_size_and_normalization(argv, pairs, capsys):
-    # do's su(1,1) check adds the PRIMED pair; `all` at pt's defaults runs
-    # `heisenberg` at the ladder's N 30, so it shares that pair, and
-    # `coherent` builds the one at N 64
+def test_one_ladder_pair_per_size(argv, pairs, capsys):
+    # do's su(1,1) check scales the same pair by alpha_plus - alpha_minus;
+    # `all` at pt's defaults runs `heisenberg` at the ladder's N 30, so it
+    # shares that pair, and `coherent` builds the one at N 64
     empty_caches()
     assert cli.main(argv) == 0
     capsys.readouterr()
-    assert operators._ladder.cache_info().misses == pairs
+    assert operators.build_ladder.cache_info().misses == pairs
 
 
 def test_one_coherent_series_per_do_coherent(capsys):

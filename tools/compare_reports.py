@@ -19,11 +19,12 @@ recurrence coefficient B_n, nine aw runs (`ladder`, `coherent` and
 constants, two do `ladder` runs past N 2048, `heisenberg`
 and `coherent` at N 512 for one system per family, two do `coherent` runs
 at the tail sizes of the benchmark's `matrix` workload (one with a complex
-lambda), the README's exit-2 examples, a flow that leaves pt's domain,
+lambda), the README's exit-2 examples, two do `ladder` runs at an a so small
+that the quadrature step underflows, a flow that leaves pt's domain,
 one flow per family whose error is raised in an RK4 stage, two do flows
 whose step ends at a position that is not finite, and the 23 known
 outcomes of tests/test_known_outcomes.py (runs that fail a check or are
-refused): 332 invocations.
+refused): 334 invocations.
 """
 
 from __future__ import annotations
@@ -136,6 +137,9 @@ EXIT_2 = (
     ("classical", "--system", "pt", "--g", "1e-8", "--h", "1"),
     ("ladder", "--system", "do", "--a", "0.015"),
     ("ladder", "--system", "do", "--a", "92"),
+    # a / 10 underflows the rule's step to 0, or half / step overflows
+    ("ladder", "--system", "do", "--a", "5e-324"),
+    ("ladder", "--system", "do", "--a", "1e-310"),
     # the error of these three is raised in an RK4 stage, not at the accepted point
     ("classical", "--system", "pt", "--g", "1", "--h", "1", "--x0=1e-150",
      "--p0=0.1", "--tend", "1"),
