@@ -16,8 +16,6 @@ from .classical import (
     closed_form_eta,
     flow_oracle,
     period,
-    pt_reference_potential,
-    reconstruct_potential,
     sample_states,
     write_trajectory_csv,
 )
@@ -39,7 +37,6 @@ from .errors import (
     QuadratureNotConverged,
     SeriesNotConverged,
     SincoordError,
-    SingularDerivative,
     VanishingFrequency,
     ZeroRecurrenceCoefficient,
 )

@@ -28,13 +28,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import (
-    DomainEscape,
-    EnergyDrift,
-    NonOscillatory,
-    ParameterOutOfRange,
-    SingularDerivative,
-)
+from .errors import DomainEscape, EnergyDrift, NonOscillatory, ParameterOutOfRange
 from .report import CheckReport, make_report
 from .systems import (
     PoschlTeller,
@@ -403,57 +397,35 @@ def check_poisson_closure(
     return make_report("poisson_closure", worst, 1e-6, states=len(states))
 
 
-def reconstruct_potential(coord, r00: float, rm10: float, c: float, r1: float):
-    """Potential from the coordinate map and closure constants:
-    V(x) = (r00 eta^2 / 2 + rm10 eta + c) / (d eta/dx)^2 - r1 / 8.
-
-    `coord` supplies eta(x) and deta_dx(x).  The potential takes a point
-    or an array of them and raises SingularDerivative, naming the first
-    point where the derivative vanishes.
-    """
-
-    def potential(x):
-        d = coord.deta_dx(x)
-        zero = np.flatnonzero(np.equal(d, 0.0))
-        if zero.size:
-            raise SingularDerivative(f"d eta/dx = 0 at x={np.ravel(x)[zero[0]]}")
-        e = coord.eta(x)
-        return (0.5 * r00 * e * e + rm10 * e + c) / (d * d) - r1 / 8.0
-
-    return potential
-
-
-def pt_reference_potential(g: float, h: float, x):
-    """The trigonometric well with ground-state energy shifted to zero."""
-    xs = np.asarray(x, dtype=float)
-    return (
-        0.5 * g * (g - 1.0) / np.sin(xs) ** 2
-        + 0.5 * h * (h - 1.0) / np.cos(xs) ** 2
-        - 0.5 * (g + h) ** 2
-    )
-
-
 def check_potential_reconstruction(g: float, h: float) -> CheckReport:
-    """Rebuild the trigonometric-well potential with couplings g, h from the
-    closure constants.
-
-    r00, rm10, r1 come from the spectral model; the integration constant is
-    fixed at a single interior point, then the reconstruction is compared
-    pointwise against the reference potential at 50 points.
+    """Rebuild the trigonometric well with couplings g, h from the closure
+    constants r00 = R0(0), rm10 = R-1(0), r1 = R1(0) of its spectral model,
+    V(x) = (r00 eta^2 / 2 + rm10 eta + c) / (d eta/dx)^2 - r1 / 8 with c
+    fixed at x = 0.7, and compare it at 50 points of [0.15, pi/2 - 0.15],
+    where |d eta/dx| >= 2 sin 0.3, with the well g(g-1) / (2 sin^2 x)
+    + h(h-1) / (2 cos^2 x) - (g+h)^2 / 2, its ground-state energy at zero.
     """
     spec = PoschlTeller(g, h)
     model = r_polynomials(spec)
-    r00 = model.r0(0.0)
-    rm10 = model.rm1(0.0)
-    r1 = model.r1(0.0)
+    r00, rm10, r1 = model.r0(0.0), model.rm1(0.0), model.r1(0.0)
+
+    def well(x):
+        return (
+            0.5 * g * (g - 1.0) / np.sin(x) ** 2
+            + 0.5 * h * (h - 1.0) / np.cos(x) ** 2
+            - 0.5 * (g + h) ** 2
+        )
+
     x_fit = 0.7
     eta_fit = float(spec.eta(x_fit))
     deta_fit = float(spec.deta_dx(x_fit))
-    v_fit = float(pt_reference_potential(g, h, x_fit))
+    v_fit = float(well(x_fit))
     const = (v_fit + r1 / 8.0) * deta_fit**2 - 0.5 * r00 * eta_fit**2 - rm10 * eta_fit
-    potential = reconstruct_potential(spec, r00, rm10, const, r1)
     xs = np.linspace(0.15, 0.5 * math.pi - 0.15, 50)
-    worst = np.max(np.abs(potential(xs) - pt_reference_potential(g, h, xs)))
+    d = spec.deta_dx(xs)
+    e = spec.eta(xs)
+    rebuilt = (0.5 * r00 * e * e + rm10 * e + const) / (d * d) - r1 / 8.0
+    worst = np.max(np.abs(rebuilt - well(xs)))
     return make_report(
         "potential_reconstruction", worst, 1e-10, points=len(xs), c=const
     )

@@ -42,10 +42,6 @@ class EnergyDrift(SincoordError, RuntimeError):
     """The flow integrator lost energy conservation beyond its guard."""
 
 
-class SingularDerivative(SincoordError, ZeroDivisionError):
-    """The coordinate map has vanishing derivative at an evaluation point."""
-
-
 class ZeroRecurrenceCoefficient(SincoordError, ZeroDivisionError):
     """A lowering coefficient C_k vanishes, so the coefficient recursion
     cannot be continued."""

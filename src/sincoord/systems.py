@@ -694,9 +694,13 @@ def _integer_ratios(values) -> tuple[list[int], int]:
 
 def _grid(step: float, first: int, last: int) -> np.ndarray:
     """The points step * k for k = first .. last."""
-    if last - first + 1 > _MAX_NODES:
+    nodes = last - first + 1
+    if nodes > _MAX_NODES:
+        # a Decimal: the count of do's rule at an a near 4e-306 is past float range
+        from decimal import Decimal
+
         raise QuadratureNotConverged(
-            f"the quadrature rule needs {last - first + 1} nodes, "
+            f"the quadrature rule of step {step:.6g} needs {Decimal(nodes):.6g} nodes, "
             f"more than the {_MAX_NODES} allowed"
         )
     return step * np.arange(first, last + 1)
@@ -718,7 +722,11 @@ def require_samples(name: str, samples) -> np.ndarray:
     `name`, unless they are one number or a flat, non-empty sequence of
     finite numbers."""
     try:
-        values = np.atleast_1d(np.asarray(samples, dtype=float))
+        raw = np.asarray(samples)
+        # a float conversion would turn None into NaN
+        if raw.dtype == object and any(value is None for value in raw.flat):
+            raise TypeError
+        values = np.atleast_1d(raw.astype(float, copy=False))
     except (TypeError, ValueError):
         raise ParameterOutOfRange(
             f"{name} samples must be numbers, got {samples!r}"

@@ -914,42 +914,67 @@ class TestPoissonClosure:
         ]
 
 
+def _per_point_reconstruction(g, h):
+    """The potential check written as a per-point rebuilt potential and
+    reference well, each point on its own: (worst residual, c)."""
+    spec = sc.PoschlTeller(g, h)
+    model = sc.r_polynomials(spec)
+    r00, rm10, r1 = model.r0(0.0), model.rm1(0.0), model.r1(0.0)
+
+    def well(x):
+        return float(
+            0.5 * g * (g - 1.0) / np.sin(x) ** 2
+            + 0.5 * h * (h - 1.0) / np.cos(x) ** 2
+            - 0.5 * (g + h) ** 2
+        )
+
+    def rebuilt(x):
+        d, e = float(spec.deta_dx(x)), float(spec.eta(x))
+        return (0.5 * r00 * e * e + rm10 * e + c) / (d * d) - r1 / 8.0
+
+    e_fit, d_fit = float(spec.eta(0.7)), float(spec.deta_dx(0.7))
+    c = (well(0.7) + r1 / 8.0) * d_fit**2 - 0.5 * r00 * e_fit**2 - rm10 * e_fit
+    xs = np.linspace(0.15, 0.5 * math.pi - 0.15, 50).tolist()
+    return max(abs(rebuilt(x) - well(x)) for x in xs), c
+
+
 class TestReconstructPotential:
     def test_pt_reconstruction(self):
         for spec in (sc.PoschlTeller(2.0, 3.0), PT11, PT12):
             report = sc.check_potential_reconstruction(spec.g, spec.h)
             assert report.passed and report.max_residual <= 1e-10
 
-    def test_flat_when_only_quantum_shift_remains(self):
-        wf = sc.weight(PT11)
-        potential = sc.reconstruct_potential(wf, 0.0, 0.0, 0.0, 4.0)
-        for x in (0.3, 0.7, 1.2):
-            assert potential(x) == -0.5
+    @pytest.mark.parametrize(
+        "g, h",
+        [(1e-300, 1.0), (1e-3, 1.0), (0.3, 0.5), (0.6, 4.0), (4.0, 0.6), (0.7, 1.3),
+         (1.0, 1.0), (2.0, 3.0), (50.0, 0.7), (300.0, 300.0), (1e3, 1e-2), (1e10, 1e10),
+         (1e150, 1.0)],
+    )
+    def test_array_form_matches_the_per_point_values(self, g, h):
+        report = sc.check_potential_reconstruction(g, h)
+        worst, c = _per_point_reconstruction(g, h)
+        assert report.details["points"] == 50
+        assert float(report.max_residual).hex() == float(worst).hex()
+        assert float(report.details["c"]).hex() == float(c).hex()
 
-    def test_singular_derivative(self):
-        class FlatMap:
-            eta = staticmethod(lambda x: 1.0)
-            deta_dx = staticmethod(lambda x: 0.0)
+    @pytest.mark.parametrize(
+        "g, h, residual",
+        [(100.0, 100.0, 1.2e-10), (300.0, 300.0, 7.0e-10), (1e3, 1e-2, 1.9e-9),
+         (1e10, 1e10, 1.0e6), (1e150, 1.0, 4.8e285)],
+    )
+    def test_large_couplings_fail_on_the_absolute_tolerance(self, g, h, residual):
+        # ROADMAP item 7: the tolerance is an absolute 1e-10 on a well of
+        # size (g + h)^2
+        report = sc.check_potential_reconstruction(g, h)
+        assert not report.passed
+        assert f"{report.max_residual:.1e}" == f"{residual:.1e}"
 
-        potential = sc.reconstruct_potential(FlatMap(), 1.0, 0.0, 0.0, 0.0)
-        with pytest.raises(sc.SingularDerivative):
-            potential(0.5)
-
-    def test_array_form_matches_the_per_point_values(self):
-        constants = (1.3, -0.4, 0.2, 4.0)
-        r00, rm10, c, r1 = constants
-        xs = np.linspace(0.15, 0.5 * math.pi - 0.15, 50)
-        per_point = []
-        for x in xs.tolist():
-            d, e = float(PT12.deta_dx(x)), float(PT12.eta(x))
-            per_point.append((0.5 * r00 * e * e + rm10 * e + c) / (d * d) - r1 / 8.0)
-        values = sc.reconstruct_potential(PT12, *constants)(xs)
-        assert values.tobytes() == np.array(per_point).tobytes()
-
-    def test_array_with_a_singular_point_names_it(self):
-        potential = sc.reconstruct_potential(PT11, 1.0, 0.0, 0.0, 0.0)
-        with pytest.raises(sc.SingularDerivative, match=r"at x=0\.0$"):
-            potential(np.array([0.3, 0.0, 0.7]))
+    def test_past_double_range_the_residual_has_no_verdict(self):
+        # the rebuilt potential and the well both overflow to inf near the
+        # walls, and their difference is NaN
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(sc.NonFiniteResidual, match="potential_reconstruction"):
+                sc.check_potential_reconstruction(6e153, 1.0)
 
 
 def _reference_csv(path, times, eta_closed, eta_numeric):

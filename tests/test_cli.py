@@ -7,6 +7,7 @@ import enum
 import json
 import math
 import os
+import re
 import resource
 import subprocess
 import sys
@@ -203,7 +204,8 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "a, message",
         [
-            ("0.015", "the quadrature rule needs 69335 nodes, more than the 65536 allowed"),
+            ("0.015",
+             "the quadrature rule of step 0.0015 needs 69335 nodes, more than the 65536 allowed"),
             # h_21 leaves double range, though the density does not
             ("92", "quadrature produced a non-finite norm"),
         ],
@@ -222,8 +224,9 @@ class TestExitCodes:
             ("2.5e-323", "of step 0.0 on [-52.0, 52.0] needs more than the 65536 nodes"),
             ("1e-310", "of step 1e-311 on [-52.0, 52.0] needs more than the 65536 nodes"),
             ("2.2e-308", "of step 2.2e-309 on [-52.0, 52.0] needs more than the 65536 nodes"),
-            # the node count is finite, and counted
-            ("1e-305", "needs 10399999999999999555"),
+            # the node count is finite, and counted, also past the range of a float
+            ("1e-305", "of step 1e-306 needs 1.04000e+308 nodes"),
+            ("4e-306", "of step 4e-307 needs 2.60000e+308 nodes"),
         ],
     )
     def test_do_norms_at_tiny_a_refuse_the_rule(self, suite, a, rule, capsys):
@@ -232,6 +235,22 @@ class TestExitCodes:
         assert code == 2
         assert err.startswith(f"error: the quadrature rule {rule}")
         assert err.endswith("allowed\n") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "system",
+        [
+            ("--system", "do", "--a", "1e-305"),
+            ("--system", "pt", "--g", "1e150", "--h", "1"),
+            ("--system", "aw", "--a=0.9999999999999999,0.5,-0.5,0.1", "--q", "0.5"),
+        ],
+    )
+    def test_a_refused_node_count_reads_in_six_digits(self, system):
+        result = run_cli("ladder", *system)
+        assert result.returncode == 2
+        assert result.stderr.startswith("error: the quadrature rule of step ")
+        assert result.stderr.count("\n") == 1 and "Traceback" not in result.stderr
+        count = re.search(r"needs (\S+) nodes", result.stderr).group(1)
+        assert re.search(r"\d{7}", count) is None, count
 
     def test_wrong_parameter_count_exits_two(self):
         result = run_cli("spectrum", "--system", "aw", "--q", "0.5", "--a", "0.1,0.2")

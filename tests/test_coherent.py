@@ -181,6 +181,12 @@ class TestHypergeometricClosedForm:
         with pytest.raises(sc.ParameterOutOfRange, match=r"x samples must be numbers, got \['a'\]"):
             sc.check_mp_hypergeometric(1.0, 0.3, ["a"], 60)
 
+    @pytest.mark.parametrize("samples, shown", [(None, "None"), ([0.2, None], r"\[0\.2, None\]")])
+    def test_none_samples_are_refused_as_not_numbers(self, samples, shown):
+        # not as a NaN sample, which a float conversion would make of None
+        with pytest.raises(sc.ParameterOutOfRange, match=f"x samples must be numbers, got {shown}$"):
+            sc.check_mp_hypergeometric(1.0, 0.3, samples, 60)
+
     def test_non_integer_truncation_is_refused_naming_it(self):
         with pytest.raises(sc.ParameterOutOfRange, match="truncation=60.5"):
             sc.check_mp_hypergeometric(1.0, 0.3, [0.1], 60.5)

@@ -4,6 +4,8 @@ import importlib.util
 import shutil
 from pathlib import Path
 
+from test_known_outcomes import ROWS
+
 ROOT = Path(__file__).resolve().parent.parent
 CORPUS = [
     ["spectrum", "--system", "pt", "--g", "1", "--h", "1", "--format", "json"],
@@ -34,3 +36,9 @@ def test_same_tree_matches_and_a_changed_tolerance_differs(tmp_path):
     assert tool.compare(str(ROOT), str(changed), CORPUS) == [
         " ".join(CORPUS[0]) + ": stdout differ"
     ]
+
+
+def test_the_corpus_ends_with_the_known_outcome_rows():
+    corpus = _load_tool().default_corpus()
+    assert len(corpus) == 334
+    assert corpus[-len(ROWS):] == [row[1].split() for row in ROWS]

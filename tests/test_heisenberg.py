@@ -178,6 +178,8 @@ class TestCheckHeisenberg:
             ([[0.1]], r"t samples must be a number or a flat sequence, got shape \(1, 1\)"),
             (["a"], r"t samples must be numbers, got \['a'\]"),
             ("a", "t samples must be numbers, got 'a'"),
+            (None, "t samples must be numbers, got None"),
+            ([0.1, None], r"t samples must be numbers, got \[0\.1, None\]"),
         ],
     )
     def test_malformed_time_grid_is_refused_naming_it(self, samples, message):

@@ -24,12 +24,13 @@ that the quadrature step underflows, a flow that leaves pt's domain,
 one flow per family whose error is raised in an RK4 stage, two do flows
 whose step ends at a position that is not finite, and the 23 known
 outcomes of tests/test_known_outcomes.py (runs that fail a check or are
-refused): 334 invocations.
+refused), read from its `ROWS`: 334 invocations.
 """
 
 from __future__ import annotations
 
 import argparse
+import ast
 import hashlib
 import io
 import json
@@ -150,33 +151,18 @@ EXIT_2 = (
     ("classical", "--system", "do", "--a", "1", "--x0=0", "--p0=700"),
     ("classical", "--system", "do", "--a", "1", "--x0=1e308", "--p0=0.1"),
 )
-# the invocations of tests/test_known_outcomes.py, in its order
-KNOWN_OUTCOMES = (
-    ("spectrum", "--system", "aw", "--a=0,0,0,0", "--q", "1e-20"),
-    ("spectrum", "--system", "aw", "--a=0,0,0,0", "--q", "1e-12"),
-    ("spectrum", "--system", "aw", "--a=0.999,0.5,-0.999,0.1", "--q", "1e-5"),
-    ("ladder", "--system", "pt", "--g", "1e-8", "--h", "1"),
-    ("ladder", "--system", "pt", "--g", "0.3", "--h", "0.5"),
-    ("ladder", "--system", "aw", "--a=-0.238,0.759,-0.528,0.182", "--q", "0.085"),
-    ("heisenberg", "--system", "aw", "--a=0.1,0.2,-0.1,0.3", "--q", "0.5", "--n", "30"),
-    ("ladder", "--system", "pt", "--g", "1", "--h", "1", "--n", "300"),
-    ("ladder", "--system", "pt", "--g", "1.3", "--h", "2.1", "--n", "100"),
-    ("ladder", "--system", "pt", "--g", "1.3", "--h", "2.1", "--n", "300"),
-    ("ladder", "--system", "pt", "--g", "300", "--h", "300"),
-    ("ladder", "--system", "pt", "--g", "1e4", "--h", "1"),
-    ("ladder", "--system", "do", "--a", "1.3", "--n", "100"),
-    ("heisenberg", "--system", "pt", "--g", "1e150", "--h", "1"),
-    ("classical", "--system", "do", "--a", "0.7", "--x0=1e+200", "--p0=-0.3",
-     "--tend", "0.05"),
-    ("classical", "--system", "aw", "--a=0,0,0,0", "--q", "1e-8", "--states=1"),
-    ("ladder", "--system", "pt", "--g", "500", "--h", "500"),
-    ("ladder", "--system", "pt", "--g", "1000", "--h", "1000"),
-    ("ladder", "--system", "do", "--a", "92"),
-    ("ladder", "--system", "aw", "--a=0.1,0.2,-0.1,0.3", "--q", "0.998"),
-    ("classical", "--system", "pt", "--g", "0.6", "--h", "3.5"),
-    ("classical", "--system", "pt", "--g", "3.5", "--h", "0.6"),
-    ("all", "--system", "pt", "--g", "1e-8", "--h", "1"),
-)
+
+
+def known_outcomes() -> tuple[tuple[str, ...], ...]:
+    """The invocations of tests/test_known_outcomes.py, in the order of its
+    `ROWS`, read from the literal without importing the test module."""
+    path = Path(__file__).resolve().parent.parent / "tests" / "test_known_outcomes.py"
+    for node in ast.parse(path.read_text(encoding="utf-8")).body:
+        if isinstance(node, ast.Assign) and ast.unparse(node.targets[0]) == "ROWS":
+            return tuple(tuple(row[1].split()) for row in ast.literal_eval(node.value))
+    raise RuntimeError(f"{path} assigns no ROWS")
+
+
 # Address space of a worker: a request that allocated before its refusal
 # ends in MemoryError instead of exhausting the machine.
 ADDRESS_SPACE = 4 << 30
@@ -197,7 +183,7 @@ def default_corpus() -> list[list[str]]:
     ]
     edges = (
         DENSITY_EDGES + B_N_EDGES + EXACT_CONSTANT_EDGES + DO_DENSITY_EDGES
-        + SU11_LARGE_N + MATRIX_N + EXIT_2 + KNOWN_OUTCOMES
+        + SU11_LARGE_N + MATRIX_N + EXIT_2 + known_outcomes()
     )
     return corpus + [list(argv) for argv in edges]
 
