@@ -114,28 +114,34 @@ def check_mp_hypergeometric(
     pointwise.  Raises ParameterOutOfRange unless the x samples are one
     number or a flat sequence of at least one finite number, and
     SeriesNotConverged if the last retained term is not negligible at some
-    sample.
+    sample.  The sum runs up to the last nonzero coefficient; when that lies
+    before the truncation, the last retained term c_truncation P_truncation
+    is zero.
     """
     spec = DeformedOscillator(a)
     lam = complex(lam)
     xs = require_samples("x", x_samples)
     coeffs = coherent_coeffs(spec, lam, truncation)
-    # an overflowing series is NaN, and its residual is refused in make_report
-    with np.errstate(over="ignore", invalid="ignore"):
-        polys = eval_all(spec, truncation, xs)
-        series = (coeffs[:, None] * polys).sum(axis=0)
-    last_terms = np.abs(coeffs[truncation] * polys[truncation])
-    scale = np.maximum(1.0, np.abs(series))
-    if np.any(last_terms > 1e-14 * scale):
-        raise SeriesNotConverged(
-            f"series tail {last_terms.max():.3e} above 1e-14 at truncation "
-            f"{truncation}"
-        )
+    # past the last nonzero coefficient a level adds only 0.0 * P_n, which
+    # changes no sum and is NaN where P_n overflows, so the sum stops there
+    last = int(np.flatnonzero(coeffs)[-1])
     phase, z = np.exp(2j * lam), -4j * lam
     worst = 0.0
-    for x, lhs in zip(xs.tolist(), series):
-        rhs = phase * hyp1f1(complex(a, x), 2.0 * a, z)
-        worst = np.maximum(worst, abs(lhs - rhs) / max(1.0, abs(rhs)))
+    # an overflowing series or 1F1 sum leaves the residual not finite, and
+    # make_report refuses it
+    with np.errstate(over="ignore", invalid="ignore"):
+        polys = eval_all(spec, last, xs)
+        series = (coeffs[: last + 1, None] * polys).sum(axis=0)
+        last_terms = np.abs(coeffs[last] * polys[last]) if last == truncation else 0.0
+        scale = np.maximum(1.0, np.abs(series))
+        if np.any(last_terms > 1e-14 * scale):
+            raise SeriesNotConverged(
+                f"series tail {last_terms.max():.3e} above 1e-14 at truncation "
+                f"{truncation}"
+            )
+        for x, lhs in zip(xs.tolist(), series):
+            rhs = phase * hyp1f1(complex(a, x), 2.0 * a, z)
+            worst = np.maximum(worst, abs(lhs - rhs) / max(1.0, abs(rhs)))
     return make_report(
         "coherent_1f1",
         worst,

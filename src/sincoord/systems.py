@@ -723,8 +723,10 @@ def require_samples(name: str, samples) -> np.ndarray:
     finite numbers."""
     try:
         raw = np.asarray(samples)
-        # a float conversion would turn None into NaN
-        if raw.dtype == object and any(value is None for value in raw.flat):
+        # a float conversion would turn None into NaN and parse strings
+        if raw.dtype.kind in "US" or raw.dtype == object and any(
+            isinstance(value, (str, bytes, type(None))) for value in raw.flat
+        ):
             raise TypeError
         values = np.atleast_1d(raw.astype(float, copy=False))
     except (TypeError, ValueError):

@@ -295,7 +295,7 @@ class TestExitCodes:
             ("heisenberg", "--system", "pt", "--g", "inf", "--h", "1"),
             ("heisenberg", "--system", "do", "--a", "inf"),
             ("spectrum", "--system", "pt", "--g", "1", "--h", "1e308"),
-            ("coherent", "--system", "do", "--a", "1e150"),
+            ("coherent", "--system", "do", "--a", "1e150", "--lambda", "1e5"),
             *(
                 (suite, "--system", "aw", "--a=0.1,0.2,-0.1,0.3", "--q", q)
                 for suite, q in (
@@ -328,7 +328,7 @@ class TestExitCodes:
             "density-overflow-q0.998", "density-overflow-q0.999",
             "dimension-below-guard-plus-two", "zero-dt", "steps-beyond-cap",
             "infinite-g-ladder", "infinite-g-heisenberg", "infinite-a-heisenberg",
-            "overflowing-h-spectrum", "nan-residual-coherent-do",
+            "overflowing-h-spectrum", "overflowing-1f1-coherent-do",
             "level-overflow-aw-spectrum", "level-overflow-aw-ladder",
             "level-overflow-aw-heisenberg", "level-overflow-aw-coherent",
             "level-overflow-aw-coherent-q1e-5",
@@ -344,6 +344,30 @@ class TestExitCodes:
         assert result.stderr.startswith("error: ")
         assert result.stderr.count("\n") == 1
         assert "Traceback" not in result.stderr
+
+    @pytest.mark.parametrize(
+        "args, residuals",
+        [
+            (("--a", "1e150"), {"coherent_eigenvalue": "2.7e-302", "coherent_1f1": "0.0e+00"}),
+            (("--a", "50000", "--n", "215"), {}),
+            (("--a", "500", "--n", "4004"), {}),
+        ],
+        ids=["a1e150", "a50000-n215", "a500-n4004"],
+    )
+    def test_do_series_past_its_last_nonzero_coefficient_has_a_verdict(
+        self, args, residuals, capsys
+    ):
+        """Past the last nonzero coefficient P_n overflows, and a level there
+        adds only 0.0 * P_n: the 1F1 sum stops before it, so the check reaches
+        a verdict instead of a NaN residual."""
+        code = cli.main(["coherent", "--system", "do", *args, "--format", "json"])
+        out, err = capsys.readouterr()
+        assert (code, err) == (0, "")
+        checks = {c["name"]: c for c in json.loads(out)["checks"]}
+        assert all(c["pass"] for c in checks.values())
+        assert checks["coherent_1f1"]["max_residual"] <= 1e-14
+        for name, residual in residuals.items():
+            assert f"{checks[name]['max_residual']:.1e}" == residual
 
     @pytest.mark.parametrize(
         "args",

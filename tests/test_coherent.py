@@ -5,6 +5,9 @@ import numpy as np
 import pytest
 
 import sincoord as sc
+from sincoord.report import make_report
+from sincoord.special import hyp1f1
+from sincoord.systems import require_samples
 
 PT11 = sc.PoschlTeller(1.0, 1.0)
 DO1 = sc.DeformedOscillator(1.0)
@@ -187,6 +190,20 @@ class TestHypergeometricClosedForm:
         with pytest.raises(sc.ParameterOutOfRange, match=f"x samples must be numbers, got {shown}$"):
             sc.check_mp_hypergeometric(1.0, 0.3, samples, 60)
 
+    @pytest.mark.parametrize(
+        "samples, shown",
+        [
+            (["0.2"], r"\['0\.2'\]"),
+            (b"0.2", "b'0.2'"),
+            (np.array(["0.2"]), r"array\(\['0\.2'\], dtype='<U3'\)"),
+            (np.array([0.1, b"0.2"], dtype=object), r"array\(\[0\.1, b'0\.2'\], dtype=object\)"),
+        ],
+    )
+    def test_numeric_strings_are_refused_as_not_numbers(self, samples, shown):
+        # a float conversion would parse them
+        with pytest.raises(sc.ParameterOutOfRange, match=f"x samples must be numbers, got {shown}$"):
+            sc.check_mp_hypergeometric(1.0, 0.3, samples, 60)
+
     def test_non_integer_truncation_is_refused_naming_it(self):
         with pytest.raises(sc.ParameterOutOfRange, match="truncation=60.5"):
             sc.check_mp_hypergeometric(1.0, 0.3, [0.1], 60.5)
@@ -198,3 +215,128 @@ class TestHypergeometricClosedForm:
     def test_undersized_truncation_is_detected(self):
         with pytest.raises(sc.SeriesNotConverged):
             sc.check_mp_hypergeometric(1.0, 0.9, np.linspace(-5, 5, 5), 4)
+
+
+def _full_length_check(a, lam, x_samples, truncation):
+    """check_mp_hypergeometric as it summed before it stopped at the last
+    nonzero coefficient: P_n to the truncation, every product c_n P_n and
+    the sum of all of them."""
+    spec = sc.DeformedOscillator(a)
+    lam = complex(lam)
+    xs = require_samples("x", x_samples)
+    coeffs = sc.coherent_coeffs(spec, lam, truncation)
+    with np.errstate(over="ignore", invalid="ignore"):
+        polys = sc.eval_all(spec, truncation, xs)
+        series = (coeffs[:, None] * polys).sum(axis=0)
+    last_terms = np.abs(coeffs[truncation] * polys[truncation])
+    scale = np.maximum(1.0, np.abs(series))
+    if np.any(last_terms > 1e-14 * scale):
+        raise sc.SeriesNotConverged(
+            f"series tail {last_terms.max():.3e} above 1e-14 at truncation "
+            f"{truncation}"
+        )
+    phase, z = np.exp(2j * lam), -4j * lam
+    worst = 0.0
+    for x, lhs in zip(xs.tolist(), series):
+        rhs = phase * hyp1f1(complex(a, x), 2.0 * a, z)
+        worst = np.maximum(worst, abs(lhs - rhs) / max(1.0, abs(rhs)))
+    return make_report("coherent_1f1", worst, 1e-10, truncation=truncation)
+
+
+def _outcome(check, *args):
+    try:
+        report = check(*args)
+    except sc.SincoordError as error:
+        return type(error), str(error)
+    return report.max_residual.hex(), report.passed
+
+
+def _last_nonzero(a, lam, truncation):
+    coeffs = sc.coherent_coeffs(sc.DeformedOscillator(a), lam, truncation)
+    return int(np.flatnonzero(coeffs)[-1])
+
+
+def _bit_identity_cases():
+    rng = np.random.default_rng(30)
+    cases = [
+        (1.0, 0.0, np.linspace(-5.0, 5.0, 7), 0),
+        (1.0, 0.9, np.linspace(-5.0, 5.0, 5), 4),
+        (0.05, complex(0.6, 0.6), np.linspace(-5.0, 5.0, 33), 6),
+        (3.0, -0.8, np.array([0.4]), 2),
+        (0.02, 0.3, np.linspace(-5.0, 5.0, 257), 700),
+        (300.0, complex(0.2, -0.25), np.linspace(-5.0, 5.0, 20), 700),
+    ]
+    for _ in range(56):
+        a = float(10.0 ** rng.uniform(np.log10(0.02), np.log10(300.0)))
+        lam = complex(*rng.uniform(-1.0, 1.0, 2))
+        xs = rng.uniform(-6.0, 6.0, int(rng.integers(1, 258)))
+        cases.append((a, lam, xs, int(rng.integers(1, 701))))
+    return cases
+
+
+BIT_IDENTITY_CASES = _bit_identity_cases()
+
+
+class TestSumUpToTheLastNonzeroCoefficient:
+    """The 1F1 sum stops at K, the last n with c_n != 0.0, since a level
+    past it adds 0.0 * P_n."""
+
+    @pytest.mark.parametrize(
+        "a, lam, xs, truncation", BIT_IDENTITY_CASES, ids=range(len(BIT_IDENTITY_CASES))
+    )
+    def test_same_bits_as_the_full_length_sum(self, a, lam, xs, truncation):
+        expected = _outcome(_full_length_check, a, lam, xs, truncation)
+        assert expected[0] is not sc.NonFiniteResidual
+        assert _outcome(sc.check_mp_hypergeometric, a, lam, xs, truncation) == expected
+
+    def test_cases_reach_past_the_last_nonzero_coefficient_and_refuse_a_tail(self):
+        past = [case for case in BIT_IDENTITY_CASES if _last_nonzero(*case[:2], case[3]) < case[3]]
+        refused = [
+            case for case in BIT_IDENTITY_CASES
+            if _outcome(_full_length_check, *case)[0] is sc.SeriesNotConverged
+        ]
+        assert len(past) >= 40 and len(refused) >= 4
+
+    def test_polynomials_are_evaluated_up_to_the_last_nonzero_coefficient(self, monkeypatch):
+        levels = []
+
+        def recording_eval_all(spec, n_max, eta):
+            levels.append(n_max)
+            return sc.eval_all(spec, n_max, eta)
+
+        monkeypatch.setattr("sincoord.coherent.eval_all", recording_eval_all)
+        sc.check_mp_hypergeometric(1.3, 0.3, np.linspace(-5.0, 5.0, 20), 427)
+        assert levels == [_last_nonzero(1.3, 0.3, 427)] and levels[0] < 427
+
+    # the bound on the terms past K, relative to the series: 2.7e-301,
+    # 9.9e-213 and 1.8e-253 at x = -5, 0.3, 5, while |P_n| reaches 3.8e4467,
+    # 2.5e326 and 7.1e540 there
+    @pytest.mark.parametrize(
+        "a, truncation, bound", [(1e150, 60, 1e-300), (5e4, 211, 1e-211), (500.0, 4000, 1e-252)]
+    )
+    def test_terms_past_the_last_nonzero_coefficient_are_negligible(self, a, truncation, bound):
+        """In 50 digits the terms past K sum to a negligible part of the
+        series, although P_n leaves double range there, and the double sum
+        up to K agrees with the 50-digit one."""
+        spec = sc.DeformedOscillator(a)
+        last = _last_nonzero(a, 0.3, truncation)
+        assert last < truncation
+        xs = np.array([-5.0, 0.3, 5.0])
+        coeffs = sc.coherent_coeffs(spec, 0.3, truncation)
+        double = (coeffs[: last + 1, None] * sc.eval_all(spec, last, xs)).sum(axis=0)
+        with mpmath.workdps(50):
+            lam, two_a = mpmath.mpf(0.3), 2 * mpmath.mpf(a)
+            for x, series in zip(xs.tolist(), double.tolist()):
+                x = mpmath.mpf(x)
+                head = tail = mpmath.mpf(0)
+                c_n, p_prev, p_n = mpmath.mpf(1), mpmath.mpf(0), mpmath.mpf(1)
+                for n in range(truncation + 1):
+                    if n <= last:
+                        head += c_n * p_n
+                    else:
+                        tail += c_n * p_n
+                    # x P_n = (n + 1)/2 P_{n+1} + (n - 1 + 2a)/2 P_{n-1}
+                    p_prev, p_n = p_n, (x * p_n - (n - 1 + two_a) / 2 * p_prev) / ((n + 1) / mpmath.mpf(2))
+                    c_n = c_n * lam / ((n + two_a) / 2)
+                assert abs(tail) < bound * abs(head + tail)
+                assert abs(series - complex(head)) <= 1e-14 * max(1.0, abs(complex(head)))

@@ -180,6 +180,12 @@ class TestCheckHeisenberg:
             ("a", "t samples must be numbers, got 'a'"),
             (None, "t samples must be numbers, got None"),
             ([0.1, None], r"t samples must be numbers, got \[0\.1, None\]"),
+            # numeric strings, which a float conversion would parse
+            ("0.5", "t samples must be numbers, got '0.5'"),
+            (b"0.5", "t samples must be numbers, got b'0.5'"),
+            ([0.1, "0.5"], r"t samples must be numbers, got \[0\.1, '0\.5'\]"),
+            (np.array([b"0.5"]), r"t samples must be numbers, got array\(\[b'0\.5'\]"),
+            (np.array([0.1, "0.5"], dtype=object), r"t samples must be numbers, got array\(\[0\.1, '0\.5'\]"),
         ],
     )
     def test_malformed_time_grid_is_refused_naming_it(self, samples, message):

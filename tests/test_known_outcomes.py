@@ -46,6 +46,8 @@ ROWS = (
      {"classical_closed_vs_flow": 6.8e184}),
     (7, "classical --system aw --a=0,0,0,0 --q 1e-8 --states=1", 1,
      {"classical_energy_drift": 6.9e-8}),
+    (7, "classical --system pt --g 100 --h 100 --x0=0.7853981633974483 --p0=0.01 --dt 1e-5",
+     1, {"potential_reconstruction": 1.2e-10}),
     # item 12: quadrature norms out of reach
     (12, "ladder --system pt --g 500 --h 500", 2,
      "norms moved by 7.868e-03 relative under node doubling"),

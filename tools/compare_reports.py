@@ -19,12 +19,13 @@ recurrence coefficient B_n, nine aw runs (`ladder`, `coherent` and
 constants, two do `ladder` runs past N 2048, `heisenberg`
 and `coherent` at N 512 for one system per family, two do `coherent` runs
 at the tail sizes of the benchmark's `matrix` workload (one with a complex
-lambda), the README's exit-2 examples, two do `ladder` runs at an a so small
-that the quadrature step underflows, a flow that leaves pt's domain,
+lambda), three do `coherent` runs whose coefficients underflow to 0.0 where
+P_n overflows, the README's exit-2 examples, two do `ladder` runs at an a so
+small that the quadrature step underflows, a flow that leaves pt's domain,
 one flow per family whose error is raised in an RK4 stage, two do flows
-whose step ends at a position that is not finite, and the 23 known
+whose step ends at a position that is not finite, and the 24 known
 outcomes of tests/test_known_outcomes.py (runs that fail a check or are
-refused), read from its `ROWS`: 334 invocations.
+refused), read from its `ROWS`: 338 invocations.
 """
 
 from __future__ import annotations
@@ -110,6 +111,13 @@ MATRIX_N = tuple(
      "--format", "json"),
     ("coherent", "--system", "do", "--a", "0.7", "--n", "304", "--format", "json"),
 )
+# do's coherent coefficients underflow to 0.0 where P_n overflows: the 1F1
+# sum stops at the last nonzero coefficient, before 0.0 * inf would be NaN
+COHERENT_PAST_LAST_COEFFICIENT = (
+    ("coherent", "--system", "do", "--a", "1e150"),
+    ("coherent", "--system", "do", "--a", "50000", "--n", "215"),
+    ("coherent", "--system", "do", "--a", "500", "--n", "4004"),
+)
 EXIT_2 = (
     ("ladder", "--system", "pt", "--g", "1", "--h", "1", "--guard", "0"),
     ("heisenberg", "--system", "pt", "--g", "1", "--h", "1", "--t", "nan"),
@@ -131,7 +139,7 @@ EXIT_2 = (
     ("ladder", "--system", "aw", "--a", "0.1,0.2,-0.1,0.3", "--q", "0.998"),
     ("heisenberg", "--system", "aw", "--a=0,0,0,0", "--q", "1e-8"),
     ("ladder", "--system", "pt", "--g", "inf", "--h", "1"),
-    ("coherent", "--system", "do", "--a", "1e150"),
+    ("coherent", "--system", "do", "--a", "1e150", "--lambda", "1e5"),
     ("ladder", "--system", "do", "--a", "1", "--n", "5"),
     ("classical", "--system", "do", "--a", "1", "--dt", "0"),
     ("ladder", "--system", "do", "--a", "1", "--n", "100000000"),
@@ -183,7 +191,8 @@ def default_corpus() -> list[list[str]]:
     ]
     edges = (
         DENSITY_EDGES + B_N_EDGES + EXACT_CONSTANT_EDGES + DO_DENSITY_EDGES
-        + SU11_LARGE_N + MATRIX_N + EXIT_2 + known_outcomes()
+        + SU11_LARGE_N + MATRIX_N + COHERENT_PAST_LAST_COEFFICIENT + EXIT_2
+        + known_outcomes()
     )
     return corpus + [list(argv) for argv in edges]
 
