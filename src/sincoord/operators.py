@@ -3,17 +3,17 @@
 Every operator here is stored in the shape of its nonzeros over the
 unnormalised eigenvectors phi_0 .. phi_{N-1}.  H is its vector of levels.
 eta, [H, eta], the ladder pair and the evolved coordinate couple each phi_n
-to its nearest neighbours only and are stored as a (3, N) complex array of
-their three diagonals indexed by column, since column n holds the expansion
-of (operator phi_n): bands[k, n] is the entry (n + k - 1, n), so row 0 is
-(n-1, n) above the diagonal, row 1 (n, n) on it and row 2 (n+1, n) below
-it; the two slots outside the matrix, (-1, 0) and (N, N-1), hold zero.
-Functions of H multiply the bands column-wise, in the order the defining
-expressions are written, and commutators with H multiply them by the level
-gaps E_m - E_n.  [a'-, a'+] in `check_su11` is formed on its five
-diagonals; `dense` is a dense view for callers only.  A guard band of the
-check's G top indices absorbs truncation damage; identities are only
-asserted on the interior window 0 .. N-G-1.
+to its nearest neighbours only and are stored as a (3, N) float array of
+their three diagonals (complex only for the evolved coordinate) indexed by
+column, since column n holds the expansion of (operator phi_n): bands[k, n]
+is the entry (n + k - 1, n), so row 0 is (n-1, n) above the diagonal, row 1
+(n, n) on it and row 2 (n+1, n) below it; the two slots outside the matrix,
+(-1, 0) and (N, N-1), hold zero.  Functions of H multiply the bands
+column-wise, in the order the defining expressions are written, and
+commutators with H multiply them by the level gaps E_m - E_n.  [a'-, a'+] in
+`check_su11` is formed on its five diagonals; `dense` is a dense view for
+callers only.  A guard band of the check's G top indices absorbs truncation
+damage; identities are only asserted on the interior window 0 .. N-G-1.
 
 The levels and the bands of eta come from one array call of the family's
 `energy` and the shared tables of its recurrence coefficients
@@ -91,13 +91,13 @@ def _plus_diagonal(bands: np.ndarray, values: np.ndarray) -> np.ndarray:
 
 
 def _band_product(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """The five diagonals of X Y for tridiagonal bands x and y: out[i, n] is
-    the entry (n + i - 2, n), the sum of X_mk Y_kn over k = n-1, n, n+1 in
+    """The five diagonals of X Y for real tridiagonal bands x and y: out[i, n]
+    is the entry (n + i - 2, n), the sum of X_mk Y_kn over k = n-1, n, n+1 in
     that order."""
     n_dim = x.shape[-1]
-    padded = np.zeros((3, n_dim + 2), dtype=complex)
+    padded = np.zeros((3, n_dim + 2))
     padded[:, 1:-1] = x
-    out = np.zeros((5, n_dim), dtype=complex)
+    out = np.zeros((5, n_dim))
     for s in range(3):
         # k = n + s - 1: Y_kn = y[s, n], and X_mk = x[j, k] for m = k + j - 1
         out[s : s + 3] += padded[:, s : s + n_dim] * y[s]
@@ -115,10 +115,10 @@ def _band_apply(bands: np.ndarray, vector: np.ndarray) -> np.ndarray:
 
 
 def dense(bands: np.ndarray) -> np.ndarray:
-    """The dense N x N complex matrix of (3, N) bands, built anew on every call."""
+    """The dense N x N matrix of (3, N) bands, built anew on every call."""
     n_dim = bands.shape[-1]
     cols = np.arange(n_dim)
-    out = np.zeros((n_dim, n_dim), dtype=complex)
+    out = np.zeros((n_dim, n_dim), dtype=bands.dtype)
     out[cols[:-1], cols[1:]] = bands[0, 1:]
     out[cols, cols] = bands[1]
     out[cols[1:], cols[:-1]] = bands[2, :-1]
@@ -168,7 +168,7 @@ def build_basic(
     _check_dims(n_dim, guard)
     rec = recurrence(spec)
     levels = energies(spec, n_dim)
-    eta = np.zeros((3, n_dim), dtype=complex)
+    eta = np.zeros((3, n_dim))
     eta[0, 1:] = rec.table("C", n_dim)
     eta[1] = rec.table("B", n_dim)
     eta[2, :-1] = rec.table("A", n_dim - 1)
@@ -229,9 +229,10 @@ def build_ladder(spec: SystemSpec, n_dim: int, guard: int) -> LadderPair:
     """
     eta, comm, _, ratio, ap, am = _closure_data(spec, n_dim, guard)
     shifted = _plus_diagonal(eta, ratio)
-    denom = ap - am
-    plus = (comm - shifted * am[None, :]) / denom[None, :]
-    minus = (-comm + shifted * ap[None, :]) / denom[None, :]
+    # times 1/D, as numpy divides complex by real: the complex formula's bits
+    inv = 1.0 / (ap - am)
+    plus = (comm - shifted * am[None, :]) * inv[None, :]
+    minus = (-comm + shifted * ap[None, :]) * inv[None, :]
     _read_only(plus, minus)
     return LadderPair(a_plus=plus, a_minus=minus)
 
@@ -248,9 +249,8 @@ def check_ladder_action(spec: SystemSpec, n_dim: int, guard: int) -> CheckReport
     d = n_dim - guard
     up = rec.table("A", d - 1)  # raising acts on 0 .. d-2
     down = rec.table("C", d)  # lowering on 1 .. d-1
-    target_up = np.zeros((3, n_dim), dtype=complex)
+    target_up, target_dn = np.zeros((2, 3, n_dim))
     target_up[2, : d - 1] = up
-    target_dn = np.zeros((3, n_dim), dtype=complex)
     target_dn[0, 1:d] = down
     dev_up = _column_max(np.abs(ap - target_up), guard, 0.0)
     dev_dn = _column_max(np.abs(am - target_dn), guard, 0.0)
@@ -289,8 +289,8 @@ def check_hermitian_conjugacy(spec: SystemSpec, n_dim: int, guard: int) -> Check
     n_top = min(20, n_dim - guard - 2)
     h = norms(spec, n_top + 1)
     scale = np.sqrt(h)
-    below = ap[2, : n_top + 1].real  # entry (n+1, n)
-    above = am[0, 1 : n_top + 2].real  # entry (n-1, n)
+    below = ap[2, : n_top + 1]  # entry (n+1, n)
+    above = am[0, 1 : n_top + 2]  # entry (n-1, n)
     up = below * scale[1:] / scale[:-1]
     down = above * scale[:-1] / scale[1:]
     worst = np.max(
@@ -331,8 +331,8 @@ def check_ground_state_condition(
     # column 0 has entries in rows 0 and 1 only, both inside the window
     term_comm = -comm[1:, 0]
     term_eta = ap0 * eta[1:, 0]
-    term_const = np.array([-const, 0.0], dtype=complex)
-    column = term_comm + term_eta + term_const
+    column = term_comm + term_eta
+    column[0] -= const
     scale = max(
         1.0,
         float(np.max(np.abs(term_comm))),

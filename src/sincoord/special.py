@@ -6,6 +6,7 @@ cross-check them against independent implementations.
 
 from __future__ import annotations
 
+import cmath
 import math
 
 import numpy as np
@@ -143,18 +144,26 @@ def hyp1f1(a, b, z) -> complex:
     """Confluent hypergeometric 1F1(a; b; z) by its power series.
 
     Terms are accumulated until they fall below 1e-17 of the running sum.
-    Intended for moderate |z|; raises SeriesNotConverged past 1000 terms.
+    Intended for moderate |z|; raises SeriesNotConverged past 1000 terms
+    or when the sum is not finite.
     """
     a = complex(a)
     b = complex(b)
     z = complex(z)
     term = 1.0 + 0j
     total = term
+    settled = False
     for k in range(1000):
         term *= (a + k) / (b + k) * z / (k + 1)
         total += term
         if abs(term) <= 1e-17 * max(1.0, abs(total)):
-            return total
-    raise SeriesNotConverged(
-        f"1F1 series did not settle within 1000 terms at z={z}"
-    )
+            settled = True
+            break
+    # an infinite term meets the stopping test once the sum is infinite too
+    if not cmath.isfinite(total):
+        raise SeriesNotConverged(f"1F1 series is not finite at a={a}, b={b}, z={z}")
+    if not settled:
+        raise SeriesNotConverged(
+            f"1F1 series did not settle within 1000 terms at z={z}"
+        )
+    return total

@@ -345,6 +345,16 @@ class TestExitCodes:
         assert result.stderr.count("\n") == 1
         assert "Traceback" not in result.stderr
 
+    def test_overflowing_1f1_sum_is_refused_naming_its_arguments(self, capsys):
+        # the row overflowing-1f1-coherent-do above: the float 1F1 series of
+        # the first x sample overflows to inf instead of settling
+        code = cli.main(["coherent", "--system", "do", "--a", "1e150", "--lambda", "1e5"])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: 1F1 series is not finite at a=(1e+150-5j), b=(2e+150+0j), "
+            "z=-400000j\n"
+        )
+
     @pytest.mark.parametrize(
         "args, residuals",
         [

@@ -26,6 +26,8 @@ import sincoord as sc
 from sincoord.special import qpochhammer
 from sincoord.systems import _MAX_SIZE, require_size
 
+from conftest import empty_caches
+
 DO1 = sc.DeformedOscillator(1.0)
 PT11 = sc.PoschlTeller(1.0, 1.0)
 LIMIT = 8 * 2**20
@@ -55,6 +57,30 @@ def test_peak_memory_is_linear_in_n(check):
     finally:
         tracemalloc.stop()
     assert peak < LIMIT
+
+
+@pytest.mark.parametrize(
+    "check, limit_mib",
+    [
+        (lambda: sc.check_su11(1.3, 65536, 4), 34),
+        (lambda: sc.check_ladder_action(DO1, 65536, 4), 21),
+        (lambda: sc.check_two_commutator(DO1, 65536, 4), 15),
+        (lambda: sc.check_eigenvalue(DO1, 0.3, 65532, 4), 18),
+    ],
+    ids=["su11", "ladder_action", "two_commutator", "coherent_eigenvalue"],
+)
+def test_real_operators_take_real_memory(check, limit_mib):
+    """Cold, at N 65,536, the float64 bands of eta, [H, eta] and the ladder
+    pair peak at 25.0, 17.5, 12.5 and 15.5 MiB; stored as complex128 they
+    peaked at 45.0, 28.0, 20.0 and 24.6 MiB, above each limit."""
+    empty_caches()
+    tracemalloc.start()
+    try:
+        check()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < limit_mib * 2**20
 
 
 @pytest.mark.parametrize(

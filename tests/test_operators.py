@@ -106,6 +106,52 @@ class TestBandedStorage:
         assert np.max(np.abs(operators._band_apply(eta, vector) - sc.dense(eta) @ vector)) < 1e-14
 
 
+# the systems whose ladder pair is pinned to the bits of its complex formula
+REAL_BAND_SPECS = [
+    sc.PoschlTeller(1.3, 2.1),
+    sc.PoschlTeller(1e-8, 1.0),
+    sc.PoschlTeller(1e150, 1.0),
+    sc.DeformedOscillator(1.3),
+    sc.DeformedOscillator(1e150),
+    AW1,
+    sc.AskeyWilson(1e-8, 0.0, 0.0, 0.0, q=0.5),
+]
+
+
+def complex_pair(spec, n_dim, guard):
+    """The ladder pair of complex128 bands, divided by D = alpha_plus -
+    alpha_minus as in `build_ladder`'s docstring formula."""
+    eta, comm, _, ratio, ap, am = operators._closure_data(spec, n_dim, guard)
+    shifted = eta.astype(complex)
+    shifted[1] += ratio
+    comm = comm.astype(complex)
+    denom = ap - am
+    plus = (comm - shifted * am[None, :]) / denom[None, :]
+    minus = (-comm + shifted * ap[None, :]) / denom[None, :]
+    return plus, minus
+
+
+class TestRealBands:
+    """Every matrix element of eta, [H, eta] and the ladder pair is real, and
+    so are their bands."""
+
+    @pytest.mark.parametrize("spec", REAL_BAND_SPECS)
+    def test_operators_are_float64(self, spec):
+        levels, eta, comm = sc.build_basic(spec, 30, 4)
+        solution = sc.build_solution(spec, 30, 4)
+        bands = (eta, comm, *sc.build_ladder(spec, 30, 4), solution.a_plus, solution.a_minus)
+        assert [b.dtype for b in (levels, *bands)] == [np.float64] * 7
+
+    @pytest.mark.parametrize("n_dim", [6, 30, 512])
+    @pytest.mark.parametrize("spec", REAL_BAND_SPECS)
+    def test_pair_has_the_bits_of_the_complex_formula(self, spec, n_dim):
+        # numpy divides complex bands by a real vector as a product with its
+        # reciprocal; a true real division moves the last bit of some entries
+        pair = sc.build_ladder(spec, n_dim, 4)
+        for band, reference in zip(pair, complex_pair(spec, n_dim, 4)):
+            assert not reference.imag.any()
+            assert band.tobytes() == reference.real.tobytes()
+
 
 class TestBuildBasic:
     def test_do_hamiltonian_diagonal(self):
@@ -356,8 +402,8 @@ class TestHermitianConjugacy:
 
 
 def random_tridiagonal(rng, n_dim):
-    """Seeded complex bands, zero in the two slots outside the matrix."""
-    bands = rng.normal(size=(3, n_dim)) + 1j * rng.normal(size=(3, n_dim))
+    """Seeded real bands, zero in the two slots outside the matrix."""
+    bands = rng.normal(size=(3, n_dim))
     bands[0, 0] = bands[2, -1] = 0.0
     return bands
 
@@ -366,7 +412,7 @@ def five_band_entries(bands):
     """The dense matrix of five diagonals laid out as `_band_product` returns
     them; asserts that every slot outside the matrix holds zero."""
     n_dim = bands.shape[1]
-    dense = np.zeros((n_dim, n_dim), dtype=complex)
+    dense = np.zeros((n_dim, n_dim))
     for i in range(5):
         for col in range(n_dim):
             row = col + i - 2

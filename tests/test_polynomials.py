@@ -3,6 +3,7 @@
 import cmath
 import itertools
 import math
+import re
 import subprocess
 import sys
 import warnings
@@ -507,6 +508,26 @@ class TestSpecialFunctions:
             mine = hyp1f1(a, b, z)
             ref = complex(mpmath.hyp1f1(a, b, z))
             assert abs(mine - ref) < 1e-13 * max(1.0, abs(ref))
+
+    @pytest.mark.parametrize(
+        "a, b, z, shown",
+        [
+            # the terms overflow to inf, which meets the stopping test
+            (complex(1e150, -5.0), 2e150, complex(0.0, -4e5),
+             "a=(1e+150-5j), b=(2e+150+0j), z=-400000j"),
+            # a NaN term never settles; the sum after 1000 terms is NaN
+            (1.0, 2.0, complex(math.nan, 0.0), "a=(1+0j), b=(2+0j), z=(nan+0j)"),
+        ],
+    )
+    def test_hyp1f1_refuses_a_sum_that_is_not_finite(self, a, b, z, shown):
+        with pytest.raises(sc.SeriesNotConverged, match=f"^1F1 series is not finite at {re.escape(shown)}$"):
+            hyp1f1(a, b, z)
+
+    def test_hyp1f1_refuses_a_finite_sum_that_does_not_settle(self):
+        # the terms of 1F1(1; 1; -700) = e^-700 peak near 1e302 and still
+        # exceed 1e277 at the 1000th
+        with pytest.raises(sc.SeriesNotConverged, match="did not settle within 1000 terms"):
+            hyp1f1(1.0, 1.0, -700.0)
 
 
 # ---------------------------------------------------------------------------

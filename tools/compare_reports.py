@@ -17,15 +17,17 @@ ground-state densities, four aw runs at the edges of its diagonal
 recurrence coefficient B_n, nine aw runs (`ladder`, `coherent` and
 `classical --states 1`) at parameter bits that stretch its exact integer-ratio
 constants, two do `ladder` runs past N 2048, `heisenberg`
-and `coherent` at N 512 for one system per family, two do `coherent` runs
+and `coherent` at N 512 for one system per family, JSON `ladder` at N 512
+for pt and do and at N 64 for aw, two do `coherent` runs
 at the tail sizes of the benchmark's `matrix` workload (one with a complex
 lambda), three do `coherent` runs whose coefficients underflow to 0.0 where
-P_n overflows, the README's exit-2 examples, two do `ladder` runs at an a so
+P_n overflows, the README's exit-2 examples (but `--t 1e308`, whose numpy
+warning names each tree's own path), two do `ladder` runs at an a so
 small that the quadrature step underflows, a flow that leaves pt's domain,
 one flow per family whose error is raised in an RK4 stage, two do flows
 whose step ends at a position that is not finite, and the 24 known
 outcomes of tests/test_known_outcomes.py (runs that fail a check or are
-refused), read from its `ROWS`: 338 invocations.
+refused), read from its `ROWS`: 341 invocations.
 """
 
 from __future__ import annotations
@@ -111,6 +113,12 @@ MATRIX_N = tuple(
      "--format", "json"),
     ("coherent", "--system", "do", "--a", "0.7", "--n", "304", "--format", "json"),
 )
+# the ladder pair's 17 digits (`ladder_action`, `hermitian_conjugacy`) at
+# the `matrix` sizes: N 512 for pt and do, N 64 for aw
+LADDER_MATRIX_N = tuple(
+    ("ladder", *system, "--n", n, "--format", "json")
+    for system, n in ((SYSTEMS[1], "512"), (SYSTEMS[4], "512"), (SYSTEMS[6], "64"))
+)
 # do's coherent coefficients underflow to 0.0 where P_n overflows: the 1F1
 # sum stops at the last nonzero coefficient, before 0.0 * inf would be NaN
 COHERENT_PAST_LAST_COEFFICIENT = (
@@ -191,7 +199,8 @@ def default_corpus() -> list[list[str]]:
     ]
     edges = (
         DENSITY_EDGES + B_N_EDGES + EXACT_CONSTANT_EDGES + DO_DENSITY_EDGES
-        + SU11_LARGE_N + MATRIX_N + COHERENT_PAST_LAST_COEFFICIENT + EXIT_2
+        + SU11_LARGE_N + MATRIX_N + LADDER_MATRIX_N + COHERENT_PAST_LAST_COEFFICIENT
+        + EXIT_2
         + known_outcomes()
     )
     return corpus + [list(argv) for argv in edges]
