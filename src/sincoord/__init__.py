@@ -38,7 +38,6 @@ from .errors import (
     SeriesNotConverged,
     SincoordError,
     VanishingFrequency,
-    ZeroRecurrenceCoefficient,
 )
 from .heisenberg import (
     HeisenbergSolution,

@@ -300,9 +300,9 @@ def flow_oracle(
 
 def sample_states(spec: SystemSpec, count: int, seed: int = 42) -> list[ClassicalState]:
     """Seeded phase-space samples from the family's box inside the domain."""
-    if count < 0:
-        raise ParameterOutOfRange(f"need a state count of at least 0, got {count}")
     require_size("state count", count)
+    if not isinstance(seed, (int, np.integer)):
+        raise ParameterOutOfRange(f"seed must be an integer, got seed={seed!r}")
     if seed < 0:
         raise ParameterOutOfRange(f"need a seed of at least 0, got {seed}")
     rng = np.random.default_rng(seed)
@@ -312,9 +312,15 @@ def sample_states(spec: SystemSpec, count: int, seed: int = 42) -> list[Classica
     return [ClassicalState(float(x), float(p)) for x, p in zip(xs, ps)]
 
 
-def _require_states(states: list[ClassicalState]) -> None:
+def _require_states(states) -> list[ClassicalState]:
+    """The states, any iterable of them, as a list; refuses none."""
+    try:
+        states = list(states)
+    except TypeError:
+        raise ParameterOutOfRange(f"states must be an iterable, got {states!r}") from None
     if not states:
         raise ParameterOutOfRange("a check over no phase-space states has no verdict")
+    return states
 
 
 # Periods of each state's orbit that the flow check follows by default.
@@ -337,7 +343,7 @@ def check_closed_vs_flow(
     `trajectories` is a list, each state's (oracle Trajectory, closed-form
     values) pair is appended to it.
     """
-    _require_states(states)
+    states = _require_states(states)
     worst_dev = 0.0
     worst_drift = 0.0
     for state in states:
@@ -380,7 +386,7 @@ def check_poisson_closure(
     ParameterOutOfRange, naming the state, where H or its partials
     overflow or divide by zero (next to a wall or at large |p|).
     """
-    _require_states(states)
+    states = _require_states(states)
     closure = classical_r_polynomials(spec)
     worst = 0.0
     for state in states:

@@ -13,7 +13,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import ParameterOutOfRange, SeriesNotConverged, ZeroRecurrenceCoefficient
+from .errors import ParameterOutOfRange, SeriesNotConverged
 from .operators import _band_apply, build_ladder
 from .polynomials import eval_all, recurrence
 from .report import CheckReport, make_report
@@ -31,30 +31,38 @@ def coherent_coeffs(spec: SystemSpec, lam: complex, truncation: int) -> np.ndarr
     """c_n = lam^n / prod_{k=1..n} C_k, n = 0 .. truncation, via the stable
     one-step recursion; c_0 = 1.
 
-    Raises ParameterOutOfRange for a non-finite lam or a truncation that is
-    negative or past the size cap, and SeriesNotConverged when a coefficient
-    overflows.  The array is read-only and shared between calls with the
-    same arguments.
+    Raises ParameterOutOfRange for a lam that is not one finite number or a
+    truncation that is not an integer, negative or past the size cap, and
+    SeriesNotConverged when a coefficient overflows.  The array is read-only
+    and shared between calls with the same arguments.
     """
-    if truncation < 0:
-        raise ParameterOutOfRange(f"need truncation >= 0, got truncation={truncation}")
     require_size("truncation", truncation)
     # complex first, so that 0.3, 0.3 + 0j and numpy scalars share one entry
-    return _series(spec, complex(lam), truncation)
+    return _series(spec, _require_lambda(lam), truncation)
+
+
+def _require_lambda(lam) -> complex:
+    """lam as a complex; raise ParameterOutOfRange unless it is one finite
+    number (a str, which complex() would parse, is not)."""
+    try:
+        if isinstance(lam, (str, bytes)):
+            raise TypeError
+        value = complex(lam)
+    except (TypeError, ValueError):
+        raise ParameterOutOfRange(f"eigenvalue must be a number, got lambda={lam!r}") from None
+    if not np.isfinite(value):
+        raise ParameterOutOfRange(f"eigenvalue must be finite, got lambda={value}")
+    return value
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
 def _series(spec: SystemSpec, lam: complex, truncation: int) -> np.ndarray:
-    if not np.isfinite(lam):
-        raise ParameterOutOfRange(f"eigenvalue must be finite, got lambda={lam}")
     lowering = recurrence(spec).table("C", truncation + 1)
-    zero = np.flatnonzero(lowering == 0.0)
-    if zero.size:
-        raise ZeroRecurrenceCoefficient(f"C_{zero[0] + 1} = 0")
     # each term a complex128 scalar, whose arithmetic has the array's bits
     term = np.complex128(1.0)
     terms = [term]
-    with np.errstate(over="ignore", invalid="ignore"):  # reported just below
+    # an overflow, or a zero C_k (none on a valid system), is reported below
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for c_n in lowering.tolist():
             term = lam * term / c_n
             terms.append(term)
@@ -74,16 +82,13 @@ def check_eigenvalue(
     """a_minus c = lam c on the coefficient vector, away from the guard band.
 
     Rows 0 .. truncation - guard - 1 are checked; raises ParameterOutOfRange
-    when that leaves none.
+    unless G >= 1 and truncation >= G + 1, which leaves at least one.
     """
-    rows = truncation - guard
-    if rows <= 0:
-        raise ParameterOutOfRange(
-            "no row lies outside the guard band: the eigenvalue check needs "
-            f"truncation > G, got truncation={truncation}, G={guard}"
-        )
-    lam = complex(lam)
+    require_size("G", guard, 1)
+    require_size("truncation", truncation, guard + 1)
+    lam = _require_lambda(lam)
     coeffs = coherent_coeffs(spec, lam, truncation)
+    rows = truncation - guard
     n_dim = truncation + guard
     lowering = build_ladder(spec, n_dim, guard).a_minus
     padded = np.zeros(n_dim, dtype=complex)
@@ -119,7 +124,7 @@ def check_mp_hypergeometric(
     is zero.
     """
     spec = DeformedOscillator(a)
-    lam = complex(lam)
+    lam = _require_lambda(lam)
     xs = require_samples("x", x_samples)
     coeffs = coherent_coeffs(spec, lam, truncation)
     # past the last nonzero coefficient a level adds only 0.0 * P_n, which

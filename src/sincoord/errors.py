@@ -42,11 +42,6 @@ class EnergyDrift(SincoordError, RuntimeError):
     """The flow integrator lost energy conservation beyond its guard."""
 
 
-class ZeroRecurrenceCoefficient(SincoordError, ZeroDivisionError):
-    """A lowering coefficient C_k vanishes, so the coefficient recursion
-    cannot be continued."""
-
-
 class SeriesNotConverged(SincoordError, RuntimeError):
     """A truncated series still has a tail above the requested threshold."""
 

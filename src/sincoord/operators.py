@@ -58,17 +58,6 @@ class LadderPair(NamedTuple):
     a_minus: np.ndarray
 
 
-def _check_dims(n_dim: int, guard: int) -> None:
-    require_size("G", guard)
-    require_size("N", n_dim)
-    if not 0 < guard < n_dim:
-        raise ParameterOutOfRange(
-            f"guard band must satisfy 0 < G < N, got N={n_dim}, G={guard}"
-        )
-    if n_dim < guard + 2:
-        raise ParameterOutOfRange(f"need N >= G + 2, got N={n_dim}, G={guard}")
-
-
 def _level_gaps(levels: np.ndarray) -> np.ndarray:
     """E_m - E_n at every band slot (m, n); zero on the diagonal and at the
     two slots outside the matrix."""
@@ -165,7 +154,8 @@ def build_basic(
     (A_n below, B_n on, C_n above the diagonal, per column n).  The arrays
     are read-only and shared between calls with the same arguments.
     """
-    _check_dims(n_dim, guard)
+    require_size("G", guard, 1)
+    require_size("N", n_dim, guard + 2)
     rec = recurrence(spec)
     levels = energies(spec, n_dim)
     eta = np.zeros((3, n_dim))

@@ -78,10 +78,8 @@ def eval_all(spec: SystemSpec, n_max: int, eta) -> np.ndarray:
     Each row is written in place as ((eta - B_n) P_n - C_n P_{n-1}) / A_n:
     one broadcast subtraction puts eta - B_n in row n + 1 for every n, and
     each level then takes four in-place ufunc calls.  Raises
-    ParameterOutOfRange for an n_max that is negative or past the size cap.
+    ParameterOutOfRange for an n_max that `require_size` refuses.
     """
-    if n_max < 0:
-        raise ParameterOutOfRange(f"need n_max >= 0, got n_max={n_max}")
     require_size("n_max", n_max)
     eta_arr = np.asarray(eta, dtype=float)
     rec = recurrence(spec)
@@ -127,6 +125,7 @@ def weight(spec: SystemSpec) -> WeightFunction:
 def _weighted_polys(spec: SystemSpec, n_max: int) -> tuple[np.ndarray, np.ndarray]:
     """P_0 .. P_{n_max} at the family's quadrature nodes, and the weights
     times the density there."""
+    require_size("n_max", n_max)
     x, w = spec.quadrature_nodes(n_max)
     return eval_all(spec, n_max, spec.eta(x)), w * spec.density(x)
 

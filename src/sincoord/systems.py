@@ -706,13 +706,16 @@ def _grid(step: float, first: int, last: int) -> np.ndarray:
     return step * np.arange(first, last + 1)
 
 
-def require_size(name: str, value: int) -> None:
+def require_size(name: str, value: int, low: int = 0) -> None:
     """Raise ParameterOutOfRange unless the requested size `value` is an
-    integer (a Python or numpy int) within the cap."""
+    integer (a Python or numpy int) of at least `low` and within the cap;
+    every size is checked here before any arithmetic on it."""
     try:
         operator.index(value)
     except TypeError:
         raise ParameterOutOfRange(f"{name} must be an integer, got {name}={value!r}") from None
+    if value < low:
+        raise ParameterOutOfRange(f"need {name} >= {low}, got {name}={value}")
     if value > _MAX_SIZE:
         raise ParameterOutOfRange(f"{name}={value} exceeds the size cap {_MAX_SIZE}")
 
@@ -824,14 +827,12 @@ def check_spectrum_closure(spec: SystemSpec, n_max: int) -> CheckReport:
     Residuals are relative to max(1, |target level|).  n_max must stay
     within the family's double-precision `level_cap`.
     """
-    if n_max < 1:
-        raise ParameterOutOfRange(f"n_max must be >= 1, got {n_max}")
+    require_size("n_max", n_max, 1)
     if n_max > spec.level_cap:
         raise ParameterOutOfRange(
             f"n_max={n_max} exceeds the double-precision cap {spec.level_cap} "
             f"of {spec}"
         )
-    require_size("n_max", n_max)
     levels = energies(spec, n_max + 2)
     ap, am = alpha_pm(spec, levels[: n_max + 1])
     # E_{n+1}, E_n for n = 0 .. n_max; E_{n-1} for n = 1 .. n_max

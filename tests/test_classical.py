@@ -824,6 +824,24 @@ class TestNoStates:
         with pytest.raises(sc.ParameterOutOfRange):
             sc.sample_states(DO1, count, seed)
 
+    @pytest.mark.parametrize("seed", [2.5, None, "3"])
+    def test_non_integer_seed_is_refused(self, seed):
+        with pytest.raises(sc.ParameterOutOfRange, match=f"seed must be an integer, got seed={seed!r}"):
+            sc.sample_states(DO1, 3, seed)
+
+    def test_non_iterable_states_are_refused(self):
+        for check in (sc.check_closed_vs_flow, sc.check_poisson_closure):
+            with pytest.raises(sc.ParameterOutOfRange, match="states must be an iterable"):
+                check(DO1, None)
+
+    def test_an_iterator_of_states_is_taken_once(self):
+        states = sc.sample_states(DO1, 2, seed=3)
+        flow = sc.check_closed_vs_flow(DO1, iter(states), t_end=0.1)
+        assert flow == sc.check_closed_vs_flow(DO1, states, t_end=0.1)
+        closure = sc.check_poisson_closure(DO1, (state for state in states))
+        assert closure == sc.check_poisson_closure(DO1, states)
+        assert closure.details["states"] == 2
+
 
 def _poisson_h_eta_fd(spec, x, p, step=1e-6):
     """{H, eta} with all derivatives replaced by central differences."""

@@ -448,6 +448,28 @@ def test_extreme_parameters_end_in_a_documented_outcome(system, suite, capsys):
 
 
 @pytest.mark.parametrize(
+    "argv",
+    [
+        ["ladder", "--system", "pt", "--g", "6.5e-129", "--h", "5.7e-62"],
+        ["classical", "--system", "do", "--a", "1e200"],
+        ["coherent", "--system", "do", "--a", "2.35e285", "--lambda=1.5e125-4.2e125j"],
+        ["spectrum", "--system", "aw", "--a=-0.78,-0.11,-0.78,0.087", "--q", "3.8e-126"],
+        ["heisenberg", "--system", "pt", "--g", "1", "--h", "1", "--t", "1e308"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_floating_point_faults_end_in_one_error_line(argv, capsys):
+    """An overflow or invalid operation inside the suite is refused by a
+    typed error, and no numpy warning comes ahead of its one line."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = cli.main(argv)
+    captured = capsys.readouterr()
+    assert code == 2 and caught == [] and captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
     "argv, level",
     [
         (["heisenberg", "--system", "aw", "--a=0,0,0,0", "--q", "1e-8"], 19),

@@ -1,5 +1,7 @@
 """Lowering-operator eigenstates: coefficients, eigenvalue property, 1F1."""
 
+import re
+
 import mpmath
 import numpy as np
 import pytest
@@ -110,6 +112,17 @@ class TestEigenvalueProperty:
         with pytest.raises(sc.ParameterOutOfRange):
             sc.coherent_coeffs(PT11, lam, 10)
 
+    @pytest.mark.parametrize("lam", ["0.3", b"0.3", None, "abc", [0.3], object()])
+    def test_eigenvalue_that_is_not_a_number_is_refused(self, lam):
+        message = f"eigenvalue must be a number, got lambda={re.escape(repr(lam))}$"
+        for call in (
+            lambda: sc.coherent_coeffs(DO1, lam, 10),
+            lambda: sc.check_eigenvalue(DO1, lam, 10, 4),
+            lambda: sc.check_mp_hypergeometric(1.0, lam, 0.5),
+        ):
+            with pytest.raises(sc.ParameterOutOfRange, match=message):
+                call()
+
     @pytest.mark.parametrize("truncation", [-1, -2])
     def test_negative_truncation_is_refused(self, truncation):
         with pytest.raises(sc.ParameterOutOfRange, match="truncation >= 0"):
@@ -123,7 +136,7 @@ class TestEigenvalueProperty:
     @pytest.mark.parametrize("truncation", [2, 4])
     def test_check_on_no_rows_is_refused(self, truncation):
         # rows 0 .. truncation - G - 1 are checked; none are left here
-        with pytest.raises(sc.ParameterOutOfRange, match="guard band"):
+        with pytest.raises(sc.ParameterOutOfRange, match="need truncation >= 5"):
             sc.check_eigenvalue(PT11, 0.2, truncation, 4)
 
     def test_one_row_outside_the_guard_band_is_checked(self):

@@ -15,12 +15,13 @@ at their defaults (`coherent` with the drawn lambda) and `classical
 --states 1 --tend 3`, whose span bounds the RK4 cost however long the
 orbit's period (aw's grows without bound as q -> 1).
 
-Every run must end in exit 0, 1 or 2, without a traceback, and with one
-`error:` line when it exits 2.  Every exit 1 or 2 must fall inside an
-owner: a region stated in the inputs, the checks it may FAIL and the
-refusals it may raise, and the ROADMAP item (or the README's list of
-refusals) that owns it.  A FAIL or refusal that no owner names fails the
-test.  An item that mends its region shrinks or deletes its owner here.
+Every run must end in exit 0, 1 or 2, without a traceback or a warning,
+and with stderr exactly one `error:` line when it exits 2 and empty
+otherwise.  Every exit 1 or 2 must fall inside an owner: a region stated
+in the inputs, the checks it may FAIL and the refusals it may raise, and
+the ROADMAP item (or the README's list of refusals) that owns it.  A FAIL
+or refusal that no owner names fails the test.  An item that mends its
+region shrinks or deletes its owner here.
 """
 
 import io
@@ -195,19 +196,19 @@ def _draws():
 
 def _run(argv):
     """(exit code, stdout, stderr) of one in-process invocation from cold
-    caches; an exception other than SystemExit would be a traceback and
-    propagates."""
+    caches, which must record no warning; an exception other than
+    SystemExit would be a traceback and propagates."""
     empty_caches()
     out, err = io.StringIO(), io.StringIO()
-    with redirect_stdout(out), redirect_stderr(err), warnings.catch_warnings():
-        # the numpy RuntimeWarnings ahead of some refusals are a defect of
-        # their own (CHANGES.md FOUND); this sweep asserts exit codes and
-        # error lines, so they are kept off the test log
-        warnings.simplefilter("ignore", RuntimeWarning)
+    with redirect_stdout(out), redirect_stderr(err), warnings.catch_warnings(
+        record=True
+    ) as caught:
+        warnings.simplefilter("always")
         try:
             code = cli.main(argv)
         except SystemExit as exc:
             code = exc.code
+    assert caught == [], (argv, [str(w.message) for w in caught])
     return code, out.getvalue(), err.getvalue()
 
 
@@ -234,9 +235,10 @@ def test_every_fail_and_refusal_in_the_documented_box_has_an_owner():
                 argv.append(f"--lambda={lam.real!r}{lam.imag:+.17g}j")
             code, out, err = _run(argv)
             assert code in (0, 1, 2), argv
-            assert "Traceback" not in err, argv
-            errors = [line for line in err.splitlines() if line.startswith("error: ")]
-            assert len(errors) == (1 if code == 2 else 0), (argv, err)
+            if code == 2:
+                assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
+            else:
+                assert err == "", (argv, err)
             outcomes[code] += 1
             if code:
                 missing = _unowned(family, suite, spec, lam, code, out, err)

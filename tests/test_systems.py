@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 import sys
 import tracemalloc
 
@@ -356,3 +357,45 @@ class TestSpectrumClosure:
     def test_aw_cap_enforced(self):
         with pytest.raises(sc.ParameterOutOfRange, match="cap"):
             sc.check_spectrum_closure(AW1, 40)
+
+
+# (function of one size, the size's name, its least value), with every
+# other argument valid
+SIZED = [
+    (lambda spec, size: sc.eval_all(spec, size, 0.5), "n_max", 0),
+    (sc.norms, "n_max", 0),
+    (sc.gram_matrix, "n_max", 0),
+    (lambda spec, size: sc.coherent_coeffs(spec, 0.3, size), "truncation", 0),
+    (lambda spec, size: sc.check_eigenvalue(spec, 0.3, size, 4), "truncation", 5),
+    (lambda spec, size: sc.check_eigenvalue(spec, 0.3, 20, size), "G", 1),
+    (sc.check_spectrum_closure, "n_max", 1),
+    (sc.sample_states, "state count", 0),
+    (lambda spec, size: sc.build_basic(spec, size, 4), "N", 6),
+    (lambda spec, size: sc.build_basic(spec, 30, size), "G", 1),
+]
+SIZED_IDS = [
+    "eval_all", "norms", "gram_matrix", "coherent_coeffs", "check_eigenvalue",
+    "check_eigenvalue-G", "check_spectrum_closure", "sample_states", "build_basic",
+    "build_basic-G",
+]
+
+
+class TestRequireSize:
+    @pytest.mark.parametrize("spec", [PT11, DO1, AW1], ids=["pt", "do", "aw"])
+    @pytest.mark.parametrize("call, name, low", SIZED, ids=SIZED_IDS)
+    def test_malformed_size_is_refused_naming_it(self, spec, call, name, low):
+        cap = 2**19
+        for size, message in [
+            (None, f"{name} must be an integer, got {name}=None"),
+            ("3", f"{name} must be an integer, got {name}='3'"),
+            (2.5, f"{name} must be an integer, got {name}=2.5"),
+            (low - 1, f"need {name} >= {low}, got {name}={low - 1}"),
+            (cap + 1, f"{name}={cap + 1} exceeds the size cap {cap}"),
+        ]:
+            with pytest.raises(sc.ParameterOutOfRange, match=f"^{re.escape(message)}$"):
+                call(spec, size)
+
+    @pytest.mark.parametrize("spec", [PT11, DO1, AW1], ids=["pt", "do", "aw"])
+    @pytest.mark.parametrize("call, name, low", SIZED, ids=SIZED_IDS)
+    def test_least_size_is_accepted(self, spec, call, name, low):
+        call(spec, low)

@@ -21,13 +21,13 @@ and `coherent` at N 512 for one system per family, JSON `ladder` at N 512
 for pt and do and at N 64 for aw, two do `coherent` runs
 at the tail sizes of the benchmark's `matrix` workload (one with a complex
 lambda), three do `coherent` runs whose coefficients underflow to 0.0 where
-P_n overflows, the README's exit-2 examples (but `--t 1e308`, whose numpy
-warning names each tree's own path), two do `ladder` runs at an a so
+P_n overflows, the README's exit-2 examples, two do `ladder` runs at an a so
 small that the quadrature step underflows, a flow that leaves pt's domain,
 one flow per family whose error is raised in an RK4 stage, two do flows
-whose step ends at a position that is not finite, and the 24 known
-outcomes of tests/test_known_outcomes.py (runs that fail a check or are
-refused), read from its `ROWS`: 341 invocations.
+whose step ends at a position that is not finite, five refusals that follow
+a floating-point fault inside the suite (among them the README's `--t
+1e308`), and the 24 known outcomes of tests/test_known_outcomes.py (runs
+that fail a check or are refused), read from its `ROWS`: 346 invocations.
 """
 
 from __future__ import annotations
@@ -167,6 +167,15 @@ EXIT_2 = (
     ("classical", "--system", "do", "--a", "1", "--x0=0", "--p0=700"),
     ("classical", "--system", "do", "--a", "1", "--x0=1e308", "--p0=0.1"),
 )
+# a floating-point fault inside the suite (an overflow or an invalid
+# operation) ends in a typed refusal, with no numpy warning ahead of it
+FLOATING_POINT_FAULTS = (
+    ("ladder", "--system", "pt", "--g", "6.5e-129", "--h", "5.7e-62"),
+    ("classical", "--system", "do", "--a", "1e200"),
+    ("coherent", "--system", "do", "--a", "2.35e285", "--lambda=1.5e125-4.2e125j"),
+    ("spectrum", "--system", "aw", "--a=-0.78,-0.11,-0.78,0.087", "--q", "3.8e-126"),
+    ("heisenberg", "--system", "pt", "--g", "1", "--h", "1", "--t", "1e308"),
+)
 
 
 def known_outcomes() -> tuple[tuple[str, ...], ...]:
@@ -200,7 +209,7 @@ def default_corpus() -> list[list[str]]:
     edges = (
         DENSITY_EDGES + B_N_EDGES + EXACT_CONSTANT_EDGES + DO_DENSITY_EDGES
         + SU11_LARGE_N + MATRIX_N + LADDER_MATRIX_N + COHERENT_PAST_LAST_COEFFICIENT
-        + EXIT_2
+        + EXIT_2 + FLOATING_POINT_FAULTS
         + known_outcomes()
     )
     return corpus + [list(argv) for argv in edges]
