@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import linecache
 import math
+import numbers
 import textwrap
 from array import array
 from dataclasses import dataclass
@@ -36,16 +37,25 @@ from .systems import (
     classical_r_polynomials,
     r_polynomials,
     require_inside,
+    require_real,
     require_size,
 )
 
 
 @dataclass(frozen=True)
 class ClassicalState:
-    """Phase-space point; x must lie strictly inside the system's domain."""
+    """Phase-space point of two real numbers; x must lie strictly inside the
+    system's domain (a NaN or infinite coordinate is refused where it is used)."""
 
     x: float
     p: float
+
+    def __post_init__(self) -> None:
+        for name, value in (("x", self.x), ("p", self.p)):
+            if not isinstance(value, numbers.Real):
+                raise ParameterOutOfRange(
+                    f"state coordinate {name} must be a real number, got {name}={value!r}"
+                )
 
 
 @dataclass(frozen=True)
@@ -58,21 +68,36 @@ class Trajectory:
 
 
 def _h_and_h_h_eta(spec: SystemSpec, x: float, p: float) -> tuple[float, float]:
-    """H and {H, {H, eta}}, from one `terms` call."""
+    """H and {H, {H, eta}}, from one `terms` call.  The term in eta'' is
+    left out where eta'' is exactly 0 (do), so that an overflowing
+    (dH/dp)^2 does not make it inf * 0."""
     h, dhdx, dhdp, d2p2, d2pdx = spec.flow.terms(x, p)
     deta, d2eta = spec.deta_dx(x), spec.d2eta_dx2(x)
-    return h, -dhdx * d2p2 * deta + dhdp * d2pdx * deta + dhdp * dhdp * d2eta
+    lhs = -dhdx * d2p2 * deta + dhdp * d2pdx * deta
+    if d2eta != 0.0:
+        lhs = lhs + dhdp * dhdp * d2eta
+    return h, lhs
+
+
+def _require_state(spec: SystemSpec, state) -> None:
+    """Raise ParameterOutOfRange unless `state` is a ClassicalState, and
+    DomainEscape unless its x lies inside the domain."""
+    if not isinstance(state, ClassicalState):
+        raise ParameterOutOfRange(
+            f"a phase-space state must be a ClassicalState, got {state!r}"
+        )
+    require_inside(spec, state.x, DomainEscape)
 
 
 def _initial_terms(spec: SystemSpec, state: ClassicalState) -> tuple[float, float, float]:
     """H, dH/dx and dH/dp at the initial state, from one `terms` call.
 
-    Raises DomainEscape unless the state lies inside the domain and
-    ParameterOutOfRange unless its energy is finite; an overflow or a
-    division by zero, which a state next to a wall can cause, counts as an
-    infinite energy.
+    Raises ParameterOutOfRange unless `state` is a ClassicalState,
+    DomainEscape unless it lies inside the domain and ParameterOutOfRange
+    unless its energy is finite; an overflow or a division by zero, which a
+    state next to a wall can cause, counts as an infinite energy.
     """
-    require_inside(spec, state.x, DomainEscape)
+    _require_state(spec, state)
     try:
         terms = spec.flow.terms(state.x, state.p)[:3]
     except ArithmeticError:
@@ -255,20 +280,19 @@ def flow_oracle(
 ) -> Trajectory:
     """Fixed-step RK4 integration of dx/dt = dH/dp, dp/dt = -dH/dx.
 
-    Takes round(t_end / dt) steps, so the flow ends at that many times dt;
-    a span that rounds to no step (t_end <= dt / 2) raises
-    ParameterOutOfRange.  Raises DomainEscape, naming the time t and the
-    step dt, if a step takes the position out of the open domain, and
-    EnergyDrift if the conserved energy moves by more than
-    1e-6 relative, a stage of a step overflows, divides by zero or takes
-    the sine of an infinite position, or a step ends at a position that is
-    not finite (in each case after a partial overflowed to inf).
+    Takes round(t_end / dt) steps, so the flow ends at that many times dt.
+    Raises ParameterOutOfRange unless dt and t_end are positive and finite
+    (`require_real`), for a span that rounds to no step (t_end <= dt / 2),
+    and as `_initial_terms` does; DomainEscape, naming the time t and the
+    step dt, if a step takes the position out of the open domain; and
+    EnergyDrift if the conserved energy moves by more than 1e-6 relative,
+    a stage of a step overflows, divides by zero or takes the sine of an
+    infinite position, or a step ends at a position that is not finite (in
+    each case after a partial overflowed to inf).
     The steps are taken by the system's compiled `flow.loop`.
     """
-    if not 0.0 < dt < math.inf:
-        raise ParameterOutOfRange(f"dt must be positive and finite, got {dt}")
-    if not 0.0 < t_end < math.inf:
-        raise ParameterOutOfRange(f"t_end must be positive and finite, got {t_end}")
+    dt = require_real("dt", dt, 0.0)
+    t_end = require_real("t_end", t_end, 0.0)
     ratio = t_end / dt
     if not ratio <= _MAX_STEPS:
         raise ParameterOutOfRange(
@@ -281,9 +305,9 @@ def flow_oracle(
             f"the span {t_end} is at most half a step of dt={dt}, "
             "so the flow would take no step"
         )
+    e0, hx, hp = _initial_terms(spec, state)
     times = np.arange(steps + 1) * dt
     xs = array("d", [state.x])
-    e0, hx, hp = _initial_terms(spec, state)
     guard = 1e-6 * max(1.0, abs(e0))
     lo, hi = spec.domain
     try:
@@ -364,7 +388,7 @@ def check_closed_vs_flow(
         if trajectories is not None:
             trajectories.append((traj, closed))
     if t_end is None:
-        extent = {"dt": dt, "periods": _PERIODS}
+        extent = {"dt": float(dt), "periods": _PERIODS}
     else:
         extent = {"t_end": float(traj.times[-1])}
     return [
@@ -390,7 +414,7 @@ def check_poisson_closure(
     closure = classical_r_polynomials(spec)
     worst = 0.0
     for state in states:
-        require_inside(spec, state.x, DomainEscape)
+        _require_state(spec, state)
         try:
             h0, lhs = _h_and_h_h_eta(spec, state.x, state.p)
         except ArithmeticError as exc:
@@ -412,6 +436,7 @@ def check_potential_reconstruction(g: float, h: float) -> CheckReport:
     + h(h-1) / (2 cos^2 x) - (g+h)^2 / 2, its ground-state energy at zero.
     """
     spec = PoschlTeller(g, h)
+    g, h = spec.g, spec.h
     model = r_polynomials(spec)
     r00, rm10, r1 = model.r0(0.0), model.rm1(0.0), model.r1(0.0)
 

@@ -145,13 +145,13 @@ def check_mp_hypergeometric(
                 f"{truncation}"
             )
         for x, lhs in zip(xs.tolist(), series):
-            rhs = phase * hyp1f1(complex(a, x), 2.0 * a, z)
+            rhs = phase * hyp1f1(complex(spec.a, x), 2.0 * spec.a, z)
             worst = np.maximum(worst, abs(lhs - rhs) / max(1.0, abs(rhs)))
     return make_report(
         "coherent_1f1",
         worst,
         1e-10,
-        a=a,
+        a=spec.a,
         samples=len(xs),
         truncation=truncation,
         lam_real=float(lam.real),

@@ -302,7 +302,7 @@ def check_su11(a: float, n_dim: int, guard: int) -> CheckReport:
     res_minus = _commutator_with_h(levels, am) + am
     res_comm = _band_product(am, ap)
     res_comm -= _band_product(ap, am)
-    res_comm[2] -= 2.0 * (levels + a)
+    res_comm[2] -= 2.0 * (levels + spec.a)
     residuals = (res_plus, res_minus, res_comm)
     resid = np.max([_window_max(np.abs(r), guard) for r in residuals])
     return make_report("su11", resid, 1e-12, N=n_dim, G=guard)

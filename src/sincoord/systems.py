@@ -9,7 +9,7 @@ modules need to know about it:
 
 * its parameter ranges, checked once on construction (`__post_init__`
   raises ParameterOutOfRange, also from `dataclasses.replace`), so no
-  instance lies outside them; the spectrum `energy(n)`;
+  instance lies outside them and each is a float; the spectrum `energy(n)`;
 * `closure_polynomials()` (R0, R1, R-1) and
   `classical_closure()` (R0, R-1 of the double Poisson bracket);
 * `recurrence_coefficients()`: A_n, B_n, C_n of the eigenpolynomials;
@@ -44,6 +44,7 @@ alpha_pm(E) built from them.
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 import sys
 from dataclasses import dataclass
@@ -137,10 +138,7 @@ class PoschlTeller(_CompiledFlow):
         return self.h - 0.5
 
     def __post_init__(self) -> None:
-        if not self.g > 0:
-            raise ParameterOutOfRange(f"g must be positive, got g={self.g}")
-        if not self.h > 0:
-            raise ParameterOutOfRange(f"h must be positive, got h={self.h}")
+        _require_fields(self, ("g", "h"), 0.0)
         top = 0.5 * math.sqrt(sys.float_info.max)  # 4(g + h)^2 overflows above it
         if not self.g + self.h <= top:
             raise ParameterOutOfRange(
@@ -261,8 +259,7 @@ class DeformedOscillator(_CompiledFlow):
     coherent_lambda: ClassVar[complex] = 0.3
 
     def __post_init__(self) -> None:
-        if not self.a > 0:
-            raise ParameterOutOfRange(f"a must be positive, got a={self.a}")
+        _require_fields(self, ("a",), 0.0)
         top = 0.5 * sys.float_info.max  # the coefficient 2a overflows above it
         if not self.a <= top:
             raise ParameterOutOfRange(f"a must be finite and at most {top:.6g}, got a={self.a}")
@@ -408,17 +405,11 @@ class AskeyWilson(_CompiledFlow):
         return max(1, int(25.0 * math.log(1.0 / 0.3) / math.log(1.0 / self.q)))
 
     def __post_init__(self) -> None:
-        q = self.q
-        if not 0.0 < q < 1.0:
-            raise ParameterOutOfRange(f"q must lie in (0, 1), got q={q}")
-        for name, value in zip(("a1", "a2", "a3", "a4"), self.params):
-            if not -1.0 < value < 1.0:
-                raise ParameterOutOfRange(
-                    f"{name} must lie in (-1, 1), got {name}={value}"
-                )
-        if not self.b4 < q:
+        _require_fields(self, ("q",), 0.0, 1.0)
+        _require_fields(self, ("a1", "a2", "a3", "a4"), -1.0, 1.0)
+        if not self.b4 < self.q:
             raise ParameterOutOfRange(
-                f"a1*a2*a3*a4 = {self.b4} must stay below q = {q}"
+                f"a1*a2*a3*a4 = {self.b4} must stay below q = {self.q}"
             )
 
     def _q_pow(self, k):
@@ -718,6 +709,25 @@ def require_size(name: str, value: int, low: int = 0) -> None:
         raise ParameterOutOfRange(f"need {name} >= {low}, got {name}={value}")
     if value > _MAX_SIZE:
         raise ParameterOutOfRange(f"{name}={value} exceeds the size cap {_MAX_SIZE}")
+
+
+def require_real(name: str, value, low: float = -math.inf, high: float = math.inf) -> float:
+    """`value` as a float; raise ParameterOutOfRange, naming `name`, unless it
+    is a finite real number (`numbers.Real`: not None, str, bytes, complex or
+    an array) strictly inside (low, high).  Every real parameter is checked here."""
+    finite = isinstance(value, numbers.Real) and abs(value) <= sys.float_info.max
+    number = float(value) if finite else math.nan
+    if not low < number < high:
+        raise ParameterOutOfRange(
+            f"{name} must be a real number in ({low:g}, {high:g}), got {name}={value!r}"
+        )
+    return number
+
+
+def _require_fields(spec: SystemSpec, names, low: float, high: float = math.inf) -> None:
+    """`require_real` on the fields `names` of a family, each kept as its float."""
+    for name in names:
+        object.__setattr__(spec, name, require_real(name, getattr(spec, name), low, high))
 
 
 def require_samples(name: str, samples) -> np.ndarray:

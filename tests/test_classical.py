@@ -6,6 +6,7 @@ import dataclasses
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -833,6 +834,27 @@ class TestNoStates:
         for check in (sc.check_closed_vs_flow, sc.check_poisson_closure):
             with pytest.raises(sc.ParameterOutOfRange, match="states must be an iterable"):
                 check(DO1, None)
+
+    @pytest.mark.parametrize("state", [None, 1, (0.5, 0.3)], ids=["None", "int", "tuple"])
+    def test_a_state_that_is_not_a_classical_state_is_refused(self, state):
+        message = f"a phase-space state must be a ClassicalState, got {state!r}"
+        for call in (
+            lambda: sc.check_poisson_closure(DO1, [ClassicalState(0.5, 0.3), state]),
+            lambda: sc.check_closed_vs_flow(DO1, [state]),
+            lambda: sc.check_closed_vs_flow(DO1, [state], t_end=1.0),
+            lambda: sc.flow_oracle(DO1, state, 1.0, 1e-3),
+            lambda: sc.closed_form_eta(DO1, state, 0.0),
+            lambda: sc.period(DO1, state),
+        ):
+            with pytest.raises(sc.ParameterOutOfRange, match=f"^{re.escape(message)}$"):
+                call()
+
+    @pytest.mark.parametrize("bad", [None, "0.5", b"0.5", 0.5j, [0.5]])
+    @pytest.mark.parametrize("slot", ["x", "p"])
+    def test_a_coordinate_that_is_not_a_real_number_is_refused(self, slot, bad):
+        message = f"state coordinate {slot} must be a real number, got {slot}={bad!r}"
+        with pytest.raises(sc.ParameterOutOfRange, match=f"^{re.escape(message)}$"):
+            ClassicalState(**({"x": 0.5, "p": 0.3} | {slot: bad}))
 
     def test_an_iterator_of_states_is_taken_once(self):
         states = sc.sample_states(DO1, 2, seed=3)

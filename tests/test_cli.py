@@ -451,7 +451,6 @@ def test_extreme_parameters_end_in_a_documented_outcome(system, suite, capsys):
     "argv",
     [
         ["ladder", "--system", "pt", "--g", "6.5e-129", "--h", "5.7e-62"],
-        ["classical", "--system", "do", "--a", "1e200"],
         ["coherent", "--system", "do", "--a", "2.35e285", "--lambda=1.5e125-4.2e125j"],
         ["spectrum", "--system", "aw", "--a=-0.78,-0.11,-0.78,0.087", "--q", "3.8e-126"],
         ["heisenberg", "--system", "pt", "--g", "1", "--h", "1", "--t", "1e308"],
@@ -467,6 +466,21 @@ def test_floating_point_faults_end_in_one_error_line(argv, capsys):
     captured = capsys.readouterr()
     assert code == 2 and caught == [] and captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("a", ["1e169", "1e200", "1e300"])
+def test_do_classical_at_a_huge_a_reaches_a_verdict(a, capsys):
+    """do's eta'' is exactly 0, so {H, {H, eta}} has no (dH/dp)^2 eta'' term
+    to form as inf * 0 where (dH/dp)^2 overflows: poisson_closure passes,
+    and the absolute flow deviation fails (ROADMAP item 7)."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = cli.main(["classical", "--system", "do", "--a", a, "--format", "json"])
+    captured = capsys.readouterr()
+    assert code == 1 and caught == [] and captured.err == ""
+    checks = {c["name"]: c for c in json.loads(captured.out)["checks"]}
+    assert [name for name, c in checks.items() if not c["pass"]] == ["classical_closed_vs_flow"]
+    assert checks["poisson_closure"]["max_residual"] <= 6.7e-16
 
 
 @pytest.mark.parametrize(

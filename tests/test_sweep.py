@@ -101,8 +101,7 @@ OWNERS = (
           refusals=QUADRATURE_REFUSALS),
     Owner("item 7: do's classical deviations are absolute at a large a",
           "do", ("classical",), lambda s, lam: s.a >= 1e9,
-          checks=("classical_closed_vs_flow",),
-          refusals=("check poisson_closure has no verdict",)),
+          checks=("classical_closed_vs_flow",)),
     Owner("item 18: do's float 1F1 reference at |lambda| >= 2.3",
           "do", ("coherent",), lambda s, lam: abs(lam) >= 2.3,
           checks=("coherent_1f1",), refusals=("1F1 series",)),

@@ -5,6 +5,7 @@ import math
 import re
 import sys
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -75,6 +76,11 @@ def assert_refused(message, build, spec, **fields):
         dataclasses.replace(spec, **fields)
 
 
+def real_refusal(name: str, low: str, high: str) -> str:
+    """The start of `require_real`'s refusal of `name` outside (low, high)."""
+    return rf"^{name} must be a real number in \({low}, {high}\), got {name}="
+
+
 AW_SLOTS = ("a1", "a2", "a3", "a4")
 
 
@@ -119,12 +125,12 @@ class TestValidate:
     )
     def test_pt_refuses_outside(self, bad, good, slot):
         fields = {"g": good, "h": good, slot: bad}
-        assert_refused(f"^{slot} must be positive", sc.PoschlTeller, PT11, **fields)
+        assert_refused(real_refusal(slot, "0", "inf"), sc.PoschlTeller, PT11, **fields)
 
     @settings(max_examples=100, deadline=None)
     @given(bad=outside(0.0, math.inf))
     def test_do_refuses_outside(self, bad):
-        assert_refused("^a must be positive", sc.DeformedOscillator, DO1, a=bad)
+        assert_refused(real_refusal("a", "0", "inf"), sc.DeformedOscillator, DO1, a=bad)
 
     def test_pt_and_do_construct_at_overflow_bound(self):
         assert sc.PoschlTeller(PT_TOP, 1e-300).g == PT_TOP
@@ -140,7 +146,9 @@ class TestValidate:
     )
     def test_pt_refuses_overflowing_coupling_sum(self, big, slot):
         fields = {"g": 1e-300, "h": 1e-300, slot: big}
-        assert_refused(r"^g \+ h must be finite", sc.PoschlTeller, PT11, **fields)
+        # an infinite coupling is refused on its own, ahead of the joint bound
+        message = real_refusal(slot, "0", "inf") if big == math.inf else r"^g \+ h must be finite"
+        assert_refused(message, sc.PoschlTeller, PT11, **fields)
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -150,7 +158,8 @@ class TestValidate:
         )
     )
     def test_do_refuses_overflowing_a(self, big):
-        assert_refused("^a must be finite", sc.DeformedOscillator, DO1, a=big)
+        message = real_refusal("a", "0", "inf") if big == math.inf else "^a must be finite"
+        assert_refused(message, sc.DeformedOscillator, DO1, a=big)
 
     @settings(max_examples=200, deadline=None)
     @given(q=inside(0.0, 1.0), params=st.tuples(*[inside(-1.0, 1.0)] * 4))
@@ -162,14 +171,14 @@ class TestValidate:
     @settings(max_examples=200, deadline=None)
     @given(bad=outside(0.0, 1.0))
     def test_aw_refuses_q_outside(self, bad):
-        assert_refused("^q must lie in", sc.AskeyWilson, AW1, a1=0.1, a2=0.2,
+        assert_refused(real_refusal("q", "0", "1"), sc.AskeyWilson, AW1, a1=0.1, a2=0.2,
                        a3=-0.1, a4=0.3, q=bad)
 
     @settings(max_examples=200, deadline=None)
     @given(bad=outside(-1.0, 1.0), slot=st.sampled_from(AW_SLOTS))
     def test_aw_refuses_parameter_outside(self, bad, slot):
         fields = {"a1": 0.0, "a2": 0.0, "a3": 0.0, "a4": 0.0, "q": 0.5, slot: bad}
-        assert_refused(f"^{slot} must lie in", sc.AskeyWilson, AW1, **fields)
+        assert_refused(real_refusal(slot, "-1", "1"), sc.AskeyWilson, AW1, **fields)
 
     @settings(max_examples=200, deadline=None)
     @given(q=inside(0.0, 0.9), ulps=ULPS, sign=st.sampled_from([1.0, -1.0]))
@@ -399,3 +408,71 @@ class TestRequireSize:
     @pytest.mark.parametrize("call, name, low", SIZED, ids=SIZED_IDS)
     def test_least_size_is_accepted(self, spec, call, name, low):
         call(spec, low)
+
+
+STATE = sc.ClassicalState(0.5, 0.3)
+
+
+def _trajectory(traj):
+    """A flow's times, eta values and drift, as Python values to compare."""
+    return traj.times.tolist(), traj.eta_values.tolist(), traj.energy_drift
+
+
+def _built(spec):
+    """The system, with its spectrum closure and its first norms."""
+    return spec, sc.check_spectrum_closure(spec, 5), sc.norms(spec, 5).tolist()
+
+
+# (entry point, the real parameter's name, its open range, a float inside
+# it, and the call with the parameter at a value and every other argument
+# valid)
+REAL = [
+    ("PoschlTeller", "g", 0.0, math.inf, 1.0, lambda v: _built(sc.PoschlTeller(v, 1.0))),
+    ("PoschlTeller", "h", 0.0, math.inf, 1.0, lambda v: _built(sc.PoschlTeller(1.0, v))),
+    ("DeformedOscillator", "a", 0.0, math.inf, 1.0,
+     lambda v: _built(sc.DeformedOscillator(v))),
+    *(("AskeyWilson", name, low, 1.0, good,
+       lambda v, name=name: _built(sc.AskeyWilson(**dataclasses.asdict(AW1) | {name: v})))
+      for name, low, good in [("q", 0.0, 0.5), *((slot, -1.0, 0.0) for slot in AW_SLOTS)]),
+    ("check_su11", "a", 0.0, math.inf, 1.0, lambda v: sc.check_su11(v, 30, 4)),
+    ("check_potential_reconstruction", "g", 0.0, math.inf, 1.0,
+     lambda v: sc.check_potential_reconstruction(v, 1.0)),
+    ("check_potential_reconstruction", "h", 0.0, math.inf, 1.0,
+     lambda v: sc.check_potential_reconstruction(1.0, v)),
+    ("check_mp_hypergeometric", "a", 0.0, math.inf, 1.0,
+     lambda v: sc.check_mp_hypergeometric(v, 0.3, [-1.0, 0.5], 20)),
+    ("flow_oracle", "t_end", 0.0, math.inf, 1.0,
+     lambda v: _trajectory(sc.flow_oracle(DO1, STATE, v, 1 / 64))),
+    ("flow_oracle", "dt", 0.0, math.inf, 1 / 64,
+     lambda v: _trajectory(sc.flow_oracle(DO1, STATE, 1.0, v))),
+    ("check_closed_vs_flow", "dt", 0.0, math.inf, 1 / 64,
+     lambda v: sc.check_closed_vs_flow(DO1, [STATE], dt=v)),
+    ("check_closed_vs_flow", "t_end", 0.0, math.inf, 1.0,
+     lambda v: sc.check_closed_vs_flow(DO1, [STATE], dt=1 / 64, t_end=v)),
+]
+REAL_IDS = [f"{entry}-{name}" for entry, name, *_ in REAL]
+
+
+class TestRequireReal:
+    @pytest.mark.parametrize("entry, name, low, high, good, call", REAL, ids=REAL_IDS)
+    def test_a_value_that_is_not_a_real_inside_the_range_is_refused(
+        self, entry, name, low, high, good, call
+    ):
+        bad_values = [None, "1", b"1", 1j, [1.0], math.nan, math.inf, -math.inf, low, high]
+        if (entry, name) == ("check_closed_vs_flow", "t_end"):
+            bad_values.remove(None)  # None asks for three periods
+        for bad in bad_values:
+            message = f"{name} must be a real number in ({low:g}, {high:g}), got {name}={bad!r}"
+            with pytest.raises(sc.ParameterOutOfRange, match=f"^{re.escape(message)}$"):
+                call(bad)
+
+    @pytest.mark.parametrize("entry, name, low, high, good, call", REAL, ids=REAL_IDS)
+    def test_each_real_type_gives_the_report_of_the_float(
+        self, entry, name, low, high, good, call
+    ):
+        same = [np.float64(good), Fraction(good)]
+        if good.is_integer():
+            same += [int(good), np.int64(good)]
+        expected = repr(call(good))
+        for value in same:
+            assert repr(call(value)) == expected, value

@@ -24,10 +24,12 @@ lambda), three do `coherent` runs whose coefficients underflow to 0.0 where
 P_n overflows, the README's exit-2 examples, two do `ladder` runs at an a so
 small that the quadrature step underflows, a flow that leaves pt's domain,
 one flow per family whose error is raised in an RK4 stage, two do flows
-whose step ends at a position that is not finite, five refusals that follow
-a floating-point fault inside the suite (among them the README's `--t
-1e308`), and the 24 known outcomes of tests/test_known_outcomes.py (runs
-that fail a check or are refused), read from its `ROWS`: 346 invocations.
+whose step ends at a position that is not finite, five runs with a
+floating-point fault inside the suite (four refused, among them the
+README's `--t 1e308`, and do's `classical` at a 1e200, which reaches a
+verdict), seven refusals of a real parameter outside its open range, and
+the 24 known outcomes of tests/test_known_outcomes.py (runs that fail a
+check or are refused), read from its `ROWS`: 353 invocations.
 """
 
 from __future__ import annotations
@@ -168,13 +170,27 @@ EXIT_2 = (
     ("classical", "--system", "do", "--a", "1", "--x0=1e308", "--p0=0.1"),
 )
 # a floating-point fault inside the suite (an overflow or an invalid
-# operation) ends in a typed refusal, with no numpy warning ahead of it
+# operation) ends in a typed refusal or a verdict, with no numpy warning
+# ahead of it; do's classical suite at a 1e200 leaves out the eta'' term
+# (eta'' is 0) whose (dH/dp)^2 overflows, and reaches a verdict
 FLOATING_POINT_FAULTS = (
     ("ladder", "--system", "pt", "--g", "6.5e-129", "--h", "5.7e-62"),
     ("classical", "--system", "do", "--a", "1e200"),
     ("coherent", "--system", "do", "--a", "2.35e285", "--lambda=1.5e125-4.2e125j"),
     ("spectrum", "--system", "aw", "--a=-0.78,-0.11,-0.78,0.087", "--q", "3.8e-126"),
     ("heisenberg", "--system", "pt", "--g", "1", "--h", "1", "--t", "1e308"),
+)
+
+# a real parameter that is 0, NaN, one of its bounds or infinite is refused by
+# name, with its open range
+REAL_PARAMETER_REFUSALS = (
+    ("spectrum", "--system", "pt", "--g", "0", "--h", "1"),
+    ("spectrum", "--system", "pt", "--g", "nan", "--h", "1"),
+    ("spectrum", "--system", "do", "--a", "0"),
+    ("spectrum", "--system", "aw", "--a=0.1,0.2,-0.1,0.3", "--q", "1"),
+    ("spectrum", "--system", "aw", "--a=1,0,0,0", "--q", "0.5"),
+    ("classical", "--system", "do", "--a", "1", "--tend", "inf"),
+    ("classical", "--system", "do", "--a", "1", "--dt", "nan"),
 )
 
 
@@ -209,7 +225,7 @@ def default_corpus() -> list[list[str]]:
     edges = (
         DENSITY_EDGES + B_N_EDGES + EXACT_CONSTANT_EDGES + DO_DENSITY_EDGES
         + SU11_LARGE_N + MATRIX_N + LADDER_MATRIX_N + COHERENT_PAST_LAST_COEFFICIENT
-        + EXIT_2 + FLOATING_POINT_FAULTS
+        + EXIT_2 + FLOATING_POINT_FAULTS + REAL_PARAMETER_REFUSALS
         + known_outcomes()
     )
     return corpus + [list(argv) for argv in edges]
