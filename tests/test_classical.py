@@ -23,7 +23,7 @@ import pytest
 import sincoord as sc
 from sincoord import cli
 from sincoord._g17 import _RANGE, BlockFormatter
-from sincoord.classical import ClassicalState
+from sincoord.classical import _CSV_BLOCK_ROWS, ClassicalState
 
 from conftest import empty_caches
 
@@ -1102,10 +1102,9 @@ class TestTrajectoryExport:
         assert float(first[3]) == abs(float(first[1]) - float(first[2]))
 
 
-def _assert_g17(values):
+def _assert_g17(values, rows=4096):
     """The block formatter's text of `values`, one per row, against CPython's
     '%.17g' of each, a block at a time."""
-    rows = 4096
     formatter = BlockFormatter(1, rows)
     for start in range(0, len(values), rows):
         block = values[start : start + rows]
@@ -1123,6 +1122,44 @@ def _assert_g17(values):
 def _signed(values):
     values = np.asarray(values, dtype=float)
     return np.concatenate([values, -values])
+
+
+def _text_layout(text):
+    """(sign, notation class, significant digits) of a '%.17g' text; the
+    classes are fixed notation at E -4..16, then scientific with 2 exponent
+    digits (E >= 0, E < 0) and with 3 (E >= 0, E < 0)."""
+    value = Decimal(text)
+    sign, digits, _ = value.as_tuple()
+    e = value.adjusted()
+    if -4 <= e <= 16:
+        notation = e
+    else:
+        notation = ("sci", abs(e) >= 100, e < 0)
+    return sign, notation, len("".join(map(str, digits)).strip("0")) or 1
+
+
+def _layout_values():
+    """One double for each layout of a finite nonzero value's text: each
+    sign, notation class and count of significant digits 1..17."""
+    rng = np.random.default_rng(34)
+    decades = [[e] for e in range(-4, 17)] + [
+        range(17, 100), range(-5, -100, -1), range(100, 280), range(-100, -280, -1)
+    ]
+    values = []
+    for decade in decades:
+        for k in range(1, 18):
+            mantissas = range(1, 10) if k == 1 else rng.integers(10 ** (k - 1), 10**k, 400)
+            # the first k-digit decimal whose nearest double keeps k digits
+            values.append(next(
+                v for e in decade for m in mantissas
+                for v in [float(f"{m}e{e - k + 1}")]
+                if _text_layout("%.17g" % v)[2] == k
+                and Decimal("%.17g" % v).adjusted() == e
+            ))
+    values = _signed(values)
+    layouts = {_text_layout("%.17g" % v) for v in values.tolist()}
+    assert len(layouts) == len(values) == 2 * 25 * 17
+    return values
 
 
 class TestG17Kernel:
@@ -1177,3 +1214,15 @@ class TestG17Kernel:
 
     def test_zeros_and_non_finite_values(self):
         _assert_g17(np.array([0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan]))
+
+    @pytest.mark.parametrize(
+        "rows", [1, 999, pytest.param(_CSV_BLOCK_ROWS, id="writer")]
+    )
+    def test_every_layout_at_the_first_and_last_row_of_a_block(self, rows):
+        # each value is the first row of one block and the last row of the
+        # block before it
+        values = _layout_values()
+        if rows > 1:
+            filler = np.full((len(values), rows - 2), 0.25)
+            values = np.column_stack([values, filler, np.roll(values, -1)])
+        _assert_g17(values.ravel(), rows)
