@@ -13,11 +13,13 @@ after one correction, are formatted by CPython's correctly rounded '%.17g'
 instead.  Either way each value gets the bytes '%.17g' % v gives.
 
 The text is laid out by mask.  Each value has a row of source bytes that
-holds every piece its text can have, in text order: the sign, "0.000",
-the digits, a point, the digits again, and the exponent and separator.
-The mask row chosen by (sign, notation, significant digits) keeps the
-pieces of the value's text, so the kept bytes of a block, read in order,
-are its text.
+holds every piece its text can have, each once, in text order: a prefix of
+the sign and the first digit, with the point after it ("-7.") or "0." and
+zeros before it ("-0.007"), the other digits, and the exponent and
+separator.  Fixed notation at a decade E of 1..16 moves E digits left, over
+the point, and writes the point after them.  The mask row chosen by (sign,
+notation, significant digits) keeps the pieces of the value's text, so the
+kept bytes of a block, read in order, are its text: two runs a value.
 
 All arithmetic is on doubles that hold integers exactly, with casts to
 integers only to index tables, and the tables are built from bytes and
@@ -41,12 +43,11 @@ _EMAX = 330
 # the rounding; the product's own error is below 1e-14.
 _TIE = 1e-6
 
-# Byte offsets in a source row.  The digits d0..d16 are written twice, at
-# _A (the digits before the point) and at _B (those after it); the four
-# digit groups after d0 and |E| are aligned uint32 words.
-_MINUS, _ZEROS, _A, _POINT, _B = 0, 1, 7, 24, 27  # _ZEROS holds "0.000"
-_E, _EXP, _SEP = 45, 48, 52  # "e+-" at _E, |E| as four digits at _EXP
-_ROW = 56
+# Byte offsets in a source row.  The prefix, right-aligned, ends at _DIGITS
+# and d1..d16 follow it, as four aligned uint32 words, as is the exponent
+# text at _EXP: "e-05", or "-305" after an "e" at _EXP - 1.
+_POINT, _DIGITS, _EXP, _SEP = 7, 8, 28, 32
+_ROW = 36
 # A value that CPython formats has its text, of at most _TEXT_MAX bytes (as
 # in -2.2250738585072014e-308), at the start of the row.
 _TEXT_MAX = 24
@@ -69,12 +70,29 @@ def _digit_tables() -> tuple[np.ndarray, np.ndarray]:
     return np.frombuffer(chars, np.uint32), zeros
 
 
-def _class_keys() -> np.ndarray:
-    """The first layout row, for 17 digits and sign +, of each decade
-    -_EMAX.._EMAX."""
+def _decade_tables(digits: np.ndarray) -> tuple[np.ndarray, ...]:
+    """For each decade -_EMAX.._EMAX: the first layout row, for 17 digits
+    and sign +; 10 m for the prefix of fixed notation at E = -m, else 0;
+    and the exponent text."""
     wide = _EMAX - 99  # decades with three exponent digits, of each sign
-    classes = [24] * wide + [22] * 95 + list(range(21)) + [21] * 83 + [23] * wide
-    return np.array([c * 17.0 + 16.0 for c in classes])
+    classes = np.array([24] * wide + [22] * 95 + list(range(21)) + [21] * 83 + [23] * wide)
+    exponents = np.concatenate([digits[_EMAX:0:-1], digits[: _EMAX + 1]])
+    chars = exponents.view(np.uint8).reshape(-1, 4)
+    chars[: _EMAX + 1, 0] = ord("-")
+    chars[_EMAX:, 0] = ord("+")
+    chars[wide:-wide, 1] = chars[wide:-wide, 0]
+    chars[wide:-wide, 0] = ord("e")
+    return classes * 17.0 + 16.0, np.where(classes < 4, 40.0 - 10.0 * classes, 0.0), exponents
+
+
+def _prefixes() -> np.ndarray:
+    """The prefix of each sign s, form m (fixed notation at E = -m, or 0)
+    and first digit d, as a uint64 word at (5 s + m) 10 + d."""
+    texts = [
+        (b"-" * s + (b"0." + b"0" * (m - 1) + d if m else d + b".")).rjust(8, b"\0")
+        for s in (0, 1) for m in range(5) for d in (bytes([c]) for c in b"0123456789")
+    ]
+    return np.frombuffer(b"".join(texts), np.uint64)
 
 
 def _masks() -> np.ndarray:
@@ -88,18 +106,13 @@ def _masks() -> np.ndarray:
     s, c, k = grid[0], grid[1], grid[2] + 1.0
     e = c - 4.0
     sci = c >= 21.0
-    small = ~sci & (e < 0.0)  # 0.000d0d1...
-    before = np.where(sci, 1.0, np.where(small, k, e + 1.0))  # digits before the point
-    after = np.where(small, k, before)  # index of the first digit after it
+    small = ~sci & (e < 0.0)  # 0.000d0d1..., d0 the last byte of the prefix
+    shift = np.where(sci | small, 0.0, e)  # digits moved over the point
+    start = _DIGITS - s - np.where(small, 2.0 - e, 2.0)
+    end = _POINT + np.where(small | (k > shift + 1.0), k, shift)
     j = np.arange(float(_ROW))
-    keep = (j == _MINUS) & (s == 1.0)
-    keep |= small & (j >= _ZEROS) & (j < _ZEROS + 1.0 - e)
-    keep |= (j >= _A) & (j < _A + before)
-    keep |= (j == _POINT) & (k > after)
-    keep |= (j >= _B + after) & (j < _B + k)
-    sign = np.where((c == 21.0) | (c == 23.0), _E + 1.0, _E + 2.0)  # "+" or "-"
-    digits = np.where(c >= 23.0, _SEP - 3.0, _SEP - 2.0)
-    keep |= sci & ((j == _E) | (j == sign) | (j >= digits) & (j < _SEP))
+    keep = (j >= start) & (j < end)
+    keep |= sci & (j >= np.where(c >= 23.0, _EXP - 1.0, _EXP)) & (j < _SEP)
     text = j < np.arange(1.0, _TEXT_MAX + 1.0)[:, None]
     keep = np.concatenate([keep, text])
     keep[:, _SEP] = True
@@ -116,21 +129,15 @@ class BlockFormatter:
 
     def __init__(self, columns: int, max_rows: int):
         self._digits, self._zeros = _digit_tables()
-        self._chars = np.frombuffer(b"0123456789", np.uint8)
-        # |E| for E = -_EMAX.._EMAX
-        self._exponents = np.concatenate(
-            [self._digits[_EMAX:0:-1], self._digits[: _EMAX + 1]]
-        )
-        self._classes = _class_keys()
+        self._classes, self._forms, self._exponents = _decade_tables(self._digits)
+        self._prefixes = _prefixes()
         self._masks = _masks()
         size = _KMAX - _KMIN + 1
         self._powers = np.zeros((3, size))  # hi split in two halves, and lo
         self._known = np.zeros(size, dtype=bool)
-        # the constant bytes of a row, put back where a text overwrote them
-        self._template = np.zeros(_ROW, dtype=np.uint8)
-        for at, chars in ((_MINUS, b"-0.000"), (_POINT, b"."), (_E, b"e+-")):
-            self._template[at : at + len(chars)] = np.frombuffer(chars, np.uint8)
-        self._src = np.tile(self._template, (columns * max_rows, 1))
+        # bytes 0.._EXP + 3 are written for every block
+        self._src = np.zeros((columns * max_rows, _ROW), dtype=np.uint8)
+        self._src[:, _EXP - 1] = ord("e")
         self._src[:, _SEP] = ord(",")
         self._src[columns - 1 :: columns, _SEP] = ord("\n")
 
@@ -202,17 +209,24 @@ class BlockFormatter:
         groups = (g1, top - g1 * 1e4, g3, bottom - g3 * 1e4)
         src = self._src[: len(v)]
         words = src.view(np.uint32)
-        src[:, _A] = src[:, _B] = np.take(self._chars, d0.astype(np.intp))
-        for i, g in enumerate(groups, start=1):
-            word = np.take(self._digits, g.astype(np.intp))
-            words[:, _A // 4 + i] = words[:, _B // 4 + i] = word
         rows = (e + _EMAX).astype(np.intp)
+        sign = np.where(np.signbit(v), 1.0, 0.0)
+        d0 += np.take(self._forms, rows)  # the row of the prefix
+        d0 += sign * 50.0
+        src[:, :_DIGITS].view(np.uint64)[:, 0] = np.take(self._prefixes, d0.astype(np.intp))
+        for i, g in enumerate(groups):
+            words[:, _DIGITS // 4 + i] = np.take(self._digits, g.astype(np.intp))
         words[:, _EXP // 4] = np.take(self._exponents, rows)
+        wide = np.flatnonzero((e >= 1.0) & (e <= 16.0))
+        for decade in {int(d) for d in e[wide].tolist()}:
+            at = wide[e[wide] == decade]
+            src[at, _POINT : _POINT + decade] = src[at, _DIGITS : _DIGITS + decade]
+            src[at, _POINT + decade] = ord(".")
 
         # 17 significant digits less the trailing zeros, counted a group
         # of four at a time from the last (a zero's "0" is one digit)
         key = np.take(self._classes, rows)
-        key += np.where(np.signbit(v), _CLASSES * 17.0, 0.0)
+        key += sign * (_CLASSES * 17.0)
         key -= np.take(self._zeros, groups[3].astype(np.intp))
         rest = np.flatnonzero(groups[3] == 0.0)
         for g in groups[2::-1]:
@@ -220,6 +234,7 @@ class BlockFormatter:
                 break
             key[rest] -= np.take(self._zeros, g[rest].astype(np.intp))
             rest = rest[g[rest] == 0.0]
+        del top, bottom, e, d0, g1, g3, groups, rows, sign, rest  # before the copy
         texts = np.flatnonzero(~exact)
         for i in texts:
             text = b"%.17g" % v[i]
@@ -227,7 +242,6 @@ class BlockFormatter:
             key[i] = _KEYS + len(text) - 1
 
         kept = src[np.take(self._masks, key.astype(np.intp), axis=0)]
-        src[texts, :_TEXT_MAX] = self._template[:_TEXT_MAX]
         return kept.tobytes().decode("ascii")
 
 

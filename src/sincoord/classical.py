@@ -462,7 +462,7 @@ def check_potential_reconstruction(g: float, h: float) -> CheckReport:
     )
 
 
-_CSV_BLOCK_ROWS = 500
+_CSV_BLOCK_ROWS = 1000
 
 
 def write_trajectory_csv(

@@ -1088,6 +1088,36 @@ class TestTrajectoryExport:
             tracemalloc.stop()
         assert peak < 2**20
 
+    @pytest.mark.parametrize(
+        "system, x0, wide_eta",
+        [
+            (["--system", "do", "--a", "1"], "12", True),
+            (["--system", "pt", "--g", "1.3", "--h", "2.1"], "0.8", False),
+        ],
+    )
+    def test_cli_export_through_the_fixed_decades(
+        self, monkeypatch, tmp_path, system, x0, wide_eta
+    ):
+        # t from 10 to 20, and do's eta near 12, are fixed notation with
+        # the digits of decade 1 moved over the point
+        handed = []
+        write = cli.classical.write_trajectory_csv
+
+        def spy(path, *columns):
+            handed.append(columns)
+            write(path, *columns)
+
+        monkeypatch.setattr(cli.classical, "write_trajectory_csv", spy)
+        out = tmp_path / "block.csv"
+        argv = ["classical", *system, f"--x0={x0}", "--p0=0.3", "--tend", "20",
+                "--format", "csv", "--out", str(out)]
+        assert cli.main(argv) == 0
+        (columns,) = handed
+        assert np.count_nonzero(columns[0] >= 10.0) == 10001
+        assert np.any(np.abs(columns[1]) >= 10.0) == wide_eta
+        _reference_csv(str(tmp_path / "row.csv"), *columns)
+        assert out.read_bytes() == (tmp_path / "row.csv").read_bytes()
+
     def test_csv_columns(self, tmp_path):
         state = ClassicalState(0.5, 0.3)
         traj = sc.flow_oracle(DO1, state, 1.0, 1e-2)

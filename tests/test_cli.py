@@ -138,6 +138,19 @@ class TestSubcommands:
         assert lines[0] == "t,eta_closed,eta_numeric,abs_err"
         assert len(lines) == 10002  # header + 10001 samples at dt = 1e-3
 
+    def test_classical_csv_without_out_writes_the_check_rows(self):
+        # the trajectory is written only to an --out file
+        result = run_cli(
+            "classical", "--system", "do", "--a", "1",
+            "--x0", "0.5", "--p0", "0.3", "--tend", "1", "--format", "csv",
+        )
+        assert result.returncode == 0
+        lines = result.stdout.splitlines()
+        assert lines[0] == "name,max_residual,tolerance,pass"
+        assert [line.split(",")[0] for line in lines[1:]] == [
+            "classical_closed_vs_flow", "classical_energy_drift", "poisson_closure"
+        ]
+
     def test_all_suite_do(self):
         result = run_cli("all", "--system", "do", "--a", "1", "--n", "20")
         assert result.returncode == 0

@@ -12,7 +12,8 @@ one does and 2 when a tree cannot be run.
 
 The corpus is the 8 reference systems x 6 suites x 5 variants, a
 `--tend 10` trajectory export per system (two for aw, from either side of
-x = pi/2), four aw and four do `ladder` runs at the edges of their
+x = pi/2), two `--tend 20` exports (do and pt) whose t, and do's eta,
+reach the fixed-notation decade 1, four aw and four do `ladder` runs at the edges of their
 ground-state densities, four aw runs at the edges of its diagonal
 recurrence coefficient B_n, nine aw runs (`ladder`, `coherent` and
 `classical --states 1`) at parameter bits that stretch its exact integer-ratio
@@ -29,7 +30,7 @@ floating-point fault inside the suite (four refused, among them the
 README's `--t 1e308`, and do's `classical` at a 1e200, which reaches a
 verdict), seven refusals of a real parameter outside its open range, and
 the 24 known outcomes of tests/test_known_outcomes.py (runs that fail a
-check or are refused), read from its `ROWS`: 353 invocations.
+check or are refused), read from its `ROWS`: 355 invocations.
 """
 
 from __future__ import annotations
@@ -67,6 +68,14 @@ VARIANTS = (
 # initial positions inside each family's domain; aw's second lies past pi/2,
 # where cos x <= 0 and its flow kernel forms the pairs' real parts the other way
 EXPORT_X0 = {"pt": ("0.7",), "do": ("0.5",), "aw": ("1.2", "2.2")}
+# t from 10 to 20, and do's eta near 12, are fixed notation with the digits
+# of decade 1 moved over the point in the export's rows
+FIXED_DECADE_EXPORTS = tuple(
+    ("classical", *system, f"--x0={x0}", "--p0=0.3", "--tend", "20",
+     "--format", "csv", "--out", "trajectory.csv")
+    for system, x0 in ((("--system", "do", "--a", "1"), "12"),
+                       (("--system", "pt", "--g", "1.3", "--h", "2.1"), "0.8"))
+)
 # aw's density is a product of factors |1 - c q^k e^(i theta)|^2: these put
 # a_i near +-1, q small, q near 1, and q 0.997, just below the 0.998 that
 # EXIT_2 holds as refused
@@ -223,7 +232,7 @@ def default_corpus() -> list[list[str]]:
         for x0 in EXPORT_X0[system[1]]
     ]
     edges = (
-        DENSITY_EDGES + B_N_EDGES + EXACT_CONSTANT_EDGES + DO_DENSITY_EDGES
+        FIXED_DECADE_EXPORTS + DENSITY_EDGES + B_N_EDGES + EXACT_CONSTANT_EDGES + DO_DENSITY_EDGES
         + SU11_LARGE_N + MATRIX_N + LADDER_MATRIX_N + COHERENT_PAST_LAST_COEFFICIENT
         + EXIT_2 + FLOATING_POINT_FAULTS + REAL_PARAMETER_REFUSALS
         + known_outcomes()
