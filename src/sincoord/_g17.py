@@ -75,14 +75,14 @@ def _decade_tables(digits: np.ndarray) -> tuple[np.ndarray, ...]:
     and sign +; 10 m for the prefix of fixed notation at E = -m, else 0;
     and the exponent text."""
     wide = _EMAX - 99  # decades with three exponent digits, of each sign
-    classes = np.array([24] * wide + [22] * 95 + list(range(21)) + [21] * 83 + [23] * wide)
+    classes = np.array([24] * wide + [22] * 95 + [*range(21)] + [21] * 83 + [23] * wide, float)
     exponents = np.concatenate([digits[_EMAX:0:-1], digits[: _EMAX + 1]])
     chars = exponents.view(np.uint8).reshape(-1, 4)
     chars[: _EMAX + 1, 0] = ord("-")
     chars[_EMAX:, 0] = ord("+")
     chars[wide:-wide, 1] = chars[wide:-wide, 0]
     chars[wide:-wide, 0] = ord("e")
-    return classes * 17.0 + 16.0, np.where(classes < 4, 40.0 - 10.0 * classes, 0.0), exponents
+    return classes * 17.0 + 16.0, np.where(classes < 4.0, 40.0 - 10.0 * classes, 0.0), exponents
 
 
 def _prefixes() -> np.ndarray:
