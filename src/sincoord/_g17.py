@@ -43,9 +43,9 @@ _EMAX = 330
 # the rounding; the product's own error is below 1e-14.
 _TIE = 1e-6
 
-# Byte offsets in a source row.  The prefix, right-aligned, ends at _DIGITS
-# and d1..d16 follow it, as four aligned uint32 words, as is the exponent
-# text at _EXP: "e-05", or "-305" after an "e" at _EXP - 1.
+# Byte offsets in a source row.  The prefix is a uint64 word, right-aligned
+# before _DIGITS; d1..d16 follow as four uint32 words, and the exponent text
+# is one at _EXP: "e-05", or "-305" after an "e" at _EXP - 1.
 _POINT, _DIGITS, _EXP, _SEP = 7, 8, 28, 32
 _ROW = 36
 # A value that CPython formats has its text, of at most _TEXT_MAX bytes (as
@@ -135,7 +135,7 @@ class BlockFormatter:
         size = _KMAX - _KMIN + 1
         self._powers = np.zeros((3, size))  # hi split in two halves, and lo
         self._known = np.zeros(size, dtype=bool)
-        # bytes 0.._EXP + 3 are written for every block
+        # the prefix, digit and exponent words are written for every block
         self._src = np.zeros((columns * max_rows, _ROW), dtype=np.uint8)
         self._src[:, _EXP - 1] = ord("e")
         self._src[:, _SEP] = ord(",")
@@ -234,7 +234,7 @@ class BlockFormatter:
                 break
             key[rest] -= np.take(self._zeros, g[rest].astype(np.intp))
             rest = rest[g[rest] == 0.0]
-        del top, bottom, e, d0, g1, g3, groups, rows, sign, rest  # before the copy
+        del top, bottom, e, d0, g1, g3, groups, rows, sign, rest  # before the masked copy
         texts = np.flatnonzero(~exact)
         for i in texts:
             text = b"%.17g" % v[i]

@@ -13,9 +13,9 @@ one does and 2 when a tree cannot be run.
 The corpus is the 8 reference systems x 6 suites x 5 variants, a
 `--tend 10` trajectory export per system (two for aw, from either side of
 x = pi/2), two `--tend 20` exports (do and pt) whose t, and do's eta,
-reach the fixed-notation decade 1, four aw and four do `ladder` runs at the edges of their
-ground-state densities, four aw runs at the edges of its diagonal
-recurrence coefficient B_n, nine aw runs (`ladder`, `coherent` and
+reach the fixed-notation decade 1, four aw and four do `ladder` runs at
+the edges of their ground-state densities, four aw runs at the edges of
+its diagonal recurrence coefficient B_n, nine aw runs (`ladder`, `coherent` and
 `classical --states 1`) at parameter bits that stretch its exact integer-ratio
 constants, two do `ladder` runs past N 2048, `heisenberg`
 and `coherent` at N 512 for one system per family, JSON `ladder` at N 512
@@ -232,8 +232,8 @@ def default_corpus() -> list[list[str]]:
         for x0 in EXPORT_X0[system[1]]
     ]
     edges = (
-        FIXED_DECADE_EXPORTS + DENSITY_EDGES + B_N_EDGES + EXACT_CONSTANT_EDGES + DO_DENSITY_EDGES
-        + SU11_LARGE_N + MATRIX_N + LADDER_MATRIX_N + COHERENT_PAST_LAST_COEFFICIENT
+        FIXED_DECADE_EXPORTS + DENSITY_EDGES + B_N_EDGES + EXACT_CONSTANT_EDGES
+        + DO_DENSITY_EDGES + SU11_LARGE_N + MATRIX_N + LADDER_MATRIX_N + COHERENT_PAST_LAST_COEFFICIENT
         + EXIT_2 + FLOATING_POINT_FAULTS + REAL_PARAMETER_REFUSALS
         + known_outcomes()
     )
