@@ -20,11 +20,16 @@ separator.  Fixed notation at a decade E of 1..16 moves E digits left, over
 the point, and writes the point after them.  The mask row chosen by (sign,
 notation, significant digits) keeps the pieces of the value's text, so the
 kept bytes of a block, read in order, are its text: two runs a value.
+`format_block` reads the rows and columns from the block's shape: a ','
+follows each value and a newline ends each row.
 
-All arithmetic is on doubles that hold integers exactly, with casts to
-integers only to index tables, and the tables are built from bytes and
-Python lists: a numpy loop that no other part of the program runs adds
-its machine code to the memory the process holds.
+The tables are module constants, built once per process when the module is
+first imported; each power of ten is computed the first time a block needs
+it and kept for the rest of the process.  All arithmetic is on doubles
+that hold integers exactly, with casts to integers only to index tables,
+and the tables are built from bytes and Python lists: a numpy loop that no
+other part of the program runs adds its machine code to the memory the
+process holds.
 """
 
 from __future__ import annotations
@@ -119,130 +124,123 @@ def _masks() -> np.ndarray:
     return keep
 
 
-class BlockFormatter:
-    """Formats blocks of rows of doubles as '%.17g' text, the values of a
-    row joined by ',' and each row ended by a newline.
+_DIGIT_WORDS, _ZEROS = _digit_tables()
+_DECADE_KEYS, _FORMS, _EXPONENTS = _decade_tables(_DIGIT_WORDS)
+_PREFIXES = _prefixes()
+_MASKS = _masks()
+# 10^k for k in _KMIN.._KMAX, hi split in two halves and lo, each computed
+# the first time a block needs it: a column of zeros is not computed yet
+_POWERS = np.zeros((3, _KMAX - _KMIN + 1))
 
-    The tables are built when the formatter is made, except the powers of
-    ten, each of which is added the first time a block needs it.
+
+def format_block(block: np.ndarray) -> str:
+    """The '%.17g' text of a (rows, columns) block of doubles, the values of
+    a row joined by ',' and each row ended by a newline."""
+    columns = block.shape[1]
+    v = np.asarray(block, dtype=np.float64).ravel()
+    top, bottom, e, exact = _decimal(v)
+    d0 = np.floor(top / 1e8)
+    top -= d0 * 1e8
+    g1, g3 = np.floor(top / 1e4), np.floor(bottom / 1e4)
+    groups = (g1, top - g1 * 1e4, g3, bottom - g3 * 1e4)
+    # every byte that a mask row keeps is written below
+    src = np.empty((len(v), _ROW), dtype=np.uint8)
+    src[:, _EXP - 1] = ord("e")
+    src[:, _SEP] = ord(",")
+    src[columns - 1 :: columns, _SEP] = ord("\n")
+    words = src.view(np.uint32)
+    rows = (e + _EMAX).astype(np.intp)
+    sign = np.where(np.signbit(v), 1.0, 0.0)
+    d0 += np.take(_FORMS, rows)  # the row of the prefix
+    d0 += sign * 50.0
+    src[:, :_DIGITS].view(np.uint64)[:, 0] = np.take(_PREFIXES, d0.astype(np.intp))
+    for i, g in enumerate(groups):
+        words[:, _DIGITS // 4 + i] = np.take(_DIGIT_WORDS, g.astype(np.intp))
+    words[:, _EXP // 4] = np.take(_EXPONENTS, rows)
+    wide = np.flatnonzero((e >= 1.0) & (e <= 16.0))
+    for decade in {int(d) for d in e[wide].tolist()}:
+        at = wide[e[wide] == decade]
+        src[at, _POINT : _POINT + decade] = src[at, _DIGITS : _DIGITS + decade]
+        src[at, _POINT + decade] = ord(".")
+
+    # 17 significant digits less the trailing zeros, counted a group
+    # of four at a time from the last (a zero's "0" is one digit)
+    key = np.take(_DECADE_KEYS, rows)
+    key += sign * (_CLASSES * 17.0)
+    key -= np.take(_ZEROS, groups[3].astype(np.intp))
+    rest = np.flatnonzero(groups[3] == 0.0)
+    for g in groups[2::-1]:
+        if not len(rest):
+            break
+        key[rest] -= np.take(_ZEROS, g[rest].astype(np.intp))
+        rest = rest[g[rest] == 0.0]
+    del top, bottom, e, d0, g1, g3, groups, rows, sign, rest  # before the masked copy
+    texts = np.flatnonzero(~exact)
+    for i in texts:
+        text = b"%.17g" % v[i]
+        src[i, : len(text)] = np.frombuffer(text, dtype=np.uint8)
+        key[i] = _KEYS + len(text) - 1
+
+    kept = src[np.take(_MASKS, key.astype(np.intp), axis=0)]
+    return kept.tobytes().decode("ascii")
+
+
+def _scaled(a: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """h + r = a * 10^(16 - e) to within 1e-14, h a double and |r| < 20."""
+    i = ((16 - _KMIN) - e).astype(np.intp)
+    lo = int(i.min())
+    for j in np.flatnonzero(_POWERS[0, lo : int(i.max()) + 1] == 0.0) + lo:
+        _POWERS[:, j] = _power_of_ten(int(j) + _KMIN)
+    p1, p2, plo = np.take(_POWERS, i, axis=1)
+    h = a * (p1 + p2)
+    # Dekker: a = a1 + a2 in 26-bit halves, so every partial product is
+    # exact and h + r is a * (p1 + p2) exactly before plo is added
+    a1 = _SPLIT * a
+    a2 = a1 - a
+    a1 -= a2
+    np.subtract(a, a1, out=a2)
+    r = a1 * p1
+    r -= h
+    t = np.empty_like(r)
+    for x, y in ((a1, p2), (a2, p1), (a2, p2), (a, plo)):
+        r += np.multiply(x, y, out=t)
+    return h, r
+
+
+def _decimal(v: np.ndarray) -> tuple[np.ndarray, ...]:
+    """N // 10^8, N % 10^8, E and whether they are exact, for each value.
+
+    N and E are 0 for a zero, and CPython must format the values they are
+    not exact for.
     """
-
-    def __init__(self, columns: int, max_rows: int):
-        self._digits, self._zeros = _digit_tables()
-        self._classes, self._forms, self._exponents = _decade_tables(self._digits)
-        self._prefixes = _prefixes()
-        self._masks = _masks()
-        size = _KMAX - _KMIN + 1
-        self._powers = np.zeros((3, size))  # hi split in two halves, and lo
-        self._known = np.zeros(size, dtype=bool)
-        # the prefix, digit and exponent words are written for every block
-        self._src = np.zeros((columns * max_rows, _ROW), dtype=np.uint8)
-        self._src[:, _EXP - 1] = ord("e")
-        self._src[:, _SEP] = ord(",")
-        self._src[columns - 1 :: columns, _SEP] = ord("\n")
-
-    def _scaled(self, a: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """h + r = a * 10^(16 - e) to within 1e-14, h a double and |r| < 20."""
-        i = ((16 - _KMIN) - e).astype(np.intp)
-        lo, hi = int(i.min()), int(i.max())
-        if not self._known[lo : hi + 1].all():
-            for j in np.flatnonzero(~self._known[lo : hi + 1]) + lo:
-                self._powers[:, j] = _power_of_ten(int(j) + _KMIN)
-                self._known[j] = True
-        p1, p2, plo = np.take(self._powers, i, axis=1)
-        h = a * (p1 + p2)
-        # Dekker: a = a1 + a2 in 26-bit halves, so every partial product is
-        # exact and h + r is a * (p1 + p2) exactly before plo is added
-        a1 = _SPLIT * a
-        a2 = a1 - a
-        a1 -= a2
-        np.subtract(a, a1, out=a2)
-        r = a1 * p1
-        r -= h
-        t = np.empty_like(r)
-        for x, y in ((a1, p2), (a2, p1), (a2, p2), (a, plo)):
-            r += np.multiply(x, y, out=t)
-        return h, r
-
-    def _decimal(self, v: np.ndarray) -> tuple[np.ndarray, ...]:
-        """N // 10^8, N % 10^8, E and whether they are exact, for each value.
-
-        N and E are 0 for a zero, and CPython must format the values they
-        are not exact for.
-        """
-        a = np.abs(v)
-        zero = a == 0.0
-        exact = (a >= _RANGE[0]) & (a <= _RANGE[1])
-        a[~exact] = 1.0
-        exact |= zero
-        e = np.floor(np.log(a) * _LOG10_E)
-        h, r = self._scaled(a, e)
-        low = _below(h, r, 1e16)
-        off = np.flatnonzero(low | ~_below(h, r, 1e17))
-        if len(off):
-            e[off] += np.where(low[off], -1.0, 1.0)
-            h[off], r[off] = self._scaled(a[off], e[off])
-            wrong = _below(h[off], r[off], 1e16) | ~_below(h[off], r[off], 1e17)
-            exact[off[wrong]] = False
-        exact &= np.abs(r - np.floor(r) - 0.5) >= _TIE
-        # N = h + rint(r) split at 10^8; the quotient of h by 10^8 can be one
-        # off, and the product and differences are exact, so one carry fixes it
-        top = np.floor(h / 1e8)
-        bottom = h - top * 1e8
-        bottom += np.rint(r)
-        carry = np.floor(bottom / 1e8)
-        top += carry
-        bottom -= carry * 1e8
-        ten = top == 1e9  # N rounded up to 10^17
-        top[ten] = 1e8
-        e[ten] += 1.0
-        top[zero] = bottom[zero] = e[zero] = 0.0
-        return top, bottom, e, exact
-
-    def format(self, block: np.ndarray) -> str:
-        """The text of a (rows, columns) block, as the doubles of its values."""
-        v = np.asarray(block, dtype=np.float64).ravel()
-        top, bottom, e, exact = self._decimal(v)
-        d0 = np.floor(top / 1e8)
-        top -= d0 * 1e8
-        g1, g3 = np.floor(top / 1e4), np.floor(bottom / 1e4)
-        groups = (g1, top - g1 * 1e4, g3, bottom - g3 * 1e4)
-        src = self._src[: len(v)]
-        words = src.view(np.uint32)
-        rows = (e + _EMAX).astype(np.intp)
-        sign = np.where(np.signbit(v), 1.0, 0.0)
-        d0 += np.take(self._forms, rows)  # the row of the prefix
-        d0 += sign * 50.0
-        src[:, :_DIGITS].view(np.uint64)[:, 0] = np.take(self._prefixes, d0.astype(np.intp))
-        for i, g in enumerate(groups):
-            words[:, _DIGITS // 4 + i] = np.take(self._digits, g.astype(np.intp))
-        words[:, _EXP // 4] = np.take(self._exponents, rows)
-        wide = np.flatnonzero((e >= 1.0) & (e <= 16.0))
-        for decade in {int(d) for d in e[wide].tolist()}:
-            at = wide[e[wide] == decade]
-            src[at, _POINT : _POINT + decade] = src[at, _DIGITS : _DIGITS + decade]
-            src[at, _POINT + decade] = ord(".")
-
-        # 17 significant digits less the trailing zeros, counted a group
-        # of four at a time from the last (a zero's "0" is one digit)
-        key = np.take(self._classes, rows)
-        key += sign * (_CLASSES * 17.0)
-        key -= np.take(self._zeros, groups[3].astype(np.intp))
-        rest = np.flatnonzero(groups[3] == 0.0)
-        for g in groups[2::-1]:
-            if not len(rest):
-                break
-            key[rest] -= np.take(self._zeros, g[rest].astype(np.intp))
-            rest = rest[g[rest] == 0.0]
-        del top, bottom, e, d0, g1, g3, groups, rows, sign, rest  # before the masked copy
-        texts = np.flatnonzero(~exact)
-        for i in texts:
-            text = b"%.17g" % v[i]
-            src[i, : len(text)] = np.frombuffer(text, dtype=np.uint8)
-            key[i] = _KEYS + len(text) - 1
-
-        kept = src[np.take(self._masks, key.astype(np.intp), axis=0)]
-        return kept.tobytes().decode("ascii")
+    a = np.abs(v)
+    zero = a == 0.0
+    exact = (a >= _RANGE[0]) & (a <= _RANGE[1])
+    a[~exact] = 1.0
+    exact |= zero
+    e = np.floor(np.log(a) * _LOG10_E)
+    h, r = _scaled(a, e)
+    low = _below(h, r, 1e16)
+    off = np.flatnonzero(low | ~_below(h, r, 1e17))
+    if len(off):
+        e[off] += np.where(low[off], -1.0, 1.0)
+        h[off], r[off] = _scaled(a[off], e[off])
+        wrong = _below(h[off], r[off], 1e16) | ~_below(h[off], r[off], 1e17)
+        exact[off[wrong]] = False
+    exact &= np.abs(r - np.floor(r) - 0.5) >= _TIE
+    # N = h + rint(r) split at 10^8; the quotient of h by 10^8 can be one
+    # off, and the product and differences are exact, so one carry fixes it
+    top = np.floor(h / 1e8)
+    bottom = h - top * 1e8
+    bottom += np.rint(r)
+    carry = np.floor(bottom / 1e8)
+    top += carry
+    bottom -= carry * 1e8
+    ten = top == 1e9  # N rounded up to 10^17
+    top[ten] = 1e8
+    e[ten] += 1.0
+    top[zero] = bottom[zero] = e[zero] = 0.0
+    return top, bottom, e, exact
 
 
 def _below(h: np.ndarray, r: np.ndarray, bound: float) -> np.ndarray:

@@ -473,14 +473,14 @@ def write_trajectory_csv(
     Each value is written as the bytes of '%.17g' % value: its 17 digits
     are the exact nearest integer to |value| 10^(16-E), and CPython's
     conversion takes the few values whose rounding that cannot decide (see
-    `_g17`).  Rows are formatted a block at a time, so the table and the
-    text in memory stay one block long whatever the length of the
-    trajectory.
+    `_g17`).  Rows are formatted _CSV_BLOCK_ROWS at a time, so the table
+    and the text in memory stay one block long whatever the length of the
+    trajectory; the formatter's tables are built on the first export of a
+    process and shared by every later one.
     """
     # imported here, so that only an export pays for loading the formatter
-    from ._g17 import BlockFormatter
+    from ._g17 import format_block
 
-    text = BlockFormatter(4, _CSV_BLOCK_ROWS)
     with open(path, "w", encoding="utf-8") as handle:
         handle.write("t,eta_closed,eta_numeric,abs_err\n")
         for start in range(0, len(times), _CSV_BLOCK_ROWS):
@@ -489,4 +489,4 @@ def write_trajectory_csv(
             block = np.column_stack(
                 (times[rows], closed, numeric, np.abs(closed - numeric))
             )
-            handle.write(text.format(block))
+            handle.write(format_block(block))

@@ -22,7 +22,7 @@ import pytest
 
 import sincoord as sc
 from sincoord import cli
-from sincoord._g17 import _RANGE, BlockFormatter
+from sincoord._g17 import _RANGE, format_block
 from sincoord.classical import _CSV_BLOCK_ROWS, ClassicalState
 
 from conftest import empty_caches
@@ -1132,16 +1132,16 @@ class TestTrajectoryExport:
         assert float(first[3]) == abs(float(first[1]) - float(first[2]))
 
 
-def _assert_g17(values, rows=4096):
-    """The block formatter's text of `values`, one per row, against CPython's
-    '%.17g' of each, a block at a time."""
-    formatter = BlockFormatter(1, rows)
-    for start in range(0, len(values), rows):
-        block = values[start : start + rows]
-        text = formatter.format(block.reshape(-1, 1))
-        expected = ["%.17g" % v for v in block.tolist()]
-        if text != "\n".join(expected) + "\n":
-            got = text.split("\n")
+def _assert_g17(values, rows=4096, columns=1):
+    """The block formatter's text of `values`, `columns` to a row, against
+    CPython's '%.17g' of each, a block of `rows` rows at a time."""
+    for start in range(0, len(values), rows * columns):
+        block = values[start : start + rows * columns]
+        text = format_block(block.reshape(-1, columns))
+        ends = ([","] * (columns - 1) + ["\n"]) * (len(block) // columns)
+        expected = ["%.17g" % v + end for v, end in zip(block.tolist(), ends)]
+        if text != "".join(expected):
+            got = re.split(r"(?<=[,\n])", text)
             i = next(i for i, (g, e) in enumerate(zip(got, expected)) if g != e)
             raise AssertionError(
                 f"{block[i]!r} ({block[i:i + 1].view(np.uint64)[0]:#x}) gave "
@@ -1245,14 +1245,44 @@ class TestG17Kernel:
     def test_zeros_and_non_finite_values(self):
         _assert_g17(np.array([0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan]))
 
+    def test_the_text_does_not_depend_on_the_powers_already_computed(self):
+        # the powers of ten are kept for the whole process, so a fresh one
+        # formats its first block with none computed, then every one in
+        # _RANGE, then the first block again with all of them computed
+        probe = textwrap.dedent("""
+            import numpy as np
+            from sincoord._g17 import _POWERS, _RANGE, format_block
+            first = np.random.default_rng(36).uniform(1.0, 10.0, 1000)
+            powers = np.array([float(f"1e{k}") for k in range(-280, 281)])
+            assert (powers[0], powers[-1]) == _RANGE
+            near = [powers, np.nextafter(powers, 0.0), np.nextafter(powers, np.inf)]
+            for block in (first, np.concatenate(near + [-p for p in near]), first):
+                known = np.count_nonzero(_POWERS[0])
+                text = format_block(block.reshape(-1, 1))
+                print(known, text == "".join("%.17g\\n" % v for v in block.tolist()))
+        """)
+        result = subprocess.run(
+            [sys.executable, "-c", probe], capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": os.path.dirname(sc.__path__[0])},
+        )
+        assert (result.returncode, result.stderr) == (0, "")
+        known, same = zip(*(line.split() for line in result.stdout.splitlines()))
+        assert same == ("True",) * 3
+        assert known[0] == "0" and int(known[2]) > int(known[1])
+
     @pytest.mark.parametrize(
-        "rows", [1, 999, pytest.param(_CSV_BLOCK_ROWS, id="writer")]
+        "rows, columns",
+        [
+            pytest.param(rows, columns, id=name + (f"-{columns}-columns" if columns > 1 else ""))
+            for columns in (1, 2, 3)
+            for rows, name in ((1, "1"), (999, "999"), (_CSV_BLOCK_ROWS, "writer"))
+        ],
     )
-    def test_every_layout_at_the_first_and_last_row_of_a_block(self, rows):
-        # each value is the first row of one block and the last row of the
-        # block before it
+    def test_every_layout_at_the_first_and_last_row_of_a_block(self, rows, columns):
+        # each value is the first value of one block and the last value of
+        # the block before it
         values = _layout_values()
-        if rows > 1:
-            filler = np.full((len(values), rows - 2), 0.25)
+        if rows * columns > 1:
+            filler = np.full((len(values), rows * columns - 2), 0.25)
             values = np.column_stack([values, filler, np.roll(values, -1)])
-        _assert_g17(values.ravel(), rows)
+        _assert_g17(values.ravel(), rows, columns)

@@ -686,10 +686,12 @@ class TestParser:
         assert built == []
 
 
-def test_startup_imports_neither_fractions_nor_decimal():
-    # aw's exact constants are integer ratios, so a start pays for neither
+def test_startup_imports_neither_fractions_decimal_nor_the_formatter():
+    # aw's exact constants are integer ratios, so a start pays for neither,
+    # and only an export builds the trajectory formatter's tables
     path = os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH"))))
-    code = "import sys, sincoord.cli; print(sorted({'fractions', 'decimal'} & set(sys.modules)))"
+    names = "{'fractions', 'decimal', 'sincoord._g17'}"
+    code = f"import sys, sincoord.cli; print(sorted({names} & set(sys.modules)))"
     result = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, timeout=600,
         env={**os.environ, "PYTHONPATH": path},

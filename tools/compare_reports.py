@@ -5,10 +5,12 @@
 Each tree is a checkout holding `src/sincoord`.  One fresh interpreter per
 tree runs every invocation of the corpus through `sincoord.cli.main`, with
 every `lru_cache` in the package emptied and the warning registries reset
-before each invocation, as a new `sincoord` process would start.  Stdout,
-stderr, the exit code and the bytes of the `--out` file are compared; every
-invocation where one differs is printed.  Exits 0 when none differs, 1 when
-one does and 2 when a tree cannot be run.
+before each invocation.  Module constants persist across the corpus, as in
+any one process: the parser, the export formatter's tables and any powers
+of ten it has already computed.  Stdout, stderr, the exit code and the
+bytes of the `--out` file are compared; every invocation where one differs
+is printed.  Exits 0 when none differs, 1 when one does and 2 when a tree
+cannot be run.
 
 The corpus is the 8 reference systems x 6 suites x 5 variants, a
 `--tend 10` trajectory export per system (two for aw, from either side of
