@@ -15,7 +15,6 @@ from .classical import (
     check_potential_reconstruction,
     closed_form_eta,
     flow_oracle,
-    period,
     sample_states,
     write_trajectory_csv,
 )
@@ -27,7 +26,6 @@ from .coherent import (
 from .errors import (
     ComplexFrequencies,
     ConfigError,
-    DegenerateFrequencies,
     DomainEscape,
     EnergyDrift,
     EvaluationDomain,
@@ -59,7 +57,6 @@ from .operators import (
 )
 from .polynomials import (
     RecurrenceData,
-    WeightFunction,
     eval_all,
     gram_matrix,
     norms,

@@ -149,16 +149,6 @@ def _closed_form(orbit: tuple[float, float, float, float, float], t):
     return values
 
 
-def period(spec: SystemSpec, state: ClassicalState) -> float:
-    """2 pi / sqrt(R0(H0)): the oscillation period at this state's energy."""
-    return _period(_orbit(spec, state))
-
-
-def _period(orbit: tuple[float, float, float, float, float]) -> float:
-    """2 pi / omega: the period of the sinusoid with the constants `orbit`."""
-    return 2.0 * math.pi / orbit[0]
-
-
 # The flow compiled from a family's statements.  Each family writes its
 # Hamiltonian once, as three blocks of statements over the phase-space point
 # X, P and its own constants: the flow block sets KX = dH/dx and KP = dH/dp,
@@ -371,13 +361,13 @@ def check_closed_vs_flow(
     worst_dev = 0.0
     worst_drift = 0.0
     for state in states:
-        # the state's terms are formed once for the orbit (the period, the
-        # closed form and H0), and once more by `flow_oracle`; each refusal
-        # comes where `period`, `flow_oracle` or `closed_form_eta` would
-        # make it
+        # the state's terms are formed once for the orbit (the period
+        # 2 pi / omega, the closed form and H0), and once more by
+        # `flow_oracle`; each refusal comes where `closed_form_eta` or
+        # `flow_oracle` would make it
         if t_end is None:
             orbit = _orbit(spec, state)
-            traj = flow_oracle(spec, state, _PERIODS * _period(orbit), dt)
+            traj = flow_oracle(spec, state, _PERIODS * (2.0 * math.pi / orbit[0]), dt)
         else:
             traj = flow_oracle(spec, state, t_end, dt)
             orbit = _orbit(spec, state)

@@ -14,10 +14,6 @@ class ComplexFrequencies(SincoordError, ArithmeticError):
     regime where the coordinate oscillates with two real frequencies."""
 
 
-class DegenerateFrequencies(SincoordError, ArithmeticError):
-    """The two frequencies coincide at some energy level."""
-
-
 class VanishingFrequency(SincoordError, ZeroDivisionError):
     """A frequency that a closed form divides by is zero."""
 

@@ -33,12 +33,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import (
-    ComplexFrequencies,
-    DegenerateFrequencies,
-    ParameterOutOfRange,
-    VanishingFrequency,
-)
+from .errors import ComplexFrequencies, ParameterOutOfRange, VanishingFrequency
 from .polynomials import norms, recurrence
 from .report import CheckReport, make_report
 from .systems import (
@@ -189,8 +184,11 @@ def _closure_vectors(spec: SystemSpec, n_dim: int, guard: int):
 @lru_cache(maxsize=_CACHE_SIZE)
 def _closure_data(spec: SystemSpec, n_dim: int, guard: int):
     """eta, [H, eta], the levels, R-1/R0 and alpha_pm on the spectrum;
-    demands R0 > 0 and distinct frequencies.  The arrays are read-only and
-    shared between calls with the same arguments."""
+    demands R0 > 0, which keeps the frequencies distinct: the discriminant
+    R1^2 + 4 R0 is then at least fl(4 R0) > 0, so its root is at least
+    4.4e-162, and about |R1| or more wherever R1^2 does not underflow, and
+    R1 + root and R1 - root never round to one double.  The arrays are
+    read-only and shared between calls with the same arguments."""
     _, eta, comm = build_basic(spec, n_dim, guard)
     levels, r0v, r1v, rm1v = _closure_vectors(spec, n_dim, guard)
     if np.any(r0v <= 0.0):
@@ -198,8 +196,6 @@ def _closure_data(spec: SystemSpec, n_dim: int, guard: int):
             "R0(E_n) must be positive on the truncated spectrum"
         )
     ap, am = frequency_pair(r0v, r1v, levels)
-    if np.any(ap - am == 0.0):
-        raise DegenerateFrequencies("coincident frequencies on the spectrum")
     ratio = rm1v / r0v
     _read_only(ratio, ap, am)
     return eta, comm, levels, ratio, ap, am

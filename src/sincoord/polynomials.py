@@ -104,22 +104,11 @@ def eval_all(spec: SystemSpec, n_max: int, eta) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class WeightFunction:
-    """Ground-state density, coordinate map, and its derivative."""
-
-    domain: tuple[float, float]
-    density: Callable
-    eta: Callable
-    deta_dx: Callable
-
-
 @lru_cache(maxsize=_CACHE_SIZE)
-def weight(spec: SystemSpec) -> WeightFunction:
-    """Pointwise-evaluable squared ground state and coordinate map."""
-    return WeightFunction(
-        domain=spec.domain, density=spec.density, eta=spec.eta, deta_dx=spec.deta_dx
-    )
+def weight(spec: SystemSpec) -> SystemSpec:
+    """The family itself, whose `domain`, `density`, `eta` and `deta_dx` are
+    the pointwise-evaluable squared ground state and coordinate map."""
+    return spec
 
 
 def _weighted_polys(spec: SystemSpec, n_max: int) -> tuple[np.ndarray, np.ndarray]:

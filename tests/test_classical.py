@@ -322,7 +322,7 @@ class TestFlowOracle:
     @pytest.mark.parametrize("spec", [PT11, DO1, AW1])
     def test_closed_vs_flow_over_one_period(self, spec):
         for state in sc.sample_states(spec, 2, seed=3):
-            t_end = sc.period(spec, state)
+            t_end = _one_period(spec, state)
             traj = sc.flow_oracle(spec, state, t_end, 1e-3)
             closed = sc.closed_form_eta(spec, state, traj.times)
             assert np.max(np.abs(closed - traj.eta_values)) < 1e-6
@@ -376,7 +376,6 @@ class TestFlowOracle:
     def test_non_finite_initial_energy_is_refused(self, spec, state):
         for call in (
             lambda: sc.flow_oracle(spec, state, 1.0, 1e-3),
-            lambda: sc.period(spec, state),
             lambda: sc.closed_form_eta(spec, state, 0.5),
         ):
             with pytest.raises(sc.ParameterOutOfRange, match="initial state"):
@@ -396,18 +395,29 @@ class TestFlowOracle:
 
     def test_state_on_the_wall_is_outside(self):
         with pytest.raises(sc.DomainEscape):
-            sc.period(PT11, ClassicalState(0.0, 1.0))
+            sc.closed_form_eta(PT11, ClassicalState(0.0, 1.0), 0.5)
 
-    def test_overflowing_r0_is_refused_alike_by_period_and_closed_form(self):
+    def test_overflowing_r0_is_refused_by_the_closed_form(self):
         # H0 = 3.15e307 is finite, but R0(H0) = 4 (g + h)^2 + 8 H0 overflows
         spec, state = sc.PoschlTeller(6.69e153, 1.0), ClassicalState(0.7, 1.0)
-        with pytest.raises(sc.ParameterOutOfRange, match="R0.H0. overflows") as expected:
-            sc.period(spec, state)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(sc.ParameterOutOfRange) as raised:
                 sc.closed_form_eta(spec, state, 0.5)
-        assert str(raised.value) == str(expected.value)
+        assert str(raised.value) == (
+            "R0(H0) overflows at the initial energy H0=3.1542827489577394e+307"
+        )
+
+    def test_zero_r0_at_the_floor_of_the_well_is_non_oscillatory(self):
+        # (g + h)^2 underflows, so R0(H0) = 4 (g + h)^2 + 8 H0 = 0 at H0 = 0
+        spec, state = sc.PoschlTeller(1e-200, 1e-200), ClassicalState(math.pi / 4, 0.0)
+        message = "R0(H0)=0.0 <= 0 at energy 0.0"
+        for call in (
+            lambda: sc.closed_form_eta(spec, state, 0.5),
+            lambda: sc.check_closed_vs_flow(spec, [state]),
+        ):
+            with pytest.raises(sc.NonOscillatory, match=f"^{re.escape(message)}$"):
+                call()
 
     def test_rejects_bad_steps(self):
         with pytest.raises(ValueError):
@@ -728,12 +738,21 @@ class TestOracleIndependence:
         assert not checks["classical_closed_vs_flow"]["pass"]
 
 
+def _one_period(spec, state):
+    """2 pi / sqrt(R0(H0)) at the state's energy, once `closed_form_eta` has
+    made the orbit's refusals."""
+    sc.closed_form_eta(spec, state, 0.0)
+    h0 = spec.flow.terms(state.x, state.p)[0]
+    return 2.0 * math.pi / math.sqrt(sc.classical_r_polynomials(spec).r0(h0))
+
+
 def _public_flow_check(spec, states, dt, t_end):
-    """The flow check's residuals from the public `period`, `flow_oracle`
-    and `closed_form_eta`, each forming the initial terms itself."""
+    """The flow check's residuals from the public `flow_oracle` and
+    `closed_form_eta` and a period formed in the test, each forming the
+    initial terms itself."""
     worst_dev = worst_drift = 0.0
     for state in states:
-        span = 3.0 * sc.period(spec, state) if t_end is None else t_end
+        span = 3.0 * _one_period(spec, state) if t_end is None else t_end
         traj = sc.flow_oracle(spec, state, span, dt)
         closed = sc.closed_form_eta(spec, state, traj.times)
         worst_dev = max(worst_dev, np.max(np.abs(closed - traj.eta_values)))
@@ -754,7 +773,7 @@ class TestClosedVsFlow:
     @pytest.mark.parametrize(
         "spec, state, t_end, dt",
         [
-            (PT11, ClassicalState(0.0, 1.0), None, 0.0),  # period refuses the state
+            (PT11, ClassicalState(0.0, 1.0), None, 0.0),  # the orbit refuses the state
             (PT11, ClassicalState(0.0, 1.0), 1.0, 0.0),  # flow_oracle refuses dt first
             (PT11, ClassicalState(0.0, 1.0), 1.0, 1e-3),
             (DO1, ClassicalState(0.0, 800.0), None, 1e-3),
@@ -844,7 +863,6 @@ class TestNoStates:
             lambda: sc.check_closed_vs_flow(DO1, [state], t_end=1.0),
             lambda: sc.flow_oracle(DO1, state, 1.0, 1e-3),
             lambda: sc.closed_form_eta(DO1, state, 0.0),
-            lambda: sc.period(DO1, state),
         ):
             with pytest.raises(sc.ParameterOutOfRange, match=f"^{re.escape(message)}$"):
                 call()
@@ -940,7 +958,7 @@ class TestPoissonClosure:
     @pytest.mark.parametrize("t_end", [None, 0.05])
     def test_two_flow_terms_evaluations_per_flow_state(self, monkeypatch, t_end):
         # the flow check forms each state's H and partials once for the
-        # orbit (period, closed form) and |H0|, and `flow_oracle` once for
+        # orbit (2 pi / omega, closed form) and |H0|, and `flow_oracle` once for
         # the first RK4 step; a further evaluation at the initial point
         # would add a call
         spec = dataclasses.replace(AW1)

@@ -196,6 +196,31 @@ class TestExitCodes:
         result = run_cli("spectrum", "--system", "pt")
         assert result.returncode == 2
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--system", "pt", "--g", "1"], "pt needs --g and --h"),
+            (["--system", "do"], "do needs --a with a single value"),
+            (["--system", "do", "--a", "1,2"], "do needs --a with a single value"),
+            (["--system", "aw", "--q", "0.5"], "aw needs --q and --a a1,a2,a3,a4"),
+            ([], "--system is required (as a flag or config-file key)"),
+            (["--system", "do", "--a", "1", "--x0", "0.5"],
+             "x0 and p0 must be given together"),
+        ],
+        ids=["pt", "do", "do-two-values", "aw", "no-system", "x0-alone"],
+    )
+    def test_configuration_errors_name_what_is_missing(self, argv, message, capsys):
+        assert cli.main(["classical", *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == f"error: {message}\n"
+
+    def test_zero_r0_at_the_floor_of_the_well_is_refused(self, capsys):
+        # (g + h)^2 underflows, so R0(H0) = 8 H0 = 0 at the bottom of the well
+        argv = ["classical", "--system", "pt", "--g", "1e-200", "--h", "1e-200",
+                "--x0=0.7853981633974483", "--p0=0"]
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err == "error: R0(H0)=0.0 <= 0 at energy 0.0\n"
+
     def test_aw_norms_just_below_density_overflow_pass(self):
         # q 0.998 and above overflow the density and exit 2
         result = run_cli(
@@ -779,3 +804,26 @@ class TestReportDocument:
 
         with pytest.raises(sc.NonFiniteResidual, match="check su11 has no verdict"):
             sc.make_report("su11", residual, 1e-12)
+
+
+def _readme_cli_examples():
+    """The `sincoord ...` lines of README.md's first sh block that has any,
+    with their backslash continuations joined."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    for block in re.findall(r"^```sh\n(.*?)^```", text, flags=re.M | re.S):
+        lines = block.replace("\\\n", " ").splitlines()
+        examples = [line.split() for line in lines if line.startswith("sincoord ")]
+        if examples:
+            return examples
+    raise AssertionError("README.md has no sh block of sincoord examples")
+
+
+def test_readme_cli_examples_run(tmp_path, monkeypatch, capsys):
+    examples = _readme_cli_examples()
+    assert len(examples) == 5
+    monkeypatch.chdir(tmp_path)
+    for argv in examples:
+        assert cli.main(argv[1:]) == 0, argv
+        if "--out" in argv:
+            assert (tmp_path / argv[argv.index("--out") + 1]).stat().st_size > 0
+    assert capsys.readouterr().err == ""

@@ -530,3 +530,15 @@ class TestGroundStateCondition:
 
     def test_aw(self):
         assert sc.check_ground_state_condition(AW1, 30, 4).passed
+
+    @pytest.mark.parametrize("g, h", [(0.5, 0.5), (0.25, 0.75)])
+    def test_vanishing_lowering_frequency_is_refused(self, g, h, capsys):
+        # R0(0) = 4 (g + h)^2 - 4 = 0, so alpha_minus(0) = 0 divides R-1(0)
+        spec = sc.PoschlTeller(g, h)
+        with pytest.raises(sc.VanishingFrequency, match=r"^alpha_minus\(0\) = 0$"):
+            sc.check_ground_state_condition(spec, 30, 4)
+        # the CLI's ladder suite refuses the system earlier, at ladder_action
+        assert cli.main(["ladder", "--system", "pt", "--g", str(g), "--h", str(h)]) == 2
+        assert capsys.readouterr().err == (
+            "error: R0(E_n) must be positive on the truncated spectrum\n"
+        )

@@ -13,12 +13,19 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import sincoord as sc
+from sincoord.systems import frequency_pair
 
 PT11 = sc.PoschlTeller(1.0, 1.0)
 DO1 = sc.DeformedOscillator(1.0)
 AW0 = sc.AskeyWilson(0.0, 0.0, 0.0, 0.0, q=0.5)
 AW1 = sc.AskeyWilson(0.1, 0.2, -0.1, 0.3, q=0.5)
 AW2 = sc.AskeyWilson(0.1, 0.2, 0.3, 0.4, q=0.5)
+# the 8 systems every suite of tools/compare_reports.py runs on
+REFERENCE_SYSTEMS = (
+    sc.PoschlTeller(1.0, 1.0), sc.PoschlTeller(2.0, 3.0), sc.PoschlTeller(0.7, 1.3),
+    sc.DeformedOscillator(1.0), sc.DeformedOscillator(1.3), sc.DeformedOscillator(0.4),
+    sc.AskeyWilson(0.1, 0.2, -0.1, 0.3, q=0.5), sc.AskeyWilson(0.3, -0.2, 0.4, 0.1, q=0.6),
+)
 
 # The largest g + h whose 4(g + h)^2, and the largest a whose 2a, is finite.
 PT_TOP = 0.5 * math.sqrt(sys.float_info.max)
@@ -320,6 +327,34 @@ class TestAlphaPM:
             assert ap + am == pytest.approx(model.r1(e), rel=1e-12, abs=1e-12)
             scale = max(1.0, abs(model.r0(e)))
             assert abs(ap * am + model.r0(e)) / scale < 1e-12
+
+    def test_positive_r0_gives_distinct_frequencies(self):
+        # R1^2 + 4 R0 >= fl(4 R0) > 0, so its root is at least 4.4e-162,
+        # and R1 + root and R1 - root never round to one double: the
+        # frequencies are distinct wherever R0 > 0 and the pair is finite
+        tiny = math.ulp(0.0)
+        r0_grid = [tiny, 2 * tiny, 1e-320, 2.2e-308, 1e-300, 1e-200, 1e-162,
+                   1e-100, 1e-20, 1.0, 1e20, 1e100, 1e200, 1e300, 1e308,
+                   sys.float_info.max / 4]
+        magnitudes = [0.0, tiny, 1e-300, 1e-200, 1e-162, 1e-160, 1.4e-154,
+                      1.5e-154, 1e-100, 1e-20, 1.0, 1e20, 1e100, 1e153, 1e154]
+        r1_grid = magnitudes + [-m for m in magnitudes[1:]]
+        r0, r1 = (a.ravel() for a in np.meshgrid(r0_grid, r1_grid))
+        rng = np.random.default_rng(0)
+        r0 = np.concatenate([r0, 10.0 ** rng.uniform(-323.5, 308, 20_000)])
+        r1 = np.concatenate(
+            [r1, rng.choice([-1.0, 1.0], 20_000) * 10.0 ** rng.uniform(-320, 154, 20_000)]
+        )
+        for spec in REFERENCE_SYSTEMS:
+            levels = sc.energies(spec, 64)
+            model = sc.r_polynomials(spec)
+            r0 = np.concatenate([r0, model.r0(levels)])
+            r1 = np.concatenate([r1, model.r1(levels)])
+        with np.errstate(over="ignore"):
+            finite = np.isfinite(r1 * r1 + 4.0 * r0)
+        assert np.all(r0 > 0.0) and finite.sum() > 20_000
+        ap, am = frequency_pair(r0[finite], r1[finite], r0[finite])
+        assert np.all(ap - am > 0.0)
 
     def test_complex_frequencies_below_the_well(self):
         with pytest.raises(sc.ComplexFrequencies):

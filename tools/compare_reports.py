@@ -30,9 +30,10 @@ one flow per family whose error is raised in an RK4 stage, two do flows
 whose step ends at a position that is not finite, five runs with a
 floating-point fault inside the suite (four refused, among them the
 README's `--t 1e308`, and do's `classical` at a 1e200, which reaches a
-verdict), seven refusals of a real parameter outside its open range, and
-the 24 known outcomes of tests/test_known_outcomes.py (runs that fail a
-check or are refused), read from its `ROWS`: 355 invocations.
+verdict), seven refusals of a real parameter outside its open range, a
+pt state whose R0(H0) is 0 and an aw `ladder` whose level E_39 overflows,
+and the 24 known outcomes of tests/test_known_outcomes.py (runs that fail a
+check or are refused), read from its `ROWS`: 357 invocations.
 """
 
 from __future__ import annotations
@@ -204,6 +205,14 @@ REAL_PARAMETER_REFUSALS = (
     ("classical", "--system", "do", "--a", "1", "--dt", "nan"),
 )
 
+# R0(H0) = 0 at the floor of a pt well whose (g + h)^2 underflows, and an aw
+# level that itself overflows double precision
+ORBIT_AND_LEVEL_REFUSALS = (
+    ("classical", "--system", "pt", "--g", "1e-200", "--h", "1e-200",
+     "--x0=0.7853981633974483", "--p0=0"),
+    ("ladder", "--system", "aw", "--a=0,0,0,0", "--q", "1e-8", "--n", "64"),
+)
+
 
 def known_outcomes() -> tuple[tuple[str, ...], ...]:
     """The invocations of tests/test_known_outcomes.py, in the order of its
@@ -237,7 +246,7 @@ def default_corpus() -> list[list[str]]:
         FIXED_DECADE_EXPORTS + DENSITY_EDGES + B_N_EDGES + EXACT_CONSTANT_EDGES
         + DO_DENSITY_EDGES + SU11_LARGE_N + MATRIX_N + LADDER_MATRIX_N + COHERENT_PAST_LAST_COEFFICIENT
         + EXIT_2 + FLOATING_POINT_FAULTS + REAL_PARAMETER_REFUSALS
-        + known_outcomes()
+        + ORBIT_AND_LEVEL_REFUSALS + known_outcomes()
     )
     return corpus + [list(argv) for argv in edges]
 
