@@ -38,16 +38,16 @@ from .errors import (
     VanishingFrequency,
 )
 from .heisenberg import (
-    HeisenbergSolution,
-    build_solution,
     check_heisenberg,
     exact_evolution,
     oracle_evolution,
 )
 from .operators import (
+    HeisenbergSolution,
     LadderPair,
     build_basic,
     build_ladder,
+    build_solution,
     check_ground_state_condition,
     check_hermitian_conjugacy,
     check_ladder_action,

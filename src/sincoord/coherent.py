@@ -4,7 +4,7 @@ An eigenstate of the lowering operator with eigenvalue lambda expands over
 the eigenbasis with coefficients c_n = lambda^n / (C_1 C_2 ... C_n), where
 C_k are the lowering coefficients.  For the deformed oscillator the summed
 series collapses to a confluent hypergeometric closed form, checked here
-term against an independent 1F1 evaluation.
+against an independent 1F1 evaluation.
 """
 
 from __future__ import annotations

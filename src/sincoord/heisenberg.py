@@ -3,32 +3,32 @@
 Two independent realisations are kept side by side:
 
 * the closed-form evolution assembled from [H, eta], eta, and diagonal
-  functions of H (frequencies and the R-ratio), and
+  functions of H (the frequencies and the constant part of the frequency
+  split, `operators.build_solution`), and
 * an elementwise phase oracle exp(i (E_m - E_n) t) * eta_mn, which is what
   conjugation by exp(i t H) does to any matrix in the eigenbasis and uses
-  none of the closure data.
+  neither the R-polynomials nor the frequencies.
 
 Both act on the three diagonals of the tridiagonal operators.  Each kernel
 takes a vector of T times and returns (T, 3, N) bands, one operator per
 time; `exact_evolution`, `oracle_evolution` and `HeisenbergSolution.evolve`
-call them with a single time.  `check_heisenberg` builds eta, [H, eta] and
-the frequencies once and runs its time grid through the kernels in blocks
-of at most `_BLOCK_ENTRIES` // N times, so its memory stays O(N) however
-long the grid is.
+call them with a single time.  `check_heisenberg` reads eta, [H, eta] and
+the split once and runs its time grid through the kernels, and through the
+split's own sum of parts, in blocks of at most `_BLOCK_ENTRIES` // N times,
+so its memory stays O(N) however long the grid is.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .operators import (
+    HeisenbergSolution,
     build_basic,
-    build_ladder,
-    _closure_data,
+    build_solution,
     _column_max,
     _level_gaps,
+    _phases,
     _plus_diagonal,
     _window_max,
 )
@@ -42,58 +42,17 @@ DEFAULT_T_GRID = (0.0, 0.1, 0.37, 1.0, 2.5, 5.0)
 _BLOCK_ENTRIES = 4096
 
 
-def _phases(ap: np.ndarray, am: np.ndarray, times: np.ndarray):
-    """e^{i alpha_plus t} and e^{i alpha_minus t}, shape (T, N)."""
-    t = times[:, None]
-    return np.exp(1j * ap * t), np.exp(1j * am * t)
-
-
-@dataclass(frozen=True)
-class HeisenbergSolution:
-    """Positive/negative frequency split of the evolved coordinate."""
-
-    a_plus: np.ndarray
-    a_minus: np.ndarray
-    constant_part: np.ndarray
-    freq_plus: np.ndarray
-    freq_minus: np.ndarray
-
-    def split_bands(self, phase_p: np.ndarray, phase_m: np.ndarray) -> np.ndarray:
-        """(T, 3, N) bands of a_plus e^{i a+ t} + const + a_minus e^{i a- t}
-        from the phases of `_phases` (diagonals right)."""
-        out = self.a_plus * phase_p[:, None, :]
-        out[:, 1] += self.constant_part
-        out += self.a_minus * phase_m[:, None, :]
-        return out
-
-    def evolve(self, t: float) -> np.ndarray:
-        """a_plus e^{i a+ t} + const + a_minus e^{i a- t} (diagonals right)."""
-        phases = _phases(self.freq_plus, self.freq_minus, require_samples("t", (t,)))
-        return self.split_bands(*phases)[0]
-
-
-def build_solution(spec: SystemSpec, n_dim: int, guard: int) -> HeisenbergSolution:
-    a_plus, a_minus = build_ladder(spec, n_dim, guard)
-    *_, ratio, ap, am = _closure_data(spec, n_dim, guard)
-    return HeisenbergSolution(
-        a_plus=a_plus,
-        a_minus=a_minus,
-        constant_part=-ratio,
-        freq_plus=ap,
-        freq_minus=am,
-    )
-
-
-def _closed_form(eta, comm, ratio, ap, am, phase_p, phase_m) -> np.ndarray:
+def _closed_form(eta, comm, solution: HeisenbergSolution, phase_p, phase_m) -> np.ndarray:
     """(T, 3, N) bands of [H, eta] osc(H) - R(H) + (eta + R(H)) mix(H) at
-    the times of the phases, with R = R-1/R0 and every function of H
-    multiplying from the right."""
+    the times of the phases, with R = R-1/R0 = -`constant_part` and every
+    function of H multiplying from the right."""
+    ap, am, constant = solution.freq_plus, solution.freq_minus, solution.constant_part
     denom = ap - am
     osc = (phase_p - phase_m) / denom
     mix = (-am * phase_p + ap * phase_m) / denom
     out = comm * osc[:, None, :]
-    out[:, 1] += -ratio
-    out += _plus_diagonal(eta, ratio) * mix[:, None, :]
+    out[:, 1] += constant
+    out += _plus_diagonal(eta, -constant) * mix[:, None, :]
     return out
 
 
@@ -103,13 +62,15 @@ def _phase_oracle(eta, gaps, times: np.ndarray) -> np.ndarray:
 
 
 def exact_evolution(spec: SystemSpec, n_dim: int, guard: int, t: float) -> np.ndarray:
-    """Closed-form e^{itH} eta e^{-itH} from the closure data.
+    """Closed-form e^{itH} eta e^{-itH} from eta, [H, eta] and the
+    frequency split.
 
     Every function of H multiplies from the right as a diagonal.
     """
-    eta, comm, _, ratio, ap, am = _closure_data(spec, n_dim, guard)
-    phases = _phases(ap, am, require_samples("t", (t,)))
-    return _closed_form(eta, comm, ratio, ap, am, *phases)[0]
+    _, eta, comm = build_basic(spec, n_dim, guard)
+    solution = build_solution(spec, n_dim, guard)
+    phases = _phases(solution.freq_plus, solution.freq_minus, require_samples("t", (t,)))
+    return _closed_form(eta, comm, solution, *phases)[0]
 
 
 def oracle_evolution(spec: SystemSpec, n_dim: int, guard: int, t: float) -> np.ndarray:
@@ -134,7 +95,7 @@ def check_heisenberg(
     sequence of at least one finite number.
     """
     grid = require_samples("t", t_samples)
-    eta, comm, levels, ratio, ap, am = _closure_data(spec, n_dim, guard)
+    levels, eta, comm = build_basic(spec, n_dim, guard)
     solution = build_solution(spec, n_dim, guard)
     gaps = _level_gaps(levels)
     worst_oracle = 0.0
@@ -142,8 +103,8 @@ def check_heisenberg(
     step = max(1, _BLOCK_ENTRIES // n_dim)
     for start in range(0, len(grid), step):
         block = grid[start : start + step]
-        phases = _phases(ap, am, block)
-        exact = _closed_form(eta, comm, ratio, ap, am, *phases)
+        phases = _phases(solution.freq_plus, solution.freq_minus, block)
+        exact = _closed_form(eta, comm, solution, *phases)
         oracle = _phase_oracle(eta, gaps, block)
         split = solution.split_bands(*phases)
         off_oracle, off_split = np.abs(exact - oracle), np.abs(exact - split)

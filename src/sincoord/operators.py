@@ -17,17 +17,18 @@ damage; identities are only asserted on the interior window 0 .. N-G-1.
 
 The levels and the bands of eta come from one array call of the family's
 `energy` and the shared tables of its recurrence coefficients
-(`RecurrenceData.table`).  `build_basic`, `_closure_vectors`,
-`_closure_data` and `build_ladder` keep their last few results per
-(system, N, G), so the checks of one suite build eta, [H, eta], the
-R-polynomial values, the frequencies and each ladder pair once; the arrays
-they hand out are read-only.  The helpers on three bands also take a stack
-of operators, (T, 3, N) bands with a leading batch axis, as the Heisenberg
-time grid uses them.
+(`RecurrenceData.table`).  `build_basic`, `_closure_vectors` and
+`build_solution` keep their last few results per (system, N, G), so the
+checks of one suite build eta, [H, eta], the R-polynomial values and the
+frequency split once; the arrays they hand out are read-only.
+`build_ladder` reads the ladder pair off the split.  The helpers on three
+bands also take a stack of operators, (T, 3, N) bands with a leading batch
+axis, as the Heisenberg time grid uses them.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -44,6 +45,7 @@ from .systems import (
     energies,
     frequency_pair,
     r_polynomials,
+    require_samples,
     require_size,
 )
 
@@ -164,10 +166,10 @@ def build_basic(
 
 @lru_cache(maxsize=_CACHE_SIZE)
 def _closure_vectors(spec: SystemSpec, n_dim: int, guard: int):
-    """The levels of H and the R-polynomial values on them (no positivity
-    requirement); refuses the first level where one overflows, as R0 ~ E^2
-    can on finite levels (aw at small q).  The arrays are read-only and
-    shared between calls with the same arguments."""
+    """R0, R1 and R-1 on the levels of H (no positivity requirement);
+    refuses the first level where one overflows, as R0 ~ E^2 can on finite
+    levels (aw at small q).  The arrays are read-only and shared between
+    calls with the same arguments."""
     levels = build_basic(spec, n_dim, guard)[0]
     model = r_polynomials(spec)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -178,49 +180,79 @@ def _closure_vectors(spec: SystemSpec, n_dim: int, guard: int):
             f"R0, R1 or R-1 at level E_{bad[0]} overflows double precision for {spec}"
         )
     _read_only(*values)
-    return (levels, *values)
+    return values
+
+
+def _phases(ap: np.ndarray, am: np.ndarray, times: np.ndarray):
+    """e^{i alpha_plus t} and e^{i alpha_minus t}, shape (T, N)."""
+    t = times[:, None]
+    return np.exp(1j * ap * t), np.exp(1j * am * t)
+
+
+@dataclass(frozen=True)
+class HeisenbergSolution:
+    """Positive/negative frequency split of the evolved coordinate."""
+
+    a_plus: np.ndarray
+    a_minus: np.ndarray
+    constant_part: np.ndarray
+    freq_plus: np.ndarray
+    freq_minus: np.ndarray
+
+    def split_bands(self, phase_p: np.ndarray, phase_m: np.ndarray) -> np.ndarray:
+        """(T, 3, N) bands of a_plus e^{i a+ t} + const + a_minus e^{i a- t}
+        from the phases of `_phases` (diagonals right)."""
+        out = self.a_plus * phase_p[:, None, :]
+        out[:, 1] += self.constant_part
+        out += self.a_minus * phase_m[:, None, :]
+        return out
+
+    def evolve(self, t: float) -> np.ndarray:
+        """a_plus e^{i a+ t} + const + a_minus e^{i a- t} (diagonals right)."""
+        phases = _phases(self.freq_plus, self.freq_minus, require_samples("t", (t,)))
+        return self.split_bands(*phases)[0]
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
-def _closure_data(spec: SystemSpec, n_dim: int, guard: int):
-    """eta, [H, eta], the levels, R-1/R0 and alpha_pm on the spectrum;
-    demands R0 > 0, which keeps the frequencies distinct: the discriminant
-    R1^2 + 4 R0 is then at least fl(4 R0) > 0, so its root is at least
-    4.4e-162, and about |R1| or more wherever R1^2 does not underflow, and
-    R1 + root and R1 - root never round to one double.  The arrays are
-    read-only and shared between calls with the same arguments."""
-    _, eta, comm = build_basic(spec, n_dim, guard)
-    levels, r0v, r1v, rm1v = _closure_vectors(spec, n_dim, guard)
+def build_solution(spec: SystemSpec, n_dim: int, guard: int) -> HeisenbergSolution:
+    """The evolved coordinate split by frequency: with R = R-1/R0 and
+    D = alpha_plus - alpha_minus on the spectrum,
+
+        a_plus  = ( [H, eta] - (eta + R) alpha_minus(H)) / D(H),
+        a_minus = (-[H, eta] + (eta + R) alpha_plus(H)) / D(H),
+
+    the raising and lowering parts, whose matrix elements are exactly A_n
+    and C_n, and the constant part -R.  Demands R0 > 0, which keeps the
+    frequencies distinct: the discriminant R1^2 + 4 R0 is then at least
+    fl(4 R0) > 0, so its root is at least 4.4e-162, and about |R1| or more
+    wherever R1^2 does not underflow, and R1 + root and R1 - root never
+    round to one double.  The arrays are read-only and shared between
+    calls with the same arguments.
+    """
+    levels, eta, comm = build_basic(spec, n_dim, guard)
+    r0v, r1v, rm1v = _closure_vectors(spec, n_dim, guard)
     if np.any(r0v <= 0.0):
         raise ComplexFrequencies(
             "R0(E_n) must be positive on the truncated spectrum"
         )
     ap, am = frequency_pair(r0v, r1v, levels)
     ratio = rm1v / r0v
-    _read_only(ratio, ap, am)
-    return eta, comm, levels, ratio, ap, am
-
-
-@lru_cache(maxsize=_CACHE_SIZE)
-def build_ladder(spec: SystemSpec, n_dim: int, guard: int) -> LadderPair:
-    """Raising/lowering pair assembled from H, eta, and [H, eta]: the
-    positive and negative frequency parts of the evolved coordinate,
-
-        a_plus  = ( [H, eta] - (eta + R-1/R0) alpha_minus(H)) / D(H),
-        a_minus = (-[H, eta] + (eta + R-1/R0) alpha_plus(H)) / D(H),
-
-    with D = alpha_plus - alpha_minus, whose matrix elements are exactly
-    A_n and C_n.  The bands are read-only and shared between calls with the
-    same arguments.
-    """
-    eta, comm, _, ratio, ap, am = _closure_data(spec, n_dim, guard)
     shifted = _plus_diagonal(eta, ratio)
     # times 1/D, as numpy divides complex by real: the complex formula's bits
     inv = 1.0 / (ap - am)
     plus = (comm - shifted * am[None, :]) * inv[None, :]
     minus = (-comm + shifted * ap[None, :]) * inv[None, :]
-    _read_only(plus, minus)
-    return LadderPair(a_plus=plus, a_minus=minus)
+    constant = -ratio
+    _read_only(plus, minus, constant, ap, am)
+    return HeisenbergSolution(plus, minus, constant, ap, am)
+
+
+def build_ladder(spec: SystemSpec, n_dim: int, guard: int) -> LadderPair:
+    """Raising/lowering pair: the positive and negative frequency parts of
+    the evolved coordinate, read off `build_solution` (its own read-only
+    bands)."""
+    solution = build_solution(spec, n_dim, guard)
+    return LadderPair(solution.a_plus, solution.a_minus)
 
 
 def check_ladder_action(spec: SystemSpec, n_dim: int, guard: int) -> CheckReport:
@@ -252,8 +284,8 @@ def check_ladder_action(spec: SystemSpec, n_dim: int, guard: int) -> CheckReport
 
 def check_two_commutator(spec: SystemSpec, n_dim: int, guard: int) -> CheckReport:
     """[H, [H, eta]] = eta R0(H) + [H, eta] R1(H) + R-1(H) on the window."""
-    _, eta, comm = build_basic(spec, n_dim, guard)
-    levels, r0v, r1v, rm1v = _closure_vectors(spec, n_dim, guard)
+    levels, eta, comm = build_basic(spec, n_dim, guard)
+    r0v, r1v, rm1v = _closure_vectors(spec, n_dim, guard)
     lhs = _commutator_with_h(levels, comm)
     rhs = _plus_diagonal(eta * r0v[None, :] + comm * r1v[None, :], rm1v)
     diff = np.abs(lhs - rhs)
@@ -292,8 +324,9 @@ def check_su11(a: float, n_dim: int, guard: int) -> CheckReport:
     alpha_minus(H)) for the deformed oscillator with parameter a:
     [H, a'_pm] = +/- a'_pm and [a'_minus, a'_plus] = 2 (H + a)."""
     spec = DeformedOscillator(a)
-    _, _, levels, _, freq_p, freq_m = _closure_data(spec, n_dim, guard)
-    ap, am = (op * (freq_p - freq_m)[None, :] for op in build_ladder(spec, n_dim, guard))
+    levels = build_basic(spec, n_dim, guard)[0]
+    s = build_solution(spec, n_dim, guard)
+    ap, am = (op * (s.freq_plus - s.freq_minus)[None, :] for op in (s.a_plus, s.a_minus))
     res_plus = _commutator_with_h(levels, ap) - ap
     res_minus = _commutator_with_h(levels, am) + am
     res_comm = _band_product(am, ap)

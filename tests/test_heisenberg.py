@@ -157,11 +157,12 @@ class TestCheckHeisenberg:
         # exact_evolution, oracle_evolution and evolve at one time give the
         # rows of the (T, 3, N) bands the check evaluates
         grid = np.array([0.37, 2.5])
-        eta, comm, levels, ratio, ap, am = operators._closure_data(PT23, 20, 4)
-        phases = heisenberg._phases(ap, am, grid)
-        exact = heisenberg._closed_form(eta, comm, ratio, ap, am, *phases)
+        levels, eta, comm = sc.build_basic(PT23, 20, 4)
+        solution = sc.build_solution(PT23, 20, 4)
+        phases = heisenberg._phases(solution.freq_plus, solution.freq_minus, grid)
+        exact = heisenberg._closed_form(eta, comm, solution, *phases)
         oracle = heisenberg._phase_oracle(eta, operators._level_gaps(levels), grid)
-        split = sc.build_solution(PT23, 20, 4).split_bands(*phases)
+        split = solution.split_bands(*phases)
         for k, t in enumerate(grid.tolist()):
             assert np.array_equal(sc.exact_evolution(PT23, 20, 4, t), exact[k])
             assert np.array_equal(sc.oracle_evolution(PT23, 20, 4, t), oracle[k])

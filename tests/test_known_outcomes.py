@@ -62,6 +62,11 @@ ROWS = (
     (13, "all --system pt --g 1e-8 --h 1", 2,
      "x=-0.0010108879027266448 lies outside the open domain (0.0, 1.5707963267948966) "
      "at t=0.861"),
+    # item 18: do's float 1F1 reference rounds past the tolerance
+    (18, "coherent --system do --a 1.3 --lambda 5", 1, {"coherent_1f1": 2.8e-8}),
+    # item 19: aw's Heisenberg phases outgrow the tolerance at small q
+    (19, "heisenberg --system aw --a=-0.370,-0.417,0.100,-0.717 --q 0.287", 1,
+     {"heisenberg_evolution": 1.5e-8}),
 )
 
 

@@ -38,8 +38,9 @@ def dense_basic(spec, n_dim):
 def primed_pair(spec, n_dim, guard):
     """The primed pair a'_pm = a_pm (alpha_plus(H) - alpha_minus(H)), formed
     from the unit pair as `check_su11` forms it."""
-    *_, ap, am = operators._closure_data(spec, n_dim, guard)
-    return sc.LadderPair(*(op * (ap - am)[None, :] for op in sc.build_ladder(spec, n_dim, guard)))
+    s = sc.build_solution(spec, n_dim, guard)
+    scale = (s.freq_plus - s.freq_minus)[None, :]
+    return sc.LadderPair(s.a_plus * scale, s.a_minus * scale)
 
 
 class TestBandedStorage:
@@ -120,10 +121,12 @@ REAL_BAND_SPECS = [
 
 def complex_pair(spec, n_dim, guard):
     """The ladder pair of complex128 bands, divided by D = alpha_plus -
-    alpha_minus as in `build_ladder`'s docstring formula."""
-    eta, comm, _, ratio, ap, am = operators._closure_data(spec, n_dim, guard)
+    alpha_minus as in `build_solution`'s docstring formula."""
+    _, eta, comm = sc.build_basic(spec, n_dim, guard)
+    solution = sc.build_solution(spec, n_dim, guard)
+    ap, am = solution.freq_plus, solution.freq_minus
     shifted = eta.astype(complex)
-    shifted[1] += ratio
+    shifted[1] -= solution.constant_part
     comm = comm.astype(complex)
     denom = ap - am
     plus = (comm - shifted * am[None, :]) / denom[None, :]
@@ -213,9 +216,10 @@ class TestSharedBuilds:
         for array in (levels, eta, comm):
             with pytest.raises(ValueError):
                 array[0] = 1.0
-        eta, comm, levels, ratio, ap, am = operators._closure_data(AW1, 12, 4)
-        for array in (eta, comm, levels, ratio, ap, am,
-                      *operators._closure_vectors(AW1, 12, 4)):
+        solution = sc.build_solution(AW1, 12, 4)
+        for array in (*operators._closure_vectors(AW1, 12, 4), solution.a_plus,
+                      solution.a_minus, solution.constant_part, solution.freq_plus,
+                      solution.freq_minus):
             with pytest.raises(ValueError):
                 array[0] = 1.0
 
@@ -226,7 +230,7 @@ class TestSharedBuilds:
         sc.check_su11(DO1.a, 30, 4)
         assert operators.build_basic.cache_info().misses == 1
         assert operators._closure_vectors.cache_info().misses == 1
-        assert operators._closure_data.cache_info().misses == 1
+        assert operators.build_solution.cache_info().misses == 1
 
     def test_two_commutator_runs_where_the_ladder_is_refused(self):
         # R0(E_0) = 4 (g + h)^2 - 4 < 0: the ladder refuses the spectrum, and
@@ -459,9 +463,10 @@ class TestSu11:
         # it is bit for bit comm -/+ (eta + R-1/R0) alpha_mp, undivided
         spec = sc.DeformedOscillator(a)
         levels, eta, comm = sc.build_basic(spec, n_dim, 4)
-        *_, ratio, ap, am = operators._closure_data(spec, n_dim, 4)
+        solution = sc.build_solution(spec, n_dim, 4)
+        ap, am = solution.freq_plus, solution.freq_minus
         shifted = eta.copy()
-        shifted[1] = shifted[1] + ratio
+        shifted[1] = shifted[1] - solution.constant_part
         up, down = comm - shifted * am[None, :], -comm + shifted * ap[None, :]
         with np.errstate(all="ignore"):
             bracket = operators._band_product(down, up)

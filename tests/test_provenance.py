@@ -7,11 +7,12 @@ runs once, on a fresh instance and from empty caches (an equal spec would
 hit the `lru_cache`s and record nothing), with every family member and
 `systems.alpha_pm` wrapped to record its name.  The map of names is pinned
 below: a change that drops a source from a check fails here and has to say
-why.
+why.  The README's check table shows the same map in its "compares" column.
 """
 
 import dataclasses
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -128,3 +129,27 @@ def test_each_check_reads_its_pinned_sources(recorded, family):
         if owner == family
     }
     assert read == {name: PROVENANCE[name] for name in read}
+
+
+def _readme_compares() -> dict[str, set[str]]:
+    """{check: names} from the "compares" column of README.md's check table."""
+    lines = (Path(__file__).resolve().parents[1] / "README.md").read_text(
+        encoding="utf-8"
+    ).splitlines()
+    header = next(
+        i for i, line in enumerate(lines) if line.startswith("| check ") and "compares" in line
+    )
+    rows = {}
+    for line in lines[header + 2 :]:
+        if not line.startswith("|"):
+            break
+        cells = [cell.strip() for cell in line.strip("|").split("|")]
+        rows[cells[0].strip("`")] = {name.strip() for name in cells[-1].split(",")}
+    return rows
+
+
+def test_readme_compares_column_is_the_map():
+    rows = _readme_compares()
+    # the energy drift is the second report of the flow check's run
+    assert rows.pop("classical_energy_drift") == PROVENANCE["classical_closed_vs_flow"]
+    assert rows == PROVENANCE

@@ -167,8 +167,9 @@ def _plus_diagonal(bands, values):
 
 def per_sample_heisenberg(spec, n_dim: int, guard: int, t_samples):
     """(max_vs_oracle, max_vs_decomposition) one time sample at a time."""
-    eta, comm, levels, ratio, ap, am = operators._closure_data(spec, n_dim, guard)
-    pair = sc.build_ladder(spec, n_dim, guard)
+    levels, eta, comm = sc.build_basic(spec, n_dim, guard)
+    solution = sc.build_solution(spec, n_dim, guard)
+    ratio, ap, am = -solution.constant_part, solution.freq_plus, solution.freq_minus
     mask = operators._window_mask(n_dim, guard)
     gaps = operators._level_gaps(levels)
     worst_oracle = worst_split = 0.0
@@ -183,8 +184,8 @@ def per_sample_heisenberg(spec, n_dim: int, guard: int, t_samples):
             + _plus_diagonal(eta, ratio) * mix[None, :]
         )
         oracle = eta * np.exp(1j * gaps * t)
-        up = pair.a_plus * np.exp(1j * ap * t)[None, :]
-        down = pair.a_minus * np.exp(1j * am * t)[None, :]
+        up = solution.a_plus * np.exp(1j * ap * t)[None, :]
+        down = solution.a_minus * np.exp(1j * am * t)[None, :]
         split = _plus_diagonal(up, -ratio) + down
         col_scale = 1.0
         if spec.relative_residuals:

@@ -70,12 +70,17 @@ def test_every_cached_array_is_read_only(spec):
 
 
 def test_ladder_pair_is_shared_however_its_arguments_are_passed():
+    # the pair is read off the cached frequency split: its arrays are the
+    # split's own, not copies
     empty_caches()
     spec = sc.PoschlTeller(1.3, 2.1)
-    pair = sc.build_ladder(spec, 12, 4)
-    assert sc.build_ladder(spec, 12, 4) is pair
-    assert sc.build_ladder(sc.PoschlTeller(1.3, 2.1), 12, 4) is pair
-    assert sc.build_ladder(spec, 13, 4) is not pair
+    solution = sc.build_solution(spec, 12, 4)
+    assert sc.build_solution(spec, 12, 4) is solution
+    assert sc.build_solution(sc.PoschlTeller(1.3, 2.1), 12, 4) is solution
+    assert sc.build_solution(spec, 13, 4) is not solution
+    pair = sc.build_ladder(sc.PoschlTeller(1.3, 2.1), 12, 4)
+    assert pair.a_plus is solution.a_plus and pair.a_minus is solution.a_minus
+    assert operators.build_solution.cache_info().misses == 2
 
 
 def test_coherent_series_is_shared_across_number_types():
@@ -120,7 +125,7 @@ def test_one_ladder_pair_per_size(argv, pairs, capsys):
     empty_caches()
     assert cli.main(argv) == 0
     capsys.readouterr()
-    assert operators.build_ladder.cache_info().misses == pairs
+    assert operators.build_solution.cache_info().misses == pairs
 
 
 def test_one_coherent_series_per_do_coherent(capsys):
