@@ -9,6 +9,8 @@ against an independent 1F1 evaluation.
 
 from __future__ import annotations
 
+import numbers
+import sys
 from functools import lru_cache
 
 import numpy as np
@@ -42,17 +44,16 @@ def coherent_coeffs(spec: SystemSpec, lam: complex, truncation: int) -> np.ndarr
 
 
 def _require_lambda(lam) -> complex:
-    """lam as a complex; raise ParameterOutOfRange unless it is one finite
-    number (a str, which complex() would parse, is not)."""
-    try:
-        if isinstance(lam, (str, bytes)):
-            raise TypeError
-        value = complex(lam)
-    except (TypeError, ValueError):
-        raise ParameterOutOfRange(f"eigenvalue must be a number, got lambda={lam!r}") from None
-    if not np.isfinite(value):
-        raise ParameterOutOfRange(f"eigenvalue must be finite, got lambda={value}")
-    return value
+    """lam as a complex; raise ParameterOutOfRange unless it is one number
+    (`numbers.Complex`: not a str, bytes, None, `Decimal` or an array) whose
+    real and imaginary parts pass `require_real`'s finiteness test, made
+    before any conversion."""
+    if not isinstance(lam, numbers.Complex):
+        raise ParameterOutOfRange(f"eigenvalue must be a number, got lambda={lam!r}")
+    top = sys.float_info.max
+    if not (abs(lam.real) <= top and abs(lam.imag) <= top):
+        raise ParameterOutOfRange(f"eigenvalue must be finite, got lambda={lam}")
+    return complex(lam)
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
@@ -117,7 +118,7 @@ def check_mp_hypergeometric(
 
     Compares sum_n c_n P_n(x) against e^{2 i lam} 1F1(a + ix; 2a; -4 i lam)
     pointwise.  Raises ParameterOutOfRange unless the x samples are one
-    number or a flat sequence of at least one finite number, and
+    number or a flat sequence of at least one finite real number, and
     SeriesNotConverged if the last retained term is not negligible at some
     sample.  The sum runs up to the last nonzero coefficient; when that lies
     before the truncation, the last retained term c_truncation P_truncation

@@ -92,7 +92,7 @@ def check_heisenberg(
     frequencies are built once; the time samples then run through the
     kernels in blocks, each sample costing O(N).  Raises
     ParameterOutOfRange unless the t samples are one number or a flat
-    sequence of at least one finite number.
+    sequence of at least one finite real number.
     """
     grid = require_samples("t", t_samples)
     levels, eta, comm = build_basic(spec, n_dim, guard)

@@ -1,4 +1,4 @@
-"""Eigenpolynomials by three-term recurrence, weights, and quadrature norms.
+"""Eigenpolynomials by three-term recurrence, and their quadrature norms.
 
 Conventions follow the standard normalisations of the hypergeometric
 families involved (Jacobi, Meixner-Pollaczek at phase pi/2, Askey-Wilson),

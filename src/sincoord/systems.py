@@ -731,31 +731,18 @@ def _require_fields(spec: SystemSpec, names, low: float, high: float = math.inf)
 
 
 def require_samples(name: str, samples) -> np.ndarray:
-    """The samples as a float vector; raise ParameterOutOfRange, naming
-    `name`, unless they are one number or a flat, non-empty sequence of
-    finite numbers."""
-    try:
-        raw = np.asarray(samples)
-        # a float conversion would turn None into NaN and parse strings
-        if raw.dtype.kind in "US" or raw.dtype == object and any(
-            isinstance(value, (str, bytes, type(None))) for value in raw.flat
-        ):
-            raise TypeError
-        values = np.atleast_1d(raw.astype(float, copy=False))
-    except (TypeError, ValueError):
+    """The samples as a float vector: one number or a flat, non-empty
+    sequence, each sample checked by `require_real`, so the first that is not
+    a finite real number (NaN, inf, complex, str, None, `Decimal`) raises
+    ParameterOutOfRange naming `name` and that sample."""
+    raw = np.atleast_1d(np.asarray(samples, dtype=object))
+    if raw.ndim != 1:
         raise ParameterOutOfRange(
-            f"{name} samples must be numbers, got {samples!r}"
-        ) from None
-    if values.ndim != 1:
-        raise ParameterOutOfRange(
-            f"{name} samples must be a number or a flat sequence, got shape {values.shape}"
+            f"{name} samples must be a number or a flat sequence, got shape {raw.shape}"
         )
-    if values.size == 0:
+    if raw.size == 0:
         raise ParameterOutOfRange(f"need at least one {name} sample")
-    for value in values.tolist():
-        if not math.isfinite(value):
-            raise ParameterOutOfRange(f"{name} sample must be finite, got {name}={value}")
-    return values
+    return np.array([require_real(name, value) for value in raw.tolist()])
 
 
 def require_inside(spec: SystemSpec, x, error: type[Exception] = EvaluationDomain) -> None:

@@ -1,6 +1,9 @@
 """Closed-form operator evolution against the elementwise phase oracle."""
 
 import math
+import re
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -13,6 +16,9 @@ DO1 = sc.DeformedOscillator(1.0)
 AW1 = sc.AskeyWilson(0.1, 0.2, -0.1, 0.3, q=0.5)
 
 T_GRID = (0.0, 0.1, 0.37, 1.0, 2.5, 5.0)
+
+# require_real's refusal of a t sample, up to the sample's repr
+REFUSED_T = r"^t must be a real number in \(-inf, inf\), got t="
 
 
 def dense_heisenberg(spec, n_dim, guard, t_samples):
@@ -136,22 +142,37 @@ class TestCheckHeisenberg:
         assert report.details["max_vs_oracle"] == oracle
         assert report.details["max_vs_decomposition"] == split
 
-    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            math.inf,
+            -math.inf,
+            math.nan,
+            0.5 + 3j,
+            pytest.param(np.complex128(0.5), id="complex128"),
+            pytest.param(Decimal("0.5"), id="Decimal"),
+            pytest.param(10**400, id="10**400"),
+        ],
+    )
     def test_nonfinite_time_is_refused_before_any_sample(self, bad, monkeypatch):
+        # a complex time is not truncated to its real part, nor a Decimal
+        # converted, nor 10**400 left to overflow the float conversion
         evaluated = []
-        phases = heisenberg._phases
-        monkeypatch.setattr(
-            heisenberg, "_phases", lambda *args: evaluated.append(args) or phases(*args)
-        )
-        message = f"t sample must be finite, got t={bad}"
+        kernels = ((heisenberg, "_phases"), (operators, "_phases"), (heisenberg, "_phase_oracle"))
+        for module, name in kernels:
+            kernel = getattr(module, name)
+            monkeypatch.setattr(
+                module, name, lambda *args, kernel=kernel: evaluated.append(args) or kernel(*args)
+            )
+        message = REFUSED_T + re.escape(repr(bad)) + "$"
         with pytest.raises(sc.ParameterOutOfRange, match=message):
             sc.check_heisenberg(DO1, 20, 4, (0.1, 1.0, bad, 2.0))
-        assert evaluated == []
         for evolution in (sc.exact_evolution, sc.oracle_evolution):
-            with pytest.raises(sc.ParameterOutOfRange, match="t sample must be finite"):
+            with pytest.raises(sc.ParameterOutOfRange, match=message):
                 evolution(DO1, 20, 4, bad)
-        with pytest.raises(sc.ParameterOutOfRange, match="t sample must be finite"):
+        with pytest.raises(sc.ParameterOutOfRange, match=message):
             sc.build_solution(DO1, 20, 4).evolve(bad)
+        assert evaluated == []
 
     def test_single_time_entry_points_share_the_batched_kernels(self):
         # exact_evolution, oracle_evolution and evolve at one time give the
@@ -177,26 +198,41 @@ class TestCheckHeisenberg:
         "samples, message",
         [
             ([[0.1]], r"t samples must be a number or a flat sequence, got shape \(1, 1\)"),
-            (["a"], r"t samples must be numbers, got \['a'\]"),
-            ("a", "t samples must be numbers, got 'a'"),
-            (None, "t samples must be numbers, got None"),
-            ([0.1, None], r"t samples must be numbers, got \[0\.1, None\]"),
+            (["a"], REFUSED_T + "'a'$"),
+            ("a", REFUSED_T + "'a'$"),
+            (None, REFUSED_T + "None$"),
+            ([0.1, None], REFUSED_T + "None$"),
             # numeric strings, which a float conversion would parse
-            ("0.5", "t samples must be numbers, got '0.5'"),
-            (b"0.5", "t samples must be numbers, got b'0.5'"),
-            ([0.1, "0.5"], r"t samples must be numbers, got \[0\.1, '0\.5'\]"),
-            (np.array([b"0.5"]), r"t samples must be numbers, got array\(\[b'0\.5'\]"),
-            (np.array([0.1, "0.5"], dtype=object), r"t samples must be numbers, got array\(\[0\.1, '0\.5'\]"),
+            ("0.5", REFUSED_T + r"'0\.5'$"),
+            (b"0.5", REFUSED_T + r"b'0\.5'$"),
+            ([0.1, "0.5"], REFUSED_T + r"'0\.5'$"),
+            (np.array([b"0.5"]), REFUSED_T + r"b'0\.5'$"),
+            (np.array([0.1, "0.5"], dtype=object), REFUSED_T + r"'0\.5'$"),
         ],
     )
     def test_malformed_time_grid_is_refused_naming_it(self, samples, message):
         with pytest.raises(sc.ParameterOutOfRange, match=message):
             sc.check_heisenberg(DO1, 20, 4, samples)
 
-    def test_one_number_is_one_time_sample(self):
-        report = sc.check_heisenberg(DO1, 20, 4, 0.5)
-        assert report.details["t_samples"] == [0.5]
-        assert report == sc.check_heisenberg(DO1, 20, 4, [0.5])
+    @pytest.mark.parametrize(
+        "samples, t_samples, residual",
+        [
+            (0.5, [0.5], "0x1.0000000000000p-53"),
+            (2, [2.0], "0x1.04760c95db310p-53"),
+            (np.int64(2), [2.0], "0x1.04760c95db310p-53"),
+            (np.float32(0.37), [0.3700000047683716], "0x1.1e3779b97f4a8p-53"),
+            (Fraction(3, 10), [0.3], "0x1.94c583ada5b53p-53"),
+            (True, [1.0], "0x1.1e3779b97f4a8p-53"),
+            (np.array([0.1, 2.5]), [0.1, 2.5], "0x1.1e3779b97f4a8p-53"),
+        ],
+    )
+    def test_one_number_is_one_time_sample(self, samples, t_samples, residual):
+        # each real number is checked at its float, so a report keeps the
+        # bits of the float samples
+        report = sc.check_heisenberg(PT23, 20, 4, samples)
+        assert report.details["t_samples"] == t_samples
+        assert report.max_residual.hex() == residual
+        assert report == sc.check_heisenberg(PT23, 20, 4, t_samples)
 
     def test_full_grid_all_systems(self):
         for spec, n_dim in ((DO1, 30), (PT23, 30), (AW1, 20)):

@@ -32,8 +32,8 @@ floating-point fault inside the suite (four refused, among them the
 README's `--t 1e308`, and do's `classical` at a 1e200, which reaches a
 verdict), seven refusals of a real parameter outside its open range, a
 pt state whose R0(H0) is 0 and an aw `ladder` whose level E_39 overflows,
-and the 26 known outcomes of tests/test_known_outcomes.py (runs that fail a
-check or are refused), read from its `ROWS`: 359 invocations.
+and the known outcomes of tests/test_known_outcomes.py (runs that fail a
+check or are refused), read from its `ROWS`.
 """
 
 from __future__ import annotations
