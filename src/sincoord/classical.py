@@ -38,6 +38,7 @@ from .systems import (
     r_polynomials,
     require_inside,
     require_real,
+    require_samples,
     require_size,
 )
 
@@ -67,41 +68,24 @@ class Trajectory:
     energy_drift: float = 0.0
 
 
-def _h_and_h_h_eta(spec: SystemSpec, x: float, p: float) -> tuple[float, float]:
-    """H and {H, {H, eta}}, from one `terms` call.  The term in eta'' is
-    left out where eta'' is exactly 0 (do), so that an overflowing
-    (dH/dp)^2 does not make it inf * 0."""
-    h, dhdx, dhdp, d2p2, d2pdx = spec.flow.terms(x, p)
-    deta, d2eta = spec.deta_dx(x), spec.d2eta_dx2(x)
-    lhs = -dhdx * d2p2 * deta + dhdp * d2pdx * deta
-    if d2eta != 0.0:
-        lhs = lhs + dhdp * dhdp * d2eta
-    return h, lhs
+def _state_terms(spec: SystemSpec, state) -> tuple[float, float, float, float, float]:
+    """H, dH/dx, dH/dp, d2H/dp2 and d2H/dpdx at a phase-space state, from one
+    `terms` call; every state of this module enters here.
 
-
-def _require_state(spec: SystemSpec, state) -> None:
-    """Raise ParameterOutOfRange unless `state` is a ClassicalState, and
-    DomainEscape unless its x lies inside the domain."""
+    Raises ParameterOutOfRange unless `state` is a ClassicalState,
+    DomainEscape unless its x lies inside the domain and ParameterOutOfRange
+    unless its energy is finite; an overflow or a division by zero, which a
+    state next to a wall can cause, counts as an infinite energy.
+    """
     if not isinstance(state, ClassicalState):
         raise ParameterOutOfRange(
             f"a phase-space state must be a ClassicalState, got {state!r}"
         )
     require_inside(spec, state.x, DomainEscape)
-
-
-def _initial_terms(spec: SystemSpec, state: ClassicalState) -> tuple[float, float, float]:
-    """H, dH/dx and dH/dp at the initial state, from one `terms` call.
-
-    Raises ParameterOutOfRange unless `state` is a ClassicalState,
-    DomainEscape unless it lies inside the domain and ParameterOutOfRange
-    unless its energy is finite; an overflow or a division by zero, which a
-    state next to a wall can cause, counts as an infinite energy.
-    """
-    _require_state(spec, state)
     try:
-        terms = spec.flow.terms(state.x, state.p)[:3]
+        terms = spec.flow.terms(state.x, state.p)
     except ArithmeticError:
-        terms = (math.inf, math.nan, math.nan)
+        terms = (math.inf,)  # refused below
     if not math.isfinite(terms[0]):
         raise ParameterOutOfRange(
             f"the energy at the initial state x={state.x}, p={state.p} "
@@ -110,15 +94,27 @@ def _initial_terms(spec: SystemSpec, state: ClassicalState) -> tuple[float, floa
     return terms
 
 
+def _h_h_eta(spec: SystemSpec, x: float, terms: tuple) -> float:
+    """{H, {H, eta}} at x from the state's `_state_terms`.  The term in eta''
+    is left out where eta'' is exactly 0 (do), so that an overflowing
+    (dH/dp)^2 does not make it inf * 0."""
+    _, dhdx, dhdp, d2p2, d2pdx = terms
+    deta, d2eta = spec.deta_dx(x), spec.d2eta_dx2(x)
+    lhs = -dhdx * d2p2 * deta + dhdp * d2pdx * deta
+    if d2eta != 0.0:
+        lhs = lhs + dhdp * dhdp * d2eta
+    return lhs
+
+
 def _orbit(spec: SystemSpec, state: ClassicalState) -> tuple[float, float, float, float, float]:
-    """The constants of the state's sinusoid, from one `_initial_terms`
+    """The constants of the state's sinusoid, from one `_state_terms`
     call: omega = sqrt(R0(H0)), the offset R-1(H0)/R0(H0), the initial
     bracket {H, eta} = -dH/dp * eta'(x0), eta(x0), and the energy H0.
 
     Raises NonOscillatory if R0(H0) <= 0 and ParameterOutOfRange if R0(H0)
-    overflows, besides the refusals of `_initial_terms`.
+    overflows, besides the refusals of `_state_terms`.
     """
-    h0, _, dhdp = _initial_terms(spec, state)
+    h0, _, dhdp, _, _ = _state_terms(spec, state)
     closure = classical_r_polynomials(spec)
     r0v = closure.r0(h0)
     if r0v <= 0.0:
@@ -130,9 +126,12 @@ def _orbit(spec: SystemSpec, state: ClassicalState) -> tuple[float, float, float
 
 
 def closed_form_eta(spec: SystemSpec, state: ClassicalState, t):
-    """eta(x(t)) from the single-frequency closed form, with the constants
-    of the state's orbit (`_orbit` refuses an R0(H0) <= 0 or overflowing)."""
-    return _closed_form(_orbit(spec, state), t)
+    """eta(x(t)) on the single-frequency closed form of the state's orbit: a
+    float for one time t, an array for a sequence.  t passes
+    `require_samples` (each time `require_real`) before `_orbit` forms the
+    orbit or refuses the state."""
+    ts = require_samples("t", t)
+    return _closed_form(_orbit(spec, state), ts if np.ndim(t) else ts[0])
 
 
 def _closed_form(orbit: tuple[float, float, float, float, float], t):
@@ -273,9 +272,9 @@ def flow_oracle(
     Takes round(t_end / dt) steps, so the flow ends at that many times dt.
     Raises ParameterOutOfRange unless dt and t_end are positive and finite
     (`require_real`), for a span that rounds to no step (t_end <= dt / 2),
-    and as `_initial_terms` does; DomainEscape, naming the time t and the
-    step dt, if a step takes the position out of the open domain; and
-    EnergyDrift if the conserved energy moves by more than 1e-6 relative,
+    then as `_state_terms` does, before any step; DomainEscape, naming the
+    time t and the step dt, if a step takes the position out of the domain;
+    and EnergyDrift if the conserved energy moves by more than 1e-6 relative,
     a stage of a step overflows, divides by zero or takes the sine of an
     infinite position, or a step ends at a position that is not finite (in
     each case after a partial overflowed to inf).
@@ -295,7 +294,7 @@ def flow_oracle(
             f"the span {t_end} is at most half a step of dt={dt}, "
             "so the flow would take no step"
         )
-    e0, hx, hp = _initial_terms(spec, state)
+    e0, hx, hp, _, _ = _state_terms(spec, state)
     times = np.arange(steps + 1) * dt
     xs = array("d", [state.x])
     guard = 1e-6 * max(1.0, abs(e0))
@@ -352,6 +351,10 @@ def check_closed_vs_flow(
     `t_end` when it is given; the report then names the span the flow
     integrated, round(t_end / dt) * dt.
 
+    Each state's orbit is formed before its flow, so a state is refused as
+    `closed_form_eta` refuses it, with or without `t_end`, before any RK4
+    step; dt and t_end are then refused as `flow_oracle` refuses them.
+
     Returns two reports: the trajectory deviation and the energy drift of
     the oracle itself, relative to max(1, |H0|) and held to 1e-8.  When
     `trajectories` is a list, each state's (oracle Trajectory, closed-form
@@ -362,15 +365,10 @@ def check_closed_vs_flow(
     worst_drift = 0.0
     for state in states:
         # the state's terms are formed once for the orbit (the period
-        # 2 pi / omega, the closed form and H0), and once more by
-        # `flow_oracle`; each refusal comes where `closed_form_eta` or
-        # `flow_oracle` would make it
-        if t_end is None:
-            orbit = _orbit(spec, state)
-            traj = flow_oracle(spec, state, _PERIODS * (2.0 * math.pi / orbit[0]), dt)
-        else:
-            traj = flow_oracle(spec, state, t_end, dt)
-            orbit = _orbit(spec, state)
+        # 2 pi / omega, the closed form and H0), and once more by `flow_oracle`
+        orbit = _orbit(spec, state)
+        span = _PERIODS * (2.0 * math.pi / orbit[0]) if t_end is None else t_end
+        traj = flow_oracle(spec, state, span, dt)
         closed = _closed_form(orbit, traj.times)
         h0 = orbit[-1]
         worst_dev = np.maximum(worst_dev, np.max(np.abs(closed - traj.eta_values)))
@@ -396,22 +394,16 @@ def check_poisson_closure(
 ) -> CheckReport:
     """{H, {H, eta}} = -eta R0(H) - R-1(H) at the given phase-space points.
 
-    Raises DomainEscape for a state outside the domain and
-    ParameterOutOfRange, naming the state, where H or its partials
-    overflow or divide by zero (next to a wall or at large |p|).
+    Refuses each state as `_state_terms` does (naming it where H is not
+    finite, next to a wall or at large |p|); a finite H whose partials are
+    not finite ends as NonFiniteResidual.
     """
     states = _require_states(states)
     closure = classical_r_polynomials(spec)
     worst = 0.0
     for state in states:
-        _require_state(spec, state)
-        try:
-            h0, lhs = _h_and_h_h_eta(spec, state.x, state.p)
-        except ArithmeticError as exc:
-            raise ParameterOutOfRange(
-                f"H or its partials are not finite at the state x={state.x}, "
-                f"p={state.p} ({exc})"
-            ) from None
+        terms = _state_terms(spec, state)
+        h0, lhs = terms[0], _h_h_eta(spec, state.x, terms)
         rhs = -float(spec.eta(state.x)) * closure.r0(h0) - closure.rm1(h0)
         worst = np.maximum(worst, abs(lhs - rhs) / max(1.0, abs(lhs), abs(rhs)))
     return make_report("poisson_closure", worst, 1e-6, states=len(states))

@@ -295,6 +295,41 @@ class TestClosedForm:
         with pytest.raises(sc.DomainEscape):
             sc.closed_form_eta(PT11, ClassicalState(2.0, 0.0), 1.0)
 
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            ("1", "got t='1'"),
+            (0.5 + 1j, "got t=(0.5+1j)"),
+            (Decimal("0.5"), "got t=Decimal('0.5')"),
+            (10**400, f"got t={10**400}"),
+            (math.nan, "got t=nan"),
+            ([0.1, math.inf], "got t=inf"),
+            (np.zeros((2, 2)), "t samples must be a number or a flat sequence"),
+        ],
+        ids=["str", "complex", "Decimal", "10**400", "nan", "inf-sample", "2-D"],
+    )
+    def test_a_time_that_is_not_a_finite_real_is_refused_first(self, bad, message):
+        # t is checked before the orbit, so a state outside the domain is
+        # not what is reported
+        for state in (ClassicalState(0.5, 0.3), ClassicalState(-1.0, 0.0)):
+            with pytest.raises(sc.ParameterOutOfRange, match=re.escape(message)):
+                sc.closed_form_eta(PT11, state, bad)
+
+    def test_a_float_an_int_and_an_array_keep_their_type_and_bits(self):
+        state = ClassicalState(0.5, 0.3)
+        omega, ratio, bracket0, eta0, _ = sc.classical._orbit(DO1, state)
+        for t in (0.7, 3, np.linspace(0.0, 5.0, 11)):
+            ts = np.asarray(t, dtype=float)
+            values = (
+                -bracket0 * np.sin(omega * ts) / omega
+                - ratio
+                + (eta0 + ratio) * np.cos(omega * ts)
+            )
+            expected = float(values) if ts.ndim == 0 else values
+            got = sc.closed_form_eta(DO1, state, t)
+            assert type(got) is type(expected)
+            assert np.asarray(got).tobytes() == np.asarray(expected).tobytes()
+
 
 class TestFlowOracle:
     def test_pt_example_trajectory(self):
@@ -500,6 +535,10 @@ class TestFlowMatchesReference:
             (PT11, ClassicalState(1e-150, 0.1), 1.0, 1e-3, sc.EnergyDrift),
             (sc.AskeyWilson(0.3, -0.2, 0.4, 0.1, q=0.6), ClassicalState(1e-130, 0.1),
              1.0, 1e-3, sc.EnergyDrift),
+            # the same aw system at a state whose R0(H0) is finite, so that
+            # the flow check too reaches the stage that raises
+            (sc.AskeyWilson(0.3, -0.2, 0.4, 0.1, q=0.6), ClassicalState(1e-60, 0.1),
+             1.0, 1e-3, sc.EnergyDrift),
             (DO1, ClassicalState(0.5, 700.0), 1.0, 1e-3, sc.EnergyDrift),
             # a partial overflows to inf inside a stage and the step ends at
             # a position that is not finite: nan, then -inf
@@ -507,8 +546,8 @@ class TestFlowMatchesReference:
             (DO1, ClassicalState(1e308, 0.1), 1.0, 1e-3, sc.EnergyDrift),
         ],
         ids=["domain-escape", "energy-drift", "pt-low-wall", "pt-high-wall",
-             "aw-low-wall", "aw-high-wall", "pt-stage", "aw-stage", "do-stage",
-             "do-nan-position", "do-infinite-position"],
+             "aw-low-wall", "aw-high-wall", "pt-stage", "aw-stage", "aw-stage-finite-r0",
+             "do-stage", "do-nan-position", "do-infinite-position"],
     )
     def test_same_error(self, spec, state, t_end, dt, error):
         with pytest.raises(error) as expected:
@@ -527,7 +566,7 @@ class TestFlowMatchesReference:
             states += [ClassicalState(x, 0.6) for x in (1e-4, 1.5, 1.6, 2.9, math.pi - 1e-4)]
         for state in states:
             x, p = state.x, state.p
-            assert sc.classical._initial_terms(spec, state)[0] == energy(x, p)
+            assert sc.classical._state_terms(spec, state) == spec.flow.terms(x, p)
             assert spec.flow.terms(x, p) == (energy(x, p), *partials(x, p), *second(x, p))
             assert sc.classical._orbit(spec, state)[2] == -partials(x, p)[1] * spec.deta_dx(x)
 
@@ -749,10 +788,12 @@ def _one_period(spec, state):
 def _public_flow_check(spec, states, dt, t_end):
     """The flow check's residuals from the public `flow_oracle` and
     `closed_form_eta` and a period formed in the test, each forming the
-    initial terms itself."""
+    initial terms itself; the orbit's refusals come first, with or without
+    `t_end`."""
     worst_dev = worst_drift = 0.0
     for state in states:
-        span = 3.0 * _one_period(spec, state) if t_end is None else t_end
+        period = _one_period(spec, state)
+        span = 3.0 * period if t_end is None else t_end
         traj = sc.flow_oracle(spec, state, span, dt)
         closed = sc.closed_form_eta(spec, state, traj.times)
         worst_dev = max(worst_dev, np.max(np.abs(closed - traj.eta_values)))
@@ -771,27 +812,43 @@ class TestClosedVsFlow:
         assert (deviation.max_residual, drift.max_residual) == expected
 
     @pytest.mark.parametrize(
-        "spec, state, t_end, dt",
+        "spec, state, t_end, dt, state_at_fault",
         [
-            (PT11, ClassicalState(0.0, 1.0), None, 0.0),  # the orbit refuses the state
-            (PT11, ClassicalState(0.0, 1.0), 1.0, 0.0),  # flow_oracle refuses dt first
-            (PT11, ClassicalState(0.0, 1.0), 1.0, 1e-3),
-            (DO1, ClassicalState(0.0, 800.0), None, 1e-3),
-            (DO1, ClassicalState(0.0, 800.0), 1e-9, 1e-3),
-            (sc.PoschlTeller(6.69e153, 1.0), ClassicalState(0.7, 1.0), None, 1e-3),
-            (sc.PoschlTeller(6.69e153, 1.0), ClassicalState(0.7, 1.0), 0.01, 1e-3),
-            (sc.PoschlTeller(1.0, 1.0), ClassicalState(0.7, 0.3), 1e300, 1e-3),
+            # the orbit refuses the state before flow_oracle sees dt or t_end
+            (PT11, ClassicalState(0.0, 1.0), None, 0.0, True),
+            (PT11, ClassicalState(0.0, 1.0), 1.0, 0.0, True),
+            (PT11, ClassicalState(0.0, 1.0), 1.0, 1e-3, True),
+            (DO1, ClassicalState(0.0, 800.0), None, 1e-3, True),
+            (DO1, ClassicalState(0.0, 800.0), 1e-9, 1e-3, True),
+            (sc.PoschlTeller(6.69e153, 1.0), ClassicalState(0.7, 1.0), None, 1e-3, True),
+            (sc.PoschlTeller(6.69e153, 1.0), ClassicalState(0.7, 1.0), 0.01, 1e-3, True),
+            # R0(H0) = 0 at the floor of the well, where 10^6 steps would follow
+            (sc.PoschlTeller(1e-200, 1e-200), ClassicalState(math.pi / 4, 0.0), 1000.0,
+             1e-3, True),
+            (sc.PoschlTeller(1.0, 1.0), ClassicalState(0.7, 0.3), 1e300, 1e-3, False),
         ],
         ids=["wall", "wall-bad-dt", "wall-tend", "overflow", "overflow-short",
-             "r0-overflow", "r0-overflow-tend", "too-many-steps"],
+             "r0-overflow", "r0-overflow-tend", "zero-r0-tend", "too-many-steps"],
     )
-    def test_refusals_come_in_the_order_of_the_public_functions(self, spec, state, t_end, dt):
+    def test_refusals_come_in_the_order_of_the_public_functions(
+        self, spec, state, t_end, dt, state_at_fault, monkeypatch
+    ):
+        calls = _count_flow_calls(spec, monkeypatch, "loop")
         with pytest.raises(sc.SincoordError) as expected:
             _public_flow_check(spec, [state], dt, t_end)
         with pytest.raises(sc.SincoordError) as raised:
             sc.check_closed_vs_flow(spec, [state], dt=dt, t_end=t_end)
         assert type(raised.value) is type(expected.value)
         assert str(raised.value) == str(expected.value)
+        # a state at fault is refused as it is without t_end; too-many-steps'
+        # fault is its t_end.  No refusal comes after an RK4 step.
+        if state_at_fault:
+            with pytest.raises(sc.SincoordError) as untimed:
+                sc.check_closed_vs_flow(spec, [state], dt=dt)
+            assert (type(untimed.value), str(untimed.value)) == (
+                type(raised.value), str(raised.value)
+            )
+        assert calls["loop"] == []
 
     def test_fixed_end_time_hands_back_its_trajectory(self):
         state = ClassicalState(0.5, 0.3)
@@ -940,7 +997,7 @@ class TestPoissonClosure:
             ana1 = sc.classical._orbit(spec, state)[2]
             fd1 = _poisson_h_eta_fd(spec, state.x, state.p)
             assert abs(ana1 - fd1) <= 1e-6 * max(1.0, abs(ana1))
-            ana2 = sc.classical._h_and_h_h_eta(spec, state.x, state.p)[1]
+            ana2 = sc.classical._h_h_eta(spec, state.x, sc.classical._state_terms(spec, state))
             fd2 = _poisson_h_h_eta_fd(spec, state.x, state.p)
             assert abs(ana2 - fd2) <= 1e-6 * max(1.0, abs(ana2))
 

@@ -220,6 +220,15 @@ class TestExitCodes:
                 "--x0=0.7853981633974483", "--p0=0"]
         assert cli.main(argv) == 2
         assert capsys.readouterr().err == "error: R0(H0)=0.0 <= 0 at energy 0.0\n"
+        # an orbit is refused before its flow, so aw's overflowing R0(H0) is
+        # what is named with --tend as without it, not the flow's first stage
+        argv = ["classical", "--system", "aw", "--a=0.3,-0.2,0.4,0.1", "--q", "0.6",
+                "--x0=1e-130", "--p0=0.1"]
+        for tend in ([], ["--tend", "1"]):
+            assert cli.main(argv + tend) == 2
+            assert capsys.readouterr().err == (
+                "error: R0(H0) overflows at the initial energy H0=2.269479867536158e+259\n"
+            )
 
     def test_aw_norms_just_below_density_overflow_pass(self):
         # q 0.998 and above overflow the density and exit 2

@@ -31,7 +31,8 @@ whose step ends at a position that is not finite, five runs with a
 floating-point fault inside the suite (four refused, among them the
 README's `--t 1e308`, and do's `classical` at a 1e200, which reaches a
 verdict), seven refusals of a real parameter outside its open range, a
-pt state whose R0(H0) is 0 and an aw `ladder` whose level E_39 overflows,
+pt state whose R0(H0) is 0, an aw state whose R0(H0) overflows (with
+`--tend 1`) and an aw `ladder` whose level E_39 overflows,
 and the known outcomes of tests/test_known_outcomes.py (runs that fail a
 check or are refused), read from its `ROWS`.
 """
@@ -175,7 +176,7 @@ EXIT_2 = (
     ("classical", "--system", "pt", "--g", "1", "--h", "1", "--x0=1e-150",
      "--p0=0.1", "--tend", "1"),
     ("classical", "--system", "aw", "--a=0.3,-0.2,0.4,0.1", "--q", "0.6",
-     "--x0=1e-130", "--p0=0.1", "--tend", "1"),
+     "--x0=1e-60", "--p0=0.1", "--tend", "1"),
     ("classical", "--system", "do", "--a", "1", "--x0=0.5", "--p0=700", "--tend", "1"),
     # a partial overflows in a stage and the step ends at x = nan, then -inf
     ("classical", "--system", "do", "--a", "1", "--x0=0", "--p0=700"),
@@ -205,11 +206,15 @@ REAL_PARAMETER_REFUSALS = (
     ("classical", "--system", "do", "--a", "1", "--dt", "nan"),
 )
 
-# R0(H0) = 0 at the floor of a pt well whose (g + h)^2 underflows, and an aw
+# R0(H0) = 0 at the floor of a pt well whose (g + h)^2 underflows, an aw
+# state whose R0(H0) overflows (its orbit is refused before the flow, so
+# with --tend as without it; its first RK4 stage would raise too), and an aw
 # level that itself overflows double precision
 ORBIT_AND_LEVEL_REFUSALS = (
     ("classical", "--system", "pt", "--g", "1e-200", "--h", "1e-200",
      "--x0=0.7853981633974483", "--p0=0"),
+    ("classical", "--system", "aw", "--a=0.3,-0.2,0.4,0.1", "--q", "0.6",
+     "--x0=1e-130", "--p0=0.1", "--tend", "1"),
     ("ladder", "--system", "aw", "--a=0,0,0,0", "--q", "1e-8", "--n", "64"),
 )
 
