@@ -199,18 +199,13 @@ class HeisenbergSolution:
     freq_plus: np.ndarray
     freq_minus: np.ndarray
 
-    def split_bands(self, phase_p: np.ndarray, phase_m: np.ndarray) -> np.ndarray:
-        """(T, 3, N) bands of a_plus e^{i a+ t} + const + a_minus e^{i a- t}
-        from the phases of `_phases` (diagonals right)."""
-        out = self.a_plus * phase_p[:, None, :]
-        out[:, 1] += self.constant_part
-        out += self.a_minus * phase_m[:, None, :]
-        return out
-
     def evolve(self, t: float) -> np.ndarray:
         """a_plus e^{i a+ t} + const + a_minus e^{i a- t} (diagonals right)."""
-        phases = _phases(self.freq_plus, self.freq_minus, require_samples("t", (t,)))
-        return self.split_bands(*phases)[0]
+        phase_p, phase_m = _phases(self.freq_plus, self.freq_minus, require_samples("t", (t,)))
+        out = self.a_plus * phase_p[0]
+        out[1] += self.constant_part
+        out += self.a_minus * phase_m[0]
+        return out
 
 
 @lru_cache(maxsize=_CACHE_SIZE)

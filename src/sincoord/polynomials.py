@@ -78,16 +78,19 @@ def eval_all(spec: SystemSpec, n_max: int, eta) -> np.ndarray:
     Each row is written in place as ((eta - B_n) P_n - C_n P_{n-1}) / A_n:
     one broadcast subtraction puts eta - B_n in row n + 1 for every n, and
     each level then takes four in-place ufunc calls.  Raises
-    ParameterOutOfRange for an n_max that `require_size` refuses.
+    ParameterOutOfRange for an n_max that `require_size` refuses, and for
+    points of a dtype other than bool, integer or float.
     """
     require_size("n_max", n_max)
-    eta_arr = np.asarray(eta, dtype=float)
+    eta_arr = np.asarray(eta)
+    if eta_arr.dtype.kind not in "biuf":
+        raise ParameterOutOfRange(f"eta points must be real numbers, got dtype {eta_arr.dtype}")
     rec = recurrence(spec)
     a = rec.table("A", n_max).tolist()
     c = [0.0] + rec.table("C", n_max).tolist()  # C_0 is never used
     out = np.empty((n_max + 1,) + eta_arr.shape, dtype=float)
     # rows of the flattened points, so that a 0-d eta also gets array rows
-    x, flat = eta_arr.reshape(-1), out.reshape(n_max + 1, -1)
+    x, flat = eta_arr.astype(float, copy=False).reshape(-1), out.reshape(n_max + 1, -1)
     flat[0] = 1.0
     np.subtract(x, rec.table("B", n_max)[:, None], flat[1:])
     rows = list(flat)

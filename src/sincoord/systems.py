@@ -715,7 +715,10 @@ def require_real(name: str, value, low: float = -math.inf, high: float = math.in
     """`value` as a float; raise ParameterOutOfRange, naming `name`, unless it
     is a finite real number (`numbers.Real`: not None, str, bytes, complex or
     an array) strictly inside (low, high).  Every real parameter is checked here."""
-    finite = isinstance(value, numbers.Real) and abs(value) <= sys.float_info.max
+    if isinstance(value, numbers.Rational):  # exactly, so 10**400 is never converted
+        finite = abs(value) <= sys.float_info.max
+    else:  # at its own precision: a float32 is not compared with a bound cast to it
+        finite = isinstance(value, numbers.Real) and math.isfinite(value)
     number = float(value) if finite else math.nan
     if not low < number < high:
         raise ParameterOutOfRange(

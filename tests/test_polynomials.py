@@ -301,6 +301,22 @@ class TestEvalPoly:
         with pytest.raises(sc.ParameterOutOfRange, match=f"n_max must be an integer, got n_max={n_max}"):
             sc.eval_all(DO1, n_max, 0.37)
 
+    @pytest.mark.parametrize(
+        "points, dtype",
+        [
+            (0.5 + 1j, "complex128"),
+            ("0.5", "<U3"),
+            (np.array(["0.5"]), "<U3"),
+            (np.array([0.5, None], dtype=object), "object"),
+        ],
+        ids=["complex", "str", "str-array", "object-array"],
+    )
+    def test_points_that_are_not_real_numbers_are_refused_naming_them(self, points, dtype):
+        # not truncated, parsed or turned into NaN by the float conversion
+        message = f"^eta points must be real numbers, got dtype {re.escape(dtype)}$"
+        with pytest.raises(sc.ParameterOutOfRange, match=message):
+            sc.eval_all(DO1, 2, points)
+
     def test_numpy_integer_degree_is_a_degree(self):
         assert np.array_equal(sc.eval_all(DO1, np.int64(3), 0.37), sc.eval_all(DO1, 3, 0.37))
 
