@@ -84,7 +84,8 @@ def run(
 
     if args.tol is not None:
         reports = [
-            make_report(r.name, r.max_residual, args.tol, **r.details) for r in reports
+            make_report(r.name, [(r.max_residual, 1.0)], args.tol, **r.details)
+            for r in reports
         ]
     return reports
 

@@ -96,10 +96,9 @@ def check_eigenvalue(
     padded[: truncation + 1] = coeffs
     residual = _band_apply(lowering, padded) - lam * padded
     scale = np.maximum(1.0, np.abs(lam * padded[:rows]))
-    worst = float(np.max(np.abs(residual[:rows]) / scale))
     return make_report(
         "coherent_eigenvalue",
-        worst,
+        [(residual[:rows], scale)],
         1e-10,
         truncation=truncation,
         G=guard,
@@ -132,7 +131,7 @@ def check_mp_hypergeometric(
     # changes no sum and is NaN where P_n overflows, so the sum stops there
     last = int(np.flatnonzero(coeffs)[-1])
     phase, z = np.exp(2j * lam), -4j * lam
-    worst = 0.0
+    comparisons = []
     # an overflowing series or 1F1 sum leaves the residual not finite, and
     # make_report refuses it
     with np.errstate(over="ignore", invalid="ignore"):
@@ -147,14 +146,15 @@ def check_mp_hypergeometric(
             )
         for x, lhs in zip(xs.tolist(), series):
             rhs = phase * hyp1f1(complex(spec.a, x), 2.0 * spec.a, z)
-            worst = np.maximum(worst, abs(lhs - rhs) / max(1.0, abs(rhs)))
-    return make_report(
-        "coherent_1f1",
-        worst,
-        1e-10,
-        a=spec.a,
-        samples=len(xs),
-        truncation=truncation,
-        lam_real=float(lam.real),
-        lam_imag=float(lam.imag),
-    )
+            # the scalar abs, whose last bit np.abs of a complex does not always share
+            comparisons.append((abs(lhs - rhs), max(1.0, abs(rhs))))
+        return make_report(
+            "coherent_1f1",
+            comparisons,
+            1e-10,
+            a=spec.a,
+            samples=len(xs),
+            truncation=truncation,
+            lam_real=float(lam.real),
+            lam_imag=float(lam.imag),
+        )

@@ -121,18 +121,19 @@ def _window_mask(n_dim: int, guard: int, bands: int = 3) -> np.ndarray:
     return mask
 
 
-def _window_max(values: np.ndarray, guard: int) -> float:
-    """Largest of the nonnegative band `values`, of three diagonals or five,
-    inside the window of guard band `guard`, over every operator of a batch."""
-    mask = _window_mask(values.shape[-1], guard, values.shape[-2])
-    return float(np.max(values, where=mask, initial=0.0))
-
-
-def _column_max(values: np.ndarray, guard: int, floor: float) -> np.ndarray:
-    """Per column (and per operator of a batch), the largest of `floor` and
-    the band `values` inside the window of guard band `guard`."""
-    mask = _window_mask(values.shape[-1], guard)
-    return np.max(values, axis=-2, where=mask, initial=floor)
+def _window(spec: SystemSpec, deviation: np.ndarray, guard: int, reference=None):
+    """The comparison of the band `deviation`, of three diagonals or five
+    (over every operator of a batch), on the window of guard band `guard`:
+    the deviation with its guard-band slots zeroed, and its scale.  The
+    scale is per column, max(1, the largest |reference| of the column on
+    the window), where the family has `relative_residuals` and the check
+    gives a reference; else it is 1.0.  The one reader of the residual mode."""
+    mask = _window_mask(deviation.shape[-1], guard, deviation.shape[-2])
+    inside = np.where(mask, deviation, 0.0)
+    if reference is None or not spec.relative_residuals:
+        return inside, 1.0
+    scale = np.max(np.abs(reference), axis=-2, where=mask, initial=1.0)
+    return inside, scale[..., None, :]
 
 
 def _read_only(*arrays: np.ndarray) -> None:
@@ -253,27 +254,22 @@ def build_ladder(spec: SystemSpec, n_dim: int, guard: int) -> LadderPair:
 def check_ladder_action(spec: SystemSpec, n_dim: int, guard: int) -> CheckReport:
     """a_plus phi_n = A_n phi_{n+1} and a_minus phi_n = C_n phi_{n-1}.
 
-    Deviations are measured entrywise per column, relative to the column
-    scale where the family has `relative_residuals`; the lowering
-    operator must annihilate the ground state, column 0, absolutely.
+    Deviations are measured entrywise on the window, relative per column
+    to max(1, |target|) where the family has `relative_residuals`; the
+    lowering operator must annihilate the ground state, column 0, whose
+    target is zero, absolutely.
     """
     rec = recurrence(spec)
     ap, am = build_ladder(spec, n_dim, guard)
     d = n_dim - guard
-    up = rec.table("A", d - 1)  # raising acts on 0 .. d-2
-    down = rec.table("C", d)  # lowering on 1 .. d-1
     target_up, target_dn = np.zeros((2, 3, n_dim))
-    target_up[2, : d - 1] = up
-    target_dn[0, 1:d] = down
-    dev_up = _column_max(np.abs(ap - target_up), guard, 0.0)
-    dev_dn = _column_max(np.abs(am - target_dn), guard, 0.0)
-    dev_up, dev_dn = dev_up[: d - 1], dev_dn[:d]
-    if spec.relative_residuals:
-        dev_up = dev_up / np.maximum(1.0, np.abs(up))
-        dev_dn[1:] = dev_dn[1:] / np.maximum(1.0, np.abs(down))
-    worst = np.maximum(np.max(dev_up), np.max(dev_dn))
+    target_up[2, : d - 1] = rec.table("A", d - 1)  # raising acts on 0 .. d-2
+    target_dn[0, 1:d] = rec.table("C", d)  # lowering on 1 .. d-1
+    raising = _window(spec, ap - target_up, guard, target_up)
+    raising[0][:, d - 1] = 0.0  # column d-1 is raised out of the window
+    lowering = _window(spec, am - target_dn, guard, target_dn)
     return make_report(
-        "ladder_action", worst, spec.tolerances["ladder_action"], N=n_dim, G=guard
+        "ladder_action", [raising, lowering], spec.tolerances["ladder_action"], N=n_dim, G=guard
     )
 
 
@@ -283,12 +279,9 @@ def check_two_commutator(spec: SystemSpec, n_dim: int, guard: int) -> CheckRepor
     r0v, r1v, rm1v = _closure_vectors(spec, n_dim, guard)
     lhs = _commutator_with_h(levels, comm)
     rhs = _plus_diagonal(eta * r0v[None, :] + comm * r1v[None, :], rm1v)
-    diff = np.abs(lhs - rhs)
-    if spec.relative_residuals:
-        diff = diff / _column_max(np.abs(lhs), guard, 1.0)
-    resid = _window_max(diff, guard)
+    comparison = _window(spec, lhs - rhs, guard, lhs)
     return make_report(
-        "two_commutator", resid, spec.tolerances["two_commutator"], N=n_dim, G=guard
+        "two_commutator", [comparison], spec.tolerances["two_commutator"], N=n_dim, G=guard
     )
 
 
@@ -306,11 +299,9 @@ def check_hermitian_conjugacy(spec: SystemSpec, n_dim: int, guard: int) -> Check
     above = am[0, 1 : n_top + 2]  # entry (n-1, n)
     up = below * scale[1:] / scale[:-1]
     down = above * scale[:-1] / scale[1:]
-    worst = np.max(
-        np.abs(up - down) / np.maximum(np.abs(up), np.abs(down)), initial=0.0
-    )
+    comparison = (up - down, np.maximum(np.abs(up), np.abs(down)))
     return make_report(
-        "hermitian_conjugacy", worst, 1e-8, N=n_dim, G=guard, n_top=n_top
+        "hermitian_conjugacy", [comparison], 1e-8, N=n_dim, G=guard, n_top=n_top
     )
 
 
@@ -327,9 +318,9 @@ def check_su11(a: float, n_dim: int, guard: int) -> CheckReport:
     res_comm = _band_product(am, ap)
     res_comm -= _band_product(ap, am)
     res_comm[2] -= 2.0 * (levels + spec.a)
-    residuals = (res_plus, res_minus, res_comm)
-    resid = np.max([_window_max(np.abs(r), guard) for r in residuals])
-    return make_report("su11", resid, 1e-12, N=n_dim, G=guard)
+    # a generator: make_report forms and reduces one windowed copy at a time
+    comparisons = (_window(spec, r, guard) for r in (res_plus, res_minus, res_comm))
+    return make_report("su11", comparisons, 1e-12, N=n_dim, G=guard)
 
 
 def check_ground_state_condition(
@@ -353,7 +344,6 @@ def check_ground_state_condition(
         float(np.max(np.abs(term_eta))),
         abs(const),
     )
-    resid = float(np.max(np.abs(column))) / scale
     return make_report(
-        "ground_state", resid, spec.tolerances["ground_state"], N=n_dim, G=guard
+        "ground_state", [(column, scale)], spec.tolerances["ground_state"], N=n_dim, G=guard
     )

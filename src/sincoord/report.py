@@ -5,6 +5,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .errors import NonFiniteResidual
 
 
@@ -19,9 +21,13 @@ class CheckReport:
     details: dict = field(default_factory=dict)
 
 
-def make_report(name: str, residual, tolerance, **details) -> CheckReport:
-    """Raises NonFiniteResidual for a NaN or infinite residual: it has no verdict."""
-    residual = float(residual)
+def make_report(name: str, comparisons, tolerance, **details) -> CheckReport:
+    """The verdict on `comparisons`, (deviation, scale) pairs: a deviation
+    array and the scale it is relative to, which broadcasts against it and
+    is 1.0 where the comparison is absolute.  The residual is the largest
+    |deviation| / scale over all of them.  Raises NonFiniteResidual for a
+    NaN or infinite residual: it has no verdict."""
+    residual = float(np.max([np.max(np.abs(d) / s, initial=0.0) for d, s in comparisons]))
     if not math.isfinite(residual):
         raise NonFiniteResidual(f"check {name} has no verdict: its residual is {residual}")
     tolerance = float(tolerance)

@@ -697,9 +697,9 @@ def _grid(step: float, first: int, last: int) -> np.ndarray:
     return step * np.arange(first, last + 1)
 
 
-def require_size(name: str, value: int, low: int = 0) -> None:
+def require_size(name: str, value: int, low: int = 0, cap: float = _MAX_SIZE) -> None:
     """Raise ParameterOutOfRange unless the requested size `value` is an
-    integer (a Python or numpy int) of at least `low` and within the cap;
+    integer (a Python or numpy int) of at least `low` and within the `cap`;
     every size is checked here before any arithmetic on it."""
     try:
         operator.index(value)
@@ -707,8 +707,8 @@ def require_size(name: str, value: int, low: int = 0) -> None:
         raise ParameterOutOfRange(f"{name} must be an integer, got {name}={value!r}") from None
     if value < low:
         raise ParameterOutOfRange(f"need {name} >= {low}, got {name}={value}")
-    if value > _MAX_SIZE:
-        raise ParameterOutOfRange(f"{name}={value} exceeds the size cap {_MAX_SIZE}")
+    if value > cap:
+        raise ParameterOutOfRange(f"{name}={value} exceeds the size cap {cap}")
 
 
 def require_real(name: str, value, low: float = -math.inf, high: float = math.inf) -> float:
@@ -764,8 +764,10 @@ _LEVEL_BLOCK = 4096
 def energies(spec: SystemSpec, count: int) -> np.ndarray:
     """Levels 0 .. count-1 as a float array, from array calls of the
     family's `energy` (one up to 4096 levels); refuses the first level that
-    overflows (aw's q ** -n at small q)."""
-    levels = np.empty(max(count, 0))
+    overflows (aw's q ** -n at small q).  `count` is a size without the
+    cap, as `check_spectrum_closure` asks for n_max + 2 levels."""
+    require_size("count", count, cap=math.inf)
+    levels = np.empty(count)
     for start in range(0, count, _LEVEL_BLOCK):
         block = spec.energy(np.arange(start, min(count, start + _LEVEL_BLOCK)))
         overflow = np.flatnonzero(block == math.inf)
@@ -843,7 +845,7 @@ def check_spectrum_closure(spec: SystemSpec, n_max: int) -> CheckReport:
     )
     return make_report(
         "spectrum_closure",
-        np.maximum(worst_plus, worst_minus),
+        [(worst_plus, 1.0), (worst_minus, 1.0)],
         1e-9,
         n_max=n_max,
         max_plus=float(worst_plus),

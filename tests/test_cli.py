@@ -812,7 +812,7 @@ class TestReportDocument:
         import sincoord as sc
 
         with pytest.raises(sc.NonFiniteResidual, match="check su11 has no verdict"):
-            sc.make_report("su11", residual, 1e-12)
+            sc.make_report("su11", [(residual, 1.0)], 1e-12)
 
 
 def _readme_cli_examples():

@@ -308,7 +308,7 @@ def _full_length_check(a, lam, x_samples, truncation):
     for x, lhs in zip(xs.tolist(), series):
         rhs = phase * hyp1f1(complex(a, x), 2.0 * a, z)
         worst = np.maximum(worst, abs(lhs - rhs) / max(1.0, abs(rhs)))
-    return make_report("coherent_1f1", worst, 1e-10, truncation=truncation)
+    return make_report("coherent_1f1", [(worst, 1.0)], 1e-10, truncation=truncation)
 
 
 def _outcome(check, *args):

@@ -30,11 +30,12 @@ def test_same_tree_matches_and_a_changed_tolerance_differs(tmp_path):
     shutil.copytree(ROOT / "src", changed / "src", ignore=shutil.ignore_patterns("__pycache__"))
     systems = changed / "src" / "sincoord" / "systems.py"
     text = systems.read_text(encoding="utf-8")
-    literal = '"spectrum_closure",\n        np.maximum(worst_plus, worst_minus),\n        1e-9,'
+    # do's two_commutator tolerance, a literal no refactor of a check moves
+    literal = '"two_commutator": 1e-13,'
     assert text.count(literal) == 1
-    systems.write_text(text.replace(literal, literal.replace("1e-9", "2e-9")), encoding="utf-8")
+    systems.write_text(text.replace(literal, literal.replace("1e-13", "2e-13")), encoding="utf-8")
     assert tool.compare(str(ROOT), str(changed), CORPUS) == [
-        " ".join(CORPUS[0]) + ": stdout differ"
+        " ".join(CORPUS[1]) + ": stdout, out differ"
     ]
 
 

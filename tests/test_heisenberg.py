@@ -66,11 +66,9 @@ def split_deviation(spec, n_dim, guard, t_samples):
     phases = heisenberg._phases(solution.freq_plus, solution.freq_minus, grid)
     exact = heisenberg._closed_form(eta, comm, solution, *phases)
     split = np.array([solution.evolve(t) for t in grid.tolist()])
-    off = np.abs(exact - split)
-    if spec.relative_residuals:
-        oracle = heisenberg._phase_oracle(eta, operators._level_gaps(levels), grid)
-        off /= operators._column_max(np.abs(oracle), guard, 1.0)[:, None, :]
-    return operators._window_max(off, guard)
+    oracle = heisenberg._phase_oracle(eta, operators._level_gaps(levels), grid)
+    comparison = operators._window(spec, exact - split, guard, oracle)
+    return sc.make_report("split", [comparison], math.inf).max_residual
 
 
 class TestExactEvolution:

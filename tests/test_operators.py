@@ -363,6 +363,67 @@ class TestTwoCommutator:
         assert report.passed
 
 
+class TestWindowReduction:
+    """`operators._window` and `make_report`: the one reduction of the banded
+    checks, and the one reader of the family's residual mode."""
+
+    @staticmethod
+    def planted(monkeypatch, level, value):
+        """Make `_closure_vectors` hand R-1 with `value` at `level`, the
+        diagonal slot (level, level) of two_commutator's right-hand side."""
+        closure_vectors = operators._closure_vectors
+
+        def plant(*args):
+            r0v, r1v, rm1v = closure_vectors(*args)
+            rm1v = rm1v.copy()
+            rm1v[level] = value
+            return r0v, r1v, rm1v
+
+        monkeypatch.setattr(operators, "_closure_vectors", plant)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("spec", [PT23, DO1, AW1])
+    def test_non_finite_guard_band_slot_is_ignored(self, spec, value, monkeypatch):
+        expected = sc.check_two_commutator(spec, 20, 4).max_residual
+        self.planted(monkeypatch, 20 - 4, value)  # the first guard-band level
+        assert sc.check_two_commutator(spec, 20, 4).max_residual == expected
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("spec", [PT23, DO1, AW1])
+    def test_non_finite_window_slot_has_no_verdict(self, spec, value, monkeypatch):
+        self.planted(monkeypatch, 20 - 4 - 1, value)  # the last window level
+        with pytest.raises(sc.NonFiniteResidual, match="check two_commutator has no verdict"):
+            sc.check_two_commutator(spec, 20, 4)
+
+    def test_aw_divides_each_column_by_its_reference_scale(self):
+        rng = np.random.default_rng(11)
+        n_dim, guard = 12, 3
+        deviation = rng.normal(size=(3, n_dim))
+        reference = rng.normal(scale=4.0, size=(3, n_dim))
+        reference[:, 1] = 0.25  # a column below the floor of 1
+        reference[:, -guard:] = 1e300  # guard-band slots set no scale
+        inside = operators._window_mask(n_dim, guard)
+        expected = 0.0
+        for n in range(n_dim):
+            scale = max([1.0] + [abs(reference[i, n]) for i in range(3) if inside[i, n]])
+            for i in range(3):
+                if inside[i, n]:
+                    expected = max(expected, abs(deviation[i, n]) / scale)
+        comparison = operators._window(AW1, deviation, guard, reference)
+        assert sc.make_report("aw", [comparison], 1.0).max_residual == expected
+
+    @pytest.mark.parametrize("spec", [PT23, DO1])
+    def test_absolute_families_keep_the_bits_of_the_absolute_residual(self, spec):
+        rng = np.random.default_rng(12)
+        n_dim, guard = 12, 3
+        deviation = rng.normal(size=(3, n_dim))
+        inside = operators._window_mask(n_dim, guard)
+        comparison = operators._window(spec, deviation, guard, 1e3 * deviation)
+        assert comparison[1] == 1.0
+        report = sc.make_report("absolute", [comparison], 1.0)
+        assert report.max_residual == np.max(np.abs(deviation[inside]))
+
+
 class TestOracleIndependence:
     """eta takes nothing from the closure side: B_n is formed from a1..a4,
     not from the b1, b3, b4 that R-1 is built from, so a closure
@@ -477,13 +538,13 @@ class TestSu11:
                 np.abs(operators._commutator_with_h(levels, down) + down),
                 np.abs(bracket),
             ]
-        products, maxima = [], []
-        band_product, window_max = operators._band_product, operators._window_max
+        products, compared = [], []
+        band_product, window = operators._band_product, operators._window
         monkeypatch.setattr(
             operators, "_band_product", lambda x, y: products.append((x, y)) or band_product(x, y)
         )
         monkeypatch.setattr(
-            operators, "_window_max", lambda v, g: maxima.append(v) or window_max(v, g)
+            operators, "_window", lambda s, v, g: compared.append(v) or window(s, v, g)
         )
         with np.errstate(all="ignore"):
             try:
@@ -493,7 +554,9 @@ class TestSu11:
         assert [(x.tobytes(), y.tobytes()) for x, y in products] == [
             (down.tobytes(), up.tobytes()), (up.tobytes(), down.tobytes())
         ]
-        assert [v.tobytes() for v in maxima] == [v.tobytes() for v in expected]
+        with np.errstate(all="ignore"):
+            magnitudes = [np.abs(v) for v in compared]
+        assert [v.tobytes() for v in magnitudes] == [v.tobytes() for v in expected]
 
     def test_do_relations(self):
         report = sc.check_su11(DO1.a, 30, 4)

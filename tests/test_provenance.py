@@ -10,6 +10,7 @@ below: a change that drops a source from a check fails here and has to say
 why.  The README's check table shows the same map in its "compares" column.
 """
 
+import ast
 import dataclasses
 import sys
 from pathlib import Path
@@ -153,3 +154,19 @@ def test_readme_compares_column_is_the_map():
     # the energy drift is the second report of the flow check's run
     assert rows.pop("classical_energy_drift") == PROVENANCE["classical_closed_vs_flow"]
     assert rows == PROVENANCE
+
+
+def test_the_residual_mode_is_read_in_one_place():
+    """`relative_residuals` is read by one function of the package (the
+    window helper of the banded checks); the class attributes that declare
+    it are not reads."""
+    reads = []
+    for path in sorted((Path(sc.__file__).parent).glob("*.py")):
+        for function in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                reads += [
+                    f"{path.name}:{node.lineno}"
+                    for node in ast.walk(function)
+                    if isinstance(node, ast.Attribute) and node.attr == "relative_residuals"
+                ]
+    assert len(set(reads)) == 1, reads

@@ -222,6 +222,23 @@ class TestEnergy:
         levels = sc.energies(spec, count)
         assert np.all(np.diff(levels) > 0)
 
+    @pytest.mark.parametrize(
+        "count, message",
+        [
+            (2.5, "count must be an integer, got count=2.5"),
+            ("3", "count must be an integer, got count='3'"),
+            (-1, "need count >= 0, got count=-1"),
+        ],
+    )
+    def test_count_that_is_not_a_size_is_refused(self, count, message):
+        with pytest.raises(sc.ParameterOutOfRange, match=f"^{re.escape(message)}$"):
+            sc.energies(DO1, count)
+
+    def test_count_is_not_held_to_the_size_cap(self):
+        # `spectrum --nmax 524288` asks for 2^19 + 2 levels
+        levels = sc.energies(DO1, 2**19 + 2)
+        assert levels[-1] == 2**19 + 1
+
     def test_levels_past_the_first_overflow_are_not_formed(self):
         # forming all 10^6 aw levels before the refusal would take over
         # 100 MiB; a block of levels is formed at a time instead
