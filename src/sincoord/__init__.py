@@ -66,11 +66,9 @@ from .polynomials import (
 from .report import CheckReport, make_report
 from .systems import (
     AskeyWilson,
-    ClassicalClosure,
     DeformedOscillator,
     HPoly,
     PoschlTeller,
-    SpectralModel,
     SystemSpec,
     alpha_pm,
     check_spectrum_closure,

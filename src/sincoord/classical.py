@@ -115,14 +115,14 @@ def _orbit(spec: SystemSpec, state: ClassicalState) -> tuple[float, float, float
     overflows, besides the refusals of `_state_terms`.
     """
     h0, _, dhdp, _, _ = _state_terms(spec, state)
-    closure = classical_r_polynomials(spec)
-    r0v = closure.r0(h0)
+    r0, rm1 = classical_r_polynomials(spec)
+    r0v = r0(h0)
     if r0v <= 0.0:
         raise NonOscillatory(f"R0(H0)={r0v} <= 0 at energy {h0}")
     if r0v == math.inf:
         raise ParameterOutOfRange(f"R0(H0) overflows at the initial energy H0={h0}")
     bracket0 = -dhdp * spec.deta_dx(state.x)
-    return math.sqrt(r0v), closure.rm1(h0) / r0v, bracket0, float(spec.eta(state.x)), h0
+    return math.sqrt(r0v), rm1(h0) / r0v, bracket0, float(spec.eta(state.x)), h0
 
 
 def closed_form_eta(spec: SystemSpec, state: ClassicalState, t):
@@ -314,10 +314,7 @@ def flow_oracle(
 def sample_states(spec: SystemSpec, count: int, seed: int = 42) -> list[ClassicalState]:
     """Seeded phase-space samples from the family's box inside the domain."""
     require_size("state count", count)
-    if not isinstance(seed, (int, np.integer)):
-        raise ParameterOutOfRange(f"seed must be an integer, got seed={seed!r}")
-    if seed < 0:
-        raise ParameterOutOfRange(f"need a seed of at least 0, got {seed}")
+    require_size("seed", seed, cap=math.inf)
     rng = np.random.default_rng(seed)
     (x_lo, x_hi), (p_lo, p_hi) = spec.sample_box
     xs = rng.uniform(x_lo, x_hi, count)
@@ -397,28 +394,28 @@ def check_poisson_closure(
     not finite ends as NonFiniteResidual.
     """
     states = _require_states(states)
-    closure = classical_r_polynomials(spec)
+    r0, rm1 = classical_r_polynomials(spec)
     comparisons = []
     for state in states:
         terms = _state_terms(spec, state)
         h0, lhs = terms[0], _h_h_eta(spec, state.x, terms)
-        rhs = -float(spec.eta(state.x)) * closure.r0(h0) - closure.rm1(h0)
+        rhs = -float(spec.eta(state.x)) * r0(h0) - rm1(h0)
         comparisons.append((lhs - rhs, max(1.0, abs(lhs), abs(rhs))))
     return make_report("poisson_closure", comparisons, 1e-6, states=len(states))
 
 
 def check_potential_reconstruction(g: float, h: float) -> CheckReport:
     """Rebuild the trigonometric well with couplings g, h from the closure
-    constants r00 = R0(0), rm10 = R-1(0), r1 = R1(0) of its spectral model,
-    V(x) = (r00 eta^2 / 2 + rm10 eta + c) / (d eta/dx)^2 - r1 / 8 with c
-    fixed at x = 0.7, and compare it at 50 points of [0.15, pi/2 - 0.15],
-    where |d eta/dx| >= 2 sin 0.3, with the well g(g-1) / (2 sin^2 x)
-    + h(h-1) / (2 cos^2 x) - (g+h)^2 / 2, its ground-state energy at zero.
+    constants r00 = R0(0), rm10 = R-1(0), r1 = R1(0) of its closure
+    polynomials, V(x) = (r00 eta^2 / 2 + rm10 eta + c) / (d eta/dx)^2
+    - r1 / 8 with c fixed at x = 0.7, and compare it at 50 points of
+    [0.15, pi/2 - 0.15], where |d eta/dx| >= 2 sin 0.3, with the well
+    g(g-1) / (2 sin^2 x) + h(h-1) / (2 cos^2 x) - (g+h)^2 / 2, its
+    ground-state energy at zero.
     """
     spec = PoschlTeller(g, h)
     g, h = spec.g, spec.h
-    model = r_polynomials(spec)
-    r00, rm10, r1 = model.r0(0.0), model.rm1(0.0), model.r1(0.0)
+    r00, r1, rm10 = (r(0.0) for r in r_polynomials(spec))
 
     def well(x):
         return (

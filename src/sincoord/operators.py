@@ -172,9 +172,8 @@ def _closure_vectors(spec: SystemSpec, n_dim: int, guard: int):
     levels (aw at small q).  The arrays are read-only and shared between
     calls with the same arguments."""
     levels = build_basic(spec, n_dim, guard)[0]
-    model = r_polynomials(spec)
     with np.errstate(over="ignore", invalid="ignore"):
-        values = (model.r0(levels), model.r1(levels), model.rm1(levels))
+        values = tuple(r(levels) for r in r_polynomials(spec))
     bad = np.flatnonzero(~np.isfinite(values).all(axis=0))
     if bad.size:
         raise ParameterOutOfRange(
@@ -332,7 +331,7 @@ def check_ground_state_condition(
     ap0, am0 = alpha_pm(spec, 0.0)
     if am0 == 0.0:
         raise VanishingFrequency("alpha_minus(0) = 0")
-    const = r_polynomials(spec).rm1(0.0) / am0
+    const = r_polynomials(spec)[2](0.0) / am0
     # column 0 has entries in rows 0 and 1 only, both inside the window
     term_comm = -comm[1:, 0]
     term_eta = ap0 * eta[1:, 0]

@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NonFiniteResidual
+from .errors import NonFiniteResidual, ParameterOutOfRange
 
 
 @dataclass
@@ -26,8 +26,12 @@ def make_report(name: str, comparisons, tolerance, **details) -> CheckReport:
     array and the scale it is relative to, which broadcasts against it and
     is 1.0 where the comparison is absolute.  The residual is the largest
     |deviation| / scale over all of them.  Raises NonFiniteResidual for a
-    NaN or infinite residual: it has no verdict."""
-    residual = float(np.max([np.max(np.abs(d) / s, initial=0.0) for d, s in comparisons]))
+    NaN or infinite residual and ParameterOutOfRange for no comparison at
+    all: neither has a verdict."""
+    worst = [np.max(np.abs(d) / s, initial=0.0) for d, s in comparisons]
+    if not worst:
+        raise ParameterOutOfRange(f"check {name} has no comparison, so no verdict")
+    residual = float(np.max(worst))
     if not math.isfinite(residual):
         raise NonFiniteResidual(f"check {name} has no verdict: its residual is {residual}")
     tolerance = float(tolerance)

@@ -113,7 +113,8 @@ def qpochhammer(z, q: float):
     The product is truncated once |q|^k < 1e-17 / (1 + |z|), past which the
     remaining factors differ from one by less than double-precision
     rounding.  An array z gives the product at each entry, each with its
-    own truncation; a NaN or infinite entry is refused.
+    own truncation; a NaN or infinite entry is refused, and so is one whose
+    product or cutoff is beyond double precision (from |z| ~ 3e13 at q 0.5).
 
     The factors 1 - z q^k (1 past an entry's truncation) are multiplied in
     blocks by `q_product`, in the order of a loop over k, so arrays of two
@@ -134,7 +135,15 @@ def qpochhammer(z, q: float):
         np.subtract(1.0, flat * qks, out=out)
         out[np.abs(qks) < cutoff] = 1.0
 
-    result = q_product(q, cutoff.min(initial=1e-17), flat.size, fill, complex)
+    beyond = flat[cutoff == 0.0]
+    if not beyond.size:
+        with np.errstate(over="ignore", invalid="ignore"):
+            result = q_product(q, cutoff.min(initial=1e-17), flat.size, fill, complex)
+        beyond = flat[~np.isfinite(result)]
+    if beyond.size:
+        raise ParameterOutOfRange(
+            f"(z; q)_inf overflows double precision at z={beyond[0]}, q={q}"
+        )
     if zs.ndim == 0:
         return complex(result[0])
     return result.reshape(zs.shape)

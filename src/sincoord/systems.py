@@ -63,35 +63,17 @@ from .errors import (
 from .report import CheckReport, make_report
 
 
-@dataclass(frozen=True)
-class HPoly:
-    """Polynomial in the Hamiltonian; coefficients in increasing degree."""
+class HPoly(tuple):
+    """Polynomial in the Hamiltonian: the tuple of its coefficients in
+    increasing degree, evaluated by Horner's rule from 0.0."""
 
-    coeffs: tuple[float, ...]
+    __slots__ = ()
 
     def __call__(self, energy):
         acc = 0.0
-        for c in reversed(self.coeffs):
+        for c in reversed(self):
             acc = acc * energy + c
         return acc
-
-
-@dataclass(frozen=True)
-class SpectralModel:
-    """Closure data for one system: r0, r1, rm1 are the coefficient
-    polynomials of the double-commutator closure."""
-
-    r0: HPoly
-    r1: HPoly
-    rm1: HPoly
-
-
-@dataclass(frozen=True)
-class ClassicalClosure:
-    """Classical closure coefficients (no quantum R1 term)."""
-
-    r0: HPoly
-    rm1: HPoly
 
 
 class _CompiledFlow:
@@ -781,16 +763,15 @@ def energies(spec: SystemSpec, count: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
-def r_polynomials(spec: SystemSpec) -> SpectralModel:
-    """Closure coefficient polynomials R0, R1, R-1."""
-    return SpectralModel(*spec.closure_polynomials())
+def r_polynomials(spec: SystemSpec) -> tuple[HPoly, HPoly, HPoly]:
+    """The closure coefficient polynomials (R0, R1, R-1)."""
+    return spec.closure_polynomials()
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
-def classical_r_polynomials(spec: SystemSpec) -> ClassicalClosure:
-    """Closure coefficients of the classical double Poisson bracket."""
-    r0, rm1 = spec.classical_closure()
-    return ClassicalClosure(r0=r0, rm1=rm1)
+def classical_r_polynomials(spec: SystemSpec) -> tuple[HPoly, HPoly]:
+    """(R0, R-1) of the classical double Poisson bracket."""
+    return spec.classical_closure()
 
 
 def alpha_pm(spec: SystemSpec, e):
@@ -800,8 +781,8 @@ def alpha_pm(spec: SystemSpec, e):
     alpha_minus) with alpha_plus > alpha_minus; by construction their sum
     is R1(e) and their product is -R0(e).
     """
-    model = r_polynomials(spec)
-    return frequency_pair(model.r0(e), model.r1(e), e)
+    r0, r1, _ = r_polynomials(spec)
+    return frequency_pair(r0(e), r1(e), e)
 
 
 def frequency_pair(r0v, r1v, e):

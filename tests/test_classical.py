@@ -782,7 +782,7 @@ def _one_period(spec, state):
     made the orbit's refusals."""
     sc.closed_form_eta(spec, state, 0.0)
     h0 = spec.flow.terms(state.x, state.p)[0]
-    return 2.0 * math.pi / math.sqrt(sc.classical_r_polynomials(spec).r0(h0))
+    return 2.0 * math.pi / math.sqrt(sc.classical_r_polynomials(spec)[0](h0))
 
 
 def _public_flow_check(spec, states, dt, t_end):
@@ -973,10 +973,10 @@ class TestPoissonClosure:
 
     def test_aw_zero_parameter_coefficients(self):
         # c1 = 1, c2 = 1/4, c3 = c4 = 0 when all four parameters vanish
-        closure = sc.classical_r_polynomials(AW0)
+        r0, rm1 = sc.classical_r_polynomials(AW0)
         gsq = AW0.log_q**2
-        assert closure.r0.coeffs == pytest.approx((0.25 * gsq, gsq, gsq))
-        assert closure.rm1.coeffs == pytest.approx((0.0, 0.0))
+        assert r0 == pytest.approx((0.25 * gsq, gsq, gsq))
+        assert rm1 == pytest.approx((0.0, 0.0))
 
     @pytest.mark.parametrize(
         "spec, x, p",
@@ -1033,8 +1033,7 @@ def _per_point_reconstruction(g, h):
     """The potential check written as a per-point rebuilt potential and
     reference well, each point on its own: (worst residual, c)."""
     spec = sc.PoschlTeller(g, h)
-    model = sc.r_polynomials(spec)
-    r00, rm10, r1 = model.r0(0.0), model.rm1(0.0), model.r1(0.0)
+    r00, r1, rm10 = (r(0.0) for r in sc.r_polynomials(spec))
 
     def well(x):
         return float(

@@ -33,8 +33,7 @@ def dense_heisenberg(spec, n_dim, guard, t_samples):
     levels = sc.energies(spec, n_dim)
     gaps = levels[:, None] - levels[None, :]
     comm = gaps * eta
-    model = sc.r_polynomials(spec)
-    r0v, r1v, rm1v = model.r0(levels), model.r1(levels), model.rm1(levels)
+    r0v, r1v, rm1v = (r(levels) for r in sc.r_polynomials(spec))
     root = np.sqrt(r1v * r1v + 4.0 * r0v)
     ap, am = 0.5 * (r1v + root), 0.5 * (r1v - root)
     denom = ap - am

@@ -71,7 +71,7 @@ def test_peak_memory_is_linear_in_n(check):
 )
 def test_real_operators_take_real_memory(check, limit_mib):
     """Cold, at N 65,536, the float64 bands of eta, [H, eta] and the ladder
-    pair peak at 25.0, 17.5, 12.5 and 15.5 MiB; stored as complex128 they
+    pair peak at 25.0, 18.7, 12.7 and 15.5 MiB; stored as complex128 they
     peaked at 45.0, 28.0, 20.0 and 24.6 MiB, above each limit."""
     empty_caches()
     tracemalloc.start()

@@ -59,8 +59,7 @@ class TestBandedStorage:
     def test_ladder_equals_dense_construction(self, spec):
         _, eta, comm = dense_basic(spec, 12)
         levels = sc.energies(spec, 12)
-        model = sc.r_polynomials(spec)
-        r0v, r1v, rm1v = model.r0(levels), model.r1(levels), model.rm1(levels)
+        r0v, r1v, rm1v = (r(levels) for r in sc.r_polynomials(spec))
         root = np.sqrt(r1v * r1v + 4.0 * r0v)
         ap, am = 0.5 * (r1v + root), 0.5 * (r1v - root)
         shifted = eta + np.diag((rm1v / r0v).astype(complex))
@@ -75,12 +74,12 @@ class TestBandedStorage:
         # absolute residuals for pt, per-column relative ones for aw
         _, eta, comm = dense_basic(spec, 30)
         levels = sc.energies(spec, 30)
-        model = sc.r_polynomials(spec)
+        r0, r1, rm1 = sc.r_polynomials(spec)
         lhs = (levels[:, None] - levels[None, :]) * comm
         rhs = (
-            eta * model.r0(levels)[None, :]
-            + comm * model.r1(levels)[None, :]
-            + np.diag(model.rm1(levels).astype(complex))
+            eta * r0(levels)[None, :]
+            + comm * r1(levels)[None, :]
+            + np.diag(rm1(levels).astype(complex))
         )
         d = 26
         diff = np.abs(lhs[:d, :d] - rhs[:d, :d])
@@ -287,8 +286,8 @@ class TestBuildLadder:
             unit = sc.build_ladder(spec, 16, 4)
             _, eta, comm = dense_basic(spec, 16)
             levels = sc.energies(spec, 16)
-            model = sc.r_polynomials(spec)
-            shifted = eta + np.diag((model.rm1(levels) / model.r0(levels)).astype(complex))
+            r0, _, rm1 = sc.r_polynomials(spec)
+            shifted = eta + np.diag((rm1(levels) / r0(levels)).astype(complex))
             ap, am = np.array([sc.alpha_pm(spec, e) for e in levels]).T
             primed = (comm - shifted * am[None, :], -comm + shifted * ap[None, :])
             for mat_u, mat_p in zip(unit, primed):
@@ -350,7 +349,7 @@ class TestTwoCommutator:
 
     def test_pt_asymmetric_constant_term(self):
         # alpha = 1/2, beta = 3/2 puts a constant -8 into the closure
-        assert sc.r_polynomials(PT12).rm1(0.0) == pytest.approx(-8.0)
+        assert sc.r_polynomials(PT12)[2](0.0) == pytest.approx(-8.0)
         assert sc.check_two_commutator(PT12, 30, 4).max_residual <= 1e-10
 
     def test_aw(self):
@@ -422,6 +421,11 @@ class TestWindowReduction:
         assert comparison[1] == 1.0
         report = sc.make_report("absolute", [comparison], 1.0)
         assert report.max_residual == np.max(np.abs(deviation[inside]))
+
+    @pytest.mark.parametrize("comparisons", [[], iter([])], ids=["list", "generator"])
+    def test_no_comparison_has_no_verdict(self, comparisons):
+        with pytest.raises(sc.ParameterOutOfRange, match="check su11 has no comparison"):
+            sc.make_report("su11", comparisons, 1e-12)
 
 
 class TestOracleIndependence:

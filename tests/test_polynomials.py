@@ -486,6 +486,18 @@ class TestSpecialFunctions:
             qpochhammer(z, 0.5)
 
     @pytest.mark.parametrize(
+        "z",
+        [1e20, 1e306, 5e306, np.array([0.3, 1e20]), np.array([0.3, 5e306])],
+        ids=["overflow-1e20", "overflow-1e306", "cutoff-underflow", "array", "array-cutoff"],
+    )
+    def test_qpochhammer_refuses_a_product_beyond_double_precision(self, z):
+        # once nan+nanj with overflow warnings, and from 5e306 on, where
+        # 1e-17 / (1 + |z|) underflows, the power floor's internal refusal
+        message = r"overflows double precision at z=\((1e\+20|1e\+306|5e\+306)\+0j\), q=0\.5$"
+        with pytest.raises(sc.ParameterOutOfRange, match=message):
+            qpochhammer(z, 0.5)
+
+    @pytest.mark.parametrize(
         "call",
         [
             "qpochhammer(complex('inf'), 0.5)",

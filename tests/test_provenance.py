@@ -5,7 +5,9 @@ sources; a simplification that makes a check compare an expression with
 itself is a regression however much code it deletes.  Each library check
 runs once, on a fresh instance and from empty caches (an equal spec would
 hit the `lru_cache`s and record nothing), with every family member and
-`systems.alpha_pm` wrapped to record its name.  The map of names is pinned
+`systems.alpha_pm` wrapped to record its name; `systems.frequency_pair`,
+which forms the same pair from R0 and R1 values a caller already holds, is
+recorded as `alpha_pm` too.  The map of names is pinned
 below: a change that drops a source from a check fails here and has to say
 why.  The README's check table shows the same map in its "compares" column.
 """
@@ -63,20 +65,22 @@ FAMILY_CHECKS = {
 }
 
 OPERATOR_SOURCES = {"energy", "closure_polynomials", "recurrence_coefficients"}
+# the checks that read the frequency split of `operators.build_solution`
+SPLIT_SOURCES = OPERATOR_SOURCES | {"alpha_pm"}
 FLOW_SOURCES = {"classical_closure", "eta", "deta_dx", "flow_locals"}
 
 # the same map for every family
 PROVENANCE = {
     "spectrum_closure": {"energy", "closure_polynomials", "alpha_pm"},
-    "ladder_action": OPERATOR_SOURCES,
+    "ladder_action": SPLIT_SOURCES,
     "two_commutator": OPERATOR_SOURCES,
-    "heisenberg_evolution": OPERATOR_SOURCES,
-    "ground_state": OPERATOR_SOURCES | {"alpha_pm"},
-    "hermitian_conjugacy": OPERATOR_SOURCES | {"density", "eta", "quadrature_nodes"},
+    "heisenberg_evolution": SPLIT_SOURCES,
+    "ground_state": SPLIT_SOURCES,
+    "hermitian_conjugacy": SPLIT_SOURCES | {"density", "eta", "quadrature_nodes"},
     "classical_closed_vs_flow": FLOW_SOURCES,
     "poisson_closure": FLOW_SOURCES | {"d2eta_dx2"},
-    "coherent_eigenvalue": OPERATOR_SOURCES,
-    "su11": OPERATOR_SOURCES,
+    "coherent_eigenvalue": SPLIT_SOURCES,
+    "su11": SPLIT_SOURCES,
     # the 1F1 side is `special.hyp1f1`, which reads no family member
     "coherent_1f1": {"recurrence_coefficients"},
     # the reference well is written out in the check
@@ -100,14 +104,14 @@ def recorded(monkeypatch):
         for name in MEMBERS:
             monkeypatch.setattr(family, name, recording(name, vars(family)[name]))
     # rebind every module's imported name, so a caller that imported
-    # alpha_pm by name is seen too
-    original = systems.alpha_pm
-    traced = recording("alpha_pm", original)
-    for module_name, module in list(sys.modules.items()):
-        if module_name.split(".")[0] == "sincoord":
-            for key, value in list(vars(module).items()):
-                if value is original:
-                    monkeypatch.setattr(module, key, traced)
+    # alpha_pm or frequency_pair by name is seen too
+    for original in (systems.alpha_pm, systems.frequency_pair):
+        traced = recording("alpha_pm", original)
+        for module_name, module in list(sys.modules.items()):
+            if module_name.split(".")[0] == "sincoord":
+                for key, value in list(vars(module).items()):
+                    if value is original:
+                        monkeypatch.setattr(module, key, traced)
     yield seen
     empty_caches()
 

@@ -71,7 +71,7 @@ def _r0_not_positive(suite):
         except sc.ParameterOutOfRange:  # a level overflows: refused before R0
             return False
         with np.errstate(all="ignore"):
-            return bool(np.any(~(sc.r_polynomials(spec).r0(levels) > 0.0)))
+            return bool(np.any(~(sc.r_polynomials(spec)[0](levels) > 0.0)))
 
     return region
 

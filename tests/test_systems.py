@@ -261,36 +261,36 @@ class TestEnergy:
 
 class TestRPolynomials:
     def test_do_closure_is_trivial(self):
-        model = sc.r_polynomials(DO1)
-        assert model.r0(3.7) == 1.0
-        assert model.r1(3.7) == 0.0
-        assert model.rm1(3.7) == 0.0
+        r0, r1, rm1 = sc.r_polynomials(DO1)
+        assert r0(3.7) == 1.0
+        assert r1(3.7) == 0.0
+        assert rm1(3.7) == 0.0
 
     def test_pt_r0_at_zero(self):
         # H' = 2 at E = 0 for g = h = 1
-        model = sc.r_polynomials(PT11)
-        assert model.r0(0.0) == pytest.approx(12.0, abs=1e-14)
-        assert model.r1(0.0) == 4.0
-        assert model.rm1(0.0) == 0.0
+        r0, r1, rm1 = sc.r_polynomials(PT11)
+        assert r0(0.0) == pytest.approx(12.0, abs=1e-14)
+        assert r1(0.0) == 4.0
+        assert rm1(0.0) == 0.0
 
     def test_pt_asymmetric_constant(self):
-        model = sc.r_polynomials(sc.PoschlTeller(1.0, 2.0))
+        rm1 = sc.r_polynomials(sc.PoschlTeller(1.0, 2.0))[2]
         # alpha = 1/2, beta = 3/2: 4 (1/4 - 9/4) = -8
-        assert model.rm1(123.0) == pytest.approx(-8.0, abs=1e-14)
+        assert rm1(123.0) == pytest.approx(-8.0, abs=1e-14)
 
     def test_aw_r0_at_zero(self):
-        model = sc.r_polynomials(AW0)
-        assert model.r0(0.0) == pytest.approx(0.125, abs=1e-15)
+        r0 = sc.r_polynomials(AW0)[0]
+        assert r0(0.0) == pytest.approx(0.125, abs=1e-15)
 
     def test_recurrence_diagonal_matches_spectral_ratio(self):
         # B_n = -R(-1)(E_n) / R0(E_n) ties the polynomial diagonal to the
         # closure data; a strong cross-check of both transcriptions.
         for spec in (sc.PoschlTeller(1.0, 2.0), AW1, AW2):
-            model = sc.r_polynomials(spec)
+            r0, _, rm1 = sc.r_polynomials(spec)
             rec = sc.recurrence(spec)
             for n in range(12):
                 e_n = sc.energies(spec, n + 1)[n]
-                expected = -model.rm1(e_n) / model.r0(e_n)
+                expected = -rm1(e_n) / r0(e_n)
                 assert rec.B(n) == pytest.approx(expected, rel=1e-12, abs=1e-14)
 
 
@@ -336,14 +336,14 @@ class TestAlphaPM:
 
     @pytest.mark.parametrize("spec", [PT11, sc.PoschlTeller(2, 3), DO1, AW1, AW2])
     def test_sum_and_product_identities(self, spec):
-        model = sc.r_polynomials(spec)
+        r0, r1, _ = sc.r_polynomials(spec)
         top = 25 if isinstance(spec, sc.AskeyWilson) else 40
         for e in np.linspace(0.0, sc.energies(spec, top + 1)[top], 100):
             ap, am = sc.alpha_pm(spec, e)
             assert ap > am
-            assert ap + am == pytest.approx(model.r1(e), rel=1e-12, abs=1e-12)
-            scale = max(1.0, abs(model.r0(e)))
-            assert abs(ap * am + model.r0(e)) / scale < 1e-12
+            assert ap + am == pytest.approx(r1(e), rel=1e-12, abs=1e-12)
+            scale = max(1.0, abs(r0(e)))
+            assert abs(ap * am + r0(e)) / scale < 1e-12
 
     def test_positive_r0_gives_distinct_frequencies(self):
         # R1^2 + 4 R0 >= fl(4 R0) > 0, so its root is at least 4.4e-162,
@@ -364,9 +364,9 @@ class TestAlphaPM:
         )
         for spec in REFERENCE_SYSTEMS:
             levels = sc.energies(spec, 64)
-            model = sc.r_polynomials(spec)
-            r0 = np.concatenate([r0, model.r0(levels)])
-            r1 = np.concatenate([r1, model.r1(levels)])
+            poly0, poly1, _ = sc.r_polynomials(spec)
+            r0 = np.concatenate([r0, poly0(levels)])
+            r1 = np.concatenate([r1, poly1(levels)])
         with np.errstate(over="ignore"):
             finite = np.isfinite(r1 * r1 + 4.0 * r0)
         assert np.all(r0 > 0.0) and finite.sum() > 20_000
