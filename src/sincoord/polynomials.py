@@ -15,7 +15,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ParameterOutOfRange, QuadratureNotConverged
-from .systems import _CACHE_SIZE, SystemSpec, require_size
+from .systems import _CACHE_SIZE, SystemSpec, _require_points, require_size
 
 
 @dataclass(frozen=True)
@@ -79,18 +79,16 @@ def eval_all(spec: SystemSpec, n_max: int, eta) -> np.ndarray:
     one broadcast subtraction puts eta - B_n in row n + 1 for every n, and
     each level then takes four in-place ufunc calls.  Raises
     ParameterOutOfRange for an n_max that `require_size` refuses, and for
-    points of a dtype other than bool, integer or float.
+    points of a dtype other than bool, integer or float, or not finite.
     """
     require_size("n_max", n_max)
-    eta_arr = np.asarray(eta)
-    if eta_arr.dtype.kind not in "biuf":
-        raise ParameterOutOfRange(f"eta points must be real numbers, got dtype {eta_arr.dtype}")
+    points = _require_points("eta", eta)
     rec = recurrence(spec)
     a = rec.table("A", n_max).tolist()
     c = [0.0] + rec.table("C", n_max).tolist()  # C_0 is never used
-    out = np.empty((n_max + 1,) + eta_arr.shape, dtype=float)
+    out = np.empty((n_max + 1,) + points.shape, dtype=float)
     # rows of the flattened points, so that a 0-d eta also gets array rows
-    x, flat = eta_arr.astype(float, copy=False).reshape(-1), out.reshape(n_max + 1, -1)
+    x, flat = points.reshape(-1), out.reshape(n_max + 1, -1)
     flat[0] = 1.0
     np.subtract(x, rec.table("B", n_max)[:, None], flat[1:])
     rows = list(flat)

@@ -403,7 +403,7 @@ class AskeyWilson(_CompiledFlow):
         (q, k), and the levels and coefficients must not depend on whether
         one level or an array of them was asked for.
         """
-        ks, q = np.asarray(k), float(self.q)
+        ks, q = np.asarray(k), self.q
         powers = []
         for j in ks.ravel().tolist():
             try:
@@ -730,6 +730,20 @@ def require_samples(name: str, samples) -> np.ndarray:
     return np.array([require_real(name, value) for value in raw.tolist()])
 
 
+def _require_points(name: str, points) -> np.ndarray:
+    """`points`, of any shape, as a float array; raise ParameterOutOfRange,
+    naming `name`, for a dtype other than bool, integer or float, or for the
+    first value that is not finite: one array test, as quadrature nodes pass here."""
+    array = np.asarray(points)
+    if array.dtype.kind not in "biuf":
+        raise ParameterOutOfRange(f"{name} points must be real numbers, got dtype {array.dtype}")
+    values = array.astype(float, copy=False)
+    bad = values[~np.isfinite(values)]
+    if bad.size:
+        raise ParameterOutOfRange(f"{name} points must be finite, got {name}={bad[0]}")
+    return values
+
+
 def require_inside(spec: SystemSpec, x, error: type[Exception] = EvaluationDomain) -> None:
     """Raise `error` unless x, a float or an array, lies strictly inside the
     open domain of the coordinate (NaN never does)."""
@@ -777,10 +791,12 @@ def classical_r_polynomials(spec: SystemSpec) -> tuple[HPoly, HPoly]:
 def alpha_pm(spec: SystemSpec, e):
     """The two frequencies at energy e: roots of x^2 - R1(e) x - R0(e).
 
-    e is a float or an array of energies.  Returns (alpha_plus,
-    alpha_minus) with alpha_plus > alpha_minus; by construction their sum
-    is R1(e) and their product is -R0(e).
+    e is a float, an array or a sequence of finite real energies
+    (`_require_points`).  Returns (alpha_plus, alpha_minus) with alpha_plus
+    > alpha_minus; by construction their sum is R1(e) and their product is
+    -R0(e).
     """
+    e = _require_points("e", e)
     r0, r1, _ = r_polynomials(spec)
     return frequency_pair(r0(e), r1(e), e)
 
@@ -820,15 +836,10 @@ def check_spectrum_closure(spec: SystemSpec, n_max: int) -> CheckReport:
     ap, am = alpha_pm(spec, levels[: n_max + 1])
     # E_{n+1}, E_n for n = 0 .. n_max; E_{n-1} for n = 1 .. n_max
     up, here, down = levels[1:], levels[:-1], levels[:n_max]
-    worst_plus = np.max(np.abs(up - here - ap) / np.maximum(1.0, np.abs(up)))
-    worst_minus = np.max(
-        np.abs(down - here[1:] - am[1:]) / np.maximum(1.0, np.abs(down))
-    )
+    plus = (up - here - ap, np.maximum(1.0, np.abs(up)))
+    minus = (down - here[1:] - am[1:], np.maximum(1.0, np.abs(down)))
+    max_plus, max_minus = (float(np.max(np.abs(d) / s)) for d, s in (plus, minus))
     return make_report(
-        "spectrum_closure",
-        [(worst_plus, 1.0), (worst_minus, 1.0)],
-        1e-9,
-        n_max=n_max,
-        max_plus=float(worst_plus),
-        max_minus=float(worst_minus),
+        "spectrum_closure", [plus, minus], 1e-9,
+        n_max=n_max, max_plus=max_plus, max_minus=max_minus,
     )

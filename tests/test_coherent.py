@@ -304,11 +304,9 @@ def _full_length_check(a, lam, x_samples, truncation):
             f"{truncation}"
         )
     phase, z = np.exp(2j * lam), -4j * lam
-    worst = 0.0
-    for x, lhs in zip(xs.tolist(), series):
-        rhs = phase * hyp1f1(complex(a, x), 2.0 * a, z)
-        worst = np.maximum(worst, abs(lhs - rhs) / max(1.0, abs(rhs)))
-    return make_report("coherent_1f1", [(worst, 1.0)], 1e-10, truncation=truncation)
+    rhs = np.array([phase * hyp1f1(complex(a, x), 2.0 * a, z) for x in xs.tolist()])
+    comparison = (series - rhs, np.maximum(1.0, np.abs(rhs)))
+    return make_report("coherent_1f1", [comparison], 1e-10, truncation=truncation)
 
 
 def _outcome(check, *args):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import sincoord as sc
-from sincoord import cli, operators
+from sincoord import classical, cli, coherent, heisenberg, operators, systems
 
 from conftest import empty_caches
 
@@ -426,6 +426,55 @@ class TestWindowReduction:
     def test_no_comparison_has_no_verdict(self, comparisons):
         with pytest.raises(sc.ParameterOutOfRange, match="check su11 has no comparison"):
             sc.make_report("su11", comparisons, 1e-12)
+
+
+class TestEveryEntryReachesMakeReport:
+    """Each check hands `make_report` one deviation entry per compared value
+    and reduces none itself, so `make_report` alone takes |.| and the maximum."""
+
+    @staticmethod
+    def recorded(monkeypatch):
+        """Wrap `make_report` in every module that imports it; the returned
+        list gets each call's (name, [(deviation, scale), ...])."""
+        calls, make_report = [], sc.make_report
+
+        def record(name, comparisons, tolerance, **details):
+            comparisons = [(np.array(d), np.array(s)) for d, s in comparisons]
+            calls.append((name, comparisons))
+            return make_report(name, comparisons, tolerance, **details)
+
+        for module in (classical, cli, coherent, heisenberg, operators, systems):
+            monkeypatch.setattr(module, "make_report", record)
+        return calls
+
+    @pytest.mark.parametrize("spec", [PT23, DO1])
+    def test_heisenberg_hands_every_time_sample_and_band_slot(self, spec, monkeypatch):
+        calls = self.recorded(monkeypatch)
+        # N 512 runs blocks of 8 times: two of them for 12 samples
+        report = sc.check_heisenberg(spec, 512, 4, np.linspace(0.0, 5.0, 12))
+        [(name, comparisons)] = calls
+        assert name == "heisenberg_evolution"
+        assert [d.shape for d, _ in comparisons] == [(8, 3, 512), (4, 3, 512)]
+        worst = max(np.max(np.abs(d) / s) for d, s in comparisons)
+        assert report.max_residual == worst
+
+    def test_spectrum_closure_hands_every_level(self, monkeypatch):
+        calls = self.recorded(monkeypatch)
+        report = sc.check_spectrum_closure(PT23, 30)
+        [(name, [(plus, plus_scale), (minus, minus_scale)])] = calls
+        assert name == "spectrum_closure"
+        # up for n = 0 .. 30 and down for n = 1 .. 30, each over its own levels
+        assert plus.shape == plus_scale.shape == (31,)
+        assert minus.shape == minus_scale.shape == (30,)
+        assert report.details["max_plus"] == np.max(np.abs(plus) / plus_scale)
+        assert report.details["max_minus"] == np.max(np.abs(minus) / minus_scale)
+
+    def test_coherent_1f1_hands_every_x_sample_as_a_complex_deviation(self, monkeypatch):
+        calls = self.recorded(monkeypatch)
+        sc.check_mp_hypergeometric(1.0, 0.3 + 0.2j, np.linspace(-5.0, 5.0, 9), 60)
+        [(name, [(deviation, scale)])] = calls
+        assert name == "coherent_1f1"
+        assert deviation.dtype == complex and deviation.shape == scale.shape == (9,)
 
 
 class TestOracleIndependence:

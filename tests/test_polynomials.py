@@ -17,9 +17,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sincoord as sc
-from sincoord import special
+from sincoord import special, systems
 from sincoord.special import _LANCZOS_C as LANCZOS_C
 from sincoord.special import gamma_abs_sq, hyp1f1, qpochhammer
+
+from conftest import exactly, symbolic_family
 
 PT11 = sc.PoschlTeller(1.0, 1.0)
 PT23 = sc.PoschlTeller(2.0, 3.0)
@@ -256,16 +258,18 @@ class TestRecurrence:
         assert np.all(np.abs(diagonal - reference) <= 1e-12 * np.abs(reference))
 
     @pytest.mark.parametrize("slot", range(4))
-    def test_aw_diagonal_closed_form_is_the_kls_form(self, slot):
-        # identically in a1..a4, q and Q = q^n, whichever a_i takes the slot
+    def test_aw_diagonal_closed_form_is_the_kls_form(self, slot, monkeypatch):
+        # the library's B_n, identically in a1..a4, q and Q = q^n, whichever
+        # a_i takes the slot; its integer ratios (a rounding of floats)
+        # become the symbols themselves
         sympy = pytest.importorskip("sympy")
-        params, (q, big_q) = sympy.symbols("a1:5"), sympy.symbols("q Q")
-        e1 = sum(params)
-        e3 = sum(x * y * z for x, y, z in itertools.combinations(params, 3))
+        monkeypatch.setattr(systems, "_integer_ratios", lambda values: (list(values), 1))
+        params, big_q = sympy.symbols("a1:5"), sympy.Symbol("Q")
+        q, n = sympy.Symbol("q", positive=True), sympy.Symbol("n", integer=True)
+        fields = dict(zip(("a1", "a2", "a3", "a4"), params), q=q)
+        b_coef = symbolic_family(sc.AskeyWilson, **fields).recurrence_coefficients()[1]
+        closed = exactly(b_coef(n), (q**n, big_q))
         e4 = sympy.Mul(*params)
-        closed = -big_q * (
-            (e1 * q + e3) * (q + e4 * big_q**2) - big_q * (q + 1) * (e1 * e4 + e3 * q)
-        ) / (2 * (q**2 - e4 * big_q**2) * (e4 * big_q**2 - 1))
         a = params[slot]
         b, c, d = (v for i, v in enumerate(params) if i != slot)
         a_ks = (
@@ -316,6 +320,22 @@ class TestEvalPoly:
         message = f"^eta points must be real numbers, got dtype {re.escape(dtype)}$"
         with pytest.raises(sc.ParameterOutOfRange, match=message):
             sc.eval_all(DO1, 2, points)
+
+    @pytest.mark.parametrize(
+        "points, shown",
+        [
+            ([np.nan, 0.5], "nan"),
+            ([0.5, np.inf], "inf"),
+            (-np.inf, "-inf"),
+            ([[0.1], [np.nan]], "nan"),
+        ],
+        ids=["nan", "inf", "minus-inf", "2-d"],
+    )
+    def test_points_that_are_not_finite_are_refused_naming_the_first(self, points, shown):
+        # not a NaN column, nor numpy's RuntimeWarning at inf
+        message = f"^eta points must be finite, got eta={shown}$"
+        with pytest.raises(sc.ParameterOutOfRange, match=message):
+            sc.eval_all(DO1, 3, points)
 
     def test_numpy_integer_degree_is_a_degree(self):
         assert np.array_equal(sc.eval_all(DO1, np.int64(3), 0.37), sc.eval_all(DO1, 3, 0.37))

@@ -13,7 +13,10 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import sincoord as sc
+from sincoord import systems
 from sincoord.systems import frequency_pair
+
+from conftest import exactly, symbolic_family
 
 PT11 = sc.PoschlTeller(1.0, 1.0)
 DO1 = sc.DeformedOscillator(1.0)
@@ -294,10 +297,100 @@ class TestRPolynomials:
                 assert rec.B(n) == pytest.approx(expected, rel=1e-12, abs=1e-14)
 
 
+class TestClosureStatementsSymbolically:
+    """The three statements per level n that the operator identities reduce
+    to, on the library's own `energy`, B_n and closure polynomials at
+    symbolic parameters and level:
+    up: (E_{n+1} - E_n)^2 - R1(E_n)(E_{n+1} - E_n) - R0(E_n) = 0,
+    down: the same with E_{n-1}, and diag: B_n R0(E_n) + R-1(E_n) = 0."""
+
+    @staticmethod
+    def remainders(spec, n, below=True, rm1_factor=1.0, b_factor=1.0, power=None):
+        """{statement: its remainder reduced exactly} at level n; `below`
+        adds down, and a factor plants a defect on R-1 or on B_n."""
+        energy, (r0, r1, rm1) = spec.energy, spec.closure_polynomials()
+        b_coef = spec.recurrence_coefficients()[1]
+        here = energy(n)
+        statements = {"diag": b_factor * b_coef(n) * r0(here) + rm1_factor * rm1(here)}
+        others = {"up": n + 1, "down": n - 1} if below else {"up": n + 1}
+        for name, other in others.items():
+            gap = energy(other) - here
+            statements[name] = gap * gap - r1(here) * gap - r0(here)
+        return {name: exactly(value, power) for name, value in statements.items()}
+
+    @pytest.fixture
+    def pt_do(self):
+        """pt in (g, h), do in a, and the levels n = 0 and n = m + 1 for an
+        integer m >= 0: pt's B_n takes max(n, 1), which orders no bare symbol."""
+        sympy = pytest.importorskip("sympy")
+        g, h, a = sympy.symbols("g h a", positive=True)
+        m = sympy.Symbol("m", integer=True, nonnegative=True)
+        specs = {
+            "pt": symbolic_family(sc.PoschlTeller, g=g, h=h),
+            "do": symbolic_family(sc.DeformedOscillator, a=a),
+        }
+        return specs, [(0, False), (m + 1, True)]
+
+    @pytest.fixture
+    def aw(self, monkeypatch):
+        """aw in a1..a4 and q at a symbolic level n, with the powers of q**n
+        in Q; its integer ratios (a rounding of floats) become the values."""
+        sympy = pytest.importorskip("sympy")
+        monkeypatch.setattr(systems, "_integer_ratios", lambda values: (list(values), 1))
+        a1, a2, a3, a4 = sympy.symbols("a1:5")
+        q = sympy.Symbol("q", positive=True)
+        n = sympy.Symbol("n", integer=True)
+        spec = symbolic_family(sc.AskeyWilson, a1=a1, a2=a2, a3=a3, a4=a4, q=q)
+        return spec, n, (q**n, sympy.Symbol("Q"))
+
+    @pytest.mark.parametrize("tag", ["pt", "do"])
+    def test_pt_and_do_hold_at_every_level(self, tag, pt_do):
+        specs, levels = pt_do
+        for n, below in levels:
+            remainders = self.remainders(specs[tag], n, below)
+            assert remainders == dict.fromkeys(["diag", "up"] + ["down"] * below, 0), n
+
+    def test_aw_holds_at_every_level(self, aw):
+        spec, n, power = aw
+        assert self.remainders(spec, n, power=power) == {"diag": 0, "up": 0, "down": 0}
+
+    @pytest.mark.parametrize("planted", [{"rm1_factor": 1 + 1e-12}, {"b_factor": 1 + 1e-12}])
+    def test_a_planted_pt_defect_is_seen(self, planted, pt_do):
+        specs, levels = pt_do
+        for n, below in levels:
+            assert self.remainders(specs["pt"], n, below, **planted)["diag"] != 0, n
+
+    def test_a_planted_aw_defect_is_seen(self, aw):
+        spec, n, power = aw
+        assert self.remainders(spec, n, rm1_factor=1 + 1e-12, power=power)["diag"] != 0
+
+
 class TestAlphaPM:
     def test_do_is_plus_minus_one(self):
         for e in (0.0, 1.0, 17.5):
             assert sc.alpha_pm(DO1, e) == (1.0, -1.0)
+
+    @pytest.mark.parametrize(
+        "e, message",
+        [
+            (np.nan, "e points must be finite, got e=nan"),
+            (np.inf, "e points must be finite, got e=inf"),
+            (np.array([0.0, -np.inf]), "e points must be finite, got e=-inf"),
+            ("3", "e points must be real numbers, got dtype <U1"),
+            (1 + 2j, "e points must be real numbers, got dtype complex128"),
+        ],
+        ids=["nan", "inf", "array", "str", "complex"],
+    )
+    def test_energies_that_are_not_finite_real_numbers_are_refused(self, e, message):
+        # not "the frequency pair at level E_0 overflows", nor a raw TypeError
+        with pytest.raises(sc.ParameterOutOfRange, match=f"^{re.escape(message)}$"):
+            sc.alpha_pm(PT11, e)
+
+    def test_a_sequence_of_energies_is_their_array(self):
+        # not "can't multiply sequence by non-int of type 'float'"
+        levels = sc.energies(PT11, 4)
+        for got, expected in zip(sc.alpha_pm(PT11, levels.tolist()), sc.alpha_pm(PT11, levels)):
+            assert np.array_equal(got, expected)
 
     def test_pt_at_ground_energy(self):
         ap, am = sc.alpha_pm(PT11, 0.0)
