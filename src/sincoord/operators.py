@@ -21,9 +21,10 @@ The levels and the bands of eta come from one array call of the family's
 `build_solution` keep their last few results per (system, N, G), so the
 checks of one suite build eta, [H, eta], the R-polynomial values and the
 frequency split once; the arrays they hand out are read-only.
-`build_ladder` reads the ladder pair off the split.  The helpers on three
-bands also take a stack of operators, (T, 3, N) bands with a leading batch
-axis, as the Heisenberg time grid uses them.
+`build_ladder` reads the ladder pair off the split; `_evolved` sums its
+parts at a vector of times, the one formula of the exact evolution.  The
+helpers on three bands also take a stack of operators, (T, 3, N) bands with
+a leading batch axis, as the Heisenberg time grid uses them.
 """
 
 from __future__ import annotations
@@ -183,12 +184,6 @@ def _closure_vectors(spec: SystemSpec, n_dim: int, guard: int):
     return values
 
 
-def _phases(ap: np.ndarray, am: np.ndarray, times: np.ndarray):
-    """e^{i alpha_plus t} and e^{i alpha_minus t}, shape (T, N)."""
-    t = times[:, None]
-    return np.exp(1j * ap * t), np.exp(1j * am * t)
-
-
 @dataclass(frozen=True)
 class HeisenbergSolution:
     """Positive/negative frequency split of the evolved coordinate."""
@@ -201,11 +196,16 @@ class HeisenbergSolution:
 
     def evolve(self, t: float) -> np.ndarray:
         """a_plus e^{i a+ t} + const + a_minus e^{i a- t} (diagonals right)."""
-        phase_p, phase_m = _phases(self.freq_plus, self.freq_minus, require_samples("t", (t,)))
-        out = self.a_plus * phase_p[0]
-        out[1] += self.constant_part
-        out += self.a_minus * phase_m[0]
-        return out
+        return _evolved(self, require_samples("t", (t,)))[0]
+
+
+def _evolved(solution: HeisenbergSolution, times: np.ndarray) -> np.ndarray:
+    """(T, 3, N) bands of e^{itH} eta e^{-itH}, `evolve` at each of T times."""
+    t = times[:, None]
+    out = solution.a_plus * np.exp(1j * solution.freq_plus * t)[:, None, :]
+    out[:, 1] += solution.constant_part
+    out += solution.a_minus * np.exp(1j * solution.freq_minus * t)[:, None, :]
+    return out
 
 
 @lru_cache(maxsize=_CACHE_SIZE)

@@ -79,7 +79,9 @@ def eval_all(spec: SystemSpec, n_max: int, eta) -> np.ndarray:
     one broadcast subtraction puts eta - B_n in row n + 1 for every n, and
     each level then takes four in-place ufunc calls.  Raises
     ParameterOutOfRange for an n_max that `require_size` refuses, and for
-    points of a dtype other than bool, integer or float, or not finite.
+    points of a dtype other than bool, integer or float, or not finite.  A
+    P_n past double range at a finite point comes out as inf (or NaN in the
+    degrees after it), without a warning.
     """
     require_size("n_max", n_max)
     points = _require_points("eta", eta)
@@ -90,18 +92,19 @@ def eval_all(spec: SystemSpec, n_max: int, eta) -> np.ndarray:
     # rows of the flattened points, so that a 0-d eta also gets array rows
     x, flat = points.reshape(-1), out.reshape(n_max + 1, -1)
     flat[0] = 1.0
-    np.subtract(x, rec.table("B", n_max)[:, None], flat[1:])
     rows = list(flat)
-    if n_max >= 1:
-        np.divide(rows[1], a[0], rows[1])
     spare = np.empty_like(x)
     multiply, subtract, divide = np.multiply, np.subtract, np.divide
-    for n in range(1, n_max):
-        new = rows[n + 1]
-        multiply(new, rows[n], new)
-        multiply(c[n], rows[n - 1], spare)
-        subtract(new, spare, new)
-        divide(new, a[n], new)
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.subtract(x, rec.table("B", n_max)[:, None], flat[1:])
+        if n_max >= 1:
+            np.divide(rows[1], a[0], rows[1])
+        for n in range(1, n_max):
+            new = rows[n + 1]
+            multiply(new, rows[n], new)
+            multiply(c[n], rows[n - 1], spare)
+            subtract(new, spare, new)
+            divide(new, a[n], new)
     return out
 
 

@@ -798,13 +798,16 @@ def alpha_pm(spec: SystemSpec, e):
     """
     e = _require_points("e", e)
     r0, r1, _ = r_polynomials(spec)
-    return frequency_pair(r0(e), r1(e), e)
+    with np.errstate(over="ignore", invalid="ignore"):  # refused just below
+        r0v, r1v = r0(e), r1(e)
+    return frequency_pair(r0v, r1v, e, levels=False)
 
 
-def frequency_pair(r0v, r1v, e):
+def frequency_pair(r0v, r1v, e, levels=True):
     """(alpha_plus, alpha_minus) from R0(e) and R1(e), for callers that
-    already hold those values; see `alpha_pm`.  Each caller passes levels
-    from E_0 on, and the first whose R1^2 overflows (aw at small q) is refused."""
+    already hold those values; see `alpha_pm`.  The first energy whose pair
+    overflows (aw at small q) is refused, named as level E_k when the
+    energies are the levels from E_0 on and by its value otherwise."""
     with np.errstate(over="ignore", invalid="ignore"):
         disc = r1v * r1v + 4.0 * r0v
     bad = np.flatnonzero(~(np.isfinite(disc) & (disc >= 0.0)))
@@ -815,7 +818,8 @@ def frequency_pair(r0v, r1v, e):
                 f"discriminant {value} < 0 at energy {np.ravel(e)[first]}: "
                 "no real frequency pair"
             )
-        raise ParameterOutOfRange(f"the frequency pair at level E_{first} overflows")
+        where = f"level E_{first}" if levels else f"energy {np.ravel(e)[first]}"
+        raise ParameterOutOfRange(f"the frequency pair at {where} overflows")
     root = np.sqrt(disc)
     return (0.5 * (r1v + root), 0.5 * (r1v - root))
 
@@ -833,9 +837,12 @@ def check_spectrum_closure(spec: SystemSpec, n_max: int) -> CheckReport:
             f"of {spec}"
         )
     levels = energies(spec, n_max + 2)
-    ap, am = alpha_pm(spec, levels[: n_max + 1])
     # E_{n+1}, E_n for n = 0 .. n_max; E_{n-1} for n = 1 .. n_max
     up, here, down = levels[1:], levels[:-1], levels[:n_max]
+    r0, r1, _ = r_polynomials(spec)
+    with np.errstate(over="ignore", invalid="ignore"):  # refused by frequency_pair
+        r0v, r1v = r0(here), r1(here)
+    ap, am = frequency_pair(r0v, r1v, here)
     plus = (up - here - ap, np.maximum(1.0, np.abs(up)))
     minus = (down - here[1:] - am[1:], np.maximum(1.0, np.abs(down)))
     max_plus, max_minus = (float(np.max(np.abs(d) / s)) for d, s in (plus, minus))

@@ -41,5 +41,5 @@ def test_same_tree_matches_and_a_changed_tolerance_differs(tmp_path):
 
 def test_the_corpus_ends_with_the_known_outcome_rows():
     corpus = _load_tool().default_corpus()
-    assert len(corpus) == 360
+    assert len(corpus) == 363
     assert corpus[-len(ROWS):] == [row[1].split() for row in ROWS]

@@ -1,4 +1,5 @@
-"""Closed-form operator evolution against the elementwise phase oracle."""
+"""The exact operator evolution, the frequency split's sum of parts, against
+the elementwise phase oracle."""
 
 import dataclasses
 import math
@@ -28,7 +29,9 @@ REFUSED_T = r"^t must be a real number in \(-inf, inf\), got t="
 
 
 def dense_heisenberg(spec, n_dim, guard, t_samples):
-    """max_residual, closed form vs phase oracle, from dense N x N matrices."""
+    """max_residual, the split's sum of parts vs phase oracle, from dense
+    N x N matrices; the parts are formed from [H, eta], eta, R and alpha_pm
+    in `build_solution`'s order."""
     eta = sc.dense(sc.build_basic(spec, n_dim, guard)[1])
     levels = sc.energies(spec, n_dim)
     gaps = levels[:, None] - levels[None, :]
@@ -36,15 +39,16 @@ def dense_heisenberg(spec, n_dim, guard, t_samples):
     r0v, r1v, rm1v = (r(levels) for r in sc.r_polynomials(spec))
     root = np.sqrt(r1v * r1v + 4.0 * r0v)
     ap, am = 0.5 * (r1v + root), 0.5 * (r1v - root)
-    denom = ap - am
-    ratio = np.diag((rm1v / r0v).astype(complex))
+    ratio = rm1v / r0v
+    shifted = eta + np.diag(ratio)
+    inv = 1.0 / (ap - am)
+    plus = (comm - shifted * am[None, :]) * inv[None, :]
+    minus = (-comm + shifted * ap[None, :]) * inv[None, :]
     d = n_dim - guard
     worst = 0.0
     for t in t_samples:
         phase_p, phase_m = np.exp(1j * ap * t), np.exp(1j * am * t)
-        osc = (phase_p - phase_m) / denom
-        mix = (-am * phase_p + ap * phase_m) / denom
-        exact = comm * osc[None, :] - ratio + (eta + ratio) * mix[None, :]
+        exact = plus * phase_p[None, :] - np.diag(ratio) + minus * phase_m[None, :]
         oracle = eta * np.exp(1j * gaps * t)
         scale = 1.0
         if spec.relative_residuals:
@@ -53,17 +57,36 @@ def dense_heisenberg(spec, n_dim, guard, t_samples):
     return worst
 
 
+def closed_form(spec, n_dim, guard, times):
+    """(T, 3, N) bands of [H, eta] osc(H) - R(H) + (eta + R(H)) mix(H), the
+    exact solution before its split by frequency, with R = R-1/R0 =
+    -`constant_part` and every function of H multiplying from the right."""
+    _, eta, comm = sc.build_basic(spec, n_dim, guard)
+    solution = sc.build_solution(spec, n_dim, guard)
+    ap, am, constant = solution.freq_plus, solution.freq_minus, solution.constant_part
+    t = times[:, None]
+    phase_p, phase_m = np.exp(1j * ap * t), np.exp(1j * am * t)
+    denom = ap - am
+    osc = (phase_p - phase_m) / denom
+    mix = (-am * phase_p + ap * phase_m) / denom
+    out = comm * osc[:, None, :]
+    out[:, 1] += constant
+    shifted = eta.copy()
+    shifted[1] -= constant
+    out += shifted * mix[:, None, :]
+    return out
+
+
 def split_deviation(spec, n_dim, guard, t_samples):
     """The closed form against the frequency split's sum of parts (`evolve`),
     over the check's window and column scale.  `build_solution` forms the
     parts from the closed form's own eta, [H, eta], alpha_pm and R, so this
     is an algebraic identity that holds to rounding whatever the family's
     formulas are, and `check_heisenberg` does not report it."""
-    levels, eta, comm = sc.build_basic(spec, n_dim, guard)
+    levels, eta, _ = sc.build_basic(spec, n_dim, guard)
     solution = sc.build_solution(spec, n_dim, guard)
     grid = np.asarray(t_samples, dtype=float)
-    phases = heisenberg._phases(solution.freq_plus, solution.freq_minus, grid)
-    exact = heisenberg._closed_form(eta, comm, solution, *phases)
+    exact = closed_form(spec, n_dim, guard, grid)
     split = np.array([solution.evolve(t) for t in grid.tolist()])
     oracle = heisenberg._phase_oracle(eta, operators._level_gaps(levels), grid)
     comparison = operators._window(spec, exact - split, guard, oracle)
@@ -167,7 +190,9 @@ class TestCheckHeisenberg:
         # a complex time is not truncated to its real part, nor a Decimal
         # converted, nor 10**400 left to overflow the float conversion
         evaluated = []
-        kernels = ((heisenberg, "_phases"), (operators, "_phases"), (heisenberg, "_phase_oracle"))
+        kernels = (
+            (heisenberg, "_evolved"), (operators, "_evolved"), (heisenberg, "_phase_oracle")
+        )
         for module, name in kernels:
             kernel = getattr(module, name)
             monkeypatch.setattr(
@@ -187,10 +212,8 @@ class TestCheckHeisenberg:
         # exact_evolution and oracle_evolution at one time give the rows of
         # the (T, 3, N) bands the check evaluates
         grid = np.array([0.37, 2.5])
-        levels, eta, comm = sc.build_basic(PT23, 20, 4)
-        solution = sc.build_solution(PT23, 20, 4)
-        phases = heisenberg._phases(solution.freq_plus, solution.freq_minus, grid)
-        exact = heisenberg._closed_form(eta, comm, solution, *phases)
+        levels, eta, _ = sc.build_basic(PT23, 20, 4)
+        exact = operators._evolved(sc.build_solution(PT23, 20, 4), grid)
         oracle = heisenberg._phase_oracle(eta, operators._level_gaps(levels), grid)
         for k, t in enumerate(grid.tolist()):
             assert np.array_equal(sc.exact_evolution(PT23, 20, 4, t), exact[k])
@@ -223,12 +246,12 @@ class TestCheckHeisenberg:
     @pytest.mark.parametrize(
         "samples, t_samples, residual",
         [
-            (0.5, [0.5], "0x1.0000000000000p-53"),
-            (2, [2.0], "0x1.04760c95db310p-53"),
-            (np.int64(2), [2.0], "0x1.04760c95db310p-53"),
+            (0.5, [0.5], "0x1.1e3779b97f4a8p-53"),
+            (2, [2.0], "0x1.01fe03f61bad0p-53"),
+            (np.int64(2), [2.0], "0x1.01fe03f61bad0p-53"),
             (np.float32(0.37), [0.3700000047683716], "0x1.1e3779b97f4a8p-53"),
-            (Fraction(3, 10), [0.3], "0x1.94c583ada5b53p-53"),
-            (True, [1.0], "0x1.07e0f66afed07p-53"),
+            (Fraction(3, 10), [0.3], "0x1.1e3779b97f4a8p-53"),
+            (True, [1.0], "0x1.1e3779b97f4a8p-53"),
             (np.array([0.1, 2.5]), [0.1, 2.5], "0x1.1e3779b97f4a8p-53"),
         ],
     )
@@ -280,6 +303,45 @@ class TestSolutionDecomposition:
             evolved = sc.exact_evolution(spec, 16, 4, t)
             diag = np.diag(sc.dense(evolved))[:12]
             assert np.max(np.abs(diag - expected)) < 1e-12
+
+
+THREE = [sc.PoschlTeller(1.3, 2.1), sc.DeformedOscillator(1.3), AW1]
+
+
+class TestOneFormula:
+    """The check evolves the ladder pair itself: the bands `build_ladder`
+    hands to the ladder checks are the frequency parts the phase oracle
+    holds the evolution to."""
+
+    @pytest.mark.parametrize("spec", THREE, ids=["pt", "do", "aw"])
+    def test_the_check_evolves_the_ladder_pair(self, spec, monkeypatch):
+        handed = []
+
+        def recording(solution, times):
+            handed.append(solution)
+            return operators._evolved(solution, times)
+
+        monkeypatch.setattr(heisenberg, "_evolved", recording)
+        n_dim = spec.heisenberg_n
+        assert sc.check_heisenberg(spec, n_dim, 4).passed
+        solution = sc.build_solution(spec, n_dim, 4)
+        assert handed and all(seen is solution for seen in handed)
+        pair = sc.build_ladder(spec, n_dim, 4)
+        assert solution.a_plus is pair.a_plus and solution.a_minus is pair.a_minus
+
+    @pytest.mark.parametrize("spec", THREE, ids=["pt", "do", "aw"])
+    def test_a_planted_lowering_part_fails_the_check(self, spec, monkeypatch):
+        # a_minus x (1 + 1e-6), as a formula defect in build_solution would leave it
+        original = operators.build_solution
+
+        def planted(*args):
+            solution = original(*args)
+            return dataclasses.replace(solution, a_minus=solution.a_minus * (1.0 + 1e-6))
+
+        for module in (operators, heisenberg):
+            monkeypatch.setattr(module, "build_solution", planted)
+        report = sc.check_heisenberg(spec, spec.heisenberg_n, 4)
+        assert report.max_residual > report.tolerance and not report.passed
 
 
 def _defective(values):

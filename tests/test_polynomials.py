@@ -337,6 +337,13 @@ class TestEvalPoly:
         with pytest.raises(sc.ParameterOutOfRange, match=message):
             sc.eval_all(DO1, 3, points)
 
+    def test_a_degree_past_double_range_is_inf_without_a_warning(self):
+        # P_2 = 4x^2 - 1 overflows at x = 1e200; numpy's RuntimeWarning
+        # stays inside eval_all (pytest makes a warning an error)
+        values = sc.eval_all(DO1, 3, [1e200, 0.5])
+        assert values[1, 0] == 2e200 and np.all(values[2:, 0] == math.inf)
+        assert np.array_equal(values[:, 1], sc.eval_all(DO1, 3, 0.5))
+
     def test_numpy_integer_degree_is_a_degree(self):
         assert np.array_equal(sc.eval_all(DO1, np.int64(3), 0.37), sc.eval_all(DO1, 3, 0.37))
 

@@ -166,22 +166,19 @@ def _plus_diagonal(bands, values):
 
 
 def per_sample_heisenberg(spec, n_dim: int, guard: int, t_samples):
-    """max_residual, closed form vs phase oracle, one time sample at a time."""
-    levels, eta, comm = sc.build_basic(spec, n_dim, guard)
+    """max_residual, the split's sum of parts vs phase oracle, one time
+    sample at a time."""
+    levels, eta, _ = sc.build_basic(spec, n_dim, guard)
     solution = sc.build_solution(spec, n_dim, guard)
-    ratio, ap, am = -solution.constant_part, solution.freq_plus, solution.freq_minus
     mask = operators._window_mask(n_dim, guard)
     gaps = operators._level_gaps(levels)
     worst = 0.0
     for t in (float(t) for t in t_samples):
-        denom = ap - am
-        phase_p = np.exp(1j * ap * t)
-        phase_m = np.exp(1j * am * t)
-        osc = (phase_p - phase_m) / denom
-        mix = (-am * phase_p + ap * phase_m) / denom
+        phase_p = np.exp(1j * solution.freq_plus * t)
+        phase_m = np.exp(1j * solution.freq_minus * t)
         exact = (
-            _plus_diagonal(comm * osc[None, :], -ratio)
-            + _plus_diagonal(eta, ratio) * mix[None, :]
+            _plus_diagonal(solution.a_plus * phase_p[None, :], solution.constant_part)
+            + solution.a_minus * phase_m[None, :]
         )
         oracle = eta * np.exp(1j * gaps * t)
         col_scale = 1.0

@@ -386,6 +386,28 @@ class TestAlphaPM:
         with pytest.raises(sc.ParameterOutOfRange, match=f"^{re.escape(message)}$"):
             sc.alpha_pm(PT11, e)
 
+    @pytest.mark.parametrize("e", [1e200, [0.0, 1e200]], ids=["scalar", "array"])
+    def test_an_energy_whose_pair_overflows_is_refused_by_its_value(self, e):
+        # R0 ~ E^2 overflows inside HPoly without a RuntimeWarning reaching
+        # the caller, and the refusal does not name a level E_0 or E_1
+        message = "^the frequency pair at energy 1e\\+200 overflows$"
+        with pytest.raises(sc.ParameterOutOfRange, match=message):
+            sc.alpha_pm(AW1, e)
+
+    @pytest.mark.parametrize(
+        "check, level",
+        [
+            (lambda: sc.check_spectrum_closure(sc.AskeyWilson(0, 0, 0, 0, q=1e-100), 1), 1),
+            (lambda: sc.build_solution(sc.AskeyWilson(0, 0, 0, 0, q=1e-55), 3, 1), 2),
+        ],
+        ids=["spectrum_closure", "build_solution"],
+    )
+    def test_levels_whose_pair_overflows_are_refused_by_their_level(self, check, level):
+        # R0(E_1) overflows at q 1e-100; at q 1e-55 R0(E_2) is finite and R1(E_2)^2 is not
+        message = f"^the frequency pair at level E_{level} overflows$"
+        with pytest.raises(sc.ParameterOutOfRange, match=message):
+            check()
+
     def test_a_sequence_of_energies_is_their_array(self):
         # not "can't multiply sequence by non-int of type 'float'"
         levels = sc.energies(PT11, 4)

@@ -19,9 +19,10 @@ reach the fixed-notation decade 1, four aw and four do `ladder` runs at
 the edges of their ground-state densities, four aw runs at the edges of
 its diagonal recurrence coefficient B_n, nine aw runs (`ladder`, `coherent` and
 `classical --states 1`) at parameter bits that stretch its exact integer-ratio
-constants, two do `ladder` runs past N 2048, `heisenberg`
-and `coherent` at N 512 for one system per family, JSON `ladder` at N 512
-for pt and do and at N 64 for aw, two do `coherent` runs
+constants, two do `ladder` runs past N 2048, `heisenberg` and `coherent`
+at N 512 for one system per family, `heisenberg` at N 512 over 12 t
+samples (two blocks of the kernels) for the same three systems, JSON
+`ladder` at N 512 for pt and do and at N 64 for aw, two do `coherent` runs
 at the tail sizes of the benchmark's `matrix` workload (one with a complex
 lambda), three do `coherent` runs whose coefficients underflow to 0.0 where
 P_n overflows, the README's exit-2 examples, two do `ladder` runs at an a so
@@ -127,6 +128,12 @@ MATRIX_N = tuple(
     ("coherent", "--system", "do", "--a", "3.7", "--n", "431", "--lambda", "0.25+0.1j",
      "--format", "json"),
     ("coherent", "--system", "do", "--a", "0.7", "--n", "304", "--format", "json"),
+)
+# the Heisenberg kernels over two blocks at N 512 (8 times, then 4)
+HEISENBERG_BLOCKS = tuple(
+    ("heisenberg", *system, "--n", "512", "--t", "0,0.1,0.37,0.5,1,1.5,2,2.5,3,4,5,6",
+     "--format", "json")
+    for system in (SYSTEMS[1], SYSTEMS[4], SYSTEMS[6])
 )
 # the ladder pair's 17 digits (`ladder_action`, `hermitian_conjugacy`) at
 # the `matrix` sizes: N 512 for pt and do, N 64 for aw
@@ -249,7 +256,8 @@ def default_corpus() -> list[list[str]]:
     ]
     edges = (
         FIXED_DECADE_EXPORTS + DENSITY_EDGES + B_N_EDGES + EXACT_CONSTANT_EDGES
-        + DO_DENSITY_EDGES + SU11_LARGE_N + MATRIX_N + LADDER_MATRIX_N + COHERENT_PAST_LAST_COEFFICIENT
+        + DO_DENSITY_EDGES + SU11_LARGE_N + MATRIX_N + HEISENBERG_BLOCKS + LADDER_MATRIX_N
+        + COHERENT_PAST_LAST_COEFFICIENT
         + EXIT_2 + FLOATING_POINT_FAULTS + REAL_PARAMETER_REFUSALS
         + ORBIT_AND_LEVEL_REFUSALS + known_outcomes()
     )
